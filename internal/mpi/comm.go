@@ -17,6 +17,10 @@ import (
 type commShared struct {
 	id   int
 	a, b []int
+	// members is every process of the communicator: a itself for an
+	// intracommunicator, a followed by b (built once, at creation) for an
+	// intercommunicator. A member's position in it indexes rendezvous slots.
+	members []int
 	// revoked is the communicator-wide revocation flag. It is a lock-free
 	// gate for the hot path: while false, receives skip the quiesce map
 	// entirely. It only ever transitions false -> true, under World.state.
@@ -24,9 +28,9 @@ type commShared struct {
 	// hasAborts gates the aborts map the same way: senders/receivers
 	// consult the map (under a state read lock) only once some member has
 	// recorded a collective abort. The flag is stored under World.state
-	// after the record is written, and the recorder then wakes the members,
-	// so a receiver that must observe an abort is always re-driven past
-	// this gate.
+	// after the record is written, and the recorder then wakes the members
+	// receiving from it, so a receiver that must observe an abort is always
+	// re-driven past this gate.
 	hasAborts atomic.Bool
 	// aborts records, per collective instance tag, which members bailed out
 	// of that collective and at what virtual time (world rank -> abort
@@ -126,7 +130,7 @@ func (c *Comm) markRevoked() {
 		c.sh.quiesced = make(map[int]bool)
 	}
 	c.sh.quiesced[st.wrank] = true
-	w.wakeRanks(c.allMembers())
+	w.wakeWaiters(c.sh.members, opRecv, c.sh.id, AnySource)
 	w.state.Unlock()
 }
 
@@ -145,11 +149,13 @@ func (c *Comm) RemoteSize() int { return len(c.remoteGroup()) }
 func (c *Comm) IsInter() bool { return c.sh.b != nil }
 
 // Group returns the local group (world ranks, rank order), mirroring
-// MPI_Comm_group.
-func (c *Comm) Group() Group { return append(Group(nil), c.localGroup()...) }
+// MPI_Comm_group. The result is the communicator's own immutable list,
+// shared by every member: read it, never write to it.
+func (c *Comm) Group() Group { return c.localGroup() }
 
-// RemoteGroup returns the remote group of an intercommunicator.
-func (c *Comm) RemoteGroup() Group { return append(Group(nil), c.remoteGroup()...) }
+// RemoteGroup returns the remote group of an intercommunicator, shared and
+// read-only like Group.
+func (c *Comm) RemoteGroup() Group { return c.remoteGroup() }
 
 func (c *Comm) localGroup() []int {
 	if c.side == 0 {
@@ -165,16 +171,26 @@ func (c *Comm) remoteGroup() []int {
 	return c.sh.a
 }
 
-// allMembers returns the union of both groups (just the local group for an
-// intracommunicator).
-func (c *Comm) allMembers() []int {
-	if c.sh.b == nil {
-		return c.sh.a
+// memberPos returns the calling process's position in sh.members.
+func (c *Comm) memberPos() int {
+	if c.side == 1 {
+		return len(c.sh.a) + c.rank
 	}
-	out := make([]int, 0, len(c.sh.a)+len(c.sh.b))
-	out = append(out, c.sh.a...)
-	out = append(out, c.sh.b...)
-	return out
+	return c.rank
+}
+
+// recvOp is the blocked-op descriptor of a receive from rank src of this
+// communicator (AnySource: wildcard). An invalid rank resolves immediately
+// in recvVerdict, so what is published for it does not matter.
+func (c *Comm) recvOp(src int) blockedOp {
+	if src == AnySource {
+		return recvOp(c.sh.id, -1)
+	}
+	pw, err := c.peerWorld(src)
+	if err != nil {
+		return opAny
+	}
+	return recvOp(c.sh.id, pw)
 }
 
 // peerWorld resolves a peer rank for point-to-point traffic: the remote

@@ -57,14 +57,28 @@ type Fiber struct {
 // await arms the fiber's next wakeup condition. poll runs with no locks
 // held; it must either complete the operation (invoke the continuation,
 // possibly arming the next await) and return true, or return false to park.
-// The descriptor identifies the receive for introspection (nil sh for
-// non-receive waits, e.g. a rendezvous).
-func (f *Fiber) await(sh *commShared, src, tag int, poll func() bool) {
+// op is published as the rank's blocked-op descriptor — here, before
+// driveFiber reads the epoch for this poll, exactly where a blocking call
+// publishes its own. The runtime's polls retract it (unblock) before they
+// run the continuation; one left standing only costs a spurious wake until
+// the next await replaces it. opAny suits a wait on a condition the runtime
+// does not know.
+func (f *Fiber) await(op blockedOp, poll func() bool) {
 	if f.poll != nil {
 		panic("mpi: fiber already has an operation in flight")
 	}
-	f.waitSh, f.waitSrc, f.waitTag = sh, src, tag
+	f.p.st.block(op)
+	f.waitSh = nil
 	f.poll = poll
+}
+
+// awaitRecv is await for a receive: it additionally records the receive's
+// (communicator, source, tag), which driveFiber copies into procState on
+// park for the revoked-deadlock detector, the watchdog dump and
+// /debug/ranks.
+func (f *Fiber) awaitRecv(c *Comm, src, tag int, poll func() bool) {
+	f.await(c.recvOp(src), poll)
+	f.waitSh, f.waitSrc, f.waitTag = c.sh, src, tag
 }
 
 // runEvent executes the event-driven path: one fiber per rank, all
@@ -183,11 +197,12 @@ func fiberRecvRaw[T any](f *Fiber, c *Comm, src, tag int, internal bool, k func(
 		k(deliver[T](c, env, internal, t0))
 		return
 	}
-	f.await(c.sh, src, tag, func() bool {
+	f.awaitRecv(c, src, tag, func() bool {
 		st.mu.Lock()
 		env := st.mb.take(c.sh.id, src, tag)
 		st.mu.Unlock()
 		if env != nil {
+			st.unblock()
 			k(deliver[T](c, env, internal, t0))
 			return true
 		}
@@ -196,6 +211,7 @@ func fiberRecvRaw[T any](f *Fiber, c *Comm, src, tag int, internal bool, k func(
 			st.mu.Lock()
 			env = st.mb.take(c.sh.id, src, tag)
 			st.mu.Unlock()
+			st.unblock()
 			if env != nil {
 				k(deliver[T](c, env, internal, t0))
 				return true
@@ -219,6 +235,7 @@ func fiberRecvRaw[T any](f *Fiber, c *Comm, src, tag int, internal bool, k func(
 				env = st.mb.take(c.sh.id, src, tag)
 				st.waitSh = nil
 				st.mu.Unlock()
+				st.unblock()
 				if env != nil {
 					k(deliver[T](c, env, internal, t0))
 					return true

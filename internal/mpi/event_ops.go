@@ -31,10 +31,11 @@ func fiberRendezvous(f *Fiber, c *Comm, op string, mode rvzMode, allowRevoked bo
 		k(nil, err)
 		return
 	}
-	f.await(nil, 0, 0, func() bool {
+	f.await(rvzOp(c.sh.id), func() bool {
 		if !rvzPoll(c, r, mode, build) {
 			return false
 		}
+		c.p.st.unblock()
 		k(rvzFinish(c, r, op, t0))
 		return true
 	})
@@ -48,18 +49,13 @@ func FiberSplit(f *Fiber, c *Comm, color, key int, k func(*Comm, error)) {
 		k(nil, c.fire(fmt.Errorf("mpi: Split on intercommunicator: %w", ErrComm)))
 		return
 	}
-	in := splitInput{color: color, key: key, rank: c.rank}
+	in := splitInput{color: color, key: key}
 	fiberRendezvous(f, c, "split", failOnDeath, false, in, buildSplit, func(res any, err error) {
 		if err != nil {
 			k(nil, c.fire(err))
 			return
 		}
-		if color < 0 {
-			k(nil, nil)
-			return
-		}
-		sh := res.(*splitResult).comms[color]
-		k(&Comm{sh: sh, p: c.p, rank: Group(sh.a).Rank(c.p.st.wrank)}, nil)
+		k(c.adopt(res.([]commRank)[c.rank]), nil)
 	})
 }
 
@@ -75,8 +71,7 @@ func FiberShrink(f *Fiber, c *Comm, k func(*Comm, error)) {
 			k(nil, c.fire(err))
 			return
 		}
-		sh := res.(*commShared)
-		k(&Comm{sh: sh, p: c.p, rank: Group(sh.a).Rank(c.p.st.wrank)}, nil)
+		k(c.adopt(res.([]commRank)[c.rank]), nil)
 	})
 }
 

@@ -597,7 +597,7 @@ func TestEventGoroutineCeiling(t *testing.T) {
 				// A custom await on an external condition: the poll must
 				// start the barrier itself before resolving, or the fiber
 				// would finish with nothing armed.
-				f.await(nil, 0, 0, func() bool {
+				f.await(opAny, func() bool {
 					if !release.Load() {
 						return false
 					}

@@ -14,7 +14,7 @@ import (
 // O(workers) live goroutines mid-collective, not O(ranks).
 //
 // Lock hierarchy: executor.mu is a strict leaf. ready is called under a
-// procState.mu (often with World.state also held, e.g. wakeRanks from a
+// procState.mu (often with World.state also held, e.g. wakeWaiters from a
 // revoke); pop and fiberDone take only executor.mu; a worker drives fibers
 // with no executor lock held, so the transport locks the fiber takes nest
 // outside nothing new.

@@ -1,6 +1,8 @@
 package mpi
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -116,4 +118,154 @@ func dedup(xs []uint8) Group {
 		}
 	}
 	return g
+}
+
+// The map-based group algebra the runtime used before the ordered-merge and
+// dense-mark implementation, kept as the reference the differential test
+// compares against.
+
+func refDifference(g, h Group) Group {
+	in := make(map[int]bool, len(h))
+	for _, x := range h {
+		in[x] = true
+	}
+	var out Group
+	for _, x := range g {
+		if !in[x] {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+func refUnion(g, h Group) Group {
+	out := append(Group(nil), g...)
+	in := make(map[int]bool, len(g))
+	for _, x := range g {
+		in[x] = true
+	}
+	for _, x := range h {
+		if !in[x] {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+func refIntersection(g, h Group) Group {
+	in := make(map[int]bool, len(h))
+	for _, x := range h {
+		in[x] = true
+	}
+	var out Group
+	for _, x := range g {
+		if in[x] {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+func refCompare(g, h Group) GroupRelation {
+	if slices.Equal(g, h) {
+		return GroupIdent
+	}
+	if len(g) != len(h) {
+		return GroupUnequal
+	}
+	set := make(map[int]bool, len(g))
+	for _, x := range g {
+		set[x] = true
+	}
+	for _, x := range h {
+		if !set[x] {
+			return GroupUnequal
+		}
+	}
+	return GroupSimilar
+}
+
+func refTranslateRanks(g Group, ranks []int, h Group) []int {
+	out := make([]int, len(ranks))
+	for i, r := range ranks {
+		if r < 0 || r >= len(g) {
+			out[i] = -1
+			continue
+		}
+		out[i] = h.Rank(g[r])
+	}
+	return out
+}
+
+// TestGroupAlgebraDifferential compares every group operation with the
+// map-based reference over the operand shapes that select different code
+// paths: an in-order subsequence (what shrink produces), the same members
+// permuted, partially overlapping and disjoint groups, and empty operands,
+// in both argument orders.
+func TestGroupAlgebraDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	subsequence := func(g Group) Group {
+		var out Group
+		for _, x := range g {
+			if rng.Intn(3) > 0 {
+				out = append(out, x)
+			}
+		}
+		return out
+	}
+	permuted := func(g Group) Group {
+		out := append(Group(nil), g...)
+		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		return out
+	}
+	check := func(g, h Group) {
+		t.Helper()
+		if got, want := g.Difference(h), refDifference(g, h); !slices.Equal(got, want) {
+			t.Fatalf("%v.Difference(%v) = %v, want %v", g, h, got, want)
+		}
+		if got, want := g.Union(h), refUnion(g, h); !slices.Equal(got, want) {
+			t.Fatalf("%v.Union(%v) = %v, want %v", g, h, got, want)
+		}
+		if got, want := g.Intersection(h), refIntersection(g, h); !slices.Equal(got, want) {
+			t.Fatalf("%v.Intersection(%v) = %v, want %v", g, h, got, want)
+		}
+		if got, want := g.Compare(h), refCompare(g, h); got != want {
+			t.Fatalf("%v.Compare(%v) = %v, want %v", g, h, got, want)
+		}
+		// Every rank of g, plus the out-of-range ones on either side, in
+		// order and shuffled.
+		ranks := make([]int, 0, len(g)+2)
+		for r := -1; r <= len(g); r++ {
+			ranks = append(ranks, r)
+		}
+		for pass := 0; pass < 2; pass++ {
+			if got, want := g.TranslateRanks(ranks, h), refTranslateRanks(g, ranks, h); !slices.Equal(got, want) {
+				t.Fatalf("%v.TranslateRanks(%v, %v) = %v, want %v", g, ranks, h, got, want)
+			}
+			rng.Shuffle(len(ranks), func(i, j int) { ranks[i], ranks[j] = ranks[j], ranks[i] })
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(40)
+		base := rng.Intn(1000)
+		g := make(Group, n)
+		for i, x := range rng.Perm(2 * n)[:n] {
+			g[i] = base + x // distinct, not sorted
+		}
+		if trial%2 == 0 {
+			slices.Sort(g) // communicator groups usually are
+		}
+		disjoint := make(Group, rng.Intn(10))
+		for i := range disjoint {
+			disjoint[i] = base + 2*n + i
+		}
+		sub := subsequence(g)
+		for _, h := range []Group{
+			sub, permuted(sub), permuted(g), g,
+			append(subsequence(g), disjoint...), disjoint, nil,
+		} {
+			check(g, h)
+			check(h, g)
+		}
+	}
 }

@@ -74,13 +74,11 @@ func (w *World) Snapshot() WorldSnapshot {
 	w.state.RLock()
 	out.Failed = append([]int{}, w.failed...)
 	out.Spawned = w.spawned
-	for key, r := range w.rvzTable {
-		if !r.done {
-			out.Pending = append(out.Pending, RendezvousSnapshot{
-				Comm: key.comm, Op: key.op, Seq: key.seq,
-				Arrived: len(r.arrived), Members: len(r.members),
-			})
-		}
+	for key, r := range w.rvzTable { // unresolved instances only
+		out.Pending = append(out.Pending, RendezvousSnapshot{
+			Comm: key.comm, Op: key.op, Seq: key.seq,
+			Arrived: r.arrived, Members: len(r.members),
+		})
 	}
 	w.state.RUnlock()
 

@@ -1,9 +1,9 @@
 package mpi
 
 import (
+	"cmp"
 	"fmt"
-	"math"
-	"sort"
+	"slices"
 )
 
 // Undefined mirrors MPI_UNDEFINED for Split colors: the caller receives no
@@ -11,11 +11,7 @@ import (
 const Undefined = -1
 
 type splitInput struct {
-	color, key, rank int
-}
-
-type splitResult struct {
-	comms map[int]*commShared
+	color, key int
 }
 
 // Split partitions the intracommunicator by color, ordering ranks within
@@ -27,47 +23,56 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 	if c.IsInter() {
 		return nil, c.fire(fmt.Errorf("mpi: Split on intercommunicator: %w", ErrComm))
 	}
-	in := splitInput{color: color, key: key, rank: c.rank}
+	in := splitInput{color: color, key: key}
 	res, err := runRendezvous(c, "split", failOnDeath, false, in, buildSplit)
 	if err != nil {
 		return nil, c.fire(err)
 	}
-	if color < 0 {
-		return nil, nil
-	}
-	sh := res.(*splitResult).comms[color]
-	rank := Group(sh.a).Rank(c.p.st.wrank)
-	return &Comm{sh: sh, p: c.p, rank: rank}, nil
+	return c.adopt(res.([]commRank)[c.rank]), nil
 }
 
+// buildSplit sorts the members by (color, key, old rank) and cuts one
+// communicator per color run, so communicator ids are handed out in
+// ascending color order — the same on every run.
 func buildSplit(w *World, r *rendezvous) (any, float64) {
 	type member struct {
-		in    splitInput
-		wrank int
+		splitInput
+		pos int // position in r.members == old rank (intracommunicator)
 	}
-	byColor := make(map[int][]member)
-	for wrank, in := range r.inputs {
-		si := in.(splitInput)
-		if si.color < 0 {
-			continue
-		}
-		byColor[si.color] = append(byColor[si.color], member{si, wrank})
-	}
-	res := &splitResult{comms: make(map[int]*commShared, len(byColor))}
-	for color, ms := range byColor {
-		sort.Slice(ms, func(i, j int) bool {
-			if ms[i].in.key != ms[j].in.key {
-				return ms[i].in.key < ms[j].in.key
+	ms := make([]member, 0, r.arrived)
+	for pos := range r.slots {
+		if s := &r.slots[pos]; s.here {
+			if in := s.input.(splitInput); in.color >= 0 {
+				ms = append(ms, member{in, pos})
 			}
-			return ms[i].in.rank < ms[j].in.rank
-		})
-		ranks := make([]int, len(ms))
-		for i, m := range ms {
-			ranks[i] = m.wrank
 		}
-		res.comms[color] = w.newCommLocked(ranks, nil)
 	}
-	return res, logCost(w, len(r.members))
+	slices.SortFunc(ms, func(x, y member) int {
+		if c := cmp.Compare(x.color, y.color); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(x.key, y.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.pos, y.pos)
+	})
+	out := make([]commRank, len(r.members))
+	for lo := 0; lo < len(ms); {
+		hi := lo
+		for hi < len(ms) && ms[hi].color == ms[lo].color {
+			hi++
+		}
+		ranks := make([]int, hi-lo)
+		for i, m := range ms[lo:hi] {
+			ranks[i] = r.members[m.pos]
+		}
+		sh := w.newCommLocked(ranks, nil)
+		for i, m := range ms[lo:hi] {
+			out[m.pos] = commRank{sh, i}
+		}
+		lo = hi
+	}
+	return out, logCost(w, len(r.members))
 }
 
 // Dup duplicates the communicator (same group, fresh context), mirroring
@@ -93,24 +98,30 @@ func (c *Comm) CommCreate(group Group) (*Comm, error) {
 	res, err := runRendezvous(c, "create", failOnDeath, false, append(Group(nil), group...),
 		func(w *World, r *rendezvous) (any, float64) {
 			// Use the lowest-world-rank arrival's group as canonical.
-			lowest := math.MaxInt
-			for wrank := range r.inputs {
-				if wrank < lowest {
-					lowest = wrank
+			lowest := -1
+			for pos := range r.slots {
+				if r.slots[pos].here && (lowest < 0 || r.members[pos] < r.members[lowest]) {
+					lowest = pos
 				}
 			}
-			g := r.inputs[lowest].(Group)
-			return w.newCommLocked(g, nil), logCost(w, len(r.members))
+			g := r.slots[lowest].input.(Group)
+			sh := w.newCommLocked(g, nil)
+			rankIn := make(map[int]int, len(g))
+			for rank, wr := range g {
+				rankIn[wr] = rank
+			}
+			out := make([]commRank, len(r.members))
+			for pos, wr := range r.members {
+				if rank, ok := rankIn[wr]; ok {
+					out[pos] = commRank{sh, rank}
+				}
+			}
+			return out, logCost(w, len(r.members))
 		})
 	if err != nil {
 		return nil, c.fire(err)
 	}
-	sh := res.(*commShared)
-	rank := Group(sh.a).Rank(c.p.st.wrank)
-	if rank < 0 {
-		return nil, nil
-	}
-	return &Comm{sh: sh, p: c.p, rank: rank}, nil
+	return c.adopt(res.([]commRank)[c.rank]), nil
 }
 
 // logCost models the latency of a communicator-management collective as a

@@ -113,6 +113,12 @@ func Wait[T any](r *Request) ([]T, Status, error) {
 	w := st.w
 
 	st.mu.Lock()
+	if !r.done {
+		// About to wait on the posted receive: publish it before the first
+		// epoch read (see blockedOp).
+		st.block(c.recvOp(r.src))
+		defer st.unblock()
+	}
 	for !r.done {
 		e := st.epoch
 		st.mu.Unlock()
@@ -218,6 +224,8 @@ func (c *Comm) Probe(src, tag int) (Status, error) {
 		}
 		return Status{}, false
 	}
+	st.block(c.recvOp(src))
+	defer st.unblock()
 	for {
 		st.mu.Lock()
 		stt, ok := probe()
@@ -299,6 +307,10 @@ func Waitany(reqs ...*Request) int {
 	c := reqs[0].c
 	st := c.p.st
 	w := st.w
+	// The requests may sit on several communicators and sources: publish
+	// the unclassified wait, which every control-plane event wakes.
+	st.block(opAny)
+	defer st.unblock()
 	for {
 		st.mu.Lock()
 		for i, r := range reqs {

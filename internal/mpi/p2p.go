@@ -198,9 +198,23 @@ func recvRaw[T any](c *Comm, src, tag int, internal bool) ([]T, Status, error) {
 	if c.sawRevoked {
 		return nil, Status{}, ErrRevoked
 	}
+	published := false
+	defer func() {
+		if published {
+			st.unblock()
+		}
+	}()
 	for {
 		st.mu.Lock()
 		env := st.mb.take(c.sh.id, src, tag)
+		if env == nil && !published {
+			// The receive may park: publish what it waits for, before the
+			// epoch read and the checks below, so control-plane events can
+			// tell whether it concerns them (see blockedOp). A message that
+			// is already here — the failure-free fast path — skips this.
+			st.block(c.recvOp(src))
+			published = true
+		}
 		e := st.epoch
 		st.mu.Unlock()
 		if env != nil {
@@ -346,7 +360,7 @@ func revokedDeadlock(c *Comm, self int) bool {
 	w := c.p.st.w
 	w.state.Lock()
 	ps := w.snapshot()
-	members := c.allMembers()
+	members := c.sh.members
 	locked := make([]*procState, 0, len(members))
 	for _, wr := range members {
 		locked = append(locked, ps[wr])
@@ -425,7 +439,7 @@ func pendingRecvVerdict(w *World, sh *commShared, q *procState) bool {
 // hasUnacked reports whether the communicator has failed members not yet
 // acknowledged via FailureAck on this handle.
 func hasUnacked(w *World, c *Comm) bool {
-	for _, wr := range c.allMembers() {
+	for _, wr := range c.sh.members {
 		if w.alive(wr) {
 			continue
 		}
@@ -444,8 +458,8 @@ func hasUnacked(w *World, c *Comm) bool {
 }
 
 // abortCollective records that the caller bailed out of collective instance
-// (comm, tag) and wakes every other member, guaranteeing that peers blocked
-// inside the same collective observe MPI_ERR_PROC_FAILED instead of
+// (comm, tag) and wakes the members receiving from it, guaranteeing that peers
+// blocked inside the same collective observe MPI_ERR_PROC_FAILED instead of
 // deadlocking — the behaviour the paper relies on when using MPI_Barrier for
 // failure detection. The abort is a per-instance record rather than an
 // injected message so that a receiver consults only the fate of the specific
@@ -467,7 +481,8 @@ func abortCollective(c *Comm, tag int) {
 		m[st.wrank] = st.clock.Now()
 	}
 	c.sh.hasAborts.Store(true)
-	w.wakeRanks(c.allMembers())
+	// Only a receive naming the aborter consults its abort record.
+	w.wakeWaiters(c.sh.members, opRecv, c.sh.id, st.wrank)
 	w.state.Unlock()
 }
 

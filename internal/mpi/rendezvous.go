@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"sync/atomic"
 )
 
 // rvzMode selects how a rendezvous-style collective treats member failure.
@@ -31,56 +32,93 @@ type rvzKey struct {
 	seq  int
 }
 
+// rvzSlot is one member's registration in a rendezvous.
+type rvzSlot struct {
+	at    float64 // the member's clock at entry
+	input any
+	here  bool
+}
+
 // rendezvous is the shared state of one in-progress collective that needs a
 // single, globally consistent result (split groups, shrunken communicator,
 // agreement value, spawn). Guarded by World.state — these are cold
 // control-plane operations, so they stay off the per-process fast path.
+//
+// Completion is counted, not scanned: missing is the number of alive
+// members that have not arrived and dead the number of dead members, both
+// as of World.deathGen == gen. An arrival decrements missing; a departure
+// bumps deathGen, and the next poll recounts once. So a poll is O(1), and
+// only the poll that finds missing == 0 — the last arrival's, or the first
+// after the death of the last missing member — does O(members) work.
 type rendezvous struct {
 	key     rvzKey
-	members []int // expected world ranks (both sides for an intercomm)
-	arrived map[int]float64
-	inputs  map[int]any
-	done    bool
-	result  any
-	err     error
-	t       float64
-	cost    float64 // modelled cost of the operation, for attribution
+	members []int     // the communicator's member list (shared, immutable)
+	slots   []rvzSlot // by member position
+	arrived int
+	missing int
+	dead    int
+	gen     uint64
+	// done is set, under World.state, after the result fields below are
+	// written; members that observe it read them without the lock.
+	done   atomic.Bool
+	result any
+	err    error
+	t      float64
+	cost   float64 // modelled cost of the operation, for attribution
+}
+
+// recount takes the alive/dead member counts afresh. Caller holds
+// World.state.
+func (r *rendezvous) recount(w *World) {
+	ps := w.snapshot()
+	r.missing, r.dead = 0, 0
+	for pos, wr := range r.members {
+		switch {
+		case !ps[wr].alive.Load():
+			r.dead++
+		case !r.slots[pos].here:
+			r.missing++
+		}
+	}
+	r.gen = w.deathGen
 }
 
 // maxArrival returns the latest arrival time among arrived-and-alive
 // members, folding the max inline (same zero identity as vtime.Max, with
 // no scratch slice per call). Caller holds World.state.
 func (r *rendezvous) maxArrival(w *World) float64 {
+	ps := w.snapshot()
 	var m float64
-	for wr, t := range r.arrived {
-		if w.alive(wr) && t > m {
-			m = t
+	for pos := range r.slots {
+		if s := &r.slots[pos]; s.here && s.at > m && ps[r.members[pos]].alive.Load() {
+			m = s.at
 		}
 	}
 	return m
 }
 
-// aliveArrived reports whether every currently-alive expected member has
-// arrived, and whether any expected member is dead. Caller holds
-// World.state.
-func (r *rendezvous) aliveArrived(w *World) (complete, anyDead bool) {
-	complete = true
-	for _, wr := range r.members {
-		if !w.alive(wr) {
-			anyDead = true
-			continue
-		}
-		if _, ok := r.arrived[wr]; !ok {
-			complete = false
-		}
-	}
-	return complete, anyDead
-}
-
 // buildFunc computes the single shared result of a rendezvous once all alive
 // members have arrived. It runs under World.state (it must not block) and
 // returns the result plus the modelled cost of the operation in seconds.
+// r.dead is exact when it runs. Builders that create communicators return
+// one commRank per member position, so no member searches for its new rank.
 type buildFunc func(w *World, r *rendezvous) (any, float64)
+
+// commRank is one member's place in a communicator a builder created (sh is
+// nil for a member that receives none).
+type commRank struct {
+	sh   *commShared
+	rank int
+}
+
+// adopt returns the caller's handle on the intracommunicator a builder
+// placed it in, or nil when it was placed in none.
+func (c *Comm) adopt(cr commRank) *Comm {
+	if cr.sh == nil {
+		return nil
+	}
+	return &Comm{sh: cr.sh, p: c.p, rank: cr.rank}
+}
 
 // The rendezvous protocol is split into three steps — enter, poll, finish —
 // so the blocking path (runRendezvous: poll in an epoch-gated condvar loop)
@@ -89,9 +127,9 @@ type buildFunc func(w *World, r *rendezvous) (any, float64)
 // completion and cost accounting.
 
 // rvzEnter registers the calling process in the rendezvous instance,
-// creating it on first arrival. Returns the instance (its pointer stays
-// valid for the life of the World — entries are never deleted) and the
-// caller's clock at entry for op-latency measurement.
+// creating it on first arrival. Returns the instance (held by its members;
+// the table drops it at resolution) and the caller's clock at entry for
+// op-latency measurement.
 //
 // allowRevoked must be true for the ULFM calls that operate on revoked
 // communicators (shrink, agree).
@@ -116,38 +154,51 @@ func rvzEnter(c *Comm, op string, allowRevoked bool, input any) (*rendezvous, fl
 	if !ok {
 		r = &rendezvous{
 			key:     key,
-			members: append([]int(nil), c.allMembers()...),
-			arrived: make(map[int]float64),
-			inputs:  make(map[int]any),
+			members: c.sh.members,
+			slots:   make([]rvzSlot, len(c.sh.members)),
 		}
+		r.recount(w)
 		w.rvzTable[key] = r
 	}
-	if _, dup := r.arrived[st.wrank]; dup {
+	s := &r.slots[c.memberPos()]
+	if s.here {
 		w.state.Unlock()
 		panic(fmt.Sprintf("mpi: process %d entered %s twice (seq %d)", st.wrank, op, key.seq))
 	}
-	r.arrived[st.wrank] = st.clock.Now()
-	r.inputs[st.wrank] = input
+	s.at, s.input, s.here = st.clock.Now(), input, true
+	r.arrived++
+	// The caller was counted missing unless the watchdog's abortJob has
+	// already declared it dead (it then runs on as a zombie).
+	if st.alive.Load() {
+		r.missing--
+	}
 	w.state.Unlock()
 	return r, t0, nil
 }
 
 // rvzPoll evaluates the rendezvous once and reports whether it is resolved.
 // The caller that observes the group complete builds the shared result (or
-// the deterministic abort) and wakes every member. Park-safe in both
-// blocking models: wakeRanks bumps member epochs under their mu, so an
-// epoch read taken before this poll detects any resolution that races with
-// a subsequent park.
+// the deterministic abort), retires the instance from the table and wakes
+// the members waiting in it. Park-safe in both blocking models: the wake
+// bumps member epochs under their mu, so an epoch read taken before this
+// poll detects any resolution that races with a subsequent park.
 func rvzPoll(c *Comm, r *rendezvous, mode rvzMode, build buildFunc) bool {
+	if r.done.Load() {
+		return true
+	}
 	w := c.p.st.w
 	w.state.Lock()
 	defer w.state.Unlock()
-	if r.done {
+	if r.done.Load() {
 		return true
 	}
-	complete, anyDead := r.aliveArrived(w)
-	switch {
-	case complete && anyDead && mode == failOnDeath:
+	if r.gen != w.deathGen {
+		r.recount(w)
+	}
+	if r.missing > 0 {
+		return false
+	}
+	if r.dead > 0 && mode == failOnDeath {
 		// Abort only once every alive member has arrived, exactly like
 		// the completion path. Aborting on the first observation of a
 		// death would stamp r.t with the max over whichever members
@@ -161,27 +212,23 @@ func rvzPoll(c *Comm, r *rendezvous, mode rvzMode, build buildFunc) bool {
 		// semantics.
 		r.err = failedErr(-1, -1)
 		r.t = r.maxArrival(w)
-		r.done = true
-	case complete:
-		result, cost := build(w, r)
-		r.result = result
-		r.cost = cost
-		r.t = r.maxArrival(w) + cost
-		if anyDead && mode == reportDeath {
+	} else {
+		r.result, r.cost = build(w, r)
+		r.t = r.maxArrival(w) + r.cost
+		if r.dead > 0 && mode == reportDeath {
 			r.err = failedErr(-1, -1)
 		}
-		r.done = true
-	default:
-		return false
 	}
-	w.wakeRanks(r.members)
+	r.done.Store(true)
+	delete(w.rvzTable, r.key)
+	w.wakeWaiters(r.members, opRvz, r.key.comm, AnySource)
 	return true
 }
 
 // rvzFinish synchronises the caller's clock to the resolved rendezvous and
 // attributes its cost. Caller must have observed r.done via rvzPoll; the
-// result fields are written once, under the same state lock that published
-// done, so they are read here without it.
+// result fields are written once, before done is set, so they are read here
+// without the state lock.
 func rvzFinish(c *Comm, r *rendezvous, op string, t0 float64) (any, error) {
 	st := c.p.st
 	w := st.w
@@ -210,11 +257,15 @@ func runRendezvous(c *Comm, op string, mode rvzMode, allowRevoked bool, input an
 	if err != nil {
 		return nil, err
 	}
+	// Published before the first epoch read: resolution and any death wake
+	// exactly the processes that show a rendezvous here.
+	st.block(rvzOp(c.sh.id))
+	defer st.unblock()
 	for {
-		// Epoch-gated park, exactly like recvRaw: resolution wakes the
-		// group (rvzPoll's wakeRanks, or markFailed's wakeAll on a death),
-		// bumping the epoch, so a wake landing between the read and the
-		// park is never lost.
+		// Epoch-gated park, exactly like recvRaw: resolution (rvzPoll's
+		// wakeWaiters) and a death (endProc's wakeForDeath) bump the
+		// epoch, so a wake landing between the read and the park is never
+		// lost.
 		e := st.epochNow()
 		if rvzPoll(c, r, mode, build) {
 			break

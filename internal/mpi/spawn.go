@@ -56,8 +56,7 @@ func (c *Comm) SpawnMultiple(n int, hosts []string, root int) (*Comm, error) {
 // FiberSpawnMultiple so both paths meet in the same rendezvous instance.
 func spawnBuild(c *Comm, n, root int) buildFunc {
 	return func(w *World, r *rendezvous) (any, float64) {
-		rootWorld := c.sh.a[root]
-		rootIn, ok := r.inputs[rootWorld].(spawnInput)
+		rootIn, ok := r.slots[root].input.(spawnInput)
 		if !ok {
 			return &spawnResult{err: fmt.Errorf("mpi: SpawnMultiple: missing root input: %w", ErrComm)}, 0
 		}
@@ -130,6 +129,8 @@ func (w *World) spawnLocked(parentGroup []int, n int, hosts []string, start floa
 // mergeEntry is the lazily interned result of one IntercommMerge instance.
 type mergeEntry struct {
 	sh *commShared
+	// aFirst records that side 0's group precedes side 1's in sh.
+	aFirst bool
 	// highOfSide records, per intercommunicator side, the high flag seen so
 	// far (nil = no member of that side has arrived yet). Valid usage has
 	// the two sides pass opposite flags.
@@ -174,7 +175,7 @@ func (c *Comm) IntercommMerge(high bool) (*Comm, error) {
 		merged := make([]int, 0, len(low)+len(highG))
 		merged = append(merged, low...)
 		merged = append(merged, highG...)
-		e = &mergeEntry{sh: w.newCommLocked(merged, nil)}
+		e = &mergeEntry{sh: w.newCommLocked(merged, nil), aFirst: aFirst}
 		w.mergeTable[key] = e
 	}
 	var err error
@@ -187,6 +188,10 @@ func (c *Comm) IntercommMerge(high bool) (*Comm, error) {
 	h := high
 	e.highOfSide[c.side] = &h
 	sh := e.sh
+	rank := c.rank // in the merged order: my group's offset plus my rank in it
+	if (c.side == 0) != e.aFirst {
+		rank += len(c.remoteGroup())
+	}
 	st.clock.AdvanceAttr(w.machine.ULFM.MergeCost(len(c.sh.a)+len(c.sh.b)), vtime.CompMerge)
 	w.state.Unlock()
 
@@ -194,6 +199,5 @@ func (c *Comm) IntercommMerge(high bool) (*Comm, error) {
 		return nil, c.fire(err)
 	}
 	opEnd(c, "merge", t0)
-	rank := Group(sh.a).Rank(st.wrank)
 	return &Comm{sh: sh, p: c.p, rank: rank}, nil
 }

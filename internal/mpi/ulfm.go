@@ -21,14 +21,23 @@ func (c *Comm) Revoke() error {
 	w := st.w
 	c.sawRevoked = true
 	w.state.Lock()
-	c.sh.revoked.Store(true)
+	if !c.sh.revoked.Load() {
+		c.sh.revoked.Store(true)
+		if w.revokedComms == nil {
+			w.revokedComms = make(map[int]bool)
+		}
+		w.revokedComms[c.sh.id] = true
+	}
 	if c.sh.quiesced == nil {
 		c.sh.quiesced = make(map[int]bool)
 	}
 	c.sh.quiesced[st.wrank] = true
 	st.clock.AdvanceAttr(w.machine.ULFM.RevokeCost, vtime.CompRevoke)
 	w.wm.countRevoke()
-	w.wakeRanks(c.allMembers())
+	// Only a receive on this communicator can be resolved by a revocation
+	// or by this caller's quiesce record; rendezvous collectives consult
+	// the owner-only sawRevoked at entry and nothing afterwards.
+	w.wakeWaiters(c.sh.members, opRecv, c.sh.id, AnySource)
 	w.state.Unlock()
 	return nil
 }
@@ -46,9 +55,7 @@ func (c *Comm) Shrink() (*Comm, error) {
 	if err != nil {
 		return nil, c.fire(err)
 	}
-	sh := res.(*commShared)
-	rank := Group(sh.a).Rank(c.p.st.wrank)
-	return &Comm{sh: sh, p: c.p, rank: rank}, nil
+	return c.adopt(res.([]commRank)[c.rank]), nil
 }
 
 // shrinkBuild is Shrink's shared-result builder: the survivors of the old
@@ -57,15 +64,22 @@ func (c *Comm) Shrink() (*Comm, error) {
 // the same rendezvous instance.
 func shrinkBuild(c *Comm) buildFunc {
 	return func(w *World, r *rendezvous) (any, float64) {
-		var alive []int
-		for _, wr := range c.sh.a {
+		out := make([]commRank, len(r.members))
+		alive := make([]int, 0, len(r.members)-r.dead)
+		for pos, wr := range r.members {
+			// MPI_UNDEFINED for a dead member: only one the watchdog
+			// declared dead, and which runs on, ever reads its slot.
+			out[pos].rank = -1
 			if w.alive(wr) {
+				out[pos].rank = len(alive)
 				alive = append(alive, wr)
 			}
 		}
-		nfailed := len(c.sh.a) - len(alive)
-		cost := w.machine.ULFM.ShrinkCost(len(c.sh.a), nfailed)
-		return w.newCommLocked(alive, nil), cost
+		sh := w.newCommLocked(alive, nil)
+		for pos := range out {
+			out[pos].sh = sh
+		}
+		return out, w.machine.ULFM.ShrinkCost(len(r.members), r.dead)
 	}
 }
 
@@ -90,17 +104,16 @@ func (c *Comm) Agree(flag int) (int, error) {
 func agreeBuild(c *Comm) buildFunc {
 	return func(w *World, r *rendezvous) (any, float64) {
 		agreed := -1 // all bits set
-		for wr, in := range r.inputs {
-			if w.alive(wr) {
-				agreed &= in.(int)
+		for pos := range r.slots {
+			if s := &r.slots[pos]; s.here && w.alive(r.members[pos]) {
+				agreed &= s.input.(int)
 			}
 		}
-		members := c.allMembers()
-		nfailed := len(w.failedOf(members))
+		nfailed := r.dead
 		if c.sh.repairFor > nfailed {
 			nfailed = c.sh.repairFor
 		}
-		return agreed, w.machine.ULFM.AgreeCost(len(members), nfailed)
+		return agreed, w.machine.ULFM.AgreeCost(len(r.members), nfailed)
 	}
 }
 
@@ -112,8 +125,8 @@ func agreeBuild(c *Comm) buildFunc {
 func (c *Comm) FailureAck() error {
 	st := c.p.st
 	w := st.w
-	c.acked = w.failedOf(c.allMembers())
-	st.clock.AdvanceAttr(w.machine.ULFM.GroupOpCost*float64(len(c.allMembers())), vtime.CompAck)
+	c.acked = w.failedOf(c.sh.members)
+	st.clock.AdvanceAttr(w.machine.ULFM.GroupOpCost*float64(len(c.sh.members)), vtime.CompAck)
 	return nil
 }
 

@@ -70,16 +70,19 @@ func (w *World) watch(cfg Watchdog, done <-chan struct{}) {
 	}
 }
 
-// progressSignature samples every process's wakeup epoch, and reports
-// whether any process is still alive. Spawn growing the process table
-// changes the signature's length, which counts as progress.
+// progressSignature samples every process's wakeup epoch and liveness, and
+// reports whether any process is still alive. A departure wakes only the
+// processes it concerns — possibly none — so it is folded in as progress of
+// its own (the low bit); spawn growing the process table changes the
+// signature's length, which counts too.
 func (w *World) progressSignature() ([]uint64, bool) {
 	ps := w.snapshot()
 	sig := make([]uint64, len(ps))
 	anyAlive := false
 	for i, st := range ps {
-		sig[i] = st.epochNow()
+		sig[i] = st.epochNow() << 1
 		if st.alive.Load() {
+			sig[i] |= 1
 			anyAlive = true
 		}
 	}
@@ -132,10 +135,17 @@ func (w *World) stallDump(timeout time.Duration) string {
 // lost, this just converts a hang into errors.
 func (w *World) abortJob() {
 	w.state.Lock()
-	for _, st := range w.snapshot() {
+	ps := w.snapshot()
+	for _, st := range ps {
 		if st.alive.Load() {
 			w.endProc(st, true)
 		}
+	}
+	// The processes just declared dead are still parked in their
+	// operations, and a departure does not wake the dead: wake them all,
+	// now that every peer they could be waiting for is gone.
+	for _, st := range ps {
+		st.wake()
 	}
 	w.state.Unlock()
 }

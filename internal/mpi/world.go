@@ -10,9 +10,9 @@
 // Each simulated MPI process is a goroutine with a private virtual clock
 // (see internal/vtime). Process failure is fail-stop: the victim aborts via
 // Proc.Kill (the analogue of the paper's kill(getpid(), SIGKILL)); the
-// runtime marks it failed and wakes every blocked peer so pending and future
-// operations observe MPI_ERR_PROC_FAILED, exactly as a ULFM MPI reports a
-// dead partner.
+// runtime marks it failed and wakes every peer blocked on it so pending and
+// future operations observe MPI_ERR_PROC_FAILED, exactly as a ULFM MPI
+// reports a dead partner.
 //
 // # Lock hierarchy
 //
@@ -41,6 +41,14 @@
 // and signals its condvar. A parker re-checks its wake conditions, then
 // parks only if the epoch is unchanged since before the checks — so a wake
 // that races with the checks is never lost.
+//
+// Control-plane events (death, revoke, abort, rendezvous resolution) reach
+// only the processes they can affect: before it reads its epoch, a process
+// publishes what it may park on (procState.blocked, one atomic word), and
+// the event skips, without taking its mu, every process whose published
+// wait it cannot resolve. A process that publishes after the event's read
+// runs its checks after the event's state change and sees it, so skipping
+// loses no wake (see blockedOp and DESIGN.md §8).
 //
 // Every wake site funnels through procState.notifyLocked, which serves two
 // blocking disciplines behind one protocol: a goroutine-per-rank process
@@ -77,6 +85,11 @@ type procState struct {
 	sl     slab   // eager-copy arena; owner-only (senders copy into their own)
 	opHook OpHook // operation observer; owner-only (see ophook.go)
 	curOp  string // collective in progress; owner-only (hop attribution)
+
+	// blocked is the blockedOp this process may be about to park on,
+	// published by its owner before the epoch read of a blocking loop and
+	// cleared when the operation returns. Wakers read it lock-free.
+	blocked atomic.Uint64
 
 	mu     sync.Mutex
 	cond   sync.Cond // on mu; the owning goroutine is the only waiter
@@ -135,6 +148,64 @@ func (st *procState) epochNow() uint64 {
 	return e
 }
 
+// blockedOp describes the wait a process may be about to park in, packed
+// into one atomically readable word: kind, communicator id and — for a
+// receive — the world rank of the named source. It exists so control-plane
+// events can tell, without the process's mu, that they cannot be what the
+// process is waiting for.
+//
+// The owner stores it BEFORE reading the epoch that gates its park, and an
+// event loads it AFTER making its state change (under World.state, or to an
+// atomic flag). So when an event reads a stale word and skips the process,
+// the process's store — and every check it runs afterwards — follows the
+// state change and observes it; when the event reads the current word, it
+// wakes the process through the ordinary epoch bump. Either way no wake is
+// lost. A word left over from a finished operation only costs a spurious
+// wake.
+type blockedOp uint64
+
+const (
+	opNone blockedOp = iota // runnable: no control-plane event concerns it
+	opRecv                  // receive on comm from a named world rank or wildcard
+	opRvz                   // rendezvous collective on comm
+	opAny                   // unclassified wait: every event wakes it
+
+	opKindBits = 2
+	opIDBits   = 31
+	opIDMask   = 1<<opIDBits - 1
+)
+
+// recvOp describes a receive on communicator commID from world rank src
+// (src < 0: wildcard). Ids beyond the packed width degrade to opAny.
+func recvOp(commID, src int) blockedOp {
+	if commID > opIDMask || src >= opIDMask {
+		return opAny
+	}
+	if src < 0 {
+		src = -1
+	}
+	return opRecv | blockedOp(commID)<<opKindBits | blockedOp(src+1)<<(opKindBits+opIDBits)
+}
+
+// rvzOp describes a rendezvous collective on communicator commID.
+func rvzOp(commID int) blockedOp {
+	if commID > opIDMask {
+		return opAny
+	}
+	return opRvz | blockedOp(commID)<<opKindBits
+}
+
+func (o blockedOp) kind() blockedOp { return o & (1<<opKindBits - 1) }
+func (o blockedOp) comm() int       { return int(o >> opKindBits & opIDMask) }
+
+// src returns the named source's world rank, or -1 for a wildcard.
+func (o blockedOp) src() int { return int(o>>(opKindBits+opIDBits)&opIDMask) - 1 }
+
+// block publishes the wait the owner is about to enter; unblock retracts it
+// once the operation has returned.
+func (st *procState) block(op blockedOp) { st.blocked.Store(uint64(op)) }
+func (st *procState) unblock()           { st.blocked.Store(uint64(opNone)) }
+
 // World owns all simulated processes of one MPI job, including processes
 // created later by SpawnMultiple. See the package comment for the lock
 // hierarchy.
@@ -176,10 +247,20 @@ type World struct {
 
 	state      sync.RWMutex
 	nextCommID int
+	// rvzTable holds the unresolved rendezvous instances only: an entry is
+	// removed the moment it resolves (its members keep the pointer).
 	rvzTable   map[rvzKey]*rendezvous
 	mergeTable map[rvzKey]*mergeEntry
-	failed     []int // world ranks, in failure order
-	spawned    int
+	// deathGen counts endProc calls. A rendezvous remembers the generation
+	// its alive/dead member counts were taken at and recounts only when a
+	// process has left since.
+	deathGen uint64
+	// revokedComms is the set of revoked communicator ids: a death can
+	// complete the revoked-communicator deadlock condition for a process
+	// parked in a receive on one of them, whoever its source is.
+	revokedComms map[int]bool
+	failed       []int // world ranks, in failure order
+	spawned      int
 	// spareFree holds the world ranks of parked spare processes not yet
 	// claimed, in creation order; sparesUsed counts claims. Both guarded by
 	// state, like spawned.
@@ -213,20 +294,43 @@ func (w *World) failedOf(ranks []int) []int {
 	return out
 }
 
-// wakeAll wakes every process (job-wide events: death, exit).
-func (w *World) wakeAll() {
-	for _, q := range w.snapshot() {
-		q.wake()
+// wakeWaiters wakes the members of communicator commID whose published wait
+// is of the given kind on it — and, for src != AnySource, a receive naming
+// world rank src. The three group-wide events use it: a revocation or a
+// quiesce record wakes every receive on the communicator, named or wildcard
+// (any of them may now resolve, through its source's quiesce or the
+// revoked-deadlock detector); a collective abort wakes just the receives
+// awaiting the aborter; a resolved rendezvous wakes the rendezvous waits.
+// Caller has made the state change the waiters must observe.
+func (w *World) wakeWaiters(members []int, kind blockedOp, commID, src int) {
+	ps := w.snapshot()
+	for _, r := range members {
+		q := ps[r]
+		op := blockedOp(q.blocked.Load())
+		if k := op.kind(); k == opAny ||
+			k == kind && op.comm() == commID && (src == AnySource || op.src() == src) {
+			q.wake()
+		}
 	}
 }
 
-// wakeRanks wakes the given world ranks.
-func (w *World) wakeRanks(ranks []int) {
-	ps := w.snapshot()
-	for _, r := range ranks {
-		if r >= 0 && r < len(ps) {
-			ps[r].wake()
+// wakeForDeath wakes every live process whose wait the departure of world
+// rank dead can resolve: a receive naming it, a wildcard receive (the
+// unacknowledged-failure report), a receive on a revoked communicator (the
+// deadlock detector skips dead members), and any rendezvous (it completes
+// among the survivors). Caller holds state (write).
+func (w *World) wakeForDeath(dead int) {
+	for _, q := range w.snapshot() {
+		op := blockedOp(q.blocked.Load())
+		if op == opNone || !q.alive.Load() {
+			continue
 		}
+		if op.kind() == opRecv {
+			if s := op.src(); s >= 0 && s != dead && !w.revokedComms[op.comm()] {
+				continue
+			}
+		}
+		q.wake()
 	}
 }
 
@@ -392,8 +496,7 @@ func Run(o Options) (*Report, error) {
 		}
 	}
 	w.procs.Store(&procs)
-	worldComm := &commShared{id: 0, a: worldRanks}
-	w.nextCommID = 1
+	worldComm := w.newCommLocked(worldRanks, nil) // id 0; nothing runs yet
 
 	hands := make([]Proc, o.NProcs)
 	comms := make([]Comm, o.NProcs)
@@ -485,8 +588,8 @@ func (w *World) finish(st *procState) {
 	w.endProc(st, false)
 }
 
-// markFailed records a process death and wakes every blocked process so
-// pending operations can observe the failure.
+// markFailed records a process death and wakes the processes blocked on it
+// so pending operations can observe the failure.
 func (w *World) markFailed(st *procState) {
 	w.state.Lock()
 	defer w.state.Unlock()
@@ -498,10 +601,11 @@ func (w *World) markFailed(st *procState) {
 
 // endProc takes a process out of the job: liveness flips first (under
 // state, so failure checks and membership scans agree), the mailbox is
-// drained back to the envelope pool, and everyone is woken to re-check.
-// Caller holds state (write).
+// drained back to the envelope pool, and the processes whose waits the
+// departure can resolve are woken to re-check. Caller holds state (write).
 func (w *World) endProc(st *procState, record bool) {
 	st.alive.Store(false)
+	w.deathGen++
 	if record {
 		w.failed = append(w.failed, st.wrank)
 	}
@@ -511,19 +615,19 @@ func (w *World) endProc(st *procState, record bool) {
 	st.mu.Lock()
 	st.mb.drain()
 	st.mu.Unlock()
-	w.wakeAll()
+	w.wakeForDeath(st.wrank)
 }
 
 // newCommLocked allocates a communicator's shared state. Caller holds
 // state (write). b == nil makes an intracommunicator; otherwise a and b
-// are the two groups of an intercommunicator.
+// are the two groups of an intercommunicator. The groups are adopted, not
+// copied: callers pass a freshly built list or another communicator's
+// already-published (immutable) group.
 func (w *World) newCommLocked(a, b []int) *commShared {
-	sh := &commShared{
-		id: w.nextCommID,
-		a:  append([]int(nil), a...),
-	}
+	sh := &commShared{id: w.nextCommID, a: a, b: b, members: a}
 	if b != nil {
-		sh.b = append([]int(nil), b...)
+		sh.members = make([]int, 0, len(a)+len(b))
+		sh.members = append(append(sh.members, a...), b...)
 	}
 	w.nextCommID++
 	return sh

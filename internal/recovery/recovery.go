@@ -119,7 +119,11 @@ func ErrorHandler(p *mpi.Proc) mpi.Errhandler {
 
 // FailedProcsList is Fig. 6: compare the broken communicator's group with
 // the shrunken group and translate the difference back to ranks in the
-// broken communicator. It returns the failed ranks in group order.
+// broken communicator. It returns the failed ranks in group order. Every
+// rank runs it, so it works on the communicators' own group lists and
+// allocates only in proportion to the number of failures: the shrunken
+// group is an in-order subsequence of the broken one, which Difference and
+// TranslateRanks each resolve in one pass.
 func FailedProcsList(broken, shrunk *mpi.Comm) []int {
 	oldGroup := broken.Group()
 	shrinkGroup := shrunk.Group()
@@ -142,21 +146,32 @@ func FailedProcsList(broken, shrunk *mpi.Comm) []int {
 // communicator back into the pre-failure rank order. Surviving process i of
 // the shrunken communicator receives its old rank; children use the old
 // rank received from rank 0.
+//
+// The paper builds the list of surviving old ranks (0..totalProcs-1 without
+// failedRanks) and indexes it with mpiRank. The mpiRank-th survivor is
+// computed here directly — each failed rank at or below the running answer
+// pushes it up by one — so a rank allocates nothing for it.
 func SelectRankKey(mpiRank, shrinkedGroupSize int, failedRanks []int, totalProcs int) int {
-	failed := make(map[int]bool, len(failedRanks))
-	for _, r := range failedRanks {
-		failed[r] = true
-	}
-	shrinkMergeList := make([]int, 0, totalProcs-len(failedRanks))
-	for i := 0; i < totalProcs; i++ {
-		if !failed[i] {
-			shrinkMergeList = append(shrinkMergeList, i)
-		}
-	}
-	if mpiRank < 0 || mpiRank >= shrinkedGroupSize || mpiRank >= len(shrinkMergeList) {
+	if mpiRank < 0 || mpiRank >= shrinkedGroupSize {
 		return -1
 	}
-	return shrinkMergeList[mpiRank]
+	if !sort.IntsAreSorted(failedRanks) { // FailedProcsList's are
+		failedRanks = append([]int(nil), failedRanks...)
+		sort.Ints(failedRanks)
+	}
+	key := mpiRank
+	for i, f := range failedRanks {
+		if f > key {
+			break
+		}
+		if f >= 0 && (i == 0 || f != failedRanks[i-1]) {
+			key++
+		}
+	}
+	if key >= totalProcs {
+		return -1
+	}
+	return key
 }
 
 // Placement chooses the hosts on which to re-spawn replacements, given the

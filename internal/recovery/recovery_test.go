@@ -2,8 +2,10 @@ package recovery
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ftsg/internal/mpi"
@@ -467,6 +469,116 @@ func TestSelectRankKeyProperty(t *testing.T) {
 				t.Fatalf("trial %d (n=%d failed=%v): rank %d keyed by nobody", trial, n, failed, r)
 			}
 		}
+	}
+}
+
+// refSelectRankKey is Fig. 7 as the paper writes it — build the list of
+// surviving old ranks, index it — which SelectRankKey computes without the
+// list.
+func refSelectRankKey(mpiRank, shrinkedGroupSize int, failedRanks []int, totalProcs int) int {
+	failed := make(map[int]bool, len(failedRanks))
+	for _, r := range failedRanks {
+		failed[r] = true
+	}
+	var shrinkMergeList []int
+	for i := 0; i < totalProcs; i++ {
+		if !failed[i] {
+			shrinkMergeList = append(shrinkMergeList, i)
+		}
+	}
+	if mpiRank < 0 || mpiRank >= shrinkedGroupSize || mpiRank >= len(shrinkMergeList) {
+		return -1
+	}
+	return shrinkMergeList[mpiRank]
+}
+
+// TestSelectRankKeyExhaustive compares SelectRankKey with the list
+// construction for every world of up to 10 processes, every subset of failed
+// ranks (ascending, as FailedProcsList reports them, and descending), every
+// caller rank from -1 to one past the end, and shrunken-group sizes on both
+// sides of the true one.
+func TestSelectRankKeyExhaustive(t *testing.T) {
+	for n := 0; n <= 10; n++ {
+		for set := 0; set < 1<<n; set++ {
+			var failed []int
+			for r := 0; r < n; r++ {
+				if set>>r&1 == 1 {
+					failed = append(failed, r)
+				}
+			}
+			reversed := append([]int(nil), failed...)
+			sort.Sort(sort.Reverse(sort.IntSlice(reversed)))
+			survivors := n - len(failed)
+			for _, list := range [][]int{failed, reversed} {
+				for _, size := range []int{survivors - 1, survivors, survivors + 1} {
+					for rank := -1; rank <= n; rank++ {
+						got := SelectRankKey(rank, size, list, n)
+						if want := refSelectRankKey(rank, size, list, n); got != want {
+							t.Fatalf("SelectRankKey(%d, %d, %v, %d) = %d, want %d", rank, size, list, n, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFailedListAllocatesPerFailure pins that what every rank runs between
+// shrink and spawn — FailedProcsList and SelectRankKey — costs memory in
+// proportion to the failures, not to the communicator: under 1 KiB for two
+// failures among 4096 members, where copying the groups alone was 64 KiB.
+// The other ranks wait on a channel while rank 0 measures, so the process-wide
+// allocation counters see only its calls.
+func TestFailedListAllocatesPerFailure(t *testing.T) {
+	const n = 4096
+	victims := map[int]bool{1234: true, 3001: true}
+	var waiting atomic.Int64
+	release := make(chan struct{})
+	_, err := mpi.Run(mpi.Options{NProcs: n, Machine: vtime.OPL(), Entry: func(p *mpi.Proc) {
+		broken := p.World()
+		if victims[broken.Rank()] {
+			p.Kill()
+		}
+		_, _ = broken.Agree(1) // every survivor learns of both deaths
+		shrunk, err := broken.Shrink()
+		if err != nil {
+			t.Errorf("rank %d: shrink: %v", broken.Rank(), err)
+			return
+		}
+		if broken.Rank() != 0 {
+			waiting.Add(1)
+			<-release
+			return
+		}
+		defer close(release)
+		for waiting.Load() < n-int64(len(victims))-1 {
+			runtime.Gosched()
+		}
+		var failed []int
+		var key int
+		work := func() {
+			failed = FailedProcsList(broken, shrunk)
+			key = SelectRankKey(shrunk.Rank(), shrunk.Size(), failed, n)
+		}
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			work()
+		}
+		runtime.ReadMemStats(&after)
+		if len(failed) != 2 || failed[0] != 1234 || failed[1] != 3001 || key != 0 {
+			t.Errorf("failed = %v, key = %d; want [1234 3001], 0", failed, key)
+		}
+		if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun >= 1024 {
+			t.Errorf("FailedProcsList + SelectRankKey allocate %d B per call at %d members, want < 1 KiB", perRun, n)
+		}
+		if allocs := testing.AllocsPerRun(runs, work); allocs > 6 {
+			t.Errorf("FailedProcsList + SelectRankKey make %v allocations per call, want <= 6", allocs)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
