@@ -312,7 +312,7 @@ func checkMode(seed int64, tech core.Technique, mode byte, rmode recovery.Mode, 
 	if res.Spawned > 0 && len(res.FailedRanks) == 0 {
 		violate("spawned %d replacements but reported no failed ranks", res.Spawned)
 	}
-	min := sc.MinSpawned(tech)
+	min := sc.MinSpawned(tech, rmode)
 	switch rmode {
 	case recovery.ModeSpawn:
 		if res.Spawned < min {
@@ -344,6 +344,12 @@ func checkMode(seed int64, tech core.Technique, mode byte, rmode recovery.Mode, 
 		}
 		if res.FinalProcs != res.Procs-len(res.FailedRanks) {
 			violate("%s final size %d, want %d minus %d failed", rmode, res.FinalProcs, res.Procs, len(res.FailedRanks))
+		}
+		// Nothing is replaced, so every death must have been detected and
+		// shrunk out: an unreported one is a dead member of the final
+		// communicator.
+		if res.Deaths != len(res.FailedRanks) {
+			violate("%s: %d processes died but %d failed ranks reported", rmode, res.Deaths, len(res.FailedRanks))
 		}
 		if len(res.Survivors) != res.FinalProcs {
 			violate("%s reports %d survivors for a size-%d communicator", rmode, len(res.Survivors), res.FinalProcs)

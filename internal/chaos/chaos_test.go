@@ -109,6 +109,55 @@ func TestChaosRecoveryModes(t *testing.T) {
 	}
 }
 
+// TestChaosNestedKillOutlivesShrinkDance pins the six cells that kept the
+// 64-seed shrink and no-repair campaigns red: kill-during-recovery scenarios
+// whose nested victim counts five or six operations from its shrink call.
+// When the repair only shrinks, a non-leader's whole reconstruct is
+// shortestShrinkDance operations long, so the victim leaves the loop alive and
+// — with a single detection point — is never killed. The run was always
+// right (nobody dies undetected, the final communicator has no dead member);
+// the invariant that expected one more death was wrong.
+func TestChaosNestedKillOutlivesShrinkDance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos runs skipped in -short mode")
+	}
+	cells := []struct {
+		seed int64
+		tech core.Technique
+	}{
+		{18, core.ResamplingCopying},
+		{21, core.AlternateCombination},
+		{25, core.CheckpointRestart},
+		{25, core.ResamplingCopying},
+		{31, core.CheckpointRestart},
+		{31, core.ResamplingCopying},
+	}
+	for _, rmode := range []recovery.Mode{recovery.ModeShrink, recovery.ModeNoRepair} {
+		for _, c := range cells {
+			sc := NewScenario(c.seed)
+			if sc.Mode != ModeKillDuringRecovery || sc.OpEvents[0].AfterOps <= shortestShrinkDance {
+				t.Fatalf("seed %d no longer draws a nested kill past the shrink dance: %s", c.seed, sc)
+			}
+			scheduled := 0
+			for _, e := range sc.Events {
+				scheduled += e.Failures
+			}
+			res, err := core.Run(sc.ConfigForRecovery(c.tech, rmode))
+			if err != nil {
+				t.Errorf("%s under %s/%s: %v", sc, c.tech, rmode, err)
+				continue
+			}
+			if res.Deaths != scheduled || len(res.FailedRanks) != scheduled || res.FinalProcs != res.Procs-scheduled {
+				t.Errorf("%s under %s/%s: %d deaths, failed ranks %v, final size %d of %d; want exactly the %d step victims",
+					sc, c.tech, rmode, res.Deaths, res.FailedRanks, res.FinalProcs, res.Procs, scheduled)
+			}
+			for _, v := range CheckRecovery(c.seed, c.tech, rmode, *chaosStall).Violations {
+				t.Errorf("%s under %s/%s: %s", sc, c.tech, rmode, v)
+			}
+		}
+	}
+}
+
 // TestScenarioDeterminism checks that scenario generation is a pure
 // function of the seed and stays within the documented bounds.
 func TestScenarioDeterminism(t *testing.T) {

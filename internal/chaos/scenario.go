@@ -275,13 +275,26 @@ func (sc Scenario) ConfigForRecovery(tech core.Technique, rmode recovery.Mode) c
 	return cfg
 }
 
-// MinSpawned returns the number of replacements the scenario is guaranteed
-// to require under the technique: step-scheduled victims always die, a node
-// failure kills at least one process, and a kill-during-recovery victim
-// always reaches its operation count inside the reconstruct loop.
-// Operation-granularity victims of mode C may outlive their count, so they
-// guarantee nothing.
-func (sc Scenario) MinSpawned(tech core.Technique) int {
+// shortestShrinkDance is the fewest operations any rank performs from its
+// shrink call to the end of a reconstruct whose repair only shrinks: the
+// shrink, a fan-in send and a fan-out receive of the verification barrier
+// (a non-leader of a multi-member node; leaders and flat barriers take
+// more), and the closing agree.
+const shortestShrinkDance = 4
+
+// MinSpawned returns the number of deaths the scenario is guaranteed to
+// cause under the technique and recovery mode: step-scheduled victims always
+// die, a node failure kills at least one process, and a kill-during-recovery
+// victim dies once its operation count fits inside the reconstruct loop it
+// starts counting in. Under spawn and substitute the loop is at least seven
+// operations long (shrink, acquire, merge, agree, split, then verification),
+// which covers every AfterOps the generator draws. Under shrink and
+// no-repair it can be as short as shortestShrinkDance; a victim with a larger
+// count leaves the loop alive, and core re-arms its hook only at the next
+// detection interval — which a kill-during-recovery scenario does not have —
+// so it guarantees nothing. Operation-granularity victims of mode C may
+// outlive their count, so they guarantee nothing either.
+func (sc Scenario) MinSpawned(tech core.Technique, rmode recovery.Mode) int {
 	total := 0
 	for _, e := range sc.Events {
 		total += e.Failures
@@ -295,6 +308,10 @@ func (sc Scenario) MinSpawned(tech core.Technique) int {
 		}
 		return 2
 	case ModeKillDuringRecovery:
+		shrinks := rmode == recovery.ModeShrink || rmode == recovery.ModeNoRepair
+		if shrinks && sc.OpEvents[0].AfterOps > shortestShrinkDance {
+			return total
+		}
 		return total + 1
 	}
 	return 0

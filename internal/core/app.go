@@ -325,6 +325,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	rs.res.TotalTime = rep.MaxVirtualTime
 	rs.res.Spawned = rep.Spawned
+	rs.res.Deaths = len(rep.Failed)
 	rs.res.SparesUsed = rep.SparesUsed
 	if reg != nil {
 		// With a shared registry these are cumulative across the runs
@@ -390,10 +391,10 @@ func (rs *runState) rank(p *mpi.Proc) error {
 	myStats := recovery.Stats{Trace: cfg.Trace, Metrics: rs.reg}
 
 	// Non-spawn recovery modes carry per-rank mode state (position mapping,
-	// holes, abandoned grids); spawn leaves mc nil and every spawn code path
-	// byte-identical. `rank` always holds this process's ORIGINAL rank — the
-	// stable identity behind grid assignment, fault plans, and metric labels —
-	// while communicator positions shift under shrinks.
+	// holes, abandoned grids); spawn needs none and leaves mc nil. `rank`
+	// always holds this process's ORIGINAL rank — the stable identity behind
+	// grid assignment, fault plans, and metric labels — while communicator
+	// positions shift under shrinks.
 	var mc *modeCtx
 	if cfg.RecoveryMode != recovery.ModeSpawn {
 		mc = newModeCtx(cfg.RecoveryMode, cfg.NumProcs())
@@ -402,26 +403,19 @@ func (rs *runState) rank(p *mpi.Proc) error {
 
 	if replacement {
 		tAttach := p.Now()
-		if mc == nil {
-			w, r, err := recovery.ReconstructPlaced(p, nil, p.Parent(), &myStats, rs.place)
-			if err != nil {
-				return err
-			}
-			world, rank = w, r
-		} else {
-			// A claimed spare (substitute mode): attach through the mode-aware
-			// protocol, then learn everything else — including which original
-			// rank it replaces — from rank 0's broadcast.
-			mr, err := recovery.ReconstructMode(p, nil, p.Parent(), &myStats, rs.place, cfg.RecoveryMode, nil)
-			if err != nil {
-				return err
-			}
-			world = mr.Comm
+		mr, err := recovery.ReconstructMode(p, nil, p.Parent(), &myStats, rs.place, cfg.RecoveryMode, nil)
+		if err != nil {
+			return err
+		}
+		world, rank = mr.Comm, mr.Rank
+		if mc != nil {
+			// A claimed spare (substitute mode) learns everything else —
+			// including which original rank it replaces — from rank 0's
+			// broadcast.
 			var aband, origOf []int
-			var serr error
-			cur, failedList, aband, origOf, serr = syncRecoveryInfoMode(world, 0, nil, nil, nil)
-			if serr != nil {
-				return serr
+			cur, failedList, aband, origOf, err = syncRecoveryInfoMode(world, 0, nil, nil, nil)
+			if err != nil {
+				return err
 			}
 			mc.adopt(origOf, aband, failedList)
 			rank = mc.origOf[world.Rank()]
@@ -552,23 +546,14 @@ func (rs *runState) rank(p *mpi.Proc) error {
 
 		tRepair := p.Now()
 		st := recovery.Stats{Trace: cfg.Trace, Metrics: rs.reg, ModeLabel: myStats.ModeLabel}
-		var newWorld *mpi.Comm
-		var newRank int
-		var mr *recovery.ModeResult
-		if mc == nil {
-			newWorld, newRank, err = recovery.ReconstructPlaced(p, world, nil, &st, rs.place)
-		} else {
-			mr, err = recovery.ReconstructMode(p, world, nil, &st, rs.place, cfg.RecoveryMode, mc.origOf)
-			if err == nil {
-				newWorld, newRank = mr.Comm, mr.Rank
-			}
-		}
+		mr, err := recovery.ReconstructMode(p, world, nil, &st, rs.place, cfg.RecoveryMode, mc.positions())
 		if opHook != nil {
 			p.SetOpHook(nil)
 		}
 		if err != nil {
 			return err
 		}
+		newWorld, newRank := mr.Comm, mr.Rank
 		repairVec.At(rank).Add(p.Now() - tRepair)
 		var recoverIDs []int
 		if st.ReconstructTime > 0 {

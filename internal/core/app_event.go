@@ -103,26 +103,18 @@ func (fr *fiberRank) begin() {
 		fr.repairVec.At(fr.rank).Add(p.Now() - tAttach)
 		fr.setup()
 	}
-	if fr.mc == nil {
-		recovery.FiberReconstructPlaced(p, fr.f, nil, p.Parent(), &fr.myStats, rs.place, func(w *mpi.Comm, r int, err error) {
-			if err != nil {
-				fr.done(err)
-				return
-			}
-			fr.world, fr.rank = w, r
-			afterAttach()
-		})
-		return
-	}
-	// A claimed spare (substitute mode): attach through the mode-aware
-	// protocol, then learn everything else — including which original rank it
-	// replaces — from rank 0's broadcast.
 	recovery.FiberReconstructMode(p, fr.f, nil, p.Parent(), &fr.myStats, rs.place, cfg.RecoveryMode, nil, func(mr *recovery.ModeResult, err error) {
 		if err != nil {
 			fr.done(err)
 			return
 		}
-		fr.world = mr.Comm
+		fr.world, fr.rank = mr.Comm, mr.Rank
+		if fr.mc == nil {
+			afterAttach()
+			return
+		}
+		// A claimed spare (substitute mode) learns everything else —
+		// including which original rank it replaces — from rank 0's broadcast.
 		fiberSyncRecoveryInfoMode(fr.f, fr.world, 0, nil, nil, nil, func(cur int, failed, aband, origOf []int, serr error) {
 			if serr != nil {
 				fr.done(serr)
@@ -292,7 +284,7 @@ func (fr *fiberRank) detect(i, dp int) {
 	rs, p, cfg := fr.rs, fr.p, fr.cfg
 	tRepair := p.Now()
 	st := &recovery.Stats{Trace: cfg.Trace, Metrics: rs.reg, ModeLabel: fr.myStats.ModeLabel}
-	after := func(newWorld *mpi.Comm, newRank int, mr *recovery.ModeResult, err error) {
+	recovery.FiberReconstructMode(p, fr.f, fr.world, nil, st, rs.place, cfg.RecoveryMode, fr.mc.positions(), func(mr *recovery.ModeResult, err error) {
 		if fr.opHook != nil {
 			p.SetOpHook(nil)
 		}
@@ -302,7 +294,7 @@ func (fr *fiberRank) detect(i, dp int) {
 		}
 		fr.repairVec.At(fr.rank).Add(p.Now() - tRepair)
 		if st.ReconstructTime > 0 {
-			fr.repaired(i, dp, st, newWorld, newRank, mr)
+			fr.repaired(i, dp, st, mr)
 			return
 		}
 		fr.detectOverhead += st.ListTime
@@ -324,27 +316,15 @@ func (fr *fiberRank) detect(i, dp int) {
 			}
 		}
 		fr.nextDP(i + 1)
-	}
-	if fr.mc == nil {
-		recovery.FiberReconstructPlaced(p, fr.f, fr.world, nil, st, rs.place, func(w *mpi.Comm, r int, err error) {
-			after(w, r, nil, err)
-		})
-		return
-	}
-	recovery.FiberReconstructMode(p, fr.f, fr.world, nil, st, rs.place, cfg.RecoveryMode, fr.mc.origOf, func(mr *recovery.ModeResult, err error) {
-		if err != nil {
-			after(nil, 0, nil, err)
-			return
-		}
-		after(mr.Comm, mr.Rank, mr, nil)
 	})
 }
 
 // repaired handles a detection point where a failure was repaired: verify the
 // protocol's promises, sync the recovery info, rebuild the solver, recover
 // the lost data — the blocking rank()'s st.ReconstructTime > 0 branch.
-func (fr *fiberRank) repaired(i, dp int, st *recovery.Stats, newWorld *mpi.Comm, newRank int, mr *recovery.ModeResult) {
+func (fr *fiberRank) repaired(i, dp int, st *recovery.Stats, mr *recovery.ModeResult) {
 	rs, cfg := fr.rs, fr.cfg
+	newWorld, newRank := mr.Comm, mr.Rank
 	if fr.mc == nil {
 		if newRank != fr.rank {
 			fr.done(fmt.Errorf("core: repaired communicator moved rank %d to %d", fr.rank, newRank))

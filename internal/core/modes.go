@@ -56,6 +56,16 @@ func traceRank(world *mpi.Comm, mc *modeCtx) int {
 	return world.Rank()
 }
 
+// positions returns the original rank behind each current communicator
+// position, the map recovery.ReconstructMode threads through its shrinks.
+// Nil-safe: spawn never moves a position, and nil is its identity.
+func (mc *modeCtx) positions() []int {
+	if mc == nil {
+		return nil
+	}
+	return mc.origOf
+}
+
 // commRankOf returns the current communicator rank of an original rank, or
 // -1 when it has been shrunk out.
 func (mc *modeCtx) commRankOf(orig int) int {

@@ -52,6 +52,11 @@ type Result struct {
 	LostGrids   []int
 	FailedRanks []int
 	Spawned     int
+	// Deaths counts the processes the runtime saw die (mpi.Report.Failed).
+	// Where nothing is ever replaced (shrink, no-repair) it must equal
+	// len(FailedRanks): a death no detection round reported would leave a
+	// dead member in the final communicator.
+	Deaths int
 
 	// Mode is the recovery mode the run used (spawn unless configured).
 	Mode string

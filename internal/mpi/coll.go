@@ -2,11 +2,14 @@ package mpi
 
 import "fmt"
 
-// Blocking collectives over the p2p layer. The event-driven path has CPS
-// twins for Barrier and Allreduce in event.go that share these kinds,
-// sequence counters and algorithm shapes — a change to an algorithm here
-// (or in coll_hier.go) must be mirrored there, or the virtual-time parity
-// tests (TestEventVirtualTimeParity) will catch the divergence.
+// Blocking collectives over the p2p layer. Each tree or dissemination
+// algorithm exists once, over a rankList (the helpers are in coll_hier.go): the flat collectives
+// run it over the whole communicator, the hierarchical ones over a node's
+// members and over the node leaders. The event-driven path has CPS twins for
+// Barrier and Allreduce in event.go that share these kinds, sequence counters,
+// rank lists and algorithm shapes — a change to an algorithm here (or in
+// coll_hier.go) must be mirrored there, or the virtual-time parity tests
+// (TestEventVirtualTimeParity) will catch the divergence.
 
 // Collective kinds for internal tag construction.
 const (
@@ -52,6 +55,26 @@ func BAnd(a, b int) int { return a & b }
 // this small, so barrier rounds move no payload bytes and allocate nothing.
 var barrierToken = []byte{1}
 
+// rankList is the set of comm ranks one phase of a collective runs over:
+// the whole communicator (nil list — the flat algorithms) or a topology
+// list (a node's members, the node leaders). The tree and dissemination
+// helpers index it, so flat and hierarchical collectives — and their CPS
+// twins in event.go — share one implementation of each shape.
+type rankList struct {
+	list []int // nil = identity: rank i of the communicator
+	n    int
+}
+
+func (l rankList) at(i int) int {
+	if l.list == nil {
+		return i
+	}
+	return l.list[i]
+}
+
+func wholeComm(c *Comm) rankList  { return rankList{n: c.Size()} }
+func subList(list []int) rankList { return rankList{list: list, n: len(list)} }
+
 // Barrier blocks until all members of the intracommunicator have entered it
 // (dissemination algorithm over point-to-point messages). If any member has
 // failed, the barrier terminates at every rank — possibly non-uniformly,
@@ -67,7 +90,7 @@ func (c *Comm) Barrier() error {
 	if t := c.hierTopo(); t != nil {
 		err = hierBarrier(c, t, tag)
 	} else {
-		err = flatBarrier(c, tag)
+		err = disseminate(c, tag, wholeComm(c), c.rank)
 	}
 	if err != nil {
 		abortCollective(c, tag)
@@ -77,15 +100,18 @@ func (c *Comm) Barrier() error {
 	return nil
 }
 
-// flatBarrier is the dissemination barrier used on single-host
-// communicators (and as the FlatCollectives reference).
-func flatBarrier(c *Comm, tag int) error {
-	n, me := c.Size(), c.rank
+// disseminate runs the dissemination rounds of a barrier over l: in round k
+// member i signals member i+k and waits for member i-k. Over the whole
+// communicator it is the flat barrier (single-host communicators and the
+// FlatCollectives reference); over the node leaders it is the inter-node
+// phase of hierBarrier.
+func disseminate(c *Comm, tag int, l rankList, myIdx int) error {
+	n := l.n
 	for k := 1; k < n; k <<= 1 {
-		if err := sendOwned(c, (me+k)%n, tag, barrierToken); err != nil {
+		if err := sendOwned(c, l.at((myIdx+k)%n), tag, barrierToken); err != nil {
 			return err
 		}
-		if _, _, err := recvRaw[byte](c, (me-k+n)%n, tag, true); err != nil {
+		if _, _, err := recvRaw[byte](c, l.at((myIdx-k+n)%n), tag, true); err != nil {
 			return err
 		}
 	}
@@ -106,44 +132,13 @@ func Bcast[T any](c *Comm, root int, data []T) ([]T, error) {
 	if t := c.hierTopo(); t != nil {
 		buf, err = hierBcast(c, t, tag, root, data)
 	} else {
-		buf, err = bcastTree(c, root, tag, data)
+		buf, err = bcastList(c, tag, wholeComm(c), root, c.rank, data)
 	}
 	if err != nil {
 		abortCollective(c, tag)
 		return nil, c.fire(err)
 	}
 	opEnd(c, "bcast", t0)
-	return buf, nil
-}
-
-// bcastTree is the binomial broadcast shared by Bcast and Allreduce.
-func bcastTree[T any](c *Comm, root, tag int, data []T) ([]T, error) {
-	n := c.Size()
-	vr := (c.rank - root + n) % n
-	buf := data
-	mask := 1
-	for mask < n {
-		if vr&mask != 0 {
-			src := (vr - mask + root) % n
-			got, _, err := recvRaw[T](c, src, tag, true)
-			if err != nil {
-				return nil, err
-			}
-			buf = got
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if vr+mask < n {
-			dst := (vr + mask + root) % n
-			if err := sendRaw(c, dst, tag, buf); err != nil {
-				return nil, err
-			}
-		}
-		mask >>= 1
-	}
 	return buf, nil
 }
 
@@ -161,7 +156,7 @@ func Reduce[T any](c *Comm, root int, data []T, op func(T, T) T) ([]T, error) {
 	if t := c.hierTopo(); t != nil {
 		buf, err = hierReduce(c, t, tag, root, data, op)
 	} else {
-		buf, err = reduceTree(c, root, tag, data, op)
+		buf, err = reduceList(c, tag, wholeComm(c), root, c.rank, data, false, op)
 	}
 	if err != nil {
 		abortCollective(c, tag)
@@ -169,64 +164,6 @@ func Reduce[T any](c *Comm, root int, data []T, op func(T, T) T) ([]T, error) {
 	}
 	opEnd(c, "reduce", t0)
 	return buf, nil
-}
-
-// reduceTree is the binomial reduction shared by Reduce, Allreduce and
-// ReduceScatterBlock. Contributions move through the tree by ownership
-// transfer: each received buffer is folded into a pooled accumulator and
-// recycled, and the accumulator itself is handed uncopied to the parent —
-// one pooled buffer per subtree instead of a copy per edge. The
-// accumulator is materialised lazily (a leaf copies data only at its send;
-// an interior node's first fold combines data and the received buffer
-// directly), and the fold order op(accumulated, received) is exactly that
-// of the previous copy-always tree, so floating-point results are
-// bit-identical.
-func reduceTree[T any](c *Comm, root, tag int, data []T, op func(T, T) T) ([]T, error) {
-	n := c.Size()
-	vr := (c.rank - root + n) % n
-	var acc []T
-	for mask := 1; mask < n; mask <<= 1 {
-		if vr&mask == 0 {
-			srcVr := vr + mask
-			if srcVr < n {
-				got, _, err := recvRaw[T](c, (srcVr+root)%n, tag, true)
-				if err != nil {
-					return nil, err
-				}
-				if len(got) != len(data) {
-					return nil, fmt.Errorf("mpi: Reduce: length mismatch %d vs %d: %w", len(got), len(data), ErrType)
-				}
-				if acc == nil {
-					acc = getBuf[T](len(data))
-					for i := range acc {
-						acc[i] = op(data[i], got[i])
-					}
-				} else {
-					for i := range acc {
-						acc[i] = op(acc[i], got[i])
-					}
-				}
-				putBuf(got)
-			}
-		} else {
-			if acc == nil {
-				acc = getBuf[T](len(data))
-				copy(acc, data)
-			}
-			if err := sendOwned(c, (vr-mask+root)%n, tag, acc); err != nil {
-				return nil, err
-			}
-			return nil, nil // non-root contributors are done
-		}
-	}
-	if c.rank == root {
-		if acc == nil {
-			acc = getBuf[T](len(data))
-			copy(acc, data)
-		}
-		return acc, nil
-	}
-	return nil, nil
 }
 
 // ReduceSum is Reduce specialised to the Sum operator: same binomial tree,
@@ -244,7 +181,7 @@ func ReduceSum[T Number](c *Comm, root int, data []T) ([]T, error) {
 	if t := c.hierTopo(); t != nil {
 		buf, err = hierReduceSum(c, t, tag, root, data)
 	} else {
-		buf, err = reduceTreeSum(c, root, tag, data)
+		buf, err = reduceListSum(c, tag, wholeComm(c), root, c.rank, data, false)
 	}
 	if err != nil {
 		abortCollective(c, tag)
@@ -252,55 +189,6 @@ func ReduceSum[T Number](c *Comm, root int, data []T) ([]T, error) {
 	}
 	opEnd(c, "reduce", t0)
 	return buf, nil
-}
-
-// reduceTreeSum mirrors reduceTree with op = Sum fused in (see ReduceSum).
-func reduceTreeSum[T Number](c *Comm, root, tag int, data []T) ([]T, error) {
-	n := c.Size()
-	vr := (c.rank - root + n) % n
-	var acc []T
-	for mask := 1; mask < n; mask <<= 1 {
-		if vr&mask == 0 {
-			srcVr := vr + mask
-			if srcVr < n {
-				got, _, err := recvRaw[T](c, (srcVr+root)%n, tag, true)
-				if err != nil {
-					return nil, err
-				}
-				if len(got) != len(data) {
-					return nil, fmt.Errorf("mpi: Reduce: length mismatch %d vs %d: %w", len(got), len(data), ErrType)
-				}
-				if acc == nil {
-					acc = getBuf[T](len(data))
-					for i := range acc {
-						acc[i] = data[i] + got[i]
-					}
-				} else {
-					for i := range acc {
-						acc[i] += got[i]
-					}
-				}
-				putBuf(got)
-			}
-		} else {
-			if acc == nil {
-				acc = getBuf[T](len(data))
-				copy(acc, data)
-			}
-			if err := sendOwned(c, (vr-mask+root)%n, tag, acc); err != nil {
-				return nil, err
-			}
-			return nil, nil // non-root contributors are done
-		}
-	}
-	if c.rank == root {
-		if acc == nil {
-			acc = getBuf[T](len(data))
-			copy(acc, data)
-		}
-		return acc, nil
-	}
-	return nil, nil
 }
 
 // Allreduce combines all buffers with op and delivers the result to every
@@ -323,9 +211,10 @@ func Allreduce[T any](c *Comm, data []T, op func(T, T) T) ([]T, error) {
 			buf, err = hierAllreduce(c, t, tag, data, op)
 		}
 	} else {
-		buf, err = reduceTree(c, 0, tag, data, op)
+		whole := wholeComm(c)
+		buf, err = reduceList(c, tag, whole, 0, c.rank, data, false, op)
 		if err == nil {
-			buf, err = bcastTree(c, 0, tag, buf)
+			buf, err = bcastList(c, tag, whole, 0, c.rank, buf)
 		}
 	}
 	if err != nil {
@@ -473,7 +362,7 @@ func Allgather[T any](c *Comm, data []T) ([][]T, error) {
 		err = sendRaw(c, 0, tag, data)
 	}
 	if err == nil {
-		flat, err = bcastTree(c, 0, tag, flat)
+		flat, err = bcastList(c, tag, wholeComm(c), 0, c.rank, flat)
 	}
 	if err != nil {
 		abortCollective(c, tag)

@@ -145,7 +145,7 @@ func ReduceScatterBlock[T any](c *Comm, data []T, op func(T, T) T) ([]T, error) 
 	t0 := opStart(c, "reducescatter")
 	tag := internalTag(kindReduceScatter, c.nextSeq("reducescatter"))
 	block := len(data) / n
-	reduced, err := reduceTree(c, 0, tag, data, op)
+	reduced, err := reduceList(c, tag, wholeComm(c), 0, c.rank, data, false, op)
 	if err != nil {
 		abortCollective(c, tag)
 		return nil, c.fire(err)
@@ -158,7 +158,7 @@ func ReduceScatterBlock[T any](c *Comm, data []T, op func(T, T) T) ([]T, error) 
 			}
 		}
 		out := append([]T(nil), reduced[:block]...)
-		putBuf(reduced) // the pooled accumulator from reduceTree
+		putBuf(reduced) // the pooled accumulator from reduceList
 		opEnd(c, "reducescatter", t0)
 		return out, nil
 	}

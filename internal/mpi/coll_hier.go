@@ -21,7 +21,7 @@ import "fmt"
 //	           within each node
 //	Reduce     binomial within each node to the leader, binomial over
 //	           leaders to the root (pooled accumulators handed off with
-//	           sendOwned, exactly like the flat tree)
+//	           sendOwned)
 //	Allreduce  small: hierarchical Reduce to rank 0 + hierarchical Bcast;
 //	           large (>= collRingCutover bytes): intra reduce, ring
 //	           reduce-scatter + ring allgather over leaders, intra bcast
@@ -178,9 +178,10 @@ func indexOf(list []int, x int) int {
 
 // --- generic binomial helpers over an arbitrary rank list ----------------
 //
-// These generalise bcastTree/reduceTree from "all comm ranks" to "the comm
-// ranks in list", with the same virtual-root rotation and therefore the
-// same shapes and fold orders on the full list.
+// The one implementation of each tree: the flat collectives in coll.go run
+// them over wholeComm(c), the hierarchical ones below over a node's members
+// and over the leaders. The virtual-root rotation is the same on any list,
+// and therefore so are the shapes and fold orders.
 
 // tokenFanIn performs a binomial fan-in of the 1-byte barrier token to
 // list[0]. Message count: len(list)-1.
@@ -224,16 +225,16 @@ func tokenFanOut(c *Comm, tag int, list []int, myIdx int) error {
 	return nil
 }
 
-// bcastList is bcastTree over list, rooted at list[rootIdx]. Only the root
-// passes data; every caller receives the buffer in the return value.
-func bcastList[T any](c *Comm, tag int, list []int, rootIdx, myIdx int, data []T) ([]T, error) {
-	n := len(list)
+// bcastList is the binomial broadcast over l, rooted at l.at(rootIdx). Only
+// the root passes data; every caller receives the buffer in the return value.
+func bcastList[T any](c *Comm, tag int, l rankList, rootIdx, myIdx int, data []T) ([]T, error) {
+	n := l.n
 	vr := (myIdx - rootIdx + n) % n
 	buf := data
 	mask := 1
 	for mask < n {
 		if vr&mask != 0 {
-			src := list[(vr-mask+rootIdx)%n]
+			src := l.at((vr - mask + rootIdx) % n)
 			got, _, err := recvRaw[T](c, src, tag, true)
 			if err != nil {
 				return nil, err
@@ -246,7 +247,7 @@ func bcastList[T any](c *Comm, tag int, list []int, rootIdx, myIdx int, data []T
 	mask >>= 1
 	for ; mask > 0; mask >>= 1 {
 		if vr+mask < n {
-			if err := sendRaw(c, list[(vr+mask+rootIdx)%n], tag, buf); err != nil {
+			if err := sendRaw(c, l.at((vr+mask+rootIdx)%n), tag, buf); err != nil {
 				return nil, err
 			}
 		}
@@ -254,16 +255,22 @@ func bcastList[T any](c *Comm, tag int, list []int, rootIdx, myIdx int, data []T
 	return buf, nil
 }
 
-// reduceList is reduceTree over list, rooted at list[rootIdx], with the
-// same pooled-accumulator ownership discipline and fold order
-// op(accumulated, received). owned marks data as a pooled buffer this call
-// may consume: fold into it directly and ultimately send it (ownership
-// transfer) or return it at the root — the leader's intra-node partial
-// flows through the inter-node phase without a copy. With owned false the
-// caller keeps data and the accumulator is materialised lazily, exactly
-// like the flat tree. Returns the accumulator at the root, nil elsewhere.
-func reduceList[T any](c *Comm, tag int, list []int, rootIdx, myIdx int, data []T, owned bool, op func(T, T) T) ([]T, error) {
-	n := len(list)
+// reduceList is the binomial reduction over l, rooted at l.at(rootIdx),
+// shared by Reduce, Allreduce and ReduceScatterBlock. Contributions move
+// through the tree by ownership transfer: each received buffer is folded into
+// a pooled accumulator and recycled, and the accumulator itself is handed
+// uncopied to the parent — one pooled buffer per subtree instead of a copy
+// per edge. The fold order is op(accumulated, received), fixed by the tree,
+// so floating-point results are deterministic. owned marks data as a pooled
+// buffer this call may consume: fold into it directly and ultimately send it
+// (ownership transfer) or return it at the root — the leader's intra-node
+// partial flows through the inter-node phase without a copy. With owned false
+// the caller keeps data and the accumulator is materialised lazily (a leaf
+// copies data only at its send; an interior node's first fold combines data
+// and the received buffer directly). Returns the accumulator at the root, nil
+// elsewhere.
+func reduceList[T any](c *Comm, tag int, l rankList, rootIdx, myIdx int, data []T, owned bool, op func(T, T) T) ([]T, error) {
+	n := l.n
 	vr := (myIdx - rootIdx + n) % n
 	var acc []T
 	if owned {
@@ -273,7 +280,7 @@ func reduceList[T any](c *Comm, tag int, list []int, rootIdx, myIdx int, data []
 		if vr&mask == 0 {
 			srcVr := vr + mask
 			if srcVr < n {
-				got, _, err := recvRaw[T](c, list[(srcVr+rootIdx)%n], tag, true)
+				got, _, err := recvRaw[T](c, l.at((srcVr+rootIdx)%n), tag, true)
 				if err != nil {
 					return nil, err
 				}
@@ -297,7 +304,7 @@ func reduceList[T any](c *Comm, tag int, list []int, rootIdx, myIdx int, data []
 				acc = getBuf[T](len(data))
 				copy(acc, data)
 			}
-			if err := sendOwned(c, list[(vr-mask+rootIdx)%n], tag, acc); err != nil {
+			if err := sendOwned(c, l.at((vr-mask+rootIdx)%n), tag, acc); err != nil {
 				return nil, err
 			}
 			return nil, nil // non-root contributors are done
@@ -311,8 +318,8 @@ func reduceList[T any](c *Comm, tag int, list []int, rootIdx, myIdx int, data []
 }
 
 // reduceListSum mirrors reduceList with op = Sum fused in (see ReduceSum).
-func reduceListSum[T Number](c *Comm, tag int, list []int, rootIdx, myIdx int, data []T, owned bool) ([]T, error) {
-	n := len(list)
+func reduceListSum[T Number](c *Comm, tag int, l rankList, rootIdx, myIdx int, data []T, owned bool) ([]T, error) {
+	n := l.n
 	vr := (myIdx - rootIdx + n) % n
 	var acc []T
 	if owned {
@@ -322,7 +329,7 @@ func reduceListSum[T Number](c *Comm, tag int, list []int, rootIdx, myIdx int, d
 		if vr&mask == 0 {
 			srcVr := vr + mask
 			if srcVr < n {
-				got, _, err := recvRaw[T](c, list[(srcVr+rootIdx)%n], tag, true)
+				got, _, err := recvRaw[T](c, l.at((srcVr+rootIdx)%n), tag, true)
 				if err != nil {
 					return nil, err
 				}
@@ -346,7 +353,7 @@ func reduceListSum[T Number](c *Comm, tag int, list []int, rootIdx, myIdx int, d
 				acc = getBuf[T](len(data))
 				copy(acc, data)
 			}
-			if err := sendOwned(c, list[(vr-mask+rootIdx)%n], tag, acc); err != nil {
+			if err := sendOwned(c, l.at((vr-mask+rootIdx)%n), tag, acc); err != nil {
 				return nil, err
 			}
 			return nil, nil // non-root contributors are done
@@ -372,15 +379,8 @@ func hierBarrier(c *Comm, t *commTopo, tag int) error {
 		return err
 	}
 	if myIdx == 0 {
-		leaders := t.leaders
-		L := len(leaders)
-		for k := 1; k < L; k <<= 1 {
-			if err := sendOwned(c, leaders[(myNode+k)%L], tag, barrierToken); err != nil {
-				return err
-			}
-			if _, _, err := recvRaw[byte](c, leaders[(myNode-k+L)%L], tag, true); err != nil {
-				return err
-			}
+		if err := disseminate(c, tag, subList(t.leaders), myNode); err != nil {
+			return err
 		}
 	}
 	return tokenFanOut(c, tag, node, myIdx)
@@ -395,14 +395,13 @@ func hierBcast[T any](c *Comm, t *commTopo, tag, root int, data []T) ([]T, error
 	lead := t.nodeLead(myNode, root)
 	buf := data
 	if me == lead {
-		leaders := t.effLeaders(root)
 		var err error
-		buf, err = bcastList(c, tag, leaders, t.nodeOf[root], myNode, buf)
+		buf, err = bcastList(c, tag, subList(t.effLeaders(root)), t.nodeOf[root], myNode, buf)
 		if err != nil {
 			return nil, err
 		}
 	}
-	return bcastList(c, tag, node, indexOf(node, lead), indexOf(node, me), buf)
+	return bcastList(c, tag, subList(node), indexOf(node, lead), indexOf(node, me), buf)
 }
 
 // hierReduce: binomial within each node to its (effective) leader, then
@@ -414,14 +413,14 @@ func hierReduce[T any](c *Comm, t *commTopo, tag, root int, data []T, op func(T,
 	myNode := t.nodeOf[me]
 	node := t.nodes[myNode]
 	lead := t.nodeLead(myNode, root)
-	acc, err := reduceList(c, tag, node, indexOf(node, lead), indexOf(node, me), data, false, op)
+	acc, err := reduceList(c, tag, subList(node), indexOf(node, lead), indexOf(node, me), data, false, op)
 	if err != nil {
 		return nil, err
 	}
 	if me != lead {
 		return nil, nil
 	}
-	return reduceList(c, tag, t.effLeaders(root), t.nodeOf[root], myNode, acc, true, op)
+	return reduceList(c, tag, subList(t.effLeaders(root)), t.nodeOf[root], myNode, acc, true, op)
 }
 
 // hierReduceSum mirrors hierReduce with the fused Sum fold.
@@ -430,14 +429,14 @@ func hierReduceSum[T Number](c *Comm, t *commTopo, tag, root int, data []T) ([]T
 	myNode := t.nodeOf[me]
 	node := t.nodes[myNode]
 	lead := t.nodeLead(myNode, root)
-	acc, err := reduceListSum(c, tag, node, indexOf(node, lead), indexOf(node, me), data, false)
+	acc, err := reduceListSum(c, tag, subList(node), indexOf(node, lead), indexOf(node, me), data, false)
 	if err != nil {
 		return nil, err
 	}
 	if me != lead {
 		return nil, nil
 	}
-	return reduceListSum(c, tag, t.effLeaders(root), t.nodeOf[root], myNode, acc, true)
+	return reduceListSum(c, tag, subList(t.effLeaders(root)), t.nodeOf[root], myNode, acc, true)
 }
 
 // hierAllreduce (tree variant): hierarchical reduce to rank 0 followed by
@@ -463,7 +462,7 @@ func hierAllreduceRing[T any](c *Comm, t *commTopo, tag int, data []T, op func(T
 	myNode := t.nodeOf[me]
 	node := t.nodes[myNode]
 	myIdx := indexOf(node, me)
-	acc, err := reduceList(c, tag, node, 0, myIdx, data, false, op)
+	acc, err := reduceList(c, tag, subList(node), 0, myIdx, data, false, op)
 	if err != nil {
 		return nil, err
 	}
@@ -472,7 +471,7 @@ func hierAllreduceRing[T any](c *Comm, t *commTopo, tag int, data []T, op func(T
 			return nil, err
 		}
 	}
-	return bcastList(c, tag, node, 0, myIdx, acc)
+	return bcastList(c, tag, subList(node), 0, myIdx, acc)
 }
 
 // ringAllreduce runs the leader-level ring phases of hierAllreduceRing,
@@ -767,7 +766,7 @@ func hierAllgather[T any](c *Comm, t *commTopo, tag int, data []T) ([][]T, error
 			return nil, err
 		}
 	}
-	flat, err := bcastList(c, tag, node, 0, myIdx, flat)
+	flat, err := bcastList(c, tag, subList(node), 0, myIdx, flat)
 	if err != nil {
 		return nil, err
 	}
@@ -819,7 +818,7 @@ func treeAllgather[T any](c *Comm, t *commTopo, tag, j, m int, block []T) ([]T, 
 			return nil, err
 		}
 	}
-	return bcastList(c, tag, t.leaders, 0, j, flat)
+	return bcastList(c, tag, subList(t.leaders), 0, j, flat)
 }
 
 // ringAllgather exchanges node blocks around the leader ring: leader j

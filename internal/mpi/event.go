@@ -250,26 +250,6 @@ func fiberRecvRaw[T any](f *Fiber, c *Comm, src, tag int, internal bool, k func(
 
 // --- collectives ----------------------------------------------------------
 
-// rankList abstracts "the whole communicator" (nil list — the flat
-// algorithms) and "these comm ranks" (a topology list — node members or
-// leaders) so one CPS tree implementation serves both, preserving the
-// identical index arithmetic of bcastTree/bcastList and
-// reduceTree/reduceList.
-type rankList struct {
-	list []int // nil = identity: rank i of the communicator
-	n    int
-}
-
-func (l rankList) at(i int) int {
-	if l.list == nil {
-		return i
-	}
-	return l.list[i]
-}
-
-func wholeComm(c *Comm) rankList  { return rankList{n: c.Size()} }
-func subList(list []int) rankList { return rankList{list: list, n: len(list)} }
-
 // FiberBarrier is Comm.Barrier for fiber code: same dissemination /
 // two-level algorithm, same instance tag, same abort propagation.
 func FiberBarrier(f *Fiber, c *Comm, k func(error)) {
@@ -291,24 +271,25 @@ func FiberBarrier(f *Fiber, c *Comm, k func(error)) {
 	if t := c.hierTopo(); t != nil {
 		fiberHierBarrier(f, c, t, tag, done)
 	} else {
-		fiberFlatBarrier(f, c, tag, done)
+		fiberDisseminate(f, c, tag, wholeComm(c), c.rank, done)
 	}
 }
 
-// fiberFlatBarrier is flatBarrier's dissemination rounds in CPS.
-func fiberFlatBarrier(f *Fiber, c *Comm, tag int, k func(error)) {
-	n, me := c.Size(), c.rank
+// fiberDisseminate is disseminate in CPS: the dissemination rounds of a
+// barrier over l.
+func fiberDisseminate(f *Fiber, c *Comm, tag int, l rankList, myIdx int, k func(error)) {
+	n := l.n
 	var round func(step int)
 	round = func(step int) {
 		if step >= n {
 			k(nil)
 			return
 		}
-		if err := sendOwned(c, (me+step)%n, tag, barrierToken); err != nil {
+		if err := sendOwned(c, l.at((myIdx+step)%n), tag, barrierToken); err != nil {
 			k(err)
 			return
 		}
-		fiberRecvRaw[byte](f, c, (me-step+n)%n, tag, true, func(_ []byte, _ Status, err error) {
+		fiberRecvRaw[byte](f, c, l.at((myIdx-step+n)%n), tag, true, func(_ []byte, _ Status, err error) {
 			if err != nil {
 				k(err)
 				return
@@ -342,27 +323,7 @@ func fiberHierBarrier(f *Fiber, c *Comm, t *commTopo, tag int, k func(error)) {
 			out(nil)
 			return
 		}
-		leaders := t.leaders
-		L := len(leaders)
-		var round func(step int)
-		round = func(step int) {
-			if step >= L {
-				out(nil)
-				return
-			}
-			if err := sendOwned(c, leaders[(myNode+step)%L], tag, barrierToken); err != nil {
-				out(err)
-				return
-			}
-			fiberRecvRaw[byte](f, c, leaders[(myNode-step+L)%L], tag, true, func(_ []byte, _ Status, err error) {
-				if err != nil {
-					out(err)
-					return
-				}
-				round(step << 1)
-			})
-		}
-		round(1)
+		fiberDisseminate(f, c, tag, subList(t.leaders), myNode, out)
 	})
 }
 
@@ -431,7 +392,7 @@ func fiberTokenFanOut(f *Fiber, c *Comm, tag int, list []int, myIdx int, k func(
 	up(1)
 }
 
-// fiberBcastList is bcastTree/bcastList in CPS over l, rooted at
+// fiberBcastList is bcastList in CPS over l, rooted at
 // l.at(rootIdx); identical virtual-root rotation, so identical message
 // endpoints and arrival times.
 func fiberBcastList[T any](f *Fiber, c *Comm, tag int, l rankList, rootIdx, myIdx int, data []T, k func([]T, error)) {
@@ -469,7 +430,7 @@ func fiberBcastList[T any](f *Fiber, c *Comm, tag int, l rankList, rootIdx, myId
 	up(1)
 }
 
-// fiberReduceList is reduceTree/reduceList in CPS: same pooled-accumulator
+// fiberReduceList is reduceList in CPS: same pooled-accumulator
 // ownership discipline, same fold order op(accumulated, received), so
 // floating-point results are bit-identical. Delivers the accumulator to the
 // continuation at the root, nil elsewhere.

@@ -7,7 +7,7 @@ import "fmt"
 // merge), the rest of the collective set (bcast, reduce, gather, scatter,
 // allgather, alltoall, scan) and the one-value receive. Together with
 // event.go's core set (recv, barrier, allreduce, agree) they make the full
-// recovery protocol of recovery.RepairCommPlaced / ChildAttach — and the PDE
+// recovery protocol of package recovery (repair, ChildAttach) — and the PDE
 // solver driving it — runnable as parked continuations.
 //
 // The parity rules are event.go's: every twin reuses the blocking

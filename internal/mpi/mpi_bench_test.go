@@ -203,8 +203,7 @@ func (s *stackSampler) peakKiB() float64 {
 // benchWeakScaling measures the collective stack at a given cluster scale:
 // per Run, 5 rounds of Barrier + small Allreduce + 64 KiB Allreduce (the
 // ring path) on the machine's default host shape. ns/op is simulator wall
-// cost; the reported vs/op metric is the run's final virtual time, the
-// number the weak-scaling gate in scripts/bench_compare.sh watches — with
+// cost; the reported vs/op metric is the run's final virtual time — with
 // the hierarchical collectives it should grow ~O(log nodes), not O(n).
 // peak-goroutines and peak-stack-KiB quantify the blocking model's memory
 // footprint against the event-driven path (benchWeakScalingEvent).

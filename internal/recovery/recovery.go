@@ -205,17 +205,25 @@ func SpareNodePlacement(spareHost string) Placement {
 	}
 }
 
-// RepairComm is Fig. 5: the parent-side repair of a broken communicator
-// with the paper's same-host placement. It returns the repaired
-// communicator (same size and rank order as before the failure) and
-// records component timings.
-func RepairComm(p *mpi.Proc, broken *mpi.Comm, st *Stats) (*mpi.Comm, error) {
-	return RepairCommPlaced(p, broken, st, SameHostPlacement)
-}
-
-// RepairCommPlaced is RepairComm with an explicit replacement-placement
-// policy.
-func RepairCommPlaced(p *mpi.Proc, broken *mpi.Comm, st *Stats, place Placement) (*mpi.Comm, error) {
+// repair is Fig. 5: the parent-side repair of a broken communicator.
+// Revoke, shrink and the Fig. 6 failed list are common to every mode; the
+// modes differ only in how replacements are acquired — spawned on the hosts
+// place chooses (the paper), claimed from the pre-allocated spare pool
+// (substitute), or not at all (shrink, no-repair) — and spawned and claimed
+// processes are then knitted in identically: merge, agree, old ranks, split.
+//
+// It returns the repaired communicator and the failed ranks in broken's
+// numbering. Under spawn and substitute the result has broken's size and rank
+// order; under shrink and no-repair it is the shrunken communicator. When the
+// spare pool cannot cover the failures every member uniformly receives
+// mpi.ErrNoSpares from the claim and the round degrades to the shrunken
+// communicator with fellBack set — the deterministic fallback the regression
+// tests pin.
+//
+// A claim's virtual cost is charged to Stats.SpawnTime: it occupies the
+// replacement-acquisition slot of the Table I breakdown, which is exactly the
+// number the spawn-vs-substitute comparison measures.
+func repair(p *mpi.Proc, broken *mpi.Comm, st *Stats, place Placement, mode Mode) (repaired *mpi.Comm, failedRanks []int, fellBack bool, err error) {
 	me := broken.Rank()
 	t0 := p.Now()
 	sp := st.span(t0, me, "revoke", "")
@@ -228,52 +236,70 @@ func RepairCommPlaced(p *mpi.Proc, broken *mpi.Comm, st *Stats, place Placement)
 	shrunk, err := broken.Shrink()
 	sp.End(p.Now())
 	if err != nil {
-		return nil, fmt.Errorf("recovery: shrink: %w", err)
+		return nil, nil, false, fmt.Errorf("recovery: shrink: %w", err)
 	}
 	st.ShrinkTime += p.Now() - t0
 	st.charge("shrink", p.Now()-t0)
 
 	t0 = p.Now()
-	failedRanks := FailedProcsList(broken, shrunk)
+	failedRanks = FailedProcsList(broken, shrunk)
 	st.ListTime += p.Now() - t0
 	if len(failedRanks) == 0 {
-		return nil, fmt.Errorf("recovery: repair called with no failed processes")
+		return nil, nil, false, fmt.Errorf("recovery: repair called with no failed processes")
 	}
 	st.FailedRanks = append([]int(nil), failedRanks...)
 	totalFailed := len(failedRanks)
 
-	hosts, err := place(p, failedRanks)
-	if err != nil {
-		return nil, fmt.Errorf("recovery: placement: %w", err)
+	var inter *mpi.Comm
+	switch mode {
+	case ModeSpawn:
+		hosts, err := place(p, failedRanks)
+		if err != nil {
+			return nil, nil, false, fmt.Errorf("recovery: placement: %w", err)
+		}
+		t0 = p.Now()
+		sp = st.span(t0, me, "spawn", "%d replacements on %v", totalFailed, hosts)
+		inter, err = shrunk.SpawnMultiple(totalFailed, hosts, 0)
+		sp.End(p.Now())
+		if err != nil {
+			return nil, nil, false, fmt.Errorf("recovery: spawn: %w", err)
+		}
+		st.SpawnTime += p.Now() - t0
+		st.charge("spawn", p.Now()-t0)
+	case ModeSubstitute:
+		t0 = p.Now()
+		sp = st.span(t0, me, "claim", "%d spares", totalFailed)
+		inter, err = shrunk.ClaimSpares(totalFailed)
+		sp.End(p.Now())
+		if errors.Is(err, mpi.ErrNoSpares) {
+			return shrunk, failedRanks, true, nil
+		}
+		if err != nil {
+			return nil, nil, false, fmt.Errorf("recovery: claim: %w", err)
+		}
+		st.SpawnTime += p.Now() - t0
+		st.charge("claim", p.Now()-t0)
+	default: // ModeShrink, ModeNoRepair: nothing to knit in
+		return shrunk, failedRanks, false, nil
 	}
-
-	t0 = p.Now()
-	sp = st.span(t0, me, "spawn", "%d replacements on %v", totalFailed, hosts)
-	inter, err := shrunk.SpawnMultiple(totalFailed, hosts, 0)
-	sp.End(p.Now())
-	if err != nil {
-		return nil, fmt.Errorf("recovery: spawn: %w", err)
-	}
-	st.SpawnTime += p.Now() - t0
-	st.charge("spawn", p.Now()-t0)
 
 	t0 = p.Now()
 	sp = st.span(t0, me, "merge", "")
 	unordered, err := inter.IntercommMerge(false)
 	sp.End(p.Now())
 	if err != nil {
-		return nil, fmt.Errorf("recovery: merge: %w", err)
+		return nil, nil, false, fmt.Errorf("recovery: merge: %w", err)
 	}
 	st.MergeTime += p.Now() - t0
 	st.charge("merge", p.Now()-t0)
 
-	// From here on the freshly spawned children are blocked inside their own
-	// ChildAttach (agree, then a receive of their old rank on the merged
-	// communicator). If anything below fails — the Table I pathology of a
-	// further failure during an in-progress repair — the merged communicator
-	// is revoked before returning, so every child deterministically observes
-	// the abandonment (MPI_ERR_REVOKED), exits as orphaned, and the caller
-	// can retry the repair from the original broken communicator.
+	// From here on the replacements are blocked inside their own ChildAttach
+	// (agree, then a receive of their old rank on the merged communicator). If
+	// anything below fails — the Table I pathology of a further failure during
+	// an in-progress repair — the merged communicator is revoked before
+	// returning, so every replacement deterministically observes the
+	// abandonment (MPI_ERR_REVOKED), exits as orphaned, and the caller can
+	// retry the repair from the original broken communicator.
 	abandon := func(err error) error {
 		_ = unordered.Revoke()
 		return err
@@ -284,18 +310,18 @@ func RepairCommPlaced(p *mpi.Proc, broken *mpi.Comm, st *Stats, place Placement)
 	_, err = inter.Agree(1)
 	sp.End(p.Now())
 	if err != nil {
-		return nil, abandon(fmt.Errorf("recovery: agree: %w", err))
+		return nil, nil, false, abandon(fmt.Errorf("recovery: agree: %w", err))
 	}
 	st.AgreeTime += p.Now() - t0
 	st.charge("agree", p.Now()-t0)
 
-	// Rank 0 of the merged communicator tells each child its old rank
-	// (children occupy the highest ranks after the high merge).
+	// Rank 0 of the merged communicator tells each replacement its old rank
+	// (replacements occupy the highest ranks after the high merge).
 	shrinkedGroupSize := shrunk.Size()
 	if unordered.Rank() == 0 {
 		for i, fr := range failedRanks {
 			if err := mpi.SendOne(unordered, shrinkedGroupSize+i, MergeTag, fr); err != nil {
-				return nil, abandon(fmt.Errorf("recovery: send old rank: %w", err))
+				return nil, nil, false, abandon(fmt.Errorf("recovery: send old rank: %w", err))
 			}
 		}
 	}
@@ -304,14 +330,14 @@ func RepairCommPlaced(p *mpi.Proc, broken *mpi.Comm, st *Stats, place Placement)
 	key := SelectRankKey(unordered.Rank(), shrinkedGroupSize, failedRanks, totalProcs)
 	t0 = p.Now()
 	sp = st.span(t0, me, "split", "restore rank order, key %d", key)
-	repaired, err := unordered.Split(0, key)
+	repaired, err = unordered.Split(0, key)
 	sp.End(p.Now())
 	if err != nil {
-		return nil, abandon(fmt.Errorf("recovery: split: %w", err))
+		return nil, nil, false, abandon(fmt.Errorf("recovery: split: %w", err))
 	}
 	st.SplitTime += p.Now() - t0
 	st.charge("split", p.Now()-t0)
-	return repaired, nil
+	return repaired, failedRanks, false, nil
 }
 
 // ChildAttach is the child part of Fig. 3 (lines 19-26): synchronise with
@@ -335,7 +361,7 @@ func ChildAttach(p *mpi.Proc, parent *mpi.Comm, st *Stats) (*mpi.Comm, int, erro
 		// repair round's participants (survivors + children), so a failure
 		// report here means a participant died during the repair itself: the
 		// parents will abandon this round and retry with fresh replacements
-		// (see RepairCommPlaced). This child is orphaned.
+		// (see repair). This child is orphaned.
 		return nil, -1, fmt.Errorf("recovery: child agree: %v: %w", agreeErr, ErrOrphaned)
 	}
 
@@ -375,94 +401,162 @@ func ChildAttach(p *mpi.Proc, parent *mpi.Comm, st *Stats) (*mpi.Comm, int, erro
 	return ordered, oldRank, nil
 }
 
-// Reconstruct is Fig. 3: the full detect/repair loop. Original processes
-// pass their current world communicator and a nil parent; re-spawned
-// processes pass a nil communicator and their Proc.Parent intercommunicator
-// (only on their first call — once attached they are ordinary parents). On
-// return every process holds a full-size communicator with the pre-failure
-// rank order, verified failure-free by a final agree+barrier round.
+// Reconstruct is Fig. 3 with the paper's repair — spawn replacements on the
+// hosts of their failed predecessors. Original processes pass their current
+// world communicator and a nil parent; re-spawned processes pass a nil
+// communicator and their Proc.Parent intercommunicator (only on their first
+// call — once attached they are ordinary parents). On return every process
+// holds a full-size communicator with the pre-failure rank order, verified
+// failure-free by a final agree+barrier round.
 //
 // The returned rank is the process's rank in the reconstructed
 // communicator (for children, the failed predecessor's rank).
 func Reconstruct(p *mpi.Proc, myWorld *mpi.Comm, parent *mpi.Comm, st *Stats) (*mpi.Comm, int, error) {
-	return ReconstructPlaced(p, myWorld, parent, st, SameHostPlacement)
+	return reconstruct(p, myWorld, parent, st, SameHostPlacement, ModeSpawn, nil, nil)
 }
 
-// ReconstructPlaced is Reconstruct with an explicit replacement-placement
-// policy (see SameHostPlacement and SpareNodePlacement).
-func ReconstructPlaced(p *mpi.Proc, myWorld *mpi.Comm, parent *mpi.Comm, st *Stats, place Placement) (*mpi.Comm, int, error) {
+// reconstruct is Fig. 3: the detect/repair loop, the same for every mode.
+// It returns the verified communicator and the caller's rank in it; the
+// position map threaded through the loop's shrinks (see ReconstructMode) and
+// the number of substitute rounds that fell back to shrink-only go to res
+// when it is non-nil.
+func reconstruct(p *mpi.Proc, myWorld, parent *mpi.Comm, st *Stats, place Placement, mode Mode, origOf []int, res *ModeResult) (*mpi.Comm, int, error) {
+	switch mode {
+	case ModeSpawn, ModeSubstitute:
+	case ModeShrink, ModeNoRepair:
+		if parent != nil {
+			return nil, -1, fmt.Errorf("recovery: mode %v has no replacement processes", mode)
+		}
+	default:
+		return nil, -1, fmt.Errorf("recovery: unknown mode %v", mode)
+	}
+
 	reconstructed := myWorld
 	handler := ErrorHandler(p)
-	var replaced map[int]bool // union of failed ranks over all repairs this call
+	lg := ledger{cur: origOf}
 
 	for iter := 0; ; iter++ {
 		st.Iterations = iter + 1
-		if parent == nil {
-			reconstructed.SetErrhandler(handler)
-
-			// Detection: a barrier followed by a synchronising agree (Fig. 3
-			// lines 12-13; both contribute to the failure-information time
-			// of Fig. 8a). The agree runs LAST so the repair decision is
-			// uniform: a process death inside the barrier surfaces
-			// non-uniformly (ranks whose dissemination partners were
-			// unaffected complete it), but the agree reports any member
-			// death to every member, so either all members repair or none
-			// do — no rank leaves the loop while another revokes the
-			// communicator behind its back.
+		if parent != nil {
+			// Child path (a re-spawned process or a claimed spare): attach,
+			// then behave as a parent to verify.
 			t0 := p.Now()
-			sp := st.span(t0, reconstructed.Rank(), "detect", "barrier + agree round")
-			barrierErr := reconstructed.Barrier()
-			_, agreeErr := reconstructed.Agree(1)
-			sp.End(p.Now())
-			st.ListTime += p.Now() - t0
-			st.charge("detect", p.Now()-t0)
-
-			if agreeErr == nil && barrierErr == nil {
-				if replaced != nil {
-					// Several repairs may have run back-to-back (a fresh
-					// failure hit the verification round of an earlier
-					// repair). Report the union so callers recover the data
-					// of EVERY replaced rank, not just the last round's.
-					st.FailedRanks = sortedRanks(replaced)
-				}
-				return reconstructed, reconstructed.Rank(), nil
-			}
-			t0 = p.Now()
-			repaired, err := RepairCommPlaced(p, reconstructed, st, place)
+			ordered, _, err := ChildAttach(p, parent, st)
 			st.ReconstructTime += p.Now() - t0
 			if err != nil {
-				if retryable(err) && iter+1 < maxRepairRounds {
-					// A further failure hit the repair itself (Table I's
-					// expensive pathology). Retry from the SAME broken
-					// communicator: it still carries the original size and
-					// rank order, the next shrink excludes every failure so
-					// far, and fresh replacements are spawned for all of
-					// them; children of the abandoned round observed the
-					// revocation and exited as orphans.
-					continue
-				}
 				return nil, -1, err
 			}
-			if replaced == nil {
-				replaced = make(map[int]bool, len(st.FailedRanks))
-			}
-			for _, r := range st.FailedRanks {
-				replaced[r] = true
-			}
-			reconstructed = repaired
+			reconstructed = ordered
+			parent = nil // Fig. 3 line 32: the child becomes a parent.
 			continue
 		}
 
-		// Child path: attach, then behave as a parent to verify.
+		reconstructed.SetErrhandler(handler)
+
+		// Detection: a barrier followed by a synchronising agree (Fig. 3
+		// lines 12-13; both contribute to the failure-information time of
+		// Fig. 8a). The agree runs LAST so the repair decision is uniform: a
+		// process death inside the barrier surfaces non-uniformly (ranks whose
+		// dissemination partners were unaffected complete it), but the agree
+		// reports any member death to every member, so either all members
+		// repair or none do — no rank leaves the loop while another revokes
+		// the communicator behind its back.
 		t0 := p.Now()
-		ordered, _, err := ChildAttach(p, parent, st)
+		sp := st.span(t0, reconstructed.Rank(), "detect", "barrier + agree round")
+		barrierErr := reconstructed.Barrier()
+		_, agreeErr := reconstructed.Agree(1)
+		sp.End(p.Now())
+		st.ListTime += p.Now() - t0
+		st.charge("detect", p.Now()-t0)
+
+		if agreeErr == nil && barrierErr == nil {
+			if lg.replaced != nil {
+				// Several repairs may have run back-to-back (a fresh failure
+				// hit the verification round of an earlier repair). Report the
+				// union so callers recover the data of EVERY replaced rank, not
+				// just the last round's.
+				st.FailedRanks = sortedRanks(lg.replaced)
+			}
+			if res != nil {
+				res.OrigOf, res.Fallbacks = lg.cur, lg.fallbacks
+			}
+			return reconstructed, reconstructed.Rank(), nil
+		}
+
+		t0 = p.Now()
+		repaired, failed, fellBack, err := repair(p, reconstructed, st, place, mode)
 		st.ReconstructTime += p.Now() - t0
 		if err != nil {
+			if retryable(err) && iter+1 < maxRepairRounds {
+				// A further failure hit the repair itself (Table I's expensive
+				// pathology). Retry from the SAME broken communicator: it still
+				// carries the original size and rank order, the next shrink
+				// excludes every failure so far, and fresh replacements are
+				// acquired for all of them; replacements of the abandoned round
+				// observed the revocation and exited as orphans.
+				continue
+			}
 			return nil, -1, err
 		}
-		reconstructed = ordered
-		parent = nil // Fig. 3 line 32: the child becomes a parent.
+
+		lg.record(mode, failed, repaired.Size() < reconstructed.Size(), fellBack)
+		reconstructed = repaired
 	}
+}
+
+// ledger is what one reconstruct call accumulates over its repair rounds.
+type ledger struct {
+	cur       []int        // original rank behind each current position; nil: see record
+	replaced  map[int]bool // union of failed ORIGINAL ranks
+	fallbacks int          // substitute rounds that degraded to shrink-only
+}
+
+// record books one successful repair round: failed is in the broken
+// communicator's numbering and cur translates it to original ranks. Spawn
+// never moves a position, so there a nil map is the identity — which is what
+// lets a child that became a parent still report the union. A claimed spare's
+// nil map is genuinely unknown (earlier fallbacks may have shifted
+// positions): it reports none and learns the list from the application's
+// broadcast. A round that shrank the communicator drops the failed positions
+// from the map.
+func (lg *ledger) record(mode Mode, failed []int, shrank, fellBack bool) {
+	if lg.cur != nil || mode == ModeSpawn {
+		if lg.replaced == nil {
+			lg.replaced = make(map[int]bool, len(failed))
+		}
+		for _, r := range failed {
+			if lg.cur != nil {
+				r = lg.cur[r]
+			}
+			lg.replaced[r] = true
+		}
+	}
+	if shrank {
+		lg.cur = removeIdx(lg.cur, failed)
+	}
+	if fellBack {
+		lg.fallbacks++
+	}
+}
+
+// removeIdx returns cur without the positions listed in failed, preserving
+// order — the mapping update for a shrink: survivors keep their original
+// relative order (the OMPI_Comm_shrink contract).
+func removeIdx(cur []int, failed []int) []int {
+	if cur == nil {
+		return nil
+	}
+	dead := make(map[int]bool, len(failed))
+	for _, f := range failed {
+		dead[f] = true
+	}
+	out := make([]int, 0, len(cur)-len(failed))
+	for i, v := range cur {
+		if !dead[i] {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 func sortedRanks(set map[int]bool) []int {

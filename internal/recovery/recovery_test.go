@@ -301,13 +301,13 @@ func TestSpareNodePlacement(t *testing.T) {
 	_, err := mpi.Run(mpi.Options{NProcs: 8, Machine: vtime.OPL(), Cluster: cluster, Entry: func(p *mpi.Proc) {
 		var st Stats
 		if p.Parent() != nil {
-			_, rank, err := ReconstructPlaced(p, nil, p.Parent(), &st, place)
+			res, err := ReconstructMode(p, nil, p.Parent(), &st, place, ModeSpawn, nil)
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			mu.Lock()
-			hostOfRank[rank] = p.Host()
+			hostOfRank[res.Rank] = p.Host()
 			mu.Unlock()
 			return
 		}
@@ -316,13 +316,13 @@ func TestSpareNodePlacement(t *testing.T) {
 		if c.Rank() >= 4 {
 			p.Kill()
 		}
-		_, rank, err := ReconstructPlaced(p, c, nil, &st, place)
+		res, err := ReconstructMode(p, c, nil, &st, place, ModeSpawn, nil)
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		mu.Lock()
-		hostOfRank[rank] = p.Host()
+		hostOfRank[res.Rank] = p.Host()
 		mu.Unlock()
 	}})
 	if err != nil {
@@ -388,11 +388,11 @@ func TestFailureDuringRecovery(t *testing.T) {
 		case 4:
 			// Follow the protocol by hand up to the end of the first
 			// repair, then die before verification. The detection order
-			// must match ReconstructPlaced (barrier, then uniform agree).
+			// must match reconstruct (barrier, then uniform agree).
 			c.SetErrhandler(ErrorHandler(p))
 			_ = c.Barrier()
 			_, _ = c.Agree(1)
-			if _, err := RepairComm(p, c, &st); err != nil {
+			if _, _, _, err := repair(p, c, &st, SameHostPlacement, ModeSpawn); err != nil {
 				t.Errorf("rank 4 repair: %v", err)
 			}
 			p.Kill()
