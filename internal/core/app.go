@@ -453,6 +453,13 @@ func (rs *runState) rank(p *mpi.Proc) error {
 
 	var gcomm *mpi.Comm
 	var solver pde.Solver
+	// Whichever solver the rank holds when its run ends — normally, on an
+	// error or killed — goes back to the buffer pool.
+	defer func() {
+		if solver != nil {
+			solver.Release()
+		}
+	}()
 	if replacement {
 		// Rejoin the survivors: learn the detection step and failed ranks,
 		// rebuild the group communicator, and take part in data recovery
@@ -639,6 +646,7 @@ func (rs *runState) rank(p *mpi.Proc) error {
 			}
 			epoch++
 			oldState, oldStep := solver.State(), solver.Steps()
+			solver.Release()
 			gcomm, solver, err = build(world)
 			if err != nil {
 				return err
@@ -741,11 +749,16 @@ func recoveryInfoBuf(world *mpi.Comm, step int, mine []int) []int {
 	return append([]int{step}, mine...)
 }
 
+// The decoded list is copied out and the broadcast buffer released: it is the
+// transport's everywhere (at rank 0, recoveryInfoBuf's own fresh slice), and
+// the list outlives it by the rest of the run.
 func parseRecoveryInfo(out []int, err error) (int, []int, error) {
 	if err != nil || len(out) < 1 {
 		return 0, nil, fmt.Errorf("core: broadcast recovery info: %w", err)
 	}
-	return out[0], out[1:], nil
+	step, failed := out[0], append([]int(nil), out[1:]...)
+	mpi.ReleaseBuf(out)
+	return step, failed, nil
 }
 
 // lostGridIDs maps failed ranks (real mode) or the simulated loss list onto
@@ -1034,6 +1047,7 @@ func (rs *runState) recoverData(p *mpi.Proc, world, gcomm *mpi.Comm, solver pde.
 						return err
 					}
 				}
+				g.Free() // the gathered grid is pooled; nil below the group root
 			}
 			if mine.ID == lg {
 				var vals []float64
@@ -1156,6 +1170,7 @@ func (rs *runState) combineParallel(p *mpi.Proc, world, gcomm *mpi.Comm, solver 
 	if err != nil {
 		return fmt.Errorf("core: combine gather: %w", err)
 	}
+	defer g.Free() // pooled; nil below the group root
 	coeff := scheme.Coeff(mine.Lv)
 	contribute := gcomm.Rank() == 0 && mine.Role != RoleDuplicate && coeff != 0
 	color := mpi.Undefined
@@ -1247,6 +1262,7 @@ func (rs *runState) combineSerial(p *mpi.Proc, world, gcomm *mpi.Comm, solver pd
 			mpi.ReleaseBuf(vals)
 		}
 	}
+	g.Free() // rank 0's own gathered grid, pooled
 
 	target := grid.Level{I: rs.cfg.Layout.N, J: rs.cfg.Layout.N}
 	comb := grid.NewPooled(target)

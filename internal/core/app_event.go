@@ -30,6 +30,9 @@ import (
 func (rs *runState) eventEntry(p *mpi.Proc, f *mpi.Fiber) {
 	fr := &fiberRank{rs: rs, p: p, f: f, cfg: rs.cfg}
 	fr.done = func(err error) {
+		if fr.solver != nil {
+			fr.solver.Release() // as rank()'s deferred release
+		}
 		if err == nil || errors.Is(err, recovery.ErrOrphaned) {
 			// As on the goroutine path: an orphaned replacement exits cleanly.
 			return
@@ -424,6 +427,7 @@ func (fr *fiberRank) afterRepairSync(i, dp int, st *recovery.Stats, recoverIDs [
 	}
 	fr.epoch++
 	oldState, oldStep := fr.solver.State(), fr.solver.Steps()
+	fr.solver.Release()
 	fr.build(fr.world, func(err error) {
 		if err != nil {
 			fr.done(err)
@@ -737,6 +741,7 @@ func (fr *fiberRank) recoverRC(lost []int, atStep int, k func(error)) {
 						return
 					}
 				}
+				g.Free() // the gathered grid is pooled; nil below the group root
 				asDst()
 			})
 			return
@@ -786,6 +791,7 @@ func (fr *fiberRank) combineParallel(scheme combine.Scheme, k func(error)) {
 				return
 			}
 			if roots == nil {
+				g.Free() // pooled; nil below the group root
 				k(nil)
 				return
 			}
@@ -797,6 +803,7 @@ func (fr *fiberRank) combineParallel(scheme combine.Scheme, k func(error)) {
 				partial.AccumulateSampled(g, coeff)
 				p.ComputeCells(target.Points(), oneShot)
 			}
+			g.Free()
 			mpi.FiberReduceSum(f, roots, 0, partial.V, func(total []float64, err error) {
 				partial.Free()
 				if err != nil {

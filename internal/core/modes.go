@@ -301,25 +301,28 @@ func recoveryInfoModeBuf(world *mpi.Comm, step int, failed, abandoned, origOf []
 }
 
 func parseRecoveryInfoMode(world *mpi.Comm, out []int, err error) (int, []int, []int, []int, error) {
-	var failed, abandoned, origOf []int
 	if err != nil || len(out) < 2 {
 		return 0, nil, nil, nil, fmt.Errorf("core: broadcast recovery info: %w", err)
 	}
-	nf := out[1]
-	if len(out) < 3+nf {
-		return 0, nil, nil, nil, fmt.Errorf("core: malformed recovery info (%d ints, %d failed)", len(out), nf)
+	// As in parseRecoveryInfo: decode from a private copy, release the
+	// broadcast buffer.
+	info := append([]int(nil), out...)
+	mpi.ReleaseBuf(out)
+	nf := info[1]
+	if len(info) < 3+nf {
+		return 0, nil, nil, nil, fmt.Errorf("core: malformed recovery info (%d ints, %d failed)", len(info), nf)
 	}
-	failed = out[2 : 2+nf]
-	na := out[2+nf]
-	if len(out) < 3+nf+na+world.Size() {
+	failed := info[2 : 2+nf]
+	na := info[2+nf]
+	if len(info) < 3+nf+na+world.Size() {
 		return 0, nil, nil, nil, fmt.Errorf("core: malformed recovery info (%d ints, %d failed, %d abandoned, size %d)",
-			len(out), nf, na, world.Size())
+			len(info), nf, na, world.Size())
 	}
-	abandoned = out[3+nf : 3+nf+na]
-	origOf = out[3+nf+na:]
+	abandoned := info[3+nf : 3+nf+na]
+	origOf := info[3+nf+na:]
 	if len(origOf) != world.Size() {
 		return 0, nil, nil, nil, fmt.Errorf("core: recovery info maps %d positions for a size-%d communicator",
 			len(origOf), world.Size())
 	}
-	return out[0], failed, abandoned, origOf, nil
+	return info[0], failed, abandoned, origOf, nil
 }

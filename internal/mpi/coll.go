@@ -51,8 +51,9 @@ func MinOp[T Number](a, b T) T {
 func BAnd(a, b int) int { return a & b }
 
 // barrierToken is the 1-byte payload of every barrier dissemination
-// message. It is shared and immutable, and sendOwned never pools buffers
-// this small, so barrier rounds move no payload bytes and allocate nothing.
+// message. It is shared and immutable, and the pool keeps nothing under
+// minPooled bytes, so a dropped send cannot put it into circulation: barrier
+// rounds move no payload bytes and allocate nothing.
 var barrierToken = []byte{1}
 
 // rankList is the set of comm ranks one phase of a collective runs over:
@@ -252,7 +253,7 @@ func Gather[T any](c *Comm, root int, data []T) ([][]T, error) {
 		return nil, nil
 	}
 	out := make([][]T, n)
-	out[root] = append([]T(nil), data...)
+	out[root] = cloneBuf(data)
 	for r := 0; r < n; r++ {
 		if r == root {
 			continue
@@ -300,7 +301,7 @@ func Scatter[T any](c *Comm, root int, parts [][]T) ([]T, error) {
 			}
 		}
 		opEnd(c, "scatter", t0)
-		return append([]T(nil), parts[root]...), nil
+		return cloneBuf(parts[root]), nil
 	}
 	got, _, err := recvRaw[T](c, root, tag, true)
 	if err != nil {

@@ -33,7 +33,7 @@ func Alltoall[T any](c *Comm, parts [][]T) ([][]T, error) {
 	tag := internalTag(kindAlltoall, c.nextSeq("alltoall"))
 	me := c.rank
 	out := make([][]T, n)
-	out[me] = append([]T(nil), parts[me]...)
+	out[me] = cloneBuf(parts[me])
 	// Pairwise exchange: in round k, exchange with rank me^k when valid;
 	// otherwise use a linear schedule for non-power-of-two sizes.
 	for r := 0; r < n; r++ {
@@ -68,7 +68,7 @@ func Scan[T any](c *Comm, data []T, op func(T, T) T) ([]T, error) {
 	}
 	t0 := opStart(c, "scan")
 	tag := internalTag(kindScan, c.nextSeq("scan"))
-	acc := append([]T(nil), data...)
+	acc := cloneBuf(data)
 	if c.rank > 0 {
 		prev, _, err := recvRaw[T](c, c.rank-1, tag, true)
 		if err != nil {
@@ -81,6 +81,7 @@ func Scan[T any](c *Comm, data []T, op func(T, T) T) ([]T, error) {
 		for i := range acc {
 			acc[i] = op(prev[i], acc[i])
 		}
+		putBuf(prev)
 	}
 	if c.rank < c.Size()-1 {
 		if err := sendRaw(c, c.rank+1, tag, acc); err != nil {

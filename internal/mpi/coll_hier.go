@@ -301,8 +301,7 @@ func reduceList[T any](c *Comm, tag int, l rankList, rootIdx, myIdx int, data []
 			}
 		} else {
 			if acc == nil {
-				acc = getBuf[T](len(data))
-				copy(acc, data)
+				acc = cloneBuf(data)
 			}
 			if err := sendOwned(c, l.at((vr-mask+rootIdx)%n), tag, acc); err != nil {
 				return nil, err
@@ -311,8 +310,7 @@ func reduceList[T any](c *Comm, tag int, l rankList, rootIdx, myIdx int, data []
 		}
 	}
 	if acc == nil {
-		acc = getBuf[T](len(data))
-		copy(acc, data)
+		acc = cloneBuf(data)
 	}
 	return acc, nil
 }
@@ -350,8 +348,7 @@ func reduceListSum[T Number](c *Comm, tag int, l rankList, rootIdx, myIdx int, d
 			}
 		} else {
 			if acc == nil {
-				acc = getBuf[T](len(data))
-				copy(acc, data)
+				acc = cloneBuf(data)
 			}
 			if err := sendOwned(c, l.at((vr-mask+rootIdx)%n), tag, acc); err != nil {
 				return nil, err
@@ -360,8 +357,7 @@ func reduceListSum[T Number](c *Comm, tag int, l rankList, rootIdx, myIdx int, d
 		}
 	}
 	if acc == nil {
-		acc = getBuf[T](len(data))
-		copy(acc, data)
+		acc = cloneBuf(data)
 	}
 	return acc, nil
 }
@@ -545,7 +541,7 @@ func hierGather[T any](c *Comm, t *commTopo, tag, root int, data []T) ([][]T, er
 	}
 	if me == root {
 		out := make([][]T, c.Size())
-		out[me] = append([]T(nil), data...)
+		out[me] = cloneBuf(data)
 		for _, r := range node {
 			if r == me {
 				continue
@@ -673,7 +669,7 @@ func hierScatter[T any](c *Comm, t *commTopo, tag, root int, parts [][]T) ([]T, 
 				return nil, err
 			}
 		}
-		return append([]T(nil), parts[root]...), nil
+		return cloneBuf(parts[root]), nil
 	}
 	if me == lead {
 		lens, _, err := recvRaw[int](c, root, tag, true)

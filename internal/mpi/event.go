@@ -445,16 +445,14 @@ func fiberReduceList[T any](f *Fiber, c *Comm, tag int, l rankList, rootIdx, myI
 	step = func(mask int) {
 		if mask >= n {
 			if acc == nil {
-				acc = getBuf[T](len(data))
-				copy(acc, data)
+				acc = cloneBuf(data)
 			}
 			k(acc, nil)
 			return
 		}
 		if vr&mask != 0 {
 			if acc == nil {
-				acc = getBuf[T](len(data))
-				copy(acc, data)
+				acc = cloneBuf(data)
 			}
 			if err := sendOwned(c, l.at((vr-mask+rootIdx)%n), tag, acc); err != nil {
 				k(nil, err)

@@ -267,7 +267,7 @@ func FiberGather[T any](f *Fiber, c *Comm, root int, data []T, k func([][]T, err
 		return
 	}
 	out := make([][]T, n)
-	out[root] = append([]T(nil), data...)
+	out[root] = cloneBuf(data)
 	var loop func(r int)
 	loop = func(r int) {
 		if r >= n {
@@ -309,7 +309,7 @@ func fiberHierGather[T any](f *Fiber, c *Comm, t *commTopo, tag, root int, data 
 	}
 	if me == root {
 		out := make([][]T, c.Size())
-		out[me] = append([]T(nil), data...)
+		out[me] = cloneBuf(data)
 		var remoteLoop func(kn int)
 		remoteLoop = func(kn int) {
 			if kn >= len(t.nodes) {
@@ -466,7 +466,7 @@ func FiberScatter[T any](f *Fiber, c *Comm, root int, parts [][]T, k func([]T, e
 				return
 			}
 		}
-		done(append([]T(nil), parts[root]...), nil)
+		done(cloneBuf(parts[root]), nil)
 		return
 	}
 	fiberRecvRaw[T](f, c, root, tag, true, func(got []T, _ Status, err error) {
@@ -518,7 +518,7 @@ func fiberHierScatter[T any](f *Fiber, c *Comm, t *commTopo, tag, root int, part
 				return
 			}
 		}
-		k(append([]T(nil), parts[root]...), nil)
+		k(cloneBuf(parts[root]), nil)
 		return
 	}
 	if me == lead {
@@ -843,7 +843,7 @@ func FiberAlltoall[T any](f *Fiber, c *Comm, parts [][]T, k func([][]T, error)) 
 	tag := internalTag(kindAlltoall, c.nextSeq("alltoall"))
 	me := c.rank
 	out := make([][]T, n)
-	out[me] = append([]T(nil), parts[me]...)
+	out[me] = cloneBuf(parts[me])
 	fail := func(err error) {
 		abortCollective(c, tag)
 		k(nil, c.fire(err))
@@ -889,7 +889,7 @@ func FiberScan[T any](f *Fiber, c *Comm, data []T, op func(T, T) T, k func([]T, 
 	}
 	t0 := opStart(c, "scan")
 	tag := internalTag(kindScan, c.nextSeq("scan"))
-	acc := append([]T(nil), data...)
+	acc := cloneBuf(data)
 	fail := func(err error) {
 		abortCollective(c, tag)
 		k(nil, c.fire(err))
@@ -920,6 +920,7 @@ func FiberScan[T any](f *Fiber, c *Comm, data []T, op func(T, T) T, k func([]T, 
 		for i := range acc {
 			acc[i] = op(prev[i], acc[i])
 		}
+		putBuf(prev)
 		finish()
 	})
 }

@@ -40,6 +40,19 @@ type Request struct {
 	pnext *Request // intrusive link in its posted queue
 }
 
+// newRequest takes a request from the process's free list, which Wait
+// refills, so a steady Irecv/Isend/Wait cycle allocates none.
+func newRequest(c *Comm) *Request {
+	st := c.p.st
+	r := st.freeReq
+	if r == nil {
+		return &Request{c: c}
+	}
+	st.freeReq = r.pnext
+	*r = Request{c: c}
+	return r
+}
+
 // Isend starts a nonblocking send. The runtime buffers eagerly, so the
 // returned request is already complete; Wait only reports the send status.
 // The data slice is copied at call time, as if MPI_Isend's buffer were
@@ -49,7 +62,8 @@ func Isend[T any](c *Comm, dest, tag int, data []T) (*Request, error) {
 		return nil, c.fire(fmt.Errorf("mpi: Isend: negative tag %d is reserved: %w", tag, ErrComm))
 	}
 	err := sendRaw(c, dest, tag, data)
-	req := &Request{c: c, tag: tag, done: true, err: err}
+	req := newRequest(c)
+	req.tag, req.done, req.err = tag, true, err
 	if err != nil {
 		return req, c.fire(err)
 	}
@@ -64,7 +78,8 @@ func IsendOwned[T any](c *Comm, dest, tag int, data []T) (*Request, error) {
 		return nil, c.fire(fmt.Errorf("mpi: IsendOwned: negative tag %d is reserved: %w", tag, ErrComm))
 	}
 	err := sendOwned(c, dest, tag, data)
-	req := &Request{c: c, tag: tag, done: true, err: err}
+	req := newRequest(c)
+	req.tag, req.done, req.err = tag, true, err
 	if err != nil {
 		return req, c.fire(err)
 	}
@@ -80,7 +95,8 @@ func Irecv[T any](c *Comm, src, tag int) (*Request, error) {
 		return nil, c.fire(fmt.Errorf("mpi: Irecv: negative tag %d is reserved: %w", tag, ErrComm))
 	}
 	st := c.p.st
-	req := &Request{c: c, src: src, tag: tag, recv: true}
+	req := newRequest(c)
+	req.src, req.tag, req.recv = src, tag, true
 
 	if c.sawRevoked {
 		req.done = true
@@ -107,6 +123,8 @@ func (r *Request) complete(env *envelope) {
 
 // Wait blocks until the request completes and returns its payload (nil for
 // sends). The type parameter must match the matching send's element type.
+// Wait consumes the request, as MPI_Wait resets its handle to
+// MPI_REQUEST_NULL: the request must not be used afterwards.
 func Wait[T any](r *Request) ([]T, Status, error) {
 	c := r.c
 	st := c.p.st
@@ -127,8 +145,7 @@ func Wait[T any](r *Request) ([]T, Status, error) {
 		if revoked {
 			st.mu.Lock()
 			if r.done {
-				st.mu.Unlock()
-				break
+				break // holding st.mu, as the code after the loop expects
 			}
 			st.waitSh, st.waitReq = c.sh, r
 			st.mu.Unlock()
@@ -163,6 +180,9 @@ func Wait[T any](r *Request) ([]T, Status, error) {
 	err := r.err
 	stt := r.status
 	st.mu.Unlock()
+	// Complete and out of the posted set: nothing else refers to r.
+	*r = Request{pnext: st.freeReq}
+	st.freeReq = r
 
 	if env != nil {
 		st.clock.SyncTo(env.arrival)
@@ -177,9 +197,10 @@ func Wait[T any](r *Request) ([]T, Status, error) {
 	}
 	data, ok := payload[T](env)
 	if !ok {
-		return nil, stt, c.fire(fmt.Errorf("mpi: Wait: message holds []%v: %w", env.etype, ErrType))
+		err = c.fire(fmt.Errorf("mpi: Wait: message holds []%v: %w", env.etype, ErrType))
 	}
-	return data, stt, nil
+	putEnv(env)
+	return data, stt, err
 }
 
 // Waitall waits for every request, returning the first error encountered

@@ -43,11 +43,12 @@ func SendOne[T any](c *Comm, dest, tag int, v T) error {
 
 // SendOwned sends data without copying it, transferring ownership of the
 // slice's array to the runtime (and ultimately to the receiver). The caller
-// must not read or write data after the call — typically the slice comes
-// from AcquireBuf, and a cooperating receiver hands it back with
-// ReleaseBuf. This is the zero-copy fast path for large payloads (gathered
-// sub-grids, reduction buffers); Send's copying semantics remain the safe
-// default.
+// must not read or write data — or anything sharing its array — after the
+// call. Typically the slice comes from AcquireBuf, and a cooperating
+// receiver hands it back with ReleaseBuf, which recycles it whatever its
+// size. This is the zero-copy path for payloads the sender is done with
+// (gathered sub-grids, reduction buffers); Send's copying semantics remain
+// the safe default.
 func SendOwned[T any](c *Comm, dest, tag int, data []T) error {
 	if tag < 0 {
 		return c.fire(fmt.Errorf("mpi: SendOwned: negative tag %d is reserved: %w", tag, ErrComm))
@@ -64,8 +65,8 @@ func sendOwned[T any](c *Comm, dest, tag int, data []T) error {
 }
 
 // sendEnv implements the eager send. owned hands the slice itself to the
-// transport (dropped sends recycle it into the typed pool); otherwise the
-// payload is copied into transport-owned memory (slab or pool; see copyIn).
+// transport (a dropped send returns it to the buffer pool); otherwise the
+// payload is copied into a pooled buffer (see copyIn).
 // The only lock taken on the failure-free path is the destination's
 // mailbox mutex.
 func sendEnv[T any](c *Comm, dest, tag int, data []T, owned bool) error {

@@ -2,28 +2,21 @@ package mpi
 
 // This file is the data plane of the sharded transport: pooled envelopes
 // with an unboxed payload representation, per-(comm,src,tag) indexed match
-// queues for mailboxes and posted receives, a per-sender slab allocator for
-// small eager-send copies, and a typed buffer pool backing the zero-copy
-// ownership-transfer path (SendOwned / AcquireBuf / ReleaseBuf). The
-// locking hierarchy that coordinates it lives in world.go; buffer-ownership
-// rules are documented in DESIGN.md ("Transport"). The data plane is
-// blocking-model-agnostic: the event-driven path (event.go) consumes the
-// same envelopes, match queues and pools — only the park/wake discipline
-// above them differs.
+// queues for mailboxes and posted receives, and the one size-classed buffer
+// pool every pointer-free payload lives in — eager-send copies, the
+// ownership-transfer buffers of SendOwned / AcquireBuf / ReleaseBuf, and the
+// collectives' staging blocks and accumulators. The locking hierarchy that
+// coordinates it lives in world.go; buffer-ownership rules are documented in
+// DESIGN.md §8. The data plane is blocking-model-agnostic: the event-driven
+// path (event.go) consumes the same envelopes, match queues and pool — only
+// the park/wake discipline above them differs.
 
 import (
+	"math/bits"
 	"reflect"
 	"sync"
 	"unsafe"
 )
-
-// eagerThreshold is the payload size (bytes) at which the copying send path
-// switches from the per-sender slab to the typed buffer pool: larger copies
-// are worth a pooled allocation that internal receivers can recycle, and
-// the application layers switch to SendOwned/AcquireBuf above it to avoid
-// the copy entirely. It is also the smallest buffer ReleaseBuf keeps —
-// below it, reallocating is cheaper than pooling.
-const eagerThreshold = 4 << 10
 
 // elemSize returns the in-memory size of T. Unlike the previous reflect
 // lookup on data[0], it is a compile-time constant and correct for
@@ -93,33 +86,23 @@ func payload[T any](env *envelope) ([]T, bool) {
 	return unsafe.Slice((*T)(env.ptr), env.cp)[:env.n:env.cp], true
 }
 
-// copyIn copies data into transport-owned memory and stores it in env:
-// small pointer-free payloads are carved from the sender's slab, large ones
-// come from the typed buffer pool (so internal receivers can recycle
-// them), and anything else gets a dedicated typed allocation.
+// copyIn copies data into transport-owned memory and stores it in env.
+// Pointer-free payloads come from the buffer pool (refilled from the
+// sender's slab); anything else gets a dedicated typed allocation.
 func copyIn[T any](env *envelope, st *procState, data []T) {
 	n := len(data)
 	if n == 0 {
 		setPayload(env, data)
 		return
 	}
-	bytes := n * elemSize[T]()
-	var dst []T
-	switch {
-	case bytes >= eagerThreshold:
-		dst = getBuf[T](n)
-	case pointerFreeKind(typeOf[T]()):
-		dst = unsafe.Slice((*T)(st.sl.alloc(bytes)), n)
-	default:
-		dst = make([]T, n)
-	}
+	dst := acquire[T](st, n)
 	copy(dst, data)
 	setPayload(env, dst)
 }
 
 // pointerFreeKind reports whether values of t contain no pointers the
 // garbage collector must see, making them safe to store in the untyped
-// slab memory.
+// pool and slab memory.
 func pointerFreeKind(t reflect.Type) bool {
 	switch t.Kind() {
 	case reflect.Bool,
@@ -132,31 +115,35 @@ func pointerFreeKind(t reflect.Type) bool {
 	return false
 }
 
-// slab is a per-sender bump allocator for small eager-send copies: many
-// payloads share one chunk, so the steady-state copying send allocates
-// (amortised) almost nothing. Chunks are untyped bytes, invisible to the
-// garbage collector's pointer scans, so only pointer-free element types are
-// carved from them (see copyIn). Carved regions are handed to receivers
-// with len == cap, so neighbouring messages can never be reached through
-// append. A chunk is freed by the GC once no delivered payload references
-// it.
+// slab is a per-sender bump allocator: many small buffers share one chunk,
+// so a pool miss below slabMax — and every payload too small to pool —
+// costs (amortised) almost no allocation even when the receiver never
+// releases it. Chunks are untyped bytes, invisible to the garbage
+// collector's pointer scans, so only pointer-free element types are carved
+// from them (see acquire). Carved regions are disjoint and handed out with
+// their exact capacity, so neighbouring buffers can never be reached
+// through append. A chunk is freed by the GC once no carve of it is in use
+// or pooled.
 type slab struct {
 	buf []byte
 	off int
 }
 
-const slabChunk = 64 << 10
+// Chunks grow fourfold from slabFirst to slabChunk: most ranks of a small
+// world carve a handful of buffers that the pool then recycles for the rest
+// of the run, and should not pay for 64 KiB to do so, while a rank whose
+// receivers never release reaches the full chunk after three allocations.
+const (
+	slabFirst = 1 << 10
+	slabChunk = 64 << 10
+)
 
 // alloc carves n bytes from the current chunk, 8-aligned (Go's maximum
-// scalar alignment), growing a fresh chunk when exhausted.
+// scalar alignment), starting a fresh chunk when exhausted.
 func (s *slab) alloc(n int) unsafe.Pointer {
 	n = (n + 7) &^ 7
 	if s.off+n > len(s.buf) {
-		c := slabChunk
-		if n > c {
-			c = n
-		}
-		s.buf = make([]byte, c)
+		s.buf = make([]byte, max(n, min(slabChunk, max(slabFirst, 4*len(s.buf)))))
 		s.off = 0
 	}
 	p := unsafe.Pointer(unsafe.SliceData(s.buf[s.off:]))
@@ -361,51 +348,124 @@ func (ps *postedSet) remove(r *Request) {
 	}
 }
 
-// bufPools holds one sync.Pool of []T per element type, backing the
-// large-message paths: eager copies above eagerThreshold, the
-// ownership-transfer buffers of AcquireBuf/SendOwned, and the reduction
-// tree's accumulators.
-var bufPools sync.Map // reflect.Type -> *sync.Pool
+// The buffer pool. Pointer-free memory is interchangeable whatever its
+// element type, so buffers are pooled by byte size alone: class k holds
+// buffers of at least classSize(k) bytes, four classes per power of two from
+// minPooled up (64, 80, 96, 112, 128, 160, ... bytes), and a buffer handed out
+// from class k has exactly that capacity, so it returns to the class it came
+// from. Distinct sizes therefore never evict each other, rounding wastes at
+// most a quarter, and from 32 KiB up — where the Go allocator itself rounds
+// to 8 KiB pages — a class-sized miss costs what the exact request would.
+// The pools store bare pointers, which sync.Pool takes without boxing.
+const (
+	// minPooled is the smallest buffer the pool keeps. Below it a buffer is
+	// carved exactly and left to the GC: recycling would cost more than the
+	// carve, and it keeps shared constants such as the 1-byte barrierToken
+	// out of circulation.
+	minPooled = 64
+	// slabMax bounds the classes refilled from the sender's slab; a miss at
+	// or above it is an allocation of its own.
+	slabMax = 4 << 10
+	// numClasses covers minPooled .. 1 GiB; larger buffers are not pooled.
+	numClasses = 4*24 + 1
+)
 
-func poolFor(t reflect.Type) *sync.Pool {
-	if p, ok := bufPools.Load(t); ok {
-		return p.(*sync.Pool)
+var bufClasses [numClasses]sync.Pool
+
+// classSize is the capacity in bytes of class k's buffers.
+func classSize(k int) int { return (4 + k&3) << (k>>2 + 4) }
+
+// classFloor returns the largest class whose size is at most n, for
+// n >= minPooled: the class a released buffer of n bytes joins.
+func classFloor(n int) int {
+	b := bits.Len(uint(n)) // 2^(b-1) <= n < 2^b
+	k := 4*(b-7) + n>>(b-3) - 4
+	if k >= numClasses {
+		k = numClasses - 1
 	}
-	p, _ := bufPools.LoadOrStore(t, new(sync.Pool))
-	return p.(*sync.Pool)
+	return k
 }
 
-// getBuf returns a []T of length n, reusing a pooled buffer when one with
-// sufficient capacity is available. Contents are unspecified; callers must
-// overwrite every element.
-func getBuf[T any](n int) []T {
-	p := poolFor(typeOf[T]())
-	if v := p.Get(); v != nil {
-		if b := v.([]T); cap(b) >= n {
-			return b[:n]
-		}
-		// Too small for this request: let the GC take it rather than
-		// cycling it back for the next, likely identical, request.
+// classCeil returns the smallest class whose size is at least n, for
+// n >= minPooled: the class that serves a request of n bytes. It is
+// numClasses when n exceeds the largest class.
+func classCeil(n int) int {
+	k := classFloor(n)
+	if classSize(k) < n {
+		k++
 	}
-	return make([]T, n)
+	return k
 }
 
-// putBuf returns a buffer to the typed pool. Only large buffers are kept;
-// small ones are cheaper to reallocate than to pool.
+// acquire returns a []T of length n with unspecified contents; callers must
+// overwrite every element. Pointer-free T is served from the pool; a miss
+// below slabMax is carved from st's slab when the caller is a sender
+// (st != nil), so small buffers that are never released keep their amortised
+// allocation cost. Pointerful T is a plain typed allocation.
+func acquire[T any](st *procState, n int) []T {
+	es := elemSize[T]()
+	bytes := n * es
+	if !pointerFreeKind(typeOf[T]()) || (bytes < minPooled && st == nil) {
+		return make([]T, n)
+	}
+	if bytes < minPooled {
+		return unsafe.Slice((*T)(st.sl.alloc(bytes)), n)
+	}
+	k := classCeil(bytes)
+	if k >= numClasses {
+		return make([]T, n)
+	}
+	size := classSize(k)
+	p, _ := bufClasses[k].Get().(unsafe.Pointer)
+	switch {
+	case p != nil:
+	case size < slabMax && st != nil:
+		p = st.sl.alloc(size)
+	default:
+		p = unsafe.Pointer(unsafe.SliceData(make([]byte, size)))
+	}
+	return unsafe.Slice((*T)(p), size/es)[:n]
+}
+
+// getBuf is acquire for callers that are not copying a send: staging blocks,
+// accumulators and AcquireBuf.
+func getBuf[T any](n int) []T { return acquire[T](nil, n) }
+
+// cloneBuf returns a pooled copy of data.
+func cloneBuf[T any](data []T) []T {
+	b := getBuf[T](len(data))
+	copy(b, data)
+	return b
+}
+
+// putBuf returns a buffer to the pool. The caller must own b exclusively and
+// must not touch it — or any slice sharing its memory — afterwards. Buffers
+// the pool cannot serve again are left to the GC: pointerful element types,
+// anything under minPooled, and sub-slices that do not start 8-aligned.
 func putBuf[T any](b []T) {
-	if cap(b)*elemSize[T]() < eagerThreshold {
+	bytes := cap(b) * elemSize[T]()
+	if bytes < minPooled || !pointerFreeKind(typeOf[T]()) {
 		return
 	}
-	poolFor(typeOf[T]()).Put(b[:0])
+	p := unsafe.Pointer(unsafe.SliceData(b))
+	if uintptr(p)&7 != 0 {
+		return
+	}
+	k := classFloor(bytes)
+	poison(p, classSize(k))
+	bufClasses[k].Put(p)
 }
 
-// AcquireBuf returns a []T of length n from the transport's typed buffer
-// pool, for use with SendOwned/IsendOwned: fill it, send it, and never
-// touch it again. Contents are unspecified.
+// AcquireBuf returns a []T of length n from the transport's buffer pool, for
+// use with SendOwned/IsendOwned: fill it, send it, and never touch it again.
+// Contents are unspecified.
 func AcquireBuf[T any](n int) []T { return getBuf[T](n) }
 
-// ReleaseBuf hands a buffer back to the transport's typed pool. Use it for
-// large received payloads once their contents have been consumed — only
-// for buffers the caller exclusively owns, and never after releasing. Small
-// buffers are dropped for the GC.
+// ReleaseBuf hands a buffer back to the transport's pool once its contents
+// have been consumed: a received payload, a collective's result, or an
+// AcquireBuf buffer that was never sent. The caller must own it exclusively
+// and release it exactly once; never release a sub-slice and its parent, or
+// a slice another holder still reads (Bcast hands the root its own argument
+// back). Pointer-free buffers of 64 bytes and more are recycled, whatever
+// allocated them; anything else is dropped for the GC.
 func ReleaseBuf[T any](b []T) { putBuf(b) }

@@ -57,11 +57,11 @@ func TestZeroLengthSendSizing(t *testing.T) {
 	})
 }
 
-// TestSendOwnedZeroCopy checks the large-message fast path: a buffer above
-// the eager threshold handed over with SendOwned must arrive without being
-// copied — the receiver observes the sender's backing array.
+// TestSendOwnedZeroCopy checks the ownership-transfer path: a buffer handed
+// over with SendOwned must arrive without being copied — the receiver
+// observes the sender's backing array.
 func TestSendOwnedZeroCopy(t *testing.T) {
-	n := eagerThreshold / int(unsafe.Sizeof(float64(0))) // exactly at the threshold
+	n := slabMax / int(unsafe.Sizeof(float64(0)))
 	var sentPtr unsafe.Pointer
 	runWorld(t, 2, func(p *Proc) {
 		c := p.World()
@@ -80,33 +80,59 @@ func TestSendOwnedZeroCopy(t *testing.T) {
 			t.Errorf("payload corrupted: %d values, %d bytes", len(got), st.Bytes)
 		}
 		if unsafe.Pointer(unsafe.SliceData(got)) != sentPtr {
-			t.Error("large SendOwned payload was copied; expected ownership transfer")
+			t.Error("SendOwned payload was copied; expected ownership transfer")
 		}
 		ReleaseBuf(got)
 	})
 }
 
-// TestBufferPoolRoundTrip checks that a released large buffer is reused by
-// the next acquisition and that small buffers are refused by the pool.
-func TestBufferPoolRoundTrip(t *testing.T) {
-	n := eagerThreshold // bytes == 8*eagerThreshold, well above the threshold
-	reused := false
-	for try := 0; try < 5 && !reused; try++ { // a GC may drop pooled items
-		b := AcquireBuf[float64](n)
-		p0 := unsafe.Pointer(unsafe.SliceData(b))
-		ReleaseBuf(b)
-		b2 := AcquireBuf[float64](n)
-		reused = unsafe.Pointer(unsafe.SliceData(b2)) == p0
-		ReleaseBuf(b2)
-	}
-	if !reused {
-		t.Error("released buffer never reused")
-	}
+// sameArray reports whether two slices start at the same address.
+func sameArray[T any](a, b []T) bool {
+	return unsafe.SliceData(a) == unsafe.SliceData(b)
+}
 
-	small := AcquireBuf[byte](8) // below the threshold: pool must refuse it
-	ReleaseBuf(small)
-	small2 := AcquireBuf[byte](8)
-	if len(small2) != 8 {
-		t.Fatalf("AcquireBuf(8) returned %d bytes", len(small2))
+// reacquired reports whether a buffer of n elements, once released, is the
+// one the next acquisition of m elements receives. The sync.Pool behind a
+// class may drop an item (a GC, the race build's random drops), so a reuse
+// is looked for over a few tries; a non-reuse must hold on every try.
+func reacquired[T any](n, m int) bool {
+	for try := 0; try < 8; try++ {
+		b := AcquireBuf[T](n)
+		keep := b[:1:1] // keeps the array reachable, so a new one cannot take its address
+		ReleaseBuf(b)
+		b2 := AcquireBuf[T](m)
+		if sameArray(keep, b2) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestBufferPoolRoundTrip checks the pool's admission rule: a released
+// pointer-free buffer of 64 bytes or more is what the next acquisition of its
+// class receives, small or large; a buffer under 64 bytes and a pointerful
+// one are never pooled.
+func TestBufferPoolRoundTrip(t *testing.T) {
+	for _, n := range []int{8, 128, slabMax / 8, slabMax} { // 64 B .. 32 KiB
+		if !reacquired[float64](n, n) {
+			t.Errorf("released %d-byte buffer never reused", n*8)
+		}
+	}
+	if reacquired[byte](1, 1) {
+		t.Error("a 1-byte buffer came back from the pool")
+	}
+	if reacquired[byte](minPooled-1, minPooled-1) {
+		t.Errorf("a %d-byte buffer came back from the pool", minPooled-1)
+	}
+	if reacquired[string](64, 64) {
+		t.Error("a pointerful buffer came back from the pool")
+	}
+	// A released pointerful buffer keeps its contents: nothing poisons or
+	// reuses memory the GC must scan.
+	s := AcquireBuf[string](64)
+	s[0] = "kept"
+	ReleaseBuf(s)
+	if s[0] != "kept" {
+		t.Error("released pointerful buffer was overwritten")
 	}
 }

@@ -76,15 +76,16 @@ type killSignal struct{}
 // owning goroutine (peers read the clock only at rendezvous points where
 // the owner is provably blocked); everything from mu down is guarded by mu.
 type procState struct {
-	w      *World
-	wrank  int // world-unique process id (never reused)
-	host   int // index into the cluster's host list
-	rack   int // rack of that host (immutable, like host)
-	alive  atomic.Bool
-	clock  vtime.Clock
-	sl     slab   // eager-copy arena; owner-only (senders copy into their own)
-	opHook OpHook // operation observer; owner-only (see ophook.go)
-	curOp  string // collective in progress; owner-only (hop attribution)
+	w       *World
+	wrank   int // world-unique process id (never reused)
+	host    int // index into the cluster's host list
+	rack    int // rack of that host (immutable, like host)
+	alive   atomic.Bool
+	clock   vtime.Clock
+	sl      slab     // refill arena of the buffer pool; owner-only (senders carve from their own)
+	freeReq *Request // requests Wait has consumed, for newRequest to reuse; owner-only
+	opHook  OpHook   // operation observer; owner-only (see ophook.go)
+	curOp   string   // collective in progress; owner-only (hop attribution)
 
 	// blocked is the blockedOp this process may be about to park on,
 	// published by its owner before the epoch read of a blocking loop and

@@ -73,8 +73,11 @@ func NewParallelSolver(c *mpi.Comm, prob *Problem, lv grid.Level, dt float64) (*
 	s.r0, s.r1 = rowsFor(c.Rank(), c.Size(), ny)
 	s.rowWidth = s.nx
 	nloc := s.r1 - s.r0
-	s.local = make([]float64, (nloc+2)*s.nx)
-	s.scratch = make([]float64, (nloc+2)*s.nx)
+	// Pooled storage with unspecified contents: the owned rows are set
+	// here, both halo rows by every exchange before the stencil reads them,
+	// and scratch is written before it is read.
+	s.local = mpi.AcquireBuf[float64]((nloc + 2) * s.nx)
+	s.scratch = mpi.AcquireBuf[float64]((nloc + 2) * s.nx)
 	hx := 1.0 / float64(s.nx)
 	hy := 1.0 / float64(s.ny)
 	for k := 0; k < nloc; k++ {
@@ -85,6 +88,14 @@ func NewParallelSolver(c *mpi.Comm, prob *Problem, lv grid.Level, dt float64) (*
 		}
 	}
 	return s, nil
+}
+
+// Release returns the solver's storage to the transport's buffer pool (Solver
+// interface). The solver must not be used afterwards.
+func (s *ParallelSolver) Release() {
+	mpi.ReleaseBuf(s.local)
+	mpi.ReleaseBuf(s.scratch)
+	s.local, s.scratch = nil, nil
 }
 
 // OwnedRows returns the solver's owned global row range [r0, r1).
@@ -157,11 +168,13 @@ func (s *ParallelSolver) exchangeHalosNonblocking(up, down int, top, bottom []fl
 		return err
 	}
 	copy(s.local[0:s.nx], lower)
+	mpi.ReleaseBuf(lower)
 	upper, _, err := mpi.Wait[float64](rUpper)
 	if err != nil {
 		return err
 	}
 	copy(s.local[(nloc+1)*s.nx:], upper)
+	mpi.ReleaseBuf(upper)
 	return nil
 }
 

@@ -65,9 +65,12 @@ func NewParallelSolver2D(c *mpi.Comm, prob *Problem, lv grid.Level, dt float64, 
 	s.cy0, s.cy1 = cyIdx*ny/py, (cyIdx+1)*ny/py
 	s.lw = (s.cx1 - s.cx0) + 2
 	rows := (s.cy1 - s.cy0) + 2
-	s.local = make([]float64, rows*s.lw)
-	s.scratch = make([]float64, rows*s.lw)
-	s.colBuf = make([]float64, s.cy1-s.cy0)
+	// Pooled storage with unspecified contents: the owned block is set here,
+	// the halo ring (corners included) by every exchange before the stencil
+	// reads it, and scratch and colBuf are written before they are read.
+	s.local = mpi.AcquireBuf[float64](rows * s.lw)
+	s.scratch = mpi.AcquireBuf[float64](rows * s.lw)
+	s.colBuf = mpi.AcquireBuf[float64](s.cy1 - s.cy0)
 	hx, hy := 1.0/float64(nx), 1.0/float64(ny)
 	for gy := s.cy0; gy < s.cy1; gy++ {
 		row := (gy - s.cy0 + 1) * s.lw
@@ -76,6 +79,15 @@ func NewParallelSolver2D(c *mpi.Comm, prob *Problem, lv grid.Level, dt float64, 
 		}
 	}
 	return s, nil
+}
+
+// Release returns the solver's storage to the transport's buffer pool (Solver
+// interface). The solver must not be used afterwards.
+func (s *ParallelSolver2D) Release() {
+	mpi.ReleaseBuf(s.local)
+	mpi.ReleaseBuf(s.scratch)
+	mpi.ReleaseBuf(s.colBuf)
+	s.local, s.scratch, s.colBuf = nil, nil, nil
 }
 
 // OwnedBlock returns the owned global column and row ranges.
@@ -217,7 +229,7 @@ func (s *ParallelSolver2D) Gather(root int) (*grid.Grid, error) {
 	if c.Rank() != root {
 		return nil, nil
 	}
-	g := grid.New(s.Lv)
+	g := grid.NewPooled(s.Lv)
 	py, px := s.Cart.Dims[0], s.Cart.Dims[1]
 	for r, piece := range pieces {
 		coords := s.Cart.CoordsOf(r)

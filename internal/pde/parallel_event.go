@@ -133,7 +133,7 @@ func (s *ParallelSolver) FiberGather(f *mpi.Fiber, root int, k func(*grid.Grid, 
 // assemble builds the full sub-grid from the gathered per-rank pieces —
 // Gather's root-side body, shared by both paths.
 func (s *ParallelSolver) assemble(pieces [][]float64) (*grid.Grid, error) {
-	g := grid.New(s.Lv)
+	g := grid.NewPooled(s.Lv)
 	row := 0
 	for r, piece := range pieces {
 		wantRows := func() int { a, b := rowsFor(r, s.Comm.Size(), s.ny); return b - a }()

@@ -13,7 +13,8 @@ type Solver interface {
 	Step() error
 	// Run advances n steps, stopping at the first error.
 	Run(n int) error
-	// Gather assembles the full sub-grid at the group root.
+	// Gather assembles the full sub-grid at the group root. The grid is
+	// pooled: the root SHOULD Free it once it is no longer referenced.
 	Gather(root int) (*grid.Grid, error)
 	// State returns a copy of the owned cells for checkpointing.
 	State() []float64
@@ -30,6 +31,9 @@ type Solver interface {
 	// the communicator it was built over — revoking the original would not
 	// wake its blocked peers).
 	GroupComm() *mpi.Comm
+	// Release returns the solver's storage to the transport's buffer pool
+	// when its rank is done with it; the solver is unusable afterwards.
+	Release()
 }
 
 // StateAppender is implemented by solvers that can serialise their owned

@@ -19,20 +19,23 @@ import "sort"
 // under 20 spans on the coordinating rank.
 const DefaultFlightDepth = 64
 
-// ring is a fixed-capacity FIFO that overwrites its oldest entry when full.
+// ring is a FIFO of at most depth entries that overwrites its oldest entry
+// when full. It grows by append up to depth, so a rank that records three
+// spans pays for three, not for the whole retention window.
 type ring[T any] struct {
-	buf  []T
-	next int // index of the oldest entry once full
-	full bool
+	buf   []T
+	depth int
+	next  int // index of the oldest entry once full
+	full  bool
 }
 
-func newRing[T any](capacity int) *ring[T] {
-	return &ring[T]{buf: make([]T, 0, capacity)}
+func newRing[T any](depth int) *ring[T] {
+	return &ring[T]{depth: depth}
 }
 
 // push appends v, reporting whether an older entry was evicted.
 func (g *ring[T]) push(v T) bool {
-	if len(g.buf) < cap(g.buf) {
+	if len(g.buf) < g.depth {
 		g.buf = append(g.buf, v)
 		return false
 	}
