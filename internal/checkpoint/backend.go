@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"ftsg/internal/mpi"
 )
 
 // Backend is the storage layer under a Store: a flat namespace of
@@ -149,6 +151,11 @@ func (b *DirBackend) Destroy() error { return os.RemoveAll(b.dir) }
 // backed by memory produce byte-identical virtual results while skipping
 // the real filesystem entirely; the experiment harness uses it for its
 // thousands of short-lived runs.
+//
+// Blobs live in buffers from the transport's pool and go back to it the
+// moment the map drops them (overwrite, Delete, Destroy), so a sweep's
+// rotating generations recycle a handful of buffers. A blob is therefore
+// only valid while mu is held: readers copy under the read lock.
 type MemBackend struct {
 	mu    sync.RWMutex
 	blobs map[string][]byte
@@ -159,20 +166,23 @@ func NewMem() *MemBackend {
 	return &MemBackend{blobs: make(map[string][]byte)}
 }
 
-// Put stores a private copy of data.
+// Put stores a private copy of data, recycling the blob it replaces.
 func (b *MemBackend) Put(name string, data []byte) error {
-	cp := append([]byte(nil), data...)
+	cp := mpi.AcquireBuf[byte](len(data))
+	copy(cp, data)
 	b.mu.Lock()
+	old := b.blobs[name]
 	b.blobs[name] = cp
 	b.mu.Unlock()
+	mpi.ReleaseBuf(old)
 	return nil
 }
 
 // Get returns a copy of the blob.
 func (b *MemBackend) Get(name string) ([]byte, error) {
 	b.mu.RLock()
+	defer b.mu.RUnlock()
 	blob, ok := b.blobs[name]
-	b.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("checkpoint: read: %w", os.ErrNotExist)
 	}
@@ -182,8 +192,8 @@ func (b *MemBackend) Get(name string) ([]byte, error) {
 // Peek returns up to n leading bytes and the blob size.
 func (b *MemBackend) Peek(name string, n int) ([]byte, int64, error) {
 	b.mu.RLock()
+	defer b.mu.RUnlock()
 	blob, ok := b.blobs[name]
-	b.mu.RUnlock()
 	if !ok {
 		return nil, 0, fmt.Errorf("checkpoint: peek: %w", os.ErrNotExist)
 	}
@@ -193,11 +203,13 @@ func (b *MemBackend) Peek(name string, n int) ([]byte, int64, error) {
 	return append([]byte(nil), blob[:n]...), int64(len(blob)), nil
 }
 
-// Delete removes the blob (no error if absent).
+// Delete removes the blob (no error if absent) and recycles its buffer.
 func (b *MemBackend) Delete(name string) error {
 	b.mu.Lock()
+	old := b.blobs[name]
 	delete(b.blobs, name)
 	b.mu.Unlock()
+	mpi.ReleaseBuf(old)
 	return nil
 }
 
@@ -213,10 +225,14 @@ func (b *MemBackend) List() ([]string, error) {
 	return out, nil
 }
 
-// Destroy drops every blob.
+// Destroy drops every blob, recycling their buffers.
 func (b *MemBackend) Destroy() error {
 	b.mu.Lock()
+	old := b.blobs
 	b.blobs = make(map[string][]byte)
 	b.mu.Unlock()
+	for _, blob := range old {
+		mpi.ReleaseBuf(blob)
+	}
 	return nil
 }

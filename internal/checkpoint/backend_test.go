@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
 
 	"ftsg/internal/vtime"
@@ -181,5 +184,127 @@ func TestMemGetIsACopy(t *testing.T) {
 	again, _ := b.Get("x")
 	if again[0] != 1 {
 		t.Error("Get returned a view into the stored blob")
+	}
+}
+
+// TestMemBackendRecyclesBlobs pins where MemBackend's blobs come from and go
+// to: the transport's buffer pool. A Put that overwrites, a Delete and a
+// Destroy each hand the dropped blob back, so the next same-size Put copies
+// into a recycled buffer and allocates nothing.
+func TestMemBackendRecyclesBlobs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race build's sync.Pool drops items at random")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// One processor: sync.Pool caches per processor.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	data := bytes.Repeat([]byte{7}, 12<<10)
+	b := NewMem()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(b.Put("over", data))
+	if n := testing.AllocsPerRun(100, func() { must(b.Put("over", data)) }); n != 0 {
+		t.Errorf("overwriting Put: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		must(b.Put("gone", data))
+		must(b.Delete("gone"))
+	}); n != 0 {
+		t.Errorf("Put then Delete: %v allocations, want 0", n)
+	}
+	names := []string{"a", "b", "c", "d"}
+	for _, name := range names {
+		must(b.Put(name, data))
+	}
+	must(b.Destroy())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, name := range names {
+		must(b.Put(name, data))
+	}
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d >= uint64(len(data)) {
+		t.Errorf("%d Puts after Destroy allocated %d bytes, want less than one %d-byte blob", len(names), d, len(data))
+	}
+	got, err := b.Get("c")
+	must(err)
+	if !bytes.Equal(got, data) {
+		t.Error("blob stored in a recycled buffer reads back wrong")
+	}
+}
+
+// TestMemBackendReadersNeverSeeAReleasedBlob races Get and Peek against the
+// Delete and overwriting Put that recycle the blob they read. Every blob
+// ever stored is one repeated byte, so a reader that copied after the lock
+// was dropped would see a mix of two generations — or, in the race build,
+// the 0xFF poison of a released buffer.
+func TestMemBackendReadersNeverSeeAReleasedBlob(t *testing.T) {
+	const size, rounds = 4 << 10, 2000
+	b := NewMem()
+	check := func(what string, got []byte) {
+		for _, v := range got {
+			if v != got[0] || v == 0xFF || v == 0 {
+				t.Errorf("%s read a blob of %d bytes holding %#x and %#x", what, len(got), got[0], v)
+				return
+			}
+		}
+	}
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	defer func() {
+		close(done)
+		readers.Wait()
+	}()
+	for r := 0; r < 2; r++ {
+		readers.Add(2)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if got, err := b.Get("x"); err == nil {
+					if len(got) != size {
+						t.Errorf("Get returned %d bytes, want %d", len(got), size)
+						return
+					}
+					check("Get", got)
+				}
+			}
+		}()
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if got, n, err := b.Peek("x", 512); err == nil {
+					if n != size || len(got) != 512 {
+						t.Errorf("Peek returned %d of %d bytes, want 512 of %d", len(got), n, size)
+						return
+					}
+					check("Peek", got)
+				}
+			}
+		}()
+	}
+	for i := 0; i < rounds; i++ {
+		gen := bytes.Repeat([]byte{byte(1 + i%200)}, size)
+		if err := b.Put("x", gen); err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 0 {
+			if err := b.Delete("x"); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

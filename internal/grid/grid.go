@@ -43,7 +43,7 @@ type Grid struct {
 // New allocates a zeroed grid of the given level. Levels must be
 // non-negative and small enough to allocate.
 func New(lv Level) *Grid {
-	if lv.I < 0 || lv.J < 0 || lv.I > 30 || lv.J > 30 {
+	if !validLevel(lv) {
 		panic(fmt.Sprintf("grid: invalid level %v", lv))
 	}
 	nx, ny := (1<<lv.I)+1, (1<<lv.J)+1

@@ -98,6 +98,41 @@ func TestMixedSizesDoNotThrash(t *testing.T) {
 	}
 }
 
+// TestLargeBuffersSurviveCollections pins the kept tier: a run performs
+// several garbage collections between two combines, and the second must
+// still find the first one's megabyte buffers, which a sync.Pool alone has
+// dropped by then. Small classes stay with their sync.Pool.
+func TestLargeBuffersSurviveCollections(t *testing.T) {
+	const n = 1 << 20 / 8
+	a := getBuf[float64](n)
+	keep := a[:1:1]
+	putBuf(a)
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+	}
+	b := getBuf[float64](n)
+	defer putBuf(b)
+	if !sameArray(keep, b) {
+		t.Error("three collections after its release, a 1 MiB buffer was allocated again instead of re-served")
+	}
+
+	// Past the budget a release falls through to the class's sync.Pool.
+	k := classCeil(n * 8)
+	c := getBuf[float64](n)
+	kept.Lock()
+	held, listed := kept.bytes, len(kept.free[k])
+	kept.bytes = keepBytes - classSize(k) + 1
+	kept.Unlock()
+	putBuf(c)
+	kept.Lock()
+	over := len(kept.free[k]) - listed
+	kept.bytes = held
+	kept.Unlock()
+	if over != 0 {
+		t.Errorf("a release past the budget was kept (%d more on the stack)", over)
+	}
+}
+
 // TestPoolOperationsDoNotAllocate checks that recycling is free: the classes
 // store bare pointers, so neither a hit nor a release boxes anything, at
 // sizes on both sides of slabMax.

@@ -372,6 +372,54 @@ const (
 
 var bufClasses [numClasses]sync.Pool
 
+// Classes of keepMin bytes and more have a second tier in front of their
+// sync.Pool: a plain stack under a lock that no garbage collection empties.
+// A sync.Pool forgets everything over two collections, and a simulated run
+// allocates about that much between two combines or two gathers, so whether
+// a run found the last one's 10 MiB reduction accumulators or allocated them
+// all again was decided by where a collection happened to fall — a run's
+// allocation total flipped between two values a hundred MiB apart. The stacks
+// hold what they are given until it is asked for, up to keepBytes over all
+// classes; a release past that goes to the class's sync.Pool as before. Large
+// buffers move once per collective, not per message, so one lock serves.
+const (
+	keepMin   = 64 << 10
+	keepBytes = 256 << 20
+)
+
+var kept struct {
+	sync.Mutex
+	bytes int
+	free  [numClasses][]unsafe.Pointer
+}
+
+// takeKept pops a kept buffer of class k, nil when there is none.
+func takeKept(k int) unsafe.Pointer {
+	kept.Lock()
+	defer kept.Unlock()
+	l := kept.free[k]
+	if len(l) == 0 {
+		return nil
+	}
+	p := l[len(l)-1]
+	l[len(l)-1] = nil
+	kept.free[k] = l[:len(l)-1]
+	kept.bytes -= classSize(k)
+	return p
+}
+
+// keep pushes a released buffer of class k and reports whether it fitted.
+func keep(k int, p unsafe.Pointer) bool {
+	kept.Lock()
+	defer kept.Unlock()
+	if kept.bytes+classSize(k) > keepBytes {
+		return false
+	}
+	kept.bytes += classSize(k)
+	kept.free[k] = append(kept.free[k], p)
+	return true
+}
+
 // classSize is the capacity in bytes of class k's buffers.
 func classSize(k int) int { return (4 + k&3) << (k>>2 + 4) }
 
@@ -416,7 +464,13 @@ func acquire[T any](st *procState, n int) []T {
 		return make([]T, n)
 	}
 	size := classSize(k)
-	p, _ := bufClasses[k].Get().(unsafe.Pointer)
+	var p unsafe.Pointer
+	if size >= keepMin {
+		p = takeKept(k)
+	}
+	if p == nil {
+		p, _ = bufClasses[k].Get().(unsafe.Pointer)
+	}
 	switch {
 	case p != nil:
 	case size < slabMax && st != nil:
@@ -453,6 +507,9 @@ func putBuf[T any](b []T) {
 	}
 	k := classFloor(bytes)
 	poison(p, classSize(k))
+	if classSize(k) >= keepMin && keep(k, p) {
+		return
+	}
 	bufClasses[k].Put(p)
 }
 

@@ -64,34 +64,30 @@ func StableDt(hx, hy, ax, ay, cfl float64) float64 {
 // Step advances g one timestep of size dt with the unsplit two-dimensional
 // Lax–Wendroff scheme (including the cross-derivative term) under periodic
 // boundary conditions. The scheme is second-order accurate in space and
-// time for the linear advection equation (Lax & Wendroff 1960).
+// time for the linear advection equation (Lax & Wendroff 1960). g.V keeps
+// its identity; the returned slice is the scratch, for reuse by the next
+// call.
 func Step(g *grid.Grid, prob *Problem, dt float64, scratch []float64) []float64 {
+	c := newLWCoef(prob.Ax*dt/g.Hx(), prob.Ay*dt/g.Hy())
+	return sweepPeriodic(g, scratch, c.periodicRow)
+}
+
+// sweepPeriodic advances g one step of the scheme given as a row update:
+// row(dst, south, centre, north) writes one row's new values from that row
+// and its two periodic neighbours, each passed without its duplicate column.
+// The new field is built in scratch (replaced if too short) and copied back,
+// and the periodic duplicate column and row — which no stencil reads — are
+// closed last.
+func sweepPeriodic(g *grid.Grid, scratch []float64, row func(dst, south, centre, north []float64)) []float64 {
 	nx, ny := g.Nx-1, g.Ny-1 // periodic unknowns; last row/col duplicate first
-	cx := prob.Ax * dt / g.Hx()
-	cy := prob.Ay * dt / g.Hy()
 	if len(scratch) < g.Nx*g.Ny {
 		scratch = make([]float64, g.Nx*g.Ny)
 	}
-	v := g.V
-	w := scratch
+	v, w := g.V, scratch
 	for j := 0; j < ny; j++ {
-		jm := (j - 1 + ny) % ny
-		jp := (j + 1) % ny
-		row, rowM, rowP := j*g.Nx, jm*g.Nx, jp*g.Nx
-		for i := 0; i < nx; i++ {
-			im := (i - 1 + nx) % nx
-			ip := (i + 1) % nx
-			u := v[row+i]
-			uE, uW := v[row+ip], v[row+im]
-			uN, uS := v[rowP+i], v[rowM+i]
-			uNE, uNW := v[rowP+ip], v[rowP+im]
-			uSE, uSW := v[rowM+ip], v[rowM+im]
-			w[row+i] = u -
-				0.5*cx*(uE-uW) - 0.5*cy*(uN-uS) +
-				0.5*cx*cx*(uE-2*u+uW) + 0.5*cy*cy*(uN-2*u+uS) +
-				0.25*cx*cy*(uNE-uNW-uSE+uSW)
-		}
-		w[row+nx] = w[row] // periodic duplicate column
+		r, rS, rN := j*g.Nx, (j-1+ny)%ny*g.Nx, (j+1)%ny*g.Nx
+		row(w[r:r+nx], v[rS:rS+nx], v[r:r+nx], v[rN:rN+nx])
+		w[r+nx] = w[r] // periodic duplicate column
 	}
 	copy(v, w[:ny*g.Nx])
 	// Periodic duplicate row.

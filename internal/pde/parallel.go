@@ -191,30 +191,19 @@ func (s *ParallelSolver) Step() error {
 
 // update applies the Lax–Wendroff stencil to the owned rows (halos must be
 // fresh) and advances the step counter — the purely local half of Step,
-// shared with the event path's FiberStep.
+// shared with the event path's FiberStep. The new rows are written into
+// scratch and the two buffers then trade places: the solver owns both
+// exclusively, every accessor reads owned rows only, and the two halo rows
+// of the buffer that becomes local — stale by two steps — are rewritten by
+// exchangeHalos before the stencil reads them again.
 func (s *ParallelSolver) update() {
 	nloc := s.r1 - s.r0
-	cx := s.Prob.Ax * s.Dt * float64(s.nx)
-	cy := s.Prob.Ay * s.Dt * float64(s.ny)
-	v, w := s.local, s.scratch
-	nx := s.nx
+	c := newLWCoef(s.Prob.Ax*s.Dt*float64(s.nx), s.Prob.Ay*s.Dt*float64(s.ny))
+	v, w, nx := s.local, s.scratch, s.nx
 	for k := 1; k <= nloc; k++ {
-		row, rowM, rowP := k*nx, (k-1)*nx, (k+1)*nx
-		for i := 0; i < nx; i++ {
-			im := (i - 1 + nx) % nx
-			ip := (i + 1) % nx
-			u := v[row+i]
-			uE, uW := v[row+ip], v[row+im]
-			uN, uS := v[rowP+i], v[rowM+i]
-			uNE, uNW := v[rowP+ip], v[rowP+im]
-			uSE, uSW := v[rowM+ip], v[rowM+im]
-			w[row+i] = u -
-				0.5*cx*(uE-uW) - 0.5*cy*(uN-uS) +
-				0.5*cx*cx*(uE-2*u+uW) + 0.5*cy*cy*(uN-2*u+uS) +
-				0.25*cx*cy*(uNE-uNW-uSE+uSW)
-		}
+		c.periodicRow(w[k*nx:(k+1)*nx], v[(k-1)*nx:k*nx], v[k*nx:(k+1)*nx], v[(k+1)*nx:(k+2)*nx])
 	}
-	copy(v[nx:(nloc+1)*nx], w[nx:(nloc+1)*nx])
+	s.local, s.scratch = w, v
 	s.StepCount++
 	if s.Charge != nil {
 		s.Charge(nloc * nx)

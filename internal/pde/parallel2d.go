@@ -130,6 +130,7 @@ func (s *ParallelSolver2D) exchangeHalos() error {
 		}
 		fromEast, _, err := mpi.Recv[float64](c, east, tagHaloWest)
 		if err != nil {
+			mpi.ReleaseBuf(fromWest)
 			return err
 		}
 		for ly := 1; ly <= nly; ly++ {
@@ -170,32 +171,23 @@ func (s *ParallelSolver2D) exchangeHalos() error {
 	return nil
 }
 
-// Step advances the local block one Lax–Wendroff timestep.
+// Step advances the local block one Lax–Wendroff timestep. Every local row
+// carries its own west and east halo cells, so the owned cells are exactly
+// the row kernel's interior and no periodic edge remains. As in
+// ParallelSolver.update the new block is written into scratch and the two
+// buffers trade places; the stale halo ring of the buffer that becomes local
+// is rewritten, corners included, by the next exchangeHalos.
 func (s *ParallelSolver2D) Step() error {
 	if err := s.exchangeHalos(); err != nil {
 		return err
 	}
 	nlx, nly := s.cx1-s.cx0, s.cy1-s.cy0
-	cx := s.Prob.Ax * s.Dt * float64(s.nx)
-	cy := s.Prob.Ay * s.Dt * float64(s.ny)
-	v, w := s.local, s.scratch
+	c := newLWCoef(s.Prob.Ax*s.Dt*float64(s.nx), s.Prob.Ay*s.Dt*float64(s.ny))
+	v, w, lw := s.local, s.scratch, s.lw
 	for ly := 1; ly <= nly; ly++ {
-		for lx := 1; lx <= nlx; lx++ {
-			i := s.at(lx, ly)
-			u := v[i]
-			uE, uW := v[i+1], v[i-1]
-			uN, uS := v[i+s.lw], v[i-s.lw]
-			uNE, uNW := v[i+s.lw+1], v[i+s.lw-1]
-			uSE, uSW := v[i-s.lw+1], v[i-s.lw-1]
-			w[i] = u -
-				0.5*cx*(uE-uW) - 0.5*cy*(uN-uS) +
-				0.5*cx*cx*(uE-2*u+uW) + 0.5*cy*cy*(uN-2*u+uS) +
-				0.25*cx*cy*(uNE-uNW-uSE+uSW)
-		}
+		c.interior(w[ly*lw:(ly+1)*lw], v[(ly-1)*lw:ly*lw], v[ly*lw:(ly+1)*lw], v[(ly+1)*lw:(ly+2)*lw])
 	}
-	for ly := 1; ly <= nly; ly++ {
-		copy(v[s.at(1, ly):s.at(nlx+1, ly)], w[s.at(1, ly):s.at(nlx+1, ly)])
-	}
+	s.local, s.scratch = w, v
 	s.StepCount++
 	if s.Charge != nil {
 		s.Charge(nlx * nly)

@@ -1,6 +1,8 @@
 package pde
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"ftsg/internal/grid"
@@ -19,6 +21,35 @@ func BenchmarkSerialStep(b *testing.B) {
 	}
 	cells := (g.Nx - 1) * (g.Ny - 1)
 	b.ReportMetric(float64(cells), "cells/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cells), "ns/cell")
+}
+
+// BenchmarkParallelUpdate times the local half of a parallel step — the
+// stencil over one rank's block and the buffer swap — at the block shapes the
+// paper's sweeps are made of (nx columns × owned rows). The solver is built
+// in place, without a world: update touches no communicator. The halo rows
+// are filled once and never refreshed, which the timing cannot see.
+func BenchmarkParallelUpdate(b *testing.B) {
+	for _, blk := range []struct{ nx, rows int }{{64, 8}, {512, 4}, {16, 2}} {
+		b.Run(fmt.Sprintf("%dx%d", blk.nx, blk.rows), func(b *testing.B) {
+			s := &ParallelSolver{
+				Prob: testProblem(), Dt: 1e-4,
+				nx: blk.nx, ny: blk.rows, r1: blk.rows,
+				local:   make([]float64, (blk.rows+2)*blk.nx),
+				scratch: make([]float64, (blk.rows+2)*blk.nx),
+			}
+			for k := range s.local {
+				s.local[k] = math.Sin(float64(k))
+				s.scratch[k] = s.local[k]
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.update()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blk.nx*blk.rows), "ns/cell")
+		})
+	}
 }
 
 func BenchmarkParallelSolve8(b *testing.B) {

@@ -1,0 +1,402 @@
+package pde
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"ftsg/internal/grid"
+	"ftsg/internal/mpi"
+)
+
+// The oracles below are the per-cell modulo loops the row kernels replaced,
+// transcribed unchanged. Every comparison against them is ==, never a
+// tolerance: the goldens, journals and CSV hashes downstream depend on the
+// exact float64 of every cell.
+
+// oracleLW is one Lax–Wendroff step of a doubly periodic nx × ny field,
+// row-major with row stride nx.
+func oracleLW(w, v []float64, nx, ny int, cx, cy float64) {
+	for j := 0; j < ny; j++ {
+		jm := (j - 1 + ny) % ny
+		jp := (j + 1) % ny
+		row, rowM, rowP := j*nx, jm*nx, jp*nx
+		for i := 0; i < nx; i++ {
+			im := (i - 1 + nx) % nx
+			ip := (i + 1) % nx
+			u := v[row+i]
+			uE, uW := v[row+ip], v[row+im]
+			uN, uS := v[rowP+i], v[rowM+i]
+			uNE, uNW := v[rowP+ip], v[rowP+im]
+			uSE, uSW := v[rowM+ip], v[rowM+im]
+			w[row+i] = u -
+				0.5*cx*(uE-uW) - 0.5*cy*(uN-uS) +
+				0.5*cx*cx*(uE-2*u+uW) + 0.5*cy*cy*(uN-2*u+uS) +
+				0.25*cx*cy*(uNE-uNW-uSE+uSW)
+		}
+	}
+}
+
+// oracleUpwind is one first-order upwind step of the same field layout.
+func oracleUpwind(w, v []float64, nx, ny int, cx, cy float64) {
+	for j := 0; j < ny; j++ {
+		jm := (j - 1 + ny) % ny
+		jp := (j + 1) % ny
+		row, rowM, rowP := j*nx, jm*nx, jp*nx
+		for i := 0; i < nx; i++ {
+			im := (i - 1 + nx) % nx
+			ip := (i + 1) % nx
+			u := v[row+i]
+			var dux, duy float64
+			if cx >= 0 {
+				dux = u - v[row+im]
+			} else {
+				dux = v[row+ip] - u
+			}
+			if cy >= 0 {
+				duy = u - v[rowM+i]
+			} else {
+				duy = v[rowP+i] - u
+			}
+			w[row+i] = u - cx*dux - cy*duy
+		}
+	}
+}
+
+// stepPeriodicRows is one step of a doubly periodic nx × ny field through a
+// periodicRow kernel: what serial Step and ParallelSolver.update do with it.
+func stepPeriodicRows(w, v []float64, nx, ny int, row func(dst, south, centre, north []float64)) {
+	for j := 0; j < ny; j++ {
+		r, rS, rN := j*nx, (j-1+ny)%ny*nx, (j+1)%ny*nx
+		row(w[r:r+nx], v[rS:rS+nx], v[r:r+nx], v[rN:rN+nx])
+	}
+}
+
+// stepHaloRows is one step of the same field through lwCoef.interior over
+// rows padded with a wrapped halo cell on each side and a halo row above and
+// below: what ParallelSolver2D.Step does. Only the interior of w is written;
+// its halo ring is garbage, as after the solver's buffer swap.
+func stepHaloRows(w, v []float64, nx, ny int, c lwCoef) {
+	lw := nx + 2
+	pad := make([]float64, (ny+2)*lw)
+	out := make([]float64, (ny+2)*lw)
+	for k := range out {
+		out[k] = -12345 // never read back outside the interior
+	}
+	for j := -1; j <= ny; j++ {
+		for i := -1; i <= nx; i++ {
+			pad[(j+1)*lw+i+1] = v[(j+ny)%ny*nx+(i+nx)%nx]
+		}
+	}
+	for ly := 1; ly <= ny; ly++ {
+		c.interior(out[ly*lw:(ly+1)*lw], pad[(ly-1)*lw:ly*lw], pad[ly*lw:(ly+1)*lw], pad[(ly+1)*lw:(ly+2)*lw])
+	}
+	for j := 0; j < ny; j++ {
+		copy(w[j*nx:(j+1)*nx], out[(j+1)*lw+1:(j+1)*lw+1+nx])
+	}
+}
+
+// TestRowKernelsMatchModuloOracle runs each row kernel and its oracle side by
+// side from the same random field for a dozen steps, over every shape class
+// of the peel: nx = 1 (a column that is its own neighbour), nx = 2 (each
+// column the other's east and west), nx = 3 (one interior cell), odd and
+// even, power of two or not.
+func TestRowKernelsMatchModuloOracle(t *testing.T) {
+	const steps = 12
+	rng := rand.New(rand.NewSource(22))
+	for _, nx := range []int{1, 2, 3, 4, 5, 8, 33, 64} {
+		for _, ny := range []int{1, 2, 3, 8} {
+			for _, sign := range [][2]float64{{1, 1}, {1, -1}, {-1, 1}, {-1, -1}} {
+				cx, cy := 0.4*sign[0], 0.3*sign[1]
+				lw := newLWCoef(cx, cy)
+				up := upwindCoef{cx: cx, cy: cy}
+				kernels := []struct {
+					name   string
+					oracle func(w, v []float64)
+					kernel func(w, v []float64)
+				}{
+					{"lw/periodicRow",
+						func(w, v []float64) { oracleLW(w, v, nx, ny, cx, cy) },
+						func(w, v []float64) { stepPeriodicRows(w, v, nx, ny, lw.periodicRow) }},
+					{"lw/interior",
+						func(w, v []float64) { oracleLW(w, v, nx, ny, cx, cy) },
+						func(w, v []float64) { stepHaloRows(w, v, nx, ny, lw) }},
+					{"upwind/periodicRow",
+						func(w, v []float64) { oracleUpwind(w, v, nx, ny, cx, cy) },
+						func(w, v []float64) { stepPeriodicRows(w, v, nx, ny, up.periodicRow) }},
+				}
+				start := make([]float64, nx*ny)
+				for k := range start {
+					start[k] = rng.Float64()*2 - 1
+				}
+				for _, kc := range kernels {
+					want, got := append([]float64(nil), start...), append([]float64(nil), start...)
+					wantNext, gotNext := make([]float64, nx*ny), make([]float64, nx*ny)
+					for s := 1; s <= steps; s++ {
+						kc.oracle(wantNext, want)
+						kc.kernel(gotNext, got)
+						want, wantNext = wantNext, want
+						got, gotNext = gotNext, got
+						for k := range want {
+							if got[k] != want[k] {
+								t.Fatalf("%s nx=%d ny=%d c=(%g,%g) step %d cell (%d,%d): got %v, oracle %v",
+									kc.name, nx, ny, cx, cy, s, k%nx, k/nx, got[k], want[k])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSerialStepsMatchModuloOracle checks the serial steppers end to end —
+// row sweep, periodic duplicate column and row, copy back into g.V — against
+// the oracles on the grid's nx × ny unknowns, down to one-column and one-row
+// grids.
+func TestSerialStepsMatchModuloOracle(t *testing.T) {
+	const steps = 10
+	steppers := []struct {
+		name   string
+		step   func(g *grid.Grid, prob *Problem, dt float64, scratch []float64) []float64
+		oracle func(w, v []float64, nx, ny int, cx, cy float64)
+	}{
+		{"Step", Step, oracleLW},
+		{"StepUpwind", StepUpwind, oracleUpwind},
+	}
+	for _, lv := range []grid.Level{{I: 0, J: 0}, {I: 0, J: 3}, {I: 1, J: 1}, {I: 3, J: 0}, {I: 2, J: 4}, {I: 6, J: 3}} {
+		for _, prob := range []*Problem{{Ax: 1, Ay: 0.5, U0: offsetWaves}, {Ax: -0.7, Ay: 1, U0: offsetWaves}, {Ax: -1, Ay: -0.3, U0: TwoWaves}} {
+			for _, st := range steppers {
+				g := grid.New(lv)
+				g.Fill(prob.U0)
+				nx, ny := g.Nx-1, g.Ny-1
+				dt := StableDt(g.Hx(), g.Hy(), prob.Ax, prob.Ay, 0.8)
+				cx, cy := prob.Ax*dt/g.Hx(), prob.Ay*dt/g.Hy()
+				want, next := make([]float64, nx*ny), make([]float64, nx*ny)
+				for j := 0; j < ny; j++ {
+					copy(want[j*nx:(j+1)*nx], g.V[j*g.Nx:j*g.Nx+nx])
+				}
+				held := g.V
+				var scratch []float64
+				for s := 1; s <= steps; s++ {
+					scratch = st.step(g, prob, dt, scratch)
+					st.oracle(next, want, nx, ny, cx, cy)
+					want, next = next, want
+					if &g.V[0] != &held[0] {
+						t.Fatalf("%s %v: g.V changed identity at step %d", st.name, lv, s)
+					}
+					for j := 0; j <= ny; j++ {
+						for i := 0; i <= nx; i++ {
+							if got, w := g.V[j*g.Nx+i], want[j%ny*nx+i%nx]; got != w {
+								t.Fatalf("%s %v a=(%g,%g) step %d point (%d,%d): got %v, oracle %v",
+									st.name, lv, prob.Ax, prob.Ay, s, i, j, got, w)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// offsetWaves is periodic and, unlike the package's initial conditions,
+// non-zero along x = 0 and y = 0, so one-column and one-row grids carry a
+// field that moves.
+func offsetWaves(x, y float64) float64 {
+	return 1 + math.Sin(2*math.Pi*x)*math.Cos(2*math.Pi*y) + 0.5*math.Cos(2*math.Pi*y) + 0.25*math.Cos(4*math.Pi*x)
+}
+
+// solverCase is one decomposition of a sub-grid over a process group.
+type solverCase struct {
+	name   string
+	px, py int // process grid; px == 1 for the row-banded solver
+	build  func(c *mpi.Comm, p *Problem, lv grid.Level, dt float64) (Solver, error)
+}
+
+func solverCases() []solverCase {
+	var cases []solverCase
+	for _, p := range []int{1, 2, 3, 8} {
+		for _, nonblocking := range []bool{false, true} {
+			cases = append(cases, solverCase{
+				name: fmt.Sprintf("1D/p=%d/nonblocking=%v", p, nonblocking), px: 1, py: p,
+				build: func(c *mpi.Comm, prob *Problem, lv grid.Level, dt float64) (Solver, error) {
+					s, err := NewParallelSolver(c, prob, lv, dt)
+					if err != nil {
+						return nil, err
+					}
+					s.Nonblocking = nonblocking
+					return s, nil
+				},
+			})
+		}
+	}
+	for _, d := range [][2]int{{1, 1}, {2, 2}, {4, 2}} {
+		px, py := d[0], d[1]
+		cases = append(cases, solverCase{
+			name: fmt.Sprintf("2D/%dx%d", px, py), px: px, py: py,
+			build: func(c *mpi.Comm, prob *Problem, lv grid.Level, dt float64) (Solver, error) {
+				return NewParallelSolver2D(c, prob, lv, dt, px, py)
+			},
+		})
+	}
+	return cases
+}
+
+// fits reports whether the case's process grid has at least one cell per
+// process on lv.
+func (sc solverCase) fits(lv grid.Level) bool {
+	return sc.px <= 1<<lv.I && sc.py <= 1<<lv.J
+}
+
+// swapLevels includes I = 0 and I = 1, where every column of a row-banded
+// block is a periodic edge column and the interior loop never runs.
+var swapLevels = []grid.Level{{I: 0, J: 3}, {I: 1, J: 3}, {I: 2, J: 1}, {I: 4, J: 5}, {I: 5, J: 3}}
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Errorf("%s: %d values, want %d", what, len(got), len(want))
+		return
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Errorf("%s: value %d is %v, want %v", what, k, got[k], want[k])
+			return
+		}
+	}
+}
+
+// TestSolversMatchSerialAtBothParities gathers every decomposition after an
+// odd and an even number of steps and requires the serial grid bit for bit.
+// The solvers alternate between two buffers, so a stale halo or a read from
+// the wrong buffer would show at one parity only.
+func TestSolversMatchSerialAtBothParities(t *testing.T) {
+	prob := &Problem{Ax: 1.0, Ay: -0.5, U0: offsetWaves}
+	for _, lv := range swapLevels {
+		dt := StableDt(1/float64(int(1)<<lv.I), 1/float64(int(1)<<lv.J), prob.Ax, prob.Ay, 0.8)
+		serial := map[int]*grid.Grid{7: Solve(lv, prob, dt, 7), 8: Solve(lv, prob, dt, 8)}
+		for _, sc := range solverCases() {
+			if !sc.fits(lv) {
+				continue
+			}
+			_, err := mpi.Run(mpi.Options{NProcs: sc.px * sc.py, Entry: func(proc *mpi.Proc) {
+				for _, nsteps := range []int{7, 8} {
+					s, err := sc.build(proc.World(), prob, lv, dt)
+					if err != nil {
+						t.Errorf("%s %v: %v", sc.name, lv, err)
+						return
+					}
+					if err := s.Run(nsteps); err != nil {
+						t.Errorf("%s %v: Run: %v", sc.name, lv, err)
+						return
+					}
+					g, err := s.Gather(0)
+					if err != nil {
+						t.Errorf("%s %v: Gather: %v", sc.name, lv, err)
+						return
+					}
+					if g != nil {
+						sameBits(t, fmt.Sprintf("%s %v after %d steps", sc.name, lv, nsteps), g.V, serial[nsteps].V)
+						g.Free()
+					}
+					s.Release()
+				}
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestBufferSwapInvisibleToStateAccess drives State/AppendState, Restore and
+// SetFromGrid at both buffer parities: a checkpoint taken after a steps and
+// restored after b more must recompute the same bits, and a solver k steps
+// into its life that is overwritten from a full grid must continue exactly as
+// the serial solver does.
+func TestBufferSwapInvisibleToStateAccess(t *testing.T) {
+	prob := &Problem{Ax: -0.6, Ay: 1.0, U0: offsetWaves}
+	for _, lv := range swapLevels {
+		dt := StableDt(1/float64(int(1)<<lv.I), 1/float64(int(1)<<lv.J), prob.Ax, prob.Ay, 0.8)
+		const from = 4 // SetFromGrid source step
+		source := Solve(lv, prob, dt, from)
+		serial := map[int]*grid.Grid{5: Solve(lv, prob, dt, from+5), 6: Solve(lv, prob, dt, from+6)}
+		for _, sc := range solverCases() {
+			if !sc.fits(lv) {
+				continue
+			}
+			_, err := mpi.Run(mpi.Options{NProcs: sc.px * sc.py, Entry: func(proc *mpi.Proc) {
+				fail := func(what string, err error) { t.Errorf("%s %v: %s: %v", sc.name, lv, what, err) }
+				for _, a := range []int{3, 4} {
+					for _, b := range []int{5, 6} {
+						what := fmt.Sprintf("%s %v a=%d b=%d", sc.name, lv, a, b)
+						s, err := sc.build(proc.World(), prob, lv, dt)
+						if err != nil {
+							fail("build", err)
+							return
+						}
+						if err := s.Run(a); err != nil {
+							fail("Run", err)
+							return
+						}
+						saved := s.State()
+						sameBits(t, what+": AppendState vs State", AppendState(s, make([]float64, 0, 4)), saved)
+						if err := s.Run(b); err != nil {
+							fail("Run", err)
+							return
+						}
+						after := s.State()
+						if err := s.Restore(a, saved); err != nil {
+							fail("Restore", err)
+							return
+						}
+						if err := s.Run(b); err != nil {
+							fail("Run", err)
+							return
+						}
+						sameBits(t, what+": restore and recompute", s.State(), after)
+						s.Release()
+					}
+				}
+				for _, k := range []int{0, 1} {
+					for _, b := range []int{5, 6} {
+						s, err := sc.build(proc.World(), prob, lv, dt)
+						if err != nil {
+							fail("build", err)
+							return
+						}
+						if err := s.Run(k); err != nil {
+							fail("Run", err)
+							return
+						}
+						if err := s.SetFromGrid(source, from); err != nil {
+							fail("SetFromGrid", err)
+							return
+						}
+						if err := s.Run(b); err != nil {
+							fail("Run", err)
+							return
+						}
+						g, err := s.Gather(0)
+						if err != nil {
+							fail("Gather", err)
+							return
+						}
+						if g != nil {
+							sameBits(t, fmt.Sprintf("%s %v SetFromGrid after %d steps, then %d", sc.name, lv, k, b), g.V, serial[b].V)
+							g.Free()
+						}
+						if s.Steps() != from+b {
+							t.Errorf("%s %v: Steps = %d, want %d", sc.name, lv, s.Steps(), from+b)
+						}
+						s.Release()
+					}
+				}
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

@@ -8,42 +8,44 @@ import "ftsg/internal/grid"
 // accurate, so it needs far finer grids for the same error — the reason the
 // paper's solver uses Lax–Wendroff.
 func StepUpwind(g *grid.Grid, prob *Problem, dt float64, scratch []float64) []float64 {
-	nx, ny := g.Nx-1, g.Ny-1
-	cx := prob.Ax * dt / g.Hx()
-	cy := prob.Ay * dt / g.Hy()
-	if len(scratch) < g.Nx*g.Ny {
-		scratch = make([]float64, g.Nx*g.Ny)
+	c := upwindCoef{cx: prob.Ax * dt / g.Hx(), cy: prob.Ay * dt / g.Hy()}
+	return sweepPeriodic(g, scratch, c.periodicRow)
+}
+
+// upwindCoef holds the two Courant numbers of one upwind step.
+type upwindCoef struct{ cx, cy float64 }
+
+// at is the five-point update of one cell: the differences follow the sign
+// of each velocity component.
+func (c *upwindCoef) at(u, uE, uW, uN, uS float64) float64 {
+	var dux, duy float64
+	if c.cx >= 0 {
+		dux = u - uW
+	} else {
+		dux = uE - u
 	}
-	v := g.V
-	w := scratch
-	for j := 0; j < ny; j++ {
-		jm := (j - 1 + ny) % ny
-		jp := (j + 1) % ny
-		row, rowM, rowP := j*g.Nx, jm*g.Nx, jp*g.Nx
-		for i := 0; i < nx; i++ {
-			im := (i - 1 + nx) % nx
-			ip := (i + 1) % nx
-			u := v[row+i]
-			// Upwind differences follow the sign of each velocity
-			// component.
-			var dux, duy float64
-			if cx >= 0 {
-				dux = u - v[row+im]
-			} else {
-				dux = v[row+ip] - u
-			}
-			if cy >= 0 {
-				duy = u - v[rowM+i]
-			} else {
-				duy = v[rowP+i] - u
-			}
-			w[row+i] = u - cx*dux - cy*duy
-		}
-		w[row+nx] = w[row]
+	if c.cy >= 0 {
+		duy = u - uS
+	} else {
+		duy = uN - u
 	}
-	copy(v, w[:ny*g.Nx])
-	copy(v[ny*g.Nx:], v[:g.Nx])
-	return scratch
+	return u - c.cx*dux - c.cy*duy
+}
+
+// periodicRow updates a whole row that wraps onto itself in x, with the same
+// peel as lwCoef.periodicRow: plain neighbours inside, the wrapped columns
+// named once for the two edges.
+func (c *upwindCoef) periodicRow(dst, south, centre, north []float64) {
+	nx := len(centre)
+	dst, south, north = dst[:nx], south[:nx], north[:nx]
+	for ie := 2; ie < nx; ie++ { // counted by the east column: no bounds checks
+		i := ie - 1
+		dst[i] = c.at(centre[i], centre[ie], centre[i-1], north[i], south[i])
+	}
+	dst[0] = c.at(centre[0], centre[1%nx], centre[nx-1], north[0], south[0])
+	if nx > 1 {
+		dst[nx-1] = c.at(centre[nx-1], centre[0], centre[nx-2], north[nx-1], south[nx-1])
+	}
 }
 
 // SolveUpwind runs nsteps upwind steps on a fresh grid of the given level.
