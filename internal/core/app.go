@@ -1285,7 +1285,7 @@ func (rs *runState) combineSerial(p *mpi.Proc, world, gcomm *mpi.Comm, solver pd
 // combine-phase metrics (rank 0 only).
 func (rs *runState) recordCombined(p *mpi.Proc, comb *grid.Grid, t0 float64) {
 	finalT := float64(rs.cfg.Steps) * rs.dt
-	l1 := comb.L1Error(rs.prob.Exact(finalT))
+	l1 := rs.prob.L1Error(comb, finalT)
 	rs.mu.Lock()
 	rs.res.L1Error = l1
 	rs.res.CombineTime = p.Now() - t0

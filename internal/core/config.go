@@ -549,7 +549,7 @@ func rcConflicts(grids []SubGrid) [][2]int {
 
 // Problem returns the advection problem and shared timestep of the config.
 func (c Config) Problem() (*pde.Problem, float64) {
-	prob := &pde.Problem{Ax: c.Velocity[0], Ay: c.Velocity[1], U0: pde.SinProduct}
+	prob := &pde.Problem{Ax: c.Velocity[0], Ay: c.Velocity[1], U0: pde.SinProduct, U0X: pde.Sin2Pi, U0Y: pde.Sin2Pi}
 	h := math.Pow(2, -float64(c.Layout.N))
 	return prob, pde.StableDt(h, h, prob.Ax, prob.Ay, c.CFL)
 }

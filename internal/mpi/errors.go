@@ -20,6 +20,9 @@ var (
 	ErrComm = errors.New("mpi: invalid communicator or rank (MPI_ERR_COMM)")
 	// ErrType reports a datatype mismatch between a send and its receive.
 	ErrType = errors.New("mpi: datatype mismatch")
+	// ErrTruncate corresponds to MPI_ERR_TRUNCATE: the message received is
+	// longer than the buffer given to RecvInto.
+	ErrTruncate = errors.New("mpi: message truncated (MPI_ERR_TRUNCATE)")
 )
 
 // FailedError wraps ErrProcFailed with the identity of a failed process.

@@ -46,6 +46,15 @@ type RankSnapshot struct {
 	// event-driven path — the same blocked state a sleeping goroutine would
 	// be in, held as a registered completion instead of a stack.
 	Parked bool `json:"parked,omitempty"`
+	// Parks counts the times the rank's blocking receives went to sleep,
+	// EmptyWakes those parks whose wake resolved nothing (the receive parked
+	// again) and DirectRecvs the messages a sender copied straight into a
+	// RecvInto buffer. EmptyWakes/Parks is the spurious-wake ratio. All three
+	// depend on scheduling and are excluded from every determinism
+	// fingerprint.
+	Parks       uint64 `json:"parks,omitempty"`
+	EmptyWakes  uint64 `json:"empty_wakes,omitempty"`
+	DirectRecvs uint64 `json:"direct_recvs,omitempty"`
 }
 
 // WorldSnapshot is a point-in-time view of one World: the failure record,
@@ -97,7 +106,8 @@ func (w *World) Snapshot() WorldSnapshot {
 	out.GoroutinesPeak = int(w.goroPeak.Load())
 	for _, st := range w.snapshot() {
 		st.mu.Lock()
-		rs := RankSnapshot{WorldRank: st.wrank, Alive: st.alive.Load(), Parked: st.cont != nil}
+		rs := RankSnapshot{WorldRank: st.wrank, Alive: st.alive.Load(), Parked: st.cont != nil,
+			Parks: st.parks, EmptyWakes: st.emptyWakes, DirectRecvs: st.directs}
 		switch {
 		case st.waitSh != nil && st.waitReq != nil:
 			rs.Blocked = fmt.Sprintf("Wait on posted recv, comm=%d", st.waitSh.id)
@@ -108,14 +118,14 @@ func (w *World) Snapshot() WorldSnapshot {
 		default:
 			rs.Blocked = "none recorded (running, parked in a rendezvous, or exited)"
 		}
-		for k, q := range st.mb.q {
+		st.mb.q.each(func(s *matchSlot[envelope]) {
 			n := 0
-			for e := q.head; e != nil; e = e.next {
+			for e := s.head; e != nil; e = e.next {
 				n++
 			}
 			rs.Mailbox += n
-			rs.Queues = append(rs.Queues, QueueSnapshot{Comm: k.comm, Src: k.src, Tag: k.tag, Depth: n})
-		}
+			rs.Queues = append(rs.Queues, QueueSnapshot{Comm: s.comm, Src: s.src, Tag: s.tag, Depth: n})
+		})
 		st.mu.Unlock()
 		sort.Slice(rs.Queues, func(i, j int) bool {
 			a, c := rs.Queues[i], rs.Queues[j]

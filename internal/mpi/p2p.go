@@ -2,7 +2,9 @@ package mpi
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
+	"unsafe"
 
 	"ftsg/internal/vtime"
 )
@@ -125,24 +127,86 @@ func sendEnv[T any](c *Comm, dest, tag int, data []T, owned bool) error {
 		}
 		return nil
 	}
+	arrival := st.clock.Now() + w.linkAlpha[tier] + float64(bytes)*w.linkBeta[tier]
+	// A receiver parked in RecvInto has published its buffer: the payload
+	// goes straight there. The peek is lock-free and may be stale either way
+	// — deliverDirect decides under the destination's lock, and a message
+	// queued past a buffer published meanwhile retracts it (see enqueue).
+	if dst.intoSet.Load() && deliverDirect(dst, c.sh.id, c.rank, tag, data, bytes, arrival) {
+		if owned {
+			putBuf(data)
+		}
+		return nil
+	}
 	env := getEnv()
 	env.commID, env.src, env.tag = c.sh.id, c.rank, tag
 	env.bytes = bytes
-	env.arrival = st.clock.Now() + w.linkAlpha[tier] + float64(bytes)*w.linkBeta[tier]
+	env.arrival = arrival
 	if owned {
 		setPayload(env, data)
 	} else {
 		copyIn(env, st, data)
 	}
+	dst.enqueue(env)
+	return nil
+}
+
+// deliverDirect copies data into the buffer the destination has published
+// for the duration of a RecvInto park, if this message is the one that
+// receive matches next: a posted receive it matches comes first (posting
+// order), and a payload of another element type or longer than the buffer is
+// queued so the receiver reports it from the ordinary path. The copy, the
+// completion record and the retraction are one critical section of dst.mu —
+// the only place anyone but its owner writes a published buffer.
+func deliverDirect[T any](dst *procState, comm, src, tag int, data []T, bytes int, arrival float64) bool {
 	dst.mu.Lock()
-	if req := dst.posted.matchArrival(env); req != nil {
-		req.complete(env)
-	} else {
-		dst.mb.push(env)
+	in := dst.into
+	if in.etype != typeOf[T]() || len(data) > in.n || !dst.awaits(comm, src, tag) ||
+		dst.posted.locate(comm, src, tag) >= 0 {
+		dst.mu.Unlock()
+		return false
 	}
+	copy(unsafe.Slice((*T)(in.ptr), len(data)), data)
+	dst.got = directMsg{src: src, tag: tag, bytes: bytes, arrival: arrival, done: true}
+	dst.retractInto()
+	// The receive is satisfied: the process no longer reads as blocked to the
+	// revoked-deadlock detector, which would find no queued message for it.
+	dst.waitSh = nil
+	dst.directs++
 	dst.notifyLocked()
 	dst.mu.Unlock()
-	return nil
+	return true
+}
+
+// enqueue hands an arriving envelope to the destination: to the
+// earliest-posted receive it matches, else to the mailbox. A queued arrival
+// always bumps the epoch — a receiver between its mailbox check and its park
+// must see that something landed — but signals only a process it can
+// unblock: one parked in a plain receive (or probe) of another signature
+// stays asleep, where an unconditional wake would have it find nothing and
+// park again. A Wait on a posted request, a rendezvous, a Waitany and a
+// parked fiber are woken as before.
+//
+// A message queued while it matches a published RecvInto buffer retracts
+// that buffer: its sender chose the queue before the receiver parked, and
+// until the receiver runs, the same sender's next message would otherwise be
+// delivered directly and overtake this one.
+func (dst *procState) enqueue(env *envelope) {
+	dst.mu.Lock()
+	if req := dst.posted.matchArrival(env.commID, env.src, env.tag); req != nil {
+		req.complete(env)
+		dst.notifyLocked()
+	} else {
+		dst.mb.push(env)
+		plain := dst.waitSh != nil && dst.waitReq == nil && dst.cont == nil
+		if plain && !dst.awaits(env.commID, env.src, env.tag) {
+			dst.epoch++
+		} else {
+			dst.retractInto()
+			dst.notifyLocked()
+		}
+	}
+	dst.mu.Unlock()
 }
 
 // Recv receives a message from rank src (or AnySource) with the given tag
@@ -160,6 +224,35 @@ func Recv[T any](c *Comm, src, tag int) ([]T, Status, error) {
 	return data, stt, c.fire(err)
 }
 
+// RecvInto is Recv into the caller's buffer, the MPI_Recv signature: the
+// message's elements are written to buf[:n] and Status.Bytes tells how many.
+// buf is the caller's before and after the call — nothing is acquired from or
+// released to the transport's pool on its behalf, and once RecvInto has
+// returned, with or without an error, the runtime no longer writes it. While
+// the call blocks, a matching send copies its payload straight from the
+// sender's slice into buf. Matching, virtual time, accounting and failure
+// reporting are exactly Recv's; in addition a message longer than buf is
+// consumed and reported as ErrTruncate, with buf untouched.
+func RecvInto[T any](c *Comm, src, tag int, buf []T) (Status, error) {
+	if tag < 0 && tag != AnyTag {
+		return Status{}, c.fire(fmt.Errorf("mpi: RecvInto: negative tag %d is reserved: %w", tag, ErrComm))
+	}
+	into := intoBuf{ptr: unsafe.Pointer(unsafe.SliceData(buf)), n: len(buf), etype: typeOf[T]()}
+	env, stt, err := recvMatch(c, src, tag, false, into)
+	if env != nil { // matched in the mailbox; nil: failed, or delivered directly
+		var data []T
+		if data, stt, err = open[T](env); err == nil {
+			if len(data) > len(buf) {
+				stt, err = Status{}, fmt.Errorf("mpi: RecvInto: message of %d elements for a buffer of %d: %w", len(data), len(buf), ErrTruncate)
+			} else {
+				copy(buf, data)
+			}
+			putBuf(data)
+		}
+	}
+	return stt, c.fire(err)
+}
+
 // RecvOne receives a single value.
 func RecvOne[T any](c *Comm, src, tag int) (T, Status, error) {
 	var zero T
@@ -173,9 +266,39 @@ func RecvOne[T any](c *Comm, src, tag int) (T, Status, error) {
 	return data[0], stt, nil
 }
 
-// recvRaw is the matching engine shared by user receives and internal
-// collective receives (internal=true additionally honours collective abort
-// records, which propagate collective failure without deadlock).
+// recvRaw is the receive shared by Recv and the internal collective receives
+// (internal=true additionally honours collective abort records, which
+// propagate collective failure without deadlock): the matching engine, then
+// the payload handed over as the caller's slice.
+func recvRaw[T any](c *Comm, src, tag int, internal bool) ([]T, Status, error) {
+	env, _, err := recvMatch(c, src, tag, internal, intoBuf{})
+	if err != nil {
+		return nil, Status{}, err
+	}
+	return open[T](env)
+}
+
+// intoBuf is a RecvInto destination in untyped form: first element, length
+// in elements and element type. A nil etype means none.
+type intoBuf struct {
+	ptr   unsafe.Pointer
+	n     int
+	etype reflect.Type
+}
+
+// directMsg records a message delivered straight into a published buffer,
+// for the receiver to account once it runs.
+type directMsg struct {
+	src, tag, bytes int
+	arrival         float64
+	done            bool
+}
+
+// recvMatch is the one blocking-receive loop, under Recv, RecvInto and the
+// collectives. It returns the matched envelope with the receive already
+// charged to the clock and the metrics; or, when into names a buffer and a
+// sender delivered straight into it while the caller was parked, a nil
+// envelope and the message's status.
 //
 // The priority order — matching message, then the source's recorded abort,
 // then the source's death, then the source's quiesce after revocation —
@@ -191,7 +314,13 @@ func RecvOne[T any](c *Comm, src, tag int) (T, Status, error) {
 // mailbox insert happens-before the global-state write the verdict read, so
 // a matching message that raced in is visible by then and wins, exactly as
 // it did under the old priority loop.
-func recvRaw[T any](c *Comm, src, tag int, internal bool) ([]T, Status, error) {
+//
+// The buffer is published only for the duration of the park, beside the
+// waitSh/waitSrc/waitTag descriptor, and is retracted under mu before the
+// loop runs on — whoever ended the park. So while it is published no
+// matching message is queued (enqueue retracts it), and after recvMatch
+// returns no sender can reach it.
+func recvMatch(c *Comm, src, tag int, internal bool, into intoBuf) (*envelope, Status, error) {
 	st := c.p.st
 	w := st.w
 	st.hookOp(OpRecv)
@@ -205,6 +334,11 @@ func recvRaw[T any](c *Comm, src, tag int, internal bool) ([]T, Status, error) {
 			st.unblock()
 		}
 	}()
+	matched := func(env *envelope) (*envelope, Status, error) {
+		chargeRecv(st, env.arrival, env.bytes, internal, t0)
+		return env, Status{}, nil
+	}
+	woke := false
 	for {
 		st.mu.Lock()
 		env := st.mb.take(c.sh.id, src, tag)
@@ -219,7 +353,7 @@ func recvRaw[T any](c *Comm, src, tag int, internal bool) ([]T, Status, error) {
 		e := st.epoch
 		st.mu.Unlock()
 		if env != nil {
-			return deliver[T](c, env, internal, t0)
+			return matched(env)
 		}
 
 		if v := recvVerdict(c, src, tag, internal); v.err != nil {
@@ -227,7 +361,7 @@ func recvRaw[T any](c *Comm, src, tag int, internal bool) ([]T, Status, error) {
 			env = st.mb.take(c.sh.id, src, tag)
 			st.mu.Unlock()
 			if env != nil {
-				return deliver[T](c, env, internal, t0)
+				return matched(env)
 			}
 			if v.abort {
 				// The peer bailed out of this collective instance and
@@ -254,36 +388,74 @@ func recvRaw[T any](c *Comm, src, tag int, internal bool) ([]T, Status, error) {
 				st.waitSh = nil
 				st.mu.Unlock()
 				if env != nil {
-					return deliver[T](c, env, internal, t0)
+					return matched(env)
 				}
 				return nil, Status{}, ErrRevoked
 			}
 		}
 
 		st.mu.Lock()
+		if woke {
+			st.emptyWakes++ // the last park's wake resolved nothing
+			woke = false
+		}
 		if st.epoch == e {
 			st.waitSh, st.waitSrc, st.waitTag, st.waitReq = c.sh, src, tag, nil
+			if into.etype != nil {
+				st.into = into
+				st.intoSet.Store(true)
+			}
+			st.parks++
 			st.cond.Wait()
+			woke = true
+			st.retractInto()
 		}
+		got := st.got
+		st.got.done = false
 		st.waitSh = nil
 		st.mu.Unlock()
+		if got.done {
+			// Delivered while parked: a matching message beats whatever else
+			// ended the park.
+			chargeRecv(st, got.arrival, got.bytes, internal, t0)
+			return nil, Status{Source: got.src, Tag: got.tag, Bytes: got.bytes}, nil
+		}
 	}
 }
 
-// deliver completes a matched receive: virtual-time sync, accounting, and
-// payload extraction. The envelope is recycled; its buffer becomes the
-// caller's.
-func deliver[T any](c *Comm, env *envelope, internal bool, t0 float64) ([]T, Status, error) {
-	st := c.p.st
+// retractInto withdraws the buffer a RecvInto park published. Caller holds
+// st.mu.
+func (st *procState) retractInto() {
+	if st.into.etype != nil {
+		st.into = intoBuf{}
+		st.intoSet.Store(false)
+	}
+}
+
+// awaits reports whether the process is blocked in a plain receive or probe
+// that a message of this signature satisfies. Caller holds st.mu.
+func (st *procState) awaits(comm, src, tag int) bool {
+	return st.waitSh != nil && st.waitReq == nil && st.waitSh.id == comm &&
+		matches(st.waitSrc, st.waitTag, src, tag)
+}
+
+// chargeRecv accounts one completed receive: virtual-time sync to the
+// message's arrival, the receive overhead, and the metrics.
+func chargeRecv(st *procState, arrival float64, bytes int, internal bool, t0 float64) {
 	w := st.w
-	st.clock.SyncTo(env.arrival)
+	st.clock.SyncTo(arrival)
 	st.clock.AdvanceAttr(w.machine.RecvOverhead, vtime.CompORecv)
 	if wm := w.wm; wm != nil {
-		wm.countRecv(st.wrank, env.bytes)
+		wm.countRecv(st.wrank, bytes)
 		if !internal {
 			wm.observeOp("recv", st.clock.Now()-t0)
 		}
 	}
+}
+
+// open extracts a matched envelope's payload as the caller's slice and
+// recycles the envelope; the buffer becomes the caller's.
+func open[T any](env *envelope) ([]T, Status, error) {
 	data, ok := payload[T](env)
 	if !ok {
 		err := fmt.Errorf("mpi: Recv: message holds []%v: %w", env.etype, ErrType)
@@ -293,6 +465,13 @@ func deliver[T any](c *Comm, env *envelope, internal bool, t0 float64) ([]T, Sta
 	stt := Status{Source: env.src, Tag: env.tag, Bytes: env.bytes}
 	putEnv(env)
 	return data, stt, nil
+}
+
+// deliver completes a receive the event path matched itself: chargeRecv,
+// then open.
+func deliver[T any](c *Comm, env *envelope, internal bool, t0 float64) ([]T, Status, error) {
+	chargeRecv(c.p.st, env.arrival, env.bytes, internal, t0)
+	return open[T](env)
 }
 
 // verdict is the outcome of a receive's failure checks.

@@ -1,15 +1,19 @@
 package mpi
 
 // This file is the data plane of the sharded transport: pooled envelopes
-// with an unboxed payload representation, per-(comm,src,tag) indexed match
-// queues for mailboxes and posted receives, and the one size-classed buffer
-// pool every pointer-free payload lives in — eager-send copies, the
-// ownership-transfer buffers of SendOwned / AcquireBuf / ReleaseBuf, and the
-// collectives' staging blocks and accumulators. The locking hierarchy that
-// coordinates it lives in world.go; buffer-ownership rules are documented in
-// DESIGN.md §8. The data plane is blocking-model-agnostic: the event-driven
-// path (event.go) consumes the same envelopes, match queues and pool — only
-// the park/wake discipline above them differs.
+// with an unboxed payload representation, the open-addressed match table
+// that indexes mailboxes and posted receives by (comm,src,tag) without a
+// runtime map, and the one size-classed buffer pool every pointer-free
+// payload lives in — eager-send copies, the ownership-transfer buffers of
+// SendOwned / AcquireBuf / ReleaseBuf, and the collectives' staging blocks
+// and accumulators. A message that finds its receiver parked in RecvInto
+// uses none of it: p2p.go's deliverDirect copies it from the sender's slice
+// into the receiver's own buffer. The locking hierarchy that coordinates it
+// lives in world.go; the delivery order, the wake filter and the
+// buffer-ownership rules are documented in DESIGN.md §8. The data plane is
+// blocking-model-agnostic: the event-driven path (event.go) consumes the same
+// envelopes, match queues and pool — only the park/wake discipline above them
+// differs.
 
 import (
 	"math/bits"
@@ -151,88 +155,202 @@ func (s *slab) alloc(n int) unsafe.Pointer {
 	return p
 }
 
-// mbKey indexes one (communicator, source rank, tag) match queue.
-type mbKey struct{ comm, src, tag int }
+// matchSlot is one (comm, src, tag) signature's FIFO in a matchTable. A slot
+// is occupied exactly while its queue is non-empty: head == nil marks it free.
+type matchSlot[E any] struct {
+	comm, src, tag int
+	head, tail     *E
+}
 
-// envQueue is a FIFO of envelopes sharing one (comm,src,tag) signature.
-// Stored by value in the mailbox map so steady-state queue churn allocates
-// nothing.
-type envQueue struct{ head, tail *envelope }
+// matchTable indexes the match queues of one process by exact
+// (communicator, source rank, tag) signature: a small open-addressed table
+// with linear probing and backward-shift deletion, so the message path makes
+// no runtime map call and hashes three integers inline instead of a 24-byte
+// key. It serves both the mailbox (queues of envelopes) and the posted set
+// (queues of requests); the element type's own link field chains a queue, so
+// the table only hands out slots. Slot pointers and indexes are valid until
+// the next slot or del call. It starts at four slots and doubles at
+// three-quarters load — a rank's live signatures are its two or three
+// neighbours and the collective in flight, and every byte here is paid per
+// rank. Guarded by the owning procState.mu.
+type matchTable[E any] struct {
+	slots []matchSlot[E] // power-of-two length; nil until the first slot call
+	n     int            // occupied slots
+}
+
+// sigHash mixes a signature into a table index source.
+func sigHash(comm, src, tag int) int {
+	h := uint64(comm)*0x9E3779B97F4A7C15 + uint64(src)*0xC2B2AE3D27D4EB4F + uint64(tag)*0x165667B19E3779F9
+	h ^= h >> 32
+	h *= 0xD6E8FEB86659FD93
+	h ^= h >> 32
+	return int(h)
+}
+
+// find returns the index of the signature's slot, or -1.
+func (t *matchTable[E]) find(comm, src, tag int) int {
+	if t.n == 0 {
+		return -1
+	}
+	mask := len(t.slots) - 1
+	for i := sigHash(comm, src, tag) & mask; ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.head == nil {
+			return -1
+		}
+		if s.comm == comm && s.src == src && s.tag == tag {
+			return i
+		}
+	}
+}
+
+// slot returns the signature's slot, claiming a free one when it has none.
+// A claimed slot has a nil head, which the caller must set before the next
+// table call.
+func (t *matchTable[E]) slot(comm, src, tag int) *matchSlot[E] {
+	if t.slots == nil {
+		t.slots = make([]matchSlot[E], 4)
+	}
+	for {
+		mask := len(t.slots) - 1
+		for i := sigHash(comm, src, tag) & mask; ; i = (i + 1) & mask {
+			s := &t.slots[i]
+			if s.head == nil {
+				if (t.n+1)*4 > len(t.slots)*3 {
+					break // grow, then probe the new table
+				}
+				s.comm, s.src, s.tag = comm, src, tag
+				t.n++
+				return s
+			}
+			if s.comm == comm && s.src == src && s.tag == tag {
+				return s
+			}
+		}
+		old := t.slots
+		t.slots = make([]matchSlot[E], 2*len(old))
+		mask = len(t.slots) - 1
+		for _, s := range old {
+			if s.head == nil {
+				continue
+			}
+			i := sigHash(s.comm, s.src, s.tag) & mask
+			for t.slots[i].head != nil {
+				i = (i + 1) & mask
+			}
+			t.slots[i] = s
+		}
+	}
+}
+
+// del frees slot i, whose queue has just emptied, shifting back the entries
+// that probed past it so every remaining signature stays reachable from its
+// home slot without tombstones.
+func (t *matchTable[E]) del(i int) {
+	mask := len(t.slots) - 1
+	t.n--
+	for j := i; ; {
+		j = (j + 1) & mask
+		s := &t.slots[j]
+		if s.head == nil {
+			break
+		}
+		// s may move into the hole at i unless its home lies cyclically in
+		// (i, j]: then the probe from home never passes through i.
+		if home := sigHash(s.comm, s.src, s.tag) & mask; (j-home)&mask < (j-i)&mask {
+			continue
+		}
+		t.slots[i] = *s
+		i = j
+	}
+	t.slots[i] = matchSlot[E]{}
+}
+
+// each calls f for every occupied slot, in table order.
+func (t *matchTable[E]) each(f func(s *matchSlot[E])) {
+	for i := range t.slots {
+		if s := &t.slots[i]; s.head != nil {
+			f(s)
+		}
+	}
+}
+
+// matches reports whether a message of signature (src, tag) satisfies a
+// receive of (wantSrc, wantTag) on the same communicator: the one matching
+// rule, shared by queued messages, posted receives and parked receivers.
+// AnyTag matches user tags only.
+func matches(wantSrc, wantTag, src, tag int) bool {
+	return (wantSrc == src || wantSrc == AnySource) &&
+		(wantTag == tag || wantTag == AnyTag && tag >= 0)
+}
 
 // mailbox holds a process's undelivered messages, indexed by exact
 // (comm,src,tag) signature. Exact receives are O(1); wildcard receives scan
 // the occupied signatures and pick the globally oldest match by arrival
-// sequence, which reproduces the FIFO semantics of the previous linear
-// mailbox scan (AnyTag matches user tags only, as before). Guarded by the
-// owning procState.mu.
+// sequence, which reproduces the FIFO semantics of a linear mailbox scan.
+// Guarded by the owning procState.mu.
 type mailbox struct {
-	q   map[mbKey]envQueue
+	q   matchTable[envelope]
 	seq uint64 // next arrival sequence number
 }
 
 // push appends an arriving envelope to its signature's queue.
 func (mb *mailbox) push(env *envelope) {
-	if mb.q == nil {
-		mb.q = make(map[mbKey]envQueue)
-	}
 	env.seq = mb.seq
 	mb.seq++
 	env.next = nil
-	k := mbKey{env.commID, env.src, env.tag}
-	q := mb.q[k]
-	if q.tail == nil {
-		q.head, q.tail = env, env
+	s := mb.q.slot(env.commID, env.src, env.tag)
+	if s.head == nil {
+		s.head = env
 	} else {
-		q.tail.next = env
-		q.tail = env
+		s.tail.next = env
 	}
-	mb.q[k] = q
+	s.tail = env
 }
 
-// peek returns the message a receive of (comm,src,tag) would match next,
-// without removing it.
-func (mb *mailbox) peek(comm, src, tag int) *envelope {
-	if len(mb.q) == 0 {
-		return nil
-	}
+// locate returns the slot whose head a receive of (comm,src,tag) would match
+// next, or -1.
+func (mb *mailbox) locate(comm, src, tag int) int {
 	if src != AnySource && tag != AnyTag {
-		return mb.q[mbKey{comm, src, tag}].head
+		return mb.q.find(comm, src, tag)
 	}
-	var best *envelope
-	for k, q := range mb.q {
-		if k.comm != comm {
+	best := -1
+	if mb.q.n == 0 {
+		return best
+	}
+	slots := mb.q.slots
+	for i := range slots {
+		s := &slots[i]
+		if s.head == nil || s.comm != comm || !matches(src, tag, s.src, s.tag) {
 			continue
 		}
-		if src != AnySource && k.src != src {
-			continue
-		}
-		if tag == AnyTag {
-			if k.tag < 0 {
-				continue
-			}
-		} else if k.tag != tag {
-			continue
-		}
-		if q.head != nil && (best == nil || q.head.seq < best.seq) {
-			best = q.head
+		if best < 0 || s.head.seq < slots[best].head.seq {
+			best = i
 		}
 	}
 	return best
 }
 
+// peek returns the message a receive of (comm,src,tag) would match next,
+// without removing it.
+func (mb *mailbox) peek(comm, src, tag int) *envelope {
+	if i := mb.locate(comm, src, tag); i >= 0 {
+		return mb.q.slots[i].head
+	}
+	return nil
+}
+
 // take removes and returns the next matching message, or nil.
 func (mb *mailbox) take(comm, src, tag int) *envelope {
-	env := mb.peek(comm, src, tag)
-	if env == nil {
+	i := mb.locate(comm, src, tag)
+	if i < 0 {
 		return nil
 	}
-	k := mbKey{env.commID, env.src, env.tag}
-	q := mb.q[k]
-	q.head = env.next
-	if q.head == nil {
-		delete(mb.q, k)
-	} else {
-		mb.q[k] = q
+	s := &mb.q.slots[i]
+	env := s.head
+	s.head = env.next
+	if s.head == nil {
+		mb.q.del(i)
 	}
 	env.next = nil
 	return env
@@ -240,18 +358,15 @@ func (mb *mailbox) take(comm, src, tag int) *envelope {
 
 // drain recycles every queued envelope (process death/exit).
 func (mb *mailbox) drain() {
-	for k, q := range mb.q {
-		for env := q.head; env != nil; {
+	mb.q.each(func(s *matchSlot[envelope]) {
+		for env := s.head; env != nil; {
 			n := env.next
 			putEnv(env)
 			env = n
 		}
-		delete(mb.q, k)
-	}
+	})
+	mb.q = matchTable[envelope]{}
 }
-
-// reqQueue is a FIFO of posted receives sharing one signature.
-type reqQueue struct{ head, tail *Request }
 
 // postedSet indexes a process's posted nonblocking receives by their
 // (comm, src, tag) signature, wildcards included as posted. An arriving
@@ -259,89 +374,84 @@ type reqQueue struct{ head, tail *Request }
 // completes the oldest posted request among them, preserving the MPI
 // posting-order matching rule. Guarded by the owning procState.mu.
 type postedSet struct {
-	q   map[mbKey]reqQueue
+	q   matchTable[Request]
 	seq uint64
 }
 
 // add appends a request in posting order.
 func (ps *postedSet) add(r *Request) {
-	if ps.q == nil {
-		ps.q = make(map[mbKey]reqQueue)
-	}
 	r.pseq = ps.seq
 	ps.seq++
 	r.pnext = nil
-	k := mbKey{r.c.sh.id, r.src, r.tag}
-	q := ps.q[k]
-	if q.tail == nil {
-		q.head, q.tail = r, r
+	s := ps.q.slot(r.c.sh.id, r.src, r.tag)
+	if s.head == nil {
+		s.head = r
 	} else {
-		q.tail.pnext = r
-		q.tail = r
+		s.tail.pnext = r
 	}
-	ps.q[k] = q
+	s.tail = r
 }
 
-// matchArrival finds and removes the earliest-posted receive matching the
-// arriving envelope, or nil.
-func (ps *postedSet) matchArrival(env *envelope) *Request {
-	if len(ps.q) == 0 {
-		return nil
+// locate returns the slot holding the earliest-posted receive that a message
+// of this signature matches, or -1.
+func (ps *postedSet) locate(comm, src, tag int) int {
+	best := -1
+	if ps.q.n == 0 {
+		return best
 	}
-	var best *Request
-	var bestKey mbKey
-	consider := func(k mbKey) {
-		if q, ok := ps.q[k]; ok && q.head != nil && (best == nil || q.head.pseq < best.pseq) {
-			best, bestKey = q.head, k
+	cands := [4][2]int{{src, tag}, {AnySource, tag}, {src, AnyTag}, {AnySource, AnyTag}}
+	n := len(cands)
+	if tag < 0 { // a posted AnyTag matches user tags only
+		n = 2
+	}
+	for _, k := range cands[:n] {
+		i := ps.q.find(comm, k[0], k[1])
+		if i >= 0 && (best < 0 || ps.q.slots[i].head.pseq < ps.q.slots[best].head.pseq) {
+			best = i
 		}
 	}
-	consider(mbKey{env.commID, env.src, env.tag})
-	consider(mbKey{env.commID, AnySource, env.tag})
-	if env.tag >= 0 { // a posted AnyTag matches user tags only
-		consider(mbKey{env.commID, env.src, AnyTag})
-		consider(mbKey{env.commID, AnySource, AnyTag})
-	}
-	if best == nil {
-		return nil
-	}
-	q := ps.q[bestKey]
-	q.head = best.pnext
-	if q.head == nil {
-		delete(ps.q, bestKey)
-	} else {
-		if q.tail == best {
-			q.tail = nil // unreachable: tail==best implies head was best
-		}
-		ps.q[bestKey] = q
-	}
-	best.pnext = nil
 	return best
+}
+
+// matchArrival finds and removes the earliest-posted receive matching an
+// arriving message of this signature, or nil.
+func (ps *postedSet) matchArrival(comm, src, tag int) *Request {
+	i := ps.locate(comm, src, tag)
+	if i < 0 {
+		return nil
+	}
+	s := &ps.q.slots[i]
+	r := s.head
+	s.head = r.pnext
+	if s.head == nil {
+		ps.q.del(i)
+	}
+	r.pnext = nil
+	return r
 }
 
 // remove drops a request from the set (completion by error/cancellation).
 func (ps *postedSet) remove(r *Request) {
-	k := mbKey{r.c.sh.id, r.src, r.tag}
-	q, ok := ps.q[k]
-	if !ok {
+	i := ps.q.find(r.c.sh.id, r.src, r.tag)
+	if i < 0 {
 		return
 	}
+	s := &ps.q.slots[i]
 	var prev *Request
-	for cur := q.head; cur != nil; prev, cur = cur, cur.pnext {
+	for cur := s.head; cur != nil; prev, cur = cur, cur.pnext {
 		if cur != r {
 			continue
 		}
 		if prev == nil {
-			q.head = cur.pnext
+			s.head = cur.pnext
 		} else {
 			prev.pnext = cur.pnext
 		}
-		if q.tail == cur {
-			q.tail = prev
+		if s.tail == cur {
+			s.tail = prev
 		}
-		if q.head == nil {
-			delete(ps.q, k)
-		} else {
-			ps.q[k] = q
+		if s.head == nil {
+			ps.q.del(i)
 		}
 		r.pnext = nil
 		return

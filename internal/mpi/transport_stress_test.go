@@ -54,6 +54,20 @@ func runTransportStress(t *testing.T) transportStressOutcome {
 		if sum[0] != n*(n-1)/2 {
 			t.Errorf("repaired allreduce: %d, want %d", sum[0], n*(n-1)/2)
 		}
+		// A ring of RecvInto on the repaired communicator, replacements
+		// included; even ranks use Recv, and neither form may show in the
+		// virtual time or the counters.
+		must(t, Send(repaired, (me+1)%n, 9, parts[me]))
+		row := make([]float64, chunk)
+		if me%2 == 1 {
+			_, err = RecvInto(repaired, (me-1+n)%n, 9, row)
+		} else {
+			row, _, err = Recv[float64](repaired, (me-1+n)%n, 9)
+		}
+		must(t, err)
+		if prev := (me - 1 + n) % n; err == nil && row[0] != float64(prev*n+prev) {
+			t.Errorf("repaired ring: from %d got %v", prev, row[0])
+		}
 	}
 
 	reg := metrics.New()
@@ -228,7 +242,15 @@ func runTransportStress512(t *testing.T) transportStressOutcome {
 			t.Error(err)
 			return false
 		}
-		got, _, err := Recv[float64](c, (me-1+n)%n, 9)
+		// Odd ranks receive into their own buffer: the two receive forms must
+		// be indistinguishable to virtual time and the traffic counters.
+		got := make([]float64, chunk)
+		var err error
+		if me%2 == 1 {
+			_, err = RecvInto(c, (me-1+n)%n, 9, got)
+		} else {
+			got, _, err = Recv[float64](c, (me-1+n)%n, 9)
+		}
 		if err != nil {
 			t.Error(err)
 			return false

@@ -120,7 +120,8 @@ func (w *World) stallDump(timeout time.Duration) string {
 			sigs = append(sigs, fmt.Sprintf("comm=%d src=%d tag=%d x%d", q.Comm, q.Src, q.Tag, q.Depth))
 		}
 		sort.Strings(sigs)
-		fmt.Fprintf(&b, "world rank %3d alive=%-5v blocked=%s mailbox=%d", rs.WorldRank, rs.Alive, rs.Blocked, rs.Mailbox)
+		fmt.Fprintf(&b, "world rank %3d alive=%-5v blocked=%s parks=%d empty-wakes=%d direct=%d mailbox=%d",
+			rs.WorldRank, rs.Alive, rs.Blocked, rs.Parks, rs.EmptyWakes, rs.DirectRecvs, rs.Mailbox)
 		if len(sigs) > 0 {
 			fmt.Fprintf(&b, " [%s]", strings.Join(sigs, "; "))
 		}

@@ -50,7 +50,13 @@
 // runs its checks after the event's state change and sees it, so skipping
 // loses no wake (see blockedOp and DESIGN.md §8).
 //
-// Every wake site funnels through procState.notifyLocked, which serves two
+// A message arrival is narrower still: it always bumps the destination's
+// epoch, but signals only a process it can unblock — one parked in a plain
+// receive of another signature sleeps on (see procState.enqueue). And a
+// receiver parked in RecvInto publishes its buffer under mu, so a matching
+// send is copied straight into it (deliverDirect) instead of being queued.
+//
+// Every other wake site funnels through procState.notifyLocked, which serves two
 // blocking disciplines behind one protocol: a goroutine-per-rank process
 // sleeping on its condvar (Options.Entry), and a parked continuation on the
 // event-driven path (Options.EventEntry; see event.go and exec.go), which
@@ -91,29 +97,48 @@ type procState struct {
 	// published by its owner before the epoch read of a blocking loop and
 	// cleared when the operation returns. Wakers read it lock-free.
 	blocked atomic.Uint64
+	// intoSet mirrors "into names a buffer" for a sender's lock-free peek
+	// (see sendEnv); written under mu.
+	intoSet atomic.Bool
 
-	mu     sync.Mutex
-	cond   sync.Cond // on mu; the owning goroutine is the only waiter
-	epoch  uint64    // bumped by every event that may unblock the owner
-	mb     mailbox
-	posted postedSet
-	// waitSh/waitSrc/waitTag/waitReq describe the receive this process is
-	// blocked in (waitSh nil while runnable). They feed the
-	// revoked-communicator deadlock detector: when every live,
-	// non-quiesced member of a revoked communicator is blocked on it with
-	// no pending resolution, none of them can ever send again, so the
-	// whole group resolves to MPI_ERR_REVOKED. waitReq is set instead of
-	// waitSrc/waitTag when blocked in Wait on a posted receive.
-	waitSh  *commShared
-	waitSrc int
-	waitTag int
-	waitReq *Request
+	// mu, epoch, cont and cond lead the guarded fields, in that order: they
+	// are all a control-plane wake touches, and a death or a resolved
+	// rendezvous wakes thousands of processes whose state is cold.
+	mu    sync.Mutex
+	epoch uint64 // bumped by every event that may unblock the owner
 	// cont is the rank's parked continuation on the event-driven path
 	// (nil while runnable, queued, or on the goroutine path). A fiber is
 	// published here only by its own park in World.driveFiber; notifyLocked
 	// unparks it by handing it to the executor, so a fiber is never queued
 	// twice. See event.go.
 	cont *Fiber
+	cond sync.Cond // on mu; the owning goroutine is the only waiter
+	// waitSh/waitSrc/waitTag/waitReq describe the receive this process is
+	// blocked in (waitSh nil while runnable). They feed the
+	// revoked-communicator deadlock detector: when every live,
+	// non-quiesced member of a revoked communicator is blocked on it with
+	// no pending resolution, none of them can ever send again, so the
+	// whole group resolves to MPI_ERR_REVOKED. waitReq is set instead of
+	// waitSrc/waitTag when blocked in Wait on a posted receive. A message
+	// arrival reads them too, to tell whether it is the one awaited.
+	waitSh  *commShared
+	waitSrc int
+	waitTag int
+	waitReq *Request
+	mb      mailbox
+	posted  postedSet
+	// into is the buffer a RecvInto has published for the duration of its
+	// park: a matching send copies its payload there (deliverDirect) and
+	// records the message in got, instead of queueing it. Published and
+	// retracted under mu; see recvMatch for who may write it and when.
+	into intoBuf
+	got  directMsg
+	// Wake-up accounting of the blocking receive loop, bumped only where mu
+	// is already held: parks taken, parks whose wake resolved nothing (the
+	// loop parked again), and messages delivered straight into a published
+	// buffer. They depend on goroutine scheduling, so they are surfaced by
+	// Snapshot and the stall dump, never by the metrics registry.
+	parks, emptyWakes, directs uint64
 }
 
 // notifyLocked is the single wake primitive behind every unblock-capable

@@ -209,3 +209,52 @@ func TestUpwindNegativeVelocity(t *testing.T) {
 		t.Fatalf("negative-velocity upwind error %g", e)
 	}
 }
+
+// TestFactorTablesMatchPerCell checks that a product-form initial condition
+// evaluated by its two one-dimensional factors — once per column, once per
+// row — is the same float64 in every cell as the per-cell U0 call, for solver
+// blocks at several levels and offsets, and that the table-based L1Error is
+// the same float64 as the per-cell sum against Exact(t). CosHill stands in for
+// a second product form: 0.5(1-cos 2πx)·(1-cos 2πy) factors without
+// re-association, the 0.5 belonging to the x factor.
+func TestFactorTablesMatchPerCell(t *testing.T) {
+	cosX := func(x float64) float64 { return 0.5 * (1 - math.Cos(2*math.Pi*x)) }
+	cosY := func(y float64) float64 { return 1 - math.Cos(2*math.Pi*y) }
+	for name, tabled := range map[string]*Problem{
+		"SinProduct": {Ax: 1, Ay: -0.5, U0: SinProduct, U0X: Sin2Pi, U0Y: Sin2Pi},
+		"CosHill":    {Ax: -0.7, Ay: 0.3, U0: CosHill, U0X: cosX, U0Y: cosY},
+	} {
+		perCell := &Problem{Ax: tabled.Ax, Ay: tabled.Ay, U0: tabled.U0}
+		for _, lv := range []grid.Level{{I: 0, J: 0}, {I: 1, J: 4}, {I: 5, J: 3}, {I: 6, J: 6}, {I: 3, J: 8}} {
+			nx, ny := 1<<lv.I, 1<<lv.J
+			hx, hy := 1.0/float64(nx), 1.0/float64(ny)
+			// Blocks as the solvers cut them: whole rows from a row offset, and
+			// an interior rectangle behind a halo column.
+			for _, b := range []struct{ i0, ni, j0, nj, stride, lead int }{
+				{0, nx, 0, ny, nx, 0},
+				{0, nx, ny / 3, ny - ny/3, nx, nx},
+				{nx / 2, nx - nx/2, ny / 4, (ny + 1) / 2, nx - nx/2 + 2, nx - nx/2 + 3},
+			} {
+				size := b.lead + b.nj*b.stride
+				got, want := make([]float64, size), make([]float64, size)
+				tabled.fillBlock(got[b.lead:], b.stride, b.i0, b.ni, b.j0, b.nj, hx, hy)
+				perCell.fillBlock(want[b.lead:], b.stride, b.i0, b.ni, b.j0, b.nj, hx, hy)
+				for k := range want {
+					if got[k] != want[k] {
+						t.Fatalf("%s %v block %+v: cell %d = %v by tables, %v per cell", name, lv, b, k, got[k], want[k])
+					}
+				}
+			}
+			g := grid.New(lv)
+			g.Fill(func(x, y float64) float64 { return math.Cos(3*x) - y*y })
+			for _, tm := range []float64{0, 0.1, 1.0 / 3, 0.5, 2, 7.25} {
+				if got, want := tabled.L1Error(g, tm), g.L1Error(perCell.Exact(tm)); got != want {
+					t.Errorf("%s %v t=%v: L1Error %v by tables, %v per cell", name, lv, tm, got, want)
+				}
+				if got, want := perCell.L1Error(g, tm), g.L1Error(perCell.Exact(tm)); got != want {
+					t.Errorf("%s %v t=%v: L1Error without factors %v, want %v", name, lv, tm, got, want)
+				}
+			}
+		}
+	}
+}

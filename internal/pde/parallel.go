@@ -78,15 +78,7 @@ func NewParallelSolver(c *mpi.Comm, prob *Problem, lv grid.Level, dt float64) (*
 	// and scratch is written before it is read.
 	s.local = mpi.AcquireBuf[float64]((nloc + 2) * s.nx)
 	s.scratch = mpi.AcquireBuf[float64]((nloc + 2) * s.nx)
-	hx := 1.0 / float64(s.nx)
-	hy := 1.0 / float64(s.ny)
-	for k := 0; k < nloc; k++ {
-		y := float64(s.r0+k) * hy
-		row := (k + 1) * s.nx
-		for i := 0; i < s.nx; i++ {
-			s.local[row+i] = prob.U0(float64(i)*hx, y)
-		}
-	}
+	prob.fillBlock(s.local[s.nx:], s.nx, 0, s.nx, s.r0, nloc, 1.0/float64(s.nx), 1.0/float64(s.ny))
 	return s, nil
 }
 
@@ -124,19 +116,11 @@ func (s *ParallelSolver) exchangeHalos() error {
 	if err := mpi.Send(s.Comm, down, tagHaloDown, bottom); err != nil {
 		return err
 	}
-	lower, _, err := mpi.Recv[float64](s.Comm, down, tagHaloUp)
-	if err != nil {
+	if _, err := mpi.RecvInto(s.Comm, down, tagHaloUp, s.local[0:s.nx]); err != nil {
 		return err
 	}
-	copy(s.local[0:s.nx], lower)
-	mpi.ReleaseBuf(lower)
-	upper, _, err := mpi.Recv[float64](s.Comm, up, tagHaloDown)
-	if err != nil {
-		return err
-	}
-	copy(s.local[(nloc+1)*s.nx:], upper)
-	mpi.ReleaseBuf(upper)
-	return nil
+	_, err := mpi.RecvInto(s.Comm, up, tagHaloDown, s.local[(nloc+1)*s.nx:])
+	return err
 }
 
 // exchangeHalosNonblocking is the overlapped variant: receives are posted

@@ -33,12 +33,12 @@ type ParallelSolver2D struct {
 	// StepCount is the number of steps taken so far.
 	StepCount int
 
-	nx, ny         int // global periodic unknowns
-	cx0, cx1       int // owned global columns [cx0, cx1)
-	cy0, cy1       int // owned global rows [cy0, cy1)
-	lw             int // local row width including halos = (cx1-cx0)+2
-	local, scratch []float64
-	colBuf         []float64
+	nx, ny          int // global periodic unknowns
+	cx0, cx1        int // owned global columns [cx0, cx1)
+	cy0, cy1        int // owned global rows [cy0, cy1)
+	lw              int // local row width including halos = (cx1-cx0)+2
+	local, scratch  []float64
+	colBuf, colBuf2 []float64 // column scratch: packs a send, then takes a receive
 }
 
 // NewParallelSolver2D initialises the local block from the initial
@@ -67,17 +67,13 @@ func NewParallelSolver2D(c *mpi.Comm, prob *Problem, lv grid.Level, dt float64, 
 	rows := (s.cy1 - s.cy0) + 2
 	// Pooled storage with unspecified contents: the owned block is set here,
 	// the halo ring (corners included) by every exchange before the stencil
-	// reads it, and scratch and colBuf are written before they are read.
+	// reads it, and scratch and both column buffers are written before they
+	// are read.
 	s.local = mpi.AcquireBuf[float64](rows * s.lw)
 	s.scratch = mpi.AcquireBuf[float64](rows * s.lw)
 	s.colBuf = mpi.AcquireBuf[float64](s.cy1 - s.cy0)
-	hx, hy := 1.0/float64(nx), 1.0/float64(ny)
-	for gy := s.cy0; gy < s.cy1; gy++ {
-		row := (gy - s.cy0 + 1) * s.lw
-		for gx := s.cx0; gx < s.cx1; gx++ {
-			s.local[row+(gx-s.cx0+1)] = prob.U0(float64(gx)*hx, float64(gy)*hy)
-		}
-	}
+	s.colBuf2 = mpi.AcquireBuf[float64](s.cy1 - s.cy0)
+	prob.fillBlock(s.local[s.lw+1:], s.lw, s.cx0, s.cx1-s.cx0, s.cy0, s.cy1-s.cy0, 1.0/float64(nx), 1.0/float64(ny))
 	return s, nil
 }
 
@@ -87,7 +83,8 @@ func (s *ParallelSolver2D) Release() {
 	mpi.ReleaseBuf(s.local)
 	mpi.ReleaseBuf(s.scratch)
 	mpi.ReleaseBuf(s.colBuf)
-	s.local, s.scratch, s.colBuf = nil, nil, nil
+	mpi.ReleaseBuf(s.colBuf2)
+	s.local, s.scratch, s.colBuf, s.colBuf2 = nil, nil, nil, nil
 }
 
 // OwnedBlock returns the owned global column and row ranges.
@@ -124,21 +121,16 @@ func (s *ParallelSolver2D) exchangeHalos() error {
 		if err := mpi.Send(c, west, tagHaloWest, s.colBuf); err != nil {
 			return err
 		}
-		fromWest, _, err := mpi.Recv[float64](c, west, tagHaloEast)
-		if err != nil {
+		if _, err := mpi.RecvInto(c, west, tagHaloEast, s.colBuf); err != nil {
 			return err
 		}
-		fromEast, _, err := mpi.Recv[float64](c, east, tagHaloWest)
-		if err != nil {
-			mpi.ReleaseBuf(fromWest)
+		if _, err := mpi.RecvInto(c, east, tagHaloWest, s.colBuf2); err != nil {
 			return err
 		}
 		for ly := 1; ly <= nly; ly++ {
-			s.local[s.at(0, ly)] = fromWest[ly-1]
-			s.local[s.at(nlx+1, ly)] = fromEast[ly-1]
+			s.local[s.at(0, ly)] = s.colBuf[ly-1]
+			s.local[s.at(nlx+1, ly)] = s.colBuf2[ly-1]
 		}
-		mpi.ReleaseBuf(fromWest)
-		mpi.ReleaseBuf(fromEast)
 	}
 
 	// Phase 2: north/south rows INCLUDING the east/west halo columns, so
@@ -156,19 +148,11 @@ func (s *ParallelSolver2D) exchangeHalos() error {
 	if err := mpi.Send(c, south, tagHaloSouth, s.local[s.at(0, 1):s.at(0, 1)+s.lw]); err != nil {
 		return err
 	}
-	fromSouth, _, err := mpi.Recv[float64](c, south, tagHaloNorth)
-	if err != nil {
+	if _, err := mpi.RecvInto(c, south, tagHaloNorth, s.local[s.at(0, 0):s.at(0, 0)+s.lw]); err != nil {
 		return err
 	}
-	copy(s.local[s.at(0, 0):s.at(0, 0)+s.lw], fromSouth)
-	mpi.ReleaseBuf(fromSouth)
-	fromNorth, _, err := mpi.Recv[float64](c, north, tagHaloSouth)
-	if err != nil {
-		return err
-	}
-	copy(s.local[s.at(0, nly+1):s.at(0, nly+1)+s.lw], fromNorth)
-	mpi.ReleaseBuf(fromNorth)
-	return nil
+	_, err := mpi.RecvInto(c, north, tagHaloSouth, s.local[s.at(0, nly+1):s.at(0, nly+1)+s.lw])
+	return err
 }
 
 // Step advances the local block one Lax–Wendroff timestep. Every local row

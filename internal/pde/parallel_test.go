@@ -331,3 +331,48 @@ func TestNonblockingHaloDetectsFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestHaloRingWakesOnlyForItsMessage runs a failure-free halo ring and reads
+// the runtime's per-rank wake-up accounting: a rank parked on one neighbour's
+// row must not be woken by the other neighbour's, which in a ring arrives
+// first about half the time, so no park may end with nothing to receive.
+func TestHaloRingWakesOnlyForItsMessage(t *testing.T) {
+	const ranks, steps = 8, 256
+	lv := grid.Level{I: 7, J: 6}
+	prob := testProblem()
+	var in mpi.Introspection
+	var parks, empty, direct uint64
+	_, err := mpi.Run(mpi.Options{NProcs: ranks, Introspect: &in, Entry: func(proc *mpi.Proc) {
+		c := proc.World()
+		s, err := NewParallelSolver(c, prob, lv, 0.25/128.0)
+		if err != nil {
+			t.Errorf("NewParallelSolver: %v", err)
+			return
+		}
+		defer s.Release()
+		if err := s.Run(steps); err != nil {
+			t.Errorf("Run: %v", err)
+		}
+		// Every rank is through its last exchange once the barrier completes.
+		if err := c.Barrier(); err != nil {
+			t.Errorf("Barrier: %v", err)
+		}
+		if c.Rank() == 0 {
+			for _, r := range in.Snapshots()[0].Ranks {
+				parks += r.Parks
+				empty += r.EmptyWakes
+				direct += r.DirectRecvs
+			}
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d receives: %d parks, %d woke to nothing, %d delivered directly", 2*ranks*steps, parks, empty, direct)
+	if parks == 0 {
+		t.Error("no receive parked: the ring did not exercise the wake path")
+	}
+	if empty != 0 {
+		t.Errorf("%d of %d parks woke to nothing", empty, parks)
+	}
+}

@@ -91,3 +91,45 @@ func BenchmarkGather(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHaloRing times the shipped parallel step — halo exchange and
+// stencil — on a persistent 8-rank world at nx = 128 (a 1 KiB halo row, eight
+// owned rows per rank): b.N steps per rank inside one mpi.Run, fenced by
+// barriers, so world construction and teardown are outside the timer.
+func BenchmarkHaloRing(b *testing.B) {
+	const ranks = 8
+	p := testProblem()
+	b.ReportAllocs()
+	_, err := mpi.Run(mpi.Options{NProcs: ranks, Entry: func(proc *mpi.Proc) {
+		c := proc.World()
+		s, err := NewParallelSolver(c, p, grid.Level{I: 7, J: 6}, 0.25/128.0)
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		defer s.Release()
+		fence := func(onRoot func()) {
+			if err := c.Barrier(); err != nil {
+				b.Error(err)
+			}
+			if c.Rank() == 0 {
+				onRoot()
+			}
+			if err := c.Barrier(); err != nil {
+				b.Error(err)
+			}
+		}
+		if err := s.Run(16); err != nil { // fill the buffer pool
+			b.Error(err)
+		}
+		fence(b.ResetTimer)
+		if err := s.Run(b.N); err != nil {
+			b.Error(err)
+		}
+		fence(b.StopTimer)
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ranks), "ns/rank-step")
+}
