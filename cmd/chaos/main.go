@@ -34,32 +34,46 @@ import (
 	"ftsg/internal/trace"
 )
 
-func main() {
+func main() { os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// realMain is main with its environment passed in, so tests can drive it.
+// It returns the exit code: 0 clean, 1 invariant violations, 2 usage or I/O
+// errors.
+func realMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		seeds      = flag.Int("seeds", 256, "number of consecutive seeds to sweep")
-		start      = flag.Int64("start", 1, "first seed")
-		techniques = flag.String("techniques", "all", "all, or a comma list of CR, RC, AC")
-		mode       = flag.String("mode", "", "force one scenario mode (A..F) for every seed, e.g. F = checkpoint corruption")
-		workers    = flag.Int("workers", 0, "concurrent cells (0 = one per CPU)")
-		stall      = flag.Duration("stall", chaos.DefaultStallTimeout, "deadlock watchdog timeout per run")
-		out        = flag.String("out", "", "also write the summary to this file")
-		showMet    = flag.Bool("metrics", false, "print the aggregate instrumentation summary over every run of the campaign (controls, chaos runs and replays, merged in submission order)")
-		metOut     = flag.String("metrics-out", "", "write the aggregate instrumentation summary to this file")
-		traceOut   = flag.String("trace-out", "", "write the Chrome trace_event JSON of the first cell's chaos run to this file (load in ui.perfetto.dev)")
-		serve      = flag.String("serve", "", "serve live telemetry over HTTP on this address (e.g. :9090) while the campaign runs: GET /metrics (aggregate, streaming in per cell), /debug/ranks, /healthz")
-		dumpDir    = flag.String("dump-dir", ".", "directory for per-violation trace post-mortems")
+		seeds      = fs.Int("seeds", 256, "number of consecutive seeds to sweep")
+		start      = fs.Int64("start", 1, "first seed")
+		techniques = fs.String("techniques", "all", "all, or a comma list of CR, RC, AC")
+		mode       = fs.String("mode", "", "force one scenario mode (A..F) for every seed, e.g. F = checkpoint corruption")
+		workers    = fs.Int("workers", 0, "concurrent cells (0 = one per CPU)")
+		stall      = fs.Duration("stall", chaos.DefaultStallTimeout, "deadlock watchdog timeout per run")
+		out        = fs.String("out", "", "also write the summary to this file")
+		showMet    = fs.Bool("metrics", false, "print the aggregate instrumentation summary over every run of the campaign (controls, chaos runs and replays, merged in submission order)")
+		metOut     = fs.String("metrics-out", "", "write the aggregate instrumentation summary to this file")
+		traceOut   = fs.String("trace-out", "", "write the Chrome trace_event JSON of the first cell's chaos run to this file (load in ui.perfetto.dev)")
+		serve      = fs.String("serve", "", "serve live telemetry over HTTP on this address (e.g. :9090) while the campaign runs: GET /metrics (aggregate, streaming in per cell), /debug/ranks, /healthz")
+		dumpDir    = fs.String("dump-dir", ".", "directory for per-violation trace post-mortems")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(a ...any) int {
+		fmt.Fprintln(stderr, a...)
+		return 2
+	}
 
 	techs, err := chaos.ParseTechniques(*techniques)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return fail(err)
 	}
 	forced, err := chaos.ParseMode(*mode)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return fail(err)
+	}
+	if *seeds < 1 {
+		return fail("chaos: -seeds must be >= 1")
 	}
 	seedList := make([]int64, *seeds)
 	for i := range seedList {
@@ -74,11 +88,10 @@ func main() {
 		srv := &telemetry.Server{Registry: reg, Trace: trace.New(nil), Introspect: &mpi.Introspection{}}
 		addr, stop, err := srv.Start(*serve)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return fail(err)
 		}
 		defer stop() //nolint:errcheck // process exits right after
-		fmt.Fprintf(os.Stderr, "chaos: telemetry at http://%s/metrics\n", addr)
+		fmt.Fprintf(stderr, "chaos: telemetry at http://%s/metrics\n", addr)
 	}
 
 	t0 := time.Now()
@@ -97,64 +110,61 @@ func main() {
 	for _, o := range outs {
 		for _, v := range o.Violations {
 			violations++
-			fmt.Printf("VIOLATION %s under %s: %s\n  replay: %s\n",
+			fmt.Fprintf(stdout, "VIOLATION %s under %s: %s\n  replay: %s\n",
 				o.Scenario, o.Technique, v, chaos.ReproCommandMode(o.Seed, o.Technique, forced))
 		}
 		if len(o.Violations) > 0 && o.TraceJSON != "" {
 			path := fmt.Sprintf("%s/chaos-violation-seed%d-%s.trace.json",
 				strings.TrimRight(*dumpDir, "/"), o.Seed, o.Technique)
 			if err := os.WriteFile(path, []byte(o.TraceJSON), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "chaos:", err)
+				fmt.Fprintln(stderr, "chaos:", err)
 			} else {
-				fmt.Printf("  trace: %s\n", path)
+				fmt.Fprintf(stdout, "  trace: %s\n", path)
 			}
 		}
 	}
 
-	summarize(os.Stdout, outs, elapsed, violations)
+	summarize(stdout, outs, elapsed, violations)
 	if *out != "" {
-		f, err := os.Create(*out)
+		err := writeFile(*out, func(w io.Writer) { summarize(w, outs, elapsed, violations) })
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		summarize(f, outs, elapsed, violations)
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return fail(err)
 		}
 	}
 	if *showMet {
-		fmt.Println("\naggregate instrumentation summary:")
-		reg.WriteSummary(os.Stdout)
+		fmt.Fprintln(stdout, "\naggregate instrumentation summary:")
+		reg.WriteSummary(stdout)
 	}
 	if *metOut != "" {
-		f, err := os.Create(*metOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		reg.WriteSummary(f)
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+		if err := writeFile(*metOut, func(w io.Writer) { reg.WriteSummary(w) }); err != nil {
+			return fail(err)
 		}
 	}
 	if *traceOut != "" {
 		fp, err := chaos.FingerprintOf(seedList[0], techs[0], *stall)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "chaos:", err)
-			os.Exit(2)
+			return fail("chaos:", err)
 		}
 		if err := os.WriteFile(*traceOut, []byte(fp.Trace), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "chaos:", err)
-			os.Exit(2)
+			return fail("chaos:", err)
 		}
-		fmt.Printf("chrome trace of seed %d %s written to %s\n", seedList[0], techs[0], *traceOut)
+		fmt.Fprintf(stdout, "chrome trace of seed %d %s written to %s\n", seedList[0], techs[0], *traceOut)
 	}
 	if violations > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
+}
+
+// writeFile creates path, lets write fill it, and reports the first error
+// including Close's.
+func writeFile(path string, write func(io.Writer)) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	write(f)
+	return f.Close()
 }
 
 // cellKey aggregates outcomes per technique x scenario mode.

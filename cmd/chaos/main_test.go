@@ -1,0 +1,45 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// TestSmoke runs a two-seed campaign end to end: no violation, exit 0, and
+// the technique x scenario table with its totals line on stdout.
+func TestSmoke(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"-seeds", "2", "-techniques", "AC", "-workers", "1"}
+	if code := realMain(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("realMain(%v) = %d\nstdout: %s\nstderr: %s", args, code, stdout.String(), stderr.String())
+	}
+	out := stdout.String()
+	for _, want := range []string{"technique", "scenario", "violations", "AC", "2 cells (6 runs including controls and replays)", ": 0 violations"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("summary missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "CR") || strings.Contains(out, "RC") {
+		t.Errorf("-techniques AC also ran another technique:\n%s", out)
+	}
+}
+
+// TestBadFlagsExitCode: flag validation surfaces as exit code 2 with the
+// reason on stderr, before any run starts.
+func TestBadFlagsExitCode(t *testing.T) {
+	for _, args := range [][]string{
+		{"-mode", "Z"},
+		{"-techniques", "XX"},
+		{"-seeds", "0"},
+		{"-no-such-flag"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := realMain(args, &stdout, &stderr); code != 2 {
+			t.Errorf("realMain(%v) = %d, want 2 (stderr: %s)", args, code, stderr.String())
+		}
+		if stderr.Len() == 0 || stdout.Len() != 0 {
+			t.Errorf("realMain(%v): stdout %q, stderr %q; want the reason on stderr only", args, stdout.String(), stderr.String())
+		}
+	}
+}

@@ -142,6 +142,20 @@ func TestBadFlagsExitCode(t *testing.T) {
 	}
 }
 
+// TestInvalidClusterShapeIsAnError: more racks than the hosts the run derives
+// used to pass Config.Validate and panic in topo.NewRacked; it must come back
+// as a core error and a non-zero exit.
+func TestInvalidClusterShapeIsAnError(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := realMain([]string{"-racks", "64", "-steps", "8"}, &stdout, &stderr)
+	if code == 0 {
+		t.Errorf("realMain(-racks 64) = 0, want a failure (stdout: %s)", stdout.String())
+	}
+	if msg := stderr.String(); !strings.Contains(msg, "core: Racks 64 exceeds") {
+		t.Errorf("stderr %q does not carry core's error", msg)
+	}
+}
+
 // TestCheckpointFlags: -ckpt-backend/-ckpt-generations/-ckpt-async select
 // the checkpoint store without changing any simulated result — the run
 // summary is byte-identical to the default dir-backed synchronous store.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"ftsg/internal/vtime"
@@ -207,16 +208,38 @@ func TestRealFailureDouble(t *testing.T) {
 	}
 }
 
+// TestValidation: Config.Validate (through WithDefaults, as Run applies it)
+// rejects what Run could only panic on or silently misread.
 func TestValidation(t *testing.T) {
-	cfg := fastCfg(CheckpointRestart)
-	cfg.DiagProcs = 1024 // more procs than rows
-	if _, err := Run(cfg); err == nil {
-		t.Error("oversubscribed grid accepted")
-	}
-	cfg = fastCfg(CheckpointRestart)
-	cfg.FailStep = 1 << 20
-	if _, err := Run(cfg); err == nil {
-		t.Error("FailStep beyond Steps accepted")
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+		want string // substring of the error; "" = accepted
+	}{
+		{"defaults", func(*Config) {}, ""},
+		{"oversubscribed grid", func(c *Config) { c.DiagProcs = 1024 }, "DiagProcs"},
+		{"FailStep beyond Steps", func(c *Config) { c.FailStep = 1 << 20 }, "FailStep"},
+		{"unknown technique", func(c *Config) { c.Technique = 7 }, "unknown technique"},
+		{"hosts too few", func(c *Config) { c.Hosts = 1; c.SlotsPerHost = 2 }, "cannot hold"},
+		// 19 ranks on 12-slot hosts derive 2 hosts; topo.NewRacked panics on
+		// more racks than hosts, so Validate must count the derived hosts too.
+		{"racks beyond derived hosts", func(c *Config) { c.Racks = 64 }, "Racks 64 exceeds 2 hosts"},
+		{"racks beyond fixed hosts", func(c *Config) { c.Hosts = 4; c.Racks = 5 }, "Racks 5 exceeds 4 hosts"},
+		{"racks = derived hosts + spares", func(c *Config) { c.Racks = 3; c.SpareNodes = 1 }, ""},
+		{"racks = fixed hosts", func(c *Config) { c.Hosts = 4; c.Racks = 4 }, ""},
+	} {
+		cfg := fastCfg(CheckpointRestart)
+		tc.edit(&cfg)
+		err := cfg.WithDefaults().Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+		if _, rerr := Run(cfg); (rerr == nil) != (err == nil) {
+			t.Errorf("%s: Validate says %v but Run says %v", tc.name, err, rerr)
+		}
 	}
 }
 

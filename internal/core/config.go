@@ -91,6 +91,9 @@ type SubGrid struct {
 	FirstRank int
 }
 
+// has reports whether the (original) rank belongs to the grid's group.
+func (g SubGrid) has(rank int) bool { return rank >= g.FirstRank && rank < g.FirstRank+g.Procs }
+
 // Config describes one run of the fault-tolerant application.
 type Config struct {
 	// Layout fixes the combination geometry (full grid exponent N, level L).
@@ -310,6 +313,9 @@ func (c Config) Validate() error {
 	if err := c.Layout.Validate(); err != nil {
 		return err
 	}
+	if c.Technique < CheckpointRestart || c.Technique > AlternateCombination {
+		return fmt.Errorf("core: unknown technique %v", c.Technique)
+	}
 	if c.DiagProcs < 1 {
 		return fmt.Errorf("core: DiagProcs must be >= 1")
 	}
@@ -339,18 +345,15 @@ func (c Config) Validate() error {
 	if c.Hosts < 0 || c.SlotsPerHost < 0 || c.Racks < 0 {
 		return fmt.Errorf("core: Hosts, SlotsPerHost and Racks must be >= 0")
 	}
-	if c.Hosts > 0 {
-		slots := c.SlotsPerHost
-		if slots == 0 && c.Machine != nil {
-			slots = c.Machine.SlotsPerHost
+	if c.Hosts > 0 || c.Racks > 1 { // the derived single-rack shape always fits
+		nprocs := c.NumProcs()
+		slots, hosts, racks := c.clusterShape(nprocs)
+		if slots > 0 && hosts*slots < nprocs {
+			return fmt.Errorf("core: %d hosts x %d slots cannot hold %d processes", hosts, slots, nprocs)
 		}
-		if slots > 0 && c.Hosts*slots < c.NumProcs() {
-			return fmt.Errorf("core: %d hosts x %d slots cannot hold %d processes",
-				c.Hosts, slots, c.NumProcs())
+		if hosts > 0 && racks > hosts+c.SpareNodes {
+			return fmt.Errorf("core: Racks %d exceeds %d hosts", racks, hosts+c.SpareNodes)
 		}
-	}
-	if c.Racks > 0 && c.Hosts > 0 && c.Racks > c.Hosts+c.SpareNodes {
-		return fmt.Errorf("core: Racks %d exceeds %d hosts", c.Racks, c.Hosts+c.SpareNodes)
 	}
 	if c.ExtraLayers < -1 || c.ExtraLayers > c.Layout.L-2 {
 		return fmt.Errorf("core: ExtraLayers %d outside [-1, %d]", c.ExtraLayers, c.Layout.L-2)
@@ -498,10 +501,27 @@ func (c Config) NumProcs() int {
 	return n
 }
 
+// clusterShape derives the cluster layout nprocs ranks are placed on: slots
+// per host (the machine profile's unless overridden), base hosts (the
+// smallest count that fits the ranks unless fixed; spare nodes come on top)
+// and racks (at least one). Without a machine profile or an override there
+// are no slots to count, and hosts is just Config.Hosts.
+func (c Config) clusterShape(nprocs int) (slots, hosts, racks int) {
+	slots = c.SlotsPerHost
+	if slots == 0 && c.Machine != nil {
+		slots = c.Machine.SlotsPerHost
+	}
+	hosts = c.Hosts
+	if hosts == 0 && slots > 0 {
+		hosts = (nprocs + slots - 1) / slots
+	}
+	return slots, hosts, max(c.Racks, 1)
+}
+
 // gridOfRank returns the sub-grid owning the given rank.
 func gridOfRank(grids []SubGrid, rank int) (SubGrid, error) {
 	for _, g := range grids {
-		if rank >= g.FirstRank && rank < g.FirstRank+g.Procs {
+		if g.has(rank) {
 			return g, nil
 		}
 	}

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
+	"ftsg/internal/faultgen"
 	"ftsg/internal/mpi"
 	"ftsg/internal/recovery"
 )
@@ -56,6 +58,25 @@ func TestEventResultParity(t *testing.T) {
 		sim.NumFailures = 2
 		sim.Seed = 9
 		runBoth(t, fmt.Sprintf("%v/simulated", tech), sim)
+	}
+
+	// Two failure events under spawn: both paths report the union of the
+	// victims, not the first event's.
+	two := fastCfg(CheckpointRestart)
+	two.RealFailures = true
+	two.Seed = 17
+	two.FailSchedule = []faultgen.Event{{Step: 24, Failures: 1}, {Step: 48, Failures: 1}}
+	two.Watchdog = mpi.Watchdog{Timeout: 120 * time.Second}
+	res := runBoth(t, "CR/spawn/two events", two)
+	if len(res.FailedRanks) != 2 || res.Spawned != 2 || res.Deaths != 2 {
+		t.Errorf("two-event spawn run: failed ranks %v, %d spawned, %d deaths; want both events' victims",
+			res.FailedRanks, res.Spawned, res.Deaths)
+	}
+	for _, f := range res.FailedRanks {
+		g, err := gridOfRank(two.WithDefaults().Grids(), f)
+		if err != nil || !slices.Contains(res.LostGrids, g.ID) {
+			t.Errorf("two-event spawn run: failed rank %d's grid missing from lost grids %v", f, res.LostGrids)
+		}
 	}
 }
 

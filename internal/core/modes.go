@@ -2,79 +2,91 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ftsg/internal/combine"
 	"ftsg/internal/ftcomb"
 	"ftsg/internal/grid"
-	"ftsg/internal/mpi"
 	"ftsg/internal/recovery"
 )
 
-// modeCtx is one rank's view of a non-spawn recovery mode's run state: the
+// modeCtx is one rank's view of the run state a recovery mode evolves: the
 // mapping from current communicator positions to original ranks, the
-// original ranks that left permanent holes (shrunk out, never replaced), and
-// the sub-grids abandoned as a consequence. Survivors evolve it locally from
-// each repair's results and verify it against rank 0's broadcast; claimed
-// spares adopt the broadcast wholesale. It is nil for spawn-mode runs, whose
-// code paths are untouched.
+// original ranks that left permanent holes (shrunk out, never replaced), the
+// failure history, and the sub-grids abandoned as a consequence. Survivors
+// fold each repair's results into it and verify it against rank 0's
+// broadcast; replacements adopt the broadcast wholesale. Every mode carries
+// one: under spawn no position ever moves, nothing is holed and nothing is
+// abandoned, so the same questions get the trivial answers.
 type modeCtx struct {
-	mode      recovery.Mode
-	nprocs    int          // original communicator size
-	origOf    []int        // original rank behind each current comm position
-	dead      map[int]bool // original ranks shrunk out without replacement
-	failed    map[int]bool // original ranks that failed (replaced or not)
-	abandoned map[int]bool // sub-grid IDs abandoned (no data, coeff redistributed)
-	fallbacks int          // substitute rounds degraded to shrink (spares exhausted)
+	mode   recovery.Mode
+	nprocs int // original communicator size
+	// origOf is the original rank behind each current comm position — the
+	// map recovery.ReconstructMode threads through its shrinks. Spawn keeps
+	// it nil, which that protocol too reads as the identity: a map that can
+	// never change is not worth P ints on every rank.
+	origOf    []int
+	dead      intSet // original ranks shrunk out without replacement
+	failed    intSet // original ranks that failed (replaced or not)
+	abandoned intSet // sub-grid IDs abandoned (no data, coeff redistributed)
+	fallbacks int    // substitute rounds degraded to shrink (spares exhausted)
 }
 
-func newModeCtx(mode recovery.Mode, nprocs int) *modeCtx {
-	origOf := make([]int, nprocs)
-	for i := range origOf {
-		origOf[i] = i
+// intSet is a set of ranks or grid IDs. The zero value is empty and reads as
+// such, so a rank that never sees a failure never allocates one.
+type intSet map[int]bool
+
+func (s *intSet) add(v int) {
+	if *s == nil {
+		*s = make(intSet)
 	}
-	return &modeCtx{
-		mode:      mode,
-		nprocs:    nprocs,
-		origOf:    origOf,
-		dead:      make(map[int]bool),
-		failed:    make(map[int]bool),
-		abandoned: make(map[int]bool),
-	}
+	(*s)[v] = true
 }
 
-// traceRank returns the stable timeline identity of the calling process:
-// the comm rank under spawn (positions never move), the original rank under
-// a non-spawn mode. Shrink renumbers comm positions mid-run, so labeling
-// spans with world.Rank() would put two different processes on the same
-// trace track — and their same-instant spans would interleave by real
-// scheduling order, breaking byte-identical replay.
-func traceRank(world *mpi.Comm, mc *modeCtx) int {
-	if mc != nil {
-		return mc.origOf[world.Rank()]
+// sorted returns the members, ascending.
+func (s intSet) sorted() []int {
+	out := make([]int, 0, len(s))
+	for v := range s {
+		out = append(out, v)
 	}
-	return world.Rank()
+	sort.Ints(out)
+	return out
 }
 
-// positions returns the original rank behind each current communicator
-// position, the map recovery.ReconstructMode threads through its shrinks.
-// Nil-safe: spawn never moves a position, and nil is its identity.
-func (mc *modeCtx) positions() []int {
-	if mc == nil {
-		return nil
+func newModeCtx(mode recovery.Mode, nprocs int) modeCtx {
+	mc := modeCtx{mode: mode, nprocs: nprocs}
+	if !mc.spawn() {
+		mc.origOf = make([]int, nprocs)
+		for i := range mc.origOf {
+			mc.origOf[i] = i
+		}
 	}
-	return mc.origOf
+	return mc
 }
+
+// spawn reports the paper's mode: every lost rank is replaced in place, so
+// communicator positions are original ranks for the whole run.
+func (mc *modeCtx) spawn() bool { return mc.mode == recovery.ModeSpawn }
+
+// origAt reads a position map; nil is the identity.
+func origAt(origOf []int, pos int) int {
+	if origOf == nil {
+		return pos
+	}
+	return origOf[pos]
+}
+
+// orig returns the original rank behind a current communicator position.
+func (mc *modeCtx) orig(pos int) int { return origAt(mc.origOf, pos) }
 
 // commRankOf returns the current communicator rank of an original rank, or
 // -1 when it has been shrunk out.
 func (mc *modeCtx) commRankOf(orig int) int {
-	for i, o := range mc.origOf {
-		if o == orig {
-			return i
-		}
+	if mc.origOf == nil {
+		return orig
 	}
-	return -1
+	return slices.Index(mc.origOf, orig)
 }
 
 // holed reports whether the grid has at least one permanently missing
@@ -88,97 +100,74 @@ func (mc *modeCtx) holed(g SubGrid) bool {
 	return false
 }
 
-// adopt installs rank 0's broadcast state (claimed spares joining mid-run
-// have no history of their own): the position mapping, the abandoned set,
-// the current event's failed ranks, and the hole set derived as the
-// complement of the mapping (a hole implies a failure, so the holes fold
-// into the failure history too).
-func (mc *modeCtx) adopt(origOf, abandoned, failed []int) {
-	mc.origOf = append([]int(nil), origOf...)
-	present := make(map[int]bool, len(origOf))
-	for _, o := range origOf {
-		present[o] = true
-	}
-	for r := 0; r < mc.nprocs; r++ {
-		if !present[r] {
-			mc.dead[r] = true
-			mc.failed[r] = true
+// adopt installs rank 0's announcement on a replacement, which joins mid-run
+// with no history of its own: the position map, the abandoned set, the
+// current event's failed ranks, and the hole set derived as the complement
+// of the map (a hole implies a failure, so the holes fold into the failure
+// history too). The identity map has no complement.
+func (mc *modeCtx) adopt(info recoveryInfo) {
+	mc.origOf = info.origOf
+	if mc.origOf != nil {
+		present := make(map[int]bool, len(mc.origOf))
+		for _, o := range mc.origOf {
+			present[o] = true
+		}
+		for r := 0; r < mc.nprocs; r++ {
+			if !present[r] {
+				mc.dead.add(r)
+				mc.failed.add(r)
+			}
 		}
 	}
-	for _, f := range failed {
-		mc.failed[f] = true
+	for _, f := range info.failed {
+		mc.failed.add(f)
 	}
-	for _, id := range abandoned {
-		mc.abandoned[id] = true
+	for _, id := range info.abandoned {
+		mc.abandoned.add(id)
 	}
 }
 
-// failedRanks returns every original rank that has failed so far —
-// replaced or not — ascending. Unlike the spawn path's first-event report,
-// the mode context unions across failure events.
-func (mc *modeCtx) failedRanks() []int {
-	out := make([]int, 0, len(mc.failed))
-	for r := range mc.failed {
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
-}
+// failedRanks returns every original rank that has failed so far — replaced
+// or not, over every failure event — ascending.
+func (mc *modeCtx) failedRanks() []int { return mc.failed.sorted() }
 
 // abandonedList returns the abandoned grid IDs, ascending.
-func (mc *modeCtx) abandonedList() []int {
-	out := make([]int, 0, len(mc.abandoned))
-	for id := range mc.abandoned {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
-}
+func (mc *modeCtx) abandonedList() []int { return mc.abandoned.sorted() }
 
 // applyEvent folds one repair event into the context: origOf is the
 // post-repair position mapping, failedList the original ranks lost in the
-// event (both from recovery.ReconstructMode). It updates the hole and
-// abandoned sets and returns the sub-grid IDs to actively recover this
-// event. Every survivor derives identical results from identical inputs;
-// rank 0's broadcast lets the others verify.
+// event (both from recovery.ReconstructMode). It updates the failure
+// history, the hole and abandoned sets and returns the sub-grid IDs to
+// actively recover this event. Every survivor derives identical results from
+// identical inputs; rank 0's broadcast lets the others verify.
 func (rs *runState) applyEvent(mc *modeCtx, origOf, failedList []int) []int {
 	mc.origOf = append(mc.origOf[:0], origOf...)
-	present := make(map[int]bool, len(origOf))
-	for _, o := range origOf {
-		present[o] = true
-	}
 	for _, f := range failedList {
-		mc.failed[f] = true
-		if !present[f] {
-			mc.dead[f] = true
+		mc.failed.add(f)
+		if mc.commRankOf(f) < 0 {
+			mc.dead.add(f)
 		}
 	}
-	damaged := rs.lostGridIDs(failedList)
 	var recoverIDs []int
-	for _, id := range damaged {
+	for _, id := range rs.lostGridIDs(failedList) {
 		if mc.abandoned[id] {
 			continue
 		}
 		if rs.abandonGrid(mc, rs.grids[id]) {
-			mc.abandoned[id] = true
+			mc.abandoned.add(id)
 			continue
 		}
 		recoverIDs = append(recoverIDs, id)
 	}
-	sort.Ints(recoverIDs)
 	return recoverIDs
 }
 
 // activeRecoverIDs returns the damaged grids actively recovered in the
 // event that lost failedList — the damaged set minus the abandoned set,
-// which is exactly what applyEvent returns for survivors. Attached children
+// which is exactly what applyEvent returns for survivors. Replacements
 // receive the abandoned set by broadcast instead of deriving it, so they
-// recompute the same list here. Nil-safe: spawn mode recovers per
-// lostGridIDs and passes none.
+// recompute the same list here.
 func (rs *runState) activeRecoverIDs(mc *modeCtx, failedList []int) []int {
-	if mc == nil {
-		return nil
-	}
 	var out []int
 	for _, id := range rs.lostGridIDs(failedList) {
 		if !mc.abandoned[id] {
@@ -189,7 +178,10 @@ func (rs *runState) activeRecoverIDs(mc *modeCtx, failedList []int) []int {
 }
 
 // abandonGrid decides whether a grid damaged by the current event is
-// abandoned or recovered. No-repair never recovers, and Alternate
+// abandoned or recovered. Spawn abandons nothing: it replaces every lost
+// rank, and Alternate Combination there keeps the paper's recovered
+// coefficients over the lost levels (rankState.scheme) instead of the
+// survivor scheme. Otherwise no-repair never recovers, and Alternate
 // Combination's only recovery mechanism IS abandonment (coefficients are
 // redistributed over the survivors), so both abandon every damaged grid.
 // For CR and RC a grid with no holes — every lost member was substituted —
@@ -198,6 +190,9 @@ func (rs *runState) activeRecoverIDs(mc *modeCtx, failedList []int) []int {
 // can rebuild: CR recomputes from the initial condition, RC copies from its
 // partner if that partner is still usable.
 func (rs *runState) abandonGrid(mc *modeCtx, g SubGrid) bool {
+	if mc.spawn() {
+		return false
+	}
 	if mc.mode == recovery.ModeNoRepair {
 		return true
 	}
@@ -247,14 +242,10 @@ func (mc *modeCtx) liveRootOf(g SubGrid) int {
 	return -1
 }
 
-// survivorScheme returns the combination scheme over the non-abandoned
-// grids: the classic coefficients when nothing is abandoned, otherwise the
-// hole-tolerant scheme over the surviving levels (duplicates never carry
-// coefficients and are excluded from both sides).
+// survivorScheme returns the hole-tolerant combination scheme over the
+// non-abandoned grids (duplicates never carry coefficients and are excluded
+// from both sides).
 func (rs *runState) survivorScheme(mc *modeCtx) (combine.Scheme, error) {
-	if len(mc.abandoned) == 0 {
-		return rs.cfg.Layout.Classic(), nil
-	}
 	held := make([]grid.Level, 0, len(rs.grids))
 	lost := ftcomb.NewSet()
 	for _, sg := range rs.grids {
@@ -273,56 +264,69 @@ func (rs *runState) survivorScheme(mc *modeCtx) (combine.Scheme, error) {
 	return scheme, nil
 }
 
-// syncRecoveryInfoMode is the non-spawn analogue of syncRecoveryInfo: rank 0
-// broadcasts the detection step, the event's failed original ranks, the
-// cumulative abandoned grid set, and the full position-to-original-rank
-// mapping, so claimed spares can reconstruct the run state and every
-// survivor can verify its locally derived copy. The spawn-mode broadcast
-// format is untouched.
-func syncRecoveryInfoMode(world *mpi.Comm, step int, failed, abandoned, origOf []int) (int, []int, []int, []int, error) {
-	out, err := mpi.Bcast(world, 0, recoveryInfoModeBuf(world, step, failed, abandoned, origOf))
-	return parseRecoveryInfoMode(world, out, err)
+// restorable reports whether the state a survivor held before a repair is
+// carried into its rebuilt solver. Spawn rebuilds every group in its old
+// shape, so a member's own mid-solve signal (gridLost) decides, and
+// recoverData overwrites what it must. Where groups can shrink, all members
+// of a grid must act alike, so the broadcast-agreed damage decides: a
+// damaged grid's state is rebuilt by recoverData or the grid is abandoned,
+// and restoring would be redundant or shape-mismatched.
+func (mc *modeCtx) restorable(gridLost, damaged bool, gridID int) bool {
+	if mc.spawn() {
+		return !gridLost
+	}
+	return !damaged && !mc.abandoned[gridID]
 }
 
-// recoveryInfoModeBuf builds rank 0's payload for syncRecoveryInfoMode (nil
-// elsewhere); parseRecoveryInfoMode decodes the broadcast result. Shared with
-// the event path's fiber twin so both wire formats are one piece of code.
-func recoveryInfoModeBuf(world *mpi.Comm, step int, failed, abandoned, origOf []int) []int {
-	if world.Rank() != 0 {
-		return nil
+// recoveryInfo is what rank 0 announces over the repaired communicator, so
+// that replacements learn where to rejoin (they cannot derive the step once
+// several failure events are allowed) and every survivor can verify its
+// locally derived copy.
+type recoveryInfo struct {
+	step      int   // the detection step the survivors stand at
+	failed    []int // the event's failed original ranks
+	abandoned []int // the cumulative abandoned grid set
+	origOf    []int // the position map; nil is the identity
+}
+
+// encodeInfo builds the announcement's payload. Spawn's layout is the short
+// one — step, then the failed ranks: it has no abandoned set and no map to
+// announce, and the 2 + P ints of the full layout on every spawn broadcast
+// would move virtual time.
+func (mc *modeCtx) encodeInfo(step int, failed []int) []int {
+	if mc.spawn() {
+		return append([]int{step}, failed...)
 	}
-	var buf []int
+	buf := make([]int, 0, 3+len(failed)+len(mc.abandoned)+len(mc.origOf))
 	buf = append(buf, step, len(failed))
 	buf = append(buf, failed...)
-	buf = append(buf, len(abandoned))
-	buf = append(buf, abandoned...)
-	buf = append(buf, origOf...)
-	return buf
+	buf = append(buf, len(mc.abandoned))
+	buf = append(buf, mc.abandonedList()...)
+	return append(buf, mc.origOf...)
 }
 
-func parseRecoveryInfoMode(world *mpi.Comm, out []int, err error) (int, []int, []int, []int, error) {
-	if err != nil || len(out) < 2 {
-		return 0, nil, nil, nil, fmt.Errorf("core: broadcast recovery info: %w", err)
+// decodeInfo decodes an announcement received on a communicator of the given
+// size into private slices.
+func (mc *modeCtx) decodeInfo(size int, buf []int) (recoveryInfo, error) {
+	if len(buf) < 1 {
+		return recoveryInfo{}, fmt.Errorf("core: empty recovery info")
 	}
-	// As in parseRecoveryInfo: decode from a private copy, release the
-	// broadcast buffer.
-	info := append([]int(nil), out...)
-	mpi.ReleaseBuf(out)
-	nf := info[1]
-	if len(info) < 3+nf {
-		return 0, nil, nil, nil, fmt.Errorf("core: malformed recovery info (%d ints, %d failed)", len(info), nf)
+	buf = append([]int(nil), buf...)
+	info := recoveryInfo{step: buf[0]}
+	if mc.spawn() {
+		info.failed = buf[1:]
+		return info, nil
 	}
-	failed := info[2 : 2+nf]
-	na := info[2+nf]
-	if len(info) < 3+nf+na+world.Size() {
-		return 0, nil, nil, nil, fmt.Errorf("core: malformed recovery info (%d ints, %d failed, %d abandoned, size %d)",
-			len(info), nf, na, world.Size())
+	// step, nf, failed[nf], na, abandoned[na], origOf[size]
+	if len(buf) < 3 || buf[1] < 0 || len(buf) < 3+buf[1] {
+		return recoveryInfo{}, fmt.Errorf("core: malformed recovery info (%d ints)", len(buf))
 	}
-	abandoned := info[3+nf : 3+nf+na]
-	origOf := info[3+nf+na:]
-	if len(origOf) != world.Size() {
-		return 0, nil, nil, nil, fmt.Errorf("core: recovery info maps %d positions for a size-%d communicator",
-			len(origOf), world.Size())
+	nf := buf[1]
+	na := buf[2+nf]
+	if na < 0 || len(buf) != 3+nf+na+size {
+		return recoveryInfo{}, fmt.Errorf("core: malformed recovery info (%d ints: %d failed, %d abandoned, size-%d communicator)",
+			len(buf), nf, na, size)
 	}
-	return info[0], failed, abandoned, origOf, nil
+	info.failed, info.abandoned, info.origOf = buf[2:2+nf], buf[3+nf:3+nf+na], buf[3+nf+na:]
+	return info, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -80,7 +81,7 @@ func TestRecoveryModeSmoke(t *testing.T) {
 					}
 				}
 				for _, f := range res.FailedRanks {
-					if containsInt(res.Survivors, f) {
+					if slices.Contains(res.Survivors, f) {
 						t.Errorf("%v/%v: failed rank %d among survivors", tech, mode, f)
 					}
 				}
@@ -143,12 +144,14 @@ func TestRecoveryModeDifferential(t *testing.T) {
 			}
 			got[mode] = wide
 		}
-		// The failure plan is mode-independent: every mode sees the same
-		// failed ranks (spawn's Result reports only the first event's list,
-		// the mode paths union across events — compare the shared prefix).
+		// The failure plan is mode-independent, and every mode reports the
+		// union over both events.
 		base := got[recovery.ModeSpawn].failed
+		if len(base) != 2 {
+			t.Errorf("%v: spawn reports failed ranks %v, want both events' victims", tech, base)
+		}
 		for _, mode := range modes[1:] {
-			if len(got[mode].failed) == 0 || !equalInts(got[mode].failed[:len(base)], base) {
+			if !slices.Equal(got[mode].failed, base) {
 				t.Errorf("%v: failed ranks differ: spawn %v vs %v %v",
 					tech, base, mode, got[mode].failed)
 			}
@@ -165,7 +168,7 @@ func TestRecoveryModeDifferential(t *testing.T) {
 		shr := got[recovery.ModeShrink].survivors
 		want := 0
 		for _, o := range shr {
-			for containsInt(got[recovery.ModeShrink].failed, want) {
+			for slices.Contains(got[recovery.ModeShrink].failed, want) {
 				want++
 			}
 			if o != want {

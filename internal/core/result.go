@@ -49,6 +49,10 @@ type Result struct {
 	// the analytic solution (Fig. 10).
 	L1Error float64
 
+	// FailedRanks lists every original rank that failed during the run,
+	// ascending — the union over all failure events, in every recovery mode —
+	// and LostGrids the sub-grids they belonged to (under simulated losses,
+	// the grids marked lost).
 	LostGrids   []int
 	FailedRanks []int
 	Spawned     int
@@ -61,8 +65,8 @@ type Result struct {
 	// Mode is the recovery mode the run used (spawn unless configured).
 	Mode string
 	// FinalProcs is the communicator size at the end of the run: equal to
-	// Procs under spawn and substitute, smaller under shrink/norepair when
-	// failures struck.
+	// Procs under spawn and substitute (while spares last), smaller under
+	// shrink/norepair when failures struck.
 	FinalProcs int
 	// SparesUsed counts pre-allocated spare processes consumed by
 	// substitute repairs (including spares orphaned by abandoned rounds).
@@ -70,9 +74,9 @@ type Result struct {
 	// RepairFallbacks counts substitute repair rounds that found the spare
 	// pool exhausted and degraded to shrink-only.
 	RepairFallbacks int
-	// Survivors lists, for the non-spawn modes, the original ranks present
-	// in the final communicator, in communicator order (spawn restores
-	// everything, so it is left nil there).
+	// Survivors lists the original ranks present in the final communicator,
+	// in communicator order. Spawn replaces every rank in place — the list
+	// would be the identity — and leaves it nil.
 	Survivors []int
 	// AbandonedGrids lists sub-grids abandoned by shrink/norepair
 	// recovery (no data, coefficients redistributed), ascending.

@@ -1,0 +1,149 @@
+package core
+
+import (
+	"slices"
+	"strings"
+	"testing"
+
+	"ftsg/internal/recovery"
+)
+
+// The steps below are the decisions of the rank program that need no world:
+// what a repaired communicator must look like, which state survives a
+// repair, and what rank 0 announces. Everything else in steps.go is reached
+// through core.Run on both execution paths (TestEventResultParity).
+
+func TestCheckPromise(t *testing.T) {
+	// An 8-rank world in which original rank 2 failed. The caller is original
+	// rank 5: position 5 where the size is restored, position 4 after a shrink.
+	ident := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	shrunk := []int{0, 1, 3, 4, 5, 6, 7}
+	type row struct {
+		name      string
+		pos, size int
+		origOf    []int
+		fallbacks int
+		want      string // substring of the error; "" = promise kept
+	}
+	shrinking := []row{
+		{"kept", 4, 7, shrunk, 0, ""},
+		{"rank moved", 3, 7, shrunk, 0, "holds original rank 4, want 5"},
+		{"size wrong", 5, 8, ident, 0, "did not shrink"},
+		{"position map too short", 4, 7, shrunk[:4], 0, "position map covers 4"},
+	}
+	for mode, rows := range map[recovery.Mode][]row{
+		recovery.ModeSpawn: { // the nil map is the identity and has nothing to cover
+			{"kept", 5, 8, nil, 0, ""},
+			{"rank moved", 4, 8, nil, 0, "holds original rank 4, want 5"},
+			{"size wrong", 5, 7, nil, 0, "changed communicator size 8 -> 7"},
+		},
+		recovery.ModeShrink:   shrinking,
+		recovery.ModeNoRepair: shrinking,
+		recovery.ModeSubstitute: {
+			{"kept", 5, 8, ident, 0, ""},
+			{"rank moved", 4, 8, ident, 0, "holds original rank 4, want 5"},
+			{"size wrong", 4, 7, shrunk, 0, "changed communicator size 8 -> 7"},
+			{"position map too short", 5, 8, ident[:5], 0, "position map covers 5"},
+			{"fell back", 4, 7, shrunk, 1, ""},
+			{"fell back, size wrong", 5, 8, ident, 1, "did not shrink"},
+		},
+	} {
+		for _, tc := range rows {
+			mr := &recovery.ModeResult{Rank: tc.pos, OrigOf: tc.origOf, Fallbacks: tc.fallbacks}
+			err := checkPromise(mode, 5, 8, tc.size, mr)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Errorf("%v/%s: %v", mode, tc.name, err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Errorf("%v/%s: error %v, want one containing %q", mode, tc.name, err, tc.want)
+			}
+		}
+	}
+}
+
+func TestRestorable(t *testing.T) {
+	const gridID = 3
+	for _, mode := range recovery.Modes {
+		for _, grid := range []string{"untouched", "damaged", "abandoned"} {
+			for _, gridLost := range []bool{false, true} {
+				mc := newModeCtx(mode, 8)
+				if grid == "abandoned" {
+					mc.abandoned.add(gridID)
+				}
+				damaged := grid != "untouched" // an abandoned grid was damaged first
+				// Spawn trusts the member's own mid-solve signal; the other
+				// modes the agreed damage, whatever the member saw.
+				want := !damaged
+				if mode == recovery.ModeSpawn {
+					want = !gridLost
+				}
+				if got := mc.restorable(gridLost, damaged, gridID); got != want {
+					t.Errorf("%v, grid %s, gridLost=%v: restorable = %v, want %v", mode, grid, gridLost, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestRecoveryInfoRoundTrip(t *testing.T) {
+	failed := []int{2, 6}
+	for _, mode := range recovery.Modes {
+		mc := newModeCtx(mode, 8)
+		want := recoveryInfo{step: 40, failed: failed}
+		if mode != recovery.ModeSpawn {
+			mc.origOf = []int{0, 1, 3, 4, 5, 7}
+			mc.abandoned.add(4)
+			mc.abandoned.add(1)
+			want.abandoned, want.origOf = []int{1, 4}, mc.origOf
+		}
+		size := 8 - len(failed)
+		buf := mc.encodeInfo(40, failed)
+		got, err := mc.decodeInfo(size, buf)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if got.step != want.step || !slices.Equal(got.failed, want.failed) ||
+			!slices.Equal(got.abandoned, want.abandoned) || !slices.Equal(got.origOf, want.origOf) {
+			t.Errorf("%v: decoded %+v, want %+v", mode, got, want)
+		}
+		if mode == recovery.ModeSpawn {
+			if len(buf) != 1+len(failed) {
+				t.Errorf("spawn announcement is %d ints, want the short layout's %d", len(buf), 1+len(failed))
+			}
+			if got.origOf != nil {
+				t.Errorf("spawn decoded a position map %v, want nil (the identity)", got.origOf)
+			}
+		}
+		clear(buf) // the decoded lists are a private copy
+		if !slices.Equal(got.failed, failed) {
+			t.Errorf("%v: decoded info aliases the broadcast buffer", mode)
+		}
+
+		// Damage: nothing, a payload cut anywhere, counts that overrun it, and
+		// a communicator of another size.
+		if _, err := mc.decodeInfo(size, nil); err == nil {
+			t.Errorf("%v: empty payload accepted", mode)
+		}
+		if mode == recovery.ModeSpawn {
+			continue // [step, failed...] has no shorter malformed form
+		}
+		buf = mc.encodeInfo(40, failed)
+		for n := 1; n < len(buf); n++ {
+			if _, err := mc.decodeInfo(size, buf[:n]); err == nil {
+				t.Errorf("%v: payload truncated to %d of %d ints accepted", mode, n, len(buf))
+			}
+		}
+		for _, idx := range []int{1, 2 + len(failed)} { // the failed and abandoned counts
+			for _, n := range []int{-1, len(buf) - idx, len(buf)} {
+				over := append([]int(nil), buf...)
+				over[idx] = n
+				if _, err := mc.decodeInfo(size, over); err == nil {
+					t.Errorf("%v: count at %d set to %d accepted", mode, idx, n)
+				}
+			}
+		}
+		if _, err := mc.decodeInfo(size+1, buf); err == nil {
+			t.Errorf("%v: %d-position map accepted for a size-%d communicator", mode, size, size+1)
+		}
+	}
+}
