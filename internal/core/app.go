@@ -590,7 +590,7 @@ func (r *rankState) combine() error {
 	if summand == nil {
 		return err
 	}
-	total, err := mpi.ReduceSum(roots, 0, summand)
+	total, err := mpi.Reduce(roots, 0, summand, mpi.Sum[float64])
 	return r.combined(&c, total, err)
 }
 

@@ -306,7 +306,7 @@ func (fr *fiberRank) combine() {
 				k(err)
 				return
 			}
-			mpi.FiberReduceSum(fr.f, roots, 0, summand, func(total []float64, err error) {
+			mpi.FiberReduce(fr.f, roots, 0, summand, mpi.Sum[float64], func(total []float64, err error) {
 				k(fr.combined(&c, total, err))
 			})
 		})

@@ -138,6 +138,61 @@ func TestScanDetectsFailure(t *testing.T) {
 	}
 }
 
+// TestScanLengthMismatchIsNotAFailure: a rank whose contribution has the
+// wrong length leaves the prefix chain with ErrType, and the next rank learns
+// of it at once as a mismatch, not as the death of a rank that is still
+// alive. Rank 2 stays in the world until rank 3's message arrives, so a rank
+// 3 that waited for rank 2 to exit would stall it.
+func TestScanLengthMismatchIsNotAFailure(t *testing.T) {
+	cases := []struct {
+		name  string
+		event bool
+		scan  func(f *Fiber, c *Comm, data []int, k func(error))
+	}{
+		{"Scan", false, func(_ *Fiber, c *Comm, data []int, k func(error)) {
+			_, err := Scan(c, data, Sum[int])
+			k(err)
+		}},
+		{"Exscan", false, func(_ *Fiber, c *Comm, data []int, k func(error)) {
+			_, err := Exscan(c, data, Sum[int])
+			k(err)
+		}},
+		{"FiberScan", true, func(f *Fiber, c *Comm, data []int, k func(error)) {
+			FiberScan(f, c, data, Sum[int], func(_ []int, err error) { k(err) })
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			errs := make([]error, 4)
+			runOnPath(t, Options{NProcs: 4, EventWorkers: 4, Watchdog: stallFails(t)}, tc.event, func(p *Proc, o pathOps) {
+				c := p.World()
+				me := c.Rank()
+				data := []int{1}
+				if me == 2 {
+					data = []int{1, 2, 3}
+				}
+				tc.scan(o.f, c, data, func(err error) {
+					errs[me] = err
+					switch me {
+					case 2:
+						o.recv(c, 3, 9, func(err error) { must(t, err) })
+					case 3:
+						must(t, Send(c, 2, 9, []int{0}))
+					}
+				})
+			})
+			for r, err := range errs {
+				switch {
+				case r < 2 && err != nil:
+					t.Errorf("rank %d: %v", r, err)
+				case r >= 2 && (!errors.Is(err, ErrType) || errors.Is(err, ErrProcFailed)):
+					t.Errorf("rank %d: error %v, want a mismatch (ErrType) that is not MPI_ERR_PROC_FAILED", r, err)
+				}
+			}
+		})
+	}
+}
+
 // TestCollectivesAgainstSerialReference: random inputs through
 // Reduce/Allreduce/Scan must match a serial reference computation.
 func TestCollectivesAgainstSerialReference(t *testing.T) {

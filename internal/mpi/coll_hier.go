@@ -267,99 +267,50 @@ func bcastList[T any](c *Comm, tag int, l rankList, rootIdx, myIdx int, data []T
 // partial flows through the inter-node phase without a copy. With owned false
 // the caller keeps data and the accumulator is materialised lazily (a leaf
 // copies data only at its send; an interior node's first fold combines data
-// and the received buffer directly). Returns the accumulator at the root, nil
-// elsewhere.
-func reduceList[T any](c *Comm, tag int, l rankList, rootIdx, myIdx int, data []T, owned bool, op func(T, T) T) ([]T, error) {
+// and the received buffer into the received buffer, which becomes the
+// accumulator). Returns the accumulator at the root, nil elsewhere.
+func reduceList[T any](c *Comm, tag int, l rankList, rootIdx, myIdx int, data []T, owned bool, fo folder[T]) ([]T, error) {
 	n := l.n
 	vr := (myIdx - rootIdx + n) % n
 	var acc []T
 	if owned {
 		acc = data
 	}
-	for mask := 1; mask < n; mask <<= 1 {
-		if vr&mask == 0 {
-			srcVr := vr + mask
-			if srcVr < n {
-				got, _, err := recvRaw[T](c, l.at((srcVr+rootIdx)%n), tag, true)
-				if err != nil {
-					return nil, err
-				}
-				if len(got) != len(data) {
-					return nil, fmt.Errorf("mpi: Reduce: length mismatch %d vs %d: %w", len(got), len(data), ErrType)
-				}
-				if acc == nil {
-					acc = getBuf[T](len(data))
-					for i := range acc {
-						acc[i] = op(data[i], got[i])
-					}
-				} else {
-					for i := range acc {
-						acc[i] = op(acc[i], got[i])
-					}
-				}
-				putBuf(got)
-			}
-		} else {
-			if acc == nil {
-				acc = cloneBuf(data)
-			}
-			if err := sendOwned(c, l.at((vr-mask+rootIdx)%n), tag, acc); err != nil {
+	mask := 1
+	for ; mask < n && vr&mask == 0; mask <<= 1 {
+		if srcVr := vr + mask; srcVr < n {
+			got, _, err := recvRaw[T](c, l.at((srcVr+rootIdx)%n), tag, true)
+			if err != nil {
 				return nil, err
 			}
-			return nil, nil // non-root contributors are done
+			if len(got) != len(data) {
+				return nil, fmt.Errorf("mpi: Reduce: length mismatch %d vs %d: %w", len(got), len(data), ErrType)
+			}
+			acc = foldReceived(fo, acc, data, got)
 		}
 	}
 	if acc == nil {
 		acc = cloneBuf(data)
 	}
-	return acc, nil
+	if vr == 0 {
+		return acc, nil
+	}
+	// A contributor sends its subtree's accumulator to its parent and is done.
+	return nil, sendOwned(c, l.at((vr-mask+rootIdx)%n), tag, acc)
 }
 
-// reduceListSum mirrors reduceList with op = Sum fused in (see ReduceSum).
-func reduceListSum[T Number](c *Comm, tag int, l rankList, rootIdx, myIdx int, data []T, owned bool) ([]T, error) {
-	n := l.n
-	vr := (myIdx - rootIdx + n) % n
-	var acc []T
-	if owned {
-		acc = data
-	}
-	for mask := 1; mask < n; mask <<= 1 {
-		if vr&mask == 0 {
-			srcVr := vr + mask
-			if srcVr < n {
-				got, _, err := recvRaw[T](c, l.at((srcVr+rootIdx)%n), tag, true)
-				if err != nil {
-					return nil, err
-				}
-				if len(got) != len(data) {
-					return nil, fmt.Errorf("mpi: Reduce: length mismatch %d vs %d: %w", len(got), len(data), ErrType)
-				}
-				if acc == nil {
-					acc = getBuf[T](len(data))
-					for i := range acc {
-						acc[i] = data[i] + got[i]
-					}
-				} else {
-					for i := range acc {
-						acc[i] += got[i]
-					}
-				}
-				putBuf(got)
-			}
-		} else {
-			if acc == nil {
-				acc = cloneBuf(data)
-			}
-			if err := sendOwned(c, l.at((vr-mask+rootIdx)%n), tag, acc); err != nil {
-				return nil, err
-			}
-			return nil, nil // non-root contributors are done
-		}
-	}
+// foldReceived folds a reduction tree's received contribution got into the
+// accumulator and returns the accumulator. The first fold (acc nil, data
+// still the caller's) writes op(data, got) into got, which this rank already
+// owns; later folds write op(acc, got) into acc and recycle got.
+func foldReceived[T any](fo folder[T], acc, data, got []T) []T {
 	if acc == nil {
-		acc = cloneBuf(data)
+		fo.fold(got, data, got)
+		return got
 	}
-	return acc, nil
+	fo.fold(acc, acc, got)
+	putBuf(got)
+	return acc
 }
 
 // --- hierarchical algorithms ---------------------------------------------
@@ -404,42 +355,26 @@ func hierBcast[T any](c *Comm, t *commTopo, tag, root int, data []T) ([]T, error
 // binomial over leaders to the root. The intra-node partial is always a
 // pooled buffer, consumed by the inter-node phase (owned handoff), so the
 // leader adds no copy.
-func hierReduce[T any](c *Comm, t *commTopo, tag, root int, data []T, op func(T, T) T) ([]T, error) {
+func hierReduce[T any](c *Comm, t *commTopo, tag, root int, data []T, fo folder[T]) ([]T, error) {
 	me := c.rank
 	myNode := t.nodeOf[me]
 	node := t.nodes[myNode]
 	lead := t.nodeLead(myNode, root)
-	acc, err := reduceList(c, tag, subList(node), indexOf(node, lead), indexOf(node, me), data, false, op)
+	acc, err := reduceList(c, tag, subList(node), indexOf(node, lead), indexOf(node, me), data, false, fo)
 	if err != nil {
 		return nil, err
 	}
 	if me != lead {
 		return nil, nil
 	}
-	return reduceList(c, tag, subList(t.effLeaders(root)), t.nodeOf[root], myNode, acc, true, op)
-}
-
-// hierReduceSum mirrors hierReduce with the fused Sum fold.
-func hierReduceSum[T Number](c *Comm, t *commTopo, tag, root int, data []T) ([]T, error) {
-	me := c.rank
-	myNode := t.nodeOf[me]
-	node := t.nodes[myNode]
-	lead := t.nodeLead(myNode, root)
-	acc, err := reduceListSum(c, tag, subList(node), indexOf(node, lead), indexOf(node, me), data, false)
-	if err != nil {
-		return nil, err
-	}
-	if me != lead {
-		return nil, nil
-	}
-	return reduceListSum(c, tag, subList(t.effLeaders(root)), t.nodeOf[root], myNode, acc, true)
+	return reduceList(c, tag, subList(t.effLeaders(root)), t.nodeOf[root], myNode, acc, true, fo)
 }
 
 // hierAllreduce (tree variant): hierarchical reduce to rank 0 followed by
 // hierarchical broadcast, sharing the instance tag — the direction of every
 // (src, dst) pair flips between the phases, so matching stays unambiguous.
-func hierAllreduce[T any](c *Comm, t *commTopo, tag int, data []T, op func(T, T) T) ([]T, error) {
-	buf, err := hierReduce(c, t, tag, 0, data, op)
+func hierAllreduce[T any](c *Comm, t *commTopo, tag int, data []T, fo folder[T]) ([]T, error) {
+	buf, err := hierReduce(c, t, tag, 0, data, fo)
 	if err != nil {
 		return nil, err
 	}
@@ -453,17 +388,17 @@ func hierAllreduce[T any](c *Comm, t *commTopo, tag int, data []T, op func(T, T)
 // latency. The element-wise fold order is fixed by the ring (chunk k is
 // folded in ring order ending at leader (k+1) mod L), deterministic for a
 // given topology.
-func hierAllreduceRing[T any](c *Comm, t *commTopo, tag int, data []T, op func(T, T) T) ([]T, error) {
+func hierAllreduceRing[T any](c *Comm, t *commTopo, tag int, data []T, fo folder[T]) ([]T, error) {
 	me := c.rank
 	myNode := t.nodeOf[me]
 	node := t.nodes[myNode]
 	myIdx := indexOf(node, me)
-	acc, err := reduceList(c, tag, subList(node), 0, myIdx, data, false, op)
+	acc, err := reduceList(c, tag, subList(node), 0, myIdx, data, false, fo)
 	if err != nil {
 		return nil, err
 	}
 	if myIdx == 0 {
-		if err := ringAllreduce(c, t, tag, myNode, acc, op); err != nil {
+		if err := ringAllreduce(c, t, tag, myNode, acc, fo); err != nil {
 			return nil, err
 		}
 	}
@@ -472,7 +407,7 @@ func hierAllreduceRing[T any](c *Comm, t *commTopo, tag int, data []T, op func(T
 
 // ringAllreduce runs the leader-level ring phases of hierAllreduceRing,
 // reducing acc (leader j's node partial) in place to the global result.
-func ringAllreduce[T any](c *Comm, t *commTopo, tag, j int, acc []T, op func(T, T) T) error {
+func ringAllreduce[T any](c *Comm, t *commTopo, tag, j int, acc []T, fo folder[T]) error {
 	L := len(t.leaders)
 	next := t.leaders[(j+1)%L]
 	prev := t.leaders[(j-1+L)%L]
@@ -494,9 +429,7 @@ func ringAllreduce[T any](c *Comm, t *commTopo, tag, j int, acc []T, op func(T, 
 		if len(got) != len(seg) {
 			return fmt.Errorf("mpi: Allreduce: ring chunk mismatch %d vs %d: %w", len(got), len(seg), ErrType)
 		}
-		for i := range seg {
-			seg[i] = op(seg[i], got[i])
-		}
+		fo.fold(seg, seg, got)
 		putBuf(got)
 	}
 	// Allgather: pass completed chunks around the same ring.

@@ -80,7 +80,7 @@ func runCollScript(t *testing.T, s collShape, flat bool) map[int][]float64 {
 			if me == 0 {
 				rec(float64(rm[0]))
 			}
-			ss, err := ReduceSum(c, r0, []int64{int64(me + 1)})
+			ss, err := Reduce(c, r0, []int64{int64(me + 1)}, Sum[int64])
 			must(t, err)
 			if me == r0 {
 				rec(float64(ss[0]))

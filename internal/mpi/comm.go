@@ -40,6 +40,9 @@ type commShared struct {
 	// only on the peer's program order (message sent before abort recorded
 	// before death), never on wall-clock delivery races.
 	aborts map[int]map[int]float64
+	// mismatched marks the aborts, by (tag, world rank), that a datatype or
+	// length mismatch caused rather than a failure. Guarded by World.state.
+	mismatched map[[2]int]bool
 	// quiesced records which members (world ranks) have observed the
 	// communicator's revocation and stopped participating in it. Guarded
 	// by World.state. A receiver blocked on a peer resolves to

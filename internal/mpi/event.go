@@ -261,7 +261,7 @@ func FiberBarrier(f *Fiber, c *Comm, k func(error)) {
 	tag := internalTag(kindBarrier, c.nextSeq("barrier"))
 	done := func(err error) {
 		if err != nil {
-			abortCollective(c, tag)
+			abortCollective(c, tag, err)
 			k(c.fire(err))
 			return
 		}
@@ -431,10 +431,10 @@ func fiberBcastList[T any](f *Fiber, c *Comm, tag int, l rankList, rootIdx, myId
 }
 
 // fiberReduceList is reduceList in CPS: same pooled-accumulator
-// ownership discipline, same fold order op(accumulated, received), so
-// floating-point results are bit-identical. Delivers the accumulator to the
-// continuation at the root, nil elsewhere.
-func fiberReduceList[T any](f *Fiber, c *Comm, tag int, l rankList, rootIdx, myIdx int, data []T, owned bool, op func(T, T) T, k func([]T, error)) {
+// ownership discipline, same fold (foldReceived) and fold order
+// op(accumulated, received), so floating-point results are bit-identical.
+// Delivers the accumulator to the continuation at the root, nil elsewhere.
+func fiberReduceList[T any](f *Fiber, c *Comm, tag int, l rankList, rootIdx, myIdx int, data []T, owned bool, fo folder[T], k func([]T, error)) {
 	n := l.n
 	vr := (myIdx - rootIdx + n) % n
 	var acc []T
@@ -443,22 +443,15 @@ func fiberReduceList[T any](f *Fiber, c *Comm, tag int, l rankList, rootIdx, myI
 	}
 	var step func(mask int)
 	step = func(mask int) {
-		if mask >= n {
+		if mask >= n || vr&mask != 0 {
 			if acc == nil {
 				acc = cloneBuf(data)
 			}
-			k(acc, nil)
-			return
-		}
-		if vr&mask != 0 {
-			if acc == nil {
-				acc = cloneBuf(data)
-			}
-			if err := sendOwned(c, l.at((vr-mask+rootIdx)%n), tag, acc); err != nil {
-				k(nil, err)
+			if vr == 0 {
+				k(acc, nil)
 				return
 			}
-			k(nil, nil) // non-root contributors are done
+			k(nil, sendOwned(c, l.at((vr-mask+rootIdx)%n), tag, acc))
 			return
 		}
 		srcVr := vr + mask
@@ -475,17 +468,7 @@ func fiberReduceList[T any](f *Fiber, c *Comm, tag int, l rankList, rootIdx, myI
 				k(nil, fmt.Errorf("mpi: Reduce: length mismatch %d vs %d: %w", len(got), len(data), ErrType))
 				return
 			}
-			if acc == nil {
-				acc = getBuf[T](len(data))
-				for i := range acc {
-					acc[i] = op(data[i], got[i])
-				}
-			} else {
-				for i := range acc {
-					acc[i] = op(acc[i], got[i])
-				}
-			}
-			putBuf(got)
+			acc = foldReceived(fo, acc, data, got)
 			step(mask << 1)
 		})
 	}
@@ -504,23 +487,24 @@ func FiberAllreduce[T any](f *Fiber, c *Comm, data []T, op func(T, T) T, k func(
 	tag := internalTag(kindAllreduce, c.nextSeq("allreduce"))
 	done := func(buf []T, err error) {
 		if err != nil {
-			abortCollective(c, tag)
+			abortCollective(c, tag, err)
 			k(nil, c.fire(err))
 			return
 		}
 		opEnd(c, "allreduce", t0)
 		k(buf, nil)
 	}
+	fo := newFolder(op)
 	if t := c.hierTopo(); t != nil {
 		if useRing(len(data)*elemSize[T](), len(t.leaders)) {
-			fiberHierAllreduceRing(f, c, t, tag, data, op, done)
+			fiberHierAllreduceRing(f, c, t, tag, data, fo, done)
 		} else {
-			fiberHierAllreduce(f, c, t, tag, data, op, done)
+			fiberHierAllreduce(f, c, t, tag, data, fo, done)
 		}
 		return
 	}
 	whole := wholeComm(c)
-	fiberReduceList(f, c, tag, whole, 0, c.rank, data, false, op, func(buf []T, err error) {
+	fiberReduceList(f, c, tag, whole, 0, c.rank, data, false, fo, func(buf []T, err error) {
 		if err != nil {
 			done(nil, err)
 			return
@@ -531,12 +515,12 @@ func FiberAllreduce[T any](f *Fiber, c *Comm, data []T, op func(T, T) T, k func(
 
 // fiberHierReduce mirrors hierReduce: intra-node reduce to the effective
 // leader (lazy accumulator), then an owned-handoff reduce over leaders.
-func fiberHierReduce[T any](f *Fiber, c *Comm, t *commTopo, tag, root int, data []T, op func(T, T) T, k func([]T, error)) {
+func fiberHierReduce[T any](f *Fiber, c *Comm, t *commTopo, tag, root int, data []T, fo folder[T], k func([]T, error)) {
 	me := c.rank
 	myNode := t.nodeOf[me]
 	node := t.nodes[myNode]
 	lead := t.nodeLead(myNode, root)
-	fiberReduceList(f, c, tag, subList(node), indexOf(node, lead), indexOf(node, me), data, false, op, func(acc []T, err error) {
+	fiberReduceList(f, c, tag, subList(node), indexOf(node, lead), indexOf(node, me), data, false, fo, func(acc []T, err error) {
 		if err != nil {
 			k(nil, err)
 			return
@@ -545,7 +529,7 @@ func fiberHierReduce[T any](f *Fiber, c *Comm, t *commTopo, tag, root int, data 
 			k(nil, nil)
 			return
 		}
-		fiberReduceList(f, c, tag, subList(t.effLeaders(root)), t.nodeOf[root], myNode, acc, true, op, k)
+		fiberReduceList(f, c, tag, subList(t.effLeaders(root)), t.nodeOf[root], myNode, acc, true, fo, k)
 	})
 }
 
@@ -574,8 +558,8 @@ func fiberHierBcast[T any](f *Fiber, c *Comm, t *commTopo, tag, root int, data [
 
 // fiberHierAllreduce mirrors hierAllreduce: hierarchical reduce to rank 0,
 // then hierarchical bcast, one shared tag.
-func fiberHierAllreduce[T any](f *Fiber, c *Comm, t *commTopo, tag int, data []T, op func(T, T) T, k func([]T, error)) {
-	fiberHierReduce(f, c, t, tag, 0, data, op, func(buf []T, err error) {
+func fiberHierAllreduce[T any](f *Fiber, c *Comm, t *commTopo, tag int, data []T, fo folder[T], k func([]T, error)) {
+	fiberHierReduce(f, c, t, tag, 0, data, fo, func(buf []T, err error) {
 		if err != nil {
 			k(nil, err)
 			return
@@ -586,12 +570,12 @@ func fiberHierAllreduce[T any](f *Fiber, c *Comm, t *commTopo, tag int, data []T
 
 // fiberHierAllreduceRing mirrors hierAllreduceRing: intra-node reduce, ring
 // reduce-scatter + allgather over node leaders, intra-node bcast.
-func fiberHierAllreduceRing[T any](f *Fiber, c *Comm, t *commTopo, tag int, data []T, op func(T, T) T, k func([]T, error)) {
+func fiberHierAllreduceRing[T any](f *Fiber, c *Comm, t *commTopo, tag int, data []T, fo folder[T], k func([]T, error)) {
 	me := c.rank
 	myNode := t.nodeOf[me]
 	node := t.nodes[myNode]
 	myIdx := indexOf(node, me)
-	fiberReduceList(f, c, tag, subList(node), 0, myIdx, data, false, op, func(acc []T, err error) {
+	fiberReduceList(f, c, tag, subList(node), 0, myIdx, data, false, fo, func(acc []T, err error) {
 		if err != nil {
 			k(nil, err)
 			return
@@ -607,14 +591,14 @@ func fiberHierAllreduceRing[T any](f *Fiber, c *Comm, t *commTopo, tag int, data
 			fin(nil)
 			return
 		}
-		fiberRingAllreduce(f, c, t, tag, myNode, acc, op, fin)
+		fiberRingAllreduce(f, c, t, tag, myNode, acc, fo, fin)
 	})
 }
 
 // fiberRingAllreduce is ringAllreduce in CPS: the leader-ring
 // reduce-scatter and allgather phases, reducing acc in place with the same
 // chunking and ring fold order.
-func fiberRingAllreduce[T any](f *Fiber, c *Comm, t *commTopo, tag, j int, acc []T, op func(T, T) T, k func(error)) {
+func fiberRingAllreduce[T any](f *Fiber, c *Comm, t *commTopo, tag, j int, acc []T, fo folder[T], k func(error)) {
 	L := len(t.leaders)
 	next := t.leaders[(j+1)%L]
 	prev := t.leaders[(j-1+L)%L]
@@ -643,9 +627,7 @@ func fiberRingAllreduce[T any](f *Fiber, c *Comm, t *commTopo, tag, j int, acc [
 				k(fmt.Errorf("mpi: Allreduce: ring chunk mismatch %d vs %d: %w", len(got), len(seg), ErrType))
 				return
 			}
-			for i := range seg {
-				seg[i] = op(seg[i], got[i])
-			}
+			fo.fold(seg, seg, got)
 			putBuf(got)
 			scatter(step + 1)
 		})

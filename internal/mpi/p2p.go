@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
@@ -499,9 +500,14 @@ func recvVerdict(c *Comm, src, tag int, internal bool) verdict {
 		if internal && c.sh.hasAborts.Load() {
 			w.state.RLock()
 			at, ok := c.sh.aborts[tag][pw]
+			mismatch := c.sh.mismatched[[2]int{tag, pw}]
 			w.state.RUnlock()
 			if ok {
-				return verdict{err: failedErr(-1, -1), abort: true, at: at}
+				err := failedErr(-1, -1)
+				if mismatch {
+					err = errPeerMismatch
+				}
+				return verdict{err: err, abort: true, at: at}
 			}
 		}
 		if c.sh.revoked.Load() {
@@ -637,15 +643,20 @@ func hasUnacked(w *World, c *Comm) bool {
 	return false
 }
 
+// errPeerMismatch is what the peers of a member that left over a mismatch
+// receive. That member is alive: this is not MPI_ERR_PROC_FAILED.
+var errPeerMismatch = fmt.Errorf("mpi: a peer left the collective over a mismatch: %w", ErrType)
+
 // abortCollective records that the caller bailed out of collective instance
-// (comm, tag) and wakes the members receiving from it, guaranteeing that peers
-// blocked inside the same collective observe MPI_ERR_PROC_FAILED instead of
-// deadlocking — the behaviour the paper relies on when using MPI_Barrier for
-// failure detection. The abort is a per-instance record rather than an
-// injected message so that a receiver consults only the fate of the specific
-// peer it awaits; mailbox arrival order (wall-clock dependent) never decides
-// the outcome.
-func abortCollective(c *Comm, tag int) {
+// (comm, tag) because of cause and wakes the members receiving from it,
+// guaranteeing that peers blocked inside the same collective observe
+// MPI_ERR_PROC_FAILED (or errPeerMismatch) instead of deadlocking — the
+// behaviour the paper relies on when using MPI_Barrier for failure
+// detection. The abort is a per-instance record rather than an injected
+// message so that a receiver consults only the fate of the specific peer it
+// awaits; mailbox arrival order (wall-clock dependent) never decides the
+// outcome.
+func abortCollective(c *Comm, tag int, cause error) {
 	st := c.p.st
 	w := st.w
 	w.state.Lock()
@@ -659,6 +670,12 @@ func abortCollective(c *Comm, tag int) {
 	}
 	if _, ok := m[st.wrank]; !ok {
 		m[st.wrank] = st.clock.Now()
+		if errors.Is(cause, ErrType) {
+			if c.sh.mismatched == nil {
+				c.sh.mismatched = make(map[[2]int]bool)
+			}
+			c.sh.mismatched[[2]int{tag, st.wrank}] = true
+		}
 	}
 	c.sh.hasAborts.Store(true)
 	// Only a receive naming the aborter consults its abort record.

@@ -286,7 +286,7 @@ func TestRecvIntoParkedFailureParity(t *testing.T) {
 		{"source death", func(p *Proc, c *Comm) { p.Kill() }},
 		{"revoke by source", func(p *Proc, c *Comm) { _ = c.Revoke() }},
 		{"abort then message", func(p *Proc, c *Comm) {
-			abortCollective(c, internalTag(kindBarrier, 0))
+			abortCollective(c, internalTag(kindBarrier, 0), ErrProcFailed)
 			must(t, Send(c, 1, 6, []int{77}))
 		}},
 	}
