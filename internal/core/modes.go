@@ -265,16 +265,11 @@ func (rs *runState) survivorScheme(mc *modeCtx) (combine.Scheme, error) {
 }
 
 // restorable reports whether the state a survivor held before a repair is
-// carried into its rebuilt solver. Spawn rebuilds every group in its old
-// shape, so a member's own mid-solve signal (gridLost) decides, and
-// recoverData overwrites what it must. Where groups can shrink, all members
-// of a grid must act alike, so the broadcast-agreed damage decides: a
-// damaged grid's state is rebuilt by recoverData or the grid is abandoned,
-// and restoring would be redundant or shape-mismatched.
-func (mc *modeCtx) restorable(gridLost, damaged bool, gridID int) bool {
-	if mc.spawn() {
-		return !gridLost
-	}
+// carried into its rebuilt solver. All members of a grid must act alike, so
+// the broadcast-agreed damage decides, in every mode: a damaged grid's state
+// is rebuilt by recoverData or the grid is abandoned, and restoring would be
+// redundant or, where groups can shrink, shape-mismatched.
+func (mc *modeCtx) restorable(damaged bool, gridID int) bool {
 	return !damaged && !mc.abandoned[gridID]
 }
 

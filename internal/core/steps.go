@@ -405,7 +405,7 @@ func (r *rankState) retire() carried {
 // durable before recovery reads it back.
 func (r *rankState) carryOver(old carried) error {
 	damaged := slices.ContainsFunc(r.failedList, r.mine.has)
-	if old.state != nil && r.mc.restorable(r.gridLost, damaged, r.mine.ID) {
+	if old.state != nil && r.mc.restorable(damaged, r.mine.ID) {
 		if err := r.solver.Restore(old.step, old.state); err != nil {
 			return err
 		}

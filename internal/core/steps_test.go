@@ -65,21 +65,14 @@ func TestRestorable(t *testing.T) {
 	const gridID = 3
 	for _, mode := range recovery.Modes {
 		for _, grid := range []string{"untouched", "damaged", "abandoned"} {
-			for _, gridLost := range []bool{false, true} {
-				mc := newModeCtx(mode, 8)
-				if grid == "abandoned" {
-					mc.abandoned.add(gridID)
-				}
-				damaged := grid != "untouched" // an abandoned grid was damaged first
-				// Spawn trusts the member's own mid-solve signal; the other
-				// modes the agreed damage, whatever the member saw.
-				want := !damaged
-				if mode == recovery.ModeSpawn {
-					want = !gridLost
-				}
-				if got := mc.restorable(gridLost, damaged, gridID); got != want {
-					t.Errorf("%v, grid %s, gridLost=%v: restorable = %v, want %v", mode, grid, gridLost, got, want)
-				}
+			mc := newModeCtx(mode, 8)
+			if grid == "abandoned" {
+				mc.abandoned.add(gridID)
+			}
+			damaged := grid != "untouched" // an abandoned grid was damaged first
+			// Every mode follows the agreed damage, whatever the member saw.
+			if got, want := mc.restorable(damaged, gridID), !damaged; got != want {
+				t.Errorf("%v, grid %s: restorable = %v, want %v", mode, grid, got, want)
 			}
 		}
 	}

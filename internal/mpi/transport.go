@@ -92,15 +92,24 @@ func payload[T any](env *envelope) ([]T, bool) {
 
 // copyIn copies data into transport-owned memory and stores it in env.
 // Pointer-free payloads come from the buffer pool (refilled from the
-// sender's slab); anything else gets a dedicated typed allocation.
+// sender's slab); anything else gets a dedicated typed allocation. A fresh
+// allocation is made together with the copy (runtime.makeslicecopy), which
+// clears only the part of the buffer past the payload: a 40 KiB collective
+// result is not zeroed first and then overwritten.
 func copyIn[T any](env *envelope, st *procState, data []T) {
 	n := len(data)
 	if n == 0 {
 		setPayload(env, data)
 		return
 	}
-	dst := acquire[T](st, n)
-	copy(dst, data)
+	dst, fresh := pooled[T](st, n)
+	if dst == nil {
+		dst = make([]T, fresh)
+		copy(dst, data)
+		dst = dst[:n]
+	} else {
+		copy(dst, data)
+	}
 	setPayload(env, dst)
 }
 
@@ -124,7 +133,7 @@ func pointerFreeKind(t reflect.Type) bool {
 // costs (amortised) almost no allocation even when the receiver never
 // releases it. Chunks are untyped bytes, invisible to the garbage
 // collector's pointer scans, so only pointer-free element types are carved
-// from them (see acquire). Carved regions are disjoint and handed out with
+// from them (see pooled). Carved regions are disjoint and handed out with
 // their exact capacity, so neighbouring buffers can never be reached
 // through append. A chunk is freed by the GC once no carve of it is in use
 // or pooled.
@@ -555,23 +564,26 @@ func classCeil(n int) int {
 	return k
 }
 
-// acquire returns a []T of length n with unspecified contents; callers must
-// overwrite every element. Pointer-free T is served from the pool; a miss
-// below slabMax is carved from st's slab when the caller is a sender
-// (st != nil), so small buffers that are never released keep their amortised
-// allocation cost. Pointerful T is a plain typed allocation.
-func acquire[T any](st *procState, n int) []T {
+// pooled returns a []T of length n with unspecified contents from the pool
+// or, when the caller is a sender (st != nil), carved from st's slab: every
+// pointer-free request below minPooled, and a pool miss below slabMax, so
+// small buffers that are never released keep their amortised allocation
+// cost. Otherwise it returns nil and the length of the fresh []T the caller
+// must allocate: the request's class in elements, so the buffer joins that
+// class when released, or n for pointerful T and sizes the pool does not
+// serve.
+func pooled[T any](st *procState, n int) ([]T, int) {
 	es := elemSize[T]()
 	bytes := n * es
 	if !pointerFreeKind(typeOf[T]()) || (bytes < minPooled && st == nil) {
-		return make([]T, n)
+		return nil, n
 	}
 	if bytes < minPooled {
-		return unsafe.Slice((*T)(st.sl.alloc(bytes)), n)
+		return unsafe.Slice((*T)(st.sl.alloc(bytes)), n), 0
 	}
 	k := classCeil(bytes)
 	if k >= numClasses {
-		return make([]T, n)
+		return nil, n
 	}
 	size := classSize(k)
 	var p unsafe.Pointer
@@ -581,14 +593,24 @@ func acquire[T any](st *procState, n int) []T {
 	if p == nil {
 		p, _ = bufClasses[k].Get().(unsafe.Pointer)
 	}
-	switch {
-	case p != nil:
-	case size < slabMax && st != nil:
+	if p == nil && size < slabMax && st != nil {
 		p = st.sl.alloc(size)
-	default:
-		p = unsafe.Pointer(unsafe.SliceData(make([]byte, size)))
 	}
-	return unsafe.Slice((*T)(p), size/es)[:n]
+	if p == nil {
+		return nil, size / es
+	}
+	return unsafe.Slice((*T)(p), size/es)[:n], 0
+}
+
+// acquire returns a []T of length n with unspecified contents; callers must
+// overwrite every element. Pointer-free T is served by pooled; pointerful T is
+// a plain typed allocation.
+func acquire[T any](st *procState, n int) []T {
+	b, fresh := pooled[T](st, n)
+	if b == nil {
+		b = make([]T, fresh)[:n]
+	}
+	return b
 }
 
 // getBuf is acquire for callers that are not copying a send: staging blocks,

@@ -9,7 +9,8 @@ package pde
 // float64 it produces. Only the five loop-invariant coefficient products are
 // hoisted (each is the left-most factor chain of its term, so hoisting does
 // not re-associate anything); no partial sums are shared between terms and
-// nothing is fused.
+// nothing is fused. The tree has a second transcription, four lanes wide, in
+// stencil_amd64.s: a change to one must be made to the other.
 
 // lwCoef holds the loop-invariant products of one Lax–Wendroff step with
 // Courant numbers cx, cy.
@@ -46,10 +47,22 @@ func (c *lwCoef) cell(south, centre, north []float64, iw, i, ie int) float64 {
 
 // interior updates dst[i] for 0 < i < len(centre)-1, the cells whose east and
 // west neighbours are the adjacent elements of the same row. All four rows
-// must be at least len(centre) long; re-slicing them to that one length, and
-// counting by the east column (the largest index touched), lets the compiler
-// drop every bounds check from the loop.
+// must be at least len(centre) long. With AVX, lwRowAVX updates the cells in
+// groups of four and interiorGo finishes the last zero to three; otherwise
+// interiorGo updates them all.
 func (c *lwCoef) interior(dst, south, centre, north []float64) {
+	n := len(centre)
+	if k := (n - 2) &^ 3; useAVX && k > 0 {
+		lwRowAVX(c, dst[:n], south[:n], centre, north[:n])
+		dst, south, centre, north = dst[k:], south[k:], centre[k:], north[k:]
+	}
+	c.interiorGo(dst, south, centre, north)
+}
+
+// interiorGo is interior one cell at a time. Re-slicing the four rows to one
+// length, and counting by the east column (the largest index touched), lets
+// the compiler drop every bounds check from the loop.
+func (c *lwCoef) interiorGo(dst, south, centre, north []float64) {
 	n := len(centre)
 	dst, south, north = dst[:n], south[:n], north[:n]
 	for ie := 2; ie < n; ie++ {

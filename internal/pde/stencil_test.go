@@ -97,15 +97,49 @@ func stepHaloRows(w, v []float64, nx, ny int, c lwCoef) {
 	}
 }
 
+// cpuAVX records whether lwCoef.interior found the AVX row kernel usable.
+var cpuAVX = useAVX
+
+// rowPath is one way lwCoef.interior can run: the Go loop alone ("go") or
+// the AVX row kernel in front of it ("avx").
+type rowPath struct {
+	name string
+	avx  bool
+}
+
+// rowPathsHere lists the row paths this CPU can run.
+func rowPathsHere() []rowPath {
+	paths := []rowPath{{"go", false}}
+	if cpuAVX {
+		paths = append(paths, rowPath{"avx", true})
+	}
+	return paths
+}
+
+// rowPaths runs f as a subtest once per row path. All must produce the same
+// bits.
+func rowPaths(t *testing.T, f func(t *testing.T)) {
+	defer func(saved bool) { useAVX = saved }(useAVX)
+	for _, p := range rowPathsHere() {
+		useAVX = p.avx
+		t.Run(p.name, f)
+	}
+}
+
 // TestRowKernelsMatchModuloOracle runs each row kernel and its oracle side by
 // side from the same random field for a dozen steps, over every shape class
 // of the peel: nx = 1 (a column that is its own neighbour), nx = 2 (each
 // column the other's east and west), nx = 3 (one interior cell), odd and
-// even, power of two or not.
+// even, power of two or not. Between them, nx = 6 to 11 leave every
+// remainder of zero to three cells after the AVX kernel's groups of four.
 func TestRowKernelsMatchModuloOracle(t *testing.T) {
+	rowPaths(t, testRowKernelsMatchModuloOracle)
+}
+
+func testRowKernelsMatchModuloOracle(t *testing.T) {
 	const steps = 12
 	rng := rand.New(rand.NewSource(22))
-	for _, nx := range []int{1, 2, 3, 4, 5, 8, 33, 64} {
+	for _, nx := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 33, 64} {
 		for _, ny := range []int{1, 2, 3, 8} {
 			for _, sign := range [][2]float64{{1, 1}, {1, -1}, {-1, 1}, {-1, -1}} {
 				cx, cy := 0.4*sign[0], 0.3*sign[1]
@@ -151,11 +185,72 @@ func TestRowKernelsMatchModuloOracle(t *testing.T) {
 	}
 }
 
+// TestAVXRowMatchesGoLoop compares interior through the AVX row kernel with
+// the Go loop alone, cell by cell, on rows of 0 to 70 cells. The rows start at
+// odd element offsets of one backing array, so their alignment varies, and
+// hold signed zeros, infinities, subnormals, values whose products overflow
+// and NaN beside ordinary values. Every result must have the Go loop's bits,
+// except that a NaN need only be a NaN (its payload is the hardware's
+// choice); the edge columns must stay untouched.
+func TestAVXRowMatchesGoLoop(t *testing.T) {
+	if !cpuAVX {
+		t.Skip("no AVX on this CPU")
+	}
+	defer func(saved bool) { useAVX = saved }(useAVX)
+	useAVX = true
+	const maxLen, stride = 70, 74 // stride even: every row starts odd
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		5e-324, -5e-324, 2.2250738585072009e-308, math.MaxFloat64, -math.MaxFloat64}
+	rng := rand.New(rand.NewSource(28))
+	value := func() float64 {
+		switch r := rng.Intn(16); {
+		case r == 0:
+			return special[rng.Intn(len(special))]
+		case r < 4:
+			return (rng.Float64()*2 - 1) * 1e-307 // subnormal once scaled by a coefficient
+		case r < 6:
+			return (rng.Float64()*2 - 1) * 1e308
+		default:
+			return rng.Float64()*2 - 1
+		}
+	}
+	const sentinel = -12345.0
+	back := make([]float64, 5*stride)
+	for _, cxy := range [][2]float64{{0.4, 0.3}, {-0.9, 0.7}, {1, -1}} {
+		lw := newLWCoef(cxy[0], cxy[1])
+		for n := 0; n <= maxLen; n++ {
+			for _, off := range []int{1, 3} {
+				row := func(r int) []float64 { return back[off+r*stride : off+r*stride+n] }
+				south, centre, north, vec, scal := row(0), row(1), row(2), row(3), row(4)
+				for trial := 0; trial < 4; trial++ {
+					for i := 0; i < n; i++ {
+						south[i], centre[i], north[i] = value(), value(), value()
+						vec[i], scal[i] = sentinel, sentinel
+					}
+					lw.interior(vec, south, centre, north)
+					lw.interiorGo(scal, south, centre, north)
+					for i := range scal {
+						if g, v := scal[i], vec[i]; math.IsNaN(g) && !math.IsNaN(v) ||
+							!math.IsNaN(g) && math.Float64bits(v) != math.Float64bits(g) {
+							t.Fatalf("c=%v n=%d offset %d trial %d cell %d: AVX %v (%#x), Go %v (%#x)",
+								cxy, n, off, trial, i, v, math.Float64bits(v), g, math.Float64bits(g))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSerialStepsMatchModuloOracle checks the serial steppers end to end —
 // row sweep, periodic duplicate column and row, copy back into g.V — against
 // the oracles on the grid's nx × ny unknowns, down to one-column and one-row
 // grids.
 func TestSerialStepsMatchModuloOracle(t *testing.T) {
+	rowPaths(t, testSerialStepsMatchModuloOracle)
+}
+
+func testSerialStepsMatchModuloOracle(t *testing.T) {
 	const steps = 10
 	steppers := []struct {
 		name   string
@@ -272,6 +367,10 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 // The solvers alternate between two buffers, so a stale halo or a read from
 // the wrong buffer would show at one parity only.
 func TestSolversMatchSerialAtBothParities(t *testing.T) {
+	rowPaths(t, testSolversMatchSerialAtBothParities)
+}
+
+func testSolversMatchSerialAtBothParities(t *testing.T) {
 	prob := &Problem{Ax: 1.0, Ay: -0.5, U0: offsetWaves}
 	for _, lv := range swapLevels {
 		dt := StableDt(1/float64(int(1)<<lv.I), 1/float64(int(1)<<lv.J), prob.Ax, prob.Ay, 0.8)
