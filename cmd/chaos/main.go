@@ -29,9 +29,7 @@ import (
 
 	"ftsg/internal/chaos"
 	"ftsg/internal/metrics"
-	"ftsg/internal/mpi"
 	"ftsg/internal/telemetry"
-	"ftsg/internal/trace"
 )
 
 func main() { os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -53,7 +51,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		showMet    = fs.Bool("metrics", false, "print the aggregate instrumentation summary over every run of the campaign (controls, chaos runs and replays, merged in submission order)")
 		metOut     = fs.String("metrics-out", "", "write the aggregate instrumentation summary to this file")
 		traceOut   = fs.String("trace-out", "", "write the Chrome trace_event JSON of the first cell's chaos run to this file (load in ui.perfetto.dev)")
-		serve      = fs.String("serve", "", "serve live telemetry over HTTP on this address (e.g. :9090) while the campaign runs: GET /metrics (aggregate, streaming in per cell), /debug/ranks, /healthz")
+		serve      = fs.String("serve", "", "serve live telemetry over HTTP on this address (e.g. :9090) while the campaign runs: GET /metrics (aggregate, streaming in per cell), /healthz")
 		dumpDir    = fs.String("dump-dir", ".", "directory for per-violation trace post-mortems")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -85,7 +83,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		reg = metrics.New()
 	}
 	if *serve != "" {
-		srv := &telemetry.Server{Registry: reg, Trace: trace.New(nil), Introspect: &mpi.Introspection{}}
+		srv := &telemetry.Server{Registry: reg}
 		addr, stop, err := srv.Start(*serve)
 		if err != nil {
 			return fail(err)

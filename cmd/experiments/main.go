@@ -148,7 +148,7 @@ func main() {
 	if *serve != "" {
 		intro := &mpi.Introspection{}
 		opts.Introspect = intro
-		srv := &tele.Server{Registry: reg, Trace: trace.New(nil), Introspect: intro}
+		srv := &tele.Server{Registry: reg, Introspect: intro}
 		addr, stop, err := srv.Start(*serve)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -205,7 +205,7 @@ func parseRecoveryModes(s string) ([]recovery.Mode, error) {
 func writeRepresentativeTrace(path string, opts harness.Options) error {
 	opts = opts.WithDefaults()
 	dp := opts.DiagProcsList[len(opts.DiagProcsList)-1]
-	rec := trace.New(nil)
+	rec := trace.New()
 	cfg := core.Config{
 		Technique:    core.ResamplingCopying,
 		DiagProcs:    dp,

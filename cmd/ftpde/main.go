@@ -113,8 +113,8 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	cfg.CheckpointGenerations = *ckptGens
 	cfg.CheckpointAsync = *ckptAsync
 	var rec *trace.Recorder
-	if *showTrace || *traceOut != "" {
-		rec = trace.New(nil)
+	if *showTrace || *traceOut != "" || *eventsOut != "" || *serve != "" {
+		rec = trace.New()
 		cfg.Trace = rec
 	}
 	var reg *metrics.Registry
@@ -122,18 +122,9 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		reg = metrics.New()
 		cfg.Metrics = reg
 	}
-	var journal *telemetry.Journal
-	if *eventsOut != "" {
-		journal = telemetry.NewJournal()
-		cfg.Journal = journal
-	}
 	var stopServe func() error
 	if *serve != "" {
 		// Scraping needs live instruments even when the print flags are off.
-		if rec == nil {
-			rec = trace.New(nil)
-			cfg.Trace = rec
-		}
 		if reg == nil {
 			reg = metrics.New()
 			cfg.Metrics = reg
@@ -188,14 +179,14 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 	if *eventsOut != "" {
 		err := writeFileWith(*eventsOut, func(w io.Writer) error {
-			return journal.WriteJSONL(w, true)
+			return rec.WriteJSONL(w, true)
 		})
 		if err != nil {
 			fmt.Fprintln(stderr, "ftpde:", err)
 			return 1
 		}
 		if !*quiet {
-			fmt.Fprintf(stdout, "event journal written to %s (%d events)\n", *eventsOut, journal.Len())
+			fmt.Fprintf(stdout, "event journal written to %s (%d events)\n", *eventsOut, len(rec.Notes()))
 		}
 	}
 	if stopServe != nil {

@@ -142,7 +142,7 @@ func runOnce(cfg core.Config, label, repro string, stallTimeout time.Duration) (
 		stallTimeout = DefaultStallTimeout
 	}
 	reg := metrics.New()
-	rec := trace.New(nil)
+	rec := trace.New()
 	cfg.Metrics = reg
 	cfg.Trace = rec
 	cfg.Watchdog = mpi.Watchdog{

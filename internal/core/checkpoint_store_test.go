@@ -34,7 +34,7 @@ func ckptChaosCfg() Config {
 func ckptFingerprint(t *testing.T, cfg Config) string {
 	t.Helper()
 	reg := metrics.New()
-	rec := trace.New(nil)
+	rec := trace.New()
 	cfg.Metrics = reg
 	cfg.Trace = rec
 	res, err := Run(cfg)
@@ -143,7 +143,7 @@ func TestCRSurvivesWriteErrors(t *testing.T) {
 // under a ckpt-flush trace span, in sync and async mode alike.
 func TestFlushSpanEmitted(t *testing.T) {
 	for _, async := range []bool{false, true} {
-		rec := trace.New(nil)
+		rec := trace.New()
 		cfg := ckptChaosCfg()
 		cfg.Trace = rec
 		cfg.CheckpointAsync = async

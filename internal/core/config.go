@@ -17,7 +17,6 @@ import (
 	"ftsg/internal/mpi"
 	"ftsg/internal/pde"
 	"ftsg/internal/recovery"
-	"ftsg/internal/telemetry"
 	"ftsg/internal/trace"
 	"ftsg/internal/vtime"
 )
@@ -197,7 +196,10 @@ type Config struct {
 	SerialCombine bool
 	// Trace, when non-nil, records a virtual-time event timeline of the
 	// run (detection, repair, recovery, checkpoints, combination), with
-	// spans for every protocol phase exportable as a Chrome/Perfetto trace.
+	// spans for every protocol phase exportable as a Chrome/Perfetto trace,
+	// and the failure-handling journal (fault injections, detections,
+	// repair phases, checkpoint commit/fallback/restore) as notes that
+	// render as JSONL.
 	Trace *trace.Recorder
 	// Metrics, when non-nil, instruments the run: MPI message/byte
 	// counters, per-op latency histograms, and modelled cost attribution
@@ -209,12 +211,6 @@ type Config struct {
 	// checkpoint I/O bytes) are populated — the harness uses this to add
 	// deterministic per-cell telemetry columns.
 	Telemetry bool
-	// Journal, when non-nil, receives the run's structured failure-handling
-	// events (failure detection, repair-phase transitions, checkpoint
-	// commit/fallback/restore, fault injections), each stamped with virtual
-	// time, rank and communicator epoch. nil disables journaling at zero
-	// cost.
-	Journal *telemetry.Journal
 	// Introspect, when non-nil, registers the run's MPI world for the
 	// duration of the job so the telemetry server's /debug/ranks endpoint
 	// can take on-demand per-rank blocked-op snapshots.

@@ -281,7 +281,7 @@ func TestParallelCombineFaster(t *testing.T) {
 // TestTraceTimeline: a real-failure run emits the protocol phases in causal
 // order — repair before data recovery before combination.
 func TestTraceTimeline(t *testing.T) {
-	rec := trace.New(nil)
+	rec := trace.New()
 	cfg := fastCfg(AlternateCombination)
 	cfg.NumFailures = 2
 	cfg.RealFailures = true
@@ -310,7 +310,7 @@ func TestTraceTimeline(t *testing.T) {
 
 // TestTraceCheckpointEvents: a CR run records one event per checkpoint.
 func TestTraceCheckpointEvents(t *testing.T) {
-	rec := trace.New(nil)
+	rec := trace.New()
 	cfg := fastCfg(CheckpointRestart)
 	cfg.Trace = rec
 	res, err := Run(cfg)
@@ -331,7 +331,7 @@ func TestMultiEventFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := trace.New(nil)
+	rec := trace.New()
 	cfg := base
 	cfg.RealFailures = true
 	cfg.FailSchedule = []faultgen.Event{{Step: 10, Failures: 1}, {Step: 40, Failures: 2}}

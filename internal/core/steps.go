@@ -186,7 +186,7 @@ func (r *rankState) admit(mr *recovery.ModeResult, buf []int, err error, tAttach
 	r.cfg.Trace.Emit(r.p.Now(), r.rank, "respawn",
 		"replacement world id %d attached on host %d, rejoining at step %d",
 		r.p.WorldRank(), r.p.Host(), r.cur)
-	r.cfg.Journal.Emit(r.p.Now(), r.rank, r.epoch, "respawn",
+	r.cfg.Trace.Note(r.p.Now(), r.rank, r.epoch, "respawn",
 		slog.Int("step", r.cur), slog.Int("world_id", r.p.WorldRank()), slog.Int("host", r.p.Host()))
 	return nil
 }
@@ -221,10 +221,8 @@ func (r *rankState) pollFaults(s int) {
 	if r.replacement || plan == nil {
 		return
 	}
-	if r.cfg.Journal != nil {
-		if at, ok := plan.DeathStep(r.rank); ok && at == s {
-			r.cfg.Journal.Emit(r.p.Now(), r.rank, r.epoch, "fault-inject", slog.Int("step", s))
-		}
+	if at, ok := plan.DeathStep(r.rank); ok && at == s {
+		r.cfg.Trace.Note(r.p.Now(), r.rank, r.epoch, "fault-inject", slog.Int("step", s))
 	}
 	plan.Poll(r.p, r.rank, s)
 }
@@ -277,7 +275,7 @@ func (r *rankState) commit() error {
 		rs.res.CheckpointWrites++
 		rs.mu.Unlock()
 		r.cfg.Trace.Emit(p.Now(), r.rank, "checkpoint", "checkpoint written at step %d", r.cur)
-		r.cfg.Journal.Emit(p.Now(), r.rank, r.epoch, "checkpoint-commit", slog.Int("step", r.cur))
+		r.cfg.Trace.Note(p.Now(), r.rank, r.epoch, "checkpoint-commit", slog.Int("step", r.cur))
 	}
 	return nil
 }
@@ -363,14 +361,11 @@ func (r *rankState) agreed(buf []int, err error) error {
 }
 
 func (r *rankState) logRepair() {
-	now, journal, st := r.p.Now(), r.cfg.Journal, &r.st
-	r.cfg.Trace.Emit(now, r.rank, "repair",
+	now, rec, st := r.p.Now(), r.cfg.Trace, &r.st
+	rec.Emit(now, r.rank, "repair",
 		"failed ranks %v repaired at step %d (shrink %.2fs, spawn %.2fs, merge %.3fs, agree %.2fs, split %.3fs)",
 		r.failedList, r.cur, st.ShrinkTime, st.SpawnTime, st.MergeTime, st.AgreeTime, st.SplitTime)
-	if journal == nil {
-		return
-	}
-	journal.Emit(now, r.rank, r.epoch, "failure-detected",
+	rec.Note(now, r.rank, r.epoch, "failure-detected",
 		slog.Int("step", r.cur), slog.String("failed", fmt.Sprint(r.failedList)))
 	for _, ph := range []struct {
 		name    string
@@ -380,7 +375,7 @@ func (r *rankState) logRepair() {
 		{"spawn", st.SpawnTime}, {"merge", st.MergeTime},
 		{"agree", st.AgreeTime}, {"split", st.SplitTime},
 	} {
-		journal.Emit(now, r.rank, r.epoch, "repair-phase",
+		rec.Note(now, r.rank, r.epoch, "repair-phase",
 			slog.String("phase", ph.name), slog.Float64("seconds", ph.seconds),
 			slog.Int("step", r.cur))
 	}
@@ -529,7 +524,7 @@ func (r *rankState) crRestart() error {
 
 func (r *rankState) journalRestore(step int) {
 	if r.gcomm.Rank() == 0 {
-		r.cfg.Journal.Emit(r.p.Now(), r.world.Rank(), r.epoch, "checkpoint-restore",
+		r.cfg.Trace.Note(r.p.Now(), r.world.Rank(), r.epoch, "checkpoint-restore",
 			slog.Int("grid", r.mine.ID), slog.Int("step", step))
 	}
 }
@@ -567,7 +562,7 @@ func (r *rankState) crSettle(step int, data []float64, allOK []int64, err error)
 		return true, r.solver.Restore(step, data)
 	}
 	if r.gcomm.Rank() == 0 {
-		r.cfg.Journal.Emit(r.p.Now(), r.world.Rank(), r.epoch, "checkpoint-fallback",
+		r.cfg.Trace.Note(r.p.Now(), r.world.Rank(), r.epoch, "checkpoint-fallback",
 			slog.Int("grid", r.mine.ID), slog.Int("step", step))
 	}
 	out := r.crCand[:0]

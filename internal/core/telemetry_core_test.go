@@ -9,21 +9,20 @@ import (
 	"strings"
 	"testing"
 
-	"ftsg/internal/telemetry"
 	"ftsg/internal/trace"
 )
 
-// journalBytes runs cfg with a journal attached and returns the canonical
-// (wall-clock-free) JSONL rendering.
+// journalBytes runs cfg with a full recorder attached and returns its notes'
+// canonical (wall-clock-free) JSONL rendering.
 func journalBytes(t *testing.T, cfg Config) []byte {
 	t.Helper()
-	j := telemetry.NewJournal()
-	cfg.Journal = j
+	rec := trace.New()
+	cfg.Trace = rec
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
 	var b bytes.Buffer
-	if err := j.WriteJSONL(&b, false); err != nil {
+	if err := rec.WriteJSONL(&b, false); err != nil {
 		t.Fatal(err)
 	}
 	return b.Bytes()

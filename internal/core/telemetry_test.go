@@ -62,7 +62,7 @@ func TestSharedRegistryAggregates(t *testing.T) {
 // TestRecoveryTimelineSpans: a fault-injected run must leave a closed span
 // for every protocol phase on the trace, with none left open.
 func TestRecoveryTimelineSpans(t *testing.T) {
-	rec := trace.New(nil)
+	rec := trace.New()
 	cfg := fastCfg(CheckpointRestart)
 	cfg.NumFailures = 1
 	cfg.RealFailures = true

@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -314,5 +315,35 @@ func TestSpawnedChildSeesParent(t *testing.T) {
 	}
 	if childWorldSize != 1 || childRank != 0 {
 		t.Fatalf("child cohort size %d rank %d", childWorldSize, childRank)
+	}
+}
+
+// TestMergeTableReclaimed checks a merge instance's interned entry is
+// deleted once every member of both groups has merged, so repeated repairs
+// do not keep every merged communicator reachable for the life of the
+// World.
+func TestMergeTableReclaimed(t *testing.T) {
+	const rounds = 3
+	var world atomic.Pointer[World]
+	_, err := Run(Options{NProcs: 4, Entry: func(p *Proc) {
+		world.Store(p.st.w)
+		if pc := p.Parent(); pc != nil {
+			_, err := pc.IntercommMerge(true)
+			must(t, err)
+			return
+		}
+		c := p.World()
+		for i := 0; i < rounds; i++ {
+			inter, err := c.SpawnMultiple(1, []string{""}, 0)
+			must(t, err)
+			_, err = inter.IntercommMerge(false)
+			must(t, err)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(world.Load().mergeTable); n != 0 {
+		t.Errorf("merge table holds %d entries after %d completed merges, want 0", n, rounds)
 	}
 }

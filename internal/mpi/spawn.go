@@ -135,6 +135,10 @@ type mergeEntry struct {
 	// far (nil = no member of that side has arrived yet). Valid usage has
 	// the two sides pass opposite flags.
 	highOfSide [2]*bool
+	// arrived counts the members that have merged; the last one deletes the
+	// entry. An instance a death left short keeps its entry, so what stays
+	// behind is bounded by the deaths.
+	arrived int
 }
 
 // IntercommMerge merges the two groups of an intercommunicator into one
@@ -191,6 +195,9 @@ func (c *Comm) IntercommMerge(high bool) (*Comm, error) {
 	rank := c.rank // in the merged order: my group's offset plus my rank in it
 	if (c.side == 0) != e.aFirst {
 		rank += len(c.remoteGroup())
+	}
+	if e.arrived++; e.arrived == len(c.sh.a)+len(c.sh.b) {
+		delete(w.mergeTable, key)
 	}
 	st.clock.AdvanceAttr(w.machine.ULFM.MergeCost(len(c.sh.a)+len(c.sh.b)), vtime.CompMerge)
 	w.state.Unlock()

@@ -38,7 +38,7 @@ func get(t *testing.T, srv *httptest.Server, path string) (string, *http.Respons
 func TestServerRoundTrip(t *testing.T) {
 	reg := metrics.New()
 	reg.Counter("mpi.sent.messages").Add(12)
-	rec := trace.New(nil)
+	rec := trace.New()
 	rec.BeginSpan(1.0, 0, "solve", "steps 1..8").End(2.0)
 	intro := &mpi.Introspection{}
 

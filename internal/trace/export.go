@@ -20,7 +20,9 @@ import (
 //   - spans left open (a rank died mid-phase) become "B" (begin) events, which
 //     the viewers render as running to the end of the trace;
 //   - point events become "i" (instant) events with thread scope;
-//   - "M" (metadata) events name the process and one thread per track.
+//   - "M" (metadata) events name the process and one thread per track; a
+//     flight recorder that evicted history says how much in the process
+//     entry's dropped_spans and dropped_events args.
 //
 // Output is deterministic: tracks ascending, then the sorted span/event
 // orders of Spans and Events.
@@ -86,9 +88,13 @@ func (r *Recorder) ExportChromeTrace(w io.Writer) error {
 		TraceEvents:     make([]chromeEvent, 0, 1+len(sorted)+len(spans)+len(events)),
 		DisplayTimeUnit: "ms",
 	}
+	proc := map[string]string{"name": "ftpde (virtual time)"}
+	if ds, de := r.Dropped(); ds+de > 0 {
+		proc["dropped_spans"] = strconv.FormatInt(ds, 10)
+		proc["dropped_events"] = strconv.FormatInt(de, 10)
+	}
 	out.TraceEvents = append(out.TraceEvents, chromeEvent{
-		Name: "process_name", Ph: "M", Pid: chromePid, Tid: 0,
-		Args: map[string]string{"name": "ftpde (virtual time)"},
+		Name: "process_name", Ph: "M", Pid: chromePid, Tid: 0, Args: proc,
 	})
 	for _, rk := range sorted {
 		out.TraceEvents = append(out.TraceEvents, chromeEvent{

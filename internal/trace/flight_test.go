@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -105,5 +106,59 @@ func TestFlightNesting(t *testing.T) {
 	}
 	if byPhase["outer"].Depth != 0 || byPhase["inner"].Depth != 1 {
 		t.Errorf("depths outer=%d inner=%d, want 0 and 1", byPhase["outer"].Depth, byPhase["inner"].Depth)
+	}
+}
+
+// TestFlightParentBeforeChild checks a flight recorder orders a parent and
+// the child it opened at the same instant by begin order, as a full recorder
+// does, even though the child closes first.
+func TestFlightParentBeforeChild(t *testing.T) {
+	for _, r := range []*Recorder{New(), NewFlight(8)} {
+		parent := r.BeginSpan(1, 0, "repair", "")
+		child := r.BeginSpan(1, 0, "shrink", "")
+		child.End(2)
+		parent.End(3)
+		spans := r.Spans()
+		if len(spans) != 2 || spans[0].Phase != "repair" || spans[1].Phase != "shrink" {
+			t.Errorf("depth %d: order %v, want repair then shrink", r.FlightDepth(), spans)
+		}
+	}
+}
+
+// TestFlightDumpSaysTruncated checks a dump that lost history says how much
+// in the process metadata, and a complete one carries no such args.
+func TestFlightDumpSaysTruncated(t *testing.T) {
+	processArgs := func(r *Recorder) map[string]string {
+		var b strings.Builder
+		if err := r.ExportChromeTrace(&b); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Name string            `json:"name"`
+				Args map[string]string `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
+			t.Fatal(err)
+		}
+		if len(doc.TraceEvents) == 0 || doc.TraceEvents[0].Name != "process_name" {
+			t.Fatalf("first trace event is not process_name: %s", b.String())
+		}
+		return doc.TraceEvents[0].Args
+	}
+	r := NewFlight(2)
+	for i := 0; i < 5; i++ {
+		r.BeginSpan(float64(i), 0, "solve", "").End(float64(i) + 0.5)
+	}
+	r.Emit(0, 0, "tick", "")
+	args := processArgs(r)
+	if args["dropped_spans"] != "3" || args["dropped_events"] != "0" {
+		t.Errorf("truncated dump args = %v, want dropped_spans 3, dropped_events 0", args)
+	}
+	full := New()
+	full.BeginSpan(0, 0, "solve", "").End(1)
+	if args := processArgs(full); len(args) != 1 {
+		t.Errorf("complete dump args = %v, want only the name", args)
 	}
 }

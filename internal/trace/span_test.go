@@ -29,7 +29,7 @@ func TestNilRecorderSpansSafe(t *testing.T) {
 }
 
 func TestSpanPairingAndNesting(t *testing.T) {
-	r := New(nil)
+	r := New()
 	outer := r.BeginSpan(1, 0, "repair", "")
 	inner := r.BeginSpan(1.5, 0, "shrink", "")
 	other := r.BeginSpan(1.2, 1, "repair", "") // different rank: own stack
@@ -66,7 +66,7 @@ func TestSpanPairingAndNesting(t *testing.T) {
 }
 
 func TestUnclosedSpanDetection(t *testing.T) {
-	r := New(nil)
+	r := New()
 	r.BeginSpan(1, 2, "solve", "dies mid-phase")
 	done := r.BeginSpan(2, 3, "solve", "")
 	done.End(3)
@@ -80,7 +80,7 @@ func TestUnclosedSpanDetection(t *testing.T) {
 }
 
 func TestSpanEndBeforeStartClamped(t *testing.T) {
-	r := New(nil)
+	r := New()
 	h := r.BeginSpan(5, 0, "x", "")
 	h.End(4)
 	if s := r.Spans()[0]; s.End != s.Start {
@@ -88,10 +88,10 @@ func TestSpanEndBeforeStartClamped(t *testing.T) {
 	}
 }
 
-// TestConcurrentMultiRankEmission hammers events and spans from many
+// TestConcurrentMultiRankEmission hammers events, notes and spans from many
 // rank-goroutines at once; run with -race in CI.
 func TestConcurrentMultiRankEmission(t *testing.T) {
-	r := New(nil)
+	r := New()
 	const ranks, per = 8, 200
 	var wg sync.WaitGroup
 	for rank := 0; rank < ranks; rank++ {
@@ -101,6 +101,7 @@ func TestConcurrentMultiRankEmission(t *testing.T) {
 			for i := 0; i < per; i++ {
 				tm := float64(i)
 				r.Emit(tm, rank, "step", "i=%d", i)
+				r.Note(tm, rank, 0, "step")
 				h := r.BeginSpan(tm, rank, "solve", "")
 				h.End(tm + 0.5)
 			}
@@ -109,6 +110,9 @@ func TestConcurrentMultiRankEmission(t *testing.T) {
 	wg.Wait()
 	if got := len(r.Events()); got != ranks*per {
 		t.Fatalf("%d events, want %d", got, ranks*per)
+	}
+	if got := len(r.Notes()); got != ranks*per {
+		t.Fatalf("%d notes, want %d", got, ranks*per)
 	}
 	if got := r.SpanCount("solve"); got != ranks*per {
 		t.Fatalf("%d spans, want %d", got, ranks*per)
@@ -122,7 +126,7 @@ func TestConcurrentMultiRankEmission(t *testing.T) {
 // must render and export identically.
 func TestDeterministicSortedRendering(t *testing.T) {
 	build := func(order []int) *Recorder {
-		r := New(nil)
+		r := New()
 		type item struct {
 			t    float64
 			rank int
@@ -158,7 +162,7 @@ func TestDeterministicSortedRendering(t *testing.T) {
 // structure: metadata, complete spans with microsecond timestamps, instants,
 // and begin events for unclosed spans.
 func TestExportChromeTraceFormat(t *testing.T) {
-	r := New(nil)
+	r := New()
 	r.Emit(0.25, -1, "failure", "rank 3 died")
 	h := r.BeginSpan(1.0, 3, "repair", "2 failures")
 	h.End(1.5)

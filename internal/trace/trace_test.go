@@ -2,7 +2,7 @@ package trace
 
 import (
 	"bytes"
-	"strings"
+	"log/slog"
 	"testing"
 )
 
@@ -15,7 +15,7 @@ func TestNilRecorderSafe(t *testing.T) {
 }
 
 func TestEmitAndSort(t *testing.T) {
-	r := New(nil)
+	r := New()
 	r.Emit(2.0, 1, "b", "second")
 	r.Emit(1.0, 0, "a", "first %d", 42)
 	r.Emit(2.0, 0, "c", "tie earlier rank")
@@ -32,7 +32,7 @@ func TestEmitAndSort(t *testing.T) {
 }
 
 func TestPhasesAndCount(t *testing.T) {
-	r := New(nil)
+	r := New()
 	r.Emit(1, 0, "detect", "")
 	r.Emit(2, 0, "repair", "")
 	r.Emit(3, 0, "detect", "")
@@ -45,16 +45,35 @@ func TestPhasesAndCount(t *testing.T) {
 	}
 }
 
-func TestLiveWriterAndRender(t *testing.T) {
-	var live bytes.Buffer
-	r := New(&live)
+func TestRender(t *testing.T) {
+	r := New()
 	r.Emit(0.5, 3, "checkpoint", "step %d", 64)
-	if !strings.Contains(live.String(), "checkpoint") || !strings.Contains(live.String(), "step 64") {
-		t.Fatalf("live output: %q", live.String())
-	}
 	var out bytes.Buffer
 	r.Render(&out)
-	if !strings.Contains(out.String(), "rank   3") {
-		t.Fatalf("render output: %q", out.String())
+	if got, want := out.String(), "[     0.500s] rank   3  checkpoint     step 64\n"; got != want {
+		t.Fatalf("render output %q, want %q", got, want)
+	}
+}
+
+// TestNotesCanonicalOrder checks notes render in (virtual time, rank,
+// program order) whatever order the ranks emitted them in, and that the
+// canonical rendering carries no wall clock.
+func TestNotesCanonicalOrder(t *testing.T) {
+	r := New()
+	r.Note(2, 1, 0, "late")
+	r.Note(1, 3, 0, "first-of-3")
+	r.Note(1, 0, 1, "rank0", slog.Int("step", 4))
+	r.Note(1, 3, 0, "second-of-3")
+	var b bytes.Buffer
+	if err := r.WriteJSONL(&b, false); err != nil {
+		t.Fatal(err)
+	}
+	want := `{"msg":"rank0","vt":1,"rank":0,"epoch":1,"step":4}
+{"msg":"first-of-3","vt":1,"rank":3,"epoch":0}
+{"msg":"second-of-3","vt":1,"rank":3,"epoch":0}
+{"msg":"late","vt":2,"rank":1,"epoch":0}
+`
+	if b.String() != want {
+		t.Errorf("canonical journal:\n%s\nwant:\n%s", b.String(), want)
 	}
 }
