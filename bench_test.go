@@ -376,35 +376,6 @@ func BenchmarkAblationCombine(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDecomposition compares the 1D row-band decomposition
-// with the 2D Cartesian block decomposition in total virtual time (the 2D
-// variant exchanges less halo data per process at scale, at the cost of
-// more messages).
-func BenchmarkAblationDecomposition(b *testing.B) {
-	b.ReportAllocs()
-	for _, twoD := range []bool{false, true} {
-		name := "rows-1d"
-		if twoD {
-			name = "blocks-2d"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var total float64
-			for i := 0; i < b.N; i++ {
-				res := runBench(b, core.Config{
-					Technique: core.AlternateCombination,
-					DiagProcs: 8,
-					Steps:     benchSteps,
-					Decomp2D:  twoD,
-					Seed:      int64(191 + i),
-				})
-				total += res.TotalTime
-			}
-			b.ReportMetric(total/float64(b.N), "total-vsec/op")
-		})
-	}
-}
-
 // BenchmarkAccumulateSampled measures the combination hot kernel at the
 // full-grid target size used by every combine: bilinear resampling of a
 // sub-grid accumulated into the target. The row-separable kernel reuses

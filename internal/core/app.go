@@ -537,7 +537,7 @@ func (r *rankState) recoverCR() error {
 			return err
 		}
 	}
-	return crRecomputed(r.solver.Run(r.cur - r.solver.Steps()))
+	return crRecomputed(r.solver.Run(r.cur - r.solver.StepCount))
 }
 
 // recoverRC recovers lost grid lg from its partner: the partner's root
@@ -683,25 +683,4 @@ func (rs *runState) mergeStats(st *recovery.Stats) {
 	maxf(&res.MergeTime, st.MergeTime)
 	maxf(&res.AgreeTime, st.AgreeTime)
 	maxf(&res.SplitTime, st.SplitTime)
-}
-
-// decompDims picks a balanced 2D process grid for a sub-grid, giving the
-// larger factor to the longer grid dimension (and clamping so no dimension
-// gets more processes than cells).
-func decompDims(nprocs int, lv grid.Level) (px, py int) {
-	dims := mpi.DimsCreate(nprocs, 2) // largest first
-	nx, ny := 1<<lv.I, 1<<lv.J
-	if ny >= nx {
-		py, px = dims[0], dims[1]
-	} else {
-		px, py = dims[0], dims[1]
-	}
-	// Fall back to a 1D-like split if a dimension is oversubscribed.
-	if px > nx || py > ny {
-		if ny >= nprocs {
-			return 1, nprocs
-		}
-		return nprocs, 1
-	}
-	return px, py
 }

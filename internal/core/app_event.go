@@ -5,13 +5,12 @@ import (
 
 	"ftsg/internal/grid"
 	"ftsg/internal/mpi"
-	"ftsg/internal/pde"
 	"ftsg/internal/recovery"
 )
 
 // The application on the event-driven MPI path (Config.Event): rank() in
-// continuation-passing style, built on the mpi.Fiber*, recovery.Fiber* and
-// pde.FiberSolver twins. The steps between the blocking calls are the very
+// continuation-passing style, built on the Fiber* twins in mpi, recovery and
+// pde.ParallelSolver. The steps between the blocking calls are the very
 // ones rank() runs (steps.go), in the same order, and every twin preserves
 // its blocking original's virtual-time behaviour, so the two paths produce
 // byte-identical Results, traces, journals and metrics. What this file adds
@@ -51,10 +50,6 @@ func (fr *fiberRank) then(next func()) func(error) {
 		next()
 	}
 }
-
-// fsolver is the solver in its fiber-capable form: Decomp2D is rejected in
-// event mode (Config.Validate), so it is always the 1D ParallelSolver.
-func (fr *fiberRank) fsolver() pde.FiberSolver { return fr.solver.(pde.FiberSolver) }
 
 // begin is rank() up to its loop.
 func (fr *fiberRank) begin() {
@@ -128,7 +123,7 @@ func (fr *fiberRank) nextDP(i int) {
 			step(s + 1)
 			return
 		}
-		fr.fsolver().FiberStep(fr.f, func(err error) {
+		fr.solver.FiberStep(fr.f, func(err error) {
 			fr.stepped(err)
 			step(s + 1)
 		})
@@ -186,7 +181,7 @@ func (fr *fiberRank) recoverData(lost []int, k func(error)) {
 
 func (fr *fiberRank) recoverCR(k func(error)) {
 	recompute := func() {
-		fr.fsolver().FiberRun(fr.f, fr.cur-fr.solver.Steps(), func(err error) { k(crRecomputed(err)) })
+		fr.solver.FiberRun(fr.f, fr.cur-fr.solver.StepCount, func(err error) { k(crRecomputed(err)) })
 	}
 	restart := func() {
 		if err := fr.crRestart(); err != nil {
@@ -272,7 +267,7 @@ func (fr *fiberRank) recoverRC(lost []int, i int, k func(error)) {
 		receive()
 		return
 	}
-	fr.fsolver().FiberGather(fr.f, 0, func(g *grid.Grid, err error) {
+	fr.solver.FiberGather(fr.f, 0, func(g *grid.Grid, err error) {
 		if err := fr.rcSend(rt, g, err); err != nil {
 			k(err)
 			return
@@ -294,7 +289,7 @@ func (fr *fiberRank) combine() {
 		k(err)
 		return
 	}
-	fr.fsolver().FiberGather(fr.f, 0, func(g *grid.Grid, err error) {
+	fr.solver.FiberGather(fr.f, 0, func(g *grid.Grid, err error) {
 		c, err := fr.contributionOf(scheme, g, err)
 		if err != nil {
 			k(err)

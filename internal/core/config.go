@@ -186,10 +186,6 @@ type Config struct {
 	// extra layers; more layers tolerate deeper loss cascades at the cost
 	// of extra processes).
 	ExtraLayers int
-	// Decomp2D decomposes each sub-grid over a 2D Cartesian process grid
-	// (balanced MPI_Dims_create factors) instead of the default 1D row
-	// bands — the decomposition ablation.
-	Decomp2D bool
 	// SerialCombine ships every sub-grid to rank 0 for a serial
 	// combination instead of the default parallel gather-scatter — the
 	// baseline of the combine ablation benchmark.
@@ -400,9 +396,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: SpareRanks requires the substitute recovery mode")
 	}
 	if c.Event {
-		if c.Decomp2D {
-			return fmt.Errorf("core: Event has no fiber port of the 2D decomposition yet")
-		}
 		if c.SerialCombine {
 			return fmt.Errorf("core: Event has no fiber port of the serial combination yet")
 		}

@@ -389,53 +389,6 @@ func TestFailScheduleValidation(t *testing.T) {
 	}
 }
 
-// TestDecomp2DMatches1D: the 2D block decomposition must produce the same
-// combined solution as the 1D row decomposition (bitwise — the stencil
-// arithmetic per cell is identical, only ownership differs).
-func TestDecomp2DMatches1D(t *testing.T) {
-	for _, tech := range []Technique{CheckpointRestart, AlternateCombination} {
-		one := fastCfg(tech)
-		two := fastCfg(tech)
-		two.Decomp2D = true
-		r1, err := Run(one)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := Run(two)
-		if err != nil {
-			t.Fatalf("%v 2D: %v", tech, err)
-		}
-		if r1.L1Error != r2.L1Error {
-			t.Errorf("%v: 2D error %.17g != 1D %.17g", tech, r2.L1Error, r1.L1Error)
-		}
-	}
-}
-
-// TestDecomp2DSurvivesFailure: real failures recover under the 2D
-// decomposition too (CR stays exact).
-func TestDecomp2DSurvivesFailure(t *testing.T) {
-	clean := fastCfg(CheckpointRestart)
-	clean.Decomp2D = true
-	cr, err := Run(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := clean
-	cfg.NumFailures = 2
-	cfg.RealFailures = true
-	cfg.Seed = 59
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Spawned != 2 {
-		t.Fatalf("spawned %d", res.Spawned)
-	}
-	if res.L1Error != cr.L1Error {
-		t.Errorf("2D CR with failures %.17g != clean %.17g", res.L1Error, cr.L1Error)
-	}
-}
-
 // TestMultiEventFailuresRC: under RC, both events' victims surface together
 // at the end-of-run detection; the cross-event conflict constraint keeps
 // every lost grid's recovery partner alive.

@@ -60,7 +60,7 @@ type rankState struct {
 	st    recovery.Stats // the reconstruct call in progress, or the last one
 
 	gcomm  *mpi.Comm
-	solver pde.Solver
+	solver *pde.ParallelSolver
 
 	// opHook injects operation-granularity faults (chaos campaigns). It is
 	// armed only across the solve + detect/repair window of each detection
@@ -140,17 +140,11 @@ func (r *rankState) newSolver(gc *mpi.Comm, err error) error {
 	if err != nil {
 		return fmt.Errorf("group split: %w", err)
 	}
-	var s pde.Solver
-	if r.cfg.Decomp2D {
-		px, py := decompDims(gc.Size(), r.mine.Lv)
-		s, err = pde.NewParallelSolver2D(gc, r.rs.prob, r.mine.Lv, r.rs.dt, px, py)
-	} else {
-		s, err = pde.NewParallelSolver(gc, r.rs.prob, r.mine.Lv, r.rs.dt)
-	}
+	s, err := pde.NewParallelSolver(gc, r.rs.prob, r.mine.Lv, r.rs.dt)
 	if err != nil {
 		return err
 	}
-	s.SetCharge(r.charge)
+	s.Charge = r.charge
 	r.gcomm, r.solver = gc, s
 	return nil
 }
@@ -228,16 +222,16 @@ func (r *rankState) pollFaults(s int) {
 }
 
 // stepped takes a solver step's verdict. An error means a group member died
-// mid-solve: revoke the group communicators (both the split result and the
-// solver's working communicator — the 2D solver runs on a Cartesian
-// duplicate) so blocked peers stop too, give the grid up, and wait for
-// global detection.
+// mid-solve: revoke the group communicator so blocked peers stop too, give
+// the grid up, and wait for global detection. The communicator is revoked
+// twice: each call charges the revoke cost, and the golden timelines and
+// virtual-time fingerprints are pinned with both charges.
 func (r *rankState) stepped(err error) {
 	if err == nil {
 		return
 	}
 	r.gridLost = true
-	_ = r.solver.GroupComm().Revoke()
+	_ = r.gcomm.Revoke()
 	_ = r.gcomm.Revoke()
 }
 
@@ -263,7 +257,7 @@ func (r *rankState) commit() error {
 	if r.cfg.Technique != CheckpointRestart || r.cur >= r.cfg.Steps || r.gridLost {
 		return nil
 	}
-	r.stateBuf = pde.AppendState(r.solver, r.stateBuf[:0])
+	r.stateBuf = r.solver.AppendState(r.stateBuf[:0])
 	ckSpan := r.cfg.Trace.BeginSpan(p.Now(), r.rank, "checkpoint", "write step %d", r.cur)
 	err := rs.store.Write(p, r.mine.ID, r.gcomm.Rank(), r.cur, r.stateBuf)
 	ckSpan.End(p.Now())
@@ -390,7 +384,7 @@ type carried struct {
 
 // retire gives up the solver that hung off the old communicator.
 func (r *rankState) retire() carried {
-	old := carried{r.solver.State(), r.solver.Steps()}
+	old := carried{r.solver.State(), r.solver.StepCount}
 	r.solver.Release()
 	return old
 }
@@ -541,7 +535,7 @@ func (r *rankState) crRead(step int) ([]float64, []int64, error) {
 		// A checkpoint written under another group shape (possible once
 		// communicators shrink and regrow) counts as damage. The solver has
 		// no length query; the encode scratch takes the copy.
-		r.stateBuf = pde.AppendState(r.solver, r.stateBuf[:0])
+		r.stateBuf = r.solver.AppendState(r.stateBuf[:0])
 		if len(data) == len(r.stateBuf) {
 			vote[0] = 1
 		}

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,7 +14,7 @@ import (
 
 // The event-path contract, tested three ways: (1) a fiber program produces
 // byte-identical virtual time and traffic counters to its blocking twin,
-// with and without failures; (2) the fingerprint is schedule-independent
+// with and without failures, and failure-free the same result data; (2) the fingerprint is schedule-independent
 // across GOMAXPROCS and executor pool sizes; (3) a 512-rank world parked
 // mid-Barrier holds O(workers) goroutines, not O(ranks).
 
@@ -36,10 +37,51 @@ func eventOutcome(rep *Report, reg *metrics.Registry) transportStressOutcome {
 
 // parityRounds is the shared workload of the parity tests: a neighbour
 // ring exchange, a barrier, a small allreduce and a 64 KiB allreduce (past
-// the ring cutover on hierarchical topologies), repeated three times.
+// the ring cutover on hierarchical topologies), repeated three times. One
+// round of the rooted and all-to-all collectives follows (see parityInputs).
 const parityRounds = 3
 
-func parityBlockingEntry(t *testing.T, p *Proc) {
+// parityInputs are one rank's contributions to the round of rooted and
+// all-to-all collectives that ends the parity workload: a Bcast from rank 1,
+// a Reduce to rank 2, a Gather and a Scatter at rank 0, a small Allgather
+// (the leader tree on hierarchical topologies) and a 64 KiB one (the leader
+// ring), and an Alltoall. The values depend on the rank and the element, so
+// a piece delivered to the wrong rank or slot, or folded in another order,
+// changes the result data.
+type parityInputs struct {
+	bcast, reduce, gather, small, large []float64
+	parts                               [][]float64 // Scatter's (significant at rank 0) and Alltoall's
+}
+
+func newParityInputs(n, me int) parityInputs {
+	vals := func(m, salt int) []float64 {
+		v := make([]float64, m)
+		for i := range v {
+			v[i] = float64(me*(salt+1)) + float64(i)/float64(salt+7)
+		}
+		return v
+	}
+	in := parityInputs{reduce: vals(24, 1), gather: vals(3+me%4, 2), small: vals(4, 3), large: vals(64, 4)}
+	if me == 1 {
+		in.bcast = vals(40, 5)
+	}
+	for r := 0; r < n; r++ {
+		in.parts = append(in.parts, vals(1+r%3, 6+r))
+	}
+	return in
+}
+
+// appendAll appends every piece of a per-rank result, in rank order.
+func appendAll(d []float64, pieces [][]float64) []float64 {
+	for _, piece := range pieces {
+		d = append(d, piece...)
+	}
+	return d
+}
+
+// parityBlockingEntry runs the parity workload with blocking calls and leaves
+// every result the rank received, in order, in out[rank].
+func parityBlockingEntry(t *testing.T, p *Proc, out [][]float64) {
 	c := p.World()
 	n, me := c.Size(), c.Rank()
 	ring := make([]float64, 32)
@@ -47,7 +89,9 @@ func parityBlockingEntry(t *testing.T, p *Proc) {
 	big := make([]float64, 8192)
 	for i := range ring {
 		ring[i] = float64(me) + float64(i)/32
+		small[i%16] = float64(me) / float64(i+1)
 	}
+	var d []float64
 	for k := 0; k < parityRounds; k++ {
 		if err := Send(c, (me+1)%n, 7, ring); err != nil {
 			t.Error(err)
@@ -62,22 +106,78 @@ func parityBlockingEntry(t *testing.T, p *Proc) {
 			t.Errorf("rank %d round %d: ring got %v", me, k, got[0])
 			return
 		}
+		d = append(d, got...)
 		if err := c.Barrier(); err != nil {
 			t.Error(err)
 			return
 		}
-		if _, err := Allreduce(c, small, Sum[float64]); err != nil {
+		sum, err := Allreduce(c, small, Sum[float64])
+		if err != nil {
 			t.Error(err)
 			return
 		}
+		d = append(d, sum...)
 		if _, err := Allreduce(c, big, Sum[float64]); err != nil {
 			t.Error(err)
 			return
 		}
 	}
+	in := newParityInputs(n, me)
+	b, err := Bcast(c, 1, in.bcast)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	d = append(d, b...)
+	r, err := Reduce(c, 2, in.reduce, Sum[float64])
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	d = append(d, r...)
+	g, err := Gather(c, 0, in.gather)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	d = appendAll(d, g)
+	sc, err := Scatter(c, 0, in.parts)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	d = append(d, sc...)
+	for _, mine := range [][]float64{in.small, in.large} {
+		all, err := Allgather(c, mine)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		d = appendAll(d, all)
+	}
+	x, err := Alltoall(c, in.parts)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	out[me] = appendAll(d, x)
 }
 
-func parityEventEntry(t *testing.T, p *Proc, f *Fiber) {
+// fiberSteps runs each step in turn; a step calls next to continue, or
+// returns without calling it to stop the sequence.
+func fiberSteps(steps ...func(next func())) {
+	var run func(i int)
+	run = func(i int) {
+		if i < len(steps) {
+			steps[i](func() { run(i + 1) })
+		}
+	}
+	run(0)
+}
+
+// parityEventEntry is parityBlockingEntry as a fiber, through the Fiber*
+// twins of every call that blocks and FiberSend for the ring's sends.
+func parityEventEntry(t *testing.T, p *Proc, f *Fiber, out [][]float64) {
 	c := p.World()
 	n, me := c.Size(), c.Rank()
 	ring := make([]float64, 32)
@@ -85,45 +185,74 @@ func parityEventEntry(t *testing.T, p *Proc, f *Fiber) {
 	big := make([]float64, 8192)
 	for i := range ring {
 		ring[i] = float64(me) + float64(i)/32
+		small[i%16] = float64(me) / float64(i+1)
+	}
+	var d []float64
+	ok := func(err error) bool {
+		if err != nil {
+			t.Error(err)
+		}
+		return err == nil
+	}
+	// keep appends a result and continues; keepAll does so for a per-rank
+	// result.
+	keep := func(next func()) func([]float64, error) {
+		return func(got []float64, err error) {
+			if ok(err) {
+				d = append(d, got...)
+				next()
+			}
+		}
+	}
+	keepAll := func(next func()) func([][]float64, error) {
+		return func(got [][]float64, err error) {
+			if ok(err) {
+				d = appendAll(d, got)
+				next()
+			}
+		}
+	}
+	in := newParityInputs(n, me)
+	collectives := func() {
+		fiberSteps(
+			func(next func()) { FiberBcast(f, c, 1, in.bcast, keep(next)) },
+			func(next func()) { FiberReduce(f, c, 2, in.reduce, Sum[float64], keep(next)) },
+			func(next func()) { FiberGather(f, c, 0, in.gather, keepAll(next)) },
+			func(next func()) { FiberScatter(f, c, 0, in.parts, keep(next)) },
+			func(next func()) { FiberAllgather(f, c, in.small, keepAll(next)) },
+			func(next func()) { FiberAllgather(f, c, in.large, keepAll(next)) },
+			func(next func()) { FiberAlltoall(f, c, in.parts, keepAll(next)) },
+			func(func()) { out[me] = d },
+		)
 	}
 	var round func(k int)
 	round = func(k int) {
 		if k == parityRounds {
+			collectives()
 			return
 		}
-		if err := Send(c, (me+1)%n, 7, ring); err != nil {
-			t.Error(err)
-			return
-		}
-		FiberRecv(f, c, (me-1+n)%n, 7, func(got []float64, _ Status, err error) {
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if got[0] != float64((me-1+n)%n) {
-				t.Errorf("rank %d round %d: ring got %v", me, k, got[0])
-				return
-			}
-			FiberBarrier(f, c, func(err error) {
-				if err != nil {
-					t.Error(err)
-					return
+		fiberSteps(
+			func(next func()) {
+				if ok(FiberSend(c, (me+1)%n, 7, ring)) {
+					FiberRecv(f, c, (me-1+n)%n, 7, func(got []float64, _ Status, err error) { keep(next)(got, err) })
 				}
-				FiberAllreduce(f, c, small, Sum[float64], func(_ []float64, err error) {
-					if err != nil {
-						t.Error(err)
-						return
+			},
+			func(next func()) {
+				FiberBarrier(f, c, func(err error) {
+					if ok(err) {
+						next()
 					}
-					FiberAllreduce(f, c, big, Sum[float64], func(_ []float64, err error) {
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						round(k + 1)
-					})
 				})
-			})
-		})
+			},
+			func(next func()) { FiberAllreduce(f, c, small, Sum[float64], keep(next)) },
+			func(next func()) {
+				FiberAllreduce(f, c, big, Sum[float64], func(_ []float64, err error) {
+					if ok(err) {
+						round(k + 1)
+					}
+				})
+			},
+		)
 	}
 	round(0)
 }
@@ -131,7 +260,8 @@ func parityEventEntry(t *testing.T, p *Proc, f *Fiber) {
 // TestEventVirtualTimeParity runs the same failure-free workload once with
 // goroutine-per-rank blocking calls and once as fibers, over both the flat
 // and the hierarchical (tree + leader-ring) collective algorithms, and
-// demands a bit-identical virtual time and identical traffic counters.
+// demands a bit-identical virtual time, identical traffic counters and, on
+// every rank, the same received data bit for bit.
 func TestEventVirtualTimeParity(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -143,17 +273,17 @@ func TestEventVirtualTimeParity(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			wd := Watchdog{Timeout: 60 * time.Second}
-			regB := metrics.New()
+			regB, dataB := metrics.New(), make([][]float64, tc.nprocs)
 			repB, err := Run(Options{NProcs: tc.nprocs, Machine: vtime.OPL(), FlatCollectives: tc.flat,
 				Metrics: regB, Watchdog: wd,
-				Entry: func(p *Proc) { parityBlockingEntry(t, p) }})
+				Entry: func(p *Proc) { parityBlockingEntry(t, p, dataB) }})
 			if err != nil {
 				t.Fatal(err)
 			}
-			regE := metrics.New()
+			regE, dataE := metrics.New(), make([][]float64, tc.nprocs)
 			repE, err := Run(Options{NProcs: tc.nprocs, Machine: vtime.OPL(), FlatCollectives: tc.flat,
 				Metrics: regE, Watchdog: wd,
-				EventEntry: func(p *Proc, f *Fiber) { parityEventEntry(t, p, f) }})
+				EventEntry: func(p *Proc, f *Fiber) { parityEventEntry(t, p, f, dataE) }})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,6 +296,12 @@ func TestEventVirtualTimeParity(t *testing.T) {
 			}
 			if e.sentMsgs != b.sentMsgs || e.sentB != b.sentB || e.recvMsgs != b.recvMsgs || e.recvB != b.recvB {
 				t.Errorf("traffic: event %+v != blocking %+v", e, b)
+			}
+			for r := range dataB {
+				if len(dataB[r]) == 0 || !slices.Equal(dataE[r], dataB[r]) {
+					t.Errorf("rank %d: event results (%d values) differ from blocking (%d values)", r, len(dataE[r]), len(dataB[r]))
+					break
+				}
 			}
 			if repE.GoroutinesPeak == 0 {
 				t.Error("event run reported no goroutine peak sample")

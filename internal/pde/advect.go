@@ -38,26 +38,27 @@ func (p *Problem) Exact(t float64) func(x, y float64) float64 {
 	}
 }
 
-// fillBlock sets dst[k*stride+i] = U0(x, y) at the grid points x = (i0+i)hx,
-// y = (j0+k)hy of an ni-by-nj block — the owned cells of a solver's local
-// array. A product-form U0 costs ni+nj factor evaluations, not ni·nj calls.
-func (p *Problem) fillBlock(dst []float64, stride, i0, ni, j0, nj int, hx, hy float64) {
+// fillRows sets dst[k*nx+i] = U0(x, y) at the grid points x = i·hx,
+// y = (j0+k)hy of nj whole rows of nx cells — the owned rows of a solver's
+// local array. A product-form U0 costs nx+nj factor evaluations, not nx·nj
+// calls.
+func (p *Problem) fillRows(dst []float64, nx, j0, nj int, hx, hy float64) {
 	if p.U0X == nil || p.U0Y == nil {
 		for k := 0; k < nj; k++ {
 			y := float64(j0+k) * hy
-			for i := 0; i < ni; i++ {
-				dst[k*stride+i] = p.U0(float64(i0+i)*hx, y)
+			for i := 0; i < nx; i++ {
+				dst[k*nx+i] = p.U0(float64(i)*hx, y)
 			}
 		}
 		return
 	}
-	xs := mpi.AcquireBuf[float64](ni)
+	xs := mpi.AcquireBuf[float64](nx)
 	for i := range xs {
-		xs[i] = p.U0X(float64(i0+i) * hx)
+		xs[i] = p.U0X(float64(i) * hx)
 	}
 	for k := 0; k < nj; k++ {
 		fy := p.U0Y(float64(j0+k) * hy)
-		row := dst[k*stride : k*stride+ni]
+		row := dst[k*nx : (k+1)*nx]
 		for i, fx := range xs {
 			row[i] = fx * fy
 		}

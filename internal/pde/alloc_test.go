@@ -14,8 +14,7 @@ import (
 // 8-rank solver must allocate less than 64 bytes per rank per step — every
 // halo row sent is a recycled row some rank released — where it used to
 // allocate the two rows it sends (2·nx·8 bytes). GC is off so nothing
-// empties the pool mid-measurement. The nonblocking variant additionally
-// relies on Wait recycling its four requests per step.
+// empties the pool mid-measurement.
 func TestHaloExchangeRecyclesRows(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race build's sync.Pool drops items at random")
@@ -33,48 +32,45 @@ func TestHaloExchangeRecyclesRows(t *testing.T) {
 	// One processor: sync.Pool caches per processor, and a row released on
 	// one but requested on another would count the scheduler's placement.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for _, nonblocking := range []bool{false, true} {
-		var before, after runtime.MemStats
-		_, err := mpi.Run(mpi.Options{NProcs: ranks, Entry: func(proc *mpi.Proc) {
-			c := proc.World()
-			s, err := NewParallelSolver(c, prob, lv, dt)
-			if err != nil {
-				t.Errorf("NewParallelSolver: %v", err)
-				return
-			}
-			defer s.Release()
-			s.Nonblocking = nonblocking
-			// The barriers fence the measured region: no rank is still
-			// warming up, or already tearing down, while rank 0 reads.
-			measure := func(m *runtime.MemStats) {
-				if err := c.Barrier(); err != nil {
-					t.Errorf("Barrier: %v", err)
-				}
-				if c.Rank() == 0 {
-					runtime.ReadMemStats(m)
-				}
-				if err := c.Barrier(); err != nil {
-					t.Errorf("Barrier: %v", err)
-				}
-			}
-			if err := s.Run(warm); err != nil {
-				t.Errorf("Run: %v", err)
-				return
-			}
-			measure(&before)
-			if err := s.Run(steps); err != nil {
-				t.Errorf("Run: %v", err)
-				return
-			}
-			measure(&after)
-		}})
+	var before, after runtime.MemStats
+	_, err := mpi.Run(mpi.Options{NProcs: ranks, Entry: func(proc *mpi.Proc) {
+		c := proc.World()
+		s, err := NewParallelSolver(c, prob, lv, dt)
 		if err != nil {
-			t.Fatal(err)
+			t.Errorf("NewParallelSolver: %v", err)
+			return
 		}
-		perStep := float64(after.TotalAlloc-before.TotalAlloc) / (ranks * steps)
-		t.Logf("nonblocking=%v: %.1f B per rank per step", nonblocking, perStep)
-		if perStep >= budget {
-			t.Errorf("nonblocking=%v: %.1f B per rank per step, want < %d", nonblocking, perStep, budget)
+		defer s.Release()
+		// The barriers fence the measured region: no rank is still
+		// warming up, or already tearing down, while rank 0 reads.
+		measure := func(m *runtime.MemStats) {
+			if err := c.Barrier(); err != nil {
+				t.Errorf("Barrier: %v", err)
+			}
+			if c.Rank() == 0 {
+				runtime.ReadMemStats(m)
+			}
+			if err := c.Barrier(); err != nil {
+				t.Errorf("Barrier: %v", err)
+			}
 		}
+		if err := s.Run(warm); err != nil {
+			t.Errorf("Run: %v", err)
+			return
+		}
+		measure(&before)
+		if err := s.Run(steps); err != nil {
+			t.Errorf("Run: %v", err)
+			return
+		}
+		measure(&after)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perStep := float64(after.TotalAlloc-before.TotalAlloc) / (ranks * steps)
+	t.Logf("%.1f B per rank per step", perStep)
+	if perStep >= budget {
+		t.Errorf("%.1f B per rank per step, want < %d", perStep, budget)
 	}
 }

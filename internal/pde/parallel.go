@@ -15,7 +15,9 @@ const (
 
 // ParallelSolver advances one sub-grid of the combination technique on a
 // process group, decomposing the grid by rows with one halo row on each
-// side, exactly one Lax–Wendroff stencil deep. All members of the
+// side, exactly one Lax–Wendroff stencil deep. It is the application's only
+// sub-grid solver: every group builds one after its split and rebuilds it on
+// the repaired communicator after every repair. All members of the
 // communicator construct it with identical arguments.
 type ParallelSolver struct {
 	Comm *mpi.Comm
@@ -27,12 +29,6 @@ type ParallelSolver struct {
 	// cell updates performed locally, letting the application charge
 	// virtual compute time.
 	Charge func(cells int)
-
-	// Nonblocking switches the halo exchange to the Irecv-first overlapped
-	// idiom (post both receives, send both rows, wait) instead of the
-	// blocking send/recv sequence. Results are bitwise identical; only the
-	// communication schedule differs.
-	Nonblocking bool
 
 	// StepCount is the number of steps taken so far.
 	StepCount int
@@ -78,20 +74,17 @@ func NewParallelSolver(c *mpi.Comm, prob *Problem, lv grid.Level, dt float64) (*
 	// and scratch is written before it is read.
 	s.local = mpi.AcquireBuf[float64]((nloc + 2) * s.nx)
 	s.scratch = mpi.AcquireBuf[float64]((nloc + 2) * s.nx)
-	prob.fillBlock(s.local[s.nx:], s.nx, 0, s.nx, s.r0, nloc, 1.0/float64(s.nx), 1.0/float64(s.ny))
+	prob.fillRows(s.local[s.nx:], s.nx, s.r0, nloc, 1.0/float64(s.nx), 1.0/float64(s.ny))
 	return s, nil
 }
 
-// Release returns the solver's storage to the transport's buffer pool (Solver
-// interface). The solver must not be used afterwards.
+// Release returns the solver's storage to the transport's buffer pool. The
+// solver must not be used afterwards.
 func (s *ParallelSolver) Release() {
 	mpi.ReleaseBuf(s.local)
 	mpi.ReleaseBuf(s.scratch)
 	s.local, s.scratch = nil, nil
 }
-
-// OwnedRows returns the solver's owned global row range [r0, r1).
-func (s *ParallelSolver) OwnedRows() (int, int) { return s.r0, s.r1 }
 
 // exchangeHalos refreshes the two halo rows from the neighbouring ranks
 // (periodic in rank space, matching the periodic domain).
@@ -107,9 +100,6 @@ func (s *ParallelSolver) exchangeHalos() error {
 	}
 	up := (s.Comm.Rank() + 1) % p
 	down := (s.Comm.Rank() - 1 + p) % p
-	if s.Nonblocking {
-		return s.exchangeHalosNonblocking(up, down, top, bottom)
-	}
 	if err := mpi.Send(s.Comm, up, tagHaloUp, top); err != nil {
 		return err
 	}
@@ -121,45 +111,6 @@ func (s *ParallelSolver) exchangeHalos() error {
 	}
 	_, err := mpi.RecvInto(s.Comm, up, tagHaloDown, s.local[(nloc+1)*s.nx:])
 	return err
-}
-
-// exchangeHalosNonblocking is the overlapped variant: receives are posted
-// before any send, so arriving halo rows match immediately regardless of
-// neighbour pacing.
-func (s *ParallelSolver) exchangeHalosNonblocking(up, down int, top, bottom []float64) error {
-	nloc := s.r1 - s.r0
-	rLower, err := mpi.Irecv[float64](s.Comm, down, tagHaloUp)
-	if err != nil {
-		return err
-	}
-	rUpper, err := mpi.Irecv[float64](s.Comm, up, tagHaloDown)
-	if err != nil {
-		return err
-	}
-	sUp, err := mpi.Isend(s.Comm, up, tagHaloUp, top)
-	if err != nil {
-		return err
-	}
-	sDown, err := mpi.Isend(s.Comm, down, tagHaloDown, bottom)
-	if err != nil {
-		return err
-	}
-	if err := mpi.Waitall(sUp, sDown); err != nil {
-		return err
-	}
-	lower, _, err := mpi.Wait[float64](rLower)
-	if err != nil {
-		return err
-	}
-	copy(s.local[0:s.nx], lower)
-	mpi.ReleaseBuf(lower)
-	upper, _, err := mpi.Wait[float64](rUpper)
-	if err != nil {
-		return err
-	}
-	copy(s.local[(nloc+1)*s.nx:], upper)
-	mpi.ReleaseBuf(upper)
-	return nil
 }
 
 // Step advances the local block one timestep (halo exchange followed by the
@@ -225,7 +176,9 @@ func (s *ParallelSolver) State() []float64 {
 	return s.AppendState(nil)
 }
 
-// AppendState appends the owned rows to dst (StateAppender interface).
+// AppendState appends the owned rows to dst. AppendState(dst[:0]) with a
+// buffer kept across calls makes periodic checkpointing allocation-free,
+// where State allocates a fresh copy each time.
 func (s *ParallelSolver) AppendState(dst []float64) []float64 {
 	nloc := s.r1 - s.r0
 	return append(dst, s.local[s.nx:(nloc+1)*s.nx]...)
@@ -257,12 +210,3 @@ func (s *ParallelSolver) SetFromGrid(g *grid.Grid, step int) error {
 	s.StepCount = step
 	return nil
 }
-
-// Steps returns the number of steps taken (Solver interface).
-func (s *ParallelSolver) Steps() int { return s.StepCount }
-
-// SetCharge installs the virtual-compute hook (Solver interface).
-func (s *ParallelSolver) SetCharge(f func(cells int)) { s.Charge = f }
-
-// GroupComm returns the solver's communicator (Solver interface).
-func (s *ParallelSolver) GroupComm() *mpi.Comm { return s.Comm }

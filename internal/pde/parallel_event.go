@@ -7,28 +7,12 @@ import (
 	"ftsg/internal/mpi"
 )
 
-// The 1D parallel solver on the event-driven MPI path: the halo exchange and
+// The parallel solver on the event-driven MPI path: the halo exchange and
 // gather become parked continuations (mpi.FiberRecv / mpi.FiberGather) while
 // the stencil update, state access and checkpoint plumbing stay the shared
 // local code. The fiber halo exchange mirrors the blocking send/recv schedule
 // — same tags, same send order, same receive order — so virtual times and
 // results are byte-identical to Step/Run/Gather.
-
-// FiberSolver is a Solver that can also advance and gather as a fiber on the
-// event-driven path. The blocking Solver methods remain usable from goroutine
-// code; fiber code must use the Fiber* forms for anything that blocks.
-type FiberSolver interface {
-	Solver
-	// FiberStep is Step for fiber code.
-	FiberStep(f *mpi.Fiber, k func(error))
-	// FiberRun is Run for fiber code: n steps, stopping at the first error.
-	FiberRun(f *mpi.Fiber, n int, k func(error))
-	// FiberGather is Gather for fiber code: the full sub-grid at root, nil
-	// elsewhere.
-	FiberGather(f *mpi.Fiber, root int, k func(*grid.Grid, error))
-}
-
-var _ FiberSolver = (*ParallelSolver)(nil)
 
 // FiberStep is Step for fiber code: CPS halo exchange, then the shared local
 // stencil update.
@@ -44,9 +28,7 @@ func (s *ParallelSolver) FiberStep(f *mpi.Fiber, k func(error)) {
 }
 
 // fiberExchangeHalos is exchangeHalos in CPS: the same eager sends in the
-// same order, then the two receives as parked continuations. (The Nonblocking
-// variant differs from this schedule only in wall-clock overlap, never in
-// results, so one fiber schedule serves both.)
+// same order, then the two receives as parked continuations.
 func (s *ParallelSolver) fiberExchangeHalos(f *mpi.Fiber, k func(error)) {
 	n := s.Comm.Size()
 	nloc := s.r1 - s.r0

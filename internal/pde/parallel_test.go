@@ -265,73 +265,6 @@ func TestCombinedConvergenceUnderSharedDt(t *testing.T) {
 	}
 }
 
-// TestNonblockingHaloMatchesBlocking: the overlapped exchange is bitwise
-// identical to the blocking one.
-func TestNonblockingHaloMatchesBlocking(t *testing.T) {
-	lv := grid.Level{I: 4, J: 5}
-	p := testProblem()
-	dt := 0.25 / 32.0
-	nsteps := 25
-	run := func(nonblocking bool) *grid.Grid {
-		var out *grid.Grid
-		_, err := mpi.Run(mpi.Options{NProcs: 4, Entry: func(proc *mpi.Proc) {
-			s, err := NewParallelSolver(proc.World(), p, lv, dt)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			s.Nonblocking = nonblocking
-			if err := s.Run(nsteps); err != nil {
-				t.Error(err)
-				return
-			}
-			g, err := s.Gather(0)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if proc.World().Rank() == 0 {
-				out = g
-			}
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	blocking := run(false)
-	overlapped := run(true)
-	if d, _ := grid.L1Diff(blocking, overlapped); d != 0 {
-		t.Fatalf("nonblocking halo exchange differs by %g", d)
-	}
-}
-
-// TestNonblockingHaloDetectsFailure: a dead neighbour surfaces through the
-// Wait path too.
-func TestNonblockingHaloDetectsFailure(t *testing.T) {
-	_, err := mpi.Run(mpi.Options{NProcs: 4, Entry: func(proc *mpi.Proc) {
-		c := proc.World()
-		s, err := NewParallelSolver(c, testProblem(), grid.Level{I: 4, J: 4}, 1e-3)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		s.Nonblocking = true
-		if c.Rank() == 2 {
-			proc.Kill()
-		}
-		for i := 0; i < 50; i++ {
-			if err := s.Step(); err != nil {
-				return
-			}
-		}
-		t.Errorf("rank %d finished despite dead neighbour", c.Rank())
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestHaloRingWakesOnlyForItsMessage runs a failure-free halo ring and reads
 // the runtime's per-rank wake-up accounting: a rank parked on one neighbour's
 // row must not be woken by the other neighbour's, which in a ring arrives

@@ -1,7 +1,7 @@
 package pde
 
-// The Lax–Wendroff update, written once. The serial stepper and both
-// parallel solvers hand it rows — destination, south, centre, north — and it
+// The Lax–Wendroff update, written once. The serial stepper and the
+// parallel solver hand it rows — destination, south, centre, north — and it
 // knows nothing about how those rows are stored or who owns them.
 //
 // The expression tree in lwCoef.at is frozen: every golden, journal,

@@ -73,10 +73,11 @@ func stepPeriodicRows(w, v []float64, nx, ny int, row func(dst, south, centre, n
 	}
 }
 
-// stepHaloRows is one step of the same field through lwCoef.interior over
-// rows padded with a wrapped halo cell on each side and a halo row above and
-// below: what ParallelSolver2D.Step does. Only the interior of w is written;
-// its halo ring is garbage, as after the solver's buffer swap.
+// stepHaloRows is one step of the same field through lwCoef.interior alone
+// over rows padded with a wrapped halo cell on each side and a halo row above
+// and below, so the interior kernel is checked on every cell of the field,
+// edge columns included. Only the interior of w is written; its halo ring is
+// garbage.
 func stepHaloRows(w, v []float64, nx, ny int, c lwCoef) {
 	lw := nx + 2
 	pad := make([]float64, (ny+2)*lw)
@@ -302,47 +303,9 @@ func offsetWaves(x, y float64) float64 {
 	return 1 + math.Sin(2*math.Pi*x)*math.Cos(2*math.Pi*y) + 0.5*math.Cos(2*math.Pi*y) + 0.25*math.Cos(4*math.Pi*x)
 }
 
-// solverCase is one decomposition of a sub-grid over a process group.
-type solverCase struct {
-	name   string
-	px, py int // process grid; px == 1 for the row-banded solver
-	build  func(c *mpi.Comm, p *Problem, lv grid.Level, dt float64) (Solver, error)
-}
-
-func solverCases() []solverCase {
-	var cases []solverCase
-	for _, p := range []int{1, 2, 3, 8} {
-		for _, nonblocking := range []bool{false, true} {
-			cases = append(cases, solverCase{
-				name: fmt.Sprintf("1D/p=%d/nonblocking=%v", p, nonblocking), px: 1, py: p,
-				build: func(c *mpi.Comm, prob *Problem, lv grid.Level, dt float64) (Solver, error) {
-					s, err := NewParallelSolver(c, prob, lv, dt)
-					if err != nil {
-						return nil, err
-					}
-					s.Nonblocking = nonblocking
-					return s, nil
-				},
-			})
-		}
-	}
-	for _, d := range [][2]int{{1, 1}, {2, 2}, {4, 2}} {
-		px, py := d[0], d[1]
-		cases = append(cases, solverCase{
-			name: fmt.Sprintf("2D/%dx%d", px, py), px: px, py: py,
-			build: func(c *mpi.Comm, prob *Problem, lv grid.Level, dt float64) (Solver, error) {
-				return NewParallelSolver2D(c, prob, lv, dt, px, py)
-			},
-		})
-	}
-	return cases
-}
-
-// fits reports whether the case's process grid has at least one cell per
-// process on lv.
-func (sc solverCase) fits(lv grid.Level) bool {
-	return sc.px <= 1<<lv.I && sc.py <= 1<<lv.J
-}
+// solverProcs are the process counts the solver tests split a sub-grid over;
+// a count above the level's row count is skipped.
+var solverProcs = []int{1, 2, 3, 8}
 
 // swapLevels includes I = 0 and I = 1, where every column of a row-banded
 // block is a periodic edge column and the interior loop never runs.
@@ -362,9 +325,9 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// TestSolversMatchSerialAtBothParities gathers every decomposition after an
-// odd and an even number of steps and requires the serial grid bit for bit.
-// The solvers alternate between two buffers, so a stale halo or a read from
+// TestSolversMatchSerialAtBothParities gathers the solver at every process
+// count after an odd and an even number of steps and requires the serial grid bit for bit.
+// The solver alternates between two buffers, so a stale halo or a read from
 // the wrong buffer would show at one parity only.
 func TestSolversMatchSerialAtBothParities(t *testing.T) {
 	rowPaths(t, testSolversMatchSerialAtBothParities)
@@ -375,28 +338,28 @@ func testSolversMatchSerialAtBothParities(t *testing.T) {
 	for _, lv := range swapLevels {
 		dt := StableDt(1/float64(int(1)<<lv.I), 1/float64(int(1)<<lv.J), prob.Ax, prob.Ay, 0.8)
 		serial := map[int]*grid.Grid{7: Solve(lv, prob, dt, 7), 8: Solve(lv, prob, dt, 8)}
-		for _, sc := range solverCases() {
-			if !sc.fits(lv) {
+		for _, procs := range solverProcs {
+			if procs > 1<<lv.J {
 				continue
 			}
-			_, err := mpi.Run(mpi.Options{NProcs: sc.px * sc.py, Entry: func(proc *mpi.Proc) {
+			_, err := mpi.Run(mpi.Options{NProcs: procs, Entry: func(proc *mpi.Proc) {
 				for _, nsteps := range []int{7, 8} {
-					s, err := sc.build(proc.World(), prob, lv, dt)
+					s, err := NewParallelSolver(proc.World(), prob, lv, dt)
 					if err != nil {
-						t.Errorf("%s %v: %v", sc.name, lv, err)
+						t.Errorf("p=%d %v: %v", procs, lv, err)
 						return
 					}
 					if err := s.Run(nsteps); err != nil {
-						t.Errorf("%s %v: Run: %v", sc.name, lv, err)
+						t.Errorf("p=%d %v: Run: %v", procs, lv, err)
 						return
 					}
 					g, err := s.Gather(0)
 					if err != nil {
-						t.Errorf("%s %v: Gather: %v", sc.name, lv, err)
+						t.Errorf("p=%d %v: Gather: %v", procs, lv, err)
 						return
 					}
 					if g != nil {
-						sameBits(t, fmt.Sprintf("%s %v after %d steps", sc.name, lv, nsteps), g.V, serial[nsteps].V)
+						sameBits(t, fmt.Sprintf("p=%d %v after %d steps", procs, lv, nsteps), g.V, serial[nsteps].V)
 						g.Free()
 					}
 					s.Release()
@@ -421,16 +384,16 @@ func TestBufferSwapInvisibleToStateAccess(t *testing.T) {
 		const from = 4 // SetFromGrid source step
 		source := Solve(lv, prob, dt, from)
 		serial := map[int]*grid.Grid{5: Solve(lv, prob, dt, from+5), 6: Solve(lv, prob, dt, from+6)}
-		for _, sc := range solverCases() {
-			if !sc.fits(lv) {
+		for _, procs := range solverProcs {
+			if procs > 1<<lv.J {
 				continue
 			}
-			_, err := mpi.Run(mpi.Options{NProcs: sc.px * sc.py, Entry: func(proc *mpi.Proc) {
-				fail := func(what string, err error) { t.Errorf("%s %v: %s: %v", sc.name, lv, what, err) }
+			_, err := mpi.Run(mpi.Options{NProcs: procs, Entry: func(proc *mpi.Proc) {
+				fail := func(what string, err error) { t.Errorf("p=%d %v: %s: %v", procs, lv, what, err) }
 				for _, a := range []int{3, 4} {
 					for _, b := range []int{5, 6} {
-						what := fmt.Sprintf("%s %v a=%d b=%d", sc.name, lv, a, b)
-						s, err := sc.build(proc.World(), prob, lv, dt)
+						what := fmt.Sprintf("p=%d %v a=%d b=%d", procs, lv, a, b)
+						s, err := NewParallelSolver(proc.World(), prob, lv, dt)
 						if err != nil {
 							fail("build", err)
 							return
@@ -440,7 +403,7 @@ func TestBufferSwapInvisibleToStateAccess(t *testing.T) {
 							return
 						}
 						saved := s.State()
-						sameBits(t, what+": AppendState vs State", AppendState(s, make([]float64, 0, 4)), saved)
+						sameBits(t, what+": AppendState vs State", s.AppendState(make([]float64, 0, 4)), saved)
 						if err := s.Run(b); err != nil {
 							fail("Run", err)
 							return
@@ -460,7 +423,7 @@ func TestBufferSwapInvisibleToStateAccess(t *testing.T) {
 				}
 				for _, k := range []int{0, 1} {
 					for _, b := range []int{5, 6} {
-						s, err := sc.build(proc.World(), prob, lv, dt)
+						s, err := NewParallelSolver(proc.World(), prob, lv, dt)
 						if err != nil {
 							fail("build", err)
 							return
@@ -483,11 +446,11 @@ func TestBufferSwapInvisibleToStateAccess(t *testing.T) {
 							return
 						}
 						if g != nil {
-							sameBits(t, fmt.Sprintf("%s %v SetFromGrid after %d steps, then %d", sc.name, lv, k, b), g.V, serial[b].V)
+							sameBits(t, fmt.Sprintf("p=%d %v SetFromGrid after %d steps, then %d", procs, lv, k, b), g.V, serial[b].V)
 							g.Free()
 						}
-						if s.Steps() != from+b {
-							t.Errorf("%s %v: Steps = %d, want %d", sc.name, lv, s.Steps(), from+b)
+						if s.StepCount != from+b {
+							t.Errorf("p=%d %v: StepCount = %d, want %d", procs, lv, s.StepCount, from+b)
 						}
 						s.Release()
 					}
