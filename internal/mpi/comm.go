@@ -51,6 +51,13 @@ type commShared struct {
 	// wall-clock moment — revocation, like collective aborts, propagates
 	// along program order so simulated virtual times stay deterministic.
 	quiesced map[int]bool
+	// ack is the failed-member list FailureAck hands to every handle,
+	// taken at one World.deathGen. Guarded by World.state.
+	ack *ackList
+	// byRank is the members' procStates in ascending world rank, the order
+	// revokedDeadlock takes their locks in; built on its first run. Guarded
+	// by World.state.
+	byRank []*procState
 	// repairFor records, for a spawn intercommunicator, how many failed
 	// processes the spawn replaced. The beta ULFM keeps such
 	// communicators on the expensive multi-failure agreement path
@@ -62,6 +69,13 @@ type commShared struct {
 	// immutable group on first use; the build is deterministic, so racing
 	// members may store equivalent copies, and any of them is valid.
 	hier atomic.Pointer[commTopo]
+}
+
+// ackList is a communicator's failed members (world ranks, group order) as
+// of World.deathGen == gen. Shared read-only by the handles that acked it.
+type ackList struct {
+	gen    uint64
+	failed []int
 }
 
 // Comm is one process's handle on a communicator, mirroring MPI_Comm. The
@@ -76,7 +90,8 @@ type Comm struct {
 	seqs map[string]int
 	errh Errhandler
 	// acked is the snapshot of failed world ranks acknowledged by
-	// OMPI_Comm_failure_ack on this handle.
+	// OMPI_Comm_failure_ack on this handle: the communicator's shared
+	// ackList, read-only.
 	acked []int
 	// sawRevoked is set once this process has observed the revocation
 	// (called Revoke itself, or had an operation return MPI_ERR_REVOKED).
@@ -126,14 +141,11 @@ func (c *Comm) fire(err error) error {
 // Must be called without any transport lock held.
 func (c *Comm) markRevoked() {
 	c.sawRevoked = true
-	st := c.p.st
-	w := st.w
+	w := c.p.st.w
 	w.state.Lock()
-	if c.sh.quiesced == nil {
-		c.sh.quiesced = make(map[int]bool)
-	}
-	c.sh.quiesced[st.wrank] = true
-	w.wakeWaiters(c.sh.members, opRecv, c.sh.id, AnySource)
+	// The communicator is revoked already (an ErrRevoked follows from its
+	// revocation); a flag still false would make this the first walk.
+	c.quiesceLocked(!c.sh.revoked.Load())
 	w.state.Unlock()
 }
 
@@ -194,6 +206,27 @@ func (c *Comm) recvOp(src int) blockedOp {
 		return opAny
 	}
 	return recvOp(c.sh.id, pw)
+}
+
+// parkCount is the count a goroutine asleep in a receive from rank src of
+// this communicator (AnySource: wildcard) is held on (see procState.park):
+// World.parkedRevoked on a revoked communicator, whatever the source — a
+// death or a quiesce anywhere in the group may resolve it; World.parkedWild
+// for a wildcard; otherwise the named source's own namedBy, so a
+// failure-free park touches no count that all ranks share.
+func (c *Comm) parkCount(src int) *atomic.Int32 {
+	w := c.p.st.w
+	if c.sh.revoked.Load() {
+		return &w.parkedRevoked
+	}
+	if src == AnySource {
+		return &w.parkedWild
+	}
+	pw, err := c.peerWorld(src)
+	if err != nil {
+		return &w.parkedOther
+	}
+	return &w.proc(pw).namedBy
 }
 
 // peerWorld resolves a peer rank for point-to-point traffic: the remote

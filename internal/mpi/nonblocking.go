@@ -138,7 +138,7 @@ func Wait[T any](r *Request) ([]T, Status, error) {
 		defer st.unblock()
 	}
 	for !r.done {
-		e := st.epoch
+		e, g := st.epoch, w.evGen.Load()
 		st.mu.Unlock()
 		v := recvVerdict(c, r.src, r.tag, false)
 		revoked := v.err == nil && c.sh.revoked.Load()
@@ -170,10 +170,8 @@ func Wait[T any](r *Request) ([]T, Status, error) {
 			st.waitSh, st.waitReq = nil, nil
 			break
 		}
-		if st.epoch == e {
-			st.waitSh, st.waitReq = c.sh, r
-			st.cond.Wait()
-		}
+		st.waitSh, st.waitReq = c.sh, r
+		st.park(e, g, &w.parkedOther)
 		st.waitSh, st.waitReq = nil, nil
 	}
 	env := r.env
@@ -234,6 +232,7 @@ func (r *Request) Test() bool {
 // conditions as Recv.
 func (c *Comm) Probe(src, tag int) (Status, error) {
 	st := c.p.st
+	w := st.w
 	if c.sawRevoked {
 		return Status{}, c.fire(ErrRevoked)
 	}
@@ -250,7 +249,7 @@ func (c *Comm) Probe(src, tag int) (Status, error) {
 	for {
 		st.mu.Lock()
 		stt, ok := probe()
-		e := st.epoch
+		e, g := st.epoch, w.evGen.Load()
 		st.mu.Unlock()
 		if ok {
 			return stt, nil
@@ -283,10 +282,8 @@ func (c *Comm) Probe(src, tag int) (Status, error) {
 		}
 
 		st.mu.Lock()
-		if st.epoch == e {
-			st.waitSh, st.waitSrc, st.waitTag, st.waitReq = c.sh, src, tag, nil
-			st.cond.Wait()
-		}
+		st.waitSh, st.waitSrc, st.waitTag, st.waitReq = c.sh, src, tag, nil
+		st.park(e, g, &w.parkedOther)
 		st.waitSh = nil
 		st.mu.Unlock()
 	}
@@ -340,7 +337,7 @@ func Waitany(reqs ...*Request) int {
 				return i
 			}
 		}
-		e := st.epoch
+		e, g := st.epoch, w.evGen.Load()
 		st.mu.Unlock()
 
 		// A request whose failure condition already holds completes with
@@ -373,9 +370,7 @@ func Waitany(reqs ...*Request) int {
 		}
 
 		st.mu.Lock()
-		if st.epoch == e {
-			st.cond.Wait()
-		}
+		st.park(e, g, &w.parkedOther)
 		st.mu.Unlock()
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
+	"slices"
 	"unsafe"
 
 	"ftsg/internal/vtime"
@@ -351,7 +351,7 @@ func recvMatch(c *Comm, src, tag int, internal bool, into intoBuf) (*envelope, S
 			st.block(c.recvOp(src))
 			published = true
 		}
-		e := st.epoch
+		e, g := st.epoch, w.evGen.Load()
 		st.mu.Unlock()
 		if env != nil {
 			return matched(env)
@@ -406,9 +406,12 @@ func recvMatch(c *Comm, src, tag int, internal bool, into intoBuf) (*envelope, S
 				st.into = into
 				st.intoSet.Store(true)
 			}
-			st.parks++
-			st.cond.Wait()
-			woke = true
+			st.parks++ // taken back below if park returns without sleeping
+			if st.park(e, g, c.parkCount(src)) {
+				woke = true
+			} else {
+				st.parks--
+			}
 			st.retractInto()
 		}
 		got := st.got
@@ -487,42 +490,47 @@ type verdict struct {
 // abort (internal receives only), its quiesce on a revoked communicator,
 // its death; or, for a wildcard receive, unacknowledged failures in the
 // group. Lock-free in the failure-free case: group membership is immutable,
-// liveness is atomic, and the abort/quiesce maps are consulted (under a
-// state read lock) only once their atomic gate flags say there is something
-// to see. Must be called without any transport lock held.
+// liveness is atomic, and the abort/quiesce maps are consulted only once an
+// atomic gate flag or the source's liveness says there is something to see.
+//
+// Then the maps and the liveness are read together, under one state read
+// lock. A source aborts, quiesces and dies in that program order, each a
+// separate write of the state, so a snapshot that shows a later step shows
+// the earlier ones too. Read one at a time, a receiver could miss the abort,
+// then see the quiesce or the death that followed it, and fail without the
+// abort's clock sync — a virtual time that depends on when it looked. Must
+// be called without any transport lock held.
 func recvVerdict(c *Comm, src, tag int, internal bool) verdict {
 	w := c.p.st.w
-	if src != AnySource {
-		pw, err := c.peerWorld(src)
-		if err != nil {
-			return verdict{err: err}
+	if src == AnySource {
+		if hasUnacked(w, c) {
+			return verdict{err: ErrPending}
 		}
-		if internal && c.sh.hasAborts.Load() {
-			w.state.RLock()
-			at, ok := c.sh.aborts[tag][pw]
-			mismatch := c.sh.mismatched[[2]int{tag, pw}]
-			w.state.RUnlock()
-			if ok {
-				err := failedErr(-1, -1)
-				if mismatch {
-					err = errPeerMismatch
-				}
-				return verdict{err: err, abort: true, at: at}
-			}
-		}
-		if c.sh.revoked.Load() {
-			w.state.RLock()
-			q := c.sh.quiesced[pw]
-			w.state.RUnlock()
-			if q {
-				return verdict{err: ErrRevoked}
-			}
-		}
-		if !w.alive(pw) {
-			return verdict{err: failedErr(src, pw)}
-		}
-	} else if hasUnacked(w, c) {
-		return verdict{err: ErrPending}
+		return verdict{}
+	}
+	pw, err := c.peerWorld(src)
+	if err != nil {
+		return verdict{err: err}
+	}
+	if !(internal && c.sh.hasAborts.Load()) && !c.sh.revoked.Load() && w.alive(pw) {
+		return verdict{}
+	}
+	w.state.RLock()
+	at, aborted := c.sh.aborts[tag][pw]
+	aborted = aborted && internal
+	mismatch := aborted && c.sh.mismatched[[2]int{tag, pw}]
+	quiesced := c.sh.quiesced[pw]
+	alive := w.alive(pw)
+	w.state.RUnlock()
+	switch {
+	case mismatch:
+		return verdict{err: errPeerMismatch, abort: true, at: at}
+	case aborted:
+		return verdict{err: failedErr(-1, -1), abort: true, at: at}
+	case quiesced:
+		return verdict{err: ErrRevoked}
+	case !alive:
+		return verdict{err: failedErr(src, pw)}
 	}
 	return verdict{}
 }
@@ -542,43 +550,40 @@ func recvVerdict(c *Comm, src, tag int, internal bool) verdict {
 // parked state. A non-atomic scan could assemble a view that never existed
 // at any instant and nondeterministically resolve a live group. Caller
 // must hold no transport lock.
+//
+// The caller — self, registered as blocked before the call — is held to the
+// same test first. Its own receive may have gained a resolution after its
+// verdict check (the source aborted or quiesced in between); resolving the
+// group then would answer MPI_ERR_REVOKED where the program-order verdict
+// answers the abort, at a virtual time that depends on which came first in
+// wall-clock time. The caller loops and takes the verdict instead.
 func revokedDeadlock(c *Comm, self int) bool {
 	w := c.p.st.w
 	w.state.Lock()
+	defer w.state.Unlock()
 	ps := w.snapshot()
-	members := c.sh.members
-	locked := make([]*procState, 0, len(members))
-	for _, wr := range members {
-		locked = append(locked, ps[wr])
+	me := ps[self]
+	me.mu.Lock()
+	pending := !stuckOn(w, c.sh, me)
+	me.mu.Unlock()
+	if pending {
+		return false
 	}
-	sort.Slice(locked, func(i, j int) bool { return locked[i].wrank < locked[j].wrank })
+	locked := c.sh.byRank
+	if locked == nil {
+		locked = make([]*procState, len(c.sh.members))
+		for i, wr := range c.sh.members {
+			locked[i] = ps[wr]
+		}
+		slices.SortFunc(locked, func(a, b *procState) int { return a.wrank - b.wrank })
+		c.sh.byRank = locked
+	}
 	for _, q := range locked {
 		q.mu.Lock()
 	}
 	dead := true
 	for _, q := range locked {
-		if q.wrank == self || !q.alive.Load() || c.sh.quiesced[q.wrank] {
-			continue
-		}
-		if q.waitSh != c.sh {
-			dead = false // not blocked on this communicator; it may still send
-			break
-		}
-		if q.waitReq != nil {
-			if q.waitReq.done {
-				dead = false // a send already completed it; it will run on
-				break
-			}
-		} else if q.mb.peek(c.sh.id, q.waitSrc, q.waitTag) != nil {
-			dead = false // a matchable message is waiting; it will consume it
-			break
-		} else if pendingRecvVerdict(w, c.sh, q) {
-			// The member's receive already has a failure resolution
-			// recorded (source abort/quiesce/death); the wake is merely in
-			// flight. Counting it as stuck would resolve the group early
-			// at a wall-clock-dependent moment — the member must instead
-			// error out of its collective along the deterministic
-			// program-order chain.
+		if q.wrank != self && !stuckOn(w, c.sh, q) {
 			dead = false
 			break
 		}
@@ -586,20 +591,43 @@ func revokedDeadlock(c *Comm, self int) bool {
 	for i := len(locked) - 1; i >= 0; i-- {
 		locked[i].mu.Unlock()
 	}
-	w.state.Unlock()
 	return dead
 }
 
-// pendingRecvVerdict reports whether a member parked on a receive already
-// has a failure resolution recorded — a collective abort by its source for
-// its instance tag, its source's quiesce, or its source's death. Such a
-// member is about to be woken and must not be counted as permanently
-// stuck by revokedDeadlock. Wildcard receives are conservatively treated
-// as stuck: their resolution depends on per-handle ack state the detector
-// cannot see, and no collective uses them. Caller holds World.state and
-// q.mu.
-func pendingRecvVerdict(w *World, sh *commShared, q *procState) bool {
-	src := q.waitSrc
+// stuckOn reports whether member q of communicator sh can never act on it
+// again by itself: it is dead, or quiesced, or blocked receiving on sh with
+// no resolution pending. Caller holds World.state and q.mu.
+func stuckOn(w *World, sh *commShared, q *procState) bool {
+	if !q.alive.Load() || sh.quiesced[q.wrank] {
+		return true
+	}
+	if q.waitSh != sh {
+		return false // not blocked on this communicator; it may still send
+	}
+	if r := q.waitReq; r != nil {
+		// Blocked in Wait: a send already completed the request, or its
+		// source has a resolution recorded.
+		return !r.done && !pendingRecvVerdict(w, sh, q, r.src, r.tag)
+	}
+	// A matchable message is waiting (it will consume it), or the receive
+	// has a failure resolution recorded (source abort/quiesce/death) and
+	// the wake is merely in flight. Counting it as stuck would resolve the
+	// group early at a wall-clock-dependent moment — the member must
+	// instead error out of its collective along the deterministic
+	// program-order chain.
+	return q.mb.peek(sh.id, q.waitSrc, q.waitTag) == nil &&
+		!pendingRecvVerdict(w, sh, q, q.waitSrc, q.waitTag)
+}
+
+// pendingRecvVerdict reports whether member q's receive from rank src with
+// tag already has a failure resolution recorded — a collective abort by its
+// source for that instance tag, its source's quiesce, or its source's
+// death. Such a member is about to be woken and must not be counted as
+// permanently stuck by revokedDeadlock. Wildcard receives are
+// conservatively treated as stuck: their resolution depends on per-handle
+// ack state the detector cannot see, and no collective uses them. Caller
+// holds World.state and q.mu.
+func pendingRecvVerdict(w *World, sh *commShared, q *procState, src, tag int) bool {
 	if src == AnySource {
 		return false
 	}
@@ -613,7 +641,7 @@ func pendingRecvVerdict(w *World, sh *commShared, q *procState) bool {
 		return false
 	}
 	pw := g[src]
-	if _, ok := sh.aborts[q.waitTag][pw]; ok {
+	if _, ok := sh.aborts[tag][pw]; ok {
 		return true
 	}
 	if sh.quiesced[pw] {
@@ -679,7 +707,9 @@ func abortCollective(c *Comm, tag int, cause error) {
 	}
 	c.sh.hasAborts.Store(true)
 	// Only a receive naming the aborter consults its abort record.
-	w.wakeWaiters(c.sh.members, opRecv, c.sh.id, st.wrank)
+	if w.mayWake(st, false) {
+		w.wakeWaiters(c.sh.members, opRecv, c.sh.id, st.wrank)
+	}
 	w.state.Unlock()
 }
 

@@ -21,25 +21,40 @@ func (c *Comm) Revoke() error {
 	w := st.w
 	c.sawRevoked = true
 	w.state.Lock()
-	if !c.sh.revoked.Load() {
+	first := !c.sh.revoked.Load()
+	if first {
 		c.sh.revoked.Store(true)
 		if w.revokedComms == nil {
 			w.revokedComms = make(map[int]bool)
 		}
 		w.revokedComms[c.sh.id] = true
 	}
+	st.clock.AdvanceAttr(w.machine.ULFM.RevokeCost, vtime.CompRevoke)
+	w.wm.countRevoke()
+	c.quiesceLocked(first)
+	w.state.Unlock()
+	return nil
+}
+
+// quiesceLocked records that the caller has observed the communicator's
+// revocation and wakes the receivers that may now resolve. Only a receive on
+// this communicator can be resolved by a revocation or by a quiesce record;
+// rendezvous collectives consult the owner-only sawRevoked at entry and
+// nothing afterwards. The first revocation walks every member: a receiver
+// that parked before it is counted only on its source. After it, every
+// receive on the communicator parks counted as one on a revoked
+// communicator, so a later quiesce walks only if mayWake finds one asleep.
+// Caller holds state (write).
+func (c *Comm) quiesceLocked(first bool) {
+	st := c.p.st
+	w := st.w
 	if c.sh.quiesced == nil {
 		c.sh.quiesced = make(map[int]bool)
 	}
 	c.sh.quiesced[st.wrank] = true
-	st.clock.AdvanceAttr(w.machine.ULFM.RevokeCost, vtime.CompRevoke)
-	w.wm.countRevoke()
-	// Only a receive on this communicator can be resolved by a revocation
-	// or by this caller's quiesce record; rendezvous collectives consult
-	// the owner-only sawRevoked at entry and nothing afterwards.
-	w.wakeWaiters(c.sh.members, opRecv, c.sh.id, AnySource)
-	w.state.Unlock()
-	return nil
+	if first || w.mayWake(st, false) {
+		w.wakeWaiters(c.sh.members, opRecv, c.sh.id, AnySource)
+	}
 }
 
 // Shrink builds a new intracommunicator containing the surviving members of
@@ -120,12 +135,36 @@ func agreeBuild(c *Comm) buildFunc {
 // FailureAck acknowledges all currently known failures on the communicator
 // (OMPI_Comm_failure_ack): wildcard receives posted after the call no longer
 // report MPI_ERR_PENDING for these failures, and FailureGetAcked returns
-// exactly this snapshot. Liveness reads are atomic, so no lock is needed;
-// acked is owner-only handle state.
+// exactly this snapshot. acked is owner-only handle state.
+//
+// The snapshot is the communicator's one failed list for the current
+// World.deathGen, shared read-only by every handle: the first ack after a
+// departure builds it under the state write lock, every later one reads it
+// under the read lock. So a dance in which every member acks walks the
+// group once per death, not once per member.
 func (c *Comm) FailureAck() error {
 	st := c.p.st
 	w := st.w
-	c.acked = w.failedOf(c.sh.members)
+	w.state.RLock()
+	a := c.sh.ack
+	if a != nil && a.gen != w.deathGen {
+		a = nil
+	}
+	w.state.RUnlock()
+	if a == nil {
+		w.state.Lock()
+		if a = c.sh.ack; a == nil || a.gen != w.deathGen {
+			a = &ackList{gen: w.deathGen}
+			for _, r := range c.sh.members {
+				if !w.alive(r) {
+					a.failed = append(a.failed, r)
+				}
+			}
+			c.sh.ack = a
+		}
+		w.state.Unlock()
+	}
+	c.acked = a.failed
 	st.clock.AdvanceAttr(w.machine.ULFM.GroupOpCost*float64(len(c.sh.members)), vtime.CompAck)
 	return nil
 }

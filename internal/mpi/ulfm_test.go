@@ -2,8 +2,11 @@ package mpi
 
 import (
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"ftsg/internal/vtime"
 )
@@ -443,5 +446,63 @@ func TestVirtualTimeDeterminism(t *testing.T) {
 	}
 	if first <= 0 {
 		t.Fatal("no virtual time accumulated")
+	}
+}
+
+// TestFailureAckSharesOneListPerDeath checks that acknowledging failures
+// costs one failed list per communicator per death, not one per member: on
+// 1024 ranks with two kills, every survivor acks both deaths, and the ack
+// phase allocates a small fixed number of objects where a list per handle
+// was two thousand. The survivors spin on atomics around the phase (a
+// channel wait may allocate), so the process-wide counter sees only the
+// acks, and every handle ends up holding the same shared list.
+func TestFailureAckSharesOneListPerDeath(t *testing.T) {
+	const n = 1024
+	victims := map[int]bool{100: true, 777: true}
+	survivors := int64(n - len(victims))
+	var ready, acked atomic.Int64
+	var start, done atomic.Bool
+	var before, after runtime.MemStats
+	spin := func(cond func() bool) {
+		for !cond() {
+			runtime.Gosched()
+		}
+	}
+	lists := make([]*int, n)
+	_, err := Run(Options{NProcs: n, Machine: vtime.OPL(), Entry: func(p *Proc) {
+		c := p.World()
+		if victims[c.Rank()] {
+			p.Kill()
+		}
+		_, _ = c.Agree(1) // every survivor has seen both deaths
+		if ready.Add(1) == survivors {
+			runtime.ReadMemStats(&before)
+			start.Store(true)
+		}
+		spin(start.Load)
+		if err := c.FailureAck(); err != nil {
+			t.Errorf("rank %d: FailureAck: %v", c.Rank(), err)
+		}
+		lists[c.Rank()] = unsafe.SliceData(c.acked)
+		if acked.Add(1) == survivors {
+			runtime.ReadMemStats(&after)
+			done.Store(true)
+		}
+		spin(done.Load)
+		if got := c.FailureGetAcked(); len(got) != 2 || got[0] != 100 || got[1] != 777 {
+			t.Errorf("rank %d: FailureGetAcked = %v, want [100 777]", c.Rank(), got)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mallocs := after.Mallocs - before.Mallocs; mallocs > 16 {
+		t.Errorf("%d survivors' FailureAck made %d allocations, want <= 16 (one shared list)", survivors, mallocs)
+	}
+	for r, l := range lists {
+		if !victims[r] && l != lists[0] {
+			t.Errorf("rank %d holds its own failed list, want the communicator's shared one", r)
+			break
+		}
 	}
 }
