@@ -70,74 +70,6 @@ func TestPingPongAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestIsendIrecvHaloRingRecycles pins the steady state of the overlapped
-// halo idiom on an 8-rank ring: each round posts both Irecvs, Isends a 1 KiB
-// row to each neighbour, waits for the sends and then for the receives, and
-// releases the received rows. After a warm-up a round must allocate less than
-// 64 bytes per rank — Wait recycles its four requests, and every row sent is
-// a row some rank released.
-func TestIsendIrecvHaloRingRecycles(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race build's sync.Pool drops items at random")
-	}
-	noGC(t)
-	oneP(t)
-	const (
-		ranks  = 8
-		warm   = 16
-		rounds = 256
-		budget = 64 // bytes per rank per round
-	)
-	var before, after runtime.MemStats
-	runWorld(t, ranks, func(p *Proc) {
-		c := p.World()
-		up, down := (c.Rank()+1)%ranks, (c.Rank()-1+ranks)%ranks
-		top, bottom := make([]float64, 128), make([]float64, 128)
-		lower, upper := make([]float64, 128), make([]float64, 128)
-		round := func() {
-			rLower, err := Irecv[float64](c, down, 1)
-			must(t, err)
-			rUpper, err := Irecv[float64](c, up, 2)
-			must(t, err)
-			sUp, err := Isend(c, up, 1, top)
-			must(t, err)
-			sDown, err := Isend(c, down, 2, bottom)
-			must(t, err)
-			must(t, Waitall(sUp, sDown))
-			got, _, err := Wait[float64](rLower)
-			must(t, err)
-			copy(lower, got)
-			ReleaseBuf(got)
-			got, _, err = Wait[float64](rUpper)
-			must(t, err)
-			copy(upper, got)
-			ReleaseBuf(got)
-		}
-		// The barriers fence the measured region: no rank is still warming
-		// up, or already tearing down, while rank 0 reads.
-		measure := func(m *runtime.MemStats) {
-			must(t, c.Barrier())
-			if c.Rank() == 0 {
-				runtime.ReadMemStats(m)
-			}
-			must(t, c.Barrier())
-		}
-		for i := 0; i < warm; i++ {
-			round()
-		}
-		measure(&before)
-		for i := 0; i < rounds; i++ {
-			round()
-		}
-		measure(&after)
-	})
-	perRound := float64(after.TotalAlloc-before.TotalAlloc) / (ranks * rounds)
-	t.Logf("%.1f B per rank per round", perRound)
-	if perRound >= budget {
-		t.Errorf("%.1f B per rank per round, want < %d", perRound, budget)
-	}
-}
-
 // TestMixedSizesDoNotThrash checks that sizes of different classes never
 // evict each other: with a released 40 KiB accumulator pooled, a 48 KiB
 // request neither takes it nor displaces it, and the next 40 KiB request gets

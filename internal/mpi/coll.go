@@ -20,7 +20,7 @@ const (
 	kindBcast
 	kindReduce
 	kindGather
-	kindScatter
+	_ // a retired kind: its slot keeps every later kind's tag
 	kindAllgather
 	kindAllreduce
 )
@@ -49,9 +49,6 @@ func MinOp[T Number](a, b T) T {
 	}
 	return b
 }
-
-// BAnd is the MPI_BAND reduction operator on ints.
-func BAnd(a, b int) int { return a & b }
 
 // barrierToken is the 1-byte payload of every barrier dissemination
 // message. It is shared and immutable, and the pool keeps nothing under
@@ -247,49 +244,6 @@ func Gather[T any](c *Comm, root int, data []T) ([][]T, error) {
 	}
 	opEnd(c, "gather", t0)
 	return out, nil
-}
-
-// Scatter distributes parts[i] from root to rank i. Only root's parts
-// argument is significant; it must have exactly Size slices.
-func Scatter[T any](c *Comm, root int, parts [][]T) ([]T, error) {
-	if c.IsInter() {
-		return nil, c.fire(fmt.Errorf("mpi: Scatter on intercommunicator: %w", ErrComm))
-	}
-	t0 := opStart(c, "scatter")
-	tag := internalTag(kindScatter, c.nextSeq("scatter"))
-	n := c.Size()
-	if c.rank == root && len(parts) != n {
-		return nil, c.fire(fmt.Errorf("mpi: Scatter: %d parts for %d ranks: %w", len(parts), n, ErrType))
-	}
-	if t := c.hierTopo(); t != nil {
-		got, err := hierScatter(c, t, tag, root, parts)
-		if err != nil {
-			abortCollective(c, tag, err)
-			return nil, c.fire(err)
-		}
-		opEnd(c, "scatter", t0)
-		return got, nil
-	}
-	if c.rank == root {
-		for r := 0; r < n; r++ {
-			if r == root {
-				continue
-			}
-			if err := sendRaw(c, r, tag, parts[r]); err != nil {
-				abortCollective(c, tag, err)
-				return nil, c.fire(err)
-			}
-		}
-		opEnd(c, "scatter", t0)
-		return cloneBuf(parts[root]), nil
-	}
-	got, _, err := recvRaw[T](c, root, tag, true)
-	if err != nil {
-		abortCollective(c, tag, err)
-		return nil, c.fire(err)
-	}
-	opEnd(c, "scatter", t0)
-	return got, nil
 }
 
 // Allgather collects equal-length buffers from every member and delivers the

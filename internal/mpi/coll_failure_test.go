@@ -80,48 +80,9 @@ func TestGatherWithDeadMember(t *testing.T) {
 	})
 }
 
-func TestScatterWithDeadMember(t *testing.T) {
-	collectiveFailureHarness(t, 6, 2, func(p *Proc, c *Comm) error {
-		var parts [][]int
-		if c.Rank() == 0 {
-			parts = make([][]int, 6)
-			for i := range parts {
-				parts[i] = []int{i}
-			}
-		}
-		_, err := Scatter(c, 0, parts)
-		return err
-	})
-}
-
 func TestAllgatherWithDeadMember(t *testing.T) {
 	collectiveFailureHarness(t, 6, 1, func(p *Proc, c *Comm) error {
 		_, err := Allgather(c, []int{c.Rank()})
-		return err
-	})
-}
-
-func TestAlltoallWithDeadMember(t *testing.T) {
-	collectiveFailureHarness(t, 5, 3, func(p *Proc, c *Comm) error {
-		parts := make([][]int, 5)
-		for i := range parts {
-			parts[i] = []int{c.Rank()}
-		}
-		_, err := Alltoall(c, parts)
-		return err
-	})
-}
-
-func TestExscanWithDeadMember(t *testing.T) {
-	collectiveFailureHarness(t, 5, 2, func(p *Proc, c *Comm) error {
-		_, err := Exscan(c, []int{1}, Sum[int])
-		return err
-	})
-}
-
-func TestReduceScatterWithDeadMember(t *testing.T) {
-	collectiveFailureHarness(t, 4, 2, func(p *Proc, c *Comm) error {
-		_, err := ReduceScatterBlock(c, []int{1, 2, 3, 4}, Sum[int])
 		return err
 	})
 }
@@ -144,4 +105,58 @@ func TestDupWithDeadMember(t *testing.T) {
 		_, err := c.Dup()
 		return err
 	})
+}
+
+// TestReduceLengthMismatchIsNotAFailure: a rank whose contribution has the
+// wrong length makes its parent in the reduction tree leave with ErrType, and
+// the parent's own parent learns of it at once as a mismatch, not as the death
+// of a rank that is still alive. On four ranks rooted at 0 (flat binomial
+// tree), rank 3 sends its odd buffer to rank 2, and rank 0 awaits rank 2.
+// Rank 2 stays in the world until rank 0's message arrives, so a rank 0 that
+// waited for rank 2 to exit would stall it.
+func TestReduceLengthMismatchIsNotAFailure(t *testing.T) {
+	cases := []struct {
+		name   string
+		event  bool
+		reduce func(f *Fiber, c *Comm, data []int, k func(error))
+	}{
+		{"Reduce", false, func(_ *Fiber, c *Comm, data []int, k func(error)) {
+			_, err := Reduce(c, 0, data, Sum[int])
+			k(err)
+		}},
+		{"FiberReduce", true, func(f *Fiber, c *Comm, data []int, k func(error)) {
+			FiberReduce(f, c, 0, data, Sum[int], func(_ []int, err error) { k(err) })
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			errs := make([]error, 4)
+			opts := Options{NProcs: 4, EventWorkers: 4, FlatCollectives: true, Watchdog: stallFails(t)}
+			runOnPath(t, opts, tc.event, func(p *Proc, o pathOps) {
+				c := p.World()
+				me := c.Rank()
+				data := []int{1}
+				if me == 3 {
+					data = []int{1, 2, 3}
+				}
+				tc.reduce(o.f, c, data, func(err error) {
+					errs[me] = err
+					switch me {
+					case 2:
+						o.recv(c, 0, 9, func(err error) { must(t, err) })
+					case 0:
+						must(t, Send(c, 2, 9, []int{0}))
+					}
+				})
+			})
+			for r, err := range errs {
+				switch {
+				case r%2 == 1 && err != nil:
+					t.Errorf("rank %d: %v", r, err)
+				case r%2 == 0 && (!errors.Is(err, ErrType) || errors.Is(err, ErrProcFailed)):
+					t.Errorf("rank %d: error %v, want a mismatch (ErrType) that is not MPI_ERR_PROC_FAILED", r, err)
+				}
+			}
+		})
+	}
 }

@@ -28,8 +28,6 @@ import "fmt"
 //	Gather     pieces to the node leader, one concatenated block (with a
 //	           length vector, since Gather permits unequal pieces) per
 //	           node to the root
-//	Scatter    root ships one block per node to its leader, leaders
-//	           fan out within the node
 //	Allgather  blocks to the leaders; small: gather at leader 0 + binomial
 //	           bcast of the flat buffer; large: ring block exchange over
 //	           leaders; then intra bcast and a zero-copy re-slicing
@@ -256,7 +254,7 @@ func bcastList[T any](c *Comm, tag int, l rankList, rootIdx, myIdx int, data []T
 }
 
 // reduceList is the binomial reduction over l, rooted at l.at(rootIdx),
-// shared by Reduce, Allreduce and ReduceScatterBlock. Contributions move
+// shared by Reduce and Allreduce. Contributions move
 // through the tree by ownership transfer: each received buffer is folded into
 // a pooled accumulator and recycled, and the accumulator itself is handed
 // uncopied to the parent — one pooled buffer per subtree instead of a copy
@@ -558,95 +556,6 @@ func hierGather[T any](c *Comm, t *commTopo, tag, root int, data []T) ([][]T, er
 		return nil, err
 	}
 	return nil, nil
-}
-
-// hierScatter: the root ships each remote node one length vector plus one
-// concatenated block via its leader; leaders fan the parts out within the
-// node; the root's own node is served directly.
-func hierScatter[T any](c *Comm, t *commTopo, tag, root int, parts [][]T) ([]T, error) {
-	me := c.rank
-	myNode := t.nodeOf[me]
-	node := t.nodes[myNode]
-	lead := t.nodeLead(myNode, root)
-
-	if me == root {
-		for _, r := range node {
-			if r == me {
-				continue
-			}
-			if err := sendRaw(c, r, tag, parts[r]); err != nil {
-				return nil, err
-			}
-		}
-		for k, members := range t.nodes {
-			if k == myNode {
-				continue
-			}
-			lens := getBuf[int](len(members))
-			total := 0
-			for i, r := range members {
-				lens[i] = len(parts[r])
-				total += lens[i]
-			}
-			block := getBuf[T](total)
-			off := 0
-			for _, r := range members {
-				copy(block[off:], parts[r])
-				off += len(parts[r])
-			}
-			lk := t.leaders[k]
-			if err := sendOwned(c, lk, tag, lens); err != nil {
-				return nil, err
-			}
-			if err := sendOwned(c, lk, tag, block); err != nil {
-				return nil, err
-			}
-		}
-		return cloneBuf(parts[root]), nil
-	}
-	if me == lead {
-		lens, _, err := recvRaw[int](c, root, tag, true)
-		if err != nil {
-			return nil, err
-		}
-		block, _, err := recvRaw[T](c, root, tag, true)
-		if err != nil {
-			putBuf(lens)
-			return nil, err
-		}
-		if len(lens) != len(node) {
-			putBuf(lens)
-			putBuf(block)
-			return nil, fmt.Errorf("mpi: Scatter: bad node header %d vs %d: %w", len(lens), len(node), ErrType)
-		}
-		var mine []T
-		off := 0
-		for i, r := range node {
-			m := lens[i]
-			if m < 0 || off+m > len(block) {
-				putBuf(lens)
-				putBuf(block)
-				return nil, fmt.Errorf("mpi: Scatter: bad node block: %w", ErrType)
-			}
-			seg := block[off : off+m]
-			off += m
-			if r == me {
-				mine = getBuf[T](m)
-				copy(mine, seg)
-				continue
-			}
-			if err := sendRaw(c, r, tag, seg); err != nil {
-				putBuf(lens)
-				putBuf(block)
-				return nil, err
-			}
-		}
-		putBuf(lens)
-		putBuf(block)
-		return mine, nil
-	}
-	got, _, err := recvRaw[T](c, lead, tag, true)
-	return got, err
 }
 
 // hierAllgather: equal pieces to the node leader; leaders assemble the

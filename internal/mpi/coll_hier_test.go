@@ -119,22 +119,6 @@ func runCollScript(t *testing.T, s collShape, flat bool) map[int][]float64 {
 				}
 			}
 
-			// Scatter with unequal part lengths.
-			var parts [][]float64
-			if me == r0 {
-				parts = make([][]float64, n)
-				for r := range parts {
-					parts[r] = make([]float64, r%4+1)
-					for k := range parts[r] {
-						parts[r][k] = float64(r*10 + k)
-					}
-				}
-			}
-			sout, err := Scatter(c, r0, parts)
-			must(t, err)
-			rec(float64(len(sout)))
-			rec(sout...)
-
 			// Allgather of equal pieces.
 			ag, err := Allgather(c, []float64{float64(me), float64(me) * 0.5, -1})
 			must(t, err)
@@ -364,17 +348,6 @@ func TestHierCollectivesWithDeadMember(t *testing.T) {
 		}},
 		{"gather", func(p *Proc, c *Comm) error {
 			_, err := Gather(c, 0, []int{c.Rank(), c.Rank()})
-			return err
-		}},
-		{"scatter", func(p *Proc, c *Comm) error {
-			var parts [][]int
-			if c.Rank() == 0 {
-				parts = make([][]int, c.Size())
-				for r := range parts {
-					parts[r] = []int{r}
-				}
-			}
-			_, err := Scatter(c, 0, parts)
 			return err
 		}},
 		{"allgather", func(p *Proc, c *Comm) error {

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -97,7 +98,7 @@ func TestAllreduceMinMax(t *testing.T) {
 	})
 }
 
-func TestGatherScatter(t *testing.T) {
+func TestGather(t *testing.T) {
 	runWorld(t, 5, func(p *Proc) {
 		c := p.World()
 		all, err := Gather(c, 0, []int{c.Rank() * c.Rank()})
@@ -107,21 +108,6 @@ func TestGatherScatter(t *testing.T) {
 				if len(all[r]) != 1 || all[r][0] != r*r {
 					t.Errorf("gather[%d] = %v", r, all[r])
 				}
-			}
-			parts := make([][]int, 5)
-			for r := range parts {
-				parts[r] = []int{r + 100}
-			}
-			mine, err := Scatter(c, 0, parts)
-			must(t, err)
-			if mine[0] != 100 {
-				t.Errorf("root scatter part = %v", mine)
-			}
-		} else {
-			mine, err := Scatter[int](c, 0, nil)
-			must(t, err)
-			if mine[0] != c.Rank()+100 {
-				t.Errorf("rank %d scatter part = %v", c.Rank(), mine)
 			}
 		}
 	})
@@ -317,4 +303,72 @@ func TestCollectivesRejectIntercomm(t *testing.T) {
 		_, err = inter.Agree(1)
 		must(t, err)
 	})
+}
+
+// TestCollectivesAgainstSerialReference: random inputs through Reduce and
+// Allreduce must match a serial reference computation.
+func TestCollectivesAgainstSerialReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 10; trial++ {
+		n := 2 + rng.Intn(7)
+		m := 1 + rng.Intn(5)
+		inputs := make([][]float64, n)
+		for r := range inputs {
+			inputs[r] = make([]float64, m)
+			for i := range inputs[r] {
+				inputs[r][i] = rng.NormFloat64()
+			}
+		}
+		sum := make([]float64, m)
+		for _, in := range inputs {
+			for i, v := range in {
+				sum[i] += v
+			}
+		}
+
+		root := n - 1
+		var mu sync.Mutex
+		results := make(map[int][]float64)
+		var reduced []float64
+		runWorld(t, n, func(p *Proc) {
+			c := p.World()
+			all, err := Allreduce(c, inputs[c.Rank()], Sum[float64])
+			must(t, err)
+			red, err := Reduce(c, root, inputs[c.Rank()], Sum[float64])
+			must(t, err)
+			mu.Lock()
+			results[c.Rank()] = all
+			if c.Rank() == root {
+				reduced = red
+			}
+			mu.Unlock()
+		})
+		for i := 0; i < m; i++ {
+			for r := 0; r < n; r++ {
+				if !almostEq(results[r][i], sum[i]) {
+					t.Fatalf("trial %d rank %d: allreduce[%d] = %g, want %g", trial, r, i, results[r][i], sum[i])
+				}
+			}
+			if !almostEq(reduced[i], sum[i]) {
+				t.Fatalf("trial %d: reduce[%d] at root = %g, want %g", trial, i, reduced[i], sum[i])
+			}
+		}
+	}
+}
+
+func almostEq(a, b float64) bool {
+	d := a - b
+	if d < 0 {
+		d = -d
+	}
+	m := a
+	if m < 0 {
+		m = -m
+	}
+	if b > m {
+		m = b
+	} else if -b > m {
+		m = -b
+	}
+	return d <= 1e-12*(1+m)
 }

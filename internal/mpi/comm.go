@@ -109,12 +109,6 @@ type Errhandler func(c *Comm, err error)
 // restores MPI_ERRORS_RETURN behaviour (errors are simply returned).
 func (c *Comm) SetErrhandler(h Errhandler) { c.errh = h }
 
-// ErrorsAreFatal is the default MPI error handler: it panics, aborting the
-// simulated job (tests use it to assert clean paths).
-func ErrorsAreFatal(c *Comm, err error) {
-	panic("mpi: MPI_ERRORS_ARE_FATAL: " + err.Error())
-}
-
 // fire routes an error through the handle's error handler, then returns it.
 // It must be called without any transport lock held. Returning
 // MPI_ERR_REVOKED is the program-order point where this process observes
@@ -156,10 +150,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the size of the local group.
 func (c *Comm) Size() int { return len(c.localGroup()) }
 
-// RemoteSize returns the size of the remote group of an intercommunicator,
-// or 0 for an intracommunicator.
-func (c *Comm) RemoteSize() int { return len(c.remoteGroup()) }
-
 // IsInter reports whether this is an intercommunicator.
 func (c *Comm) IsInter() bool { return c.sh.b != nil }
 
@@ -167,10 +157,6 @@ func (c *Comm) IsInter() bool { return c.sh.b != nil }
 // MPI_Comm_group. The result is the communicator's own immutable list,
 // shared by every member: read it, never write to it.
 func (c *Comm) Group() Group { return c.localGroup() }
-
-// RemoteGroup returns the remote group of an intercommunicator, shared and
-// read-only like Group.
-func (c *Comm) RemoteGroup() Group { return c.remoteGroup() }
 
 func (c *Comm) localGroup() []int {
 	if c.side == 0 {
@@ -213,7 +199,8 @@ func (c *Comm) recvOp(src int) blockedOp {
 // World.parkedRevoked on a revoked communicator, whatever the source — a
 // death or a quiesce anywhere in the group may resolve it; World.parkedWild
 // for a wildcard; otherwise the named source's own namedBy, so a
-// failure-free park touches no count that all ranks share.
+// failure-free park touches no count that all ranks share. An invalid rank
+// never parks: recvVerdict answers it with ErrComm first.
 func (c *Comm) parkCount(src int) *atomic.Int32 {
 	w := c.p.st.w
 	if c.sh.revoked.Load() {
@@ -224,7 +211,7 @@ func (c *Comm) parkCount(src int) *atomic.Int32 {
 	}
 	pw, err := c.peerWorld(src)
 	if err != nil {
-		return &w.parkedOther
+		panic(err) // unreachable: see above
 	}
 	return &w.proc(pw).namedBy
 }

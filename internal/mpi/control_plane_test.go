@@ -152,7 +152,10 @@ func receiving(q *procState) bool { return blockedOp(q.blocked.Load()).kind() ==
 // the exiter) reaches its park, the hook lets the exiter go and holds the
 // receiver until the exit has read the park counts. The exit finds no
 // receiver counted on it and skips its walk; only the event generation the
-// receiver reads in its park stands between it and a lost wake.
+// receiver reads in its park stands between it and a lost wake. The receiver
+// waits with its mu released: another departure's walk, holding World.state,
+// may be queued on that mu (it read the rendezvous word the receiver
+// published for the split), and the exit needs World.state to happen.
 type timedExit struct {
 	exiter, receiver atomic.Int64 // world ranks; receiver is -1 once fired
 	exit             atomic.Bool
@@ -168,11 +171,13 @@ func (x *timedExit) install(t *testing.T) {
 		w := st.w
 		ex, g := w.proc(int(x.exiter.Load())), w.evGen.Load()
 		x.exit.Store(true)
+		st.mu.Unlock()
 		spinUntil(t, "the timed exit", func() bool { return !ex.alive.Load() && w.evGen.Load() != g })
 		// The exit reads the park counts right after it bumps the generation.
 		for end := time.Now().Add(50 * time.Microsecond); time.Now().Before(end); {
 			runtime.Gosched()
 		}
+		st.mu.Lock()
 	}
 	t.Cleanup(func() { parkHook = nil })
 }

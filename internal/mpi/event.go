@@ -139,7 +139,7 @@ func (w *World) driveFiber(f *Fiber) {
 		f.poll = poll
 		st.mu.Lock()
 		if st.epoch == e {
-			st.waitSh, st.waitSrc, st.waitTag, st.waitReq = f.waitSh, f.waitSrc, f.waitTag, nil
+			st.waitSh, st.waitSrc, st.waitTag = f.waitSh, f.waitSrc, f.waitTag
 			st.cont = f
 			st.mu.Unlock()
 			w.noteParked(1)
@@ -228,7 +228,7 @@ func fiberRecvRaw[T any](f *Fiber, c *Comm, src, tag int, internal bool, k func(
 			// Register as blocked before running the detector, for the
 			// same final-park race recvRaw documents.
 			st.mu.Lock()
-			st.waitSh, st.waitSrc, st.waitTag, st.waitReq = c.sh, src, tag, nil
+			st.waitSh, st.waitSrc, st.waitTag = c.sh, src, tag
 			st.mu.Unlock()
 			if revokedDeadlock(c, st.wrank) {
 				st.mu.Lock()

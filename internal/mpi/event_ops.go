@@ -4,8 +4,8 @@ import "fmt"
 
 // CPS twins of the remaining blocking operations the repair dance and the
 // solver use: communicator management (split, shrink, spawn, spare-claim,
-// merge), the rest of the collective set (bcast, reduce, gather, scatter,
-// allgather, alltoall, scan) and the one-value receive. Together with
+// merge), the rest of the collective set (bcast, reduce, gather, allgather)
+// and the one-value receive. Together with
 // event.go's core set (recv, barrier, allreduce, agree) they make the full
 // recovery protocol of package recovery (repair, ChildAttach) — and the PDE
 // solver driving it — runnable as parked continuations.
@@ -13,10 +13,7 @@ import "fmt"
 // The parity rules are event.go's: every twin reuses the blocking
 // operation's tag construction, rendezvous builders, algorithm shapes, fold
 // orders and pooled-buffer ownership discipline, so virtual times, metrics
-// and failure semantics are byte-identical to the goroutine path. Exscan and
-// ReduceScatterBlock (coll_extra.go) have no twins yet — nothing on the
-// event path calls them; a fiber program needing one grows it here under the
-// same rules.
+// and failure semantics are byte-identical to the goroutine path.
 
 // --- rendezvous collectives ----------------------------------------------
 
@@ -421,152 +418,6 @@ func fiberHierGather[T any](f *Fiber, c *Comm, t *commTopo, tag, root int, data 
 	gather(0, 0, -1)
 }
 
-// FiberScatter is Scatter for fiber code: root fan-out (flat) or the
-// node-block distribution of hierScatter.
-func FiberScatter[T any](f *Fiber, c *Comm, root int, parts [][]T, k func([]T, error)) {
-	if c.IsInter() {
-		k(nil, c.fire(fmt.Errorf("mpi: Scatter on intercommunicator: %w", ErrComm)))
-		return
-	}
-	t0 := opStart(c, "scatter")
-	tag := internalTag(kindScatter, c.nextSeq("scatter"))
-	n := c.Size()
-	if c.rank == root && len(parts) != n {
-		k(nil, c.fire(fmt.Errorf("mpi: Scatter: %d parts for %d ranks: %w", len(parts), n, ErrType)))
-		return
-	}
-	done := func(got []T, err error) {
-		if err != nil {
-			abortCollective(c, tag, err)
-			k(nil, c.fire(err))
-			return
-		}
-		opEnd(c, "scatter", t0)
-		k(got, nil)
-	}
-	if t := c.hierTopo(); t != nil {
-		fiberHierScatter(f, c, t, tag, root, parts, done)
-		return
-	}
-	if c.rank == root {
-		for r := 0; r < n; r++ {
-			if r == root {
-				continue
-			}
-			if err := sendRaw(c, r, tag, parts[r]); err != nil {
-				done(nil, err)
-				return
-			}
-		}
-		done(cloneBuf(parts[root]), nil)
-		return
-	}
-	fiberRecvRaw[T](f, c, root, tag, true, func(got []T, _ Status, err error) {
-		done(got, err)
-	})
-}
-
-// fiberHierScatter mirrors hierScatter: the root's sends are all eager, so
-// only the leader's two receives and the member's one are CPS.
-func fiberHierScatter[T any](f *Fiber, c *Comm, t *commTopo, tag, root int, parts [][]T, k func([]T, error)) {
-	me := c.rank
-	myNode := t.nodeOf[me]
-	node := t.nodes[myNode]
-	lead := t.nodeLead(myNode, root)
-
-	if me == root {
-		for _, r := range node {
-			if r == me {
-				continue
-			}
-			if err := sendRaw(c, r, tag, parts[r]); err != nil {
-				k(nil, err)
-				return
-			}
-		}
-		for kn, members := range t.nodes {
-			if kn == myNode {
-				continue
-			}
-			lens := getBuf[int](len(members))
-			total := 0
-			for i, r := range members {
-				lens[i] = len(parts[r])
-				total += lens[i]
-			}
-			block := getBuf[T](total)
-			off := 0
-			for _, r := range members {
-				copy(block[off:], parts[r])
-				off += len(parts[r])
-			}
-			lk := t.leaders[kn]
-			if err := sendOwned(c, lk, tag, lens); err != nil {
-				k(nil, err)
-				return
-			}
-			if err := sendOwned(c, lk, tag, block); err != nil {
-				k(nil, err)
-				return
-			}
-		}
-		k(cloneBuf(parts[root]), nil)
-		return
-	}
-	if me == lead {
-		fiberRecvRaw[int](f, c, root, tag, true, func(lens []int, _ Status, err error) {
-			if err != nil {
-				k(nil, err)
-				return
-			}
-			fiberRecvRaw[T](f, c, root, tag, true, func(block []T, _ Status, err error) {
-				if err != nil {
-					putBuf(lens)
-					k(nil, err)
-					return
-				}
-				if len(lens) != len(node) {
-					putBuf(lens)
-					putBuf(block)
-					k(nil, fmt.Errorf("mpi: Scatter: bad node header %d vs %d: %w", len(lens), len(node), ErrType))
-					return
-				}
-				var mine []T
-				off := 0
-				for i, r := range node {
-					m := lens[i]
-					if m < 0 || off+m > len(block) {
-						putBuf(lens)
-						putBuf(block)
-						k(nil, fmt.Errorf("mpi: Scatter: bad node block: %w", ErrType))
-						return
-					}
-					seg := block[off : off+m]
-					off += m
-					if r == me {
-						mine = getBuf[T](m)
-						copy(mine, seg)
-						continue
-					}
-					if err := sendRaw(c, r, tag, seg); err != nil {
-						putBuf(lens)
-						putBuf(block)
-						k(nil, err)
-						return
-					}
-				}
-				putBuf(lens)
-				putBuf(block)
-				k(mine, nil)
-			})
-		})
-		return
-	}
-	fiberRecvRaw[T](f, c, lead, tag, true, func(got []T, _ Status, err error) {
-		k(got, err)
-	})
-}
-
 // FiberAllgather is Allgather for fiber code: gather-at-0 plus broadcast
 // (flat) or the leader tree/ring block exchange of hierAllgather, with the
 // same zero-copy re-slicing of the flat buffer.
@@ -817,102 +668,4 @@ func fiberRingAllgather[T any](f *Fiber, c *Comm, t *commTopo, tag, j, m int, bl
 		})
 	}
 	loop(0)
-}
-
-// FiberAlltoall is Alltoall for fiber code: all sends eager up front, then
-// the rank-ordered receive sequence in CPS.
-func FiberAlltoall[T any](f *Fiber, c *Comm, parts [][]T, k func([][]T, error)) {
-	if c.IsInter() {
-		k(nil, c.fire(fmt.Errorf("mpi: Alltoall on intercommunicator: %w", ErrComm)))
-		return
-	}
-	n := c.Size()
-	if len(parts) != n {
-		k(nil, c.fire(fmt.Errorf("mpi: Alltoall: %d parts for %d ranks: %w", len(parts), n, ErrType)))
-		return
-	}
-	t0 := opStart(c, "alltoall")
-	tag := internalTag(kindAlltoall, c.nextSeq("alltoall"))
-	me := c.rank
-	out := make([][]T, n)
-	out[me] = cloneBuf(parts[me])
-	fail := func(err error) {
-		abortCollective(c, tag, err)
-		k(nil, c.fire(err))
-	}
-	for r := 0; r < n; r++ {
-		if r == me {
-			continue
-		}
-		if err := sendRaw(c, r, tag, parts[r]); err != nil {
-			fail(err)
-			return
-		}
-	}
-	var loop func(r int)
-	loop = func(r int) {
-		if r >= n {
-			opEnd(c, "alltoall", t0)
-			k(out, nil)
-			return
-		}
-		if r == me {
-			loop(r + 1)
-			return
-		}
-		fiberRecvRaw[T](f, c, r, tag, true, func(got []T, _ Status, err error) {
-			if err != nil {
-				fail(err)
-				return
-			}
-			out[r] = got
-			loop(r + 1)
-		})
-	}
-	loop(0)
-}
-
-// FiberScan is Scan for fiber code: the same linear chain, fold order
-// op(prev, acc) and chain handoff.
-func FiberScan[T any](f *Fiber, c *Comm, data []T, op func(T, T) T, k func([]T, error)) {
-	if c.IsInter() {
-		k(nil, c.fire(fmt.Errorf("mpi: Scan on intercommunicator: %w", ErrComm)))
-		return
-	}
-	t0 := opStart(c, "scan")
-	tag := internalTag(kindScan, c.nextSeq("scan"))
-	acc := cloneBuf(data)
-	fail := func(err error) {
-		abortCollective(c, tag, err)
-		k(nil, c.fire(err))
-	}
-	finish := func() {
-		if c.rank < c.Size()-1 {
-			if err := sendRaw(c, c.rank+1, tag, acc); err != nil {
-				fail(err)
-				return
-			}
-		}
-		opEnd(c, "scan", t0)
-		k(acc, nil)
-	}
-	if c.rank == 0 {
-		finish()
-		return
-	}
-	fiberRecvRaw[T](f, c, c.rank-1, tag, true, func(prev []T, _ Status, err error) {
-		if err != nil {
-			fail(err)
-			return
-		}
-		if len(prev) != len(acc) {
-			putBuf(prev)
-			putBuf(acc)
-			fail(fmt.Errorf("mpi: Scan: length mismatch: %w", ErrType))
-			return
-		}
-		newFolder(op).fold(acc, prev, acc)
-		putBuf(prev)
-		finish()
-	})
 }

@@ -43,17 +43,15 @@ const parityRounds = 3
 
 // parityInputs are one rank's contributions to the round of rooted and
 // all-to-all collectives that ends the parity workload: a Bcast from rank 1,
-// a Reduce to rank 2, a Gather and a Scatter at rank 0, a small Allgather
-// (the leader tree on hierarchical topologies) and a 64 KiB one (the leader
-// ring), and an Alltoall. The values depend on the rank and the element, so
-// a piece delivered to the wrong rank or slot, or folded in another order,
-// changes the result data.
+// a Reduce to rank 2, a Gather at rank 0, a small Allgather (the leader tree
+// on hierarchical topologies) and a 64 KiB one (the leader ring). The values
+// depend on the rank and the element, so a piece delivered to the wrong rank
+// or slot, or folded in another order, changes the result data.
 type parityInputs struct {
 	bcast, reduce, gather, small, large []float64
-	parts                               [][]float64 // Scatter's (significant at rank 0) and Alltoall's
 }
 
-func newParityInputs(n, me int) parityInputs {
+func newParityInputs(me int) parityInputs {
 	vals := func(m, salt int) []float64 {
 		v := make([]float64, m)
 		for i := range v {
@@ -64,9 +62,6 @@ func newParityInputs(n, me int) parityInputs {
 	in := parityInputs{reduce: vals(24, 1), gather: vals(3+me%4, 2), small: vals(4, 3), large: vals(64, 4)}
 	if me == 1 {
 		in.bcast = vals(40, 5)
-	}
-	for r := 0; r < n; r++ {
-		in.parts = append(in.parts, vals(1+r%3, 6+r))
 	}
 	return in
 }
@@ -122,7 +117,7 @@ func parityBlockingEntry(t *testing.T, p *Proc, out [][]float64) {
 			return
 		}
 	}
-	in := newParityInputs(n, me)
+	in := newParityInputs(me)
 	b, err := Bcast(c, 1, in.bcast)
 	if err != nil {
 		t.Error(err)
@@ -141,12 +136,6 @@ func parityBlockingEntry(t *testing.T, p *Proc, out [][]float64) {
 		return
 	}
 	d = appendAll(d, g)
-	sc, err := Scatter(c, 0, in.parts)
-	if err != nil {
-		t.Error(err)
-		return
-	}
-	d = append(d, sc...)
 	for _, mine := range [][]float64{in.small, in.large} {
 		all, err := Allgather(c, mine)
 		if err != nil {
@@ -155,12 +144,7 @@ func parityBlockingEntry(t *testing.T, p *Proc, out [][]float64) {
 		}
 		d = appendAll(d, all)
 	}
-	x, err := Alltoall(c, in.parts)
-	if err != nil {
-		t.Error(err)
-		return
-	}
-	out[me] = appendAll(d, x)
+	out[me] = d
 }
 
 // fiberSteps runs each step in turn; a step calls next to continue, or
@@ -212,16 +196,14 @@ func parityEventEntry(t *testing.T, p *Proc, f *Fiber, out [][]float64) {
 			}
 		}
 	}
-	in := newParityInputs(n, me)
+	in := newParityInputs(me)
 	collectives := func() {
 		fiberSteps(
 			func(next func()) { FiberBcast(f, c, 1, in.bcast, keep(next)) },
 			func(next func()) { FiberReduce(f, c, 2, in.reduce, Sum[float64], keep(next)) },
 			func(next func()) { FiberGather(f, c, 0, in.gather, keepAll(next)) },
-			func(next func()) { FiberScatter(f, c, 0, in.parts, keep(next)) },
 			func(next func()) { FiberAllgather(f, c, in.small, keepAll(next)) },
 			func(next func()) { FiberAllgather(f, c, in.large, keepAll(next)) },
-			func(next func()) { FiberAlltoall(f, c, in.parts, keepAll(next)) },
 			func(func()) { out[me] = d },
 		)
 	}

@@ -109,8 +109,6 @@ func (w *World) Snapshot() WorldSnapshot {
 		rs := RankSnapshot{WorldRank: st.wrank, Alive: st.alive.Load(), Parked: st.cont != nil,
 			Parks: st.parks, EmptyWakes: st.emptyWakes, DirectRecvs: st.directs}
 		switch {
-		case st.waitSh != nil && st.waitReq != nil:
-			rs.Blocked = fmt.Sprintf("Wait on posted recv, comm=%d", st.waitSh.id)
 		case st.waitSh != nil:
 			rs.Blocked = fmt.Sprintf("recv comm=%d src=%d tag=%d", st.waitSh.id, st.waitSrc, st.waitTag)
 		case st.cont != nil:
@@ -118,7 +116,7 @@ func (w *World) Snapshot() WorldSnapshot {
 		default:
 			rs.Blocked = "none recorded (running, parked in a rendezvous, or exited)"
 		}
-		st.mb.q.each(func(s *matchSlot[envelope]) {
+		st.mb.q.each(func(s *matchSlot) {
 			n := 0
 			for e := s.head; e != nil; e = e.next {
 				n++

@@ -16,7 +16,7 @@ import (
 //	            classified by endpoint placement (same host, same rack,
 //	            cross-rack); coll.<op>.intra / .inter / .xrack — the same
 //	            split per collective op (barrier, bcast, reduce, allreduce,
-//	            gather, scatter, allgather), counting the point-to-point
+//	            gather, allgather), counting the point-to-point
 //	            hops the collective's algorithm generated
 //	vectors:    rank.sent.messages, rank.sent.bytes, rank.recv.messages,
 //	            rank.recv.bytes (indexed by world rank)
@@ -38,8 +38,7 @@ import (
 // world creation so the hot path never takes the registry lock.
 var mpiOps = []string{
 	"send", "recv", "barrier", "bcast", "reduce", "allreduce",
-	"gather", "scatter", "allgather",
-	"alltoall", "scan", "exscan", "reducescatter",
+	"gather", "allgather",
 	"shrink", "agree", "claim", "spawn", "split", "dup", "create", "merge",
 }
 
@@ -48,8 +47,7 @@ var mpiOps = []string{
 // sets curOp via opStart must be listed here, or countHop would silently
 // drop its tier counts.
 var collHopOps = []string{
-	"barrier", "bcast", "reduce", "allreduce", "gather", "scatter", "allgather",
-	"alltoall", "scan", "exscan", "reducescatter",
+	"barrier", "bcast", "reduce", "allreduce", "gather", "allgather",
 }
 
 // tierSuffix maps a vtime.LinkTier to its hop-counter name suffix.

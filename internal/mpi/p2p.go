@@ -154,16 +154,14 @@ func sendEnv[T any](c *Comm, dest, tag int, data []T, owned bool) error {
 
 // deliverDirect copies data into the buffer the destination has published
 // for the duration of a RecvInto park, if this message is the one that
-// receive matches next: a posted receive it matches comes first (posting
-// order), and a payload of another element type or longer than the buffer is
-// queued so the receiver reports it from the ordinary path. The copy, the
-// completion record and the retraction are one critical section of dst.mu —
-// the only place anyone but its owner writes a published buffer.
+// receive matches next. A payload of another element type or longer than the
+// buffer is queued so the receiver reports it from the ordinary path. The
+// copy, the completion record and the retraction are one critical section of
+// dst.mu — the only place anyone but its owner writes a published buffer.
 func deliverDirect[T any](dst *procState, comm, src, tag int, data []T, bytes int, arrival float64) bool {
 	dst.mu.Lock()
 	in := dst.into
-	if in.etype != typeOf[T]() || len(data) > in.n || !dst.awaits(comm, src, tag) ||
-		dst.posted.locate(comm, src, tag) >= 0 {
+	if in.etype != typeOf[T]() || len(data) > in.n || !dst.awaits(comm, src, tag) {
 		dst.mu.Unlock()
 		return false
 	}
@@ -179,14 +177,12 @@ func deliverDirect[T any](dst *procState, comm, src, tag int, data []T, bytes in
 	return true
 }
 
-// enqueue hands an arriving envelope to the destination: to the
-// earliest-posted receive it matches, else to the mailbox. A queued arrival
+// enqueue queues an arriving envelope in the destination's mailbox. It
 // always bumps the epoch — a receiver between its mailbox check and its park
 // must see that something landed — but signals only a process it can
-// unblock: one parked in a plain receive (or probe) of another signature
-// stays asleep, where an unconditional wake would have it find nothing and
-// park again. A Wait on a posted request, a rendezvous, a Waitany and a
-// parked fiber are woken as before.
+// unblock: one parked in a receive of another signature stays asleep, where
+// an unconditional wake would have it find nothing and park again. A
+// rendezvous and a parked fiber are woken as before.
 //
 // A message queued while it matches a published RecvInto buffer retracts
 // that buffer: its sender chose the queue before the receiver parked, and
@@ -194,18 +190,12 @@ func deliverDirect[T any](dst *procState, comm, src, tag int, data []T, bytes in
 // delivered directly and overtake this one.
 func (dst *procState) enqueue(env *envelope) {
 	dst.mu.Lock()
-	if req := dst.posted.matchArrival(env.commID, env.src, env.tag); req != nil {
-		req.complete(env)
-		dst.notifyLocked()
+	dst.mb.push(env)
+	if dst.waitSh != nil && dst.cont == nil && !dst.awaits(env.commID, env.src, env.tag) {
+		dst.epoch++
 	} else {
-		dst.mb.push(env)
-		plain := dst.waitSh != nil && dst.waitReq == nil && dst.cont == nil
-		if plain && !dst.awaits(env.commID, env.src, env.tag) {
-			dst.epoch++
-		} else {
-			dst.retractInto()
-			dst.notifyLocked()
-		}
+		dst.retractInto()
+		dst.notifyLocked()
 	}
 	dst.mu.Unlock()
 }
@@ -381,7 +371,7 @@ func recvMatch(c *Comm, src, tag int, internal bool, into intoBuf) (*envelope, S
 			// detector's atomic snapshot last sees all the others already
 			// registered and resolves the group.
 			st.mu.Lock()
-			st.waitSh, st.waitSrc, st.waitTag, st.waitReq = c.sh, src, tag, nil
+			st.waitSh, st.waitSrc, st.waitTag = c.sh, src, tag
 			st.mu.Unlock()
 			if revokedDeadlock(c, st.wrank) {
 				st.mu.Lock()
@@ -401,7 +391,7 @@ func recvMatch(c *Comm, src, tag int, internal bool, into intoBuf) (*envelope, S
 			woke = false
 		}
 		if st.epoch == e {
-			st.waitSh, st.waitSrc, st.waitTag, st.waitReq = c.sh, src, tag, nil
+			st.waitSh, st.waitSrc, st.waitTag = c.sh, src, tag
 			if into.etype != nil {
 				st.into = into
 				st.intoSet.Store(true)
@@ -436,10 +426,10 @@ func (st *procState) retractInto() {
 	}
 }
 
-// awaits reports whether the process is blocked in a plain receive or probe
-// that a message of this signature satisfies. Caller holds st.mu.
+// awaits reports whether the process is blocked in a receive that a message
+// of this signature satisfies. Caller holds st.mu.
 func (st *procState) awaits(comm, src, tag int) bool {
-	return st.waitSh != nil && st.waitReq == nil && st.waitSh.id == comm &&
+	return st.waitSh != nil && st.waitSh.id == comm &&
 		matches(st.waitSrc, st.waitTag, src, tag)
 }
 
@@ -603,11 +593,6 @@ func stuckOn(w *World, sh *commShared, q *procState) bool {
 	}
 	if q.waitSh != sh {
 		return false // not blocked on this communicator; it may still send
-	}
-	if r := q.waitReq; r != nil {
-		// Blocked in Wait: a send already completed the request, or its
-		// source has a resolution recorded.
-		return !r.done && !pendingRecvVerdict(w, sh, q, r.src, r.tag)
 	}
 	// A matchable message is waiting (it will consume it), or the receive
 	// has a failure resolution recorded (source abort/quiesce/death) and

@@ -9,7 +9,7 @@ import (
 
 // Tests of RecvInto, its two delivery routes (queued in the mailbox, or
 // copied by the sender straight into the parked receiver's buffer) and the
-// open-addressed match table under the mailbox and the posted set.
+// open-addressed match table under the mailbox.
 
 // parkedInto reports whether the process is parked in RecvInto with its
 // buffer published.
@@ -20,6 +20,15 @@ func parkedRecv(st *procState) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.waitSh != nil
+}
+
+// queued reports whether a message a receive of (src, tag) on c would match
+// waits in the caller's mailbox.
+func queued(c *Comm, src, tag int) bool {
+	st := c.p.st
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.mb.peek(c.sh.id, src, tag) != nil
 }
 
 // queueOnly sends data to dest the way sendEnv does once its lock-free peek
@@ -116,10 +125,7 @@ func bothRoutes(t *testing.T, send, recv func(c *Comm, route string)) {
 				return
 			}
 			if route == "queued" {
-				spinUntil(t, "the message to be queued", func() bool {
-					ok, _, _ := c.Iprobe(AnySource, AnyTag)
-					return ok
-				})
+				spinUntil(t, "the message to be queued", func() bool { return queued(c, AnySource, AnyTag) })
 			}
 			recv(c, route)
 			must(t, c.Barrier())
@@ -212,41 +218,13 @@ func TestRecvIntoRejectsReservedTag(t *testing.T) {
 	})
 }
 
-// TestRecvIntoPostedReceiveComesFirst: a receive posted before the RecvInto
-// takes the first matching message even though the RecvInto's buffer is
-// published when it arrives; the second goes to the buffer.
-func TestRecvIntoPostedReceiveComesFirst(t *testing.T) {
-	runWorld(t, 2, func(p *Proc) {
-		c := p.World()
-		if c.Rank() == 0 {
-			spinUntil(t, "the receiver to park", func() bool { return parkedInto(p.st.w.proc(1)) })
-			must(t, Send(c, 1, 2, []int{1}))
-			must(t, Send(c, 1, 2, []int{2}))
-			return
-		}
-		req, err := Irecv[int](c, 0, 2)
-		must(t, err)
-		var buf [1]int
-		_, err = RecvInto(c, 0, 2, buf[:])
-		must(t, err)
-		first, _, err := Wait[int](req)
-		must(t, err)
-		if len(first) != 1 || first[0] != 1 || buf[0] != 2 {
-			t.Errorf("posted receive got %v, RecvInto got %d", first, buf[0])
-		}
-	})
-}
-
 func TestRecvIntoOnIntercomm(t *testing.T) {
 	for _, route := range []string{"queued", "parked"} {
 		runWorld(t, 1, func(p *Proc) {
 			if pc := p.Parent(); pc != nil {
 				var buf [1]int
 				if route == "queued" {
-					spinUntil(t, "the message to be queued", func() bool {
-						ok, _, _ := pc.Iprobe(0, 1)
-						return ok
-					})
+					spinUntil(t, "the message to be queued", func() bool { return queued(pc, 0, 1) })
 				}
 				stt, err := RecvInto(pc, 0, 1, buf[:])
 				must(t, err)
@@ -467,7 +445,7 @@ func TestMailboxAgainstOracle(t *testing.T) {
 		queues[s] = true
 	}
 	seen := 0
-	mb.q.each(func(s *matchSlot[envelope]) {
+	mb.q.each(func(s *matchSlot) {
 		seen++
 		if !queues[[3]int{s.comm, s.src, s.tag}] {
 			t.Errorf("slot for %d/%d/%d has no queued message", s.comm, s.src, s.tag)
@@ -477,58 +455,6 @@ func TestMailboxAgainstOracle(t *testing.T) {
 		t.Errorf("each visited %d slots, table counts %d, oracle has %d signatures", seen, mb.q.n, len(queues))
 	}
 	t.Logf("final table: %d slots for %d signatures", len(mb.q.slots), mb.q.n)
-}
-
-// TestPostedSetAgainstOracle does the same for posted receives: add with
-// exact and wildcard signatures, match an arrival against the earliest
-// posted, and remove at random.
-func TestPostedSetAgainstOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var ps postedSet
-	var o tableOracle
-	comms := [3]*Comm{}
-	for i := range comms {
-		comms[i] = &Comm{sh: &commShared{id: i}}
-	}
-	live := map[uint64]*Request{}
-	for step := 0; step < 100000; step++ {
-		spread := 2 + (step/4000%6)*5
-		switch op := rng.Intn(10); {
-		case op < 5:
-			r := &Request{c: comms[rng.Intn(3)], src: rng.Intn(spread+1) - 1, tag: rng.Intn(spread+1) - 1, recv: true}
-			ps.add(r)
-			live[r.pseq] = r
-			o.sigs = append(o.sigs, [3]int{r.c.sh.id, r.src, r.tag})
-			o.ids = append(o.ids, r.pseq)
-		case op < 9:
-			comm, src, tag := rng.Intn(3), rng.Intn(spread), rng.Intn(spread)
-			if rng.Intn(5) == 0 {
-				tag = internalTag(kindBarrier, 0) // matches no posted AnyTag
-			}
-			id, ok := o.take(func(s [3]int) bool { return s[0] == comm && matches(s[1], s[2], src, tag) })
-			r := ps.matchArrival(comm, src, tag)
-			if (r != nil) != ok || ok && r.pseq != id {
-				t.Fatalf("step %d: arrival %d/%d/%d: got %v, oracle %d/%v", step, comm, src, tag, r, id, ok)
-			}
-			if ok {
-				delete(live, id)
-			}
-		default:
-			if len(o.ids) == 0 {
-				continue
-			}
-			i := rng.Intn(len(o.ids))
-			id := o.ids[i]
-			ps.remove(live[id])
-			ps.remove(live[id]) // a second removal is a no-op
-			delete(live, id)
-			o.sigs = append(o.sigs[:i], o.sigs[i+1:]...)
-			o.ids = append(o.ids[:i], o.ids[i+1:]...)
-		}
-	}
-	if ps.q.n > len(live) {
-		t.Errorf("%d slots for %d live requests", ps.q.n, len(live))
-	}
 }
 
 // TestMatchTableDeletionWrapsTheEnd builds the probe chain that starts in the
@@ -544,8 +470,8 @@ func TestMatchTableDeletionWrapsTheEnd(t *testing.T) {
 	}
 	perms := [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {1, 0, 3, 2}, {2, 0, 1, 3}, {1, 3, 0, 2}}
 	for _, perm := range perms {
-		var tb matchTable[envelope]
-		tb.slots = make([]matchSlot[envelope], size)
+		var tb matchTable
+		tb.slots = make([]matchSlot, size)
 		for _, k := range keys {
 			tb.slot(k[0], k[1], k[2]).head = &envelope{tag: k[2]}
 		}
@@ -571,7 +497,7 @@ func TestMatchTableDeletionWrapsTheEnd(t *testing.T) {
 			t.Errorf("order %v: %d slots left occupied", perm, tb.n)
 		}
 		for i := range tb.slots {
-			if tb.slots[i] != (matchSlot[envelope]{}) {
+			if tb.slots[i] != (matchSlot{}) {
 				t.Errorf("order %v: slot %d not cleared", perm, i)
 			}
 		}

@@ -30,7 +30,8 @@ func TestConcurrentGroupTraffic(t *testing.T) {
 			// Group-local ring shift.
 			right := (sub.Rank() + 1) % n
 			left := (sub.Rank() - 1 + n) % n
-			v, _, err := Sendrecv[int, int](sub, right, 7, []int{color*1000 + round}, left, 7)
+			must(t, Send(sub, right, 7, []int{color*1000 + round}))
+			v, _, err := Recv[int](sub, left, 7)
 			must(t, err)
 			if v[0] != color*1000+round {
 				t.Errorf("round %d color %d: ring got %d", round, color, v[0])

@@ -2,9 +2,8 @@ package mpi
 
 // This file is the data plane of the sharded transport: pooled envelopes
 // with an unboxed payload representation, the open-addressed match table
-// that indexes mailboxes and posted receives by (comm,src,tag) without a
-// runtime map, and the one size-classed buffer pool every pointer-free
-// payload lives in — eager-send copies, the ownership-transfer buffers of
+// that indexes mailboxes by (comm,src,tag) without a runtime map, and the
+// one size-classed buffer pool every pointer-free payload lives in — eager-send copies, the ownership-transfer buffers of
 // SendOwned / AcquireBuf / ReleaseBuf, and the collectives' staging blocks
 // and accumulators. A message that finds its receiver parked in RecvInto
 // uses none of it: p2p.go's deliverDirect copies it from the sender's slice
@@ -166,25 +165,24 @@ func (s *slab) alloc(n int) unsafe.Pointer {
 
 // matchSlot is one (comm, src, tag) signature's FIFO in a matchTable. A slot
 // is occupied exactly while its queue is non-empty: head == nil marks it free.
-type matchSlot[E any] struct {
+type matchSlot struct {
 	comm, src, tag int
-	head, tail     *E
+	head, tail     *envelope
 }
 
 // matchTable indexes the match queues of one process by exact
 // (communicator, source rank, tag) signature: a small open-addressed table
 // with linear probing and backward-shift deletion, so the message path makes
 // no runtime map call and hashes three integers inline instead of a 24-byte
-// key. It serves both the mailbox (queues of envelopes) and the posted set
-// (queues of requests); the element type's own link field chains a queue, so
-// the table only hands out slots. Slot pointers and indexes are valid until
+// key. It indexes the mailbox; an envelope's own link field chains a queue,
+// so the table only hands out slots. Slot pointers and indexes are valid until
 // the next slot or del call. It starts at four slots and doubles at
 // three-quarters load — a rank's live signatures are its two or three
 // neighbours and the collective in flight, and every byte here is paid per
 // rank. Guarded by the owning procState.mu.
-type matchTable[E any] struct {
-	slots []matchSlot[E] // power-of-two length; nil until the first slot call
-	n     int            // occupied slots
+type matchTable struct {
+	slots []matchSlot // power-of-two length; nil until the first slot call
+	n     int         // occupied slots
 }
 
 // sigHash mixes a signature into a table index source.
@@ -197,7 +195,7 @@ func sigHash(comm, src, tag int) int {
 }
 
 // find returns the index of the signature's slot, or -1.
-func (t *matchTable[E]) find(comm, src, tag int) int {
+func (t *matchTable) find(comm, src, tag int) int {
 	if t.n == 0 {
 		return -1
 	}
@@ -216,9 +214,9 @@ func (t *matchTable[E]) find(comm, src, tag int) int {
 // slot returns the signature's slot, claiming a free one when it has none.
 // A claimed slot has a nil head, which the caller must set before the next
 // table call.
-func (t *matchTable[E]) slot(comm, src, tag int) *matchSlot[E] {
+func (t *matchTable) slot(comm, src, tag int) *matchSlot {
 	if t.slots == nil {
-		t.slots = make([]matchSlot[E], 4)
+		t.slots = make([]matchSlot, 4)
 	}
 	for {
 		mask := len(t.slots) - 1
@@ -237,7 +235,7 @@ func (t *matchTable[E]) slot(comm, src, tag int) *matchSlot[E] {
 			}
 		}
 		old := t.slots
-		t.slots = make([]matchSlot[E], 2*len(old))
+		t.slots = make([]matchSlot, 2*len(old))
 		mask = len(t.slots) - 1
 		for _, s := range old {
 			if s.head == nil {
@@ -255,7 +253,7 @@ func (t *matchTable[E]) slot(comm, src, tag int) *matchSlot[E] {
 // del frees slot i, whose queue has just emptied, shifting back the entries
 // that probed past it so every remaining signature stays reachable from its
 // home slot without tombstones.
-func (t *matchTable[E]) del(i int) {
+func (t *matchTable) del(i int) {
 	mask := len(t.slots) - 1
 	t.n--
 	for j := i; ; {
@@ -272,11 +270,11 @@ func (t *matchTable[E]) del(i int) {
 		t.slots[i] = *s
 		i = j
 	}
-	t.slots[i] = matchSlot[E]{}
+	t.slots[i] = matchSlot{}
 }
 
 // each calls f for every occupied slot, in table order.
-func (t *matchTable[E]) each(f func(s *matchSlot[E])) {
+func (t *matchTable) each(f func(s *matchSlot)) {
 	for i := range t.slots {
 		if s := &t.slots[i]; s.head != nil {
 			f(s)
@@ -286,7 +284,7 @@ func (t *matchTable[E]) each(f func(s *matchSlot[E])) {
 
 // matches reports whether a message of signature (src, tag) satisfies a
 // receive of (wantSrc, wantTag) on the same communicator: the one matching
-// rule, shared by queued messages, posted receives and parked receivers.
+// rule, shared by queued messages and parked receivers.
 // AnyTag matches user tags only.
 func matches(wantSrc, wantTag, src, tag int) bool {
 	return (wantSrc == src || wantSrc == AnySource) &&
@@ -299,7 +297,7 @@ func matches(wantSrc, wantTag, src, tag int) bool {
 // sequence, which reproduces the FIFO semantics of a linear mailbox scan.
 // Guarded by the owning procState.mu.
 type mailbox struct {
-	q   matchTable[envelope]
+	q   matchTable
 	seq uint64 // next arrival sequence number
 }
 
@@ -367,104 +365,14 @@ func (mb *mailbox) take(comm, src, tag int) *envelope {
 
 // drain recycles every queued envelope (process death/exit).
 func (mb *mailbox) drain() {
-	mb.q.each(func(s *matchSlot[envelope]) {
+	mb.q.each(func(s *matchSlot) {
 		for env := s.head; env != nil; {
 			n := env.next
 			putEnv(env)
 			env = n
 		}
 	})
-	mb.q = matchTable[envelope]{}
-}
-
-// postedSet indexes a process's posted nonblocking receives by their
-// (comm, src, tag) signature, wildcards included as posted. An arriving
-// message consults the at-most-four signatures that could match it and
-// completes the oldest posted request among them, preserving the MPI
-// posting-order matching rule. Guarded by the owning procState.mu.
-type postedSet struct {
-	q   matchTable[Request]
-	seq uint64
-}
-
-// add appends a request in posting order.
-func (ps *postedSet) add(r *Request) {
-	r.pseq = ps.seq
-	ps.seq++
-	r.pnext = nil
-	s := ps.q.slot(r.c.sh.id, r.src, r.tag)
-	if s.head == nil {
-		s.head = r
-	} else {
-		s.tail.pnext = r
-	}
-	s.tail = r
-}
-
-// locate returns the slot holding the earliest-posted receive that a message
-// of this signature matches, or -1.
-func (ps *postedSet) locate(comm, src, tag int) int {
-	best := -1
-	if ps.q.n == 0 {
-		return best
-	}
-	cands := [4][2]int{{src, tag}, {AnySource, tag}, {src, AnyTag}, {AnySource, AnyTag}}
-	n := len(cands)
-	if tag < 0 { // a posted AnyTag matches user tags only
-		n = 2
-	}
-	for _, k := range cands[:n] {
-		i := ps.q.find(comm, k[0], k[1])
-		if i >= 0 && (best < 0 || ps.q.slots[i].head.pseq < ps.q.slots[best].head.pseq) {
-			best = i
-		}
-	}
-	return best
-}
-
-// matchArrival finds and removes the earliest-posted receive matching an
-// arriving message of this signature, or nil.
-func (ps *postedSet) matchArrival(comm, src, tag int) *Request {
-	i := ps.locate(comm, src, tag)
-	if i < 0 {
-		return nil
-	}
-	s := &ps.q.slots[i]
-	r := s.head
-	s.head = r.pnext
-	if s.head == nil {
-		ps.q.del(i)
-	}
-	r.pnext = nil
-	return r
-}
-
-// remove drops a request from the set (completion by error/cancellation).
-func (ps *postedSet) remove(r *Request) {
-	i := ps.q.find(r.c.sh.id, r.src, r.tag)
-	if i < 0 {
-		return
-	}
-	s := &ps.q.slots[i]
-	var prev *Request
-	for cur := s.head; cur != nil; prev, cur = cur, cur.pnext {
-		if cur != r {
-			continue
-		}
-		if prev == nil {
-			s.head = cur.pnext
-		} else {
-			prev.pnext = cur.pnext
-		}
-		if s.tail == cur {
-			s.tail = prev
-		}
-		if s.head == nil {
-			ps.q.del(i)
-		}
-		r.pnext = nil
-		return
-	}
+	mb.q = matchTable{}
 }
 
 // The buffer pool. Pointer-free memory is interchangeable whatever its
@@ -646,7 +554,7 @@ func putBuf[T any](b []T) {
 }
 
 // AcquireBuf returns a []T of length n from the transport's buffer pool, for
-// use with SendOwned/IsendOwned: fill it, send it, and never touch it again.
+// use with SendOwned: fill it, send it, and never touch it again.
 // Contents are unspecified.
 func AcquireBuf[T any](n int) []T { return getBuf[T](n) }
 

@@ -21,10 +21,36 @@ type transportStressOutcome struct {
 	revokes, spawnedCtr int64
 }
 
-// runTransportStress is one full 64-rank workload: an all-to-all exchange,
+// exchangeAll sends parts[r] to every other rank r of c and returns the part
+// each rank sent to the caller, in rank order: the all-pairs exchange as
+// plain Send/Recv, every send first (the transport buffers eagerly).
+func exchangeAll(c *Comm, tag int, parts [][]float64) ([][]float64, error) {
+	me := c.Rank()
+	for r, part := range parts {
+		if r != me {
+			if err := Send(c, r, tag, part); err != nil {
+				return nil, err
+			}
+		}
+	}
+	out := make([][]float64, len(parts))
+	out[me] = parts[me]
+	for r := range out {
+		if r != me {
+			got, _, err := Recv[float64](c, r, tag)
+			if err != nil {
+				return nil, err
+			}
+			out[r] = got
+		}
+	}
+	return out, nil
+}
+
+// runTransportStress is one full 64-rank workload: an all-pairs exchange,
 // then the paper's repair dance (two ranks die; Barrier detects; Revoke,
 // Shrink, SpawnMultiple, IntercommMerge, Agree, Split rebuild the world),
-// then a second all-to-all on the repaired communicator.
+// then a second all-pairs exchange on the repaired communicator.
 func runTransportStress(t *testing.T) transportStressOutcome {
 	t.Helper()
 	const nprocs = 64
@@ -40,12 +66,12 @@ func runTransportStress(t *testing.T) transportStressOutcome {
 				parts[r][k] = float64(me*n+r) + float64(k)/chunk
 			}
 		}
-		out, err := Alltoall(repaired, parts)
+		out, err := exchangeAll(repaired, 1, parts)
 		must(t, err)
 		for r := range out {
 			want := float64(r*n+me) + float64(chunk-1)/chunk
 			if out[r][chunk-1] != want {
-				t.Errorf("repaired alltoall: from %d got %v, want %v", r, out[r][chunk-1], want)
+				t.Errorf("repaired exchange: from %d got %v, want %v", r, out[r][chunk-1], want)
 				return
 			}
 		}
@@ -99,7 +125,7 @@ func runTransportStress(t *testing.T) transportStressOutcome {
 		c := p.World()
 		me := c.Rank()
 
-		// Phase 1: dense all-to-all across the full world.
+		// Phase 1: dense all-pairs exchange across the full world.
 		parts := make([][]float64, nprocs)
 		for r := range parts {
 			parts[r] = make([]float64, chunk)
@@ -107,11 +133,11 @@ func runTransportStress(t *testing.T) transportStressOutcome {
 				parts[r][k] = float64(me) + float64(r)*0.001 + float64(k)
 			}
 		}
-		out, err := Alltoall(c, parts)
+		out, err := exchangeAll(c, 1, parts)
 		must(t, err)
 		for r := range out {
 			if out[r][0] != float64(r)+float64(me)*0.001 {
-				t.Errorf("alltoall: from %d got %v", r, out[r][0])
+				t.Errorf("exchange: from %d got %v", r, out[r][0])
 				return
 			}
 		}

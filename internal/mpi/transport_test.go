@@ -136,3 +136,13 @@ func TestBufferPoolRoundTrip(t *testing.T) {
 		t.Error("released pointerful buffer was overwritten")
 	}
 }
+
+// TestProcStateSize pins procState to the 384-byte allocation size class.
+// The struct is allocated once per rank, so a 4096-rank workload pays every
+// byte it grows by thousands of times over.
+func TestProcStateSize(t *testing.T) {
+	const limit = 384
+	if got := unsafe.Sizeof(procState{}); got > limit {
+		t.Errorf("procState is %d bytes, over the %d-byte size class: justify the growth with paired benchmark runs (steady_4k setup_s, repair_4k alloc_mib), then raise the limit", got, limit)
+	}
+}

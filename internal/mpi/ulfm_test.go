@@ -424,7 +424,11 @@ func TestVirtualTimeDeterminism(t *testing.T) {
 				}
 				right := (c.Rank() + 1) % c.Size()
 				left := (c.Rank() - 1 + c.Size()) % c.Size()
-				if _, _, err := Sendrecv[int, int](c, right, 3, []int{k}, left, 3); err != nil {
+				if err := Send(c, right, 3, []int{k}); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, _, err := Recv[int](c, left, 3); err != nil {
 					t.Error(err)
 					return
 				}

@@ -24,9 +24,9 @@
 //     allocation. Read-locked briefly on failure checks; write-locked only
 //     by cold control-plane events (death, revoke, collective abort,
 //     rendezvous, spawn).
-//   - procState.mu, one per process, guards that process's mailbox, posted
-//     receives, wakeup epoch and blocked-receive descriptor. A send takes
-//     only the destination's mu; a receive only the caller's own.
+//   - procState.mu, one per process, guards that process's mailbox, wakeup
+//     epoch and blocked-receive descriptor. A send takes only the
+//     destination's mu; a receive only the caller's own.
 //   - World.procs is an atomic copy-on-write snapshot, read lock-free;
 //     procState.alive is atomic; procState.clock and slab are owner-only.
 //
@@ -58,7 +58,7 @@
 // pairs the counts with the events (see World.mayWake).
 //
 // A message arrival is narrower still: it always bumps the destination's
-// epoch, but signals only a process it can unblock — one parked in a plain
+// epoch, but signals only a process it can unblock — one parked in a
 // receive of another signature sleeps on (see procState.enqueue). And a
 // receiver parked in RecvInto publishes its buffer under mu, so a matching
 // send is copied straight into it (deliverDirect) instead of being queued.
@@ -89,16 +89,15 @@ type killSignal struct{}
 // owning goroutine (peers read the clock only at rendezvous points where
 // the owner is provably blocked); everything from mu down is guarded by mu.
 type procState struct {
-	w       *World
-	wrank   int // world-unique process id (never reused)
-	host    int // index into the cluster's host list
-	rack    int // rack of that host (immutable, like host)
-	alive   atomic.Bool
-	clock   vtime.Clock
-	sl      slab     // refill arena of the buffer pool; owner-only (senders carve from their own)
-	freeReq *Request // requests Wait has consumed, for newRequest to reuse; owner-only
-	opHook  OpHook   // operation observer; owner-only (see ophook.go)
-	curOp   string   // collective in progress; owner-only (hop attribution)
+	w      *World
+	wrank  int // world-unique process id (never reused)
+	host   int // index into the cluster's host list
+	rack   int // rack of that host (immutable, like host)
+	alive  atomic.Bool
+	clock  vtime.Clock
+	sl     slab   // refill arena of the buffer pool; owner-only (senders carve from their own)
+	opHook OpHook // operation observer; owner-only (see ophook.go)
+	curOp  string // collective in progress; owner-only (hop attribution)
 
 	// blocked is the blockedOp this process may be about to park on,
 	// published by its owner before the epoch read of a blocking loop and
@@ -125,20 +124,17 @@ type procState struct {
 	// twice. See event.go.
 	cont *Fiber
 	cond sync.Cond // on mu; the owning goroutine is the only waiter
-	// waitSh/waitSrc/waitTag/waitReq describe the receive this process is
-	// blocked in (waitSh nil while runnable). They feed the
-	// revoked-communicator deadlock detector: when every live,
-	// non-quiesced member of a revoked communicator is blocked on it with
-	// no pending resolution, none of them can ever send again, so the
-	// whole group resolves to MPI_ERR_REVOKED. waitReq is set instead of
-	// waitSrc/waitTag when blocked in Wait on a posted receive. A message
-	// arrival reads them too, to tell whether it is the one awaited.
+	// waitSh/waitSrc/waitTag describe the receive this process is blocked
+	// in (waitSh nil while runnable). They feed the revoked-communicator
+	// deadlock detector: when every live, non-quiesced member of a revoked
+	// communicator is blocked on it with no pending resolution, none of
+	// them can ever send again, so the whole group resolves to
+	// MPI_ERR_REVOKED. A message arrival reads them too, to tell whether it
+	// is the one awaited.
 	waitSh  *commShared
 	waitSrc int
 	waitTag int
-	waitReq *Request
 	mb      mailbox
-	posted  postedSet
 	// into is the buffer a RecvInto has published for the duration of its
 	// park: a matching send copies its payload there (deliverDirect) and
 	// records the message in got, instead of queueing it. Published and
@@ -339,9 +335,9 @@ type World struct {
 	// counts the control-plane events that consult it; the counters hold the
 	// processes asleep in each kind of wait not counted on its source
 	// (procState.namedBy): a wildcard receive, a receive on a communicator
-	// revoked when it parked, a rendezvous, and Wait/Probe/Waitany.
-	evGen                                             atomic.Uint64
-	parkedWild, parkedRevoked, parkedRvz, parkedOther atomic.Int32
+	// revoked when it parked, and a rendezvous.
+	evGen                                atomic.Uint64
+	parkedWild, parkedRevoked, parkedRvz atomic.Int32
 
 	failed  []int // world ranks, in failure order
 	spawned int
@@ -370,16 +366,16 @@ func (w *World) alive(r int) bool {
 // process src may find a goroutine to wake in its walk. It is called after
 // the event's state change and bumps the event generation before it reads
 // the park counts (see procState.park). Every event counts the receives on a
-// communicator revoked when they parked, the receives naming src, and the
-// unclassified Wait/Probe/Waitany parks; a departure (death) also counts
-// the wildcard receives and the rendezvous waits it may complete. On the
-// event-driven path fibers park uncounted, so every event walks.
+// communicator revoked when they parked and the receives naming src; a
+// departure (death) also counts the wildcard receives and the rendezvous
+// waits it may complete. On the event-driven path fibers park uncounted, so
+// every event walks.
 func (w *World) mayWake(src *procState, death bool) bool {
 	if w.eventEntry != nil {
 		return true
 	}
 	w.evGen.Add(1)
-	n := w.parkedRevoked.Load() + w.parkedOther.Load() + src.namedBy.Load()
+	n := w.parkedRevoked.Load() + src.namedBy.Load()
 	if death {
 		n += w.parkedWild.Load() + w.parkedRvz.Load()
 	}
