@@ -17,7 +17,6 @@ import (
 	"ftsg/internal/harness"
 	"ftsg/internal/mpi"
 	"ftsg/internal/recovery"
-	"ftsg/internal/topo"
 	"ftsg/internal/vtime"
 )
 
@@ -239,60 +238,6 @@ func BenchmarkAblationDetection(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPlacement compares respawn-on-same-host (the paper's
-// load-balance-preserving choice, derived from the failed rank and the
-// slots-per-host arithmetic) with a naive scheduler that packs replacements
-// from the first host of a stale, restart-fresh view. On a perfectly
-// balanced 72-rank cluster the paper's policy keeps the imbalance at
-// exactly 1.0; the naive policy stacks the replacements.
-func BenchmarkAblationPlacement(b *testing.B) {
-	b.ReportAllocs()
-	cluster := topo.New(6, 12) // 72 ranks: perfectly balanced baseline
-	const n = 72
-	failed := []int{13, 25, 37, 49, 61} // one per host 1..5
-	baseline := make([]int, n)
-	for r := 0; r < n; r++ {
-		h, err := cluster.HostIndexOfRank(r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		baseline[r] = h
-	}
-	b.Run("same-host", func(b *testing.B) {
-		b.ReportAllocs()
-		var imbalance float64
-		for i := 0; i < b.N; i++ {
-			hostOf := append([]int(nil), baseline...)
-			hosts, err := cluster.SpawnHosts(failed)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for j, r := range failed {
-				idx, err := cluster.HostIndexByName(hosts[j])
-				if err != nil {
-					b.Fatal(err)
-				}
-				hostOf[r] = idx
-			}
-			imbalance += cluster.Imbalance(hostOf)
-		}
-		b.ReportMetric(imbalance/float64(b.N), "imbalance/op")
-	})
-	b.Run("first-fit-stale", func(b *testing.B) {
-		b.ReportAllocs()
-		var imbalance float64
-		for i := 0; i < b.N; i++ {
-			hostOf := append([]int(nil), baseline...)
-			placed := cluster.FirstFit(map[int]int{}, len(failed))
-			for j, r := range failed {
-				hostOf[r] = placed[j]
-			}
-			imbalance += cluster.Imbalance(hostOf)
-		}
-		b.ReportMetric(imbalance/float64(b.N), "imbalance/op")
-	})
-}
-
 // BenchmarkAblationRankReorder quantifies what the ordering Split of
 // Fig. 7 — the step that restores the pre-failure rank layout so the
 // application's communication pattern is undisturbed — costs relative to
@@ -336,44 +281,6 @@ func BenchmarkAblationRankReorder(b *testing.B) {
 	}
 	b.ReportMetric(split/float64(b.N), "split-vsec/op")
 	b.ReportMetric(total/float64(b.N), "reconstruct-vsec/op")
-}
-
-func containsRank(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-// BenchmarkAblationCombine compares the paper's parallel gather-scatter
-// combination (each group root accumulates its contribution; one Reduce
-// assembles the target grid) against the naive ship-everything-to-rank-0
-// baseline, in virtual combine time.
-func BenchmarkAblationCombine(b *testing.B) {
-	b.ReportAllocs()
-	for _, serial := range []bool{false, true} {
-		name := "parallel-gather-scatter"
-		if serial {
-			name = "serial-rank0"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var combineTime float64
-			for i := 0; i < b.N; i++ {
-				res := runBench(b, core.Config{
-					Technique:     core.CheckpointRestart,
-					DiagProcs:     8,
-					Steps:         benchSteps,
-					SerialCombine: serial,
-					Seed:          int64(171 + i),
-				})
-				combineTime += res.CombineTime
-			}
-			b.ReportMetric(combineTime/float64(b.N), "combine-vsec/op")
-		})
-	}
 }
 
 // BenchmarkAccumulateSampled measures the combination hot kernel at the

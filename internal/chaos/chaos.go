@@ -60,9 +60,6 @@ type Outcome struct {
 	TraceJSON string
 }
 
-// OK reports whether every invariant held.
-func (o Outcome) OK() bool { return len(o.Violations) == 0 }
-
 // ReproCommand returns the one-liner that replays exactly this cell.
 func ReproCommand(seed int64, tech core.Technique) string {
 	return ReproCommandMode(seed, tech, 0)
@@ -183,43 +180,6 @@ func FingerprintOf(seed int64, tech core.Technique, stallTimeout time.Duration) 
 		return Fingerprint{}, err
 	}
 	return out.fp, nil
-}
-
-// FingerprintScaled is FingerprintOf on the ScaleWorld configuration.
-func FingerprintScaled(seed int64, tech core.Technique, stallTimeout time.Duration) (Fingerprint, error) {
-	sc := NewScenario(seed)
-	out, err := runOnce(ScaleWorld(sc.ConfigFor(tech)), fmt.Sprintf("scaled seed %d %s", seed, tech),
-		ReproCommand(seed, tech), stallTimeout)
-	if err != nil {
-		return Fingerprint{}, err
-	}
-	return out.fp, nil
-}
-
-// Check runs one (seed, technique) cell — the failure-free control, the
-// chaos run, and a same-seed replay — and returns the outcome with any
-// invariant violations.
-func Check(seed int64, tech core.Technique, stallTimeout time.Duration) Outcome {
-	return CheckMode(seed, tech, 0, stallTimeout)
-}
-
-// CheckMode is Check with the scenario mode forced (mode 0 draws it from
-// the seed).
-func CheckMode(seed int64, tech core.Technique, mode byte, stallTimeout time.Duration) Outcome {
-	return checkMode(seed, tech, mode, recovery.ModeSpawn, nil, stallTimeout, false).o
-}
-
-// CheckRecovery is Check with the recovery mode forced: the chaos run (and
-// its replay) repairs by shrink, substitute or no-repair instead of spawn,
-// and the invariant table switches to that mode's structural promises.
-func CheckRecovery(seed int64, tech core.Technique, rmode recovery.Mode, stallTimeout time.Duration) Outcome {
-	return checkMode(seed, tech, 0, rmode, nil, stallTimeout, false).o
-}
-
-// CheckScaled is Check with every run's configuration passed through
-// ScaleWorld, validating repair-under-failure on the 512-rank-class world.
-func CheckScaled(seed int64, tech core.Technique, stallTimeout time.Duration) Outcome {
-	return checkMode(seed, tech, 0, recovery.ModeSpawn, ScaleWorld, stallTimeout, false).o
 }
 
 // cellOut is one cell's outcome plus its merged instrumentation: the
@@ -419,19 +379,6 @@ func checkMode(seed int64, tech core.Technique, mode byte, rmode recovery.Mode, 
 		}
 	}
 	return finish(run1)
-}
-
-// Campaign checks every (seed, technique) cell on a bounded worker pool and
-// returns the outcomes in deterministic (seed-major) order. workers <= 0
-// selects GOMAXPROCS.
-func Campaign(seeds []int64, techs []core.Technique, workers int, stallTimeout time.Duration) []Outcome {
-	return CampaignMode(seeds, techs, 0, workers, stallTimeout)
-}
-
-// CampaignMode is Campaign with the scenario mode forced for every seed
-// (mode 0 draws it per seed).
-func CampaignMode(seeds []int64, techs []core.Technique, mode byte, workers int, stallTimeout time.Duration) []Outcome {
-	return Sweep(CampaignOpts{Seeds: seeds, Techniques: techs, Mode: mode, Workers: workers, Stall: stallTimeout})
 }
 
 // CampaignOpts configures an instrumented campaign sweep.

@@ -2,11 +2,13 @@ package chaos
 
 import (
 	"flag"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
+	"ftsg/internal/combine"
 	"ftsg/internal/core"
 	"ftsg/internal/metrics"
 	"ftsg/internal/recovery"
@@ -62,7 +64,7 @@ func TestChaos(t *testing.T) {
 	outs := Sweep(CampaignOpts{Seeds: seeds, Techniques: techs, Mode: mode, Recovery: rmode, Stall: *chaosStall})
 	violations := 0
 	for _, o := range outs {
-		if o.OK() {
+		if len(o.Violations) == 0 {
 			continue
 		}
 		violations += len(o.Violations)
@@ -151,7 +153,7 @@ func TestChaosNestedKillOutlivesShrinkDance(t *testing.T) {
 				t.Errorf("%s under %s/%s: %d deaths, failed ranks %v, final size %d of %d; want exactly the %d step victims",
 					sc, c.tech, rmode, res.Deaths, res.FailedRanks, res.FinalProcs, res.Procs, scheduled)
 			}
-			for _, v := range CheckRecovery(c.seed, c.tech, rmode, *chaosStall).Violations {
+			for _, v := range checkMode(c.seed, c.tech, 0, rmode, nil, *chaosStall, false).o.Violations {
 				t.Errorf("%s under %s/%s: %s", sc, c.tech, rmode, v)
 			}
 		}
@@ -267,6 +269,19 @@ func TestChaosReplayAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// ScaleWorld rewrites a scenario configuration onto the large-cluster
+// world: an N=9 layout at DiagProcs 64 gives 608 ranks under RC (the only
+// technique whose grid set clears 512), spread over 152 four-slot hosts in
+// four racks so the hierarchical collectives and the inter-rack link tier
+// both engage. Everything else — the failure plan, seeds, step budget —
+// carries over unchanged.
+func ScaleWorld(cfg core.Config) core.Config {
+	cfg.Layout = combine.Layout{N: 9, L: 4}
+	cfg.DiagProcs = 64
+	cfg.Racks = 4
+	return cfg
+}
+
 // TestChaosScale512 runs a seed subset of the campaign on the ScaleWorld
 // configuration — 608 ranks under RC across 152 hosts in 4 racks — so
 // repair-under-failure is validated with the hierarchical collectives and
@@ -296,19 +311,23 @@ func TestChaosScale512(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	for _, mode := range []byte{ModeMultiEvent, ModeNodeFailure, ModeOpKill, ModeKillDuringRecovery, ModeControl, ModeCkptCorrupt} {
 		seed := seedFor[mode]
-		o := CheckScaled(seed, tech, *chaosStall)
+		o := checkMode(seed, tech, 0, recovery.ModeSpawn, ScaleWorld, *chaosStall, false).o
 		for _, v := range o.Violations {
 			t.Errorf("scaled %s under %s: %s", o.Scenario, tech, v)
 		}
+		run := func() (runOut, error) {
+			return runOnce(ScaleWorld(NewScenario(seed).ConfigFor(tech)),
+				fmt.Sprintf("scaled seed %d %s", seed, tech), ReproCommand(seed, tech), *chaosStall)
+		}
 		runtime.GOMAXPROCS(1)
-		fp1, err1 := FingerprintScaled(seed, tech, *chaosStall)
+		out1, err1 := run()
 		runtime.GOMAXPROCS(prev)
-		fp2, err2 := FingerprintScaled(seed, tech, *chaosStall)
+		out2, err2 := run()
 		if err1 != nil || err2 != nil {
 			t.Errorf("scaled seed %d: run errors %v / %v", seed, err1, err2)
 			continue
 		}
-		if fp1 != fp2 {
+		if out1.fp != out2.fp {
 			t.Errorf("scaled seed %d: fingerprints differ between GOMAXPROCS=1 and %d", seed, prev)
 		}
 	}
@@ -330,7 +349,7 @@ func TestChaosCheckpointCorruption(t *testing.T) {
 	for i := range seeds {
 		seeds[i] = int64(i + 1)
 	}
-	outs := CampaignMode(seeds, []core.Technique{core.CheckpointRestart}, ModeCkptCorrupt, 0, *chaosStall)
+	outs := Sweep(CampaignOpts{Seeds: seeds, Techniques: []core.Technique{core.CheckpointRestart}, Mode: ModeCkptCorrupt, Stall: *chaosStall})
 	for _, o := range outs {
 		for _, v := range o.Violations {
 			t.Errorf("%s under %s: %s\n  replay: %s",

@@ -185,19 +185,6 @@ func chaosMachine() *vtime.Machine {
 	return m
 }
 
-// ScaleWorld rewrites a scenario configuration onto the large-cluster
-// world: an N=9 layout at DiagProcs 64 gives 608 ranks under RC (the only
-// technique whose grid set clears 512), spread over 152 four-slot hosts in
-// four racks so the hierarchical collectives and the inter-rack link tier
-// both engage. Everything else — the failure plan, seeds, step budget —
-// carries over unchanged.
-func ScaleWorld(cfg core.Config) core.Config {
-	cfg.Layout = combine.Layout{N: 9, L: 4}
-	cfg.DiagProcs = 64
-	cfg.Racks = 4
-	return cfg
-}
-
 // Control returns the failure-free twin of the scenario's configuration —
 // the baseline for the solution-quality invariant. It matches the chaos
 // configuration in everything but the injected failures (including the

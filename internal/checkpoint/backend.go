@@ -29,7 +29,7 @@ type Backend interface {
 	Get(name string) ([]byte, error)
 	// Peek returns up to n leading bytes of the blob and its total size,
 	// without reading the whole blob — the cheap header validation used
-	// by Store.Exists.
+	// by Store.CandidateSteps.
 	Peek(name string, n int) ([]byte, int64, error)
 	// Delete removes the blob (no error if absent).
 	Delete(name string) error
@@ -67,9 +67,6 @@ func OpenDir(dir string) (*DirBackend, error) {
 	}
 	return &DirBackend{dir: dir}, nil
 }
-
-// Dir returns the backing directory.
-func (b *DirBackend) Dir() string { return b.dir }
 
 func (b *DirBackend) path(name string) string { return filepath.Join(b.dir, name) }
 

@@ -114,8 +114,8 @@ func decode(raw []byte) (step int, data []float64, err error) {
 	return step, data, nil
 }
 
-// validHeader checks the cheap invariants Exists relies on: intact magic
-// and version in the first headerSize bytes, and a total blob size
+// validHeader checks the cheap invariants CandidateSteps relies on: intact
+// magic and version in the first headerSize bytes, and a total blob size
 // consistent with the declared value count. It cannot vouch for the CRC —
 // that is Read's job — but it rejects truncated and foreign files without
 // reading the payload.
@@ -162,7 +162,8 @@ type Options struct {
 	Generations int
 	// Async enables the write-behind writer: Write enqueues and returns,
 	// a single writer goroutine commits in FIFO order, and Flush (called
-	// implicitly by Read and Exists) is the durability barrier.
+	// implicitly by Read, ReadAt and CandidateSteps) is the durability
+	// barrier.
 	Async bool
 	// QueueDepth bounds the async queue (default 64). Ignored when sync.
 	QueueDepth int
@@ -227,26 +228,6 @@ func Open(opts Options) (*Store, error) {
 		go s.writer()
 	}
 	return s, nil
-}
-
-// NewStore opens a Store over a local directory with default settings
-// (synchronous writes, DefaultGenerations kept). Orphaned temp files from
-// earlier interrupted writes are swept.
-func NewStore(dir string) (*Store, error) {
-	b, err := OpenDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	return Open(Options{Backend: b})
-}
-
-// Dir returns the backing directory when the store sits on a DirBackend,
-// and "" otherwise.
-func (s *Store) Dir() string {
-	if b, ok := s.backend.(*DirBackend); ok {
-		return b.Dir()
-	}
-	return ""
 }
 
 func (s *Store) writer() {
@@ -379,11 +360,11 @@ func (s *Store) Generations() int {
 }
 
 // CandidateSteps returns the steps of the generations whose headers peek
-// valid for (gridID, rank), newest generation first. Like the old
-// stat-based Exists check, the header peek models filesystem metadata
-// access and charges no virtual time; full CRC validation happens in
-// ReadAt. Generations whose headers are damaged are counted on the
-// fallback counter — they exist but cannot serve recovery.
+// valid for (gridID, rank), newest generation first. Like a stat, the
+// header peek models filesystem metadata access and charges no virtual
+// time; full CRC validation happens in ReadAt. Generations whose headers
+// are damaged are counted on the fallback counter — they exist but cannot
+// serve recovery.
 //
 // The restart path uses this to negotiate a common restore step across a
 // grid's process group: every member must recompute from the same step, so
@@ -445,27 +426,6 @@ func (s *Store) ReadAt(p *mpi.Proc, gridID, rank, step int) ([]float64, error) {
 		p.Metrics().Counter("checkpoint.generations.fallback").Inc()
 	}
 	return nil, fmt.Errorf("checkpoint: grid %d rank %d step %d: %w", gridID, rank, step, ErrNoCheckpoint)
-}
-
-// Exists reports whether a plausibly readable checkpoint exists for
-// (gridID, rank): some generation must have an intact header (magic,
-// version) and a size consistent with its declared payload. It peeks only
-// the header — full CRC validation still happens in Read, which is why
-// Read falls back rather than trusting Exists.
-func (s *Store) Exists(gridID, rank int) bool {
-	s.Flush()
-	key := genKey{gridID, rank}
-	s.mu.Lock()
-	list := append([]uint64(nil), s.gens[key]...)
-	s.mu.Unlock()
-
-	for i := len(list) - 1; i >= 0; i-- {
-		hdr, size, err := s.backend.Peek(genName(gridID, rank, list[i]), headerSize)
-		if err == nil && validHeader(hdr, size) {
-			return true
-		}
-	}
-	return false
 }
 
 // Close flushes queued writes and stops the writer goroutine. The backend's
@@ -550,25 +510,9 @@ func NewPlan(totalSteps int, stepTime, mtbf, tio float64) Plan {
 	count := 0
 	if steps > 0 && totalSteps > 0 {
 		// Dues land on multiples of the interval strictly before the
-		// final step — the final-step write is suppressed (see Plan.Due).
+		// final step: checkpointing the final state is pure overhead, as
+		// there are no further steps to recover.
 		count = (totalSteps - 1) / steps
 	}
 	return Plan{IntervalSteps: steps, Count: count, TotalSteps: totalSteps}
-}
-
-// Due reports whether a checkpoint is due after the given 1-based step. A
-// step on or past TotalSteps (when set) is never due: checkpointing the
-// final state is pure overhead, there are no further steps to recover.
-func (p Plan) Due(step int) bool {
-	return step > 0 && p.IntervalSteps > 0 && step%p.IntervalSteps == 0 &&
-		(p.TotalSteps <= 0 || step < p.TotalSteps)
-}
-
-// LastBefore returns the step of the most recent checkpoint written at or
-// before the given step (0 = initial condition, no disk file).
-func (p Plan) LastBefore(step int) int {
-	if p.IntervalSteps <= 0 {
-		return 0
-	}
-	return (step / p.IntervalSteps) * p.IntervalSteps
 }

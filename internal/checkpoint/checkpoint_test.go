@@ -13,6 +13,17 @@ import (
 	"ftsg/internal/vtime"
 )
 
+// NewStore opens a Store over a local directory with default settings
+// (synchronous writes, DefaultGenerations kept). Orphaned temp files from
+// earlier interrupted writes are swept.
+func NewStore(dir string) (*Store, error) {
+	b, err := OpenDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	return Open(Options{Backend: b})
+}
+
 // withProc runs f on a single simulated process.
 func withProc(t *testing.T, m *vtime.Machine, f func(p *mpi.Proc)) {
 	t.Helper()
@@ -102,8 +113,8 @@ func TestReadMissing(t *testing.T) {
 			t.Errorf("missing checkpoint error = %v, want ErrNoCheckpoint", err)
 		}
 	})
-	if s.Exists(9, 9) {
-		t.Error("Exists on missing checkpoint")
+	if got := s.CandidateSteps(9, 9); len(got) != 0 {
+		t.Errorf("CandidateSteps on a missing checkpoint = %v", got)
 	}
 }
 
@@ -215,16 +226,17 @@ func TestOverwriteKeepsLatest(t *testing.T) {
 	})
 }
 
-// TestExistsRejectsTruncatedFile: Exists must peek the header and length,
-// not just stat the file — a truncated blob is not a usable checkpoint.
-func TestExistsRejectsTruncatedFile(t *testing.T) {
+// TestCandidateStepsRejectsTruncatedFile: CandidateSteps must peek the
+// header and length, not just stat the file — a truncated blob is not a
+// usable checkpoint.
+func TestCandidateStepsRejectsTruncatedFile(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := NewStore(dir)
 	withProc(t, vtime.Generic(), func(p *mpi.Proc) {
 		_ = s.Write(p, 0, 0, 10, []float64{1, 2, 3, 4})
 	})
-	if !s.Exists(0, 0) {
-		t.Fatal("Exists false on a valid checkpoint")
+	if got := s.CandidateSteps(0, 0); !reflect.DeepEqual(got, []int{10}) {
+		t.Fatalf("CandidateSteps on a valid checkpoint = %v, want [10]", got)
 	}
 	path := filepath.Join(dir, genName(0, 0, 0))
 	raw, err := os.ReadFile(path)
@@ -235,15 +247,15 @@ func TestExistsRejectsTruncatedFile(t *testing.T) {
 	if err := os.WriteFile(path, raw[:len(raw)-9], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if s.Exists(0, 0) {
-		t.Error("Exists true on a truncated checkpoint")
+	if got := s.CandidateSteps(0, 0); len(got) != 0 {
+		t.Errorf("CandidateSteps on a truncated checkpoint = %v", got)
 	}
 	// Garbage shorter than a header.
 	if err := os.WriteFile(path, []byte("FT"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if s.Exists(0, 0) {
-		t.Error("Exists true on a 2-byte file")
+	if got := s.CandidateSteps(0, 0); len(got) != 0 {
+		t.Errorf("CandidateSteps on a 2-byte file = %v", got)
 	}
 	// Wrong magic, plausible length.
 	bad := append([]byte(nil), raw...)
@@ -251,8 +263,8 @@ func TestExistsRejectsTruncatedFile(t *testing.T) {
 	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if s.Exists(0, 0) {
-		t.Error("Exists true on a bad-magic file")
+	if got := s.CandidateSteps(0, 0); len(got) != 0 {
+		t.Errorf("CandidateSteps on a bad-magic file = %v", got)
 	}
 }
 
@@ -299,33 +311,13 @@ func TestCheckpointTotalOverheadDropsWithTIO(t *testing.T) {
 	}
 }
 
-func TestPlanDueAndLastBefore(t *testing.T) {
-	// Zero TotalSteps = unbounded plan: old semantics, no suppression.
-	p := Plan{IntervalSteps: 10, Count: 5}
-	if !p.Due(10) || !p.Due(50) || p.Due(11) || p.Due(0) {
-		t.Error("Due wrong")
-	}
-	if p.LastBefore(25) != 20 {
-		t.Errorf("LastBefore(25) = %d", p.LastBefore(25))
-	}
-	if p.LastBefore(9) != 0 {
-		t.Errorf("LastBefore(9) = %d", p.LastBefore(9))
-	}
-}
-
 // TestPlanFinalStepSuppressed: a checkpoint landing on the run's final step
 // is useless (the run is over, nothing can restore from it) and must not be
-// scheduled or counted.
+// counted.
 func TestPlanFinalStepSuppressed(t *testing.T) {
 	p := NewPlan(50, 1.0, 50, 1.0) // Young: sqrt(2*50*1) = 10 steps
 	if p.IntervalSteps != 10 {
 		t.Fatalf("interval = %d, want 10", p.IntervalSteps)
-	}
-	if p.Due(50) {
-		t.Error("checkpoint due on the final step")
-	}
-	if !p.Due(40) {
-		t.Error("interior checkpoint not due")
 	}
 	if p.Count != 4 {
 		t.Errorf("Count = %d, want 4 (steps 10..40, final 50 suppressed)", p.Count)
@@ -334,9 +326,6 @@ func TestPlanFinalStepSuppressed(t *testing.T) {
 	p = NewPlan(100, 0.001, 1, 100)
 	if p.Count != 0 {
 		t.Errorf("Count = %d, want 0 when the only due step is the last", p.Count)
-	}
-	if p.Due(100) {
-		t.Error("final-step checkpoint not suppressed")
 	}
 }
 

@@ -27,25 +27,6 @@ type Component struct {
 // their coefficients.
 type Scheme []Component
 
-// CoeffSum returns the sum of the coefficients. Any consistent combination
-// scheme sums to 1 (a constant field must combine to itself).
-func (s Scheme) CoeffSum() float64 {
-	var sum float64
-	for _, c := range s {
-		sum += c.Coeff
-	}
-	return sum
-}
-
-// Levels returns the scheme's sub-grid levels in scheme order.
-func (s Scheme) Levels() []grid.Level {
-	out := make([]grid.Level, len(s))
-	for i, c := range s {
-		out[i] = c.Lv
-	}
-	return out
-}
-
 // Coeff returns the coefficient of the given level, or 0 if absent.
 func (s Scheme) Coeff(lv grid.Level) float64 {
 	for _, c := range s {
@@ -99,16 +80,6 @@ func (ly Layout) Diagonal() []grid.Level { return ly.Row(0) }
 // LowerDiagonal returns the L-1 lower-diagonal sub-grids.
 func (ly Layout) LowerDiagonal() []grid.Level { return ly.Row(1) }
 
-// ExtraLayers returns the sub-grids of the first k extra layers below the
-// lower diagonal (the Alternate Combination technique uses k = 2).
-func (ly Layout) ExtraLayers(k int) []grid.Level {
-	var out []grid.Level
-	for d := 2; d < 2+k; d++ {
-		out = append(out, ly.Row(d)...)
-	}
-	return out
-}
-
 // Classic returns the standard combination scheme: +1 on the diagonal,
 // -1 on the lower diagonal (Eq. 1 of the paper).
 func (ly Layout) Classic() Scheme {
@@ -149,17 +120,4 @@ func EvaluateInto(dst *grid.Grid, s Scheme, solutions map[grid.Level]*grid.Grid)
 		dst.AccumulateSampled(sol, c.Coeff)
 	}
 	return nil
-}
-
-// InterpolationScheme samples f on every component grid and combines,
-// returning the combined interpolant on the target level. It isolates the
-// pure combination error from solver error, for tests and diagnostics.
-func InterpolationScheme(s Scheme, f func(x, y float64) float64, target grid.Level) (*grid.Grid, error) {
-	sols := make(map[grid.Level]*grid.Grid, len(s))
-	for _, c := range s {
-		g := grid.New(c.Lv)
-		g.Fill(f)
-		sols[c.Lv] = g
-	}
-	return Evaluate(s, sols, target)
 }

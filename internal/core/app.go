@@ -11,9 +11,7 @@ import (
 	"sync/atomic"
 
 	"ftsg/internal/checkpoint"
-	"ftsg/internal/combine"
 	"ftsg/internal/faultgen"
-	"ftsg/internal/grid"
 	"ftsg/internal/metrics"
 	"ftsg/internal/mpi"
 	"ftsg/internal/pde"
@@ -27,11 +25,9 @@ import (
 // nominal problem size.
 const nominalSteps = 8192
 
-// Application tags on the world communicator.
-const (
-	tagRecoverBase = 2000 // + lost grid ID: replication/resampling transfer
-	tagCombineBase = 3000 // + grid ID: sub-grid solutions to rank 0
-)
+// tagRecoverBase + lost grid ID tags a replication/resampling transfer on
+// the world communicator.
+const tagRecoverBase = 2000
 
 // runState is the state shared (in-process) by all simulated ranks of one
 // run. Result fields are guarded by mu.
@@ -568,8 +564,7 @@ func (r *rankState) recoverRC(lost []int, lg int) error {
 }
 
 // combine combines the sub-grid solutions onto the common grid and measures
-// the l1 error at rank 0 (see contribution). Config.SerialCombine selects
-// the naive ship-everything-to-rank-0 variant for the ablation benchmark.
+// the l1 error at rank 0 (see contribution).
 func (r *rankState) combine() error {
 	sp := r.beginCombine()
 	defer func() { sp.End(r.p.Now()) }()
@@ -582,9 +577,6 @@ func (r *rankState) combine() error {
 	if err != nil {
 		return err
 	}
-	if r.cfg.SerialCombine {
-		return r.combineSerial(scheme, g)
-	}
 	roots, err := r.world.Split(c.color, r.mine.ID)
 	summand, err := r.accumulate(&c, roots, err)
 	if summand == nil {
@@ -592,71 +584,6 @@ func (r *rankState) combine() error {
 	}
 	total, err := mpi.Reduce(roots, 0, summand, mpi.Sum[float64])
 	return r.combined(&c, total, err)
-}
-
-// combineSerial ships every gathered sub-grid to rank 0, which combines
-// alone. Spawn-only (Config.Validate).
-func (r *rankState) combineSerial(scheme combine.Scheme, g *grid.Grid) error {
-	rs, p, world := r.rs, r.p, r.world
-	if r.gcomm.Rank() == 0 && r.mine.ID != 0 {
-		// The gathered grid is dead after this send: transfer the buffer to
-		// the transport instead of having it copied.
-		if err := mpi.SendOwned(world, 0, tagCombineBase+r.mine.ID, g.V); err != nil {
-			return fmt.Errorf("core: combine send: %w", err)
-		}
-		g = nil
-	}
-	if world.Rank() != 0 {
-		return nil
-	}
-
-	t0 := p.Now()
-	lost := rs.lostGridIDs(r.failedList)
-	solutions := make(map[grid.Level]*grid.Grid)
-	for _, sg := range rs.grids {
-		var vals []float64
-		owned := false // vals came from the transport and must be released
-		if sg.ID == 0 {
-			vals = g.V
-		} else {
-			var err error
-			vals, _, err = mpi.Recv[float64](world, sg.FirstRank, tagCombineBase+sg.ID)
-			if err != nil {
-				return fmt.Errorf("core: combine recv grid %d: %w", sg.ID, err)
-			}
-			owned = true
-		}
-		skip := sg.Role == RoleDuplicate ||
-			// Duplicates exist purely as a backup of the diagonal grids; the
-			// combination uses the (possibly recovered) primaries. Under AC
-			// the lost grids hold no usable data; the recovered scheme avoids
-			// their levels.
-			(r.cfg.Technique == AlternateCombination && slices.Contains(lost, sg.ID))
-		if !skip {
-			gg := grid.NewPooled(sg.Lv)
-			copy(gg.V, vals)
-			solutions[sg.Lv] = gg
-		}
-		if owned {
-			mpi.ReleaseBuf(vals)
-		}
-	}
-	g.Free() // rank 0's own gathered grid, pooled
-
-	target := r.targetLevel()
-	comb := grid.NewPooled(target)
-	err := combine.EvaluateInto(comb, scheme, solutions)
-	for _, gg := range solutions {
-		gg.Free()
-	}
-	if err != nil {
-		comb.Free()
-		return fmt.Errorf("core: combine: %w", err)
-	}
-	p.ComputeCells(target.Points()*len(scheme), r.oneShot())
-	r.recordCombined(comb, t0)
-	comb.Free()
-	return nil
 }
 
 // mergeStats folds one rank's recovery statistics into the shared result

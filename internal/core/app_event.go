@@ -276,8 +276,7 @@ func (fr *fiberRank) recoverRC(lost []int, i int, k func(error)) {
 	})
 }
 
-// combine is rank()'s parallel combination; SerialCombine is rejected in
-// event mode (Config.Validate).
+// combine is rankState.combine for fiber code.
 func (fr *fiberRank) combine() {
 	sp := fr.beginCombine()
 	k := func(err error) {

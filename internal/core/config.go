@@ -186,10 +186,6 @@ type Config struct {
 	// extra layers; more layers tolerate deeper loss cascades at the cost
 	// of extra processes).
 	ExtraLayers int
-	// SerialCombine ships every sub-grid to rank 0 for a serial
-	// combination instead of the default parallel gather-scatter — the
-	// baseline of the combine ablation benchmark.
-	SerialCombine bool
 	// Trace, when non-nil, records a virtual-time event timeline of the
 	// run (detection, repair, recovery, checkpoints, combination), with
 	// spans for every protocol phase exportable as a Chrome/Perfetto trace,
@@ -385,9 +381,6 @@ func (c Config) Validate() error {
 		if c.NumFailures > 0 && !c.RealFailures {
 			return fmt.Errorf("core: recovery mode %v requires RealFailures (simulated losses are spawn-only)", c.RecoveryMode)
 		}
-		if c.SerialCombine {
-			return fmt.Errorf("core: SerialCombine supports only the spawn recovery mode")
-		}
 	}
 	if c.SpareRanks < 0 {
 		return fmt.Errorf("core: SpareRanks must be >= 0")
@@ -396,9 +389,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: SpareRanks requires the substitute recovery mode")
 	}
 	if c.Event {
-		if c.SerialCombine {
-			return fmt.Errorf("core: Event has no fiber port of the serial combination yet")
-		}
 		if c.EventWorkers < 0 {
 			return fmt.Errorf("core: EventWorkers must be >= 0")
 		}

@@ -2,9 +2,14 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"ftsg/internal/combine"
 	"ftsg/internal/faultgen"
+	"ftsg/internal/ftcomb"
+	"ftsg/internal/grid"
+	"ftsg/internal/pde"
 	"ftsg/internal/trace"
 	"ftsg/internal/vtime"
 )
@@ -213,68 +218,107 @@ func TestTechniqueStrings(t *testing.T) {
 	}
 }
 
-// TestParallelCombineMatchesSerial: the default parallel gather-scatter
-// combination and the serial reference produce the same combined solution
-// (up to summation-order rounding in the Reduce).
+// serialCombineL1 is the reference the parallel gather-scatter combination
+// must reproduce, built without rankState.combine: every sub-grid solved
+// alone with pde.Solve, the lost grids' data recovered the way the technique
+// does it (RC copies the twin or resamples the finer neighbour, AC
+// recombines over the grids still held), then one combine.Evaluate onto the
+// full grid and the run's l1 error measure.
+func serialCombineL1(t *testing.T, cfg Config, lost []int) float64 {
+	t.Helper()
+	cfg = cfg.WithDefaults()
+	prob, dt := cfg.Problem()
+	grids := cfg.Grids()
+	sols := make([]*grid.Grid, len(grids))
+	for _, sg := range grids {
+		sols[sg.ID] = pde.Solve(sg.Lv, prob, dt, cfg.Steps)
+	}
+	scheme := cfg.Layout.Classic()
+	switch {
+	case len(lost) == 0:
+	case cfg.Technique == ResamplingCopying:
+		for _, id := range lost {
+			src, resample, err := recoveryPartner(grids, grids[id])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resample {
+				sols[id] = sols[src.ID].Clone()
+				continue
+			}
+			sols[id] = grid.New(grids[id].Lv)
+			if err := grid.RestrictInto(sols[src.ID], sols[id]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	case cfg.Technique == AlternateCombination:
+		held := make([]grid.Level, len(grids))
+		lostLvs := ftcomb.NewSet()
+		for _, sg := range grids {
+			held[sg.ID] = sg.Lv
+			if slices.Contains(lost, sg.ID) {
+				lostLvs[sg.Lv] = true
+			}
+		}
+		var err error
+		if scheme, err = ftcomb.RecoverScheme(held, lostLvs); err != nil {
+			t.Fatal(err)
+		}
+	default:
+		t.Fatalf("%v has no serial reference for lost grids", cfg.Technique)
+	}
+	byLevel := make(map[grid.Level]*grid.Grid, len(grids))
+	for _, sg := range grids {
+		if sg.Role != RoleDuplicate {
+			byLevel[sg.Lv] = sols[sg.ID]
+		}
+	}
+	comb, err := combine.Evaluate(scheme, byLevel, grid.Level{I: cfg.Layout.N, J: cfg.Layout.N})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prob.L1Error(comb, float64(cfg.Steps)*dt)
+}
+
+// TestParallelCombineMatchesSerial: the parallel gather-scatter combination
+// and the serial reference produce the same combined solution (up to
+// summation-order rounding in the Reduce).
 func TestParallelCombineMatchesSerial(t *testing.T) {
 	for _, tech := range []Technique{CheckpointRestart, ResamplingCopying, AlternateCombination} {
-		par := fastCfg(tech)
-		ser := fastCfg(tech)
-		ser.SerialCombine = true
-		pr, err := Run(par)
+		cfg := fastCfg(tech)
+		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sr, err := Run(ser)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := math.Abs(pr.L1Error - sr.L1Error); d > 1e-12 {
+		if ser := serialCombineL1(t, cfg, nil); math.Abs(res.L1Error-ser) > 1e-12 {
 			t.Errorf("%v: parallel combine error %.17g vs serial %.17g (diff %g)",
-				tech, pr.L1Error, sr.L1Error, d)
+				tech, res.L1Error, ser, res.L1Error-ser)
 		}
 	}
 }
 
 // TestParallelCombineWithLossesMatchesSerial repeats the comparison under
-// simulated losses, covering the recovered-coefficient path.
+// simulated losses, covering RC's recovered data and AC's recovered
+// coefficients. Under RC seed 41 loses two duplicates and seed 42 a lower
+// grid, which RC resamples from the diagonal grid above it.
 func TestParallelCombineWithLossesMatchesSerial(t *testing.T) {
 	for _, tech := range []Technique{ResamplingCopying, AlternateCombination} {
-		par := fastCfg(tech)
-		par.NumFailures = 2
-		par.Seed = 41
-		ser := par
-		ser.SerialCombine = true
-		pr, err := Run(par)
-		if err != nil {
-			t.Fatal(err)
+		for _, seed := range []int64{41, 42} {
+			cfg := fastCfg(tech)
+			cfg.NumFailures = 2
+			cfg.Seed = seed
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.LostGrids) != 2 {
+				t.Fatalf("%v seed %d: lost grids %v, want 2", tech, seed, res.LostGrids)
+			}
+			if ser := serialCombineL1(t, cfg, res.LostGrids); math.Abs(res.L1Error-ser) > 1e-12 {
+				t.Errorf("%v seed %d with losses %v: parallel %.17g vs serial %.17g",
+					tech, seed, res.LostGrids, res.L1Error, ser)
+			}
 		}
-		sr, err := Run(ser)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := math.Abs(pr.L1Error - sr.L1Error); d > 1e-12 {
-			t.Errorf("%v with losses: parallel %.17g vs serial %.17g", tech, pr.L1Error, sr.L1Error)
-		}
-	}
-}
-
-// TestParallelCombineFaster: the gather-scatter combination's virtual
-// combine time beats the ship-everything-to-rank-0 baseline.
-func TestParallelCombineFaster(t *testing.T) {
-	par := fastCfg(CheckpointRestart)
-	ser := par
-	ser.SerialCombine = true
-	pr, err := Run(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr, err := Run(ser)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pr.CombineTime >= sr.CombineTime {
-		t.Errorf("parallel combine %g s not below serial %g s", pr.CombineTime, sr.CombineTime)
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 // multi-event schedule). Plans are built deterministically from a seed, so
 // every simulated process derives the same plan without communication.
 type Plan struct {
-	step    int         // step of the first event (all victims' step for single-event plans)
 	victims map[int]int // rank -> death step
 }
 
@@ -37,18 +36,6 @@ func (p *Plan) Victims() []int {
 		}
 	}
 	return out
-}
-
-// Step returns the step of the plan's first failure event.
-func (p *Plan) Step() int { return p.step }
-
-// IsVictim reports whether the rank is scheduled to die.
-func (p *Plan) IsVictim(rank int) bool {
-	if p == nil {
-		return false
-	}
-	_, ok := p.victims[rank]
-	return ok
 }
 
 // DeathStep returns the step at which a victim dies (0, false for
@@ -94,7 +81,7 @@ type Config struct {
 // satisfied (e.g. more victims requested than eligible ranks).
 func New(cfg Config) (*Plan, error) {
 	if cfg.NumFailures <= 0 {
-		return &Plan{step: cfg.Step, victims: map[int]int{}}, nil
+		return &Plan{victims: map[int]int{}}, nil
 	}
 	if cfg.NumFailures >= cfg.NumRanks {
 		return nil, fmt.Errorf("faultgen: %d failures requested with %d ranks (rank 0 protected)",
@@ -130,7 +117,7 @@ func New(cfg Config) (*Plan, error) {
 			victims[r] = cfg.Step
 		}
 		if ok {
-			return &Plan{step: cfg.Step, victims: victims}, nil
+			return &Plan{victims: victims}, nil
 		}
 	}
 	return nil, fmt.Errorf("faultgen: could not satisfy conflict constraints after %d attempts", 10000)
@@ -225,7 +212,7 @@ func Schedule(cfg Config, events []Event) (*Plan, error) {
 			return nil, fmt.Errorf("faultgen: could not place event %d under constraints", ei)
 		}
 	}
-	return &Plan{step: events[0].Step, victims: all}, nil
+	return &Plan{victims: all}, nil
 }
 
 // NodePlan builds a whole-node failure plan: every rank of one randomly
@@ -261,7 +248,7 @@ func NodePlan(seed int64, step, numRanks int, hostOf func(rank int) int) (*Plan,
 	for _, r := range ranksByHost[host] {
 		victims[r] = step
 	}
-	return &Plan{step: step, victims: victims}, nil
+	return &Plan{victims: victims}, nil
 }
 
 // PickGrids draws n distinct sub-grid IDs from candidates, honouring the

@@ -110,32 +110,6 @@ func NewOpPlan(cfg Config, events []OpEvent, exclude []int) (*OpPlan, error) {
 	return nil, fmt.Errorf("faultgen: could not place %d op events under constraints", len(events))
 }
 
-// Victims returns the victim ranks in ascending order.
-func (p *OpPlan) Victims() []int {
-	if p == nil {
-		return nil
-	}
-	out := make([]int, 0, len(p.victims))
-	for r := range p.victims {
-		out = append(out, r)
-	}
-	for i := 1; i < len(out); i++ { // insertion sort; victim lists are tiny
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-// IsVictim reports whether the rank is scheduled to die.
-func (p *OpPlan) IsVictim(rank int) bool {
-	if p == nil {
-		return false
-	}
-	_, ok := p.victims[rank]
-	return ok
-}
-
 // Hook returns the mpi.OpHook that executes this plan for the given original
 // world rank, or nil when the rank is not a victim. The closure keeps its
 // operation count across SetOpHook arm/disarm cycles, so the caller can

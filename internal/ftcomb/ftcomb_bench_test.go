@@ -17,7 +17,7 @@ func BenchmarkCoefficients(b *testing.B) {
 
 func BenchmarkRecoverSchemeSingleLoss(b *testing.B) {
 	ly := combine.Layout{N: 13, L: 4}
-	held := AlternateHeld(ly)
+	held := alternateHeld(ly)
 	lost := NewSet(ly.Diagonal()[1])
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -29,7 +29,7 @@ func BenchmarkRecoverSchemeSingleLoss(b *testing.B) {
 
 func BenchmarkRecoverSchemeCascade(b *testing.B) {
 	ly := combine.Layout{N: 13, L: 4}
-	held := AlternateHeld(ly)
+	held := alternateHeld(ly)
 	// A diagonal plus its lower grid forces truncation into the extra
 	// layers — the worst-case coefficient recomputation.
 	lost := NewSet(ly.Diagonal()[1], ly.LowerDiagonal()[1])

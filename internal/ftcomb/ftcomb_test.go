@@ -10,6 +10,36 @@ import (
 	"ftsg/internal/pde"
 )
 
+// alternateHeld returns the grid set held by the Alternate Combination
+// technique for a layout: diagonal, lower diagonal, and two extra layers
+// (paper Fig. 1: sub-grids 0-6 and 11-13).
+func alternateHeld(ly combine.Layout) []grid.Level {
+	held := append([]grid.Level(nil), ly.Diagonal()...)
+	held = append(held, ly.LowerDiagonal()...)
+	held = append(held, ly.Row(2)...)
+	return append(held, ly.Row(3)...)
+}
+
+func coeffSum(s combine.Scheme) float64 {
+	var sum float64
+	for _, c := range s {
+		sum += c.Coeff
+	}
+	return sum
+}
+
+// interpolate samples f on every component grid of s and combines them on
+// the target level, isolating the pure combination error from solver error.
+func interpolate(s combine.Scheme, f func(x, y float64) float64, target grid.Level) (*grid.Grid, error) {
+	sols := make(map[grid.Level]*grid.Grid, len(s))
+	for _, c := range s {
+		g := grid.New(c.Lv)
+		g.Fill(f)
+		sols[c.Lv] = g
+	}
+	return combine.Evaluate(s, sols, target)
+}
+
 func TestDownset(t *testing.T) {
 	J := Downset([]grid.Level{{I: 1, J: 2}})
 	if len(J) != 6 {
@@ -77,7 +107,7 @@ func TestCoefficientSumIsOneProperty(t *testing.T) {
 
 func TestRecoverSchemeNoLossEqualsClassic(t *testing.T) {
 	ly := combine.Layout{N: 8, L: 4}
-	s, err := RecoverScheme(AlternateHeld(ly), nil)
+	s, err := RecoverScheme(alternateHeld(ly), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,16 +125,16 @@ func TestRecoverSchemeNoLossEqualsClassic(t *testing.T) {
 func TestRecoverSchemeLostDiagonal(t *testing.T) {
 	ly := combine.Layout{N: 8, L: 4}
 	lost := NewSet(ly.Diagonal()[0]) // (5,8)
-	s, err := RecoverScheme(AlternateHeld(ly), lost)
+	s, err := RecoverScheme(alternateHeld(ly), lost)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSupported(t, s, AlternateHeld(ly), lost)
+	assertSupported(t, s, alternateHeld(ly), lost)
 	if s.Coeff(ly.Diagonal()[0]) != 0 {
 		t.Error("lost grid still has a coefficient")
 	}
-	if math.Abs(s.CoeffSum()-1) > 1e-12 {
-		t.Errorf("coefficient sum = %g", s.CoeffSum())
+	if math.Abs(coeffSum(s)-1) > 1e-12 {
+		t.Errorf("coefficient sum = %g", coeffSum(s))
 	}
 }
 
@@ -115,13 +145,13 @@ func TestRecoverSchemeLostLowerUsesCoarserGrids(t *testing.T) {
 	// them).
 	diag, lower := ly.Diagonal(), ly.LowerDiagonal()
 	lost := NewSet(diag[1], lower[1])
-	s, err := RecoverScheme(AlternateHeld(ly), lost)
+	s, err := RecoverScheme(alternateHeld(ly), lost)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSupported(t, s, AlternateHeld(ly), lost)
+	assertSupported(t, s, alternateHeld(ly), lost)
 	usedExtra := false
-	for _, lv := range ly.ExtraLayers(2) {
+	for _, lv := range append(ly.Row(2), ly.Row(3)...) {
 		if s.Coeff(lv) != 0 {
 			usedExtra = true
 		}
@@ -129,8 +159,8 @@ func TestRecoverSchemeLostLowerUsesCoarserGrids(t *testing.T) {
 	if !usedExtra {
 		t.Errorf("scheme %v did not use the extra layers", s)
 	}
-	if math.Abs(s.CoeffSum()-1) > 1e-12 {
-		t.Errorf("coefficient sum = %g", s.CoeffSum())
+	if math.Abs(coeffSum(s)-1) > 1e-12 {
+		t.Errorf("coefficient sum = %g", coeffSum(s))
 	}
 }
 
@@ -139,7 +169,7 @@ func TestRecoverSchemeLostLowerUsesCoarserGrids(t *testing.T) {
 // its coefficients sum to 1 (up to 5 lost grids, the paper's Fig. 10 range).
 func TestRecoverSchemeRandomLossProperty(t *testing.T) {
 	ly := combine.Layout{N: 9, L: 5}
-	held := AlternateHeld(ly)
+	held := alternateHeld(ly)
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 300; trial++ {
 		nlost := 1 + rng.Intn(5)
@@ -150,18 +180,18 @@ func TestRecoverSchemeRandomLossProperty(t *testing.T) {
 		s, err := RecoverScheme(held, lost)
 		if err != nil {
 			// Legal only if everything was lost, which cannot happen here.
-			t.Fatalf("trial %d lost %v: %v", trial, lost.Levels(), err)
+			t.Fatalf("trial %d lost %v: %v", trial, lost, err)
 		}
 		assertSupported(t, s, held, lost)
-		if math.Abs(s.CoeffSum()-1) > 1e-12 {
-			t.Fatalf("trial %d: coefficient sum %g", trial, s.CoeffSum())
+		if math.Abs(coeffSum(s)-1) > 1e-12 {
+			t.Fatalf("trial %d: coefficient sum %g", trial, coeffSum(s))
 		}
 	}
 }
 
 func TestRecoverSchemeAllLost(t *testing.T) {
 	ly := combine.Layout{N: 8, L: 4}
-	held := AlternateHeld(ly)
+	held := alternateHeld(ly)
 	lost := NewSet(held...)
 	if _, err := RecoverScheme(held, lost); err == nil {
 		t.Fatal("empty survivor set accepted")
@@ -178,18 +208,18 @@ func TestAlternateCombinationAccuracy(t *testing.T) {
 	ly := combine.Layout{N: 8, L: 4}
 	f := pde.SinProduct
 	target := grid.Level{I: 8, J: 8}
-	base, err := combine.InterpolationScheme(ly.Classic(), f, target)
+	base, err := interpolate(ly.Classic(), f, target)
 	if err != nil {
 		t.Fatal(err)
 	}
 	baseErr := base.L1Error(f)
-	held := AlternateHeld(ly)
+	held := alternateHeld(ly)
 	for _, lostLv := range append(append([]grid.Level{}, ly.Diagonal()...), ly.LowerDiagonal()...) {
 		s, err := RecoverScheme(held, NewSet(lostLv))
 		if err != nil {
 			t.Fatal(err)
 		}
-		comb, err := combine.InterpolationScheme(s, f, target)
+		comb, err := interpolate(s, f, target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,10 +242,10 @@ func TestAlternateCombinationAccuracy(t *testing.T) {
 // full-set combination's error).
 func TestSurvivorSchemeEverySubsetUpTo3(t *testing.T) {
 	ly := combine.Layout{N: 8, L: 4}
-	held := AlternateHeld(ly)
+	held := alternateHeld(ly)
 	f := pde.SinProduct
 	target := grid.Level{I: 8, J: 8}
-	base, err := combine.InterpolationScheme(ly.Classic(), f, target)
+	base, err := interpolate(ly.Classic(), f, target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,19 +256,19 @@ func TestSurvivorSchemeEverySubsetUpTo3(t *testing.T) {
 		t.Helper()
 		s, err := SurvivorScheme(held, lost)
 		if err != nil {
-			t.Fatalf("lost %v: %v", lost.Levels(), err)
+			t.Fatalf("lost %v: %v", lost, err)
 		}
 		assertSupported(t, s, held, lost)
-		if s.CoeffSum() != 1 {
-			t.Fatalf("lost %v: coefficient sum %g, want exactly 1", lost.Levels(), s.CoeffSum())
+		if coeffSum(s) != 1 {
+			t.Fatalf("lost %v: coefficient sum %g, want exactly 1", lost, coeffSum(s))
 		}
-		comb, err := combine.InterpolationScheme(s, f, target)
+		comb, err := interpolate(s, f, target)
 		if err != nil {
-			t.Fatalf("lost %v: %v", lost.Levels(), err)
+			t.Fatalf("lost %v: %v", lost, err)
 		}
 		if e := comb.L1Error(f); e > bound {
 			t.Errorf("lost %v: L1 %g beyond degraded bound %g (%gx classic %g)",
-				lost.Levels(), e, bound, DegradedErrorFactor, baseErr)
+				lost, e, bound, DegradedErrorFactor, baseErr)
 		}
 	}
 

@@ -1,8 +1,8 @@
 // Package grid provides the 2D tensor-product grids of the sparse grid
 // combination technique: anisotropic grids of (2^i+1) x (2^j+1) points on
 // the unit square, level-vector algebra, injection/restriction resampling
-// (the paper's Resampling and Copying recovery), bilinear sampling (used to
-// combine sub-grid solutions onto a common grid), and error norms.
+// (the paper's Resampling and Copying recovery), bilinear accumulation (used
+// to combine sub-grid solutions onto a common grid), and error norms.
 package grid
 
 import (
@@ -72,12 +72,6 @@ func (g *Grid) At(ix, iy int) float64 { return g.V[iy*g.Nx+ix] }
 // Set stores v at point (ix, iy).
 func (g *Grid) Set(ix, iy int, v float64) { g.V[iy*g.Nx+ix] = v }
 
-// X returns the x coordinate of column ix.
-func (g *Grid) X(ix int) float64 { return float64(ix) * g.Hx() }
-
-// Y returns the y coordinate of row iy.
-func (g *Grid) Y(iy int) float64 { return float64(iy) * g.Hy() }
-
 // Clone returns a deep copy.
 func (g *Grid) Clone() *Grid {
 	out := &Grid{Lv: g.Lv, Nx: g.Nx, Ny: g.Ny, V: make([]float64, len(g.V))}
@@ -97,13 +91,6 @@ func (g *Grid) Fill(f func(x, y float64) float64) {
 	}
 }
 
-// Scale multiplies every value by s.
-func (g *Grid) Scale(s float64) {
-	for i := range g.V {
-		g.V[i] *= s
-	}
-}
-
 // Zero clears the grid.
 func (g *Grid) Zero() {
 	for i := range g.V {
@@ -111,21 +98,12 @@ func (g *Grid) Zero() {
 	}
 }
 
-// Restrict samples a finer (or equal) grid down to level lv by injection:
-// the coarse points coincide with a stride of the fine points, so the
-// operation is exact at shared points. This is the paper's "resampling" of a
-// lower-diagonal sub-grid from the finer diagonal sub-grid above it.
-func Restrict(fine *Grid, lv Level) (*Grid, error) {
-	coarse := New(lv)
-	if err := RestrictInto(fine, coarse); err != nil {
-		return nil, err
-	}
-	return coarse, nil
-}
-
-// RestrictInto is Restrict with a caller-provided destination (typically a
-// pooled grid, see NewPooled), avoiding the per-call allocation on the
-// recovery hot path.
+// RestrictInto samples a finer (or equal) grid down to coarse's level by
+// injection: the coarse points coincide with a stride of the fine points, so
+// the operation is exact at shared points. This is the paper's "resampling"
+// of a lower-diagonal sub-grid from the finer diagonal sub-grid above it. The
+// caller provides the destination (typically a pooled grid, see NewPooled),
+// so the recovery hot path allocates nothing per call.
 func RestrictInto(fine, coarse *Grid) error {
 	if !coarse.Lv.LE(fine.Lv) {
 		return fmt.Errorf("grid: cannot restrict %v to finer level %v", fine.Lv, coarse.Lv)
@@ -140,30 +118,6 @@ func RestrictInto(fine, coarse *Grid) error {
 		}
 	}
 	return nil
-}
-
-// SampleBilinear evaluates the grid's bilinear interpolant at (x, y), which
-// must lie in [0,1]^2 (clamped).
-func (g *Grid) SampleBilinear(x, y float64) float64 {
-	x = clamp01(x)
-	y = clamp01(y)
-	fx := x * float64(g.Nx-1)
-	fy := y * float64(g.Ny-1)
-	ix := int(fx)
-	iy := int(fy)
-	if ix >= g.Nx-1 {
-		ix = g.Nx - 2
-	}
-	if iy >= g.Ny-1 {
-		iy = g.Ny - 2
-	}
-	tx := fx - float64(ix)
-	ty := fy - float64(iy)
-	v00 := g.At(ix, iy)
-	v10 := g.At(ix+1, iy)
-	v01 := g.At(ix, iy+1)
-	v11 := g.At(ix+1, iy+1)
-	return (1-tx)*(1-ty)*v00 + tx*(1-ty)*v10 + (1-tx)*ty*v01 + tx*ty*v11
 }
 
 // AccumulateSampled adds coeff times src's bilinear interpolant, evaluated
@@ -231,21 +185,6 @@ func (g *Grid) L1Error(f func(x, y float64) float64) float64 {
 		}
 	}
 	return sum / float64(len(g.V))
-}
-
-// L2Error returns the root-mean-square difference between the grid and f.
-func (g *Grid) L2Error(f func(x, y float64) float64) float64 {
-	var sum float64
-	hx, hy := g.Hx(), g.Hy()
-	for iy := 0; iy < g.Ny; iy++ {
-		y := float64(iy) * hy
-		row := iy * g.Nx
-		for ix := 0; ix < g.Nx; ix++ {
-			d := g.V[row+ix] - f(float64(ix)*hx, y)
-			sum += d * d
-		}
-	}
-	return math.Sqrt(sum / float64(len(g.V)))
 }
 
 // MaxError returns the maximum absolute difference between the grid and f.

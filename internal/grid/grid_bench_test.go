@@ -20,16 +20,6 @@ func BenchmarkFill(b *testing.B) {
 	}
 }
 
-func BenchmarkSampleBilinear(b *testing.B) {
-	g := benchGrid(Level{I: 8, J: 8})
-	var sink float64
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sink += g.SampleBilinear(0.377, 0.613)
-	}
-	_ = sink
-}
-
 func BenchmarkAccumulateSampled(b *testing.B) {
 	src := benchGrid(Level{I: 5, J: 8})
 	dst := New(Level{I: 8, J: 8})
@@ -41,9 +31,10 @@ func BenchmarkAccumulateSampled(b *testing.B) {
 
 func BenchmarkRestrict(b *testing.B) {
 	fine := benchGrid(Level{I: 8, J: 8})
+	coarse := New(Level{I: 5, J: 8})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Restrict(fine, Level{I: 5, J: 8}); err != nil {
+		if err := RestrictInto(fine, coarse); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,12 +1,10 @@
 package grid
 
-import "math"
-
 // Hierarchical-basis transforms for the sparse grid machinery underlying
 // the combination technique (Griebel, Schneider & Zenger 1992; Bungartz &
 // Griebel 2004). The nodal values of a grid are converted to hierarchical
 // surpluses — each interior point's deviation from the linear interpolant
-// of its hierarchical parents — and back. Surplus decay is the classical
+// of its hierarchical parents. Surplus decay is the classical
 // smoothness diagnostic that justifies combining anisotropic grids.
 
 // hierarchize1D converts nodal values to hierarchical surpluses in place
@@ -18,19 +16,6 @@ func hierarchize1D(v []float64, level, offset, stride int) {
 		for idx := step; idx < n; idx += 2 * step {
 			i := offset + idx*stride
 			v[i] -= 0.5 * (v[i-step*stride] + v[i+step*stride])
-		}
-	}
-}
-
-// dehierarchize1D is the inverse transform (coarse levels first, so parent
-// values are already nodal when a child is restored).
-func dehierarchize1D(v []float64, level, offset, stride int) {
-	n := 1 << level
-	for lev := 1; lev <= level; lev++ {
-		step := 1 << (level - lev)
-		for idx := step; idx < n; idx += 2 * step {
-			i := offset + idx*stride
-			v[i] += 0.5 * (v[i-step*stride] + v[i+step*stride])
 		}
 	}
 }
@@ -51,56 +36,4 @@ func Hierarchize(g *Grid) *Grid {
 		}
 	}
 	return out
-}
-
-// Dehierarchize converts hierarchical surpluses back to nodal values,
-// inverting Hierarchize exactly (up to rounding).
-func Dehierarchize(g *Grid) *Grid {
-	out := g.Clone()
-	if g.Lv.J > 0 {
-		for i := 0; i < g.Nx; i++ {
-			dehierarchize1D(out.V, g.Lv.J, i, g.Nx)
-		}
-	}
-	if g.Lv.I > 0 {
-		for j := 0; j < g.Ny; j++ {
-			dehierarchize1D(out.V, g.Lv.I, j*g.Nx, 1)
-		}
-	}
-	return out
-}
-
-// SurplusNorms returns, for each 1D level pair (lx, ly), the maximum
-// absolute hierarchical surplus of the already-hierarchized grid h at the
-// points whose hierarchical level is exactly (lx, ly). For smooth functions
-// these decay like 4^-(lx+ly), the bound behind the combination technique's
-// error analysis.
-func SurplusNorms(h *Grid) map[Level]float64 {
-	out := make(map[Level]float64)
-	for iy := 0; iy < h.Ny; iy++ {
-		ly := levelOfIndex(iy, h.Lv.J)
-		for ix := 0; ix < h.Nx; ix++ {
-			lx := levelOfIndex(ix, h.Lv.I)
-			key := Level{I: lx, J: ly}
-			if v := math.Abs(h.At(ix, iy)); v > out[key] {
-				out[key] = v
-			}
-		}
-	}
-	return out
-}
-
-// levelOfIndex returns the hierarchical level of grid index i on a 1D grid
-// of maximum level maxLevel: boundary points are level 0; an interior point
-// i = odd * 2^(maxLevel-l) has level l.
-func levelOfIndex(i, maxLevel int) int {
-	if i == 0 || i == 1<<maxLevel {
-		return 0
-	}
-	l := maxLevel
-	for i%2 == 0 {
-		i /= 2
-		l--
-	}
-	return l
 }

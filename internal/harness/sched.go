@@ -203,15 +203,6 @@ func (s *sched) Run() error {
 	return nil
 }
 
-// averageRuns executes the config Trials times with distinct seeds and
-// returns per-field averages via the fold function, fanning the trials out
-// over the scheduler's workers.
-func averageRuns(o Options, cfg core.Config, trials int, fold func(*core.Result)) error {
-	s := newSched(o)
-	s.AddTrials(cfg, trials, fold, nil)
-	return s.Run()
-}
-
 // mean averages with pairwise summation: lower rounding error than a naive
 // running sum, and exact when all values are identical and len is a power of
 // two (e.g. a deterministic CR error averaged over trials).

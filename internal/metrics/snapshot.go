@@ -35,7 +35,7 @@ type TimeSumSnapshot struct {
 }
 
 // HistogramSnapshot is one latency histogram's name, totals and per-bucket
-// (non-cumulative) counts. Buckets always has NumBuckets entries; bucket i
+// (non-cumulative) counts. Buckets has one entry per bucket; bucket i
 // covers [2^(i-1), 2^i) virtual nanoseconds, with the last bucket absorbing
 // everything larger.
 type HistogramSnapshot struct {
@@ -58,10 +58,6 @@ type TimeSumVecSnapshot struct {
 	Name    string
 	Seconds []float64
 }
-
-// NumBuckets is the number of power-of-two-nanosecond histogram buckets in
-// every HistogramSnapshot.
-const NumBuckets = histBuckets
 
 // BucketUpperBound returns the inclusive upper bound, in virtual seconds, of
 // histogram bucket i. The last bucket is a catch-all and reports +Inf.

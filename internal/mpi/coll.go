@@ -34,14 +34,6 @@ type Number interface {
 // Sum is the MPI_SUM reduction operator.
 func Sum[T Number](a, b T) T { return a + b }
 
-// MaxOp is the MPI_MAX reduction operator.
-func MaxOp[T Number](a, b T) T {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // MinOp is the MPI_MIN reduction operator.
 func MinOp[T Number](a, b T) T {
 	if a < b {

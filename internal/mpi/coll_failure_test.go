@@ -99,14 +99,6 @@ func TestSplitWithDeadMember(t *testing.T) {
 	})
 }
 
-// TestDupWithDeadMember: same for Dup.
-func TestDupWithDeadMember(t *testing.T) {
-	collectiveFailureHarness(t, 5, 1, func(p *Proc, c *Comm) error {
-		_, err := c.Dup()
-		return err
-	})
-}
-
 // TestReduceLengthMismatchIsNotAFailure: a rank whose contribution has the
 // wrong length makes its parent in the reduction tree leave with ErrType, and
 // the parent's own parent learns of it at once as a mismatch, not as the death

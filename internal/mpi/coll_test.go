@@ -6,6 +6,14 @@ import (
 	"testing"
 )
 
+// MaxOp is the MPI_MAX reduction operator.
+func MaxOp[T Number](a, b T) T {
+	if a > b {
+		return a
+	}
+	return b
+}
+
 func TestBarrierSynchronisesClocks(t *testing.T) {
 	var mu sync.Mutex
 	times := map[int]float64{}
@@ -226,15 +234,17 @@ func TestSplitUndefinedColor(t *testing.T) {
 	})
 }
 
-func TestDup(t *testing.T) {
+// TestSplitGivesAFreshContext: traffic on a communicator Split returns is
+// not visible on its parent, even between the same two ranks with the same
+// tag.
+func TestSplitGivesAFreshContext(t *testing.T) {
 	runWorld(t, 3, func(p *Proc) {
 		c := p.World()
-		d, err := c.Dup()
+		d, err := c.Split(0, c.Rank())
 		must(t, err)
 		if d.Size() != c.Size() || d.Rank() != c.Rank() {
-			t.Errorf("dup size/rank mismatch")
+			t.Errorf("split size/rank mismatch")
 		}
-		// Traffic on the dup must not be visible on the original.
 		if c.Rank() == 0 {
 			must(t, SendOne(d, 1, 9, 1))
 			must(t, SendOne(c, 1, 9, 2))
@@ -243,35 +253,12 @@ func TestDup(t *testing.T) {
 			v, _, err := RecvOne[int](c, 0, 9)
 			must(t, err)
 			if v != 2 {
-				t.Errorf("original comm received dup traffic: %d", v)
+				t.Errorf("parent comm received the split's traffic: %d", v)
 			}
 			v, _, err = RecvOne[int](d, 0, 9)
 			must(t, err)
 			if v != 1 {
-				t.Errorf("dup comm received %d", v)
-			}
-		}
-	})
-}
-
-func TestCommCreate(t *testing.T) {
-	runWorld(t, 5, func(p *Proc) {
-		c := p.World()
-		group := Group{c.WorldRankOf(1), c.WorldRankOf(3)}
-		sub, err := c.CommCreate(group)
-		must(t, err)
-		in := c.Rank() == 1 || c.Rank() == 3
-		if in != (sub != nil) {
-			t.Errorf("rank %d: membership %v but comm %v", c.Rank(), in, sub != nil)
-			return
-		}
-		if sub != nil {
-			want := 0
-			if c.Rank() == 3 {
-				want = 1
-			}
-			if sub.Rank() != want || sub.Size() != 2 {
-				t.Errorf("rank %d: sub rank/size = %d/%d", c.Rank(), sub.Rank(), sub.Size())
+				t.Errorf("split comm received %d", v)
 			}
 		}
 	})

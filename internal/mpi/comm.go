@@ -229,30 +229,6 @@ func (c *Comm) peerWorld(rank int) (int, error) {
 	return g[rank], nil
 }
 
-// Revoked reports whether the communicator has been revoked.
-func (c *Comm) Revoked() bool { return c.sh.revoked.Load() }
-
-// WorldRankOf returns the world rank behind a local-group rank.
-func (c *Comm) WorldRankOf(rank int) int {
-	g := c.localGroup()
-	if rank < 0 || rank >= len(g) {
-		return -1
-	}
-	return g[rank]
-}
-
-// FailedRanks returns the local-group ranks of currently failed members.
-func (c *Comm) FailedRanks() []int {
-	w := c.p.st.w
-	var out []int
-	for i, wr := range c.localGroup() {
-		if !w.alive(wr) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // nextSeq returns the next per-operation collective sequence number for this
 // handle. Members of a communicator call collectives of one kind in the same
 // order, so handles stay in lockstep per kind (this tolerates the paper's
@@ -336,9 +312,4 @@ func (p *Proc) Metrics() *metrics.Registry {
 // time and wakes all peers blocked on it.
 func (p *Proc) Kill() {
 	panic(killSignal{})
-}
-
-// Alive reports whether the world rank is currently alive.
-func (p *Proc) Alive(worldRank int) bool {
-	return p.st.w.alive(worldRank)
 }

@@ -73,17 +73,6 @@ func (o pathOps) shrink(c *Comm, k func(*Comm, error)) {
 	FiberShrink(o.f, c, k)
 }
 
-// dup is Dup on the blocking path; Dup has no Fiber twin, so the event path
-// runs Shrink, which on a healthy communicator is the same rendezvous shape
-// (every member in, one new communicator over all of them out).
-func (o pathOps) dup(c *Comm, k func(*Comm, error)) {
-	if o.f == nil {
-		k(c.Dup())
-		return
-	}
-	FiberShrink(o.f, c, k)
-}
-
 // loop runs body(0..n-1) in sequence, then done. A blocking body has finished
 // when it returns, so the blocking path is a plain loop and next is a no-op;
 // on the fiber path the next iteration is the body's continuation.
@@ -269,7 +258,7 @@ func TestSplitCommIDsFollowColorOrder(t *testing.T) {
 }
 
 // TestRendezvousTableHoldsOnlyUnresolved is the soak test for rendezvous
-// reclamation: thousands of Dup/Split/Agree instances on one persistent
+// reclamation: thousands of Shrink/Split/Agree instances on one persistent
 // 8-rank world, then one instance that a death completes and one that a death
 // aborts. The table must never hold a resolved instance — at most the one
 // the ranks are currently meeting in — and must be empty at the end, and an
@@ -334,7 +323,7 @@ func TestRendezvousTableHoldsOnlyUnresolved(t *testing.T) {
 					}
 					switch i % 3 {
 					case 0:
-						o.dup(c, func(_ *Comm, err error) { checked(err) })
+						o.shrink(c, func(_ *Comm, err error) { checked(err) })
 					case 1:
 						o.split(c, me%2, me, func(_ *Comm, err error) { checked(err) })
 					default:
@@ -471,7 +460,7 @@ func TestRendezvousDeathTimingTable(t *testing.T) {
 				if me == victim {
 					p.Kill()
 				}
-				spinUntil(t, "the victim's death", func() bool { return !p.Alive(victim) })
+				spinUntil(t, "the victim's death", func() bool { return !p.st.w.alive(victim) })
 			case diesAfterArriving:
 				if me != victim {
 					spinUntil(t, "the controller's kill", killed.Load)
@@ -645,7 +634,7 @@ func TestControlPlaneLostWakeStress(t *testing.T) {
 							if o.f == nil {
 								target := p.st.w.proc(color*group + 2 + round%(group-2))
 								spinUntil(t, "the first revocation and a receiver's publish", func() bool {
-									return g.Revoked() && receiving(target)
+									return g.sh.revoked.Load() && receiving(target)
 								})
 							}
 							for i := 0; i < round%5; i++ {

@@ -37,7 +37,7 @@ import (
 
 // Fiber is one rank's execution context on the event-driven path
 // (Options.EventEntry). Fiber code must use the Fiber* operations for
-// anything that blocks; plain sends (Send, SendOwned), Compute charges and
+// anything that blocks; plain sends (Send), Compute charges and
 // communicator queries never block and work unchanged. A blocking call
 // (Recv, Barrier, ...) from fiber code would sleep the executor worker
 // itself and can deadlock a small pool — don't.
@@ -668,7 +668,7 @@ func fiberRingAllreduce[T any](f *Fiber, c *Comm, t *commTopo, tag, j int, acc [
 // goroutine members of one communicator can even meet in the same Agree
 // instance with identical cost and clock synchronisation.
 func FiberAgree(f *Fiber, c *Comm, flag int, k func(int, error)) {
-	fiberRendezvous(f, c, "agree", reportDeath, true, flag, agreeBuild(c), func(res any, err error) {
+	fiberRendezvous(f, c, OpAgree, reportDeath, true, flag, agreeBuild(c), func(res any, err error) {
 		if res == nil {
 			k(0, c.fire(err))
 			return

@@ -47,7 +47,7 @@ func FiberSplit(f *Fiber, c *Comm, color, key int, k func(*Comm, error)) {
 		return
 	}
 	in := splitInput{color: color, key: key}
-	fiberRendezvous(f, c, "split", failOnDeath, false, in, buildSplit, func(res any, err error) {
+	fiberRendezvous(f, c, OpSplit, failOnDeath, false, in, buildSplit, func(res any, err error) {
 		if err != nil {
 			k(nil, c.fire(err))
 			return
@@ -63,7 +63,7 @@ func FiberShrink(f *Fiber, c *Comm, k func(*Comm, error)) {
 		k(nil, c.fire(fmt.Errorf("mpi: Shrink on intercommunicator: %w", ErrComm)))
 		return
 	}
-	fiberRendezvous(f, c, "shrink", ignoreDeath, true, nil, shrinkBuild(c), func(res any, err error) {
+	fiberRendezvous(f, c, OpShrink, ignoreDeath, true, nil, shrinkBuild(c), func(res any, err error) {
 		if err != nil {
 			k(nil, c.fire(err))
 			return
@@ -89,7 +89,7 @@ func FiberSpawnMultiple(f *Fiber, c *Comm, n int, hosts []string, root int, k fu
 	if c.rank == root {
 		in.hosts = append([]string(nil), hosts...)
 	}
-	fiberRendezvous(f, c, "spawn", failOnDeath, false, in, spawnBuild(c, n, root), func(res any, err error) {
+	fiberRendezvous(f, c, OpSpawn, failOnDeath, false, in, spawnBuild(c, n, root), func(res any, err error) {
 		if err != nil {
 			k(nil, c.fire(err))
 			return

@@ -94,18 +94,6 @@ func (g Group) Difference(h Group) Group {
 	return out
 }
 
-// Union mirrors MPI_Group_union: members of g, then members of h not in g.
-func (g Group) Union(h Group) Group {
-	return append(append(Group(nil), g...), h.Difference(g)...)
-}
-
-// Intersection mirrors MPI_Group_intersection: members of g also in h, in
-// g's order — g without (g without h), the outer difference always being
-// the one-pass subsequence case.
-func (g Group) Intersection(h Group) Group {
-	return g.Difference(g.Difference(h))
-}
-
 // TranslateRanks mirrors MPI_Group_translate_ranks: for each rank r in g,
 // the corresponding rank in h (or -1 = MPI_UNDEFINED when absent). Each
 // search resumes where the last hit left off, so translating ranks whose

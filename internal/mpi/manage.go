@@ -24,7 +24,7 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 		return nil, c.fire(fmt.Errorf("mpi: Split on intercommunicator: %w", ErrComm))
 	}
 	in := splitInput{color: color, key: key}
-	res, err := runRendezvous(c, "split", failOnDeath, false, in, buildSplit)
+	res, err := runRendezvous(c, OpSplit, failOnDeath, false, in, buildSplit)
 	if err != nil {
 		return nil, c.fire(err)
 	}
@@ -73,55 +73,6 @@ func buildSplit(w *World, r *rendezvous) (any, float64) {
 		lo = hi
 	}
 	return out, logCost(w, len(r.members))
-}
-
-// Dup duplicates the communicator (same group, fresh context), mirroring
-// MPI_Comm_dup.
-func (c *Comm) Dup() (*Comm, error) {
-	res, err := runRendezvous(c, "dup", failOnDeath, false, nil,
-		func(w *World, r *rendezvous) (any, float64) {
-			return w.newCommLocked(c.sh.a, c.sh.b), logCost(w, len(r.members))
-		})
-	if err != nil {
-		return nil, c.fire(err)
-	}
-	return &Comm{sh: res.(*commShared), p: c.p, side: c.side, rank: c.rank}, nil
-}
-
-// CommCreate builds a new intracommunicator over the given subgroup of this
-// communicator, mirroring MPI_Comm_create: every member of c must call with
-// the same group; callers outside the group receive (nil, nil).
-func (c *Comm) CommCreate(group Group) (*Comm, error) {
-	if c.IsInter() {
-		return nil, c.fire(fmt.Errorf("mpi: CommCreate on intercommunicator: %w", ErrComm))
-	}
-	res, err := runRendezvous(c, "create", failOnDeath, false, append(Group(nil), group...),
-		func(w *World, r *rendezvous) (any, float64) {
-			// Use the lowest-world-rank arrival's group as canonical.
-			lowest := -1
-			for pos := range r.slots {
-				if r.slots[pos].here && (lowest < 0 || r.members[pos] < r.members[lowest]) {
-					lowest = pos
-				}
-			}
-			g := r.slots[lowest].input.(Group)
-			sh := w.newCommLocked(g, nil)
-			rankIn := make(map[int]int, len(g))
-			for rank, wr := range g {
-				rankIn[wr] = rank
-			}
-			out := make([]commRank, len(r.members))
-			for pos, wr := range r.members {
-				if rank, ok := rankIn[wr]; ok {
-					out[pos] = commRank{sh, rank}
-				}
-			}
-			return out, logCost(w, len(r.members))
-		})
-	if err != nil {
-		return nil, c.fire(err)
-	}
-	return c.adopt(res.([]commRank)[c.rank]), nil
 }
 
 // logCost models the latency of a communicator-management collective as a

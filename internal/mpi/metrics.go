@@ -39,7 +39,7 @@ import (
 var mpiOps = []string{
 	"send", "recv", "barrier", "bcast", "reduce", "allreduce",
 	"gather", "allgather",
-	"shrink", "agree", "claim", "spawn", "split", "dup", "create", "merge",
+	"shrink", "agree", "claim", "spawn", "split", "merge",
 }
 
 // collHopOps is the set of collectives whose message traffic is split by
@@ -293,7 +293,7 @@ func componentForRendezvousOp(op string) string {
 		return vtime.CompAgree
 	case "spawn":
 		return vtime.CompSpawn
-	default: // split, dup, create: communicator management
+	default: // split: communicator management
 		return vtime.CompMgmt
 	}
 }

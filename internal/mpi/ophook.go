@@ -26,8 +26,6 @@ const (
 	OpAgree  = "agree"
 	OpSpawn  = "spawn"
 	OpSplit  = "split"
-	OpDup    = "dup"
-	OpCreate = "create"
 	OpMerge  = "merge"
 )
 

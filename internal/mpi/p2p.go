@@ -44,21 +44,6 @@ func SendOne[T any](c *Comm, dest, tag int, v T) error {
 	return Send(c, dest, tag, []T{v})
 }
 
-// SendOwned sends data without copying it, transferring ownership of the
-// slice's array to the runtime (and ultimately to the receiver). The caller
-// must not read or write data — or anything sharing its array — after the
-// call. Typically the slice comes from AcquireBuf, and a cooperating
-// receiver hands it back with ReleaseBuf, which recycles it whatever its
-// size. This is the zero-copy path for payloads the sender is done with
-// (gathered sub-grids, reduction buffers); Send's copying semantics remain
-// the safe default.
-func SendOwned[T any](c *Comm, dest, tag int, data []T) error {
-	if tag < 0 {
-		return c.fire(fmt.Errorf("mpi: SendOwned: negative tag %d is reserved: %w", tag, ErrComm))
-	}
-	return c.fire(sendOwned(c, dest, tag, data))
-}
-
 func sendRaw[T any](c *Comm, dest, tag int, data []T) error {
 	return sendEnv(c, dest, tag, data, false)
 }

@@ -84,8 +84,7 @@ func (r *rendezvous) recount(w *World) {
 }
 
 // maxArrival returns the latest arrival time among arrived-and-alive
-// members, folding the max inline (same zero identity as vtime.Max, with
-// no scratch slice per call). Caller holds World.state.
+// members, 0 when none has arrived. Caller holds World.state.
 func (r *rendezvous) maxArrival(w *World) float64 {
 	ps := w.snapshot()
 	var m float64

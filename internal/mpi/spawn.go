@@ -39,7 +39,7 @@ func (c *Comm) SpawnMultiple(n int, hosts []string, root int) (*Comm, error) {
 	if c.rank == root {
 		in.hosts = append([]string(nil), hosts...)
 	}
-	res, err := runRendezvous(c, "spawn", failOnDeath, false, in, spawnBuild(c, n, root))
+	res, err := runRendezvous(c, OpSpawn, failOnDeath, false, in, spawnBuild(c, n, root))
 	if err != nil {
 		return nil, c.fire(err)
 	}

@@ -3,11 +3,11 @@ package mpi
 // This file is the data plane of the sharded transport: pooled envelopes
 // with an unboxed payload representation, the open-addressed match table
 // that indexes mailboxes by (comm,src,tag) without a runtime map, and the
-// one size-classed buffer pool every pointer-free payload lives in — eager-send copies, the ownership-transfer buffers of
-// SendOwned / AcquireBuf / ReleaseBuf, and the collectives' staging blocks
-// and accumulators. A message that finds its receiver parked in RecvInto
-// uses none of it: p2p.go's deliverDirect copies it from the sender's slice
-// into the receiver's own buffer. The locking hierarchy that coordinates it
+// one size-classed buffer pool every pointer-free payload lives in —
+// eager-send copies, AcquireBuf / ReleaseBuf scratch, and the collectives'
+// staging blocks and accumulators. A message that finds its receiver parked
+// in RecvInto uses none of it: p2p.go's deliverDirect copies it from the
+// sender's slice into the receiver's own buffer. The locking hierarchy that coordinates it
 // lives in world.go; the delivery order, the wake filter and the
 // buffer-ownership rules are documented in DESIGN.md §8. The data plane is
 // blocking-model-agnostic: the event-driven path (event.go) consumes the same
@@ -553,9 +553,8 @@ func putBuf[T any](b []T) {
 	bufClasses[k].Put(p)
 }
 
-// AcquireBuf returns a []T of length n from the transport's buffer pool, for
-// use with SendOwned: fill it, send it, and never touch it again.
-// Contents are unspecified.
+// AcquireBuf returns a []T of length n from the transport's buffer pool;
+// hand it back with ReleaseBuf once done. Contents are unspecified.
 func AcquireBuf[T any](n int) []T { return getBuf[T](n) }
 
 // ReleaseBuf hands a buffer back to the transport's pool once its contents

@@ -57,9 +57,10 @@ func TestZeroLengthSendSizing(t *testing.T) {
 	})
 }
 
-// TestSendOwnedZeroCopy checks the ownership-transfer path: a buffer handed
-// over with SendOwned must arrive without being copied — the receiver
-// observes the sender's backing array.
+// TestSendOwnedZeroCopy checks the ownership-transfer path the collectives
+// send their staging blocks by: a buffer handed over with sendOwned must
+// arrive without being copied — the receiver observes the sender's backing
+// array.
 func TestSendOwnedZeroCopy(t *testing.T) {
 	n := slabMax / int(unsafe.Sizeof(float64(0)))
 	var sentPtr unsafe.Pointer
@@ -71,7 +72,7 @@ func TestSendOwnedZeroCopy(t *testing.T) {
 				buf[i] = float64(i)
 			}
 			sentPtr = unsafe.Pointer(unsafe.SliceData(buf))
-			must(t, SendOwned(c, 1, 9, buf))
+			must(t, sendOwned(c, 1, 9, buf))
 			return
 		}
 		got, st, err := Recv[float64](c, 0, 9)
@@ -80,7 +81,7 @@ func TestSendOwnedZeroCopy(t *testing.T) {
 			t.Errorf("payload corrupted: %d values, %d bytes", len(got), st.Bytes)
 		}
 		if unsafe.Pointer(unsafe.SliceData(got)) != sentPtr {
-			t.Error("SendOwned payload was copied; expected ownership transfer")
+			t.Error("sendOwned payload was copied; expected ownership transfer")
 		}
 		ReleaseBuf(got)
 	})

@@ -66,7 +66,7 @@ func (c *Comm) Shrink() (*Comm, error) {
 	if c.IsInter() {
 		return nil, c.fire(fmt.Errorf("mpi: Shrink on intercommunicator: %w", ErrComm))
 	}
-	res, err := runRendezvous(c, "shrink", ignoreDeath, true, nil, shrinkBuild(c))
+	res, err := runRendezvous(c, OpShrink, ignoreDeath, true, nil, shrinkBuild(c))
 	if err != nil {
 		return nil, c.fire(err)
 	}
@@ -105,7 +105,7 @@ func shrinkBuild(c *Comm) buildFunc {
 // child sides). If any member of the communicator has failed, the agreed
 // flag is still returned together with MPI_ERR_PROC_FAILED.
 func (c *Comm) Agree(flag int) (int, error) {
-	res, err := runRendezvous(c, "agree", reportDeath, true, flag, agreeBuild(c))
+	res, err := runRendezvous(c, OpAgree, reportDeath, true, flag, agreeBuild(c))
 	if res == nil {
 		return 0, c.fire(err)
 	}

@@ -103,18 +103,6 @@ func Sin2Pi(x float64) float64 { return math.Sin(2 * math.Pi * x) }
 // sin(2πx)·sin(2πy).
 func SinProduct(x, y float64) float64 { return Sin2Pi(x) * Sin2Pi(y) }
 
-// CosHill is a smooth periodic hill 0.5(1-cos 2πx)(1-cos 2πy), strictly
-// non-negative with a single maximum.
-func CosHill(x, y float64) float64 {
-	return 0.5 * (1 - math.Cos(2*math.Pi*x)) * (1 - math.Cos(2*math.Pi*y))
-}
-
-// TwoWaves superposes two frequencies, useful for resolution studies.
-func TwoWaves(x, y float64) float64 {
-	return math.Sin(2*math.Pi*x)*math.Sin(2*math.Pi*y) +
-		0.25*math.Sin(6*math.Pi*x)*math.Sin(4*math.Pi*y)
-}
-
 // StableDt returns a timestep satisfying the 2D Lax–Wendroff stability
 // condition |ax| dt/hx + |ay| dt/hy <= cfl for the FINEST spacings hx, hy.
 // The paper fixes one dt across all sub-grids for stability, sized by the

@@ -7,6 +7,18 @@ import (
 	"ftsg/internal/grid"
 )
 
+// CosHill is a smooth periodic hill 0.5(1-cos 2πx)(1-cos 2πy), strictly
+// non-negative with a single maximum.
+func CosHill(x, y float64) float64 {
+	return 0.5 * (1 - math.Cos(2*math.Pi*x)) * (1 - math.Cos(2*math.Pi*y))
+}
+
+// TwoWaves superposes two frequencies.
+func TwoWaves(x, y float64) float64 {
+	return math.Sin(2*math.Pi*x)*math.Sin(2*math.Pi*y) +
+		0.25*math.Sin(6*math.Pi*x)*math.Sin(4*math.Pi*y)
+}
+
 func testProblem() *Problem {
 	return &Problem{Ax: 1.0, Ay: 0.5, U0: SinProduct}
 }
@@ -151,62 +163,6 @@ func TestInitialConditionsPeriodic(t *testing.T) {
 				t.Errorf("%s not 1-periodic in y at x=%g (diff %g)", name, v, d)
 			}
 		}
-	}
-}
-
-// TestUpwindFirstOrderVsLaxWendroffSecondOrder: the upwind baseline loses
-// to Lax-Wendroff at every resolution, and its error halves (first order)
-// where Lax-Wendroff's quarters (second order) as the grid refines.
-func TestUpwindFirstOrderVsLaxWendroffSecondOrder(t *testing.T) {
-	p := testProblem()
-	var prevUp, prevLW float64
-	for _, l := range []int{5, 6, 7} {
-		lv := grid.Level{I: l, J: l}
-		h := 1.0 / float64(int(1)<<l)
-		dt := StableDt(h, h, p.Ax, p.Ay, 0.5)
-		nsteps := int(0.2/dt) + 1
-		exact := p.Exact(float64(nsteps) * dt)
-		up := SolveUpwind(lv, p, dt, nsteps).L1Error(exact)
-		lw := Solve(lv, p, dt, nsteps).L1Error(exact)
-		if lw >= up {
-			t.Errorf("level %d: Lax-Wendroff error %g not below upwind %g", l, lw, up)
-		}
-		if l > 5 {
-			if r := prevUp / up; r < 1.6 || r > 2.6 {
-				t.Errorf("level %d: upwind convergence rate %g, want ~2 (first order)", l, r)
-			}
-			if r := prevLW / lw; r < 3.0 {
-				t.Errorf("level %d: Lax-Wendroff convergence rate %g, want ~4 (second order)", l, r)
-			}
-		}
-		prevUp, prevLW = up, lw
-	}
-}
-
-// TestUpwindMonotone: upwind never overshoots the initial data's range —
-// the monotonicity property Lax-Wendroff sacrifices for second order.
-func TestUpwindMonotone(t *testing.T) {
-	p := &Problem{Ax: 1, Ay: 0.5, U0: CosHill} // range [0, 2]
-	g := SolveUpwind(grid.Level{I: 5, J: 5}, p, 0.004, 400)
-	for _, v := range g.V {
-		if v < -1e-12 || v > 2+1e-12 {
-			t.Fatalf("upwind overshoot: %g outside [0, 2]", v)
-		}
-	}
-}
-
-// TestUpwindNegativeVelocity exercises the other upwind branches.
-func TestUpwindNegativeVelocity(t *testing.T) {
-	p := &Problem{Ax: -1, Ay: -0.5, U0: SinProduct}
-	lv := grid.Level{I: 6, J: 6}
-	dt := StableDt(1.0/64, 1.0/64, p.Ax, p.Ay, 0.5)
-	nsteps := 100
-	g := SolveUpwind(lv, p, dt, nsteps)
-	e := g.L1Error(p.Exact(float64(nsteps) * dt))
-	// First-order upwind is strongly diffusive; this is a branch-coverage
-	// smoke check, not an accuracy bound.
-	if e > 0.15 {
-		t.Fatalf("negative-velocity upwind error %g", e)
 	}
 }
 

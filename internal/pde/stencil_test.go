@@ -38,32 +38,6 @@ func oracleLW(w, v []float64, nx, ny int, cx, cy float64) {
 	}
 }
 
-// oracleUpwind is one first-order upwind step of the same field layout.
-func oracleUpwind(w, v []float64, nx, ny int, cx, cy float64) {
-	for j := 0; j < ny; j++ {
-		jm := (j - 1 + ny) % ny
-		jp := (j + 1) % ny
-		row, rowM, rowP := j*nx, jm*nx, jp*nx
-		for i := 0; i < nx; i++ {
-			im := (i - 1 + nx) % nx
-			ip := (i + 1) % nx
-			u := v[row+i]
-			var dux, duy float64
-			if cx >= 0 {
-				dux = u - v[row+im]
-			} else {
-				dux = v[row+ip] - u
-			}
-			if cy >= 0 {
-				duy = u - v[rowM+i]
-			} else {
-				duy = v[rowP+i] - u
-			}
-			w[row+i] = u - cx*dux - cy*duy
-		}
-	}
-}
-
 // stepPeriodicRows is one step of a doubly periodic nx × ny field through a
 // periodicRow kernel: what serial Step and ParallelSolver.update do with it.
 func stepPeriodicRows(w, v []float64, nx, ny int, row func(dst, south, centre, north []float64)) {
@@ -145,7 +119,6 @@ func testRowKernelsMatchModuloOracle(t *testing.T) {
 			for _, sign := range [][2]float64{{1, 1}, {1, -1}, {-1, 1}, {-1, -1}} {
 				cx, cy := 0.4*sign[0], 0.3*sign[1]
 				lw := newLWCoef(cx, cy)
-				up := upwindCoef{cx: cx, cy: cy}
 				kernels := []struct {
 					name   string
 					oracle func(w, v []float64)
@@ -157,9 +130,6 @@ func testRowKernelsMatchModuloOracle(t *testing.T) {
 					{"lw/interior",
 						func(w, v []float64) { oracleLW(w, v, nx, ny, cx, cy) },
 						func(w, v []float64) { stepHaloRows(w, v, nx, ny, lw) }},
-					{"upwind/periodicRow",
-						func(w, v []float64) { oracleUpwind(w, v, nx, ny, cx, cy) },
-						func(w, v []float64) { stepPeriodicRows(w, v, nx, ny, up.periodicRow) }},
 				}
 				start := make([]float64, nx*ny)
 				for k := range start {
@@ -259,7 +229,6 @@ func testSerialStepsMatchModuloOracle(t *testing.T) {
 		oracle func(w, v []float64, nx, ny int, cx, cy float64)
 	}{
 		{"Step", Step, oracleLW},
-		{"StepUpwind", StepUpwind, oracleUpwind},
 	}
 	for _, lv := range []grid.Level{{I: 0, J: 0}, {I: 0, J: 3}, {I: 1, J: 1}, {I: 3, J: 0}, {I: 2, J: 4}, {I: 6, J: 3}} {
 		for _, prob := range []*Problem{{Ax: 1, Ay: 0.5, U0: offsetWaves}, {Ax: -0.7, Ay: 1, U0: offsetWaves}, {Ax: -1, Ay: -0.3, U0: TwoWaves}} {

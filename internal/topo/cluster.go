@@ -1,16 +1,12 @@
 // Package topo models the physical layout of the simulated cluster: hosts,
-// MPI slots per host, hostfiles, and the rank-to-host placement arithmetic
+// MPI slots per host, and the rank-to-host placement arithmetic
 // the paper uses to re-spawn failed processes on the host where they ran
 // before the failure (Fig. 5, lines 5-12), preserving load balance.
 package topo
 
 import (
-	"bufio"
 	"fmt"
-	"io"
-	"sort"
 	"strconv"
-	"strings"
 )
 
 // Host is one cluster node.
@@ -34,7 +30,7 @@ type Cluster struct {
 
 // New builds a synthetic single-rack cluster of nhosts nodes named node00,
 // node01, ..., each with the given number of slots. The numeric suffix is
-// zero-padded to the width of the largest index (minimum 2), so hostfiles
+// zero-padded to the width of the largest index (minimum 2), so host lists
 // and reports stay lexically sorted at any cluster size. It panics on
 // non-positive arguments.
 func New(nhosts, slotsPerHost int) *Cluster {
@@ -75,9 +71,6 @@ func ForRanks(nranks, slotsPerHost int) *Cluster {
 	return New(nhosts, slotsPerHost)
 }
 
-// NumHosts returns the number of hosts in the cluster.
-func (c *Cluster) NumHosts() int { return len(c.hosts) }
-
 // Slots returns the total number of slots across all hosts.
 func (c *Cluster) Slots() int {
 	total := 0
@@ -107,15 +100,6 @@ func (c *Cluster) HostIndexOfRank(rank int) (int, error) {
 		r -= h.Slots
 	}
 	return 0, fmt.Errorf("topo: rank %d beyond cluster capacity %d", rank, c.Slots())
-}
-
-// NumRacks returns the number of distinct racks in the cluster.
-func (c *Cluster) NumRacks() int {
-	seen := make(map[int]bool)
-	for _, h := range c.hosts {
-		seen[h.Rack] = true
-	}
-	return len(seen)
 }
 
 // RackOfHost returns the rack index of host i.
@@ -165,163 +149,4 @@ func (c *Cluster) SpawnHosts(failedRanks []int) ([]string, error) {
 		hosts[i] = h.Name
 	}
 	return hosts, nil
-}
-
-// RanksOnHost lists the ranks (given a total rank count) placed on host i.
-func (c *Cluster) RanksOnHost(i, nranks int) []int {
-	var ranks []int
-	base := 0
-	for j := 0; j < i; j++ {
-		base += c.hosts[j].Slots
-	}
-	for r := base; r < base+c.hosts[i].Slots && r < nranks; r++ {
-		ranks = append(ranks, r)
-	}
-	return ranks
-}
-
-// Imbalance reports the load imbalance of a rank->host assignment given as a
-// slice mapping each live rank to its host index: (max load)/(mean load).
-// A perfectly balanced assignment returns 1. It returns 0 for no ranks.
-func (c *Cluster) Imbalance(hostOf []int) float64 {
-	if len(hostOf) == 0 {
-		return 0
-	}
-	load := make(map[int]int)
-	used := make(map[int]bool)
-	for _, h := range hostOf {
-		load[h]++
-		used[h] = true
-	}
-	maxLoad := 0
-	for _, n := range load {
-		if n > maxLoad {
-			maxLoad = n
-		}
-	}
-	mean := float64(len(hostOf)) / float64(len(used))
-	return float64(maxLoad) / mean
-}
-
-// WriteHostfile writes the cluster in Open MPI hostfile syntax:
-//
-//	node00 slots=12
-//
-// Multi-rack clusters carry the rack as an extra key=value field
-// ("node00 slots=12 rack=0"), which ParseHostfile round-trips; single-rack
-// clusters keep the plain two-field form so existing files stay identical.
-func (c *Cluster) WriteHostfile(w io.Writer) error {
-	multi := c.NumRacks() > 1
-	for _, h := range c.hosts {
-		var err error
-		if multi {
-			_, err = fmt.Fprintf(w, "%s slots=%d rack=%d\n", h.Name, h.Slots, h.Rack)
-		} else {
-			_, err = fmt.Fprintf(w, "%s slots=%d\n", h.Name, h.Slots)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ParseHostfile reads an Open MPI-style hostfile. Lines have the form
-// "name [slots=N] [rack=N]"; missing slots default to 1, missing rack to 0;
-// '#' starts a comment.
-func ParseHostfile(r io.Reader) (*Cluster, error) {
-	c := &Cluster{}
-	sc := bufio.NewScanner(r)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Text()
-		if i := strings.IndexByte(text, '#'); i >= 0 {
-			text = text[:i]
-		}
-		fields := strings.Fields(text)
-		if len(fields) == 0 {
-			continue
-		}
-		h := Host{Name: fields[0], Slots: 1}
-		for _, f := range fields[1:] {
-			key, val, ok := strings.Cut(f, "=")
-			if !ok {
-				return nil, fmt.Errorf("topo: hostfile line %d: malformed field %q", line, f)
-			}
-			switch key {
-			case "slots":
-				n, err := strconv.Atoi(val)
-				if err != nil || n <= 0 {
-					return nil, fmt.Errorf("topo: hostfile line %d: bad slots %q", line, val)
-				}
-				h.Slots = n
-			case "rack":
-				n, err := strconv.Atoi(val)
-				if err != nil || n < 0 {
-					return nil, fmt.Errorf("topo: hostfile line %d: bad rack %q", line, val)
-				}
-				h.Rack = n
-			case "max_slots", "max-slots":
-				// Accepted and ignored, as by mpirun for our purposes.
-			default:
-				return nil, fmt.Errorf("topo: hostfile line %d: unknown field %q", line, key)
-			}
-		}
-		c.hosts = append(c.hosts, h)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(c.hosts) == 0 {
-		return nil, fmt.Errorf("topo: hostfile is empty")
-	}
-	return c, nil
-}
-
-// FirstFit returns, for each of n new processes, the host index chosen by a
-// naive first-fit policy that packs hosts in order subject to their slot
-// counts given the current per-host load. It is the baseline the ablation
-// benchmark compares against respawn-on-same-host placement.
-func (c *Cluster) FirstFit(load map[int]int, n int) []int {
-	out := make([]int, 0, n)
-	// Copy so the caller's map is not mutated.
-	cur := make(map[int]int, len(load))
-	for k, v := range load {
-		cur[k] = v
-	}
-	for len(out) < n {
-		placed := false
-		for i, h := range c.hosts {
-			if cur[i] < h.Slots {
-				cur[i]++
-				out = append(out, i)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			// Oversubscribe the least-loaded host, as mpirun does with
-			// --oversubscribe.
-			idx := leastLoaded(cur, len(c.hosts))
-			cur[idx]++
-			out = append(out, idx)
-		}
-	}
-	return out
-}
-
-func leastLoaded(load map[int]int, nhosts int) int {
-	type hl struct{ host, load int }
-	all := make([]hl, nhosts)
-	for i := 0; i < nhosts; i++ {
-		all[i] = hl{i, load[i]}
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].load != all[b].load {
-			return all[a].load < all[b].load
-		}
-		return all[a].host < all[b].host
-	})
-	return all[0].host
 }

@@ -10,8 +10,8 @@ import (
 // last N closed spans per rank and counts what it evicted.
 func TestFlightRingWraparound(t *testing.T) {
 	r := NewFlight(4)
-	if got := r.FlightDepth(); got != 4 {
-		t.Fatalf("FlightDepth = %d, want 4", got)
+	if got := r.depth; got != 4 {
+		t.Fatalf("depth = %d, want 4", got)
 	}
 	for i := 0; i < 10; i++ {
 		sp := r.BeginSpan(float64(i), 0, "solve", "step %d", i)
@@ -120,7 +120,7 @@ func TestFlightParentBeforeChild(t *testing.T) {
 		parent.End(3)
 		spans := r.Spans()
 		if len(spans) != 2 || spans[0].Phase != "repair" || spans[1].Phase != "shrink" {
-			t.Errorf("depth %d: order %v, want repair then shrink", r.FlightDepth(), spans)
+			t.Errorf("depth %d: order %v, want repair then shrink", r.depth, spans)
 		}
 	}
 }

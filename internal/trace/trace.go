@@ -86,15 +86,6 @@ func NewFlight(perRank int) *Recorder {
 	return r
 }
 
-// FlightDepth returns the per-rank retention, or 0 for a nil recorder or one
-// that keeps everything.
-func (r *Recorder) FlightDepth() int {
-	if r == nil {
-		return 0
-	}
-	return r.depth
-}
-
 // Dropped returns how many spans and events have been evicted so far (both
 // 0 for nil recorders and those that keep everything). A non-zero count in
 // a dump means the timeline's left edge is truncated, not empty.

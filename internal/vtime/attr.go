@@ -47,19 +47,3 @@ func (c *Clock) AdvanceAttr(dt float64, component string) {
 		c.obs.ObserveCost(component, dt)
 	}
 }
-
-// Observe attributes a modelled cost WITHOUT advancing this clock — used
-// when the model charges the time somewhere other than the caller's clock
-// (a message's alpha+beta materialise as the receiver's arrival time; a
-// rendezvous collective's cost is folded into its completion time).
-func (c *Clock) Observe(component string, dt float64) {
-	if c.obs != nil && dt > 0 {
-		c.obs.ObserveCost(component, dt)
-	}
-}
-
-// PtToPtParts returns the two LogGP halves of a transfer: the fixed latency
-// alpha and the size-dependent beta·bytes. PtToPt is their sum.
-func (m *Machine) PtToPtParts(bytes int) (alpha, beta float64) {
-	return m.Alpha, float64(bytes) * m.Beta
-}

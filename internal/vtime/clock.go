@@ -44,14 +44,3 @@ func (c *Clock) SyncTo(t float64) {
 // Set forces the clock to t. It is used when a freshly spawned process
 // inherits the spawn completion time of its parent group.
 func (c *Clock) Set(t float64) { c.now = t }
-
-// Max returns the maximum of a set of times. It returns 0 for an empty set.
-func Max(ts ...float64) float64 {
-	var m float64
-	for _, t := range ts {
-		if t > m {
-			m = t
-		}
-	}
-	return m
-}

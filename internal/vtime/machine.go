@@ -154,16 +154,3 @@ func (m *Machine) LinkAlphaBeta(t LinkTier) (alpha, beta float64) {
 	}
 	return alpha, beta
 }
-
-// LinkParts returns the two LogGP halves of a transfer on the given tier:
-// the fixed latency and the size-dependent per-byte term.
-func (m *Machine) LinkParts(t LinkTier, bytes int) (alpha, beta float64) {
-	a, b := m.LinkAlphaBeta(t)
-	return a, float64(bytes) * b
-}
-
-// LinkCost returns the one-way transfer time on the given tier.
-func (m *Machine) LinkCost(t LinkTier, bytes int) float64 {
-	a, b := m.LinkAlphaBeta(t)
-	return a + float64(bytes)*b
-}

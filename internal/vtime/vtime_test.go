@@ -73,7 +73,6 @@ func TestClockObserverAttribution(t *testing.T) {
 	c.AdvanceAttr(1.5, CompCompute)
 	c.AdvanceAttr(0.5, CompCompute)
 	c.AdvanceAttr(0.25, CompDiskWrite)
-	c.Observe(CompAlpha, 2e-6) // attributed but not advanced
 	if got := c.Now(); got != 2.25 {
 		t.Fatalf("clock = %g, want 2.25", got)
 	}
@@ -82,13 +81,6 @@ func TestClockObserverAttribution(t *testing.T) {
 	}
 	if got := obs.sums[CompDiskWrite]; got != 0.25 {
 		t.Fatalf("disk attribution = %g, want 0.25", got)
-	}
-	if got := obs.sums[CompAlpha]; got != 2e-6 {
-		t.Fatalf("alpha attribution = %g, want 2e-6", got)
-	}
-	c.Observe(CompBeta, 0) // zero costs are dropped
-	if _, ok := obs.sums[CompBeta]; ok {
-		t.Fatal("zero-cost observation was recorded")
 	}
 	c.SetObserver(nil)
 	c.AdvanceAttr(1, CompCompute) // must not panic with observer detached
@@ -110,17 +102,6 @@ func TestClockAdvanceAttrNegativePanics(t *testing.T) {
 	c.AdvanceAttr(-1, CompCompute)
 }
 
-func TestPtToPtParts(t *testing.T) {
-	m := &Machine{Alpha: 1e-6, Beta: 1e-9}
-	alpha, beta := m.PtToPtParts(1000)
-	if alpha != 1e-6 || math.Abs(beta-1e-6) > 1e-18 {
-		t.Fatalf("PtToPtParts(1000) = %g, %g", alpha, beta)
-	}
-	if got := alpha + beta; math.Abs(got-m.PtToPt(1000)) > 1e-18 {
-		t.Fatalf("parts sum %g != PtToPt %g", got, m.PtToPt(1000))
-	}
-}
-
 func TestLinkTiers(t *testing.T) {
 	m := &Machine{
 		Alpha: 2e-6, Beta: 4e-10,
@@ -140,17 +121,10 @@ func TestLinkTiers(t *testing.T) {
 		if a != c.alpha || b != c.beta {
 			t.Errorf("tier %d: LinkAlphaBeta = %g, %g; want %g, %g", c.tier, a, b, c.alpha, c.beta)
 		}
-		if got, want := m.LinkCost(c.tier, 1000), c.alpha+1000*c.beta; math.Abs(got-want) > 1e-18 {
-			t.Errorf("tier %d: LinkCost(1000) = %g, want %g", c.tier, got, want)
-		}
-		la, lb := m.LinkParts(c.tier, 1000)
-		if la != c.alpha || math.Abs(lb-1000*c.beta) > 1e-18 {
-			t.Errorf("tier %d: LinkParts(1000) = %g, %g", c.tier, la, lb)
-		}
 	}
 	// The same-rack tier must agree with the flat PtToPt model exactly.
-	if got, want := m.LinkCost(TierRack, 4096), m.PtToPt(4096); got != want {
-		t.Fatalf("TierRack cost %g != PtToPt %g", got, want)
+	if a, b := m.LinkAlphaBeta(TierRack); a+4096*b != m.PtToPt(4096) {
+		t.Fatalf("TierRack cost %g != PtToPt %g", a+4096*b, m.PtToPt(4096))
 	}
 }
 
@@ -182,15 +156,6 @@ func TestTieredProfilesOrdered(t *testing.T) {
 		if !(xa >= ra && xb >= rb) {
 			t.Errorf("%s: cross-rack (%g,%g) cheaper than rack (%g,%g)", m.Name, xa, xb, ra, rb)
 		}
-	}
-}
-
-func TestMax(t *testing.T) {
-	if got := Max(); got != 0 {
-		t.Fatalf("Max() = %g, want 0", got)
-	}
-	if got := Max(1, 3, 2); got != 3 {
-		t.Fatalf("Max(1,3,2) = %g, want 3", got)
 	}
 }
 
