@@ -333,13 +333,12 @@ func BenchmarkHarnessParallel(b *testing.B) {
 }
 
 // BenchmarkAblationCheckpointBackend compares the checkpoint store's
-// backends and write modes on a CR run with one real failure and a Young
-// interval short enough that several generations are written and recovery
-// reads one back. Virtual-time results are identical across all four cells
-// by construction — the accounting model charges the same TIO costs either
-// way — so ns/op isolates the real storage cost: the mem backend removes
-// filesystem traffic entirely, and async write-behind overlaps what
-// remains with compute.
+// backends on a CR run with one real failure and a Young interval short
+// enough that several generations are written and recovery reads one back.
+// Virtual-time results are identical in both cells by construction — the
+// accounting model charges the same TIO costs either way — so ns/op
+// isolates the real storage cost: the mem backend removes filesystem
+// traffic entirely.
 func BenchmarkAblationCheckpointBackend(b *testing.B) {
 	base := core.Config{
 		Technique:    core.CheckpointRestart,
@@ -353,22 +352,13 @@ func BenchmarkAblationCheckpointBackend(b *testing.B) {
 	filled := base.WithDefaults()
 	stepTime := filled.EstimateStepTime()
 	base.MTBF = math.Pow(8*stepTime, 2) / (2 * filled.Machine.TIOWrite)
-	for _, bc := range []struct {
-		name, backend string
-		async         bool
-	}{
-		{"dir", "dir", false},
-		{"dir-async", "dir", true},
-		{"mem", "mem", false},
-		{"mem-async", "mem", true},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
+	for _, backend := range []string{"dir", "mem"} {
+		b.Run(backend, func(b *testing.B) {
 			b.ReportAllocs()
 			var total float64
 			for i := 0; i < b.N; i++ {
 				cfg := base
-				cfg.CheckpointBackend = bc.backend
-				cfg.CheckpointAsync = bc.async
+				cfg.CheckpointBackend = backend
 				res := runBench(b, cfg)
 				total += res.TotalTime
 			}

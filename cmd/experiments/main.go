@@ -50,7 +50,6 @@ func main() {
 		traceOut   = flag.String("trace-out", "", "write the Chrome trace_event JSON of one representative fault-injected run (2 failures, RC, largest core count of the sweep) to this file")
 		ckptBack   = flag.String("ckpt-backend", "", "checkpoint storage backend for CR runs: dir (files, default) | mem (in-memory; identical output, no filesystem traffic)")
 		ckptGens   = flag.Int("ckpt-generations", 0, "checkpoint generations retained per rank in CR runs (0 = store default)")
-		ckptAsync  = flag.Bool("ckpt-async", false, "write checkpoints on write-behind goroutines; output is byte-identical, only real I/O overlaps")
 		hosts      = flag.Int("hosts", 0, "cluster host count for every run (0 = smallest count that fits each run's ranks)")
 		slots      = flag.Int("slots", 0, "ranks per host (0 = machine profile default)")
 		racks      = flag.Int("racks", 0, "rack count; hosts split into contiguous blocks charged at the inter-rack link tier (0 = one rack)")
@@ -118,7 +117,6 @@ func main() {
 	opts.Telemetry = *telemetry
 	opts.CkptBackend = *ckptBack
 	opts.CkptGenerations = *ckptGens
-	opts.CkptAsync = *ckptAsync
 	if *hosts < 0 || *slots < 0 || *racks < 0 {
 		fmt.Fprintln(os.Stderr, "experiments: -hosts, -slots and -racks must be >= 0")
 		os.Exit(2)

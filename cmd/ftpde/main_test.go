@@ -156,9 +156,9 @@ func TestInvalidClusterShapeIsAnError(t *testing.T) {
 	}
 }
 
-// TestCheckpointFlags: -ckpt-backend/-ckpt-generations/-ckpt-async select
-// the checkpoint store without changing any simulated result — the run
-// summary is byte-identical to the default dir-backed synchronous store.
+// TestCheckpointFlags: -ckpt-backend selects the checkpoint store without
+// changing any simulated result — the run summary is byte-identical to the
+// default dir-backed store.
 func TestCheckpointFlags(t *testing.T) {
 	run := func(extra ...string) string {
 		t.Helper()
@@ -175,8 +175,7 @@ func TestCheckpointFlags(t *testing.T) {
 	want := run()
 	for _, extra := range [][]string{
 		{"-ckpt-backend", "mem"},
-		{"-ckpt-async"},
-		{"-ckpt-backend", "mem", "-ckpt-async"},
+		{"-ckpt-backend", "dir"},
 	} {
 		if got := run(extra...); got != want {
 			t.Errorf("%v changed the run summary:\n got:\n%s\nwant:\n%s", extra, got, want)

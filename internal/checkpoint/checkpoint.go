@@ -11,12 +11,9 @@
 // The store keeps the last K generations per (grid, rank) and falls back
 // generation-by-generation when a read turns out corrupt, truncated, or
 // unreadable; when every generation is exhausted it reports ErrNoCheckpoint
-// and the caller recomputes from the initial condition. Writes can be
-// performed through an async write-behind queue; Flush is the barrier that
-// makes queued writes durable before a recovery decision depends on them.
-// Virtual-time accounting is identical in sync and async modes (the cost is
-// charged at Write-call time, in program order), so golden outputs are
-// byte-identical either way.
+// and the caller recomputes from the initial condition. Every write is
+// committed inline, on the writing rank, so T_I/O sits on its critical path
+// as it does in the paper.
 package checkpoint
 
 import (
@@ -51,11 +48,6 @@ const (
 	// per (grid, rank) unless configured otherwise: the latest plus one
 	// fallback, the minimum that survives a single torn or corrupt write.
 	DefaultGenerations = 2
-
-	// defaultQueueDepth bounds the async write-behind queue. Writers block
-	// (in real time only — no virtual cost) when the backend falls this
-	// far behind.
-	defaultQueueDepth = 64
 )
 
 // ErrNoCheckpoint is returned by Read when no generation of a checkpoint
@@ -142,17 +134,6 @@ func genName(gridID, rank int, gen uint64) string {
 	return fmt.Sprintf("grid%03d_rank%04d.gen%06d.ckpt", gridID, rank, gen)
 }
 
-// writeReq is one queued write-behind operation: commit the encoded blob,
-// then delete the generations it rotated out.
-type writeReq struct {
-	name  string
-	key   genKey
-	gen   uint64
-	eb    *encBuf
-	n     int
-	drops []string
-}
-
 // Options configures a Store.
 type Options struct {
 	// Backend is the storage layer. Required.
@@ -160,17 +141,9 @@ type Options struct {
 	// Generations is how many checkpoint generations to keep per
 	// (grid, rank). Defaults to DefaultGenerations; 1 disables fallback.
 	Generations int
-	// Async enables the write-behind writer: Write enqueues and returns,
-	// a single writer goroutine commits in FIFO order, and Flush (called
-	// implicitly by Read, ReadAt and CandidateSteps) is the durability
-	// barrier.
-	Async bool
-	// QueueDepth bounds the async queue (default 64). Ignored when sync.
-	QueueDepth int
 	// Metrics receives the store-side instruments: the
-	// checkpoint.queue.depth gauge (registered eagerly in both sync and
-	// async modes, so metric summaries do not depend on the mode) and the
-	// checkpoint.write.errors counter. May be nil.
+	// checkpoint.write.errors counter and the header-peek fallbacks of
+	// CandidateSteps. May be nil.
 	Metrics *metrics.Registry
 }
 
@@ -181,19 +154,11 @@ type Options struct {
 type Store struct {
 	backend Backend
 	keep    int
-	async   bool
 	metrics *metrics.Registry
 
-	queue chan *writeReq // nil when sync
-	done  chan struct{}  // closed when the writer goroutine exits
-
-	mu        sync.Mutex
-	cond      *sync.Cond
-	gens      map[genKey][]uint64 // committed/queued generations, ascending
-	nextGen   map[genKey]uint64
-	enqueued  uint64
-	completed uint64
-	closed    bool
+	mu      sync.Mutex
+	gens    map[genKey][]uint64 // generations being or already committed, ascending
+	nextGen map[genKey]uint64
 }
 
 // Open creates a Store over the given backend.
@@ -205,59 +170,13 @@ func Open(opts Options) (*Store, error) {
 	if keep <= 0 {
 		keep = DefaultGenerations
 	}
-	s := &Store{
+	return &Store{
 		backend: opts.Backend,
 		keep:    keep,
-		async:   opts.Async,
 		metrics: opts.Metrics,
 		gens:    make(map[genKey][]uint64),
 		nextGen: make(map[genKey]uint64),
-	}
-	s.cond = sync.NewCond(&s.mu)
-	// Register the queue-depth gauge up front in both modes: WriteSummary
-	// prints every registered instrument, so a mode-dependent registration
-	// would make summaries differ between async on and off.
-	s.metrics.Gauge("checkpoint.queue.depth").Set(0)
-	if opts.Async {
-		depth := opts.QueueDepth
-		if depth <= 0 {
-			depth = defaultQueueDepth
-		}
-		s.queue = make(chan *writeReq, depth)
-		s.done = make(chan struct{})
-		go s.writer()
-	}
-	return s, nil
-}
-
-func (s *Store) writer() {
-	for req := range s.queue {
-		s.perform(req)
-	}
-	close(s.done)
-}
-
-// perform commits one write request: Put the blob, drop rotated-out
-// generations, and account completion. A failed Put withdraws the
-// generation from the index (Read will never try it) and counts a write
-// error — the run continues, older generations still cover recovery.
-func (s *Store) perform(req *writeReq) {
-	err := s.backend.Put(req.name, req.eb.b[:req.n])
-	encPool.Put(req.eb)
-	if err != nil {
-		s.mu.Lock()
-		s.gens[req.key] = removeGen(s.gens[req.key], req.gen)
-		s.mu.Unlock()
-		s.metrics.Counter("checkpoint.write.errors").Inc()
-	}
-	for _, name := range req.drops {
-		_ = s.backend.Delete(name)
-	}
-	s.mu.Lock()
-	s.completed++
-	s.setDepthLocked()
-	s.cond.Broadcast()
-	s.mu.Unlock()
+	}, nil
 }
 
 func removeGen(list []uint64, gen uint64) []uint64 {
@@ -269,19 +188,13 @@ func removeGen(list []uint64, gen uint64) []uint64 {
 	return list
 }
 
-func (s *Store) setDepthLocked() {
-	s.metrics.Gauge("checkpoint.queue.depth").Set(float64(s.enqueued - s.completed))
-}
-
 // Write stores one process's owned rows at the given step as a new
 // generation, rotating out the oldest beyond the configured keep count.
 // The machine's per-checkpoint write latency T_I/O and the byte counter
-// are charged here, at call time and in program order, regardless of the
-// write-behind mode — which is why sync and async runs produce
-// byte-identical virtual results. In async mode the actual commit happens
-// on the writer goroutine; a backend failure then surfaces as a withdrawn
-// generation and a checkpoint.write.errors count, never as an error from
-// Write itself.
+// are charged to the writing rank, in program order. A failed Put
+// withdraws the generation from the index (Read will never try it) and
+// counts a checkpoint.write.errors; the run continues, since older
+// generations still cover recovery, so Write itself never fails.
 func (s *Store) Write(p *mpi.Proc, gridID, rank, step int, data []float64) error {
 	eb := encPool.Get().(*encBuf)
 	buf := encode(step, data, eb)
@@ -299,28 +212,20 @@ func (s *Store) Write(p *mpi.Proc, gridID, rank, step int, data []float64) error
 		list = list[1:]
 	}
 	s.gens[key] = list
-	req := &writeReq{name: genName(gridID, rank, gen), key: key, gen: gen, eb: eb, n: len(buf), drops: drops}
-	s.enqueued++
-	s.setDepthLocked()
 	s.mu.Unlock()
 
-	if s.async {
-		s.queue <- req
-		return nil
+	err := s.backend.Put(genName(gridID, rank, gen), buf)
+	encPool.Put(eb)
+	if err != nil {
+		s.mu.Lock()
+		s.gens[key] = removeGen(s.gens[key], gen)
+		s.mu.Unlock()
+		s.metrics.Counter("checkpoint.write.errors").Inc()
 	}
-	s.perform(req)
+	for _, name := range drops {
+		_ = s.backend.Delete(name)
+	}
 	return nil
-}
-
-// Flush blocks until every queued write has been committed (or withdrawn).
-// It is the durability barrier at failure-detection points; it adds no
-// virtual time, so sync and async runs stay byte-identical.
-func (s *Store) Flush() {
-	s.mu.Lock()
-	for s.completed != s.enqueued {
-		s.cond.Wait()
-	}
-	s.mu.Unlock()
 }
 
 // Read loads the most recent readable checkpoint for (gridID, rank),
@@ -330,7 +235,6 @@ func (s *Store) Flush() {
 // tried. When every generation is exhausted (or none exists) Read returns
 // ErrNoCheckpoint and the caller restarts from the initial condition.
 func (s *Store) Read(p *mpi.Proc, gridID, rank int) (step int, data []float64, err error) {
-	s.Flush()
 	key := genKey{gridID, rank}
 	s.mu.Lock()
 	list := append([]uint64(nil), s.gens[key]...)
@@ -371,7 +275,6 @@ func (s *Store) Generations() int {
 // recovery intersects the members' candidate lists rather than letting each
 // rank independently pick its newest readable generation.
 func (s *Store) CandidateSteps(gridID, rank int) []int {
-	s.Flush()
 	key := genKey{gridID, rank}
 	s.mu.Lock()
 	list := append([]uint64(nil), s.gens[key]...)
@@ -401,7 +304,6 @@ func (s *Store) CandidateSteps(gridID, rank int) []int {
 // format, or a header that lied about its step) counts a fallback and the
 // next older match is tried.
 func (s *Store) ReadAt(p *mpi.Proc, gridID, rank, step int) ([]float64, error) {
-	s.Flush()
 	key := genKey{gridID, rank}
 	s.mu.Lock()
 	list := append([]uint64(nil), s.gens[key]...)
@@ -428,28 +330,13 @@ func (s *Store) ReadAt(p *mpi.Proc, gridID, rank, step int) ([]float64, error) {
 	return nil, fmt.Errorf("checkpoint: grid %d rank %d step %d: %w", gridID, rank, step, ErrNoCheckpoint)
 }
 
-// Close flushes queued writes and stops the writer goroutine. The backend's
-// contents are left in place. Close is idempotent.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	if s.async {
-		close(s.queue)
-		<-s.done
-	}
-	return nil
-}
+// Close releases the store. Every write was committed inside Write, so
+// there is nothing left to do: Close is a no-op that leaves the backend's
+// contents in place and always returns nil.
+func (s *Store) Close() error { return nil }
 
-// Remove closes the store and deletes everything in its backend.
-func (s *Store) Remove() error {
-	_ = s.Close()
-	return s.backend.Destroy()
-}
+// Remove deletes everything in the store's backend.
+func (s *Store) Remove() error { return s.backend.Destroy() }
 
 // PaperCount is the paper's Eq. 2 as printed: C = T / T_I/O with T the MTBF
 // (half the application run time in the paper's setup). Note that as printed

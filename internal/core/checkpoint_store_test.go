@@ -51,11 +51,11 @@ func ckptFingerprint(t *testing.T, cfg Config) string {
 	return b.String()
 }
 
-// TestCheckpointAsyncDeterminism pins the tentpole's core guarantee: a CR
-// run with real failures produces bit-identical results — virtual time, L1
-// error, every metric, the whole trace — with the write-behind writer on or
-// off, on either backend, across GOMAXPROCS settings. The async writer may
-// only change wall-clock behaviour, never anything observable.
+// TestCheckpointAsyncDeterminism pins the store's determinism: a CR run
+// with real failures produces bit-identical results — virtual time, L1
+// error, every metric, the whole trace — on either backend, across
+// GOMAXPROCS settings. The backend may only change wall-clock behaviour,
+// never anything observable.
 func TestCheckpointAsyncDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -65,19 +65,16 @@ func TestCheckpointAsyncDeterminism(t *testing.T) {
 	for _, procs := range []int{1, runtime.NumCPU()} {
 		prev := runtime.GOMAXPROCS(procs)
 		for _, backend := range []string{"dir", "mem"} {
-			for _, async := range []bool{false, true} {
-				cfg := base
-				cfg.CheckpointBackend = backend
-				cfg.CheckpointAsync = async
-				got := ckptFingerprint(t, cfg)
-				if want == "" {
-					want = got
-					continue
-				}
-				if got != want {
-					runtime.GOMAXPROCS(prev)
-					t.Fatalf("fingerprint diverged at GOMAXPROCS=%d backend=%s async=%v", procs, backend, async)
-				}
+			cfg := base
+			cfg.CheckpointBackend = backend
+			got := ckptFingerprint(t, cfg)
+			if want == "" {
+				want = got
+				continue
+			}
+			if got != want {
+				runtime.GOMAXPROCS(prev)
+				t.Fatalf("fingerprint diverged at GOMAXPROCS=%d backend=%s", procs, backend)
 			}
 		}
 		runtime.GOMAXPROCS(prev)
@@ -136,23 +133,6 @@ func TestCRSurvivesWriteErrors(t *testing.T) {
 	}
 	if got := reg.Counter("checkpoint.write.errors").Value(); got == 0 {
 		t.Error("write-error counter is 0; WriteErr=0.5 never fired")
-	}
-}
-
-// TestFlushSpanEmitted: the repair path runs the checkpoint flush barrier
-// under a ckpt-flush trace span, in sync and async mode alike.
-func TestFlushSpanEmitted(t *testing.T) {
-	for _, async := range []bool{false, true} {
-		rec := trace.New()
-		cfg := ckptChaosCfg()
-		cfg.Trace = rec
-		cfg.CheckpointAsync = async
-		if _, err := Run(cfg); err != nil {
-			t.Fatal(err)
-		}
-		if rec.SpanCount("ckpt-flush") == 0 {
-			t.Errorf("async=%v: no ckpt-flush span recorded", async)
-		}
 	}
 }
 

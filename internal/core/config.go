@@ -212,13 +212,9 @@ type Config struct {
 	// When Trace is nil, Run attaches a bounded flight recorder to every run
 	// so such a dump always exists; an explicit Trace is dumped as-is.
 	FlightDumpDir string
-	// CheckpointDir overrides the checkpoint directory (default: a fresh
-	// temporary directory, removed after the run). Only meaningful with
-	// the "dir" backend.
-	CheckpointDir string
 	// CheckpointBackend selects the storage backend for CR checkpoints:
-	// "dir" (the default — real files under CheckpointDir or a fresh temp
-	// directory) or "mem" (in-process, no real disk I/O; the simulated
+	// "dir" (the default — real files under a fresh temporary directory,
+	// removed after the run) or "mem" (in-process, no real disk I/O; the simulated
 	// T_I/O accounting is identical, so results are byte-identical — the
 	// harness uses it for its thousands of short runs).
 	CheckpointBackend string
@@ -226,11 +222,6 @@ type Config struct {
 	// keeps per (grid, rank); recovery falls back generation-by-generation
 	// past corrupt or torn checkpoints (0 = checkpoint.DefaultGenerations).
 	CheckpointGenerations int
-	// CheckpointAsync moves checkpoint commits off the simulated ranks'
-	// OS-thread critical path onto a write-behind queue, drained at
-	// failure-detection points. Virtual-time accounting is unchanged, so
-	// all outputs stay byte-identical; only wall-clock time changes.
-	CheckpointAsync bool
 	// CheckpointFaults, when non-nil, wraps the checkpoint backend with
 	// seeded fault injection (corrupt reads, torn writes, I/O errors) —
 	// the chaos campaign's checkpoint-corruption mode.

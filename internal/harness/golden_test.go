@@ -156,10 +156,10 @@ func TestGoldenFig11RecoveryModes(t *testing.T) {
 
 // TestGoldenOutputAsyncCheckpoints pins the checkpoint store's accounting
 // contract at the harness level: switching every CR run of the sweep to the
-// in-memory backend with the async write-behind writer changes NOTHING in
-// the output — the golden CSVs captured with the sync dir-backed store must
-// match byte for byte, at 1 and 8 workers. Virtual time is charged at
-// enqueue, so the writer only overlaps real I/O, never simulated time.
+// in-memory backend changes NOTHING in the output — the golden CSVs
+// captured with the dir-backed store must match byte for byte, at 1 and 8
+// workers (the runs of a sweep write their checkpoints concurrently).
+// Virtual time is charged per write, never by the storage itself.
 func TestGoldenOutputAsyncCheckpoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick experiment matrix")
@@ -168,11 +168,9 @@ func TestGoldenOutputAsyncCheckpoints(t *testing.T) {
 		// CkptGenerations is deliberately left at the default: the restart
 		// negotiation exchanges one candidate slot per retained generation,
 		// so a different generation count changes simulated message sizes
-		// (and thus virtual time) by design. Backend and async mode must
-		// not.
+		// (and thus virtual time) by design. The backend must not.
 		o := goldenOpts(workers)
 		o.CkptBackend = "mem"
-		o.CkptAsync = true
 
 		rows11, err := Fig11(o)
 		if err != nil {
@@ -183,7 +181,7 @@ func TestGoldenOutputAsyncCheckpoints(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want := readGolden(t, "golden_fig11_csv.txt"); csv.String() != want {
-			t.Errorf("workers=%d: async+mem CR sweep drifted from sync+dir golden:\n got:\n%s\nwant:\n%s",
+			t.Errorf("workers=%d: mem CR sweep drifted from dir golden:\n got:\n%s\nwant:\n%s",
 				workers, csv.String(), want)
 		}
 
@@ -196,7 +194,7 @@ func TestGoldenOutputAsyncCheckpoints(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want := readGolden(t, "golden_fig8_csv.txt"); csv.String() != want {
-			t.Errorf("workers=%d: async+mem fig8 drifted from golden:\n got:\n%s\nwant:\n%s",
+			t.Errorf("workers=%d: mem fig8 drifted from golden:\n got:\n%s\nwant:\n%s",
 				workers, csv.String(), want)
 		}
 	}

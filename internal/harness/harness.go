@@ -72,10 +72,6 @@ type Options struct {
 	// retains per rank (0 = the store default). Older generations are the
 	// fallback chain when the newest blob is corrupt or torn.
 	CkptGenerations int
-	// CkptAsync moves checkpoint writes onto each store's write-behind
-	// goroutine. Output stays byte-identical — the virtual clock charges at
-	// enqueue time — only real wall-clock overlap changes.
-	CkptAsync bool
 	// Hosts overrides the simulated host count of every run's cluster
 	// (0 = derive the smallest count that fits the run's process count).
 	// Larger clusters spread the same ranks over more nodes, shifting

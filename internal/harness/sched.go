@@ -54,11 +54,10 @@ func (e eventOpts) apply(cfg *core.Config) {
 }
 
 // ckptOpts is the sweep-wide checkpoint store configuration applied to
-// every run (harness Options CkptBackend/CkptGenerations/CkptAsync).
+// every run (harness Options CkptBackend/CkptGenerations).
 type ckptOpts struct {
 	backend     string
 	generations int
-	async       bool
 }
 
 func (c ckptOpts) apply(cfg *core.Config) {
@@ -67,9 +66,6 @@ func (c ckptOpts) apply(cfg *core.Config) {
 	}
 	if c.generations > 0 {
 		cfg.CheckpointGenerations = c.generations
-	}
-	if c.async {
-		cfg.CheckpointAsync = true
 	}
 }
 
@@ -111,7 +107,6 @@ func newSched(o Options) *sched {
 		ckpt: ckptOpts{
 			backend:     o.CkptBackend,
 			generations: o.CkptGenerations,
-			async:       o.CkptAsync,
 		},
 		shape: shapeOpts{
 			hosts: o.Hosts,
