@@ -2,7 +2,6 @@ package faultgen
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ftsg/internal/mpi"
 )
@@ -58,11 +57,13 @@ func NewOpPlan(cfg Config, events []OpEvent, exclude []int) (*OpPlan, error) {
 	if len(events) > eligible {
 		return nil, fmt.Errorf("faultgen: %d op events with only %d eligible ranks", len(events), eligible)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	conflict := buildConflictTable(cfg.Conflicts)
-	const maxAttempts = 10000
+	s := newSampler(cfg)
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		victims := make(map[int]OpEvent, len(events))
+		taken := func(r int) bool {
+			_, dup := victims[r]
+			return dup || excluded[r]
+		}
 		hitGrids := make(map[int]bool)
 		if cfg.GridOf != nil {
 			for _, r := range exclude {
@@ -73,35 +74,11 @@ func NewOpPlan(cfg Config, events []OpEvent, exclude []int) (*OpPlan, error) {
 		}
 		ok := true
 		for _, e := range events {
-			for {
-				r := 1 + rng.Intn(cfg.NumRanks-1)
-				if excluded[r] {
-					continue
-				}
-				if _, dup := victims[r]; dup {
-					continue
-				}
-				if cfg.GridOf != nil {
-					g := cfg.GridOf(r)
-					bad := false
-					for other := range hitGrids {
-						if conflict[[2]int{g, other}] || conflict[[2]int{other, g}] {
-							bad = true
-							break
-						}
-					}
-					if bad {
-						ok = false
-						break
-					}
-					hitGrids[g] = true
-				}
-				victims[r] = e
+			var r int
+			if r, ok = s.draw(taken, hitGrids); !ok {
 				break
 			}
-			if !ok {
-				break
-			}
+			victims[r] = e
 		}
 		if ok {
 			return &OpPlan{victims: victims}, nil
