@@ -26,7 +26,7 @@ var deadcodeAllow = map[string]string{
 	"trace.Recorder.Count":     "core: TestTraceTimeline, TestTraceCheckpointEvents and TestMultiEventFailures count journal events",
 	"trace.Recorder.OpenSpans": "core: TestRecoveryTimelineSpans requires every span closed",
 	"trace.Recorder.Phases":    "core: TestTraceTimeline checks the phase order",
-	"trace.Recorder.SpanCount": "core: TestRecoveryTimelineSpans and TestFlushSpanEmitted count spans by phase",
+	"trace.Recorder.SpanCount": "core: TestRecoveryTimelineSpans counts spans by phase",
 	"vtime.Machine.PtToPt":     "mpi: TestVirtualClockMessageLatency checks a message's arrival time against the LogGP cost",
 }
 
@@ -34,13 +34,16 @@ var deadcodeAllow = map[string]string{
 // code and fails on any top-level declaration under internal/ that no
 // program reaches. The roots are every main, every init and every
 // package-level var. A method is reached when something names it, or when
-// its receiver type is reached and some interface — in the module or the
-// standard library — has a method of that name.
+// its receiver type is reached and the method implements either a
+// standard-library interface the type satisfies (Unwrap counts for error
+// types: package errors calls it through an unnamed interface) or a module
+// interface method that some reached code calls.
 func TestEveryInternalDeclarationIsReachable(t *testing.T) {
 	s := &reachScan{
-		fset: token.NewFileSet(),
-		pkgs: map[string]*scanPkg{},
-		live: map[types.Object]bool{},
+		fset:   token.NewFileSet(),
+		pkgs:   map[string]*scanPkg{},
+		live:   map[types.Object]bool{},
+		called: map[*types.Func]bool{},
 	}
 	s.std = importer.ForCompiler(s.fset, "source", nil).(types.ImporterFrom)
 	root, err := os.Getwd()
@@ -125,6 +128,8 @@ type reachScan struct {
 	roots []scanDecl
 	live  map[types.Object]bool
 	work  []types.Object
+	// called holds the module interface methods reached code calls.
+	called map[*types.Func]bool
 }
 
 func (s *reachScan) Import(path string) (*types.Package, error) {
@@ -190,21 +195,44 @@ func (s *reachScan) unreached() []deadDecl {
 	for _, r := range s.roots {
 		s.visit(r)
 	}
-	names := s.interfaceMethodNames()
+	std := s.stdInterfaces()
+	errorIface := types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 	for {
 		s.drain()
-		grew := false
+		n := len(s.work)
 		for obj := range s.decls {
-			fn, ok := obj.(*types.Func)
-			if !ok || s.live[obj] || !names[fn.Name()] {
+			tn, ok := obj.(*types.TypeName)
+			if !ok || !s.live[obj] {
 				continue
 			}
-			if recv := receiverType(fn); recv != nil && s.live[recv] {
-				s.mark(obj)
-				grew = true
+			named, ok := tn.Type().(*types.Named)
+			if !ok || named.TypeParams().Len() > 0 || types.IsInterface(named) {
+				continue
+			}
+			ptr := types.NewPointer(named)
+			mset := types.NewMethodSet(ptr)
+			keep := func(name string) {
+				if sel := mset.Lookup(tn.Pkg(), name); sel != nil {
+					s.mark(sel.Obj())
+				}
+			}
+			for _, it := range std {
+				if types.Implements(ptr, it) {
+					for i := 0; i < it.NumMethods(); i++ {
+						keep(it.Method(i).Name())
+					}
+				}
+			}
+			if types.Implements(ptr, errorIface) {
+				keep("Unwrap")
+			}
+			for m := range s.called {
+				if it, ok := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface); ok && types.Implements(ptr, it) {
+					keep(m.Name())
+				}
 			}
 		}
-		if !grew {
+		if len(s.work) == n {
 			break
 		}
 	}
@@ -268,6 +296,11 @@ func (s *reachScan) collect(p *scanPkg) {
 
 func (s *reachScan) mark(obj types.Object) {
 	obj = origin(obj)
+	if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil && s.pkgs[fn.Pkg().Path()] != nil {
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+			s.called[fn] = true
+		}
+	}
 	if _, ok := s.decls[obj]; !ok || s.live[obj] {
 		return
 	}
@@ -304,25 +337,10 @@ func (s *reachScan) visit(d scanDecl) {
 	})
 }
 
-// interfaceMethodNames returns the method names of every interface the
-// module declares, named or literal, and of every named interface in the
-// standard library packages it imports.
-func (s *reachScan) interfaceMethodNames() map[string]bool {
-	names := map[string]bool{"Error": true}
-	for _, p := range s.order {
-		for _, f := range p.files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if it, ok := n.(*ast.InterfaceType); ok {
-					for _, m := range it.Methods.List {
-						for _, id := range m.Names {
-							names[id.Name] = true
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
+// stdInterfaces returns error and every named interface with methods in
+// the standard library packages the module imports, directly or not.
+func (s *reachScan) stdInterfaces() []*types.Interface {
+	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
 	seen := map[*types.Package]bool{}
 	var walk func(*types.Package)
 	walk = func(pkg *types.Package) {
@@ -334,10 +352,8 @@ func (s *reachScan) interfaceMethodNames() map[string]bool {
 			scope := pkg.Scope()
 			for _, n := range scope.Names() {
 				if tn, ok := scope.Lookup(n).(*types.TypeName); ok {
-					if it, ok := tn.Type().Underlying().(*types.Interface); ok {
-						for i := 0; i < it.NumMethods(); i++ {
-							names[it.Method(i).Name()] = true
-						}
+					if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+						ifaces = append(ifaces, it)
 					}
 				}
 			}
@@ -349,7 +365,7 @@ func (s *reachScan) interfaceMethodNames() map[string]bool {
 	for _, p := range s.order {
 		walk(p.pkg)
 	}
-	return names
+	return ifaces
 }
 
 // origin maps an instantiated generic function, method or variable to the

@@ -204,7 +204,7 @@ func TestGenerationRotation(t *testing.T) {
 			t.Errorf("latest = (%d, %g), want (50, 5)", step, data[0])
 		}
 	})
-	names, _ := b.List()
+	names := blobNames(t, b)
 	if len(names) != 2 {
 		t.Errorf("backend holds %d blobs, want 2 (gens 3 and 4): %v", len(names), names)
 	}

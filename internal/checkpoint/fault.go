@@ -122,8 +122,7 @@ func (fb *faultBackend) Peek(name string, n int) ([]byte, int64, error) {
 	return hdr, size, nil
 }
 
-// Delete, List and Destroy pass through unfaulted: they model the
-// control-plane operations the fault campaign is not targeting.
+// Delete and Destroy pass through unfaulted: they model the control-plane
+// operations the fault campaign is not targeting.
 func (fb *faultBackend) Delete(name string) error { return fb.inner.Delete(name) }
-func (fb *faultBackend) List() ([]string, error)  { return fb.inner.List() }
 func (fb *faultBackend) Destroy() error           { return fb.inner.Destroy() }

@@ -69,9 +69,6 @@ func (g *Grid) Hy() float64 { return 1.0 / float64(g.Ny-1) }
 // At returns the value at point (ix, iy).
 func (g *Grid) At(ix, iy int) float64 { return g.V[iy*g.Nx+ix] }
 
-// Set stores v at point (ix, iy).
-func (g *Grid) Set(ix, iy int, v float64) { g.V[iy*g.Nx+ix] = v }
-
 // Clone returns a deep copy.
 func (g *Grid) Clone() *Grid {
 	out := &Grid{Lv: g.Lv, Nx: g.Nx, Ny: g.Ny, V: make([]float64, len(g.V))}

@@ -6,6 +6,9 @@ import (
 	"testing/quick"
 )
 
+// Set stores v at point (ix, iy).
+func (g *Grid) Set(ix, iy int, v float64) { g.V[iy*g.Nx+ix] = v }
+
 func TestNewDimensions(t *testing.T) {
 	g := New(Level{3, 5})
 	if g.Nx != 9 || g.Ny != 33 {

@@ -10,9 +10,6 @@ import (
 
 func TestNilRegistryIsNoOp(t *testing.T) {
 	var r *Registry
-	if r.Enabled() {
-		t.Fatal("nil registry reports enabled")
-	}
 	// All of these must be safe and free on nil receivers.
 	r.Counter("a").Add(5)
 	r.Counter("a").Inc()
