@@ -59,7 +59,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		slots     = fs.Int("slots", 0, "ranks per host (0 = machine profile default)")
 		racks     = fs.Int("racks", 0, "rack count; hosts split into contiguous blocks charged at the inter-rack link tier (0 = one rack)")
 		seed      = fs.Int64("seed", 1, "failure-selection seed")
-		showTrace = fs.Bool("trace", false, "print the virtual-time event timeline")
+		showTrace = fs.Bool("trace", false, "print the failure-handling event journal as a virtual-time timeline")
 		traceOut  = fs.String("trace-out", "", "write the recovery timeline as Chrome trace_event JSON to this file (load in ui.perfetto.dev)")
 		showMet   = fs.Bool("metrics", false, "print the instrumentation summary (MPI messages/bytes, per-op latency, cost attribution)")
 		metOut    = fs.String("metrics-out", "", "write the instrumentation summary to this file")
@@ -75,7 +75,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	tech, err := parseTechnique(*technique)
+	tech, err := core.ParseTechnique(*technique)
 	if err != nil {
 		fmt.Fprintln(stderr, "ftpde:", err)
 		return 2
@@ -246,19 +246,6 @@ func writeFileWith(path string, fn func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-func parseTechnique(s string) (core.Technique, error) {
-	switch strings.ToUpper(s) {
-	case "CR":
-		return core.CheckpointRestart, nil
-	case "RC":
-		return core.ResamplingCopying, nil
-	case "AC":
-		return core.AlternateCombination, nil
-	default:
-		return 0, fmt.Errorf("unknown technique %q (want CR, RC or AC)", s)
-	}
 }
 
 func parseMachine(s string) (*vtime.Machine, error) {

@@ -3,34 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
-
-	"ftsg/internal/core"
 )
-
-func TestParseTechnique(t *testing.T) {
-	cases := map[string]core.Technique{
-		"CR": core.CheckpointRestart,
-		"cr": core.CheckpointRestart,
-		"RC": core.ResamplingCopying,
-		"AC": core.AlternateCombination,
-		"ac": core.AlternateCombination,
-	}
-	for in, want := range cases {
-		got, err := parseTechnique(in)
-		if err != nil {
-			t.Errorf("parseTechnique(%q): %v", in, err)
-		} else if got != want {
-			t.Errorf("parseTechnique(%q) = %v, want %v", in, got, want)
-		}
-	}
-	if _, err := parseTechnique("XX"); err == nil {
-		t.Error("parseTechnique(XX) succeeded, want error")
-	}
-}
 
 func TestParseMachine(t *testing.T) {
 	for in, want := range map[string]string{
@@ -99,6 +78,74 @@ func TestChromeTraceCoversRepairPhases(t *testing.T) {
 	} {
 		if spans[phase] == 0 {
 			t.Errorf("trace has no %q span; spans present: %v", phase, spans)
+		}
+	}
+}
+
+// TestTracePrintsJournal is the acceptance test for -trace: the printed
+// timeline is the failure-handling journal, one line per note in the same
+// canonical order as the -events-out JSONL, without the wall clock.
+func TestTracePrintsJournal(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "events.jsonl")
+	var stdout, stderr bytes.Buffer
+	code := realMain([]string{
+		"-technique", "CR", "-failures", "2", "-real", "-seed", "7",
+		"-trace", "-quiet", "-events-out", out,
+	}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("realMain = %d, stderr: %s", code, stderr.String())
+	}
+	raw, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type note struct {
+		Msg  string  `json:"msg"`
+		VT   float64 `json:"vt"`
+		Rank int     `json:"rank"`
+	}
+	var journal []note
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		var n note
+		if err := json.Unmarshal([]byte(line), &n); err != nil {
+			t.Fatalf("journal line is not JSON: %v\n%s", err, line)
+		}
+		journal = append(journal, n)
+	}
+
+	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
+	if len(lines) == 0 || lines[0] != "event timeline:" {
+		t.Fatalf("-trace output does not start with the timeline header:\n%s", stdout.String())
+	}
+	lines = lines[1:]
+	if len(lines) != len(journal) {
+		t.Fatalf("-trace printed %d notes, the journal holds %d:\n%s", len(lines), len(journal), stdout.String())
+	}
+	first := map[string]int{}
+	for i, line := range lines {
+		// "[    76.273s] rank   0  epoch 0  failure-detected step=171 failed=[25 41]"
+		f := strings.Fields(strings.NewReplacer("[", " ", "s]", " ").Replace(line))
+		if len(f) < 6 || f[1] != "rank" || f[3] != "epoch" {
+			t.Fatalf("line %d is not a note: %q", i, line)
+		}
+		want := journal[i]
+		if f[5] != want.Msg || f[2] != strconv.Itoa(want.Rank) || f[0] != fmt.Sprintf("%.3f", want.VT) {
+			t.Errorf("line %d = %q, journal has %s at %.3fs on rank %d", i, line, want.Msg, want.VT, want.Rank)
+		}
+		if strings.Contains(line, "wall") {
+			t.Errorf("line %d carries the wall clock: %q", i, line)
+		}
+		if _, ok := first[f[5]]; !ok {
+			first[f[5]] = i
+		}
+	}
+	order := []string{"checkpoint-commit", "fault-inject", "failure-detected", "repair-phase", "respawn"}
+	for i, kind := range order {
+		if _, ok := first[kind]; !ok {
+			t.Fatalf("-trace printed no %s note:\n%s", kind, stdout.String())
+		}
+		if i > 0 && first[order[i-1]] >= first[kind] {
+			t.Errorf("first %s (line %d) does not follow first %s (line %d)", kind, first[kind], order[i-1], first[order[i-1]])
 		}
 	}
 }

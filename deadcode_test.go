@@ -23,9 +23,7 @@ var deadcodeAllow = map[string]string{
 	"grid.Grid.At":             "pde: TestPeriodicConsistency, TestMassConservation and TestGatherAssemblesWholeGrid read cells",
 	"grid.Grid.MaxError":       "combine: TestCombinationExactForConstant and TestCombinationExactForBilinear bound the pointwise error",
 	"grid.L1Diff":              "pde: TestParallelMatchesSerial and TestSetFromGrid compare the parallel solver with the serial one",
-	"trace.Recorder.Count":     "core: TestTraceTimeline, TestTraceCheckpointEvents and TestMultiEventFailures count journal events",
 	"trace.Recorder.OpenSpans": "core: TestRecoveryTimelineSpans requires every span closed",
-	"trace.Recorder.Phases":    "core: TestTraceTimeline checks the phase order",
 	"trace.Recorder.SpanCount": "core: TestRecoveryTimelineSpans counts spans by phase",
 	"vtime.Machine.PtToPt":     "mpi: TestVirtualClockMessageLatency checks a message's arrival time against the LogGP cost",
 }

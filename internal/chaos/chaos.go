@@ -109,16 +109,11 @@ func ParseTechniques(s string) ([]core.Technique, error) {
 	}
 	var out []core.Technique
 	for _, part := range strings.Split(s, ",") {
-		switch strings.ToUpper(strings.TrimSpace(part)) {
-		case "CR":
-			out = append(out, core.CheckpointRestart)
-		case "RC":
-			out = append(out, core.ResamplingCopying)
-		case "AC":
-			out = append(out, core.AlternateCombination)
-		default:
-			return nil, fmt.Errorf("chaos: unknown technique %q (want CR, RC, AC or all)", part)
+		t, err := core.ParseTechnique(part)
+		if err != nil {
+			return nil, fmt.Errorf("chaos: %w", err)
 		}
+		out = append(out, t)
 	}
 	return out, nil
 }

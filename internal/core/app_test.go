@@ -243,6 +243,23 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestParseTechnique: every technique's String parses back to it, in any
+// case, and an unknown name is rejected.
+func TestParseTechnique(t *testing.T) {
+	for _, tech := range []Technique{CheckpointRestart, ResamplingCopying, AlternateCombination} {
+		for _, name := range []string{tech.String(), strings.ToLower(tech.String()), " " + tech.String() + " "} {
+			if got, err := ParseTechnique(name); err != nil || got != tech {
+				t.Errorf("ParseTechnique(%q) = %v, %v; want %v", name, got, err, tech)
+			}
+		}
+	}
+	for _, name := range []string{"XX", "", "Technique(3)"} {
+		if got, err := ParseTechnique(name); err == nil {
+			t.Errorf("ParseTechnique(%q) = %v, want an error", name, got)
+		}
+	}
+}
+
 func TestCheckpointWritesHappen(t *testing.T) {
 	cfg := fastCfg(CheckpointRestart)
 	res, err := Run(cfg)

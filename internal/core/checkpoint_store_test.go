@@ -51,12 +51,12 @@ func ckptFingerprint(t *testing.T, cfg Config) string {
 	return b.String()
 }
 
-// TestCheckpointAsyncDeterminism pins the store's determinism: a CR run
+// TestCheckpointBackendDeterminism pins the store's determinism: a CR run
 // with real failures produces bit-identical results — virtual time, L1
 // error, every metric, the whole trace — on either backend, across
 // GOMAXPROCS settings. The backend may only change wall-clock behaviour,
 // never anything observable.
-func TestCheckpointAsyncDeterminism(t *testing.T) {
+func TestCheckpointBackendDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}

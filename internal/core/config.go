@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"ftsg/internal/checkpoint"
 	"ftsg/internal/combine"
@@ -51,6 +52,17 @@ func (t Technique) String() string {
 	default:
 		return fmt.Sprintf("Technique(%d)", int(t))
 	}
+}
+
+// ParseTechnique parses a technique name as String spells it, ignoring case
+// and surrounding space.
+func ParseTechnique(s string) (Technique, error) {
+	for t := CheckpointRestart; t <= AlternateCombination; t++ {
+		if strings.EqualFold(strings.TrimSpace(s), t.String()) {
+			return t, nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown technique %q (want CR, RC or AC)", s)
 }
 
 // GridRole classifies a sub-grid within the layout of the paper's Fig. 1.
@@ -235,8 +247,7 @@ type Config struct {
 	// a bounded worker pool instead of a dedicated goroutine, so wall-clock
 	// memory stays O(workers) at any rank count. Results — virtual times,
 	// traces, journals, metrics, the full Result — are byte-identical to the
-	// goroutine path. The 2D decomposition and serial-combine ablations have
-	// no fiber port yet and are rejected in this mode.
+	// goroutine path.
 	Event bool
 	// EventWorkers bounds the event path's executor pool (0 = NumCPU).
 	// Ignored unless Event is set.

@@ -322,8 +322,20 @@ func TestParallelCombineWithLossesMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestTraceTimeline: a real-failure run emits the protocol phases in causal
-// order — repair before data recovery before combination.
+// noteCount returns how many journal notes of the given kind rec holds.
+func noteCount(rec *trace.Recorder, kind string) int {
+	n := 0
+	for _, note := range rec.Notes() {
+		if note.Kind == kind {
+			n++
+		}
+	}
+	return n
+}
+
+// TestTraceTimeline: a real-failure run records the protocol in causal
+// order — failure detection before data recovery before combination — and
+// one respawn note per replacement.
 func TestTraceTimeline(t *testing.T) {
 	rec := trace.New()
 	cfg := fastCfg(AlternateCombination)
@@ -334,25 +346,42 @@ func TestTraceTimeline(t *testing.T) {
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	phases := rec.Phases()
-	idx := map[string]int{}
-	for i, ph := range phases {
-		idx[ph] = i + 1
-	}
-	for _, ph := range []string{"respawn", "repair", "recover-data", "combine"} {
-		if idx[ph] == 0 {
-			t.Fatalf("phase %q missing from timeline %v", ph, phases)
+	detected := -1.0
+	for _, n := range rec.Notes() {
+		if n.Kind == "failure-detected" {
+			detected = n.VT
+			break
 		}
 	}
-	if !(idx["repair"] < idx["recover-data"] && idx["recover-data"] < idx["combine"]) {
-		t.Errorf("phase order wrong: %v", phases)
+	if detected < 0 {
+		t.Fatal("no failure-detected note on the timeline")
 	}
-	if rec.Count("respawn") != 2 {
-		t.Errorf("respawn events = %d, want 2", rec.Count("respawn"))
+	// Rank 0 logs the repair, then recovers and combines like every rank.
+	var recoverSpan, combineSpan *trace.Span
+	for _, s := range rec.Spans() {
+		if s.Rank != 0 {
+			continue
+		}
+		switch s.Phase {
+		case "recover-data":
+			recoverSpan = &s
+		case "combine":
+			combineSpan = &s
+		}
+	}
+	if recoverSpan == nil || combineSpan == nil {
+		t.Fatalf("rank 0 lacks a recover-data or combine span: %v, %v", recoverSpan, combineSpan)
+	}
+	if !(detected <= recoverSpan.Start && recoverSpan.End <= combineSpan.Start) {
+		t.Errorf("phase order wrong: failure-detected at %g, then %v, then %v", detected, recoverSpan, combineSpan)
+	}
+	if got := noteCount(rec, "respawn"); got != 2 {
+		t.Errorf("respawn notes = %d, want 2", got)
 	}
 }
 
-// TestTraceCheckpointEvents: a CR run records one event per checkpoint.
+// TestTraceCheckpointEvents: a CR run records one checkpoint-commit note per
+// checkpoint.
 func TestTraceCheckpointEvents(t *testing.T) {
 	rec := trace.New()
 	cfg := fastCfg(CheckpointRestart)
@@ -361,8 +390,8 @@ func TestTraceCheckpointEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rec.Count("checkpoint"); got != res.CheckpointWrites {
-		t.Errorf("checkpoint events %d != writes %d", got, res.CheckpointWrites)
+	if got := noteCount(rec, "checkpoint-commit"); got != res.CheckpointWrites {
+		t.Errorf("checkpoint-commit notes %d != writes %d", got, res.CheckpointWrites)
 	}
 }
 
@@ -391,8 +420,8 @@ func TestMultiEventFailures(t *testing.T) {
 	if res.L1Error != clean.L1Error {
 		t.Errorf("multi-event CR error %.17g != clean %.17g", res.L1Error, clean.L1Error)
 	}
-	if got := rec.Count("repair"); got != 2 {
-		t.Errorf("repair events = %d, want 2 (one per failure event)", got)
+	if got := noteCount(rec, "failure-detected"); got != 2 {
+		t.Errorf("failure-detected notes = %d, want 2 (one per failure event)", got)
 	}
 }
 

@@ -177,9 +177,6 @@ func (r *rankState) admit(mr *recovery.ModeResult, buf []int, err error, tAttach
 		return err
 	}
 	r.recoverIDs = r.rs.activeRecoverIDs(&r.mc, r.failedList)
-	r.cfg.Trace.Emit(r.p.Now(), r.rank, "respawn",
-		"replacement world id %d attached on host %d, rejoining at step %d",
-		r.p.WorldRank(), r.p.Host(), r.cur)
 	r.cfg.Trace.Note(r.p.Now(), r.rank, r.epoch, "respawn",
 		slog.Int("step", r.cur), slog.Int("world_id", r.p.WorldRank()), slog.Int("host", r.p.Host()))
 	return nil
@@ -265,7 +262,6 @@ func (r *rankState) commit() error {
 		rs.mu.Lock()
 		rs.res.CheckpointWrites++
 		rs.mu.Unlock()
-		r.cfg.Trace.Emit(p.Now(), r.rank, "checkpoint", "checkpoint written at step %d", r.cur)
 		r.cfg.Trace.Note(p.Now(), r.rank, r.epoch, "checkpoint-commit", slog.Int("step", r.cur))
 	}
 	return nil
@@ -353,9 +349,6 @@ func (r *rankState) agreed(buf []int, err error) error {
 
 func (r *rankState) logRepair() {
 	now, rec, st := r.p.Now(), r.cfg.Trace, &r.st
-	rec.Emit(now, r.rank, "repair",
-		"failed ranks %v repaired at step %d (shrink %.2fs, spawn %.2fs, merge %.3fs, agree %.2fs, split %.3fs)",
-		r.failedList, r.cur, st.ShrinkTime, st.SpawnTime, st.MergeTime, st.AgreeTime, st.SplitTime)
 	rec.Note(now, r.rank, r.epoch, "failure-detected",
 		slog.Int("step", r.cur), slog.String("failed", fmt.Sprint(r.failedList)))
 	for _, ph := range []struct {
@@ -408,11 +401,8 @@ func (r *rankState) recovered() {
 // Every process of the communicator recovers the same list; only members of
 // the lost grids and their recovery partners communicate.
 func (r *rankState) beginRecover(lost []int) window {
-	t0, tech := r.p.Now(), r.cfg.Technique
-	if r.world.Rank() == 0 {
-		r.cfg.Trace.Emit(t0, 0, "recover-data", "%v recovery of sub-grids %v at step %d", tech, lost, r.cur)
-	}
-	return window{t0, r.cfg.Trace.BeginSpan(t0, r.rank, "recover-data", "%v, sub-grids %v", tech, lost)}
+	t0 := r.p.Now()
+	return window{t0, r.cfg.Trace.BeginSpan(t0, r.rank, "recover-data", "%v, sub-grids %v", r.cfg.Technique, lost)}
 }
 
 func (r *rankState) endRecover(w window) {
@@ -794,5 +784,4 @@ func (r *rankState) recordCombined(comb *grid.Grid, t0 float64) {
 	rs.res.L1Error = l1
 	rs.res.CombineTime = r.p.Now() - t0
 	rs.mu.Unlock()
-	r.cfg.Trace.Emit(r.p.Now(), 0, "combine", "combined solution assembled, l1 error %.4e", l1)
 }

@@ -39,8 +39,8 @@ func timelineRuns() []struct {
 	}{{"cr-spawn", cr}, {"rc-substitute", sub}}
 }
 
-// timelineBytes renders every view of one run's timeline: the event text,
-// one line per span, the canonical journal and the Chrome export's digest.
+// timelineBytes renders every view of one run's timeline: one line per span,
+// the canonical journal and the Chrome export's digest.
 func timelineBytes(t *testing.T, name string, cfg Config) []byte {
 	t.Helper()
 	rec := trace.New()
@@ -49,8 +49,6 @@ func timelineBytes(t *testing.T, name string, cfg Config) []byte {
 		t.Fatalf("%s: %v", name, err)
 	}
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "=== %s: events\n", name)
-	rec.Render(&b)
 	fmt.Fprintf(&b, "=== %s: spans\n", name)
 	for _, s := range rec.Spans() {
 		fmt.Fprintln(&b, s)
@@ -67,8 +65,8 @@ func timelineBytes(t *testing.T, name string, cfg Config) []byte {
 	return b.Bytes()
 }
 
-// TestTimelineGolden pins every rendering of the recorded timeline — text,
-// spans, journal and Chrome trace — byte for byte, so a change to how the
+// TestTimelineGolden pins every rendering of the recorded timeline — spans,
+// journal and Chrome trace — byte for byte, so a change to how the
 // timeline is stored cannot move what any consumer sees.
 func TestTimelineGolden(t *testing.T) {
 	var got bytes.Buffer

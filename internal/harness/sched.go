@@ -5,7 +5,6 @@ import (
 
 	"ftsg/internal/core"
 	"ftsg/internal/metrics"
-	"ftsg/internal/mpi"
 )
 
 // The experiment matrix — cores × technique × failures × trials — is a set
@@ -30,63 +29,37 @@ type schedJob struct {
 // sched collects jobs and executes them on a bounded worker pool.
 type sched struct {
 	workers int
-	agg     *metrics.Registry
-	intro   *mpi.Introspection
-	ckpt    ckptOpts
-	shape   shapeOpts
-	event   eventOpts
+	opts    Options // overlaid on every run; its Metrics aggregates them
 	jobs    []schedJob
 }
 
-// eventOpts is the sweep-wide transport selection applied to every run
-// (harness Options Event/EventWorkers). Off keeps the goroutine path; on is
-// byte-identical output on the event-driven path.
-type eventOpts struct {
-	on      bool
-	workers int
-}
-
-func (e eventOpts) apply(cfg *core.Config) {
-	if e.on {
+// overlay applies the sweep-wide Options to one run's configuration: the
+// checkpoint store (CkptBackend, CkptGenerations), the cluster shape (Hosts,
+// SlotsPerHost, Racks), the transport path (Event, EventWorkers) and the
+// introspection hub. Zero fields keep the run's own value, so a sweep with
+// default Options runs exactly the configurations it queued.
+func (o Options) overlay(cfg *core.Config) {
+	if o.CkptBackend != "" {
+		cfg.CheckpointBackend = o.CkptBackend
+	}
+	if o.CkptGenerations > 0 {
+		cfg.CheckpointGenerations = o.CkptGenerations
+	}
+	if o.Hosts > 0 {
+		cfg.Hosts = o.Hosts
+	}
+	if o.SlotsPerHost > 0 {
+		cfg.SlotsPerHost = o.SlotsPerHost
+	}
+	if o.Racks > 0 {
+		cfg.Racks = o.Racks
+	}
+	if o.Event {
 		cfg.Event = true
-		cfg.EventWorkers = e.workers
+		cfg.EventWorkers = o.EventWorkers
 	}
-}
-
-// ckptOpts is the sweep-wide checkpoint store configuration applied to
-// every run (harness Options CkptBackend/CkptGenerations).
-type ckptOpts struct {
-	backend     string
-	generations int
-}
-
-func (c ckptOpts) apply(cfg *core.Config) {
-	if c.backend != "" {
-		cfg.CheckpointBackend = c.backend
-	}
-	if c.generations > 0 {
-		cfg.CheckpointGenerations = c.generations
-	}
-}
-
-// shapeOpts is the sweep-wide cluster shape applied to every run (harness
-// Options Hosts/SlotsPerHost/Racks). Zero fields keep each run's derived
-// shape, so defaults stay byte-identical to the pre-topology harness.
-type shapeOpts struct {
-	hosts int
-	slots int
-	racks int
-}
-
-func (s shapeOpts) apply(cfg *core.Config) {
-	if s.hosts > 0 {
-		cfg.Hosts = s.hosts
-	}
-	if s.slots > 0 {
-		cfg.SlotsPerHost = s.slots
-	}
-	if s.racks > 0 {
-		cfg.Racks = s.racks
+	if o.Introspect != nil && cfg.Introspect == nil {
+		cfg.Introspect = o.Introspect
 	}
 }
 
@@ -100,24 +73,7 @@ func newSched(o Options) *sched {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &sched{
-		workers: workers,
-		agg:     o.Metrics,
-		intro:   o.Introspect,
-		ckpt: ckptOpts{
-			backend:     o.CkptBackend,
-			generations: o.CkptGenerations,
-		},
-		shape: shapeOpts{
-			hosts: o.Hosts,
-			slots: o.SlotsPerHost,
-			racks: o.Racks,
-		},
-		event: eventOpts{
-			on:      o.Event,
-			workers: o.EventWorkers,
-		},
-	}
+	return &sched{workers: workers, opts: o}
 }
 
 // Add enqueues a single run of cfg.
@@ -149,17 +105,12 @@ func (s *sched) Run() error {
 	}
 	results := make([]*core.Result, n)
 	var regs []*metrics.Registry
-	if s.agg != nil {
+	if s.opts.Metrics != nil {
 		regs = make([]*metrics.Registry, n)
 	}
 	err := ParallelOrdered(s.workers, n, func(i int) error {
 		cfg := jobs[i].cfg
-		s.ckpt.apply(&cfg)
-		s.shape.apply(&cfg)
-		s.event.apply(&cfg)
-		if s.intro != nil && cfg.Introspect == nil {
-			cfg.Introspect = s.intro
-		}
+		s.opts.overlay(&cfg)
 		if regs != nil && cfg.Metrics == nil {
 			// Private per-run registry: the run's Result telemetry
 			// stays per-run, and the fixed-order merge below keeps
@@ -186,7 +137,7 @@ func (s *sched) Run() error {
 	})
 	for _, reg := range regs {
 		if reg != nil {
-			s.agg.Merge(reg)
+			s.opts.Metrics.Merge(reg)
 		}
 	}
 	if err != nil {

@@ -13,19 +13,22 @@ import (
 // chrome://tracing and ui.perfetto.dev load directly. The mapping:
 //
 //   - the whole job is one process (pid 1);
-//   - each rank is one thread (track): tid = rank + 2, with rank -1 (job-wide
-//     events) on tid 1, so every tid is positive;
+//   - each rank is one thread (track): tid = rank + 1, so every tid is
+//     positive;
 //   - closed spans become "X" (complete) events with ts/dur in microseconds
 //     of *virtual* time;
 //   - spans left open (a rank died mid-phase) become "B" (begin) events, which
 //     the viewers render as running to the end of the trace;
-//   - point events become "i" (instant) events with thread scope;
+//   - journal notes become "i" (instant) events with thread scope, named by
+//     the note's kind, with the epoch and the note's attributes as args; the
+//     wall clock is left out, so the export stays byte-identical across
+//     schedules;
 //   - "M" (metadata) events name the process and one thread per track; a
 //     flight recorder that evicted history says how much in the process
-//     entry's dropped_spans and dropped_events args.
+//     entry's dropped_spans and dropped_notes args.
 //
-// Output is deterministic: tracks ascending, then the sorted span/event
-// orders of Spans and Events.
+// Output is deterministic: tracks ascending, then the canonical orders of
+// Spans and Notes.
 
 // chromeEvent is one entry of the traceEvents array.
 type chromeEvent struct {
@@ -46,22 +49,6 @@ type chromeTrace struct {
 
 const chromePid = 1
 
-// chromeTid maps a rank to its track id.
-func chromeTid(rank int) int {
-	if rank < 0 {
-		return 1
-	}
-	return rank + 2
-}
-
-// trackName labels a rank's track.
-func trackName(rank int) string {
-	if rank < 0 {
-		return "job"
-	}
-	return "rank " + strconv.Itoa(rank)
-}
-
 // usec converts virtual seconds to trace_event microseconds.
 func usec(t float64) float64 { return t * 1e6 }
 
@@ -69,14 +56,14 @@ func usec(t float64) float64 { return t * 1e6 }
 // Recorder writes an empty (but valid) trace.
 func (r *Recorder) ExportChromeTrace(w io.Writer) error {
 	spans := r.Spans()
-	events := r.Events()
+	notes := r.Notes()
 
 	ranks := map[int]bool{}
 	for _, s := range spans {
 		ranks[s.Rank] = true
 	}
-	for _, e := range events {
-		ranks[e.Rank] = true
+	for _, n := range notes {
+		ranks[n.Rank] = true
 	}
 	sorted := make([]int, 0, len(ranks))
 	for rk := range ranks {
@@ -85,26 +72,26 @@ func (r *Recorder) ExportChromeTrace(w io.Writer) error {
 	sort.Ints(sorted)
 
 	out := chromeTrace{
-		TraceEvents:     make([]chromeEvent, 0, 1+len(sorted)+len(spans)+len(events)),
+		TraceEvents:     make([]chromeEvent, 0, 1+len(sorted)+len(spans)+len(notes)),
 		DisplayTimeUnit: "ms",
 	}
 	proc := map[string]string{"name": "ftpde (virtual time)"}
-	if ds, de := r.Dropped(); ds+de > 0 {
+	if ds, dn := r.Dropped(); ds+dn > 0 {
 		proc["dropped_spans"] = strconv.FormatInt(ds, 10)
-		proc["dropped_events"] = strconv.FormatInt(de, 10)
+		proc["dropped_notes"] = strconv.FormatInt(dn, 10)
 	}
 	out.TraceEvents = append(out.TraceEvents, chromeEvent{
 		Name: "process_name", Ph: "M", Pid: chromePid, Tid: 0, Args: proc,
 	})
 	for _, rk := range sorted {
 		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: chromePid, Tid: chromeTid(rk),
-			Args: map[string]string{"name": trackName(rk)},
+			Name: "thread_name", Ph: "M", Pid: chromePid, Tid: rk + 1,
+			Args: map[string]string{"name": "rank " + strconv.Itoa(rk)},
 		})
 	}
 	for _, s := range spans {
 		ev := chromeEvent{
-			Name: s.Phase, Ts: usec(s.Start), Pid: chromePid, Tid: chromeTid(s.Rank),
+			Name: s.Phase, Ts: usec(s.Start), Pid: chromePid, Tid: s.Rank + 1,
 		}
 		if s.Detail != "" {
 			ev.Args = map[string]string{"detail": s.Detail}
@@ -117,15 +104,15 @@ func (r *Recorder) ExportChromeTrace(w io.Writer) error {
 		}
 		out.TraceEvents = append(out.TraceEvents, ev)
 	}
-	for _, e := range events {
-		ev := chromeEvent{
-			Name: e.Phase, Ph: "i", Ts: usec(e.T), Pid: chromePid,
-			Tid: chromeTid(e.Rank), S: "t",
+	for _, n := range notes {
+		args := map[string]string{"epoch": strconv.Itoa(n.Epoch)}
+		for _, a := range n.Attrs {
+			args[a.Key] = a.Value.String()
 		}
-		if e.Detail != "" {
-			ev.Args = map[string]string{"detail": e.Detail}
-		}
-		out.TraceEvents = append(out.TraceEvents, ev)
+		out.TraceEvents = append(out.TraceEvents, chromeEvent{
+			Name: n.Kind, Ph: "i", Ts: usec(n.VT), Pid: chromePid,
+			Tid: n.Rank + 1, S: "t", Args: args,
+		})
 	}
 
 	enc := json.NewEncoder(w)

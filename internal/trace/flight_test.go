@@ -27,27 +27,27 @@ func TestFlightRingWraparound(t *testing.T) {
 			t.Errorf("span %d: start %v closed %v, want start %v closed", i, s.Start, s.Closed, wantStart)
 		}
 	}
-	ds, de := r.Dropped()
-	if ds != 6 || de != 0 {
-		t.Errorf("Dropped = (%d, %d), want (6, 0)", ds, de)
+	ds, dn := r.Dropped()
+	if ds != 6 || dn != 0 {
+		t.Errorf("Dropped = (%d, %d), want (6, 0)", ds, dn)
 	}
 }
 
-// TestFlightEventsWraparound is the same contract for point events.
-func TestFlightEventsWraparound(t *testing.T) {
+// TestFlightNotesWraparound is the same contract for journal notes.
+func TestFlightNotesWraparound(t *testing.T) {
 	r := NewFlight(3)
 	for i := 0; i < 5; i++ {
-		r.Emit(float64(i), 1, "tick", "%d", i)
+		r.Note(float64(i), 1, 0, "tick")
 	}
-	evs := r.Events()
-	if len(evs) != 3 {
-		t.Fatalf("retained %d events, want 3", len(evs))
+	notes := r.Notes()
+	if len(notes) != 3 {
+		t.Fatalf("retained %d notes, want 3", len(notes))
 	}
-	if evs[0].T != 2 || evs[2].T != 4 {
-		t.Errorf("retained window [%v..%v], want [2..4]", evs[0].T, evs[2].T)
+	if notes[0].VT != 2 || notes[2].VT != 4 {
+		t.Errorf("retained window [%v..%v], want [2..4]", notes[0].VT, notes[2].VT)
 	}
-	if _, de := r.Dropped(); de != 2 {
-		t.Errorf("dropped events = %d, want 2", de)
+	if ds, dn := r.Dropped(); ds != 0 || dn != 2 {
+		t.Errorf("Dropped = (%d, %d), want (0, 2)", ds, dn)
 	}
 }
 
@@ -151,10 +151,12 @@ func TestFlightDumpSaysTruncated(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.BeginSpan(float64(i), 0, "solve", "").End(float64(i) + 0.5)
 	}
-	r.Emit(0, 0, "tick", "")
+	for i := 0; i < 3; i++ {
+		r.Note(float64(i), 0, 0, "tick")
+	}
 	args := processArgs(r)
-	if args["dropped_spans"] != "3" || args["dropped_events"] != "0" {
-		t.Errorf("truncated dump args = %v, want dropped_spans 3, dropped_events 0", args)
+	if args["dropped_spans"] != "3" || args["dropped_notes"] != "1" {
+		t.Errorf("truncated dump args = %v, want dropped_spans 3, dropped_notes 1", args)
 	}
 	full := New()
 	full.BeginSpan(0, 0, "solve", "").End(1)

@@ -36,7 +36,9 @@ func (r *Recorder) Note(vt float64, rank, epoch int, kind string, attrs ...slog.
 	}
 	n := Note{VT: vt, Rank: rank, Epoch: epoch, Kind: kind, Wall: time.Now(), Attrs: attrs}
 	r.mu.Lock()
-	r.log(rank).notes.push(n, r.depth)
+	if r.log(rank).notes.push(n, r.depth) {
+		r.droppedNotes++
+	}
 	r.mu.Unlock()
 }
 

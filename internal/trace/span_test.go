@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
@@ -88,7 +89,7 @@ func TestSpanEndBeforeStartClamped(t *testing.T) {
 	}
 }
 
-// TestConcurrentMultiRankEmission hammers events, notes and spans from many
+// TestConcurrentMultiRankEmission hammers notes and spans from many
 // rank-goroutines at once; run with -race in CI.
 func TestConcurrentMultiRankEmission(t *testing.T) {
 	r := New()
@@ -100,7 +101,6 @@ func TestConcurrentMultiRankEmission(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				tm := float64(i)
-				r.Emit(tm, rank, "step", "i=%d", i)
 				r.Note(tm, rank, 0, "step")
 				h := r.BeginSpan(tm, rank, "solve", "")
 				h.End(tm + 0.5)
@@ -108,9 +108,6 @@ func TestConcurrentMultiRankEmission(t *testing.T) {
 		}(rank)
 	}
 	wg.Wait()
-	if got := len(r.Events()); got != ranks*per {
-		t.Fatalf("%d events, want %d", got, ranks*per)
-	}
 	if got := len(r.Notes()); got != ranks*per {
 		t.Fatalf("%d notes, want %d", got, ranks*per)
 	}
@@ -134,7 +131,7 @@ func TestDeterministicSortedRendering(t *testing.T) {
 		items := []item{{3, 1}, {1, 0}, {2, 2}, {1, 1}}
 		for _, i := range order {
 			it := items[i]
-			r.Emit(it.t, it.rank, "p", "detail")
+			r.Note(it.t, it.rank, 0, "p", slog.String("detail", "d"))
 			h := r.BeginSpan(it.t, it.rank, "s", "")
 			h.End(it.t + 1)
 		}
@@ -159,11 +156,11 @@ func TestDeterministicSortedRendering(t *testing.T) {
 }
 
 // TestExportChromeTraceFormat parses the export and checks the trace_event
-// structure: metadata, complete spans with microsecond timestamps, instants,
-// and begin events for unclosed spans.
+// structure: metadata, complete spans with microsecond timestamps, note
+// instants, and begin events for unclosed spans.
 func TestExportChromeTraceFormat(t *testing.T) {
 	r := New()
-	r.Emit(0.25, -1, "failure", "rank 3 died")
+	r.Note(0.25, 3, 1, "failure-detected", slog.String("failed", "[3]"), slog.Float64("seconds", 0.5))
 	h := r.BeginSpan(1.0, 3, "repair", "2 failures")
 	h.End(1.5)
 	r.BeginSpan(2.0, 0, "solve", "") // left open
@@ -184,9 +181,9 @@ func TestExportChromeTraceFormat(t *testing.T) {
 		ph := ev["ph"].(string)
 		byPh[ph] = append(byPh[ph], ev)
 	}
-	// Metadata: process name + one thread per track (-1, 0, 3).
-	if got := len(byPh["M"]); got != 4 {
-		t.Fatalf("%d metadata events, want 4", got)
+	// Metadata: process name + one thread per track (ranks 0 and 3).
+	if got := len(byPh["M"]); got != 3 {
+		t.Fatalf("%d metadata events, want 3", got)
 	}
 	names := map[string]bool{}
 	for _, ev := range byPh["M"] {
@@ -194,28 +191,36 @@ func TestExportChromeTraceFormat(t *testing.T) {
 			names[fmt.Sprint(args["name"])] = true
 		}
 	}
-	for _, want := range []string{"job", "rank 0", "rank 3"} {
+	for _, want := range []string{"rank 0", "rank 3"} {
 		if !names[want] {
 			t.Fatalf("missing track %q in %v", want, names)
 		}
 	}
-	// The closed repair span: X with ts=1e6 us, dur=0.5e6 us, tid=5.
+	// The closed repair span: X with ts=1e6 us, dur=0.5e6 us, tid=4.
 	if got := len(byPh["X"]); got != 1 {
 		t.Fatalf("%d complete events, want 1", got)
 	}
 	x := byPh["X"][0]
-	if x["name"] != "repair" || x["ts"].(float64) != 1e6 || x["dur"].(float64) != 5e5 || x["tid"].(float64) != 5 {
+	if x["name"] != "repair" || x["ts"].(float64) != 1e6 || x["dur"].(float64) != 5e5 || x["tid"].(float64) != 4 {
 		t.Fatalf("X event = %v", x)
 	}
 	if args := x["args"].(map[string]any); args["detail"] != "2 failures" {
 		t.Fatalf("X args = %v", args)
 	}
 	// The unclosed solve span: B on rank 0's track.
-	if got := len(byPh["B"]); got != 1 || byPh["B"][0]["name"] != "solve" || byPh["B"][0]["tid"].(float64) != 2 {
+	if got := len(byPh["B"]); got != 1 || byPh["B"][0]["name"] != "solve" || byPh["B"][0]["tid"].(float64) != 1 {
 		t.Fatalf("B events = %v", byPh["B"])
 	}
-	// The instant on the job track.
-	if got := len(byPh["i"]); got != 1 || byPh["i"][0]["tid"].(float64) != 1 || byPh["i"][0]["s"] != "t" {
-		t.Fatalf("i events = %v", byPh["i"])
+	// The note: an instant on rank 3's track named by its kind, with the
+	// epoch and attributes as args and no wall clock.
+	if got := len(byPh["i"]); got != 1 {
+		t.Fatalf("%d instant events, want 1", got)
+	}
+	in := byPh["i"][0]
+	if in["name"] != "failure-detected" || in["ts"].(float64) != 2.5e5 || in["tid"].(float64) != 4 || in["s"] != "t" {
+		t.Fatalf("i event = %v", in)
+	}
+	if args := in["args"].(map[string]any); len(args) != 3 || args["epoch"] != "1" || args["failed"] != "[3]" || args["seconds"] != "0.5" {
+		t.Fatalf("i args = %v", args)
 	}
 }
