@@ -35,13 +35,16 @@ var deadcodeAllow = map[string]string{
 // its receiver type is reached and the method implements either a
 // standard-library interface the type satisfies (Unwrap counts for error
 // types: package errors calls it through an unnamed interface) or a module
-// interface method that some reached code calls.
+// interface method that some reached code calls. For a generic type the
+// test asks this of each instantiation that reached code names, and a
+// method an instantiation needs keeps the generic method it comes from.
 func TestEveryInternalDeclarationIsReachable(t *testing.T) {
 	s := &reachScan{
 		fset:   token.NewFileSet(),
 		pkgs:   map[string]*scanPkg{},
 		live:   map[types.Object]bool{},
 		called: map[*types.Func]bool{},
+		insts:  map[*types.TypeName][]*types.Named{},
 	}
 	s.std = importer.ForCompiler(s.fset, "source", nil).(types.ImporterFrom)
 	root, err := os.Getwd()
@@ -128,6 +131,9 @@ type reachScan struct {
 	work  []types.Object
 	// called holds the module interface methods reached code calls.
 	called map[*types.Func]bool
+	// insts holds, per generic module type, the instantiations reached
+	// code names.
+	insts map[*types.TypeName][]*types.Named
 }
 
 func (s *reachScan) Import(path string) (*types.Package, error) {
@@ -162,8 +168,9 @@ func (s *reachScan) load(path string) (*scanPkg, error) {
 		return nil, err
 	}
 	p := &scanPkg{info: &types.Info{
-		Defs: map[*ast.Ident]types.Object{},
-		Uses: map[*ast.Ident]types.Object{},
+		Defs:      map[*ast.Ident]types.Object{},
+		Uses:      map[*ast.Ident]types.Object{},
+		Instances: map[*ast.Ident]types.Instance{},
 	}}
 	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(s.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
@@ -204,30 +211,15 @@ func (s *reachScan) unreached() []deadDecl {
 				continue
 			}
 			named, ok := tn.Type().(*types.Named)
-			if !ok || named.TypeParams().Len() > 0 || types.IsInterface(named) {
+			if !ok || types.IsInterface(named) {
 				continue
 			}
-			ptr := types.NewPointer(named)
-			mset := types.NewMethodSet(ptr)
-			keep := func(name string) {
-				if sel := mset.Lookup(tn.Pkg(), name); sel != nil {
-					s.mark(sel.Obj())
-				}
+			insts := []*types.Named{named}
+			if named.TypeParams().Len() > 0 {
+				insts = s.insts[tn]
 			}
-			for _, it := range std {
-				if types.Implements(ptr, it) {
-					for i := 0; i < it.NumMethods(); i++ {
-						keep(it.Method(i).Name())
-					}
-				}
-			}
-			if types.Implements(ptr, errorIface) {
-				keep("Unwrap")
-			}
-			for m := range s.called {
-				if it, ok := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface); ok && types.Implements(ptr, it) {
-					keep(m.Name())
-				}
+			for _, t := range insts {
+				s.keepImplementing(t, std, errorIface)
 			}
 		}
 		if len(s.work) == n {
@@ -252,6 +244,34 @@ func (s *reachScan) unreached() []deadDecl {
 	}
 	sort.Slice(dead, func(i, j int) bool { return dead[i].name < dead[j].name })
 	return dead
+}
+
+// keepImplementing marks the methods of t that implement a standard-library
+// interface t satisfies, Unwrap on an error type, and the methods that
+// implement a called module interface method.
+func (s *reachScan) keepImplementing(t *types.Named, std []*types.Interface, errorIface *types.Interface) {
+	ptr := types.NewPointer(t)
+	mset := types.NewMethodSet(ptr)
+	keep := func(name string) {
+		if sel := mset.Lookup(t.Obj().Pkg(), name); sel != nil {
+			s.mark(sel.Obj())
+		}
+	}
+	for _, it := range std {
+		if types.Implements(ptr, it) {
+			for i := 0; i < it.NumMethods(); i++ {
+				keep(it.Method(i).Name())
+			}
+		}
+	}
+	if types.Implements(ptr, errorIface) {
+		keep("Unwrap")
+	}
+	for m := range s.called {
+		if it, ok := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface); ok && types.Implements(ptr, it) {
+			keep(m.Name())
+		}
+	}
 }
 
 // collect records a package's top-level declarations and its roots.
@@ -323,16 +343,34 @@ func (s *reachScan) drain() {
 	}
 }
 
-// visit marks every module declaration a node names.
+// visit marks every module declaration a node names and records the
+// instantiations of generic module types it names.
 func (s *reachScan) visit(d scanDecl) {
 	ast.Inspect(d.node, func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok {
 			if obj := d.info.Uses[id]; obj != nil {
 				s.mark(obj)
 			}
+			if t, ok := d.info.Instances[id].Type.(*types.Named); ok {
+				s.instantiated(t)
+			}
 		}
 		return true
 	})
+}
+
+// instantiated records one instantiation of a generic module type.
+func (s *reachScan) instantiated(t *types.Named) {
+	tn := t.Origin().Obj()
+	if _, ok := s.decls[tn]; !ok {
+		return
+	}
+	for _, seen := range s.insts[tn] {
+		if types.Identical(seen, t) {
+			return
+		}
+	}
+	s.insts[tn] = append(s.insts[tn], t)
 }
 
 // stdInterfaces returns error and every named interface with methods in

@@ -140,8 +140,6 @@ func Run(cfg Config) (*Result, error) {
 			backend = b
 		case "mem":
 			backend = checkpoint.NewMem()
-		default:
-			return nil, fmt.Errorf("core: unknown checkpoint backend %q", cfg.CheckpointBackend)
 		}
 		store, err := checkpoint.Open(checkpoint.Options{
 			Backend:     cfg.CheckpointFaults.Wrap(backend),

@@ -220,6 +220,7 @@ func TestValidation(t *testing.T) {
 		{"oversubscribed grid", func(c *Config) { c.DiagProcs = 1024 }, "DiagProcs"},
 		{"FailStep beyond Steps", func(c *Config) { c.FailStep = 1 << 20 }, "FailStep"},
 		{"unknown technique", func(c *Config) { c.Technique = 7 }, "unknown technique"},
+		{"unknown checkpoint backend", func(c *Config) { c.CheckpointBackend = "tape" }, "unknown checkpoint backend"},
 		{"hosts too few", func(c *Config) { c.Hosts = 1; c.SlotsPerHost = 2 }, "cannot hold"},
 		// 19 ranks on 12-slot hosts derive 2 hosts; topo.NewRacked panics on
 		// more racks than hosts, so Validate must count the derived hosts too.

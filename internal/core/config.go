@@ -425,11 +425,11 @@ func (c Config) Grids() []SubGrid {
 		case RoleDiagonal, RoleDuplicate:
 			return c.DiagProcs
 		case RoleLowerDiagonal:
-			return maxI(1, c.DiagProcs/2)
+			return max(1, c.DiagProcs/2)
 		case RoleExtraLayer1:
-			return maxI(1, c.DiagProcs/4)
+			return max(1, c.DiagProcs/4)
 		default:
-			return maxI(1, c.DiagProcs/8)
+			return max(1, c.DiagProcs/8)
 		}
 	}
 	var grids []SubGrid
@@ -560,11 +560,4 @@ func (c Config) Problem() (*pde.Problem, float64) {
 func (c Config) EstimateStepTime() float64 {
 	diagCells := float64(int64(1) << uint(2*c.Layout.N-c.Layout.L+1))
 	return diagCells / float64(c.DiagProcs) * c.Machine.CellCost * c.ComputeScale
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

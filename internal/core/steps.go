@@ -34,7 +34,7 @@ type rankState struct {
 
 	// Recovery-overlap accounting: per-rank virtual time blocked in the
 	// detect/repair window vs advancing the solve. Nil-safe throughout.
-	repairVec, advanceVec *metrics.TimeSumVec
+	repairVec, advanceVec *metrics.Vec[metrics.TimeSum]
 	charge                func(cells int)
 
 	// replacement marks a process born from a repair (re-spawned, or a

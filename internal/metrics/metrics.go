@@ -1,6 +1,7 @@
 // Package metrics is the instrumentation registry of the simulated system:
 // lock-cheap counters, gauges, virtual-time accumulators and latency
-// histograms, collected per run and rendered as a deterministic summary.
+// histograms, collected per run and rendered as a deterministic summary or
+// in the Prometheus text format.
 //
 // The package is built so that DISABLED instrumentation costs nothing on the
 // hot paths: a nil *Registry hands out nil instruments, and every instrument
@@ -11,10 +12,12 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -147,6 +150,9 @@ func bucketOf(seconds float64) int {
 	return b
 }
 
+// bucketTop returns the upper bound, in virtual seconds, of bucket i.
+func bucketTop(i int) float64 { return math.Exp2(float64(i)) * 1e-9 }
+
 // Count returns the number of observations (0 for nil).
 func (h *Histogram) Count() int64 {
 	if h == nil {
@@ -196,7 +202,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	for i := 0; i < histBuckets; i++ {
 		cum += h.buckets[i].Load()
 		if cum >= target {
-			top := math.Exp2(float64(i)) * 1e-9
+			top := bucketTop(i)
 			if m := h.Max(); top > m {
 				return m
 			}
@@ -206,381 +212,365 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.Max()
 }
 
-// CounterVec is a growable vector of counters indexed by a small integer —
-// per-rank totals. Index lookups take a read lock only when the vector must
-// grow; steady-state access is a bounds check plus an atomic load.
-type CounterVec struct {
+// Vec is a growable vector of counters or virtual-time accumulators indexed
+// by a small integer — per-rank totals and per-rank cost attribution.
+// Index lookups take the lock only when the vector must grow; steady-state
+// access is a bounds check plus an atomic pointer load.
+type Vec[E Counter | TimeSum] struct {
 	mu sync.Mutex
-	cs atomic.Pointer[[]*Counter]
+	es atomic.Pointer[[]*E]
 }
 
-// At returns the counter at index i (growing the vector as needed), or nil
+// At returns the element at index i (growing the vector as needed), or nil
 // for a nil vector or negative index.
-func (v *CounterVec) At(i int) *Counter {
+func (v *Vec[E]) At(i int) *E {
 	if v == nil || i < 0 {
 		return nil
 	}
-	if cs := v.cs.Load(); cs != nil && i < len(*cs) {
-		return (*cs)[i]
+	if es := v.es.Load(); es != nil && i < len(*es) {
+		return (*es)[i]
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	cs := v.cs.Load()
-	var cur []*Counter
-	if cs != nil {
-		cur = *cs
+	var cur []*E
+	if es := v.es.Load(); es != nil {
+		cur = *es
 	}
 	if i < len(cur) {
 		return cur[i]
 	}
-	grown := make([]*Counter, i+1)
+	grown := make([]*E, i+1)
 	copy(grown, cur)
 	for j := len(cur); j <= i; j++ {
-		grown[j] = new(Counter)
+		grown[j] = new(E)
 	}
-	v.cs.Store(&grown)
+	v.es.Store(&grown)
 	return grown[i]
 }
 
 // Len returns the current vector length.
-func (v *CounterVec) Len() int {
+func (v *Vec[E]) Len() int {
 	if v == nil {
 		return 0
 	}
-	if cs := v.cs.Load(); cs != nil {
-		return len(*cs)
+	if es := v.es.Load(); es != nil {
+		return len(*es)
 	}
 	return 0
 }
 
-// TimeSumVec is a growable vector of virtual-time accumulators indexed by a
-// small integer — per-rank cost attribution (e.g. blocked-in-repair vs
-// advancing). Same growth discipline as CounterVec: steady-state access is a
-// bounds check plus an atomic pointer load.
-type TimeSumVec struct {
-	mu sync.Mutex
-	ts atomic.Pointer[[]*TimeSum]
+// kind is an instrument kind; its value is the kind's section position in
+// both renderings.
+type kind int
+
+const (
+	counterKind kind = iota
+	gaugeKind
+	timeSumKind
+	histogramKind
+	counterVecKind
+	timeSumVecKind
+)
+
+// sections gives each kind its WriteSummary header and its Prometheus
+// family type and name suffix.
+var sections = [...]struct{ header, promType, promSuffix string }{
+	counterKind:    {"counters:", "counter", ""},
+	gaugeKind:      {"gauges:", "gauge", ""},
+	timeSumKind:    {"virtual time (modelled cost attribution, s):", "counter", "_seconds"},
+	histogramKind:  {"latency histograms (virtual s):\n" + histColumns, "histogram", "_seconds"},
+	counterVecKind: {"per-index counters:", "counter", ""},
+	timeSumVecKind: {"per-index virtual time (s):", "counter", "_seconds"},
 }
 
-// At returns the accumulator at index i (growing the vector as needed), or
-// nil for a nil vector or negative index.
-func (v *TimeSumVec) At(i int) *TimeSum {
-	if v == nil || i < 0 {
-		return nil
-	}
-	if ts := v.ts.Load(); ts != nil && i < len(*ts) {
-		return (*ts)[i]
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	ts := v.ts.Load()
-	var cur []*TimeSum
-	if ts != nil {
-		cur = *ts
-	}
-	if i < len(cur) {
-		return cur[i]
-	}
-	grown := make([]*TimeSum, i+1)
-	copy(grown, cur)
-	for j := len(cur); j <= i; j++ {
-		grown[j] = new(TimeSum)
-	}
-	v.ts.Store(&grown)
-	return grown[i]
+// histColumns heads the columns of Histogram.summary.
+var histColumns = fmt.Sprintf("  %-40s %10s %12s %12s %12s %12s", "op", "count", "total", "mean", "p99", "max")
+
+// instrument is what the registry needs of every kind: its section, how it
+// folds itself into a same-named instrument of another registry, its
+// WriteSummary line and its Prometheus samples (the walk writes the family's
+// TYPE line).
+type instrument interface {
+	kind() kind
+	merge(into *Registry, name string)
+	summary(w io.Writer, name string)
+	prometheus(w io.Writer, name string)
 }
 
-// Len returns the current vector length.
-func (v *TimeSumVec) Len() int {
-	if v == nil {
-		return 0
-	}
-	if ts := v.ts.Load(); ts != nil {
-		return len(*ts)
-	}
-	return 0
+func (c *Counter) kind() kind                        { return counterKind }
+func (c *Counter) merge(into *Registry, name string) { into.Counter(name).Add(c.Value()) }
+func (c *Counter) summary(w io.Writer, name string) {
+	fmt.Fprintf(w, "  %-40s %14d\n", name, c.Value())
+}
+func (c *Counter) prometheus(w io.Writer, name string) { fmt.Fprintf(w, "%s %d\n", name, c.Value()) }
+
+// A merged gauge takes the source's value: last write wins, as with Set.
+func (g *Gauge) kind() kind                        { return gaugeKind }
+func (g *Gauge) merge(into *Registry, name string) { into.Gauge(name).Set(g.Value()) }
+func (g *Gauge) summary(w io.Writer, name string) {
+	fmt.Fprintf(w, "  %-40s %14.6g\n", name, g.Value())
+}
+func (g *Gauge) prometheus(w io.Writer, name string) {
+	fmt.Fprintf(w, "%s %s\n", name, promFloat(g.Value()))
 }
 
-// Registry owns all instruments of one run (or one aggregated sweep).
-// A nil *Registry is the disabled state: every accessor returns nil and the
-// nil instruments are no-ops.
+func (t *TimeSum) kind() kind                        { return timeSumKind }
+func (t *TimeSum) merge(into *Registry, name string) { into.TimeSum(name).Add(t.Value()) }
+func (t *TimeSum) summary(w io.Writer, name string) {
+	fmt.Fprintf(w, "  %-40s %14.6f\n", name, t.Value())
+}
+func (t *TimeSum) prometheus(w io.Writer, name string) {
+	fmt.Fprintf(w, "%s %s\n", name, promFloat(t.Value()))
+}
+
+func (h *Histogram) kind() kind { return histogramKind }
+
+func (h *Histogram) merge(into *Registry, name string) {
+	dst := into.Histogram(name)
+	dst.count.Add(h.count.Load())
+	dst.sum.Add(h.sum.Value())
+	if m := h.Max(); m > 0 {
+		for {
+			old := dst.maxBits.Load()
+			if math.Float64frombits(old) >= m {
+				break
+			}
+			if dst.maxBits.CompareAndSwap(old, math.Float64bits(m)) {
+				break
+			}
+		}
+	}
+	for i := range h.buckets {
+		if n := h.buckets[i].Load(); n != 0 {
+			dst.buckets[i].Add(n)
+		}
+	}
+}
+
+func (h *Histogram) summary(w io.Writer, name string) {
+	fmt.Fprintf(w, "  %-40s %10d %12.6f %12.3e %12.3e %12.3e\n",
+		name, h.Count(), h.Sum(), h.Mean(), h.Quantile(0.99), h.Max())
+}
+
+// prometheus writes cumulative buckets up to the last non-empty one; the
+// last bucket is the catch-all, so it only ever shows as +Inf.
+func (h *Histogram) prometheus(w io.Writer, name string) {
+	last := -1
+	for i := range h.buckets {
+		if h.buckets[i].Load() != 0 {
+			last = i
+		}
+	}
+	var cum int64
+	for i := 0; i <= last && i < histBuckets-1; i++ {
+		cum += h.buckets[i].Load()
+		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, promFloat(bucketTop(i)), cum)
+	}
+	n := h.Count()
+	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %s\n%s_count %d\n",
+		name, n, name, promFloat(h.Sum()), name, n)
+}
+
+func (v *Vec[E]) kind() kind {
+	if _, ok := any(v).(*Vec[Counter]); ok {
+		return counterVecKind
+	}
+	return timeSumVecKind
+}
+
+func (v *Vec[E]) merge(into *Registry, name string) {
+	dst := get[Vec[E]](into, name)
+	for i := 0; i < v.Len(); i++ {
+		switch e := any(v.At(i)).(type) {
+		case *Counter:
+			any(dst.At(i)).(*Counter).Add(e.Value())
+		case *TimeSum:
+			any(dst.At(i)).(*TimeSum).Add(e.Value())
+		}
+	}
+}
+
+func (v *Vec[E]) summary(w io.Writer, name string) {
+	var b strings.Builder
+	for i := 0; i < v.Len(); i++ {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		switch e := any(v.At(i)).(type) {
+		case *Counter:
+			fmt.Fprintf(&b, "%d", e.Value())
+		case *TimeSum:
+			fmt.Fprintf(&b, "%.6f", e.Value())
+		}
+	}
+	fmt.Fprintf(w, "  %-40s [%s]\n", name, b.String())
+}
+
+// prometheus writes one sample per element, labelled with its index.
+func (v *Vec[E]) prometheus(w io.Writer, name string) {
+	for i := 0; i < v.Len(); i++ {
+		any(v.At(i)).(instrument).prometheus(w, fmt.Sprintf("%s{index=\"%d\"}", name, i))
+	}
+}
+
+// Registry owns all instruments of one run (or one aggregated sweep), one
+// instrument per name. A nil *Registry is the disabled state: every accessor
+// returns nil and the nil instruments are no-ops.
 type Registry struct {
-	mu    sync.Mutex
-	cts   map[string]*Counter
-	ggs   map[string]*Gauge
-	tss   map[string]*TimeSum
-	hists map[string]*Histogram
-	vecs  map[string]*CounterVec
-	tvs   map[string]*TimeSumVec
+	mu  sync.Mutex
+	ins map[string]instrument
 }
 
 // New returns an empty enabled registry.
 func New() *Registry {
-	return &Registry{
-		cts:   make(map[string]*Counter),
-		ggs:   make(map[string]*Gauge),
-		tss:   make(map[string]*TimeSum),
-		hists: make(map[string]*Histogram),
-		vecs:  make(map[string]*CounterVec),
-		tvs:   make(map[string]*TimeSumVec),
-	}
+	return &Registry{ins: make(map[string]instrument)}
 }
 
-// Counter returns the named counter, creating it on first use. Returns nil
-// on a nil registry.
-func (r *Registry) Counter(name string) *Counter {
+// get returns the instrument registered under name, creating it on first
+// use; nil on a nil registry. A name holds one kind: asking for it as
+// another kind panics.
+func get[T any, P interface {
+	*T
+	instrument
+}](r *Registry, name string) P {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.cts[name]
-	if !ok {
-		c = new(Counter)
-		r.cts[name] = c
+	if in, ok := r.ins[name]; ok {
+		return in.(P)
 	}
-	return c
+	p := P(new(T))
+	r.ins[name] = p
+	return p
 }
+
+// Counter returns the named counter, creating it on first use.
+func (r *Registry) Counter(name string) *Counter { return get[Counter](r, name) }
 
 // Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.ggs[name]
-	if !ok {
-		g = new(Gauge)
-		r.ggs[name] = g
-	}
-	return g
-}
+func (r *Registry) Gauge(name string) *Gauge { return get[Gauge](r, name) }
 
 // TimeSum returns the named virtual-time accumulator, creating it on first
 // use.
-func (r *Registry) TimeSum(name string) *TimeSum {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.tss[name]
-	if !ok {
-		t = new(TimeSum)
-		r.tss[name] = t
-	}
-	return t
-}
+func (r *Registry) TimeSum(name string) *TimeSum { return get[TimeSum](r, name) }
 
 // Histogram returns the named latency histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = new(Histogram)
-		r.hists[name] = h
-	}
-	return h
-}
+func (r *Registry) Histogram(name string) *Histogram { return get[Histogram](r, name) }
 
 // CounterVec returns the named counter vector, creating it on first use.
-func (r *Registry) CounterVec(name string) *CounterVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.vecs[name]
-	if !ok {
-		v = new(CounterVec)
-		r.vecs[name] = v
-	}
-	return v
-}
+func (r *Registry) CounterVec(name string) *Vec[Counter] { return get[Vec[Counter]](r, name) }
 
 // TimeSumVec returns the named virtual-time vector, creating it on first
 // use.
-func (r *Registry) TimeSumVec(name string) *TimeSumVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.tvs[name]
-	if !ok {
-		v = new(TimeSumVec)
-		r.tvs[name] = v
-	}
-	return v
+func (r *Registry) TimeSumVec(name string) *Vec[TimeSum] { return get[Vec[TimeSum]](r, name) }
+
+type entry struct {
+	name string
+	in   instrument
 }
 
-// merge folds src's observations into h.
-func (h *Histogram) merge(src *Histogram) {
-	h.count.Add(src.count.Load())
-	h.sum.Add(src.sum.Value())
-	if m := src.Max(); m > 0 {
-		for {
-			old := h.maxBits.Load()
-			if math.Float64frombits(old) >= m {
-				break
-			}
-			if h.maxBits.CompareAndSwap(old, math.Float64bits(m)) {
-				break
-			}
-		}
+// sorted returns every instrument ordered by kind, then name: the one walk
+// behind Merge and both renderings.
+func (r *Registry) sorted() []entry {
+	r.mu.Lock()
+	es := make([]entry, 0, len(r.ins))
+	for name, in := range r.ins {
+		es = append(es, entry{name, in})
 	}
-	for i := range src.buckets {
-		if n := src.buckets[i].Load(); n != 0 {
-			h.buckets[i].Add(n)
-		}
-	}
+	r.mu.Unlock()
+	slices.SortFunc(es, func(a, b entry) int {
+		return cmp.Or(cmp.Compare(a.in.kind(), b.in.kind()), strings.Compare(a.name, b.name))
+	})
+	return es
 }
 
 // Merge folds every instrument of src into r: counters, time sums,
-// histograms and counter vectors accumulate; gauges take src's value
-// (last-write-wins, matching Set). Merging per-run registries into one
-// aggregate in a fixed order yields a deterministic aggregate regardless of
-// how the runs themselves were scheduled. src is unchanged; a nil r or src
-// is a no-op.
+// histograms and vectors accumulate; gauges take src's value. Merging
+// per-run registries into one aggregate in a fixed order yields the same
+// aggregate however the runs themselves were scheduled. src is unchanged; a
+// nil r or src is a no-op.
 func (r *Registry) Merge(src *Registry) {
 	if r == nil || src == nil {
 		return
 	}
-	src.mu.Lock()
-	cts := make(map[string]*Counter, len(src.cts))
-	for k, v := range src.cts {
-		cts[k] = v
-	}
-	ggs := make(map[string]*Gauge, len(src.ggs))
-	for k, v := range src.ggs {
-		ggs[k] = v
-	}
-	tss := make(map[string]*TimeSum, len(src.tss))
-	for k, v := range src.tss {
-		tss[k] = v
-	}
-	hists := make(map[string]*Histogram, len(src.hists))
-	for k, v := range src.hists {
-		hists[k] = v
-	}
-	vecs := make(map[string]*CounterVec, len(src.vecs))
-	for k, v := range src.vecs {
-		vecs[k] = v
-	}
-	tvs := make(map[string]*TimeSumVec, len(src.tvs))
-	for k, v := range src.tvs {
-		tvs[k] = v
-	}
-	src.mu.Unlock()
-
-	for _, k := range sortedKeys(cts) {
-		r.Counter(k).Add(cts[k].Value())
-	}
-	for _, k := range sortedKeys(ggs) {
-		r.Gauge(k).Set(ggs[k].Value())
-	}
-	for _, k := range sortedKeys(tss) {
-		r.TimeSum(k).Add(tss[k].Value())
-	}
-	for _, k := range sortedKeys(hists) {
-		r.Histogram(k).merge(hists[k])
-	}
-	for _, k := range sortedKeys(vecs) {
-		sv := vecs[k]
-		dv := r.CounterVec(k)
-		for i := 0; i < sv.Len(); i++ {
-			dv.At(i).Add(sv.At(i).Value())
-		}
-	}
-	for _, k := range sortedKeys(tvs) {
-		sv := tvs[k]
-		dv := r.TimeSumVec(k)
-		for i := 0; i < sv.Len(); i++ {
-			dv.At(i).Add(sv.At(i).Value())
-		}
+	for _, e := range src.sorted() {
+		e.in.merge(r, e.name)
 	}
 }
 
-// sortedKeys returns the map keys in lexical order.
-func sortedKeys[V any](m map[string]V) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
-
-// WriteSummary renders every instrument as an aligned, name-sorted text
-// table. The output is deterministic for a given set of values, so tests and
-// scripts can diff it.
+// WriteSummary renders every instrument as an aligned text table, one
+// section per kind, names sorted within a section. The output is
+// deterministic for a given set of values, so tests and scripts can diff it.
 func (r *Registry) WriteSummary(w io.Writer) {
 	if r == nil {
 		fmt.Fprintln(w, "metrics: disabled")
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	last := kind(-1)
+	for _, e := range r.sorted() {
+		if k := e.in.kind(); k != last {
+			fmt.Fprintln(w, sections[k].header)
+			last = k
+		}
+		e.in.summary(w, e.name)
+	}
+}
 
-	if len(r.cts) > 0 {
-		fmt.Fprintln(w, "counters:")
-		for _, k := range sortedKeys(r.cts) {
-			fmt.Fprintf(w, "  %-40s %14d\n", k, r.cts[k].Value())
-		}
+// WritePrometheus renders the registry in the Prometheus text exposition
+// format (version 0.0.4), families in WriteSummary's order. Counters are
+// counters, gauges gauges; time sums are counters named <name>_seconds;
+// histograms are histograms in seconds whose cumulative _bucket series stop
+// at the last non-empty power-of-two bucket; a vector is one family with an
+// index="N" label per element. Names map every byte outside [a-zA-Z0-9_] to
+// '_' (mpi.sent.messages -> mpi_sent_messages). A nil registry writes an
+// empty body, a valid scrape of zero families.
+func (r *Registry) WritePrometheus(w io.Writer) error {
+	if r == nil {
+		return nil
 	}
-	if len(r.ggs) > 0 {
-		fmt.Fprintln(w, "gauges:")
-		for _, k := range sortedKeys(r.ggs) {
-			fmt.Fprintf(w, "  %-40s %14.6g\n", k, r.ggs[k].Value())
-		}
+	var b strings.Builder
+	for _, e := range r.sorted() {
+		s := sections[e.in.kind()]
+		name := promName(e.name) + s.promSuffix
+		fmt.Fprintf(&b, "# TYPE %s %s\n", name, s.promType)
+		e.in.prometheus(&b, name)
 	}
-	if len(r.tss) > 0 {
-		fmt.Fprintln(w, "virtual time (modelled cost attribution, s):")
-		for _, k := range sortedKeys(r.tss) {
-			fmt.Fprintf(w, "  %-40s %14.6f\n", k, r.tss[k].Value())
+	_, err := io.WriteString(w, b.String())
+	return err
+}
+
+// promName maps an instrument name to a valid Prometheus metric name: every
+// byte outside [a-zA-Z0-9_] becomes '_', and a leading digit is prefixed
+// with '_' (no registry name starts with one today).
+func promName(name string) string {
+	var b strings.Builder
+	b.Grow(len(name) + 1)
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		ok := c == '_' || ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') || ('0' <= c && c <= '9')
+		if !ok {
+			c = '_'
 		}
-	}
-	if len(r.hists) > 0 {
-		fmt.Fprintln(w, "latency histograms (virtual s):")
-		fmt.Fprintf(w, "  %-40s %10s %12s %12s %12s %12s\n",
-			"op", "count", "total", "mean", "p99", "max")
-		for _, k := range sortedKeys(r.hists) {
-			h := r.hists[k]
-			fmt.Fprintf(w, "  %-40s %10d %12.6f %12.3e %12.3e %12.3e\n",
-				k, h.Count(), h.Sum(), h.Mean(), h.Quantile(0.99), h.Max())
+		if i == 0 && '0' <= c && c <= '9' {
+			b.WriteByte('_')
 		}
+		b.WriteByte(c)
 	}
-	if len(r.vecs) > 0 {
-		fmt.Fprintln(w, "per-index counters:")
-		for _, k := range sortedKeys(r.vecs) {
-			v := r.vecs[k]
-			var b strings.Builder
-			for i := 0; i < v.Len(); i++ {
-				if i > 0 {
-					b.WriteByte(' ')
-				}
-				fmt.Fprintf(&b, "%d", v.At(i).Value())
-			}
-			fmt.Fprintf(w, "  %-40s [%s]\n", k, b.String())
-		}
+	return b.String()
+}
+
+// promFloat renders a float the way Prometheus client libraries do: shortest
+// round-trip representation, deterministic for a given bit pattern.
+func promFloat(v float64) string {
+	switch {
+	case math.IsInf(v, 1):
+		return "+Inf"
+	case math.IsInf(v, -1):
+		return "-Inf"
+	case math.IsNaN(v):
+		return "NaN"
 	}
-	if len(r.tvs) > 0 {
-		fmt.Fprintln(w, "per-index virtual time (s):")
-		for _, k := range sortedKeys(r.tvs) {
-			v := r.tvs[k]
-			var b strings.Builder
-			for i := 0; i < v.Len(); i++ {
-				if i > 0 {
-					b.WriteByte(' ')
-				}
-				fmt.Fprintf(&b, "%.6f", v.At(i).Value())
-			}
-			fmt.Fprintf(w, "  %-40s [%s]\n", k, b.String())
-		}
-	}
+	return strconv.FormatFloat(v, 'g', -1, 64)
 }

@@ -1,8 +1,6 @@
 package mpi
 
 import (
-	"sync"
-
 	"ftsg/internal/metrics"
 	"ftsg/internal/vtime"
 )
@@ -75,10 +73,10 @@ type worldMetrics struct {
 	revokes   *metrics.Counter
 	spawned   *metrics.Counter
 
-	rankSentMsgs  *metrics.CounterVec
-	rankSentBytes *metrics.CounterVec
-	rankRecvMsgs  *metrics.CounterVec
-	rankRecvBytes *metrics.CounterVec
+	rankSentMsgs  *metrics.Vec[metrics.Counter]
+	rankSentBytes *metrics.Vec[metrics.Counter]
+	rankRecvMsgs  *metrics.Vec[metrics.Counter]
+	rankRecvBytes *metrics.Vec[metrics.Counter]
 
 	// sentTier counts every sent message by link tier; opHops splits the
 	// same count per collective op (read-only after construction).
@@ -87,14 +85,6 @@ type worldMetrics struct {
 
 	ops   map[string]*metrics.Histogram // read-only after construction
 	costs map[string]*metrics.TimeSum   // read-only after construction
-
-	// extraMu guards the overflow maps below: instruments for op/component
-	// names outside the pre-resolved sets, interned on first observation so
-	// an unknown name hits the registry exactly once. ops/costs themselves
-	// stay read-only (and therefore lock-free on the hot path).
-	extraMu    sync.Mutex
-	extraOps   map[string]*metrics.Histogram
-	extraCosts map[string]*metrics.TimeSum
 
 	// goroPeak/ranksParked are registered only for event-driven worlds
 	// (enableEventGauges): their values are wall-clock noise, and
@@ -225,32 +215,17 @@ func (m *worldMetrics) countSpawned(n int) {
 	m.spawned.Add(int64(n))
 }
 
-// observeOp records the virtual latency of one successful MPI call.
+// observeOp records the virtual latency of one successful MPI call. An op
+// outside the pre-resolved set goes to the registry by name.
 func (m *worldMetrics) observeOp(op string, seconds float64) {
 	if m == nil {
 		return
 	}
 	h, ok := m.ops[op]
 	if !ok {
-		h = m.extraOp(op) // unknown op: interned once, then cached
+		h = m.reg.Histogram("op." + op)
 	}
 	h.Observe(seconds)
-}
-
-// extraOp interns the histogram for an op outside the pre-resolved set,
-// touching the registry only on the first observation of each name.
-func (m *worldMetrics) extraOp(op string) *metrics.Histogram {
-	m.extraMu.Lock()
-	defer m.extraMu.Unlock()
-	h, ok := m.extraOps[op]
-	if !ok {
-		h = m.reg.Histogram("op." + op)
-		if m.extraOps == nil {
-			m.extraOps = make(map[string]*metrics.Histogram)
-		}
-		m.extraOps[op] = h
-	}
-	return h
 }
 
 // ObserveCost implements vtime.CostObserver: the per-rank clocks of an
@@ -262,25 +237,9 @@ func (m *worldMetrics) ObserveCost(component string, seconds float64) {
 	}
 	t, ok := m.costs[component]
 	if !ok {
-		t = m.extraCost(component)
+		t = m.reg.TimeSum("cost." + component)
 	}
 	t.Add(seconds)
-}
-
-// extraCost interns the time sum for a component outside the pre-resolved
-// set, touching the registry only on the first observation of each name.
-func (m *worldMetrics) extraCost(component string) *metrics.TimeSum {
-	m.extraMu.Lock()
-	defer m.extraMu.Unlock()
-	t, ok := m.extraCosts[component]
-	if !ok {
-		t = m.reg.TimeSum("cost." + component)
-		if m.extraCosts == nil {
-			m.extraCosts = make(map[string]*metrics.TimeSum)
-		}
-		m.extraCosts[component] = t
-	}
-	return t
 }
 
 // componentForRendezvousOp maps a rendezvous collective to its cost

@@ -1,3 +1,9 @@
+// Package telemetry is the live observability plane of the simulated
+// system: an HTTP server exposing the metrics registry on /metrics in the
+// Prometheus text format, the blocked operations of every attached World on
+// /debug/ranks, the trace recorder's timeline on /debug/trace, and /healthz.
+// A scrape reads the same instruments the end-of-run summaries render, so a
+// scrape mid-run and WriteSummary at the end agree by construction.
 package telemetry
 
 import (
@@ -34,7 +40,7 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := WritePrometheus(w, s.Registry); err != nil {
+		if err := s.Registry.WritePrometheus(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
