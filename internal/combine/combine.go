@@ -12,7 +12,6 @@ package combine
 
 import (
 	"fmt"
-	"sort"
 
 	"ftsg/internal/grid"
 )
@@ -57,7 +56,7 @@ func (ly Layout) Validate() error {
 // Row returns the sub-grid levels with i+j = 2N-L+1-d and i,j >= N-L+1:
 // d = 0 is the diagonal (L grids), d = 1 the lower diagonal (L-1 grids),
 // d >= 2 the extra layers used by the Alternate Combination technique
-// (L-d grids each). An out-of-range d yields an empty row.
+// (L-d grids each), in ascending I. An out-of-range d yields an empty row.
 func (ly Layout) Row(d int) []grid.Level {
 	minLv := ly.N - ly.L + 1
 	sum := 2*ly.N - ly.L + 1 - d
@@ -69,7 +68,6 @@ func (ly Layout) Row(d int) []grid.Level {
 		}
 		out = append(out, grid.Level{I: i, J: j})
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].I < out[b].I })
 	return out
 }
 

@@ -2,6 +2,7 @@ package combine
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"ftsg/internal/grid"
@@ -72,6 +73,26 @@ func TestLayoutRowCounts(t *testing.T) {
 				t.Errorf("layout %+v row %d has %d grids, want %d", ly, d, got, ly.L-d)
 			}
 		}
+	}
+}
+
+// TestLayoutRowAscendingI pins the order Row emits: ascending I, so the
+// sub-grid IDs the layout numbers in row order stay where Fig. 1 puts them.
+func TestLayoutRowAscendingI(t *testing.T) {
+	for _, ly := range []Layout{{N: 8, L: 4}, {N: 13, L: 4}, {N: 10, L: 5}, {N: 9, L: 6}} {
+		for d := -1; d <= ly.L; d++ {
+			row := ly.Row(d)
+			for k := 1; k < len(row); k++ {
+				if row[k].I <= row[k-1].I {
+					t.Errorf("layout %+v row %d = %v: I not ascending at %d", ly, d, row, k)
+					break
+				}
+			}
+		}
+	}
+	want := []grid.Level{{I: 5, J: 8}, {I: 6, J: 7}, {I: 7, J: 6}, {I: 8, J: 5}}
+	if got := (Layout{N: 8, L: 4}).Row(0); !slices.Equal(got, want) {
+		t.Errorf("layout {8 4} diagonal = %v, want %v", got, want)
 	}
 }
 

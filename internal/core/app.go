@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 
 	"ftsg/internal/checkpoint"
+	"ftsg/internal/combine"
 	"ftsg/internal/faultgen"
 	"ftsg/internal/metrics"
 	"ftsg/internal/mpi"
@@ -47,8 +48,12 @@ type runState struct {
 
 	flightOnce sync.Once
 
-	mu  sync.Mutex
-	res Result
+	// classic is the layout's classic scheme, shared read-only by the ranks.
+	classic combine.Scheme
+
+	mu      sync.Mutex
+	res     Result
+	schemes []schemeMemo // the run's other schemes; see memoScheme
 }
 
 // flightSeq numbers automatic flight-recorder dump files within a process.
@@ -86,7 +91,7 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Trace == nil {
 		cfg.Trace = trace.NewFlight(0)
 	}
-	rs := &runState{cfg: cfg, grids: cfg.Grids()}
+	rs := &runState{cfg: cfg, grids: cfg.Grids(), classic: cfg.Layout.Classic()}
 	// A watchdog fire means the run is lost: dump the flight recorder before
 	// the configured stall handling (panic when OnStall is nil, abort
 	// otherwise) so the deadlock leaves a timeline, not just the text dump.

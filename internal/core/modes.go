@@ -242,26 +242,75 @@ func (mc *modeCtx) liveRootOf(g SubGrid) int {
 	return -1
 }
 
+// schemeMemo is one combination scheme a run computed: the survivor or the
+// recovered scheme, over the agreed grid IDs it was computed for.
+type schemeMemo struct {
+	survivor bool
+	ids      []int
+	scheme   combine.Scheme
+}
+
+// memoScheme returns the scheme build computes for the agreed grid IDs ids,
+// computing it once per run. Every rank asks with the same world-agreed
+// lists, so the first caller's result is shared read-only by the rest.
+func (rs *runState) memoScheme(survivor bool, ids []int, build func() (combine.Scheme, error)) (combine.Scheme, error) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	for _, m := range rs.schemes {
+		if m.survivor == survivor && slices.Equal(m.ids, ids) {
+			return m.scheme, nil
+		}
+	}
+	scheme, err := build()
+	if err != nil {
+		return nil, err
+	}
+	rs.schemes = append(rs.schemes, schemeMemo{survivor, slices.Clone(ids), scheme})
+	return scheme, nil
+}
+
 // survivorScheme returns the hole-tolerant combination scheme over the
 // non-abandoned grids (duplicates never carry coefficients and are excluded
 // from both sides).
 func (rs *runState) survivorScheme(mc *modeCtx) (combine.Scheme, error) {
-	held := make([]grid.Level, 0, len(rs.grids))
-	lost := ftcomb.NewSet()
-	for _, sg := range rs.grids {
-		if sg.Role == RoleDuplicate {
-			continue
+	return rs.memoScheme(true, mc.abandonedList(), func() (combine.Scheme, error) {
+		held := make([]grid.Level, 0, len(rs.grids))
+		lost := ftcomb.NewSet()
+		for _, sg := range rs.grids {
+			if sg.Role == RoleDuplicate {
+				continue
+			}
+			held = append(held, sg.Lv)
+			if mc.abandoned[sg.ID] {
+				lost[sg.Lv] = true
+			}
 		}
-		held = append(held, sg.Lv)
-		if mc.abandoned[sg.ID] {
-			lost[sg.Lv] = true
+		scheme, err := ftcomb.SurvivorScheme(held, lost)
+		if err != nil {
+			return nil, fmt.Errorf("core: %v survivor scheme: %w", rs.cfg.RecoveryMode, err)
 		}
-	}
-	scheme, err := ftcomb.SurvivorScheme(held, lost)
-	if err != nil {
-		return nil, fmt.Errorf("core: %v survivor scheme: %w", rs.cfg.RecoveryMode, err)
-	}
-	return scheme, nil
+		return scheme, nil
+	})
+}
+
+// recoverScheme returns the Alternate Combination's recovered GCP scheme
+// over every grid, with the grids lostIDs lost.
+func (rs *runState) recoverScheme(lostIDs []int) (combine.Scheme, error) {
+	return rs.memoScheme(false, lostIDs, func() (combine.Scheme, error) {
+		held := make([]grid.Level, 0, len(rs.grids))
+		lost := ftcomb.NewSet()
+		for _, sg := range rs.grids {
+			held = append(held, sg.Lv)
+			if slices.Contains(lostIDs, sg.ID) {
+				lost[sg.Lv] = true
+			}
+		}
+		scheme, err := ftcomb.RecoverScheme(held, lost)
+		if err != nil {
+			return nil, fmt.Errorf("core: alternate combination: %w", err)
+		}
+		return scheme, nil
+	})
 }
 
 // restorable reports whether the state a survivor held before a repair is

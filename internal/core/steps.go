@@ -8,7 +8,6 @@ import (
 
 	"ftsg/internal/checkpoint"
 	"ftsg/internal/combine"
-	"ftsg/internal/ftcomb"
 	"ftsg/internal/grid"
 	"ftsg/internal/metrics"
 	"ftsg/internal/mpi"
@@ -76,8 +75,7 @@ type rankState struct {
 	// final combination (with coefficient zero).
 	gridLost       bool
 	detectOverhead float64
-	stateBuf       []float64 // checkpoint-encode scratch, reused across writes
-	crCand         []int     // CR restore: checkpoint steps still on offer
+	crCand         []int // CR restore: checkpoint steps still on offer
 }
 
 // newRank instruments and classifies the process. A launched rank is seated
@@ -251,9 +249,8 @@ func (r *rankState) commit() error {
 	if r.cfg.Technique != CheckpointRestart || r.cur >= r.cfg.Steps || r.gridLost {
 		return nil
 	}
-	r.stateBuf = r.solver.AppendState(r.stateBuf[:0])
 	ckSpan := r.cfg.Trace.BeginSpan(p.Now(), r.rank, "checkpoint", "write step %d", r.cur)
-	err := rs.store.Write(p, r.mine.ID, r.gcomm.Rank(), r.cur, r.stateBuf)
+	err := rs.store.Write(p, r.mine.ID, r.gcomm.Rank(), r.cur, r.solver.Rows())
 	ckSpan.End(p.Now())
 	if err != nil {
 		return err
@@ -368,20 +365,24 @@ func (r *rankState) logRepair() {
 // carried is what a survivor takes from its pre-repair solver into the one
 // rebuilt on the repaired communicator; a replacement carries nothing.
 type carried struct {
-	state []float64
+	state []float64 // pooled
 	step  int
 }
 
-// retire gives up the solver that hung off the old communicator.
+// retire gives up the solver that hung off the old communicator, keeping a
+// pooled copy of its rows.
 func (r *rankState) retire() carried {
-	old := carried{r.solver.State(), r.solver.StepCount}
+	rows := r.solver.Rows()
+	old := carried{mpi.AcquireBuf[float64](len(rows)), r.solver.StepCount}
+	copy(old.state, rows)
 	r.solver.Release()
 	return old
 }
 
 // carryOver restores the pre-repair state into the rebuilt solver where it
-// is still good.
+// is still good, and releases it either way.
 func (r *rankState) carryOver(old carried) error {
+	defer mpi.ReleaseBuf(old.state)
 	damaged := slices.ContainsFunc(r.failedList, r.mine.has)
 	if old.state != nil && r.mc.restorable(damaged, r.mine.ID) {
 		return r.solver.Restore(old.step, old.state)
@@ -502,10 +503,8 @@ func (r *rankState) crRead(step int) ([]float64, []int64, error) {
 	vote := []int64{0}
 	if err == nil {
 		// A checkpoint written under another group shape (possible once
-		// communicators shrink and regrow) counts as damage. The solver has
-		// no length query; the encode scratch takes the copy.
-		r.stateBuf = r.solver.AppendState(r.stateBuf[:0])
-		if len(data) == len(r.stateBuf) {
+		// communicators shrink and regrow) counts as damage.
+		if len(data) == len(r.solver.Rows()) {
 			vote[0] = 1
 		}
 	}
@@ -653,12 +652,13 @@ func (r *rankState) beginCombine() *trace.SpanHandle {
 	return r.cfg.Trace.BeginSpan(r.p.Now(), r.rank, "combine", "")
 }
 
-// scheme returns the combination scheme for the run; every rank computes it
-// deterministically. Whatever the technique, abandoned grids leave the
-// hole-tolerant survivor scheme. Otherwise only Alternate Combination
-// departs from the classic +1/-1 coefficients: grids lost without being
-// abandoned — spawn, which replaces the ranks but not the data — get the
-// paper's recovered GCP coefficients over the grids still held. Rank 0
+// scheme returns the combination scheme for the run, shared read-only: it
+// is a function of world-agreed lists, so the run computes each scheme once.
+// Whatever the technique, abandoned grids leave the hole-tolerant survivor
+// scheme. Otherwise only Alternate Combination departs from the classic
+// +1/-1 coefficients: grids lost without being abandoned — spawn, which
+// replaces the ranks but not the data — get the paper's recovered GCP
+// coefficients over the grids still held. Rank 0
 // charges the recomputation as AC's data-recovery cost; no-repair by
 // definition recovers nothing, so its data-recovery time stays zero.
 func (r *rankState) scheme() (combine.Scheme, error) {
@@ -671,19 +671,9 @@ func (r *rankState) scheme() (combine.Scheme, error) {
 	case len(r.mc.abandoned) > 0:
 		scheme, err = rs.survivorScheme(&r.mc)
 	case ac && len(lost) > 0:
-		held := make([]grid.Level, 0, len(rs.grids))
-		lostLvs := ftcomb.NewSet()
-		for _, sg := range rs.grids {
-			held = append(held, sg.Lv)
-			if slices.Contains(lost, sg.ID) {
-				lostLvs[sg.Lv] = true
-			}
-		}
-		if scheme, err = ftcomb.RecoverScheme(held, lostLvs); err != nil {
-			err = fmt.Errorf("core: alternate combination: %w", err)
-		}
+		scheme, err = rs.recoverScheme(lost)
 	default:
-		return r.cfg.Layout.Classic(), nil
+		return rs.classic, nil
 	}
 	if err != nil {
 		return nil, err
@@ -704,13 +694,12 @@ func (r *rankState) scheme() (combine.Scheme, error) {
 // coefficient-weighted sub-grid on the target grid and a single elementwise
 // Reduce over the roots assembles the combined solution at rank 0.
 type contribution struct {
-	g       *grid.Grid // the group's gathered solution; pooled, nil below the group root
-	coeff   float64
-	active  bool // this rank adds g to the sum
-	color   int  // its colour in the split that forms the roots' communicator
-	roots   *mpi.Comm
-	t0      float64
-	partial *grid.Grid
+	g      *grid.Grid // the group's gathered solution; pooled, nil below the group root
+	coeff  float64
+	active bool // this rank adds g to the sum
+	color  int  // its colour in the split that forms the roots' communicator
+	roots  *mpi.Comm
+	t0     float64
 }
 
 // contributionOf takes the group gather and decides the rank's part.
@@ -727,7 +716,8 @@ func (r *rankState) contributionOf(scheme combine.Scheme, g *grid.Grid, err erro
 }
 
 // accumulate takes the roots' communicator (nil for everybody else, who is
-// done) and returns the rank's summand for the reduction.
+// done) and returns the rank's summand for the reduction: a zeroed pooled
+// transport buffer, which the Reduce that follows consumes.
 func (r *rankState) accumulate(c *contribution, roots *mpi.Comm, err error) ([]float64, error) {
 	defer c.g.Free()
 	if err != nil {
@@ -738,18 +728,22 @@ func (r *rankState) accumulate(c *contribution, roots *mpi.Comm, err error) ([]f
 	}
 	c.roots, c.t0 = roots, r.p.Now()
 	target := r.targetLevel()
-	c.partial = grid.NewPooled(target)
+	summand := mpi.AcquireBuf[float64](target.Points())
+	clear(summand)
 	if c.active {
-		c.partial.AccumulateSampled(c.g, c.coeff)
+		partial, err := grid.FromValues(target, summand)
+		if err != nil {
+			return nil, err
+		}
+		partial.AccumulateSampled(c.g, c.coeff)
 		r.p.ComputeCells(target.Points(), r.oneShot())
 	}
-	return c.partial.V, nil
+	return summand, nil
 }
 
 // combined takes the reduction's result; rank 0 measures the error. total
 // is Reduce's root result, a pooled transport buffer.
 func (r *rankState) combined(c *contribution, total []float64, err error) error {
-	c.partial.Free()
 	if err != nil {
 		return fmt.Errorf("core: combine reduce: %w", err)
 	}

@@ -78,7 +78,7 @@ func (c *Comm) Barrier() error {
 		return c.fire(fmt.Errorf("mpi: Barrier on intercommunicator: %w", ErrComm))
 	}
 	t0 := opStart(c, "barrier")
-	tag := internalTag(kindBarrier, c.nextSeq("barrier"))
+	tag := internalTag(kindBarrier, c.nextSeq(kindBarrier))
 	var err error
 	if t := c.hierTopo(); t != nil {
 		err = hierBarrier(c, t, tag)
@@ -119,7 +119,7 @@ func Bcast[T any](c *Comm, root int, data []T) ([]T, error) {
 		return nil, c.fire(fmt.Errorf("mpi: Bcast on intercommunicator: %w", ErrComm))
 	}
 	t0 := opStart(c, "bcast")
-	tag := internalTag(kindBcast, c.nextSeq("bcast"))
+	tag := internalTag(kindBcast, c.nextSeq(kindBcast))
 	var buf []T
 	var err error
 	if t := c.hierTopo(); t != nil {
@@ -137,20 +137,23 @@ func Bcast[T any](c *Comm, root int, data []T) ([]T, error) {
 
 // Reduce combines every member's buffer elementwise with op into a single
 // buffer delivered at root (binomial reduction tree). Non-root callers
-// receive nil.
+// receive nil. Reduce takes ownership of data, which must be a buffer the
+// caller holds exclusively (AcquireBuf): the tree folds into it and hands it
+// to the parent uncopied, so the caller must not touch it after the call,
+// whatever the outcome. The root's result is a pooled buffer for ReleaseBuf.
 func Reduce[T any](c *Comm, root int, data []T, op func(T, T) T) ([]T, error) {
 	if c.IsInter() {
 		return nil, c.fire(fmt.Errorf("mpi: Reduce on intercommunicator: %w", ErrComm))
 	}
 	t0 := opStart(c, "reduce")
-	tag := internalTag(kindReduce, c.nextSeq("reduce"))
+	tag := internalTag(kindReduce, c.nextSeq(kindReduce))
 	fo := newFolder(op)
 	var buf []T
 	var err error
 	if t := c.hierTopo(); t != nil {
-		buf, err = hierReduce(c, t, tag, root, data, fo)
+		buf, err = hierReduce(c, t, tag, root, data, true, fo)
 	} else {
-		buf, err = reduceList(c, tag, wholeComm(c), root, c.rank, data, false, fo)
+		buf, err = reduceList(c, tag, wholeComm(c), root, c.rank, data, true, fo)
 	}
 	if err != nil {
 		abortCollective(c, tag, err)
@@ -170,7 +173,7 @@ func Allreduce[T any](c *Comm, data []T, op func(T, T) T) ([]T, error) {
 		return nil, c.fire(fmt.Errorf("mpi: Allreduce on intercommunicator: %w", ErrComm))
 	}
 	t0 := opStart(c, "allreduce")
-	tag := internalTag(kindAllreduce, c.nextSeq("allreduce"))
+	tag := internalTag(kindAllreduce, c.nextSeq(kindAllreduce))
 	fo := newFolder(op)
 	var buf []T
 	var err error
@@ -202,7 +205,7 @@ func Gather[T any](c *Comm, root int, data []T) ([][]T, error) {
 		return nil, c.fire(fmt.Errorf("mpi: Gather on intercommunicator: %w", ErrComm))
 	}
 	t0 := opStart(c, "gather")
-	tag := internalTag(kindGather, c.nextSeq("gather"))
+	tag := internalTag(kindGather, c.nextSeq(kindGather))
 	if t := c.hierTopo(); t != nil {
 		out, err := hierGather(c, t, tag, root, data)
 		if err != nil {
@@ -246,7 +249,7 @@ func Allgather[T any](c *Comm, data []T) ([][]T, error) {
 		return nil, c.fire(fmt.Errorf("mpi: Allgather on intercommunicator: %w", ErrComm))
 	}
 	t0 := opStart(c, "allgather")
-	tag := internalTag(kindAllgather, c.nextSeq("allgather"))
+	tag := internalTag(kindAllgather, c.nextSeq(kindAllgather))
 	if t := c.hierTopo(); t != nil {
 		out, err := hierAllgather(c, t, tag, data)
 		if err != nil {

@@ -87,7 +87,7 @@ type Comm struct {
 	p    *Proc
 	side int // 0 or 1; which of sh.a / sh.b is the local group
 	rank int // my rank within the local group
-	seqs map[string]int
+	seqs [numSeqs]uint32
 	errh Errhandler
 	// acked is the snapshot of failed world ranks acknowledged by
 	// OMPI_Comm_failure_ack on this handle: the communicator's shared
@@ -229,20 +229,47 @@ func (c *Comm) peerWorld(rank int) (int, error) {
 	return g[rank], nil
 }
 
-// nextSeq returns the next per-operation collective sequence number for this
-// handle. Members of a communicator call collectives of one kind in the same
-// order, so handles stay in lockstep per kind (this tolerates the paper's
-// merge/agree cross-ordering between the parent and child sides of the
-// spawn intercommunicator). The map is lazy: handles that never enter a
-// collective (the common world handle in pure point-to-point runs included)
-// allocate nothing.
-func (c *Comm) nextSeq(op string) int {
-	if c.seqs == nil {
-		c.seqs = make(map[string]int)
+// Sequence counters of a handle: a collective kind (kindBarrier ..
+// kindAllreduce) indexes its own, and each rendezvous operation has one
+// after them.
+const (
+	seqSplit = kindAllreduce + 1 + iota
+	seqShrink
+	seqAgree
+	seqSpawn
+	seqClaim
+	seqMerge
+	numSeqs
+)
+
+// rvzSeq maps a rendezvous operation's name to its sequence counter.
+func rvzSeq(op string) int {
+	switch op {
+	case OpSplit:
+		return seqSplit
+	case OpShrink:
+		return seqShrink
+	case OpAgree:
+		return seqAgree
+	case OpSpawn:
+		return seqSpawn
+	case "claim":
+		return seqClaim
+	case OpMerge:
+		return seqMerge
 	}
-	s := c.seqs[op]
-	c.seqs[op] = s + 1
-	return s
+	panic("mpi: no sequence counter for rendezvous " + op)
+}
+
+// nextSeq returns the next sequence number of operation seq (a collective
+// kind or a seq* counter) on this handle. Members of a communicator call
+// operations of one kind in the same order, so handles stay in lockstep per
+// kind (this tolerates the paper's merge/agree cross-ordering between the
+// parent and child sides of the spawn intercommunicator).
+func (c *Comm) nextSeq(seq int) int {
+	s := c.seqs[seq]
+	c.seqs[seq] = s + 1
+	return int(s)
 }
 
 // Proc is the handle a simulated process's code receives: its identity, its

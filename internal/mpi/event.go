@@ -258,7 +258,7 @@ func FiberBarrier(f *Fiber, c *Comm, k func(error)) {
 		return
 	}
 	t0 := opStart(c, "barrier")
-	tag := internalTag(kindBarrier, c.nextSeq("barrier"))
+	tag := internalTag(kindBarrier, c.nextSeq(kindBarrier))
 	done := func(err error) {
 		if err != nil {
 			abortCollective(c, tag, err)
@@ -484,7 +484,7 @@ func FiberAllreduce[T any](f *Fiber, c *Comm, data []T, op func(T, T) T, k func(
 		return
 	}
 	t0 := opStart(c, "allreduce")
-	tag := internalTag(kindAllreduce, c.nextSeq("allreduce"))
+	tag := internalTag(kindAllreduce, c.nextSeq(kindAllreduce))
 	done := func(buf []T, err error) {
 		if err != nil {
 			abortCollective(c, tag, err)
@@ -514,13 +514,14 @@ func FiberAllreduce[T any](f *Fiber, c *Comm, data []T, op func(T, T) T, k func(
 }
 
 // fiberHierReduce mirrors hierReduce: intra-node reduce to the effective
-// leader (lazy accumulator), then an owned-handoff reduce over leaders.
-func fiberHierReduce[T any](f *Fiber, c *Comm, t *commTopo, tag, root int, data []T, fo folder[T], k func([]T, error)) {
+// leader (consuming data when owned), then an owned-handoff reduce over
+// leaders.
+func fiberHierReduce[T any](f *Fiber, c *Comm, t *commTopo, tag, root int, data []T, owned bool, fo folder[T], k func([]T, error)) {
 	me := c.rank
 	myNode := t.nodeOf[me]
 	node := t.nodes[myNode]
 	lead := t.nodeLead(myNode, root)
-	fiberReduceList(f, c, tag, subList(node), indexOf(node, lead), indexOf(node, me), data, false, fo, func(acc []T, err error) {
+	fiberReduceList(f, c, tag, subList(node), indexOf(node, lead), indexOf(node, me), data, owned, fo, func(acc []T, err error) {
 		if err != nil {
 			k(nil, err)
 			return
@@ -559,7 +560,7 @@ func fiberHierBcast[T any](f *Fiber, c *Comm, t *commTopo, tag, root int, data [
 // fiberHierAllreduce mirrors hierAllreduce: hierarchical reduce to rank 0,
 // then hierarchical bcast, one shared tag.
 func fiberHierAllreduce[T any](f *Fiber, c *Comm, t *commTopo, tag int, data []T, fo folder[T], k func([]T, error)) {
-	fiberHierReduce(f, c, t, tag, 0, data, fo, func(buf []T, err error) {
+	fiberHierReduce(f, c, t, tag, 0, data, false, fo, func(buf []T, err error) {
 		if err != nil {
 			k(nil, err)
 			return

@@ -179,7 +179,7 @@ func FiberBcast[T any](f *Fiber, c *Comm, root int, data []T, k func([]T, error)
 		return
 	}
 	t0 := opStart(c, "bcast")
-	tag := internalTag(kindBcast, c.nextSeq("bcast"))
+	tag := internalTag(kindBcast, c.nextSeq(kindBcast))
 	done := func(buf []T, err error) {
 		if err != nil {
 			abortCollective(c, tag, err)
@@ -196,17 +196,17 @@ func FiberBcast[T any](f *Fiber, c *Comm, root int, data []T, k func([]T, error)
 	}
 }
 
-// FiberReduce is Reduce for fiber code: same binomial trees, same pooled
-// accumulators and fold order op(accumulated, received), so floating-point
-// results are bit-identical. The continuation receives the result at root,
-// nil elsewhere.
+// FiberReduce is Reduce for fiber code: same binomial trees, same ownership
+// of data, same pooled accumulators and fold order op(accumulated,
+// received), so floating-point results are bit-identical. The continuation
+// receives the result at root, nil elsewhere.
 func FiberReduce[T any](f *Fiber, c *Comm, root int, data []T, op func(T, T) T, k func([]T, error)) {
 	if c.IsInter() {
 		k(nil, c.fire(fmt.Errorf("mpi: Reduce on intercommunicator: %w", ErrComm)))
 		return
 	}
 	t0 := opStart(c, "reduce")
-	tag := internalTag(kindReduce, c.nextSeq("reduce"))
+	tag := internalTag(kindReduce, c.nextSeq(kindReduce))
 	done := func(buf []T, err error) {
 		if err != nil {
 			abortCollective(c, tag, err)
@@ -218,9 +218,9 @@ func FiberReduce[T any](f *Fiber, c *Comm, root int, data []T, op func(T, T) T, 
 	}
 	fo := newFolder(op)
 	if t := c.hierTopo(); t != nil {
-		fiberHierReduce(f, c, t, tag, root, data, fo, done)
+		fiberHierReduce(f, c, t, tag, root, data, true, fo, done)
 	} else {
-		fiberReduceList(f, c, tag, wholeComm(c), root, c.rank, data, false, fo, done)
+		fiberReduceList(f, c, tag, wholeComm(c), root, c.rank, data, true, fo, done)
 	}
 }
 
@@ -232,7 +232,7 @@ func FiberGather[T any](f *Fiber, c *Comm, root int, data []T, k func([][]T, err
 		return
 	}
 	t0 := opStart(c, "gather")
-	tag := internalTag(kindGather, c.nextSeq("gather"))
+	tag := internalTag(kindGather, c.nextSeq(kindGather))
 	done := func(out [][]T, err error) {
 		if err != nil {
 			abortCollective(c, tag, err)
@@ -427,7 +427,7 @@ func FiberAllgather[T any](f *Fiber, c *Comm, data []T, k func([][]T, error)) {
 		return
 	}
 	t0 := opStart(c, "allgather")
-	tag := internalTag(kindAllgather, c.nextSeq("allgather"))
+	tag := internalTag(kindAllgather, c.nextSeq(kindAllgather))
 	if t := c.hierTopo(); t != nil {
 		fiberHierAllgather(f, c, t, tag, data, func(out [][]T, err error) {
 			if err != nil {

@@ -137,7 +137,7 @@ func rvzEnter(c *Comm, op string, allowRevoked bool, input any) (*rendezvous, fl
 	w := st.w
 	st.hookOp(op)
 	t0 := st.clock.Now()
-	key := rvzKey{comm: c.sh.id, op: op, seq: c.nextSeq(op)}
+	key := rvzKey{comm: c.sh.id, op: op, seq: c.nextSeq(rvzSeq(op))}
 
 	// Like point-to-point operations, a rendezvous collective fails on
 	// revocation only once the caller itself has observed it; the

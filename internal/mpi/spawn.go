@@ -161,7 +161,7 @@ func (c *Comm) IntercommMerge(high bool) (*Comm, error) {
 	w := st.w
 	st.hookOp(OpMerge)
 	t0 := st.clock.Now()
-	key := rvzKey{comm: c.sh.id, op: "merge", seq: c.nextSeq("merge")}
+	key := rvzKey{comm: c.sh.id, op: OpMerge, seq: c.nextSeq(seqMerge)}
 
 	w.state.Lock()
 	if w.mergeTable == nil {

@@ -170,18 +170,13 @@ func (s *ParallelSolver) Gather(root int) (*grid.Grid, error) {
 	return s.assemble(pieces)
 }
 
-// State returns a copy of the owned rows (no halos), for checkpointing and
-// replication-based recovery.
-func (s *ParallelSolver) State() []float64 {
-	return s.AppendState(nil)
-}
-
-// AppendState appends the owned rows to dst. AppendState(dst[:0]) with a
-// buffer kept across calls makes periodic checkpointing allocation-free,
-// where State allocates a fresh copy each time.
-func (s *ParallelSolver) AppendState(dst []float64) []float64 {
-	nloc := s.r1 - s.r0
-	return append(dst, s.local[s.nx:(nloc+1)*s.nx]...)
+// Rows returns the owned rows (no halos) in place, for checkpointing and
+// for carrying the state across a repair. The slice is the solver's own
+// storage: it is valid until the next Step (or FiberStep), Restore,
+// SetFromGrid or Release, and the caller must not write to it.
+func (s *ParallelSolver) Rows() []float64 {
+	end := (s.r1 - s.r0 + 1) * s.nx
+	return s.local[s.nx:end:end]
 }
 
 // Restore overwrites the owned rows and step counter from a checkpoint.

@@ -2,9 +2,11 @@ package pde
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"ftsg/internal/checkpoint"
 	"ftsg/internal/grid"
 	"ftsg/internal/mpi"
 )
@@ -104,13 +106,13 @@ func TestStateRestoreRoundTrip(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		saved := s.State()
+		saved := slices.Clone(s.Rows())
 		savedStep := s.StepCount
 		if err := s.Run(10); err != nil {
 			t.Error(err)
 			return
 		}
-		after20 := s.State()
+		after20 := slices.Clone(s.Rows())
 		if err := s.Restore(savedStep, saved); err != nil {
 			t.Error(err)
 			return
@@ -122,13 +124,66 @@ func TestStateRestoreRoundTrip(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		recomputed := s.State()
+		recomputed := s.Rows()
 		for i := range after20 {
 			if after20[i] != recomputed[i] {
 				t.Errorf("restore+recompute differs at %d: %g vs %g", i, after20[i], recomputed[i])
 				return
 			}
 		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckpointFromRowsRoundTrip writes each rank's checkpoint straight from
+// Rows, as Checkpoint/Restart's commit does, steps on, and restores the
+// checkpoint: the rows come back bit for bit, and the recompute reproduces
+// the steps taken after the write.
+func TestCheckpointFromRowsRoundTrip(t *testing.T) {
+	store, err := checkpoint.Open(checkpoint.Options{Backend: checkpoint.NewMem()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const at, more = 7, 5
+	_, err = mpi.Run(mpi.Options{NProcs: 4, Entry: func(proc *mpi.Proc) {
+		c := proc.World()
+		s, err := NewParallelSolver(c, testProblem(), grid.Level{I: 4, J: 4}, 1e-3)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer s.Release()
+		if err := s.Run(at); err != nil {
+			t.Error(err)
+			return
+		}
+		written := slices.Clone(s.Rows())
+		if err := store.Write(proc, 0, c.Rank(), s.StepCount, s.Rows()); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := s.Run(more); err != nil {
+			t.Error(err)
+			return
+		}
+		later := slices.Clone(s.Rows())
+		data, err := store.ReadAt(proc, 0, c.Rank(), at)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := s.Restore(at, data); err != nil {
+			t.Error(err)
+			return
+		}
+		sameBits(t, "restored checkpoint", s.Rows(), written)
+		if err := s.Run(more); err != nil {
+			t.Error(err)
+			return
+		}
+		sameBits(t, "recompute from the checkpoint", s.Rows(), later)
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ftsg/internal/grid"
@@ -341,7 +342,7 @@ func testSolversMatchSerialAtBothParities(t *testing.T) {
 	}
 }
 
-// TestBufferSwapInvisibleToStateAccess drives State/AppendState, Restore and
+// TestBufferSwapInvisibleToStateAccess drives Rows, Restore and
 // SetFromGrid at both buffer parities: a checkpoint taken after a steps and
 // restored after b more must recompute the same bits, and a solver k steps
 // into its life that is overwritten from a full grid must continue exactly as
@@ -371,13 +372,17 @@ func TestBufferSwapInvisibleToStateAccess(t *testing.T) {
 							fail("Run", err)
 							return
 						}
-						saved := s.State()
-						sameBits(t, what+": AppendState vs State", s.AppendState(make([]float64, 0, 4)), saved)
+						saved := slices.Clone(s.Rows())
+						if err := s.Restore(a, s.Rows()); err != nil {
+							fail("Restore from Rows in place", err)
+							return
+						}
+						sameBits(t, what+": Restore from Rows in place", s.Rows(), saved)
 						if err := s.Run(b); err != nil {
 							fail("Run", err)
 							return
 						}
-						after := s.State()
+						after := slices.Clone(s.Rows())
 						if err := s.Restore(a, saved); err != nil {
 							fail("Restore", err)
 							return
@@ -386,7 +391,7 @@ func TestBufferSwapInvisibleToStateAccess(t *testing.T) {
 							fail("Run", err)
 							return
 						}
-						sameBits(t, what+": restore and recompute", s.State(), after)
+						sameBits(t, what+": restore and recompute", s.Rows(), after)
 						s.Release()
 					}
 				}
