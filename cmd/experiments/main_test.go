@@ -2,11 +2,19 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"ftsg/internal/harness"
 )
+
+// update regenerates the golden file from current output:
+//
+//	go test ./cmd/experiments/ -run TestRunAllGolden -update
+var update = flag.Bool("update", false, "rewrite golden testdata files")
 
 func quickOpts() harness.Options {
 	return harness.Options{Quick: true, Trials: 1, ErrTrials: 1, Steps: 16}
@@ -47,5 +55,30 @@ func TestRunFig10(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "technique,lost_grids,l1_error") {
 		t.Fatalf("missing Fig 10 CSV header: %q", buf.String())
+	}
+}
+
+// TestRunAllGolden locks the whole table-mode output of -experiment all:
+// every experiment, in order, each followed by one blank line.
+func TestRunAllGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment")
+	}
+	var buf bytes.Buffer
+	if err := run(&buf, "all", "table", quickOpts()); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "golden_all_table.txt")
+	if *update {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != string(want) {
+		t.Errorf("-experiment all drifted from %s:\n got:\n%s\nwant:\n%s", golden, got, want)
 	}
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -39,6 +40,18 @@ func writeGolden(t *testing.T, name, content string) {
 	}
 }
 
+// checkGolden compares got with testdata/name; -update rewrites the file
+// from the serial run.
+func checkGolden(t *testing.T, workers int, name, got string) {
+	t.Helper()
+	if *update && workers == 1 {
+		writeGolden(t, name, got)
+	}
+	if want := readGolden(t, name); got != want {
+		t.Errorf("workers=%d: %s drifted from seed:\n got:\n%s\nwant:\n%s", workers, name, got, want)
+	}
+}
+
 // TestGoldenOutputWithTelemetryOff locks the harness output format: with
 // telemetry off, tables and CSVs are byte-identical to the golden capture,
 // at both 1 and 8 workers.
@@ -48,73 +61,99 @@ func TestGoldenOutputWithTelemetryOff(t *testing.T) {
 	}
 	for _, workers := range []int{1, 8} {
 		o := goldenOpts(workers)
+		for _, fig := range []struct {
+			name string
+			run  func(o Options, table, csv io.Writer) error
+		}{
+			{"fig8", func(o Options, table, csv io.Writer) error {
+				rows, err := Fig8(o)
+				if err != nil {
+					return err
+				}
+				RenderFig8(table, rows)
+				return CSVFig8(csv, rows)
+			}},
+			{"table1", func(o Options, table, csv io.Writer) error {
+				rows, err := Table1(o)
+				if err != nil {
+					return err
+				}
+				RenderTable1(table, rows)
+				return CSVTable1(csv, rows)
+			}},
+			{"fig9", func(o Options, table, csv io.Writer) error {
+				rows, err := Fig9(o)
+				if err != nil {
+					return err
+				}
+				RenderFig9(table, rows)
+				return CSVFig9(csv, rows)
+			}},
+			{"fig10", func(o Options, table, csv io.Writer) error {
+				rows, err := Fig10(o)
+				if err != nil {
+					return err
+				}
+				RenderFig10(table, rows)
+				return CSVFig10(csv, rows)
+			}},
+			{"fig11", func(o Options, table, csv io.Writer) error {
+				rows, err := Fig11(o)
+				if err != nil {
+					return err
+				}
+				RenderFig11(table, rows)
+				return CSVFig11(csv, rows)
+			}},
+		} {
+			var table, csv bytes.Buffer
+			if err := fig.run(o, &table, &csv); err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, workers, "golden_"+fig.name+"_table.txt", table.String())
+			checkGolden(t, workers, "golden_"+fig.name+"_csv.txt", csv.String())
+		}
+	}
+}
 
-		rows8, err := Fig8(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var table, csv bytes.Buffer
-		RenderFig8(&table, rows8)
-		if err := CSVFig8(&csv, rows8); err != nil {
-			t.Fatal(err)
-		}
-		if *update && workers == 1 {
-			writeGolden(t, "golden_fig8_table.txt", table.String())
-			writeGolden(t, "golden_fig8_csv.txt", csv.String())
-		}
-		if want := readGolden(t, "golden_fig8_table.txt"); table.String() != want {
-			t.Errorf("workers=%d: fig8 table drifted from seed:\n got:\n%s\nwant:\n%s",
-				workers, table.String(), want)
-		}
-		if want := readGolden(t, "golden_fig8_csv.txt"); csv.String() != want {
-			t.Errorf("workers=%d: fig8 CSV drifted from seed:\n got:\n%s\nwant:\n%s",
-				workers, csv.String(), want)
-		}
-
-		rows9, err := Fig9(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		table.Reset()
-		csv.Reset()
-		RenderFig9(&table, rows9)
-		if err := CSVFig9(&csv, rows9); err != nil {
-			t.Fatal(err)
-		}
-		if *update && workers == 1 {
-			writeGolden(t, "golden_fig9_table.txt", table.String())
-			writeGolden(t, "golden_fig9_csv.txt", csv.String())
-		}
-		if want := readGolden(t, "golden_fig9_table.txt"); table.String() != want {
-			t.Errorf("workers=%d: fig9 table drifted from seed:\n got:\n%s\nwant:\n%s",
-				workers, table.String(), want)
-		}
-		if want := readGolden(t, "golden_fig9_csv.txt"); csv.String() != want {
-			t.Errorf("workers=%d: fig9 CSV drifted from seed:\n got:\n%s\nwant:\n%s",
-				workers, csv.String(), want)
-		}
-
-		rows11, err := Fig11(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		table.Reset()
-		csv.Reset()
-		RenderFig11(&table, rows11)
-		if err := CSVFig11(&csv, rows11); err != nil {
-			t.Fatal(err)
-		}
-		if *update && workers == 1 {
-			writeGolden(t, "golden_fig11_table.txt", table.String())
-			writeGolden(t, "golden_fig11_csv.txt", csv.String())
-		}
-		if want := readGolden(t, "golden_fig11_table.txt"); table.String() != want {
-			t.Errorf("workers=%d: fig11 table drifted from seed:\n got:\n%s\nwant:\n%s",
-				workers, table.String(), want)
-		}
-		if want := readGolden(t, "golden_fig11_csv.txt"); csv.String() != want {
-			t.Errorf("workers=%d: fig11 CSV drifted from seed:\n got:\n%s\nwant:\n%s",
-				workers, csv.String(), want)
+// TestGoldenExtensions locks the four extension tables at the golden
+// configuration, at both 1 and 8 workers.
+func TestGoldenExtensions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the extension experiments")
+	}
+	for _, workers := range []int{1, 8} {
+		o := goldenOpts(workers)
+		for _, ext := range []struct {
+			name string
+			run  func(o Options, table io.Writer) error
+		}{
+			{"levelsweep", func(o Options, table io.Writer) error {
+				rows, err := LevelSweep(o)
+				RenderLevelSweep(table, rows)
+				return err
+			}},
+			{"nodefailure", func(o Options, table io.Writer) error {
+				rows, err := NodeFailure(o)
+				RenderNodeFailure(table, rows)
+				return err
+			}},
+			{"aclayers", func(o Options, table io.Writer) error {
+				rows, err := ACLayers(o)
+				RenderACLayers(table, rows)
+				return err
+			}},
+			{"checkpointrule", func(o Options, table io.Writer) error {
+				rows, err := CheckpointRule(o)
+				RenderCheckpointRule(table, rows)
+				return err
+			}},
+		} {
+			var table bytes.Buffer
+			if err := ext.run(o, &table); err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, workers, "golden_"+ext.name+"_table.txt", table.String())
 		}
 	}
 }
@@ -201,38 +240,44 @@ func TestGoldenOutputAsyncCheckpoints(t *testing.T) {
 }
 
 // TestTelemetryColumnsDeterministic: with telemetry on, the extra columns
-// appear and the whole output is still byte-identical across worker counts
-// (the scheduler folds results in submission order).
+// appear and Fig. 8 and Fig. 11 match their telemetry goldens byte for byte
+// at every worker count (the scheduler folds results in submission order).
 func TestTelemetryColumnsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick experiment matrix")
 	}
-	render := func(workers int) (string, string) {
+	for _, workers := range []int{1, 8} {
 		o := goldenOpts(workers)
 		o.Telemetry = true
-		rows, err := Fig8(o)
+		rows8, err := Fig8(o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var table, csv bytes.Buffer
-		RenderFig8(&table, rows)
-		if err := CSVFig8(&csv, rows); err != nil {
+		RenderFig8(&table, rows8)
+		if err := CSVFig8(&csv, rows8); err != nil {
 			t.Fatal(err)
 		}
-		return table.String(), csv.String()
-	}
-	t1, c1 := render(1)
-	t8, c8 := render(8)
-	if t1 != t8 {
-		t.Errorf("telemetry table differs across worker counts:\n%s\nvs\n%s", t1, t8)
-	}
-	if c1 != c8 {
-		t.Errorf("telemetry CSV differs across worker counts:\n%s\nvs\n%s", c1, c8)
-	}
-	if !bytes.Contains([]byte(c1), []byte("messages,bytes")) {
-		t.Errorf("telemetry CSV missing telemetry header: %s", c1)
-	}
-	if bytes.Equal([]byte(t1), []byte(readGolden(t, "golden_fig8_table.txt"))) {
-		t.Error("telemetry table identical to telemetry-off golden — columns missing")
+		if !bytes.Contains(csv.Bytes(), []byte("messages,bytes")) {
+			t.Errorf("telemetry CSV missing telemetry header: %s", csv.String())
+		}
+		checkGolden(t, workers, "golden_fig8_telemetry_table.txt", table.String())
+		checkGolden(t, workers, "golden_fig8_telemetry_csv.txt", csv.String())
+
+		rows11, err := Fig11(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		table.Reset()
+		csv.Reset()
+		RenderFig11(&table, rows11)
+		if err := CSVFig11(&csv, rows11); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(csv.Bytes(), []byte("solve_s,repair_s,messages,bytes,ckpt_bytes")) {
+			t.Errorf("telemetry CSV missing telemetry header: %s", csv.String())
+		}
+		checkGolden(t, workers, "golden_fig11_telemetry_table.txt", table.String())
+		checkGolden(t, workers, "golden_fig11_telemetry_csv.txt", csv.String())
 	}
 }
