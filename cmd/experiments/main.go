@@ -1,18 +1,21 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation section from the simulated system:
 //
-//	experiments -experiment fig8    # failure info + reconstruction times
-//	experiments -experiment table1  # beta-ULFM component times
-//	experiments -experiment fig9    # data recovery overheads
-//	experiments -experiment fig10   # approximation errors
-//	experiments -experiment fig11   # overall performance
+//	experiments -experiment fig8        # failure info + reconstruction times
+//	experiments -experiment table1      # beta-ULFM component times
+//	experiments -experiment fig9        # data recovery overheads
+//	experiments -experiment fig10       # approximation errors
+//	experiments -experiment fig11       # overall performance
+//	experiments -experiment levelsweep  # or nodefailure, aclayers, checkpointrule
+//	experiments -experiment extensions  # the four extensions above
 //	experiments -experiment all
-//	experiments -experiment extensions  # level sweep, node failure, Eq. 2 study
 //
-// -quick shrinks the sweep for a fast smoke run; -trials / -errtrials
-// control averaging (the paper uses 5 and 20). -workers bounds how many
-// simulated runs execute concurrently (0 = one per CPU); the output is
-// byte-identical for every worker count.
+// -format csv prints each experiment as CSV instead of a text table; in
+// both formats every experiment is followed by one blank line. -quick
+// shrinks the sweep for a fast smoke run; -trials / -errtrials control
+// averaging (the paper uses 5 and 20). -workers bounds how many simulated
+// runs execute concurrently (0 = one per CPU); the output is byte-identical
+// for every worker count.
 package main
 
 import (
@@ -42,7 +45,6 @@ func main() {
 		quick      = flag.Bool("quick", false, "reduced sweep for a fast smoke run")
 		workers    = flag.Int("workers", 0, "concurrent simulated runs (0 = one per CPU, 1 = serial)")
 		format     = flag.String("format", "table", "table | csv")
-		verbose    = flag.Bool("v", false, "log progress per configuration")
 		telemetry  = flag.Bool("telemetry", false, "add per-cell telemetry columns (solve/repair time, MPI messages/bytes, checkpoint I/O) to tables and CSVs")
 		recModes   = flag.String("recovery-modes", "", "comma-separated recovery modes Fig. 11 sweeps (spawn | shrink | substitute | norepair), or 'all'; empty = spawn only")
 		showMet    = flag.Bool("metrics", false, "print the aggregate instrumentation summary over every run of the sweep")
@@ -62,21 +64,13 @@ func main() {
 	)
 	flag.Parse()
 
-	if *mutexProf != "" {
-		runtime.SetMutexProfileFraction(5)
-	}
-	if *blockProf != "" {
-		runtime.SetBlockProfileRate(1000) // one sample per microsecond blocked
-	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -84,57 +78,47 @@ func main() {
 		}()
 	}
 	if *mutexProf != "" {
-		path := *mutexProf
-		defer writeProfile("mutex", path)
+		runtime.SetMutexProfileFraction(5)
+		defer writeProfile("mutex", *mutexProf)
 	}
 	if *blockProf != "" {
-		path := *blockProf
-		defer writeProfile("block", path)
+		runtime.SetBlockProfileRate(1000) // one sample per microsecond blocked
+		defer writeProfile("block", *blockProf)
 	}
 
+	if *hosts < 0 || *slots < 0 || *racks < 0 {
+		fail(2, "-hosts, -slots and -racks must be >= 0")
+	}
+	if *eventWk < 0 {
+		fail(2, "-event-workers must be >= 0")
+	}
+	opts := harness.Options{
+		Steps:           *steps,
+		Quick:           *quick,
+		Workers:         *workers,
+		Telemetry:       *telemetry,
+		CkptBackend:     *ckptBack,
+		CkptGenerations: *ckptGens,
+		Hosts:           *hosts,
+		SlotsPerHost:    *slots,
+		Racks:           *racks,
+		Event:           *event,
+		EventWorkers:    *eventWk,
+	}
 	// Only explicitly-passed sizing flags reach Options, so -quick keeps
 	// shrinking the defaults while `-quick -trials 7` honors the 7.
-	opts := harness.Options{
-		Steps:   *steps,
-		Quick:   *quick,
-		Workers: *workers,
-	}
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "trials":
-			opts.Trials = *trials
-		case "errtrials":
-			opts.ErrTrials = *errTrials
-		}
-	})
-	if !opts.Quick {
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if !*quick || set["trials"] {
 		opts.Trials = *trials
+	}
+	if !*quick || set["errtrials"] {
 		opts.ErrTrials = *errTrials
 	}
-	if *verbose {
-		opts.Log = os.Stderr
-	}
-	opts.Telemetry = *telemetry
-	opts.CkptBackend = *ckptBack
-	opts.CkptGenerations = *ckptGens
-	if *hosts < 0 || *slots < 0 || *racks < 0 {
-		fmt.Fprintln(os.Stderr, "experiments: -hosts, -slots and -racks must be >= 0")
-		os.Exit(2)
-	}
-	opts.Hosts = *hosts
-	opts.SlotsPerHost = *slots
-	opts.Racks = *racks
-	if *eventWk < 0 {
-		fmt.Fprintln(os.Stderr, "experiments: -event-workers must be >= 0")
-		os.Exit(2)
-	}
-	opts.Event = *event
-	opts.EventWorkers = *eventWk
 	if *recModes != "" {
 		modes, err := parseRecoveryModes(*recModes)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(2)
+			fail(2, err)
 		}
 		opts.RecoveryModes = modes
 	}
@@ -144,45 +128,40 @@ func main() {
 		opts.Metrics = reg
 	}
 	if *serve != "" {
-		intro := &mpi.Introspection{}
-		opts.Introspect = intro
-		srv := &tele.Server{Registry: reg, Introspect: intro}
+		opts.Introspect = &mpi.Introspection{}
+		srv := &tele.Server{Registry: reg, Introspect: opts.Introspect}
 		addr, stop, err := srv.Start(*serve)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 		defer stop() //nolint:errcheck // process exits right after
 		fmt.Fprintf(os.Stderr, "experiments: telemetry at http://%s/metrics\n", addr)
 	}
 	if err := run(os.Stdout, *experiment, *format, opts); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+		fail(1, err)
 	}
 	if *showMet {
 		fmt.Println("aggregate instrumentation summary:")
 		reg.WriteSummary(os.Stdout)
 	}
 	if *metOut != "" {
-		if err := writeFileWith(*metOut, func(w io.Writer) error {
-			reg.WriteSummary(w)
-			return nil
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+		if err := writeFileWith(*metOut, func(w io.Writer) error { reg.WriteSummary(w); return nil }); err != nil {
+			fail(1, err)
 		}
 	}
 	if *traceOut != "" {
 		if err := writeRepresentativeTrace(*traceOut, opts); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 	}
 }
 
-// writeRepresentativeTrace runs one fault-injected RC configuration at the
-// sweep's largest core count and exports its recovery timeline as Chrome
-// trace_event JSON — the per-rank view the aggregate tables cannot show.
+// fail reports why the command stops and exits with code.
+func fail(code int, why any) {
+	fmt.Fprintln(os.Stderr, "experiments:", why)
+	os.Exit(code)
+}
+
 // parseRecoveryModes parses the -recovery-modes list ("all" = every mode in
 // presentation order).
 func parseRecoveryModes(s string) ([]recovery.Mode, error) {
@@ -200,6 +179,9 @@ func parseRecoveryModes(s string) ([]recovery.Mode, error) {
 	return modes, nil
 }
 
+// writeRepresentativeTrace runs one fault-injected RC configuration at the
+// sweep's largest core count and exports its recovery timeline as Chrome
+// trace_event JSON — the per-rank view the aggregate tables cannot show.
 func writeRepresentativeTrace(path string, opts harness.Options) error {
 	opts = opts.WithDefaults()
 	dp := opts.DiagProcsList[len(opts.DiagProcsList)-1]
@@ -223,10 +205,7 @@ func writeRepresentativeTrace(path string, opts harness.Options) error {
 // writeProfile dumps a named runtime profile (mutex, block, heap, ...)
 // collected over the whole sweep.
 func writeProfile(name, path string) {
-	err := writeFileWith(path, func(w io.Writer) error {
-		return pprof.Lookup(name).WriteTo(w, 0)
-	})
-	if err != nil {
+	if err := writeFileWith(path, func(w io.Writer) error { return pprof.Lookup(name).WriteTo(w, 0) }); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 	}
 }
@@ -244,125 +223,24 @@ func writeFileWith(path string, fn func(io.Writer) error) error {
 	return f.Close()
 }
 
+// run prints every experiment the -experiment value selects, in
+// harness.Experiments order, each followed by one blank line.
 func run(w io.Writer, experiment, format string, opts harness.Options) error {
-	want := func(name string) bool { return experiment == name || experiment == "all" }
-	csv := format == "csv"
 	if format != "table" && format != "csv" {
 		return fmt.Errorf("unknown format %q (want table or csv)", format)
 	}
-	any := false
-	if want("fig8") {
-		any = true
-		rows, err := harness.Fig8(opts)
-		if err != nil {
+	ran := false
+	for _, e := range harness.Experiments {
+		if experiment != "all" && experiment != e.Name && (experiment != "extensions" || e.Figure != "") {
+			continue
+		}
+		ran = true
+		if err := e.Run(opts, w, format == "csv"); err != nil {
 			return err
 		}
-		if csv {
-			if err := harness.CSVFig8(w, rows); err != nil {
-				return err
-			}
-		} else {
-			harness.RenderFig8(w, rows)
-			fmt.Fprintln(w)
-		}
-	}
-	if want("table1") {
-		any = true
-		rows, err := harness.Table1(opts)
-		if err != nil {
-			return err
-		}
-		if csv {
-			if err := harness.CSVTable1(w, rows); err != nil {
-				return err
-			}
-		} else {
-			harness.RenderTable1(w, rows)
-			fmt.Fprintln(w)
-		}
-	}
-	if want("fig9") {
-		any = true
-		rows, err := harness.Fig9(opts)
-		if err != nil {
-			return err
-		}
-		if csv {
-			if err := harness.CSVFig9(w, rows); err != nil {
-				return err
-			}
-		} else {
-			harness.RenderFig9(w, rows)
-			fmt.Fprintln(w)
-		}
-	}
-	if want("fig10") {
-		any = true
-		rows, err := harness.Fig10(opts)
-		if err != nil {
-			return err
-		}
-		if csv {
-			if err := harness.CSVFig10(w, rows); err != nil {
-				return err
-			}
-		} else {
-			harness.RenderFig10(w, rows)
-			fmt.Fprintln(w)
-		}
-	}
-	if want("fig11") {
-		any = true
-		rows, err := harness.Fig11(opts)
-		if err != nil {
-			return err
-		}
-		if csv {
-			if err := harness.CSVFig11(w, rows); err != nil {
-				return err
-			}
-		} else {
-			harness.RenderFig11(w, rows)
-			fmt.Fprintln(w)
-		}
-	}
-	if want("extensions") || experiment == "levelsweep" {
-		any = true
-		rows, err := harness.LevelSweep(opts)
-		if err != nil {
-			return err
-		}
-		harness.RenderLevelSweep(w, rows)
 		fmt.Fprintln(w)
 	}
-	if want("extensions") || experiment == "nodefailure" {
-		any = true
-		rows, err := harness.NodeFailure(opts)
-		if err != nil {
-			return err
-		}
-		harness.RenderNodeFailure(w, rows)
-		fmt.Fprintln(w)
-	}
-	if want("extensions") || experiment == "aclayers" {
-		any = true
-		rows, err := harness.ACLayers(opts)
-		if err != nil {
-			return err
-		}
-		harness.RenderACLayers(w, rows)
-		fmt.Fprintln(w)
-	}
-	if want("extensions") || experiment == "checkpointrule" {
-		any = true
-		rows, err := harness.CheckpointRule(opts)
-		if err != nil {
-			return err
-		}
-		harness.RenderCheckpointRule(w, rows)
-		fmt.Fprintln(w)
-	}
-	if !any {
+	if !ran {
 		return fmt.Errorf("unknown experiment %q", experiment)
 	}
 	return nil

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
 	"flag"
 	"os"
 	"path/filepath"
@@ -80,5 +81,36 @@ func TestRunAllGolden(t *testing.T) {
 	}
 	if got := buf.String(); got != string(want) {
 		t.Errorf("-experiment all drifted from %s:\n got:\n%s\nwant:\n%s", golden, got, want)
+	}
+}
+
+// TestRunAllCSV: in CSV mode every experiment, extensions included, prints
+// one CSV block with a header record, and blocks are separated by one blank
+// line, so each block parses on its own.
+func TestRunAllCSV(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment")
+	}
+	var buf bytes.Buffer
+	if err := run(&buf, "all", "csv", quickOpts()); err != nil {
+		t.Fatal(err)
+	}
+	blocks := strings.Split(strings.TrimSuffix(buf.String(), "\n\n"), "\n\n")
+	if len(blocks) != len(harness.Experiments) {
+		t.Fatalf("%d CSV blocks for %d experiments:\n%s", len(blocks), len(harness.Experiments), buf.String())
+	}
+	for i, block := range blocks {
+		recs, err := csv.NewReader(strings.NewReader(block)).ReadAll()
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", harness.Experiments[i].Name, err, block)
+		}
+		if len(recs) < 2 {
+			t.Errorf("%s: %d records, want a header and rows:\n%s", harness.Experiments[i].Name, len(recs), block)
+		}
+		for _, rec := range recs {
+			if len(rec) < 2 {
+				t.Errorf("%s: record %q has fewer than 2 fields", harness.Experiments[i].Name, rec)
+			}
+		}
 	}
 }

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
 	"ftsg/internal/checkpoint"
 	"ftsg/internal/core"
@@ -30,58 +29,36 @@ type LevelSweepRow struct {
 // at ("more advanced sparse grid combination techniques").
 func LevelSweep(o Options) ([]LevelSweepRow, error) {
 	o = o.WithDefaults()
-	type cell struct {
-		level  int
-		points int
-		res    *core.Result
-	}
-	var cells []*cell
-	s := newSched(o)
+	var pts []point
 	for _, l := range []int{4, 5, 6} {
-		cfg := core.Config{
-			Technique: core.AlternateCombination,
-			DiagProcs: 4,
-			Steps:     o.Steps,
-			Seed:      131,
-		}
+		cfg := core.Config{Technique: core.AlternateCombination, DiagProcs: 4, Steps: o.Steps, Seed: 131}
 		cfg.Layout.N, cfg.Layout.L = 9, l
+		pts = append(pts, point{cfg, 1, fmt.Sprintf("levelsweep l=%d", l)})
+	}
+	return sweep(o, pts, func(cfg core.Config, rs []*core.Result) LevelSweepRow {
 		points := 0
 		for _, g := range cfg.WithDefaults().Grids() {
 			points += g.Lv.Points()
 		}
-		c := &cell{level: l, points: points}
-		cells = append(cells, c)
-		s.Add(cfg, func(r *core.Result) {
-			c.res = r
-		}, func(err error) error {
-			return fmt.Errorf("levelsweep l=%d: %w", c.level, err)
-		})
-	}
-	if err := s.Run(); err != nil {
-		return nil, err
-	}
-	var rows []LevelSweepRow
-	for _, c := range cells {
-		row := LevelSweepRow{
-			Level:     c.level,
-			Grids:     c.res.GridCount,
-			Points:    c.points,
-			L1Error:   c.res.L1Error,
-			TotalTime: c.res.TotalTime,
+		return LevelSweepRow{
+			Level:     cfg.Layout.L,
+			Grids:     rs[0].GridCount,
+			Points:    points,
+			L1Error:   rs[0].L1Error,
+			TotalTime: rs[0].TotalTime,
 		}
-		rows = append(rows, row)
-		o.logf("levelsweep: l=%d grids=%d points=%d err=%.3e", c.level, row.Grids, row.Points, row.L1Error)
-	}
-	return rows, nil
+	})
 }
 
-// RenderLevelSweep prints the sweep.
-func RenderLevelSweep(w io.Writer, rows []LevelSweepRow) {
-	fmt.Fprintln(w, "Extension — combination level sweep (n = 9, AC, no failures)")
-	fmt.Fprintf(w, "%6s  %6s  %10s  %12s  %10s\n", "level", "grids", "points", "l1 error", "time (s)")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%6d  %6d  %10d  %12.3e  %10.1f\n", r.Level, r.Grids, r.Points, r.L1Error, r.TotalTime)
-	}
+var levelSweepReport = report[LevelSweepRow]{
+	title: []string{"Extension — combination level sweep (n = 9, AC, no failures)"},
+	cols: []column[LevelSweepRow]{
+		{"level", "level", 6, "d", func(r LevelSweepRow) any { return r.Level }, always},
+		{"grids", "grids", 6, "d", func(r LevelSweepRow) any { return r.Grids }, always},
+		{"points", "points", 10, "d", func(r LevelSweepRow) any { return r.Points }, always},
+		{"l1 error", "l1_error", 12, ".3e", func(r LevelSweepRow) any { return r.L1Error }, always},
+		{"time (s)", "time_s", 10, ".1f", func(r LevelSweepRow) any { return r.TotalTime }, always},
+	},
 }
 
 // NodeFailureRow is one point of the node-failure extension.
@@ -97,57 +74,42 @@ type NodeFailureRow struct {
 // and its processes are re-spawned on a spare node.
 func NodeFailure(o Options) ([]NodeFailureRow, error) {
 	o = o.WithDefaults()
-	type cell struct {
-		tech       core.Technique
-		base, fail *core.Result
-	}
-	var cells []*cell
-	s := newSched(o)
+	var pts []point
 	for _, tech := range []core.Technique{core.CheckpointRestart, core.AlternateCombination} {
-		c := &cell{tech: tech}
-		cells = append(cells, c)
-		s.Add(core.Config{Technique: tech, DiagProcs: 8, Steps: o.Steps, Seed: 151},
-			func(r *core.Result) { c.base = r }, nil)
-		cfg := core.Config{
-			Technique:    tech,
-			DiagProcs:    8,
-			Steps:        o.Steps,
-			RealFailures: true,
-			NodeFailure:  true,
-			SpareNodes:   1,
-			Seed:         151,
-		}
-		s.Add(cfg, func(r *core.Result) { c.fail = r }, func(err error) error {
-			return fmt.Errorf("nodefailure %v: %w", c.tech, err)
-		})
+		base := core.Config{Technique: tech, DiagProcs: 8, Steps: o.Steps, Seed: 151}
+		fail := base
+		fail.RealFailures, fail.NodeFailure, fail.SpareNodes = true, true, 1
+		pts = append(pts,
+			point{base, 1, fmt.Sprintf("nodefailure %v baseline", tech)},
+			point{fail, 1, fmt.Sprintf("nodefailure %v", tech)})
 	}
-	if err := s.Run(); err != nil {
+	res, err := sweep(o, pts, func(_ core.Config, rs []*core.Result) *core.Result { return rs[0] })
+	if err != nil {
 		return nil, err
 	}
 	var rows []NodeFailureRow
-	for _, c := range cells {
-		row := NodeFailureRow{
-			Technique:   c.tech,
-			FailedProcs: len(c.fail.FailedRanks),
-			Reconstruct: c.fail.ReconstructTime,
-			L1Error:     c.fail.L1Error,
-			BaseError:   c.base.L1Error,
-		}
-		rows = append(rows, row)
-		o.logf("nodefailure: %v failed=%d reconstruct=%.1fs err=%.3e (base %.3e)",
-			c.tech, row.FailedProcs, row.Reconstruct, row.L1Error, row.BaseError)
+	for i := 0; i < len(res); i += 2 {
+		base, fail := res[i], res[i+1]
+		rows = append(rows, NodeFailureRow{
+			Technique:   pts[i].cfg.Technique,
+			FailedProcs: len(fail.FailedRanks),
+			Reconstruct: fail.ReconstructTime,
+			L1Error:     fail.L1Error,
+			BaseError:   base.L1Error,
+		})
 	}
 	return rows, nil
 }
 
-// RenderNodeFailure prints the scenario results.
-func RenderNodeFailure(w io.Writer, rows []NodeFailureRow) {
-	fmt.Fprintln(w, "Extension — node failure with spare-node recovery (paper future work)")
-	fmt.Fprintf(w, "%4s  %13s  %16s  %12s  %12s\n", "tech", "failed procs", "reconstruct (s)", "l1 error", "baseline")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%4s  %13d  %16.1f  %12.3e  %12.3e\n",
-			r.Technique, r.FailedProcs, r.Reconstruct, r.L1Error, r.BaseError)
-	}
+var nodeFailureReport = report[NodeFailureRow]{
+	title: []string{"Extension — node failure with spare-node recovery (paper future work)"},
+	cols: []column[NodeFailureRow]{
+		{"tech", "technique", 4, "s", func(r NodeFailureRow) any { return r.Technique }, always},
+		{"failed procs", "failed_procs", 13, "d", func(r NodeFailureRow) any { return r.FailedProcs }, always},
+		{"reconstruct (s)", "reconstruct_s", 16, ".1f", func(r NodeFailureRow) any { return r.Reconstruct }, always},
+		{"l1 error", "l1_error", 12, ".3e", func(r NodeFailureRow) any { return r.L1Error }, always},
+		{"baseline", "base_l1_error", 12, ".3e", func(r NodeFailureRow) any { return r.BaseError }, always},
+	},
 }
 
 // CheckpointRuleRow compares checkpoint-interval rules for Eq. 2.
@@ -187,19 +149,17 @@ func CheckpointRule(o Options) ([]CheckpointRuleRow, error) {
 			Overhead: float64(paperCount) * m.TIOWrite,
 		})
 	}
-	for _, r := range rows {
-		o.logf("checkpointrule: %s %s count=%d overhead=%.2fs", r.Machine, r.Rule, r.Count, r.Overhead)
-	}
 	return rows, nil
 }
 
-// RenderCheckpointRule prints the comparison.
-func RenderCheckpointRule(w io.Writer, rows []CheckpointRuleRow) {
-	fmt.Fprintln(w, "Extension — checkpoint interval rules (Eq. 2 as printed vs Young's optimum)")
-	fmt.Fprintf(w, "%8s  %16s  %8s  %14s\n", "machine", "rule", "count", "overhead (s)")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%8s  %16s  %8d  %14.2f\n", r.Machine, r.Rule, r.Count, r.Overhead)
-	}
+var checkpointRuleReport = report[CheckpointRuleRow]{
+	title: []string{"Extension — checkpoint interval rules (Eq. 2 as printed vs Young's optimum)"},
+	cols: []column[CheckpointRuleRow]{
+		{"machine", "machine", 8, "s", func(r CheckpointRuleRow) any { return r.Machine }, always},
+		{"rule", "rule", 16, "s", func(r CheckpointRuleRow) any { return r.Rule }, always},
+		{"count", "count", 8, "d", func(r CheckpointRuleRow) any { return r.Count }, always},
+		{"overhead (s)", "overhead_s", 14, ".2f", func(r CheckpointRuleRow) any { return r.Overhead }, always},
+	},
 }
 
 // ACLayersRow is one point of the extra-layers ablation: the Alternate
@@ -219,60 +179,38 @@ type ACLayersRow struct {
 // absorb typical loss cascades.
 func ACLayers(o Options) ([]ACLayersRow, error) {
 	o = o.WithDefaults()
-	type cell struct {
-		layers int
-		base   *core.Result
-		errs   []float64
-	}
-	var cells []*cell
-	s := newSched(o)
+	var pts []point
 	for _, layers := range []int{-1, 1, 2} {
-		cfg := core.Config{
-			Technique:   core.AlternateCombination,
-			DiagProcs:   8,
-			Steps:       o.Steps,
-			ExtraLayers: layers,
-			Seed:        211,
-		}
-		c := &cell{layers: layers}
-		cells = append(cells, c)
-		s.Add(cfg, func(r *core.Result) { c.base = r }, func(err error) error {
-			return fmt.Errorf("aclayers k=%d baseline: %w", c.layers, err)
-		})
-		lossCfg := cfg
-		lossCfg.NumFailures = 3
-		s.AddTrials(lossCfg, o.ErrTrials, func(r *core.Result) {
-			c.errs = append(c.errs, r.L1Error)
-		}, func(err error) error {
-			return fmt.Errorf("aclayers k=%d: %w", c.layers, err)
-		})
+		cfg := core.Config{Technique: core.AlternateCombination, DiagProcs: 8, Steps: o.Steps, ExtraLayers: layers, Seed: 211}
+		loss := cfg
+		loss.NumFailures = 3
+		pts = append(pts,
+			point{cfg, 1, fmt.Sprintf("aclayers k=%d baseline", layers)},
+			point{loss, o.ErrTrials, fmt.Sprintf("aclayers k=%d", layers)})
 	}
-	if err := s.Run(); err != nil {
+	res, err := sweep(o, pts, func(_ core.Config, rs []*core.Result) []*core.Result { return rs })
+	if err != nil {
 		return nil, err
 	}
 	var rows []ACLayersRow
-	for _, c := range cells {
-		shown := c.layers
-		if shown < 0 {
-			shown = 0
-		}
-		row := ACLayersRow{
-			ExtraLayers: shown,
-			Procs:       c.base.Procs,
-			L1Error:     mean(c.errs),
-			BaseError:   c.base.L1Error,
-		}
-		rows = append(rows, row)
-		o.logf("aclayers: k=%d procs=%d err=%.3e (base %.3e)", row.ExtraLayers, row.Procs, row.L1Error, row.BaseError)
+	for i := 0; i < len(res); i += 2 {
+		base := res[i][0]
+		rows = append(rows, ACLayersRow{
+			ExtraLayers: max(pts[i].cfg.ExtraLayers, 0),
+			Procs:       base.Procs,
+			L1Error:     meanL1(res[i+1]),
+			BaseError:   base.L1Error,
+		})
 	}
 	return rows, nil
 }
 
-// RenderACLayers prints the sweep.
-func RenderACLayers(w io.Writer, rows []ACLayersRow) {
-	fmt.Fprintln(w, "Extension — Alternate Combination error vs extra layers (3 lost grids)")
-	fmt.Fprintf(w, "%13s  %6s  %12s  %12s\n", "extra layers", "procs", "l1 error", "baseline")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%13d  %6d  %12.3e  %12.3e\n", r.ExtraLayers, r.Procs, r.L1Error, r.BaseError)
-	}
+var acLayersReport = report[ACLayersRow]{
+	title: []string{"Extension — Alternate Combination error vs extra layers (3 lost grids)"},
+	cols: []column[ACLayersRow]{
+		{"extra layers", "extra_layers", 13, "d", func(r ACLayersRow) any { return r.ExtraLayers }, always},
+		{"procs", "procs", 6, "d", func(r ACLayersRow) any { return r.Procs }, always},
+		{"l1 error", "l1_error", 12, ".3e", func(r ACLayersRow) any { return r.L1Error }, always},
+		{"baseline", "base_l1_error", 12, ".3e", func(r ACLayersRow) any { return r.BaseError }, always},
+	},
 }

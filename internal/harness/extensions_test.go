@@ -27,7 +27,7 @@ func TestLevelSweep(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	RenderLevelSweep(&buf, rows)
+	levelSweepReport.write(&buf, rows, false)
 	if !strings.Contains(buf.String(), "level sweep") {
 		t.Error("render missing header")
 	}
@@ -47,7 +47,7 @@ func TestNodeFailureExperiment(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	RenderNodeFailure(&buf, rows)
+	nodeFailureReport.write(&buf, rows, false)
 	if !strings.Contains(buf.String(), "spare-node") {
 		t.Error("render missing header")
 	}
@@ -73,7 +73,7 @@ func TestCheckpointRuleExperiment(t *testing.T) {
 		t.Errorf("Young overhead %g above Eq.2 %g on Raijin", y.Overhead, p.Overhead)
 	}
 	var buf bytes.Buffer
-	RenderCheckpointRule(&buf, rows)
+	checkpointRuleReport.write(&buf, rows, false)
 	if !strings.Contains(buf.String(), "Young") {
 		t.Error("render missing header")
 	}

@@ -70,7 +70,7 @@ func TestGoldenOutputWithTelemetryOff(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				RenderFig8(table, rows)
+				fig8Report.write(table, rows, false)
 				return CSVFig8(csv, rows)
 			}},
 			{"table1", func(o Options, table, csv io.Writer) error {
@@ -78,7 +78,7 @@ func TestGoldenOutputWithTelemetryOff(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				RenderTable1(table, rows)
+				table1Report.write(table, rows, false)
 				return CSVTable1(csv, rows)
 			}},
 			{"fig9", func(o Options, table, csv io.Writer) error {
@@ -86,7 +86,7 @@ func TestGoldenOutputWithTelemetryOff(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				RenderFig9(table, rows)
+				fig9Report.write(table, rows, false)
 				return CSVFig9(csv, rows)
 			}},
 			{"fig10", func(o Options, table, csv io.Writer) error {
@@ -94,7 +94,7 @@ func TestGoldenOutputWithTelemetryOff(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				RenderFig10(table, rows)
+				fig10Report.write(table, rows, false)
 				return CSVFig10(csv, rows)
 			}},
 			{"fig11", func(o Options, table, csv io.Writer) error {
@@ -102,7 +102,7 @@ func TestGoldenOutputWithTelemetryOff(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				RenderFig11(table, rows)
+				fig11Report.write(table, rows, false)
 				return CSVFig11(csv, rows)
 			}},
 		} {
@@ -130,22 +130,22 @@ func TestGoldenExtensions(t *testing.T) {
 		}{
 			{"levelsweep", func(o Options, table io.Writer) error {
 				rows, err := LevelSweep(o)
-				RenderLevelSweep(table, rows)
+				levelSweepReport.write(table, rows, false)
 				return err
 			}},
 			{"nodefailure", func(o Options, table io.Writer) error {
 				rows, err := NodeFailure(o)
-				RenderNodeFailure(table, rows)
+				nodeFailureReport.write(table, rows, false)
 				return err
 			}},
 			{"aclayers", func(o Options, table io.Writer) error {
 				rows, err := ACLayers(o)
-				RenderACLayers(table, rows)
+				acLayersReport.write(table, rows, false)
 				return err
 			}},
 			{"checkpointrule", func(o Options, table io.Writer) error {
 				rows, err := CheckpointRule(o)
-				RenderCheckpointRule(table, rows)
+				checkpointRuleReport.write(table, rows, false)
 				return err
 			}},
 		} {
@@ -254,7 +254,7 @@ func TestTelemetryColumnsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var table, csv bytes.Buffer
-		RenderFig8(&table, rows8)
+		fig8Report.write(&table, rows8, false)
 		if err := CSVFig8(&csv, rows8); err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +270,7 @@ func TestTelemetryColumnsDeterministic(t *testing.T) {
 		}
 		table.Reset()
 		csv.Reset()
-		RenderFig11(&table, rows11)
+		fig11Report.write(&table, rows11, false)
 		if err := CSVFig11(&csv, rows11); err != nil {
 			t.Fatal(err)
 		}

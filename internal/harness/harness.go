@@ -1,6 +1,8 @@
-// Package harness defines and runs the paper's experiments: every table and
-// figure of the evaluation section maps to one function here, returning
-// typed rows and rendering the same series the paper reports.
+// Package harness defines and runs the paper's experiments. Each table and
+// figure of the evaluation section, and each extension beyond it, is a
+// driver and a report: the driver lists its sweep points, sweep runs them
+// and maps each point's results to a typed row, and the report prints the
+// rows as a text table or as CSV. Experiments lists them all.
 //
 //	Fig. 8a/8b  failure-information and reconstruction times vs cores
 //	Table I     beta-ULFM component times at two failures vs cores
@@ -10,14 +12,10 @@
 package harness
 
 import (
-	"fmt"
-	"io"
-
 	"ftsg/internal/core"
 	"ftsg/internal/metrics"
 	"ftsg/internal/mpi"
 	"ftsg/internal/recovery"
-	"ftsg/internal/vtime"
 )
 
 // Options tunes experiment size. The zero value gives the paper's full
@@ -104,8 +102,6 @@ type Options struct {
 	// /debug/ranks endpoint can dump per-rank blocked operations of the
 	// in-flight sweep. Read-only; output is unaffected.
 	Introspect *mpi.Introspection
-	// Log, when non-nil, receives progress lines.
-	Log io.Writer
 }
 
 // WithDefaults fills zero fields; see the struct comment for the
@@ -140,28 +136,10 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
-func (o Options) logf(format string, args ...any) {
-	if o.Log != nil {
-		fmt.Fprintf(o.Log, format+"\n", args...)
-	}
-}
-
 // coresFor returns the total core count of the RC configuration at the
 // given diagonal process count (the paper's Fig. 8 / Table I / Fig. 11
 // x-axis).
 func coresFor(diagProcs int) int {
 	cfg := core.Config{Technique: core.ResamplingCopying, DiagProcs: diagProcs}.WithDefaults()
 	return cfg.NumProcs()
-}
-
-// machineByName resolves a profile name.
-func machineByName(name string) *vtime.Machine {
-	switch name {
-	case "Raijin", "raijin":
-		return vtime.Raijin()
-	case "generic":
-		return vtime.Generic()
-	default:
-		return vtime.OPL()
-	}
 }

@@ -35,7 +35,7 @@ func TestFig8ShapesMatchPaper(t *testing.T) {
 		t.Errorf("times not recorded: %+v", big2)
 	}
 	var buf bytes.Buffer
-	RenderFig8(&buf, rows)
+	fig8Report.write(&buf, rows, false)
 	if !strings.Contains(buf.String(), "Fig. 8a") {
 		t.Error("render missing header")
 	}
@@ -62,7 +62,7 @@ func TestTable1ShapesMatchPaper(t *testing.T) {
 		t.Errorf("spawn (%g) below merge (%g)", last.Spawn, last.Merge)
 	}
 	var buf bytes.Buffer
-	RenderTable1(&buf, rows)
+	table1Report.write(&buf, rows, false)
 	if !strings.Contains(buf.String(), "Comm_shrink") {
 		t.Error("render missing column")
 	}
@@ -166,15 +166,14 @@ func TestFig11ShapesMatchPaper(t *testing.T) {
 		return Fig11Row{}
 	}
 	// Fig. 11a ordering at every scale with no failures: CR most costly,
-	// AC least costly.
+	// then RC, AC least costly.
 	for _, sweep := range []int{19, 38, 76} {
 		cr := get(core.CheckpointRestart, 0, sweep).Time
 		rc := get(core.ResamplingCopying, 0, sweep).Time
 		ac := get(core.AlternateCombination, 0, sweep).Time
-		if !(cr > ac) {
-			t.Errorf("sweep %d: CR time %g not above AC %g", sweep, cr, ac)
+		if !(cr > rc && rc > ac) {
+			t.Errorf("sweep %d: Fig 11a ordering broken: CR=%g RC=%g AC=%g", sweep, cr, rc, ac)
 		}
-		_ = rc
 	}
 	// Efficiency at the base scale is 1 by construction; at the largest
 	// scale it stays in a plausible band, and CR is the least scalable

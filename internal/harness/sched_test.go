@@ -162,7 +162,7 @@ func TestAggregateMetricsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var tbl, sum bytes.Buffer
-		RenderFig8(&tbl, rows)
+		fig8Report.write(&tbl, rows, false)
 		reg.WriteSummary(&sum)
 		return sum.String(), tbl.String()
 	}
