@@ -24,7 +24,7 @@ type Fig8Row struct {
 
 // Fig8 reproduces Fig. 8: real process failures injected before the
 // combination, on the OPL profile, sweeping cores with one and two
-// failures. All (cell, trial) runs execute concurrently on the experiment
+// failures. All (point, trial) runs execute concurrently on the experiment
 // scheduler; rows come back in sweep order.
 func Fig8(o Options) ([]Fig8Row, error) {
 	o = o.WithDefaults()
