@@ -109,7 +109,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		for _, v := range o.Violations {
 			violations++
 			fmt.Fprintf(stdout, "VIOLATION %s under %s: %s\n  replay: %s\n",
-				o.Scenario, o.Technique, v, chaos.ReproCommandMode(o.Seed, o.Technique, forced))
+				o.Scenario, o.Technique, v, chaos.ReproCommand(o.Seed, o.Technique, forced, o.Recovery))
 		}
 		if len(o.Violations) > 0 && o.TraceJSON != "" {
 			path := fmt.Sprintf("%s/chaos-violation-seed%d-%s.trace.json",

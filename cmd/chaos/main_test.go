@@ -25,6 +25,21 @@ func TestSmoke(t *testing.T) {
 	}
 }
 
+// TestStallIsAViolation runs the campaign under a watchdog so tight that
+// every cell stalls: each stall must come back as a VIOLATION line carrying
+// the stall dump, and the campaign must exit 1 rather than crash.
+func TestStallIsAViolation(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir()) // the aborted runs' flight-recorder dumps
+	var stdout, stderr bytes.Buffer
+	args := []string{"-seeds", "2", "-stall", "1us", "-workers", "1", "-dump-dir", t.TempDir()}
+	if code := realMain(args, &stdout, &stderr); code != 1 {
+		t.Fatalf("realMain(%v) = %d, want 1\nstdout: %s\nstderr: %s", args, code, stdout.String(), stderr.String())
+	}
+	if out := stdout.String(); !strings.Contains(out, "VIOLATION") || !strings.Contains(out, "no transport progress") {
+		t.Errorf("no stall violation reported:\n%s", out)
+	}
+}
+
 // TestBadFlagsExitCode: flag validation surfaces as exit code 2 with the
 // reason on stderr, before any run starts.
 func TestBadFlagsExitCode(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"os"
 	"strings"
 	"sync"
 	"time"
@@ -60,20 +59,10 @@ type Outcome struct {
 	TraceJSON string
 }
 
-// ReproCommand returns the one-liner that replays exactly this cell.
-func ReproCommand(seed int64, tech core.Technique) string {
-	return ReproCommandMode(seed, tech, 0)
-}
-
-// ReproCommandMode is ReproCommand for a cell run under a forced scenario
+// ReproCommand returns the one-liner that replays exactly one cell: seed,
+// technique, forced scenario mode (0 draws from the seed) and forced recovery
 // mode.
-func ReproCommandMode(seed int64, tech core.Technique, mode byte) string {
-	return ReproCommandRecovery(seed, tech, mode, recovery.ModeSpawn)
-}
-
-// ReproCommandRecovery is the full repro line: seed, technique, forced
-// scenario mode (0 draws from the seed) and forced recovery mode.
-func ReproCommandRecovery(seed int64, tech core.Technique, mode byte, rmode recovery.Mode) string {
+func ReproCommand(seed int64, tech core.Technique, mode byte, rmode recovery.Mode) string {
 	cmd := fmt.Sprintf("go test ./internal/chaos -run TestChaos -chaos.seed=%d -chaos.technique=%s", seed, tech)
 	if mode != 0 {
 		cmd += fmt.Sprintf(" -chaos.mode=%c", mode)
@@ -126,10 +115,9 @@ type runOut struct {
 
 // runOnce executes one configuration with full instrumentation attached and
 // returns its result plus replay fingerprint. A deadlock trips the watchdog,
-// which dumps every rank's blocked operation and the repro line to stderr
-// before aborting the job; the abort surfaces as rank errors, so a stalled
-// run never hangs the campaign.
-func runOnce(cfg core.Config, label, repro string, stallTimeout time.Duration) (runOut, error) {
+// which aborts the run: the error carries every rank's blocked operation, so
+// a stalled run fails its cell instead of hanging the campaign.
+func runOnce(cfg core.Config, stallTimeout time.Duration) (runOut, error) {
 	if stallTimeout <= 0 {
 		stallTimeout = DefaultStallTimeout
 	}
@@ -137,13 +125,7 @@ func runOnce(cfg core.Config, label, repro string, stallTimeout time.Duration) (
 	rec := trace.New()
 	cfg.Metrics = reg
 	cfg.Trace = rec
-	cfg.Watchdog = mpi.Watchdog{
-		Timeout: stallTimeout,
-		OnStall: func(dump string) {
-			fmt.Fprintf(os.Stderr, "chaos: DEADLOCK in %s after %v without progress\n%s\nreplay: %s\n",
-				label, stallTimeout, dump, repro)
-		},
-	}
+	cfg.Watchdog = mpi.Watchdog{Timeout: stallTimeout}
 	res, err := core.Run(cfg)
 	if err != nil {
 		return runOut{}, err
@@ -169,8 +151,7 @@ func runOnce(cfg core.Config, label, repro string, stallTimeout time.Duration) (
 // once and returns its replay fingerprint.
 func FingerprintOf(seed int64, tech core.Technique, stallTimeout time.Duration) (Fingerprint, error) {
 	sc := NewScenario(seed)
-	out, err := runOnce(sc.ConfigFor(tech), fmt.Sprintf("seed %d %s", seed, tech),
-		ReproCommand(seed, tech), stallTimeout)
+	out, err := runOnce(sc.ConfigFor(tech), stallTimeout)
 	if err != nil {
 		return Fingerprint{}, err
 	}
@@ -194,7 +175,6 @@ func checkMode(seed int64, tech core.Technique, mode byte, rmode recovery.Mode, 
 	if scale == nil {
 		scale = func(cfg core.Config) core.Config { return cfg }
 	}
-	repro := ReproCommandRecovery(seed, tech, mode, rmode)
 
 	cell := metrics.New()
 	fold := func(r runOut) { cell.Merge(r.reg) }
@@ -205,7 +185,7 @@ func checkMode(seed int64, tech core.Technique, mode byte, rmode recovery.Mode, 
 		return cellOut{o: o, reg: cell}
 	}
 
-	ctl, err := runOnce(scale(sc.Control(tech)), fmt.Sprintf("control seed %d %s", seed, tech), repro, stallTimeout)
+	ctl, err := runOnce(scale(sc.Control(tech)), stallTimeout)
 	if err != nil {
 		violate("control run failed: %v", err)
 		return finish(runOut{})
@@ -213,13 +193,13 @@ func checkMode(seed int64, tech core.Technique, mode byte, rmode recovery.Mode, 
 	fold(ctl)
 	o.ControlL1 = ctl.res.L1Error
 
-	run1, err := runOnce(scale(sc.ConfigForRecovery(tech, rmode)), fmt.Sprintf("chaos seed %d %s/%s", seed, tech, rmode), repro, stallTimeout)
+	run1, err := runOnce(scale(sc.ConfigForRecovery(tech, rmode)), stallTimeout)
 	if err != nil {
 		violate("chaos run failed: %v", err)
 		return finish(runOut{})
 	}
 	fold(run1)
-	run2, err := runOnce(scale(sc.ConfigForRecovery(tech, rmode)), fmt.Sprintf("replay seed %d %s/%s", seed, tech, rmode), repro, stallTimeout)
+	run2, err := runOnce(scale(sc.ConfigForRecovery(tech, rmode)), stallTimeout)
 	if err != nil {
 		violate("replay run failed: %v", err)
 		return finish(run1)

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"flag"
-	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -70,7 +69,7 @@ func TestChaos(t *testing.T) {
 		violations += len(o.Violations)
 		for _, v := range o.Violations {
 			t.Errorf("%s under %s/%s: %s\n  replay: %s",
-				o.Scenario, o.Technique, rmode, v, ReproCommandRecovery(o.Seed, o.Technique, mode, rmode))
+				o.Scenario, o.Technique, rmode, v, ReproCommand(o.Seed, o.Technique, mode, rmode))
 		}
 	}
 	t.Logf("chaos: %d seeds x %d techniques under %s, %d violations",
@@ -105,7 +104,7 @@ func TestChaosRecoveryModes(t *testing.T) {
 		for _, o := range outs {
 			for _, v := range o.Violations {
 				t.Errorf("%s under %s/%s: %s\n  replay: %s",
-					o.Scenario, o.Technique, rmode, v, ReproCommandRecovery(o.Seed, o.Technique, 0, rmode))
+					o.Scenario, o.Technique, rmode, v, ReproCommand(o.Seed, o.Technique, 0, rmode))
 			}
 		}
 	}
@@ -263,7 +262,7 @@ func TestChaosReplayAcrossGOMAXPROCS(t *testing.T) {
 			}
 			if fp1 != fp2 {
 				t.Errorf("seed %d %s: fingerprints differ between GOMAXPROCS=1 and %d\n  replay: %s",
-					seed, tech, prev, ReproCommand(seed, tech))
+					seed, tech, prev, ReproCommand(seed, tech, 0, recovery.ModeSpawn))
 			}
 		}
 	}
@@ -316,8 +315,7 @@ func TestChaosScale512(t *testing.T) {
 			t.Errorf("scaled %s under %s: %s", o.Scenario, tech, v)
 		}
 		run := func() (runOut, error) {
-			return runOnce(ScaleWorld(NewScenario(seed).ConfigFor(tech)),
-				fmt.Sprintf("scaled seed %d %s", seed, tech), ReproCommand(seed, tech), *chaosStall)
+			return runOnce(ScaleWorld(NewScenario(seed).ConfigFor(tech)), *chaosStall)
 		}
 		runtime.GOMAXPROCS(1)
 		out1, err1 := run()
@@ -353,7 +351,7 @@ func TestChaosCheckpointCorruption(t *testing.T) {
 	for _, o := range outs {
 		for _, v := range o.Violations {
 			t.Errorf("%s under %s: %s\n  replay: %s",
-				o.Scenario, o.Technique, v, ReproCommandMode(o.Seed, o.Technique, ModeCkptCorrupt))
+				o.Scenario, o.Technique, v, ReproCommand(o.Seed, o.Technique, ModeCkptCorrupt, recovery.ModeSpawn))
 		}
 	}
 }

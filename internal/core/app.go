@@ -46,8 +46,6 @@ type runState struct {
 	place   recovery.Placement
 	reg     *metrics.Registry
 
-	flightOnce sync.Once
-
 	// classic is the layout's classic scheme, shared read-only by the ranks.
 	classic combine.Scheme
 
@@ -60,23 +58,21 @@ type runState struct {
 var flightSeq atomic.Int64
 
 // dumpFlight writes the run's trace recorder (the always-on flight recorder
-// unless the caller attached a full one) to a post-mortem file, once per
-// run. reason names the trigger in the stderr note; failures to write are
-// reported but never mask the original abort.
-func (rs *runState) dumpFlight(reason string) {
-	rs.flightOnce.Do(func() {
-		dir := rs.cfg.FlightDumpDir
-		if dir == "" {
-			dir = os.TempDir()
-		}
-		path := filepath.Join(dir, fmt.Sprintf("ftsg-flight-%d-%d.trace.json",
-			os.Getpid(), flightSeq.Add(1)))
-		if err := rs.cfg.Trace.DumpChromeTrace(path); err != nil {
-			fmt.Fprintf(os.Stderr, "core: %s: flight recorder dump failed: %v\n", reason, err)
-			return
-		}
-		fmt.Fprintf(os.Stderr, "core: %s: flight recorder dumped to %s\n", reason, path)
-	})
+// unless the caller attached a full one) to a post-mortem file, after the
+// job aborted with cause. Failures to write are reported but never mask the
+// cause.
+func (rs *runState) dumpFlight() {
+	dir := rs.cfg.FlightDumpDir
+	if dir == "" {
+		dir = os.TempDir()
+	}
+	path := filepath.Join(dir, fmt.Sprintf("ftsg-flight-%d-%d.trace.json",
+		os.Getpid(), flightSeq.Add(1)))
+	if err := rs.cfg.Trace.DumpChromeTrace(path); err != nil {
+		fmt.Fprintf(os.Stderr, "core: run aborted: flight recorder dump failed: %v\n", err)
+		return
+	}
+	fmt.Fprintf(os.Stderr, "core: run aborted: flight recorder dumped to %s\n", path)
 }
 
 // Run executes the fault-tolerant application and returns its metrics.
@@ -86,25 +82,13 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	// Every run carries a trace recorder: an explicit one from the caller,
-	// or the bounded always-on flight recorder, so an abort or watchdog fire
-	// can leave a Perfetto-loadable post-mortem without -trace-out.
+	// or the bounded always-on flight recorder, so an aborted run (a rank's
+	// error or a watchdog stall) leaves a Perfetto-loadable post-mortem
+	// without -trace-out.
 	if cfg.Trace == nil {
 		cfg.Trace = trace.NewFlight(0)
 	}
 	rs := &runState{cfg: cfg, grids: cfg.Grids(), classic: cfg.Layout.Classic()}
-	// A watchdog fire means the run is lost: dump the flight recorder before
-	// the configured stall handling (panic when OnStall is nil, abort
-	// otherwise) so the deadlock leaves a timeline, not just the text dump.
-	if cfg.Watchdog.Timeout > 0 {
-		inner := cfg.Watchdog.OnStall
-		rs.cfg.Watchdog.OnStall = func(dump string) {
-			rs.dumpFlight("watchdog stall")
-			if inner == nil {
-				panic(dump)
-			}
-			inner(dump)
-		}
-	}
 	rs.prob, rs.dt = cfg.Problem()
 	for _, g := range rs.grids {
 		if err := pde.CheckStable(g.Lv, rs.prob, rs.dt); err != nil {
@@ -275,7 +259,7 @@ func Run(cfg Config) (*Result, error) {
 		Machine:    cfg.Machine,
 		Cluster:    rs.cluster,
 		Metrics:    reg,
-		Watchdog:   rs.cfg.Watchdog,
+		Watchdog:   cfg.Watchdog,
 		Introspect: cfg.Introspect,
 		SpareRanks: cfg.SpareRanks,
 		SpareHosts: spareHosts,
@@ -288,6 +272,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	rep, err := mpi.Run(opts)
 	if err != nil {
+		rs.dumpFlight()
 		return nil, err
 	}
 	rs.res.TotalTime = rep.MaxVirtualTime
@@ -320,7 +305,8 @@ func (rs *runState) detectionPoints() []int {
 
 func (rs *runState) entry(p *mpi.Proc) { rs.exit(p, rs.rank(p)) }
 
-// exit ends one simulated process's program.
+// exit ends one simulated process's program. Any error but an orphan's
+// aborts the job with that error as the cause, which Run returns.
 func (rs *runState) exit(p *mpi.Proc, err error) {
 	if err == nil || errors.Is(err, recovery.ErrOrphaned) {
 		// An orphan is a replacement whose repair round was hit by a further
@@ -328,10 +314,7 @@ func (rs *runState) exit(p *mpi.Proc, err error) {
 		// replacements. Exiting cleanly is the whole of its job.
 		return
 	}
-	// The run is about to abort: leave the flight-recorder post-mortem
-	// before panicking out of the simulated process.
-	rs.dumpFlight(fmt.Sprintf("rank %d abort", p.WorldRank()))
-	panic(fmt.Sprintf("core: world rank %d: %v", p.WorldRank(), err))
+	p.Abort(fmt.Errorf("core: world rank %d: %w", p.WorldRank(), err))
 }
 
 // rank is the program every simulated process runs — launched ranks,

@@ -174,8 +174,9 @@ type Config struct {
 	// avoided jointly with the step plan's victims). Requires RealFailures.
 	OpFailures []faultgen.OpEvent
 	// Watchdog, when enabled (Timeout > 0), monitors transport progress
-	// during the run and dumps every rank's blocked-operation state on a
-	// stall instead of hanging (see mpi.Watchdog).
+	// during the run and aborts a stalled one instead of hanging: Run
+	// returns an *mpi.StallError carrying every rank's blocked-operation
+	// state, after dumping the flight recorder (see mpi.Watchdog).
 	Watchdog mpi.Watchdog
 	// SpareNodes appends empty hosts to the cluster; when present,
 	// replacements are spawned onto the first spare instead of the failed
@@ -220,7 +221,8 @@ type Config struct {
 	// can take on-demand per-rank blocked-op snapshots.
 	Introspect *mpi.Introspection
 	// FlightDumpDir is where automatic flight-recorder post-mortems land
-	// when a run aborts or the watchdog fires ("" = the OS temp directory).
+	// when a run aborts — on a rank's error or a watchdog stall ("" = the
+	// OS temp directory).
 	// When Trace is nil, Run attaches a bounded flight recorder to every run
 	// so such a dump always exists; an explicit Trace is dumped as-is.
 	FlightDumpDir string

@@ -3,12 +3,15 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"ftsg/internal/mpi"
 	"ftsg/internal/trace"
 )
 
@@ -126,32 +129,42 @@ func TestFlightDumpHasAllRepairPhases(t *testing.T) {
 	}
 }
 
-// TestFlightAutoDumpOnAbort checks the abort path writes the flight
-// recorder to disk exactly once and that the dump is a loadable trace.
+// TestFlightAutoDumpOnAbort runs with a watchdog so tight that it fires
+// mid-run: the stall must come back from Run as an *mpi.StallError (not a
+// crash of the test binary), and the flight recorder must be dumped exactly
+// once, as a loadable trace. A run may outpace even a 1 µs watchdog, so it
+// retries until a stall fires.
 func TestFlightAutoDumpOnAbort(t *testing.T) {
-	dir := t.TempDir()
-	rec := trace.NewFlight(8)
-	rec.BeginSpan(1, 0, "solve", "about to die").End(2)
-	rs := &runState{cfg: Config{Trace: rec, FlightDumpDir: dir}}
-
-	rs.dumpFlight("rank 3 abort")
-	rs.dumpFlight("watchdog stall") // second trigger must be a no-op
-
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	for try := 0; try < 5; try++ {
+		dir := t.TempDir()
+		_, err := Run(Config{Technique: ResamplingCopying, DiagProcs: 2, Steps: 64,
+			CheckpointBackend: "mem", FlightDumpDir: dir,
+			Watchdog: mpi.Watchdog{Timeout: time.Microsecond}})
+		if err == nil {
+			continue
+		}
+		var stall *mpi.StallError
+		if !errors.As(err, &stall) || !strings.Contains(err.Error(), "no transport progress") {
+			t.Fatalf("Run returned %v, want a watchdog stall", err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 {
+			t.Fatalf("abort dumped %d files, want exactly 1", len(entries))
+		}
+		if !strings.HasPrefix(entries[0].Name(), "ftsg-flight-") {
+			t.Errorf("dump filename %q missing the ftsg-flight- prefix", entries[0].Name())
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, entries[0].Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !json.Valid(raw) {
+			t.Errorf("dump is not valid JSON: %.200s", raw)
+		}
+		return
 	}
-	if len(entries) != 1 {
-		t.Fatalf("abort dumped %d files, want exactly 1", len(entries))
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, entries[0].Name()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !json.Valid(raw) || !bytes.Contains(raw, []byte("solve")) {
-		t.Errorf("dump is not a valid trace containing the span: %s", raw)
-	}
-	if !strings.HasPrefix(entries[0].Name(), "ftsg-flight-") {
-		t.Errorf("dump filename %q missing the ftsg-flight- prefix", entries[0].Name())
-	}
+	t.Fatal("no stall fired in 5 runs under a 1 µs watchdog")
 }

@@ -123,7 +123,7 @@ func TestReduceLengthMismatchIsNotAFailure(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			errs := make([]error, 4)
-			opts := Options{NProcs: 4, EventWorkers: 4, FlatCollectives: true, Watchdog: stallFails(t)}
+			opts := Options{NProcs: 4, EventWorkers: 4, FlatCollectives: true, Watchdog: stallFails()}
 			runOnPath(t, opts, tc.event, func(p *Proc, o pathOps) {
 				c := p.World()
 				me := c.Rank()

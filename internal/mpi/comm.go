@@ -340,3 +340,11 @@ func (p *Proc) Metrics() *metrics.Registry {
 func (p *Proc) Kill() {
 	panic(killSignal{})
 }
+
+// Abort ends the whole job with err, emulating MPI_Abort: every process is
+// failed, Run returns err (or the cause of an earlier abort, which wins), and
+// the caller unwinds like Kill. It never returns.
+func (p *Proc) Abort(err error) {
+	p.st.w.abort(err)
+	panic(killSignal{})
+}

@@ -110,13 +110,10 @@ func runOnPath(t *testing.T, o Options, event bool, prog func(p *Proc, o pathOps
 	return rep
 }
 
-// stallFails is a watchdog that turns a stall into a test failure carrying
-// the per-rank blocked-op dump, then aborts the job so Run returns.
-func stallFails(t *testing.T) Watchdog {
-	return Watchdog{Timeout: 30 * time.Second, OnStall: func(dump string) {
-		t.Errorf("world stalled (a lost wake?):\n%s", dump)
-	}}
-}
+// stallFails is a watchdog that aborts a stalled job: Run returns a
+// *StallError carrying the per-rank blocked-op dump, which runOnPath turns
+// into a test failure.
+func stallFails() Watchdog { return Watchdog{Timeout: 30 * time.Second} }
 
 // spinUntil yields until cond holds. A condition that a regression makes
 // unreachable must fail the test, not hang it: after a minute it reports and
@@ -272,7 +269,7 @@ func TestRendezvousTableHoldsOnlyUnresolved(t *testing.T) {
 	for _, event := range []bool{false, true} {
 		t.Run(pathName(event), func(t *testing.T) {
 			var world atomic.Pointer[World]
-			runOnPath(t, Options{NProcs: n, EventWorkers: n, Watchdog: stallFails(t)}, event, func(p *Proc, o pathOps) {
+			runOnPath(t, Options{NProcs: n, EventWorkers: n, Watchdog: stallFails()}, event, func(p *Proc, o pathOps) {
 				w := p.st.w
 				world.Store(w)
 				c := p.World()
@@ -423,7 +420,7 @@ func TestRendezvousDeathTimingTable(t *testing.T) {
 
 		// The victim of the two "it had arrived" timings is parked inside
 		// the rendezvous and cannot kill itself: a controller declares it
-		// dead from outside, the way the watchdog's abortJob does.
+		// dead from outside, the way an abort does.
 		controller := make(chan struct{})
 		go func() {
 			defer close(controller)
@@ -438,7 +435,7 @@ func TestRendezvousDeathTimingTable(t *testing.T) {
 			killed.Store(true)
 		}()
 
-		runOnPath(t, Options{NProcs: n, EventWorkers: n, Watchdog: stallFails(t)}, event, func(p *Proc, o pathOps) {
+		runOnPath(t, Options{NProcs: n, EventWorkers: n, Watchdog: stallFails()}, event, func(p *Proc, o pathOps) {
 			w := p.st.w
 			c := p.World()
 			me := c.Rank()
@@ -568,7 +565,7 @@ func TestControlPlaneLostWakeStress(t *testing.T) {
 				// The timed pair of the exitMidPark group.
 				pair := exitMidPark*group + 2*(round%(group/2))
 				timed.arm(pair, pair+1)
-				runOnPath(t, Options{NProcs: nprocs, Machine: vtime.OPL(), EventWorkers: 4, Watchdog: stallFails(t)}, event, func(p *Proc, o pathOps) {
+				runOnPath(t, Options{NProcs: nprocs, Machine: vtime.OPL(), EventWorkers: 4, Watchdog: stallFails()}, event, func(p *Proc, o pathOps) {
 					world := p.World()
 					me := world.Rank()
 					color := me / group

@@ -39,8 +39,12 @@ type OpHook func(op string)
 func (p *Proc) SetOpHook(h OpHook) { p.st.opHook = h }
 
 // hookOp invokes the process's hook, if any, for an operation about to
-// start. Callers must hold no transport lock.
+// start. Once the job has been aborted it unwinds the process instead, like
+// Kill: the abort has already failed it. Callers must hold no transport lock.
 func (st *procState) hookOp(op string) {
+	if st.w.aborted.Load() {
+		panic(killSignal{})
+	}
 	if st.opHook != nil {
 		st.opHook(op)
 	}

@@ -37,7 +37,7 @@ func TestReleasePoisons(t *testing.T) {
 func TestReduceInputReadAfterwardsIsPoisoned(t *testing.T) {
 	const n, m = 6, 64
 	for _, event := range []bool{false, true} {
-		opts := Options{NProcs: n, EventWorkers: 2, Watchdog: stallFails(t)}
+		opts := Options{NProcs: n, EventWorkers: 2, Watchdog: stallFails()}
 		runOnPath(t, opts, event, func(p *Proc, o pathOps) {
 			c := p.World()
 			data := AcquireBuf[float64](m)

@@ -56,7 +56,7 @@ func TestReduceConsumesInputBitIdentical(t *testing.T) {
 				var got, want []float64 // rank 0's
 				aliased := false
 				opts := Options{NProcs: n, Cluster: topo.NewRacked(3, 4, 1), FlatCollectives: flat,
-					EventWorkers: 2, Watchdog: stallFails(t)}
+					EventWorkers: 2, Watchdog: stallFails()}
 				runOnPath(t, opts, event, func(p *Proc, o pathOps) {
 					c := p.World()
 					me := c.Rank()
@@ -109,7 +109,7 @@ func TestReduceRoundAllocatesNoPayload(t *testing.T) {
 	for _, flat := range []bool{true, false} {
 		t.Run(fmt.Sprintf("flat=%v", flat), func(t *testing.T) {
 			var before, after runtime.MemStats
-			opts := Options{NProcs: n, Cluster: topo.NewRacked(2, 4, 1), FlatCollectives: flat, Watchdog: stallFails(t)}
+			opts := Options{NProcs: n, Cluster: topo.NewRacked(2, 4, 1), FlatCollectives: flat, Watchdog: stallFails()}
 			runOnPath(t, opts, false, func(p *Proc, _ pathOps) {
 				c := p.World()
 				round := func() {

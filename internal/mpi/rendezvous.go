@@ -162,12 +162,12 @@ func rvzEnter(c *Comm, op string, allowRevoked bool, input any) (*rendezvous, fl
 	s := &r.slots[c.memberPos()]
 	if s.here {
 		w.state.Unlock()
-		panic(fmt.Sprintf("mpi: process %d entered %s twice (seq %d)", st.wrank, op, key.seq))
+		return nil, t0, fmt.Errorf("mpi: process %d entered %s twice (seq %d): %w", st.wrank, op, key.seq, ErrComm)
 	}
 	s.at, s.input, s.here = st.clock.Now(), input, true
 	r.arrived++
-	// The caller was counted missing unless the watchdog's abortJob has
-	// already declared it dead (it then runs on as a zombie).
+	// The caller was counted missing unless an abort has failed it since its
+	// hookOp check (it unwinds at its next operation).
 	if st.alive.Load() {
 		r.missing--
 	}

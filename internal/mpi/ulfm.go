@@ -82,8 +82,9 @@ func shrinkBuild(c *Comm) buildFunc {
 		out := make([]commRank, len(r.members))
 		alive := make([]int, 0, len(r.members)-r.dead)
 		for pos, wr := range r.members {
-			// MPI_UNDEFINED for a dead member: only one the watchdog
-			// declared dead, and which runs on, ever reads its slot.
+			// MPI_UNDEFINED for a dead member: only one an abort failed
+			// while it waited here reads its slot, and it unwinds at its
+			// next operation.
 			out[pos].rank = -1
 			if w.alive(wr) {
 				out[pos].rank = len(alive)

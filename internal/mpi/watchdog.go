@@ -9,9 +9,9 @@ import (
 
 // This file implements the deadlock watchdog: a wall-clock monitor that
 // declares the run stalled when no transport progress happens for a full
-// timeout interval, and dumps every rank's blocked-operation and mailbox
-// state so a hang fails fast with a diagnosis instead of riding out the test
-// binary's 10-minute timeout.
+// timeout interval and aborts it with every rank's blocked-operation and
+// mailbox state as the cause, so a hang fails fast with a diagnosis instead
+// of riding out the test binary's 10-minute timeout.
 //
 // Progress is observed through the wakeup epochs of the sharded transport:
 // every event that can unblock a process (message delivery, death, revoke,
@@ -29,19 +29,23 @@ import (
 // Watchdog configures stall detection for a Run. The zero value disables it.
 type Watchdog struct {
 	// Timeout is the wall-clock interval with no transport progress after
-	// which the job is declared stalled. Stalls are reported no earlier than
-	// one and no later than two intervals after progress stops.
+	// which the job is declared stalled and aborted: Run returns a
+	// *StallError. Stalls are reported no earlier than one and no later
+	// than two intervals after progress stops.
 	Timeout time.Duration
-	// OnStall, when non-nil, receives the state dump; afterwards the
-	// watchdog force-fails every remaining process so Run can return (blocked
-	// operations observe MPI_ERR_PROC_FAILED). When nil, the watchdog
-	// panics with the dump, crashing the job — the fail-fast default for
-	// tests.
-	OnStall func(dump string)
 }
 
-// watch monitors the job until done closes, declaring a stall when a full
-// interval passes with no epoch progress while some process is alive.
+// StallError is the cause of a job the watchdog aborted. Its text is the
+// stall dump: every rank's blocked operation and mailbox state, and every
+// unresolved rendezvous.
+type StallError struct {
+	Dump string
+}
+
+func (e *StallError) Error() string { return e.Dump }
+
+// watch monitors the job until done closes, aborting it when a full interval
+// passes with no epoch progress while some process is alive.
 func (w *World) watch(cfg Watchdog, done <-chan struct{}) {
 	tick := time.NewTicker(cfg.Timeout)
 	defer tick.Stop()
@@ -58,12 +62,7 @@ func (w *World) watch(cfg Watchdog, done <-chan struct{}) {
 			return
 		}
 		if last != nil && equalEpochs(sig, last) {
-			dump := w.stallDump(cfg.Timeout)
-			if cfg.OnStall == nil {
-				panic(dump)
-			}
-			cfg.OnStall(dump)
-			w.abortJob()
+			w.abort(&StallError{Dump: w.stallDump(cfg.Timeout)})
 			return
 		}
 		last = sig
@@ -127,26 +126,5 @@ func (w *World) stallDump(timeout time.Duration) string {
 		}
 		b.WriteByte('\n')
 	}
-	return b.String()
-}
-
-// abortJob force-fails every remaining process so a stalled Run can return:
-// blocked operations wake and observe MPI_ERR_PROC_FAILED against their now
-// dead peers. Only the watchdog's OnStall path uses it — the job is already
-// lost, this just converts a hang into errors.
-func (w *World) abortJob() {
-	w.state.Lock()
-	ps := w.snapshot()
-	for _, st := range ps {
-		if st.alive.Load() {
-			w.endProc(st, true)
-		}
-	}
-	// The processes just declared dead are still parked in their
-	// operations, and a departure does not wake the dead: wake them all,
-	// now that every peer they could be waiting for is gone.
-	for _, st := range ps {
-		st.wake()
-	}
-	w.state.Unlock()
+	return strings.TrimSuffix(b.String(), "\n")
 }

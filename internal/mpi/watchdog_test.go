@@ -10,14 +10,13 @@ import (
 )
 
 // TestWatchdogDetectsDeadlock drives a textbook receive-receive deadlock and
-// checks that the watchdog reports it with the blocked-op state of both
-// ranks, then aborts the job so Run returns instead of hanging.
+// checks that the watchdog aborts the job: the blocked receives fail, and
+// Run returns a *StallError whose dump shows both ranks' blocked operation.
 func TestWatchdogDetectsDeadlock(t *testing.T) {
-	dumps := make(chan string, 1)
-	rep, err := Run(Options{
+	_, err := Run(Options{
 		NProcs:   2,
 		Machine:  vtime.OPL(),
-		Watchdog: Watchdog{Timeout: 50 * time.Millisecond, OnStall: func(d string) { dumps <- d }},
+		Watchdog: Watchdog{Timeout: 50 * time.Millisecond},
 		Entry: func(p *Proc) {
 			c := p.World()
 			// Both ranks receive from each other; nobody sends first.
@@ -28,29 +27,76 @@ func TestWatchdogDetectsDeadlock(t *testing.T) {
 			}
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
+	var stall *StallError
+	if !errors.As(err, &stall) {
+		t.Fatalf("Run returned %v, want a *StallError", err)
 	}
-	select {
-	case dump := <-dumps:
-		for _, want := range []string{"no transport progress", "recv comm=0", "tag=7"} {
-			if !strings.Contains(dump, want) {
-				t.Errorf("dump missing %q:\n%s", want, dump)
-			}
+	for _, want := range []string{"no transport progress", "recv comm=0", "tag=7"} {
+		if !strings.Contains(stall.Dump, want) {
+			t.Errorf("dump missing %q:\n%s", want, stall.Dump)
 		}
-	default:
-		t.Fatal("watchdog did not fire")
-	}
-	if len(rep.Failed) != 2 {
-		t.Errorf("abort should have failed both ranks, got %v", rep.Failed)
 	}
 }
 
+// TestAbortReturnsFirstCause has one rank abort while its peers block in a
+// receive and a barrier: the blocked receive fails, every process unwinds at
+// its next operation (the barrier ranks possibly inside the barrier), and Run
+// returns the first abort's cause — a second rank's later Abort does not
+// replace it.
+func TestAbortReturnsFirstCause(t *testing.T) {
+	for _, event := range []bool{false, true} {
+		first := errors.New("rank 1 gives up")
+		opts := Options{NProcs: 4, EventWorkers: 4}
+		prog := func(p *Proc, o pathOps) {
+			c := p.World()
+			switch c.Rank() {
+			case 1:
+				// Abort only once every peer is blocked, so the abort is
+				// what ends their operations.
+				spinUntil(t, "the peers to block", func() bool { return receivers(p.st.w) == 3 })
+				p.Abort(first)
+			case 2:
+				o.recv(c, 1, 5, func(err error) {
+					if !errors.Is(err, ErrProcFailed) {
+						t.Errorf("rank 2: receive got %v, want ErrProcFailed", err)
+					}
+					p.Abort(errors.New("rank 2 gives up too"))
+				})
+			default:
+				o.barrier(c, func(err error) {
+					if !errors.Is(err, ErrProcFailed) {
+						t.Errorf("rank %d: barrier got %v, want ErrProcFailed", c.Rank(), err)
+					}
+					o.barrier(c, func(error) { t.Errorf("rank %d ran an operation after the abort", c.Rank()) })
+				})
+			}
+		}
+		if event {
+			opts.EventEntry = func(p *Proc, f *Fiber) { prog(p, pathOps{f}) }
+		} else {
+			opts.Entry = func(p *Proc) { prog(p, pathOps{}) }
+		}
+		if rep, err := Run(opts); err != first || rep != nil {
+			t.Errorf("event=%v: Run = %v, %v; want nil and the first abort's cause", event, rep, err)
+		}
+	}
+}
+
+// receivers counts the processes that have published a receive.
+func receivers(w *World) int {
+	n := 0
+	for _, q := range w.snapshot() {
+		if receiving(q) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestWatchdogQuietOnCleanRun checks the watchdog never fires on a healthy
-// run, including one with a real failure and repair traffic.
+// run: Run returns no error.
 func TestWatchdogQuietOnCleanRun(t *testing.T) {
-	fired := false
-	runWorldWatched(t, 8, Watchdog{Timeout: time.Minute, OnStall: func(string) { fired = true }},
+	runWorldWatched(t, 8, Watchdog{Timeout: time.Minute},
 		func(p *Proc) {
 			c := p.World()
 			sum, err := Allreduce(c, []int{c.Rank()}, Sum[int])
@@ -59,9 +105,6 @@ func TestWatchdogQuietOnCleanRun(t *testing.T) {
 				t.Errorf("allreduce got %d", sum[0])
 			}
 		})
-	if fired {
-		t.Error("watchdog fired on a healthy run")
-	}
 }
 
 // TestOpHookObservesProgramOrder checks the hook sees this process's

@@ -301,6 +301,9 @@ type World struct {
 	// multi-host clusters (Options.FlatCollectives); the differential tests
 	// use it as the reference implementation.
 	flatColl bool
+	// aborted is set once by abort and read at the entry of every operation
+	// (hookOp), next to procs, which the hot paths also read.
+	aborted atomic.Bool
 
 	// procs is a copy-on-write snapshot of all processes, loaded lock-free
 	// by the hot paths. Entries are never removed or reordered;
@@ -348,6 +351,8 @@ type World struct {
 	sparesUsed int
 	maxTime    float64
 	wg         sync.WaitGroup
+	// cause is the first abort's cause, which Run returns (guarded by state).
+	cause error
 }
 
 // snapshot returns the current process table (lock-free).
@@ -508,7 +513,8 @@ type Report struct {
 // Run executes Entry (one goroutine per rank) or EventEntry (the
 // event-driven continuation path) on NProcs simulated processes and blocks
 // until every process (including spawned replacements) has returned or
-// died.
+// died. A job that was aborted (Proc.Abort, or the watchdog on a stall)
+// returns the first abort's cause as the error.
 func Run(o Options) (*Report, error) {
 	if o.NProcs <= 0 {
 		return nil, fmt.Errorf("mpi: NProcs must be positive, got %d", o.NProcs)
@@ -625,6 +631,9 @@ func Run(o Options) (*Report, error) {
 
 	w.state.Lock()
 	defer w.state.Unlock()
+	if w.cause != nil {
+		return nil, w.cause
+	}
 	return &Report{
 		MaxVirtualTime: w.maxTime,
 		Failed:         append([]int(nil), w.failed...),
@@ -679,6 +688,7 @@ func (w *World) runProc(p *Proc) {
 func (w *World) finish(st *procState) {
 	w.state.Lock()
 	defer w.state.Unlock()
+	w.maxTime = max(w.maxTime, st.clock.Now())
 	w.endProc(st, false)
 }
 
@@ -690,21 +700,47 @@ func (w *World) markFailed(st *procState) {
 	if !st.alive.Load() {
 		return
 	}
+	w.maxTime = max(w.maxTime, st.clock.Now())
 	w.endProc(st, true)
+}
+
+// abort ends the job the way MPI_Abort does. The first cause is kept for Run
+// to return. Every live process is failed and woken: blocked operations
+// observe MPI_ERR_PROC_FAILED against their dead peers, and each process
+// unwinds like a Kill at the entry of its next operation (hookOp), so none
+// runs on into a communicator the abort left it out of.
+func (w *World) abort(cause error) {
+	w.state.Lock()
+	defer w.state.Unlock()
+	if w.cause == nil {
+		w.cause = cause
+	}
+	w.aborted.Store(true)
+	ps := w.snapshot()
+	for _, st := range ps {
+		if st.alive.Load() {
+			w.endProc(st, true)
+		}
+	}
+	// The processes just declared dead may be parked in their operations,
+	// and a departure does not wake the dead: wake them all, now that every
+	// peer they could be waiting for is gone.
+	for _, st := range ps {
+		st.wake()
+	}
 }
 
 // endProc takes a process out of the job: liveness flips first (under
 // state, so failure checks and membership scans agree), the mailbox is
 // drained back to the envelope pool, and the processes whose waits the
-// departure can resolve are woken to re-check. Caller holds state (write).
+// departure can resolve are woken to re-check. It reads nothing the owner
+// alone may touch (an abort ends processes that are still running), so its
+// callers fold the clock into maxTime. Caller holds state (write).
 func (w *World) endProc(st *procState, record bool) {
 	st.alive.Store(false)
 	w.deathGen++
 	if record {
 		w.failed = append(w.failed, st.wrank)
-	}
-	if st.clock.Now() > w.maxTime {
-		w.maxTime = st.clock.Now()
 	}
 	st.mu.Lock()
 	st.mb.drain()
