@@ -13,16 +13,18 @@
 //	chaos -trace-out cell.json    # Perfetto timeline of one representative cell
 //
 // Every violation is printed with the one-line `go test` command that
-// replays exactly that cell, and its chaos run's trace is written next to
-// the campaign as a post-mortem. Exits non-zero if any invariant was
+// replays exactly that cell, and its chaos run's trace (or the trace of the
+// run that failed) is written to -dump-dir as a post-mortem. Exits non-zero if any invariant was
 // violated.
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -187,11 +189,9 @@ func summarize(w io.Writer, outs []chaos.Outcome, elapsed time.Duration, violati
 	}
 	// outs arrive seed-major, technique-minor; order the table
 	// technique-major for readability.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && less(keys[j], keys[j-1]); j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	slices.SortFunc(keys, func(a, b cellKey) int {
+		return cmp.Or(strings.Compare(a.tech, b.tech), strings.Compare(a.mode, b.mode))
+	})
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "technique\tscenario\truns\tdeaths\tviolations")
 	for _, k := range keys {
@@ -200,11 +200,4 @@ func summarize(w io.Writer, outs []chaos.Outcome, elapsed time.Duration, violati
 	tw.Flush()
 	fmt.Fprintf(w, "\n%d cells (%d runs including controls and replays) in %v: %d violations\n",
 		len(outs), 3*len(outs), elapsed.Round(time.Millisecond), violations)
-}
-
-func less(a, b cellKey) bool {
-	if a.tech != b.tech {
-		return a.tech < b.tech
-	}
-	return a.mode < b.mode
 }

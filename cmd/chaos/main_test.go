@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -27,16 +30,32 @@ func TestSmoke(t *testing.T) {
 
 // TestStallIsAViolation runs the campaign under a watchdog so tight that
 // every cell stalls: each stall must come back as a VIOLATION line carrying
-// the stall dump, and the campaign must exit 1 rather than crash.
+// the stall dump, and the campaign must exit 1 rather than crash. Each
+// violated cell's post-mortem is the failed run's own trace, written to
+// -dump-dir; no flight-recorder dump is left in the temp directory.
 func TestStallIsAViolation(t *testing.T) {
-	t.Setenv("TMPDIR", t.TempDir()) // the aborted runs' flight-recorder dumps
+	tmp, dump := t.TempDir(), t.TempDir()
+	t.Setenv("TMPDIR", tmp)
 	var stdout, stderr bytes.Buffer
-	args := []string{"-seeds", "2", "-stall", "1us", "-workers", "1", "-dump-dir", t.TempDir()}
+	args := []string{"-seeds", "2", "-stall", "1us", "-workers", "1", "-dump-dir", dump}
 	if code := realMain(args, &stdout, &stderr); code != 1 {
 		t.Fatalf("realMain(%v) = %d, want 1\nstdout: %s\nstderr: %s", args, code, stdout.String(), stderr.String())
 	}
-	if out := stdout.String(); !strings.Contains(out, "VIOLATION") || !strings.Contains(out, "no transport progress") {
+	out := stdout.String()
+	if !strings.Contains(out, "VIOLATION") || !strings.Contains(out, "no transport progress") {
 		t.Errorf("no stall violation reported:\n%s", out)
+	}
+	if left, _ := filepath.Glob(filepath.Join(tmp, "ftsg-flight-*")); len(left) > 0 {
+		t.Errorf("flight-recorder dumps left in the temp directory: %v", left)
+	}
+	traces, _ := filepath.Glob(filepath.Join(dump, "chaos-violation-*.trace.json"))
+	if want := strings.Count(out, "  trace: "); len(traces) == 0 || len(traces) != want {
+		t.Errorf("%d post-mortems in -dump-dir, %d reported:\n%s", len(traces), want, out)
+	}
+	for _, p := range traces {
+		if raw, err := os.ReadFile(p); err != nil || !json.Valid(raw) {
+			t.Errorf("post-mortem %s is not a loadable trace: %v", p, err)
+		}
 	}
 }
 

@@ -181,7 +181,9 @@ func parseRecoveryModes(s string) ([]recovery.Mode, error) {
 
 // writeRepresentativeTrace runs one fault-injected RC configuration at the
 // sweep's largest core count and exports its recovery timeline as Chrome
-// trace_event JSON — the per-rank view the aggregate tables cannot show.
+// trace_event JSON — the per-rank view the aggregate tables cannot show. A
+// failed run's trace is written too, as its post-mortem, before the run's
+// error is returned.
 func writeRepresentativeTrace(path string, opts harness.Options) error {
 	opts = opts.WithDefaults()
 	dp := opts.DiagProcsList[len(opts.DiagProcsList)-1]
@@ -196,10 +198,11 @@ func writeRepresentativeTrace(path string, opts harness.Options) error {
 		Trace:        rec,
 	}
 	cfg.Hosts, cfg.SlotsPerHost, cfg.Racks = opts.Hosts, opts.SlotsPerHost, opts.Racks
-	if _, err := core.Run(cfg); err != nil {
-		return err
+	_, err := core.Run(cfg)
+	if werr := writeFileWith(path, rec.ExportChromeTrace); err == nil {
+		err = werr
 	}
-	return writeFileWith(path, rec.ExportChromeTrace)
+	return err
 }
 
 // writeProfile dumps a named runtime profile (mutex, block, heap, ...)

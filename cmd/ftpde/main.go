@@ -139,9 +139,44 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ftpde: telemetry at http://%s/metrics\n", addr)
 	}
 
+	// The run's trace and journal files are written also when it fails:
+	// they are its post-mortem.
+	writeTrace := func() error {
+		if *traceOut == "" {
+			return nil
+		}
+		if err := writeFileWith(*traceOut, rec.ExportChromeTrace); err != nil {
+			return err
+		}
+		if !*quiet {
+			fmt.Fprintf(stdout, "chrome trace written to %s\n", *traceOut)
+		}
+		return nil
+	}
+	writeEvents := func() error {
+		if *eventsOut == "" {
+			return nil
+		}
+		err := writeFileWith(*eventsOut, func(w io.Writer) error {
+			return rec.WriteJSONL(w, true)
+		})
+		if err != nil {
+			return err
+		}
+		if !*quiet {
+			fmt.Fprintf(stdout, "event journal written to %s (%d events)\n", *eventsOut, len(rec.Notes()))
+		}
+		return nil
+	}
+
 	res, err := core.Run(cfg)
 	if err != nil {
 		fmt.Fprintln(stderr, "ftpde:", err)
+		for _, write := range []func() error{writeTrace, writeEvents} {
+			if err := write(); err != nil {
+				fmt.Fprintln(stderr, "ftpde:", err)
+			}
+		}
 		return 1
 	}
 
@@ -152,14 +187,9 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, "\nevent timeline:")
 		rec.Render(stdout)
 	}
-	if *traceOut != "" {
-		if err := writeFileWith(*traceOut, rec.ExportChromeTrace); err != nil {
-			fmt.Fprintln(stderr, "ftpde:", err)
-			return 1
-		}
-		if !*quiet {
-			fmt.Fprintf(stdout, "chrome trace written to %s\n", *traceOut)
-		}
+	if err := writeTrace(); err != nil {
+		fmt.Fprintln(stderr, "ftpde:", err)
+		return 1
 	}
 	if *showMet {
 		fmt.Fprintln(stdout, "\ninstrumentation summary:")
@@ -175,17 +205,9 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-	if *eventsOut != "" {
-		err := writeFileWith(*eventsOut, func(w io.Writer) error {
-			return rec.WriteJSONL(w, true)
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, "ftpde:", err)
-			return 1
-		}
-		if !*quiet {
-			fmt.Fprintf(stdout, "event journal written to %s (%d events)\n", *eventsOut, len(rec.Notes()))
-		}
+	if err := writeEvents(); err != nil {
+		fmt.Fprintln(stderr, "ftpde:", err)
+		return 1
 	}
 	if stopServe != nil {
 		// Keep the endpoints scrapeable after the run; the registry and

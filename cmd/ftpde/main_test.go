@@ -191,15 +191,24 @@ func TestBadFlagsExitCode(t *testing.T) {
 
 // TestInvalidClusterShapeIsAnError: more racks than the hosts the run derives
 // used to pass Config.Validate and panic in topo.NewRacked; it must come back
-// as a core error and a non-zero exit.
+// as a core error and a non-zero exit. The trace and journal files asked for
+// are written all the same: a failed run's are its post-mortem.
 func TestInvalidClusterShapeIsAnError(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	code := realMain([]string{"-racks", "64", "-steps", "8"}, &stdout, &stderr)
+	dir := t.TempDir()
+	traceOut, eventsOut := filepath.Join(dir, "t.json"), filepath.Join(dir, "e.jsonl")
+	code := realMain([]string{"-racks", "64", "-steps", "8", "-trace-out", traceOut, "-events-out", eventsOut}, &stdout, &stderr)
 	if code == 0 {
 		t.Errorf("realMain(-racks 64) = 0, want a failure (stdout: %s)", stdout.String())
 	}
 	if msg := stderr.String(); !strings.Contains(msg, "core: Racks 64 exceeds") {
 		t.Errorf("stderr %q does not carry core's error", msg)
+	}
+	if raw, err := os.ReadFile(traceOut); err != nil || !json.Valid(raw) {
+		t.Errorf("-trace-out after the failed run: %v", err)
+	}
+	if _, err := os.Stat(eventsOut); err != nil {
+		t.Errorf("-events-out after the failed run: %v", err)
 	}
 }
 

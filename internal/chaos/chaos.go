@@ -52,9 +52,9 @@ type Outcome struct {
 	ControlL1  float64
 	TotalTime  float64
 	Violations []string
-	// TraceJSON is the chaos run's Chrome trace_event export, kept only
-	// when the cell violated an invariant under Sweep's KeepTrace option —
-	// the campaign-level flight recorder: every failed cell leaves a
+	// TraceJSON is the chaos run's Chrome trace_event export — or, when a
+	// run failed, the failed run's — kept only when the cell violated an
+	// invariant under Sweep's KeepTrace option: every failed cell leaves a
 	// Perfetto-loadable post-mortem.
 	TraceJSON string
 }
@@ -116,7 +116,8 @@ type runOut struct {
 // runOnce executes one configuration with full instrumentation attached and
 // returns its result plus replay fingerprint. A deadlock trips the watchdog,
 // which aborts the run: the error carries every rank's blocked operation, so
-// a stalled run fails its cell instead of hanging the campaign.
+// a stalled run fails its cell instead of hanging the campaign. A failed
+// run still returns its trace, the cell's post-mortem.
 func runOnce(cfg core.Config, stallTimeout time.Duration) (runOut, error) {
 	if stallTimeout <= 0 {
 		stallTimeout = DefaultStallTimeout
@@ -127,14 +128,15 @@ func runOnce(cfg core.Config, stallTimeout time.Duration) (runOut, error) {
 	cfg.Trace = rec
 	cfg.Watchdog = mpi.Watchdog{Timeout: stallTimeout}
 	res, err := core.Run(cfg)
+	var tb bytes.Buffer
+	if xerr := rec.ExportChromeTrace(&tb); xerr != nil && err == nil {
+		err = fmt.Errorf("trace export: %w", xerr)
+	}
 	if err != nil {
-		return runOut{}, err
+		return runOut{fp: Fingerprint{Trace: tb.String()}}, err
 	}
-	var mb, tb bytes.Buffer
+	var mb bytes.Buffer
 	reg.WriteSummary(&mb)
-	if err := rec.ExportChromeTrace(&tb); err != nil {
-		return runOut{}, fmt.Errorf("trace export: %w", err)
-	}
 	return runOut{
 		res: res,
 		reg: reg,
@@ -178,9 +180,11 @@ func checkMode(seed int64, tech core.Technique, mode byte, rmode recovery.Mode, 
 
 	cell := metrics.New()
 	fold := func(r runOut) { cell.Merge(r.reg) }
-	finish := func(run1 runOut) cellOut {
+	// finish keeps r's trace as the post-mortem of a violated cell: the
+	// chaos run's, or the run that failed.
+	finish := func(r runOut) cellOut {
 		if keepTrace && len(o.Violations) > 0 {
-			o.TraceJSON = run1.fp.Trace
+			o.TraceJSON = r.fp.Trace
 		}
 		return cellOut{o: o, reg: cell}
 	}
@@ -188,7 +192,7 @@ func checkMode(seed int64, tech core.Technique, mode byte, rmode recovery.Mode, 
 	ctl, err := runOnce(scale(sc.Control(tech)), stallTimeout)
 	if err != nil {
 		violate("control run failed: %v", err)
-		return finish(runOut{})
+		return finish(ctl)
 	}
 	fold(ctl)
 	o.ControlL1 = ctl.res.L1Error
@@ -196,13 +200,13 @@ func checkMode(seed int64, tech core.Technique, mode byte, rmode recovery.Mode, 
 	run1, err := runOnce(scale(sc.ConfigForRecovery(tech, rmode)), stallTimeout)
 	if err != nil {
 		violate("chaos run failed: %v", err)
-		return finish(runOut{})
+		return finish(run1)
 	}
 	fold(run1)
 	run2, err := runOnce(scale(sc.ConfigForRecovery(tech, rmode)), stallTimeout)
 	if err != nil {
 		violate("replay run failed: %v", err)
-		return finish(run1)
+		return finish(run2)
 	}
 	fold(run2)
 

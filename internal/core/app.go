@@ -57,16 +57,11 @@ type runState struct {
 // flightSeq numbers automatic flight-recorder dump files within a process.
 var flightSeq atomic.Int64
 
-// dumpFlight writes the run's trace recorder (the always-on flight recorder
-// unless the caller attached a full one) to a post-mortem file, after the
-// job aborted with cause. Failures to write are reported but never mask the
-// cause.
+// dumpFlight writes the flight recorder Run attached to an aborted run to a
+// post-mortem file in the OS temp directory. Failures to write are reported
+// but never mask the abort's cause.
 func (rs *runState) dumpFlight() {
-	dir := rs.cfg.FlightDumpDir
-	if dir == "" {
-		dir = os.TempDir()
-	}
-	path := filepath.Join(dir, fmt.Sprintf("ftsg-flight-%d-%d.trace.json",
+	path := filepath.Join(os.TempDir(), fmt.Sprintf("ftsg-flight-%d-%d.trace.json",
 		os.Getpid(), flightSeq.Add(1)))
 	if err := rs.cfg.Trace.DumpChromeTrace(path); err != nil {
 		fmt.Fprintf(os.Stderr, "core: run aborted: flight recorder dump failed: %v\n", err)
@@ -82,10 +77,12 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	// Every run carries a trace recorder: an explicit one from the caller,
-	// or the bounded always-on flight recorder, so an aborted run (a rank's
-	// error or a watchdog stall) leaves a Perfetto-loadable post-mortem
-	// without -trace-out.
-	if cfg.Trace == nil {
+	// who writes it out, also when the run fails; or the bounded always-on
+	// flight recorder, which Run dumps itself when the run aborts (a rank's
+	// error or a watchdog stall), so there is a Perfetto-loadable
+	// post-mortem without -trace-out.
+	flight := cfg.Trace == nil
+	if flight {
 		cfg.Trace = trace.NewFlight(0)
 	}
 	rs := &runState{cfg: cfg, grids: cfg.Grids(), classic: cfg.Layout.Classic()}
@@ -272,7 +269,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 	rep, err := mpi.Run(opts)
 	if err != nil {
-		rs.dumpFlight()
+		if flight {
+			rs.dumpFlight()
+		}
 		return nil, err
 	}
 	rs.res.TotalTime = rep.MaxVirtualTime

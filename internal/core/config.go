@@ -204,7 +204,10 @@ type Config struct {
 	// spans for every protocol phase exportable as a Chrome/Perfetto trace,
 	// and the failure-handling journal (fault injections, detections,
 	// repair phases, checkpoint commit/fallback/restore) as notes that
-	// render as JSONL.
+	// render as JSONL. The caller owns it and writes it out, also when Run
+	// fails. When Trace is nil, Run attaches a bounded flight recorder and,
+	// if the run aborts (a rank's error or a watchdog stall), dumps it to an
+	// ftsg-flight-*.trace.json file in the OS temp directory.
 	Trace *trace.Recorder
 	// Metrics, when non-nil, instruments the run: MPI message/byte
 	// counters, per-op latency histograms, and modelled cost attribution
@@ -220,12 +223,6 @@ type Config struct {
 	// duration of the job so the telemetry server's /debug/ranks endpoint
 	// can take on-demand per-rank blocked-op snapshots.
 	Introspect *mpi.Introspection
-	// FlightDumpDir is where automatic flight-recorder post-mortems land
-	// when a run aborts — on a rank's error or a watchdog stall ("" = the
-	// OS temp directory).
-	// When Trace is nil, Run attaches a bounded flight recorder to every run
-	// so such a dump always exists; an explicit Trace is dumped as-is.
-	FlightDumpDir string
 	// CheckpointBackend selects the storage backend for CR checkpoints:
 	// "dir" (the default — real files under a fresh temporary directory,
 	// removed after the run) or "mem" (in-process, no real disk I/O; the simulated

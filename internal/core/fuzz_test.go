@@ -44,6 +44,8 @@ func FuzzRunTinyConfigs(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(1), uint8(15), uint8(0), true, false, uint8(3), uint32(0x271300), uint8(7), uint8(3), int64(18))
 	f.Add(uint8(2), uint8(0), uint8(0), uint8(15), uint8(1), true, false, uint8(2), uint32(0x2701), uint8(0), uint8(0), int64(19))
 	f.Add(uint8(1), uint8(1), uint8(0), uint8(15), uint8(0), false, false, uint8(1), uint32(3), uint8(0), uint8(0), int64(20)) // rejected: op kills need real failures
+	// A run that aborts dumps its flight recorder to the temp directory.
+	f.Setenv("TMPDIR", f.TempDir())
 	f.Fuzz(func(t *testing.T, tech, mode, diag, steps, fails uint8, real, flat bool,
 		nops uint8, afterOps uint32, during, gens uint8, seed int64) {
 		cfg := Config{
@@ -56,7 +58,6 @@ func FuzzRunTinyConfigs(f *testing.F) {
 			CheckpointGenerations: int(gens % 4),
 			CheckpointBackend:     "mem",
 			Seed:                  seed,
-			FlightDumpDir:         t.TempDir(),
 			Watchdog:              mpi.Watchdog{Timeout: 30 * time.Second},
 		}
 		if flat {

@@ -132,14 +132,15 @@ func TestFlightDumpHasAllRepairPhases(t *testing.T) {
 // TestFlightAutoDumpOnAbort runs with a watchdog so tight that it fires
 // mid-run: the stall must come back from Run as an *mpi.StallError (not a
 // crash of the test binary), and the flight recorder must be dumped exactly
-// once, as a loadable trace. A run may outpace even a 1 µs watchdog, so it
-// retries until a stall fires.
+// once, as a loadable trace in the OS temp directory. A run may outpace even
+// a 1 µs watchdog, so it retries until a stall fires.
 func TestFlightAutoDumpOnAbort(t *testing.T) {
+	dir := t.TempDir()
+	t.Setenv("TMPDIR", dir)
 	for try := 0; try < 5; try++ {
-		dir := t.TempDir()
 		_, err := Run(Config{Technique: ResamplingCopying, DiagProcs: 2, Steps: 64,
-			CheckpointBackend: "mem", FlightDumpDir: dir,
-			Watchdog: mpi.Watchdog{Timeout: time.Microsecond}})
+			CheckpointBackend: "mem",
+			Watchdog:          mpi.Watchdog{Timeout: time.Microsecond}})
 		if err == nil {
 			continue
 		}

@@ -12,6 +12,7 @@ package faultgen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"ftsg/internal/mpi"
 )
@@ -210,12 +211,7 @@ func NodePlan(seed int64, step, numRanks int, hostOf func(rank int) int) (*Plan,
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("faultgen: no host without rank 0 to fail")
 	}
-	// Deterministic order before drawing.
-	for i := 1; i < len(candidates); i++ {
-		for j := i; j > 0 && candidates[j] < candidates[j-1]; j-- {
-			candidates[j], candidates[j-1] = candidates[j-1], candidates[j]
-		}
-	}
+	slices.Sort(candidates) // deterministic order before drawing
 	rng := rand.New(rand.NewSource(seed))
 	host := candidates[rng.Intn(len(candidates))]
 	victims := make(map[int]int, len(ranksByHost[host]))
@@ -237,7 +233,6 @@ func PickGrids(seed int64, n int, candidates []int, conflicts [][2]int) ([]int, 
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		perm := rng.Perm(len(candidates))
 		var chosen []int
-		ok := true
 		for _, idx := range perm {
 			if len(chosen) == n {
 				break
@@ -255,7 +250,7 @@ func PickGrids(seed int64, n int, candidates []int, conflicts [][2]int) ([]int, 
 			}
 			chosen = append(chosen, g)
 		}
-		if len(chosen) == n && ok {
+		if len(chosen) == n {
 			return chosen, nil
 		}
 	}

@@ -193,13 +193,13 @@ func TestGoldenFig11RecoveryModes(t *testing.T) {
 	}
 }
 
-// TestGoldenOutputAsyncCheckpoints pins the checkpoint store's accounting
+// TestGoldenOutputMemCheckpoints pins the checkpoint store's accounting
 // contract at the harness level: switching every CR run of the sweep to the
 // in-memory backend changes NOTHING in the output — the golden CSVs
 // captured with the dir-backed store must match byte for byte, at 1 and 8
 // workers (the runs of a sweep write their checkpoints concurrently).
 // Virtual time is charged per write, never by the storage itself.
-func TestGoldenOutputAsyncCheckpoints(t *testing.T) {
+func TestGoldenOutputMemCheckpoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick experiment matrix")
 	}

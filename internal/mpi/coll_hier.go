@@ -28,9 +28,9 @@ import "fmt"
 //	Gather     pieces to the node leader, one concatenated block (with a
 //	           length vector, since Gather permits unequal pieces) per
 //	           node to the root
-//	Allgather  blocks to the leaders; small: gather at leader 0 + binomial
-//	           bcast of the flat buffer; large: ring block exchange over
-//	           leaders; then intra bcast and a zero-copy re-slicing
+//	Allgather  blocks to the leaders, gather at leader 0 + binomial bcast
+//	           of the flat buffer over leaders, then intra bcast and a
+//	           zero-copy re-slicing
 //
 // Failure semantics are untouched: every phase is built from the same
 // sendRaw/sendOwned/recvRaw primitives, each collective instance still
@@ -44,12 +44,13 @@ import "fmt"
 // locks beyond the ones sendEnv/recvRaw already take — the lock hierarchy
 // in the package comment is unchanged.
 
-// collRingCutover is the payload size in bytes (of the full reduced or
-// gathered result) at which Allreduce and Allgather switch from the
-// latency-optimal binomial-tree variants to the bandwidth-optimal ring
-// variants over node leaders. Rings send ~2x the payload of a tree's
-// critical path but never duplicate bytes on a link, so past a few wire
-// latencies' worth of data they win; 32 KiB is ~8 alpha on OPL.
+// collRingCutover is the payload size in bytes (of the full reduced
+// result) at which Allreduce switches from the latency-optimal
+// binomial-tree variant to the bandwidth-optimal ring variant over node
+// leaders. Rings send ~2x the payload of a tree's critical path but never
+// duplicate bytes on a link, so past a few wire latencies' worth of data
+// they win; 32 KiB is ~8 alpha on OPL. Allgather always takes the tree: its
+// one caller gathers a few words per rank.
 //
 // A ring's latency term is O(L) rounds, so total size alone is not
 // enough: at large node counts a payload past the cutover can still split
@@ -61,8 +62,8 @@ const (
 	collRingChunkFloor = 1 << 10
 )
 
-// useRing decides tree vs ring for a hierarchical Allreduce/Allgather
-// moving totalBytes of result over L node leaders.
+// useRing decides tree vs ring for a hierarchical Allreduce moving
+// totalBytes of result over L node leaders.
 func useRing(totalBytes, L int) bool {
 	return totalBytes >= collRingCutover && totalBytes/L >= collRingChunkFloor
 }
@@ -561,9 +562,8 @@ func hierGather[T any](c *Comm, t *commTopo, tag, root int, data []T) ([][]T, er
 }
 
 // hierAllgather: equal pieces to the node leader; leaders assemble the
-// node-major flat buffer — small: linear gather at leader 0 plus binomial
-// bcast over leaders; large (>= collRingCutover bytes of result): ring
-// block exchange — then an intra-node binomial bcast and a zero-copy
+// node-major flat buffer by a linear gather at leader 0 plus a binomial
+// bcast over leaders, then an intra-node binomial bcast and a zero-copy
 // re-slicing back to comm-rank order (the Allgather contract allows the
 // returned pieces to share one backing array).
 func hierAllgather[T any](c *Comm, t *commTopo, tag int, data []T) ([][]T, error) {
@@ -597,12 +597,7 @@ func hierAllgather[T any](c *Comm, t *commTopo, tag int, data []T) ([][]T, error
 			putBuf(got)
 		}
 		var err error
-		if useRing(n*m*elemSize[T](), len(t.leaders)) {
-			flat, err = ringAllgather(c, t, tag, myNode, m, block)
-		} else {
-			flat, err = treeAllgather(c, t, tag, myNode, m, block)
-		}
-		if err != nil {
+		if flat, err = treeAllgather(c, t, tag, myNode, m, block); err != nil {
 			return nil, err
 		}
 	}
@@ -659,38 +654,4 @@ func treeAllgather[T any](c *Comm, t *commTopo, tag, j, m int, block []T) ([]T, 
 		}
 	}
 	return bcastList(c, tag, subList(t.leaders), 0, j, flat)
-}
-
-// ringAllgather exchanges node blocks around the leader ring: leader j
-// starts with its own block and after L-1 rounds holds the full node-major
-// flat buffer. Bandwidth-optimal: every leader sends each block exactly
-// once. Consumes block.
-func ringAllgather[T any](c *Comm, t *commTopo, tag, j, m int, block []T) ([]T, error) {
-	L := len(t.leaders)
-	next := t.leaders[(j+1)%L]
-	prev := t.leaders[(j-1+L)%L]
-	flat := getBuf[T](t.before[L] * m)
-	copy(flat[t.before[j]*m:], block)
-	putBuf(block)
-	for step := 0; step < L-1; step++ {
-		sk := ((j-step)%L + L) % L
-		if err := sendRaw(c, next, tag, flat[t.before[sk]*m:t.before[sk+1]*m]); err != nil {
-			putBuf(flat)
-			return nil, err
-		}
-		rk := ((j-step-1)%L + L) % L
-		got, _, err := recvRaw[T](c, prev, tag, true)
-		if err != nil {
-			putBuf(flat)
-			return nil, err
-		}
-		if len(got) != (t.before[rk+1]-t.before[rk])*m {
-			putBuf(flat)
-			putBuf(got)
-			return nil, fmt.Errorf("mpi: Allgather: bad ring block: %w", ErrType)
-		}
-		copy(flat[t.before[rk]*m:], got)
-		putBuf(got)
-	}
-	return flat, nil
 }

@@ -128,7 +128,7 @@ func runCollScript(t *testing.T, s collShape, flat bool) map[int][]float64 {
 
 			var bigAg [][]float64
 			if s.big {
-				// Past-cutover Allgather: exercises the leader block ring.
+				// Past-cutover Allgather: a large payload still takes the leader tree.
 				m := collRingCutover/8/n + 3
 				pieceB := make([]float64, m)
 				for k := range pieceB {

@@ -181,12 +181,9 @@ func (c *Comm) memberPos() int {
 }
 
 // recvOp is the blocked-op descriptor of a receive from rank src of this
-// communicator (AnySource: wildcard). An invalid rank resolves immediately
-// in recvVerdict, so what is published for it does not matter.
+// communicator. An invalid rank resolves immediately in recvVerdict, so what
+// is published for it does not matter.
 func (c *Comm) recvOp(src int) blockedOp {
-	if src == AnySource {
-		return recvOp(c.sh.id, -1)
-	}
 	pw, err := c.peerWorld(src)
 	if err != nil {
 		return opAny
@@ -195,19 +192,15 @@ func (c *Comm) recvOp(src int) blockedOp {
 }
 
 // parkCount is the count a goroutine asleep in a receive from rank src of
-// this communicator (AnySource: wildcard) is held on (see procState.park):
-// World.parkedRevoked on a revoked communicator, whatever the source — a
-// death or a quiesce anywhere in the group may resolve it; World.parkedWild
-// for a wildcard; otherwise the named source's own namedBy, so a
-// failure-free park touches no count that all ranks share. An invalid rank
-// never parks: recvVerdict answers it with ErrComm first.
+// this communicator is held on (see procState.park): World.parkedRevoked on
+// a revoked communicator, whatever the source — a death or a quiesce
+// anywhere in the group may resolve it; otherwise the source's own namedBy,
+// so a failure-free park touches no count that all ranks share. An invalid
+// rank never parks: recvVerdict answers it with ErrComm first.
 func (c *Comm) parkCount(src int) *atomic.Int32 {
 	w := c.p.st.w
 	if c.sh.revoked.Load() {
 		return &w.parkedRevoked
-	}
-	if src == AnySource {
-		return &w.parkedWild
 	}
 	pw, err := c.peerWorld(src)
 	if err != nil {

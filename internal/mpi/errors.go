@@ -10,9 +10,6 @@ var (
 	// ErrProcFailed corresponds to MPI_ERR_PROC_FAILED: the operation
 	// involved a process that has failed.
 	ErrProcFailed = errors.New("mpi: process failed (MPI_ERR_PROC_FAILED)")
-	// ErrPending corresponds to MPI_ERR_PENDING for wildcard receives that
-	// cannot complete while there are unacknowledged failures.
-	ErrPending = errors.New("mpi: unacknowledged failure pending (MPI_ERR_PENDING)")
 	// ErrRevoked corresponds to MPI_ERR_REVOKED: the communicator has been
 	// revoked by OMPI_Comm_revoke.
 	ErrRevoked = errors.New("mpi: communicator revoked (MPI_ERR_REVOKED)")

@@ -160,7 +160,7 @@ func (w *World) driveFiber(f *Fiber) {
 // Recv would have returned, with identical matching, virtual-time and
 // failure semantics.
 func FiberRecv[T any](f *Fiber, c *Comm, src, tag int, k func([]T, Status, error)) {
-	if tag < 0 && tag != AnyTag {
+	if tag < 0 {
 		k(nil, Status{}, c.fire(fmt.Errorf("mpi: Recv: negative tag %d is reserved: %w", tag, ErrComm)))
 		return
 	}

@@ -419,7 +419,7 @@ func fiberHierGather[T any](f *Fiber, c *Comm, t *commTopo, tag, root int, data 
 }
 
 // FiberAllgather is Allgather for fiber code: gather-at-0 plus broadcast
-// (flat) or the leader tree/ring block exchange of hierAllgather, with the
+// (flat) or the leader tree of hierAllgather, with the
 // same zero-copy re-slicing of the flat buffer.
 func FiberAllgather[T any](f *Fiber, c *Comm, data []T, k func([][]T, error)) {
 	if c.IsInter() {
@@ -505,7 +505,7 @@ func FiberAllgather[T any](f *Fiber, c *Comm, data []T, k func([][]T, error)) {
 }
 
 // fiberHierAllgather mirrors hierAllgather: pieces to the node leader,
-// tree or ring assembly of the node-major flat buffer over leaders, then the
+// tree assembly of the node-major flat buffer over leaders, then the
 // intra-node bcast and the contig/node-major re-slicing.
 func fiberHierAllgather[T any](f *Fiber, c *Comm, t *commTopo, tag int, data []T, k func([][]T, error)) {
 	n := c.Size()
@@ -559,11 +559,7 @@ func fiberHierAllgather[T any](f *Fiber, c *Comm, t *commTopo, tag int, data []T
 	var loop func(i int)
 	loop = func(i int) {
 		if i >= len(node) {
-			if useRing(n*m*elemSize[T](), len(t.leaders)) {
-				fiberRingAllgather(f, c, t, tag, myNode, m, block, finish)
-			} else {
-				fiberTreeAllgather(f, c, t, tag, myNode, m, block, finish)
-			}
+			fiberTreeAllgather(f, c, t, tag, myNode, m, block, finish)
 			return
 		}
 		fiberRecvRaw[T](f, c, node[i], tag, true, func(got []T, _ Status, err error) {
@@ -625,47 +621,4 @@ func fiberTreeAllgather[T any](f *Fiber, c *Comm, t *commTopo, tag, j, m int, bl
 		})
 	}
 	loop(1)
-}
-
-// fiberRingAllgather is ringAllgather in CPS: the leader-ring block
-// exchange, with the same round schedule and chunk arithmetic. Consumes
-// block.
-func fiberRingAllgather[T any](f *Fiber, c *Comm, t *commTopo, tag, j, m int, block []T, k func([]T, error)) {
-	L := len(t.leaders)
-	next := t.leaders[(j+1)%L]
-	prev := t.leaders[(j-1+L)%L]
-	flat := getBuf[T](t.before[L] * m)
-	copy(flat[t.before[j]*m:], block)
-	putBuf(block)
-	var loop func(step int)
-	loop = func(step int) {
-		if step >= L-1 {
-			k(flat, nil)
-			return
-		}
-		sk := ((j-step)%L + L) % L
-		if err := sendRaw(c, next, tag, flat[t.before[sk]*m:t.before[sk+1]*m]); err != nil {
-			putBuf(flat)
-			k(nil, err)
-			return
-		}
-		rk := ((j-step-1)%L + L) % L
-		fiberRecvRaw[T](f, c, prev, tag, true, func(got []T, _ Status, err error) {
-			if err != nil {
-				putBuf(flat)
-				k(nil, err)
-				return
-			}
-			if len(got) != (t.before[rk+1]-t.before[rk])*m {
-				putBuf(flat)
-				putBuf(got)
-				k(nil, fmt.Errorf("mpi: Allgather: bad ring block: %w", ErrType))
-				return
-			}
-			copy(flat[t.before[rk]*m:], got)
-			putBuf(got)
-			loop(step + 1)
-		})
-	}
-	loop(0)
 }

@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"slices"
-	"sync"
-)
+import "slices"
 
 // Group is an ordered set of world ranks (no duplicates), mirroring
 // MPI_Group. Groups are immutable value types — Comm.Group hands out the
@@ -55,10 +52,8 @@ func (g Group) Compare(h Group) GroupRelation {
 	if slices.Equal(g, h) {
 		return GroupIdent
 	}
-	in := markOf(g)
-	defer in.release()
 	for _, x := range h {
-		if !in.has(x) {
+		if g.Rank(x) < 0 {
 			return GroupUnequal
 		}
 	}
@@ -83,11 +78,9 @@ func (g Group) Difference(h Group) Group {
 		return out
 	}
 	// h is not a subsequence of g: the pass above kept members of h.
-	in := markOf(h)
-	defer in.release()
 	out = out[:0]
 	for _, x := range g {
-		if !in.has(x) {
+		if h.Rank(x) < 0 {
 			out = append(out, x)
 		}
 	}
@@ -119,51 +112,3 @@ func (g Group) TranslateRanks(ranks []int, h Group) []int {
 	}
 	return out
 }
-
-// rankMark is a reusable dense membership mark over the value range of one
-// group: stamp[x-lo] == gen marks x as a member, and bumping gen clears the
-// whole mark in O(1). World ranks are dense, so the range is about the
-// group's size; the marks are pooled, so the general (non-subsequence) case
-// of the algebra above allocates nothing once warm.
-type rankMark struct {
-	lo    int
-	stamp []uint32
-	gen   uint32
-}
-
-var rankMarks = sync.Pool{New: func() any { return new(rankMark) }}
-
-// markOf returns a mark holding exactly the members of h. Release it when
-// done.
-func markOf(h Group) *rankMark {
-	m := rankMarks.Get().(*rankMark)
-	if len(h) == 0 {
-		m.stamp = m.stamp[:0]
-		return m
-	}
-	lo, hi := h[0], h[0]
-	for _, x := range h {
-		lo, hi = min(lo, x), max(hi, x)
-	}
-	if n := hi - lo + 1; n > cap(m.stamp) {
-		m.stamp, m.gen = make([]uint32, n), 0
-	} else {
-		m.stamp = m.stamp[:n]
-	}
-	if m.gen++; m.gen == 0 { // wrapped: old stamps could alias
-		clear(m.stamp[:cap(m.stamp)])
-		m.gen = 1
-	}
-	m.lo = lo
-	for _, x := range h {
-		m.stamp[x-lo] = m.gen
-	}
-	return m
-}
-
-func (m *rankMark) has(x int) bool {
-	i := x - m.lo
-	return i >= 0 && i < len(m.stamp) && m.stamp[i] == m.gen
-}
-
-func (m *rankMark) release() { rankMarks.Put(m) }

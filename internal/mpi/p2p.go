@@ -10,15 +10,8 @@ import (
 	"ftsg/internal/vtime"
 )
 
-// Wildcards, mirroring MPI_ANY_SOURCE and MPI_ANY_TAG. User tags must be
-// non-negative; negative tags are reserved for internal collective traffic
-// (AnyTag never matches them).
-const (
-	AnySource = -1
-	AnyTag    = -1
-)
-
-// internal tag space for collectives; see internalTag.
+// internal tag space for collectives; see internalTag. User tags must be
+// non-negative; negative tags are reserved for internal collective traffic.
 const internalTagBase = 1000
 
 // Status mirrors MPI_Status.
@@ -185,14 +178,13 @@ func (dst *procState) enqueue(env *envelope) {
 	dst.mu.Unlock()
 }
 
-// Recv receives a message from rank src (or AnySource) with the given tag
-// (or AnyTag) on the communicator. It blocks until a matching message
-// arrives, and returns MPI_ERR_PROC_FAILED when a named source is dead,
-// MPI_ERR_PENDING for a wildcard receive while the communicator has
-// unacknowledged failures (the ULFM failure_ack contract), and
-// MPI_ERR_REVOKED on a revoked communicator.
+// Recv receives a message from rank src with the given tag on the
+// communicator; there are no wildcards. It blocks until a matching message
+// arrives, and returns MPI_ERR_PROC_FAILED when the source is dead and
+// MPI_ERR_REVOKED on a revoked communicator. A source outside the group is
+// ErrComm, as is a negative tag.
 func Recv[T any](c *Comm, src, tag int) ([]T, Status, error) {
-	if tag < 0 && tag != AnyTag {
+	if tag < 0 {
 		var zero []T
 		return zero, Status{}, c.fire(fmt.Errorf("mpi: Recv: negative tag %d is reserved: %w", tag, ErrComm))
 	}
@@ -210,7 +202,7 @@ func Recv[T any](c *Comm, src, tag int) ([]T, Status, error) {
 // reporting are exactly Recv's; in addition a message longer than buf is
 // consumed and reported as ErrTruncate, with buf untouched.
 func RecvInto[T any](c *Comm, src, tag int, buf []T) (Status, error) {
-	if tag < 0 && tag != AnyTag {
+	if tag < 0 {
 		return Status{}, c.fire(fmt.Errorf("mpi: RecvInto: negative tag %d is reserved: %w", tag, ErrComm))
 	}
 	into := intoBuf{ptr: unsafe.Pointer(unsafe.SliceData(buf)), n: len(buf), etype: typeOf[T]()}
@@ -415,7 +407,7 @@ func (st *procState) retractInto() {
 // of this signature satisfies. Caller holds st.mu.
 func (st *procState) awaits(comm, src, tag int) bool {
 	return st.waitSh != nil && st.waitSh.id == comm &&
-		matches(st.waitSrc, st.waitTag, src, tag)
+		st.waitSrc == src && st.waitTag == tag
 }
 
 // chargeRecv accounts one completed receive: virtual-time sync to the
@@ -461,12 +453,12 @@ type verdict struct {
 }
 
 // recvVerdict evaluates, in program-order priority, the conditions under
-// which a receive must stop waiting: the named source's recorded collective
+// which a receive must stop waiting: the source's recorded collective
 // abort (internal receives only), its quiesce on a revoked communicator,
-// its death; or, for a wildcard receive, unacknowledged failures in the
-// group. Lock-free in the failure-free case: group membership is immutable,
-// liveness is atomic, and the abort/quiesce maps are consulted only once an
-// atomic gate flag or the source's liveness says there is something to see.
+// its death. Lock-free in the failure-free case: group membership is
+// immutable, liveness is atomic, and the abort/quiesce maps are consulted
+// only once an atomic gate flag or the source's liveness says there is
+// something to see.
 //
 // Then the maps and the liveness are read together, under one state read
 // lock. A source aborts, quiesces and dies in that program order, each a
@@ -477,12 +469,6 @@ type verdict struct {
 // be called without any transport lock held.
 func recvVerdict(c *Comm, src, tag int, internal bool) verdict {
 	w := c.p.st.w
-	if src == AnySource {
-		if hasUnacked(w, c) {
-			return verdict{err: ErrPending}
-		}
-		return verdict{}
-	}
 	pw, err := c.peerWorld(src)
 	if err != nil {
 		return verdict{err: err}
@@ -593,14 +579,8 @@ func stuckOn(w *World, sh *commShared, q *procState) bool {
 // tag already has a failure resolution recorded — a collective abort by its
 // source for that instance tag, its source's quiesce, or its source's
 // death. Such a member is about to be woken and must not be counted as
-// permanently stuck by revokedDeadlock. Wildcard receives are
-// conservatively treated as stuck: their resolution depends on per-handle
-// ack state the detector cannot see, and no collective uses them. Caller
-// holds World.state and q.mu.
+// permanently stuck by revokedDeadlock. Caller holds World.state and q.mu.
 func pendingRecvVerdict(w *World, sh *commShared, q *procState, src, tag int) bool {
-	if src == AnySource {
-		return false
-	}
 	// Resolve the source's world rank: the remote group for an
 	// intercommunicator member, the (only) group otherwise.
 	g := sh.a
@@ -618,27 +598,6 @@ func pendingRecvVerdict(w *World, sh *commShared, q *procState, src, tag int) bo
 		return true
 	}
 	return !w.alive(pw)
-}
-
-// hasUnacked reports whether the communicator has failed members not yet
-// acknowledged via FailureAck on this handle.
-func hasUnacked(w *World, c *Comm) bool {
-	for _, wr := range c.sh.members {
-		if w.alive(wr) {
-			continue
-		}
-		acked := false
-		for _, a := range c.acked {
-			if a == wr {
-				acked = true
-				break
-			}
-		}
-		if !acked {
-			return true
-		}
-	}
-	return false
 }
 
 // errPeerMismatch is what the peers of a member that left over a mismatch

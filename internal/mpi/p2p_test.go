@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"errors"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -120,45 +119,34 @@ func TestFIFOPerSourceAndTag(t *testing.T) {
 	})
 }
 
-func TestAnySourceAnyTag(t *testing.T) {
-	var mu sync.Mutex
-	seen := map[int]bool{}
-	runWorld(t, 4, func(p *Proc) {
-		c := p.World()
-		if c.Rank() == 0 {
-			for i := 1; i < 4; i++ {
-				v, st, err := RecvOne[int](c, AnySource, AnyTag)
-				must(t, err)
-				if v != st.Source*100+st.Tag {
-					t.Errorf("payload %d inconsistent with status %+v", v, st)
-				}
-				mu.Lock()
-				seen[st.Source] = true
-				mu.Unlock()
-			}
-		} else {
-			must(t, SendOne(c, 0, c.Rank(), c.Rank()*100+c.Rank()))
-		}
-		// Keep senders alive until the receiver has drained everything: a
-		// process that exits counts as departed, and wildcard receives
-		// would then report pending failures (MPI-erroneous program).
-		must(t, c.Barrier())
-	})
-	if len(seen) != 3 {
-		t.Fatalf("sources seen = %v", seen)
-	}
-}
-
+// TestNegativeUserTagRejected: every negative tag is reserved, -1 too —
+// there is no wildcard tag. The peer's message is queued before the receives
+// with tag -1, and must still be there after them.
 func TestNegativeUserTagRejected(t *testing.T) {
 	runWorld(t, 2, func(p *Proc) {
 		c := p.World()
-		if c.Rank() == 0 {
-			if err := SendOne(c, 1, -5, 0); !errors.Is(err, ErrComm) {
-				t.Errorf("Send with negative tag: %v", err)
+		if c.Rank() == 1 {
+			must(t, SendOne(c, 0, 0, 7))
+			return
+		}
+		for _, tag := range []int{-5, -1} {
+			if err := SendOne(c, 1, tag, 0); !errors.Is(err, ErrComm) {
+				t.Errorf("Send with tag %d: %v", tag, err)
 			}
-			if _, _, err := Recv[int](c, 1, -5); !errors.Is(err, ErrComm) {
-				t.Errorf("Recv with negative tag: %v", err)
-			}
+		}
+		spinUntil(t, "the peer's message to be queued", func() bool { return queued(c, 1, 0) })
+		if _, _, err := Recv[int](c, 1, -5); !errors.Is(err, ErrComm) {
+			t.Errorf("Recv with negative tag: %v", err)
+		}
+		if _, _, err := Recv[int](c, 1, -1); !errors.Is(err, ErrComm) {
+			t.Errorf("Recv with tag -1: %v", err)
+		}
+		var buf [1]int
+		if _, err := RecvInto(c, 1, -1, buf[:]); !errors.Is(err, ErrComm) {
+			t.Errorf("RecvInto with tag -1: %v", err)
+		}
+		if v, _, err := RecvOne[int](c, 1, 0); err != nil || v != 7 {
+			t.Errorf("the peer's message after the rejected receives = %d, %v", v, err)
 		}
 	})
 }
@@ -177,16 +165,35 @@ func TestTypeMismatch(t *testing.T) {
 	})
 }
 
+// TestInvalidRank: a rank outside the group is ErrComm, -1 too — there is no
+// wildcard source. The peer's message is queued before the receives from -1,
+// and must still be there after them.
 func TestInvalidRank(t *testing.T) {
 	runWorld(t, 2, func(p *Proc) {
 		c := p.World()
-		if c.Rank() == 0 {
-			if err := SendOne(c, 99, 0, 1); !errors.Is(err, ErrComm) {
-				t.Errorf("Send to invalid rank: %v", err)
-			}
-			if _, _, err := Recv[int](c, -7, 0); !errors.Is(err, ErrComm) {
-				t.Errorf("Recv from invalid rank: %v", err)
-			}
+		if c.Rank() == 1 {
+			must(t, SendOne(c, 0, 0, 7))
+			return
+		}
+		if err := SendOne(c, 99, 0, 1); !errors.Is(err, ErrComm) {
+			t.Errorf("Send to invalid rank: %v", err)
+		}
+		spinUntil(t, "the peer's message to be queued", func() bool { return queued(c, 1, 0) })
+		if _, _, err := Recv[int](c, -7, 0); !errors.Is(err, ErrComm) {
+			t.Errorf("Recv from invalid rank: %v", err)
+		}
+		if _, _, err := Recv[int](c, -1, 0); !errors.Is(err, ErrComm) {
+			t.Errorf("Recv from rank -1: %v", err)
+		}
+		var buf [1]int
+		if _, err := RecvInto(c, -1, 0, buf[:]); !errors.Is(err, ErrComm) {
+			t.Errorf("RecvInto from rank -1: %v", err)
+		}
+		if _, _, err := RecvOne[int](c, -1, 0); !errors.Is(err, ErrComm) {
+			t.Errorf("RecvOne from rank -1: %v", err)
+		}
+		if v, _, err := RecvOne[int](c, 1, 0); err != nil || v != 7 {
+			t.Errorf("the peer's message after the rejected receives = %d, %v", v, err)
 		}
 	})
 }

@@ -220,7 +220,7 @@ func rvzPoll(c *Comm, r *rendezvous, mode rvzMode, build buildFunc) bool {
 	}
 	r.done.Store(true)
 	delete(w.rvzTable, r.key)
-	w.wakeWaiters(r.members, opRvz, r.key.comm, AnySource)
+	w.wakeWaiters(r.members, opRvz, r.key.comm, everySource)
 	return true
 }
 

@@ -49,7 +49,6 @@ type envelope struct {
 	etype   reflect.Type   // payload element type
 	bytes   int
 	arrival float64
-	seq     uint64    // mailbox arrival order, for wildcard FIFO matching
 	next    *envelope // intrusive link in its match queue
 }
 
@@ -282,29 +281,15 @@ func (t *matchTable) each(f func(s *matchSlot)) {
 	}
 }
 
-// matches reports whether a message of signature (src, tag) satisfies a
-// receive of (wantSrc, wantTag) on the same communicator: the one matching
-// rule, shared by queued messages and parked receivers.
-// AnyTag matches user tags only.
-func matches(wantSrc, wantTag, src, tag int) bool {
-	return (wantSrc == src || wantSrc == AnySource) &&
-		(wantTag == tag || wantTag == AnyTag && tag >= 0)
-}
-
-// mailbox holds a process's undelivered messages, indexed by exact
-// (comm,src,tag) signature. Exact receives are O(1); wildcard receives scan
-// the occupied signatures and pick the globally oldest match by arrival
-// sequence, which reproduces the FIFO semantics of a linear mailbox scan.
-// Guarded by the owning procState.mu.
+// mailbox holds a process's undelivered messages, one FIFO per exact
+// (comm,src,tag) signature: a receive names all three, so matching is one
+// table lookup. Guarded by the owning procState.mu.
 type mailbox struct {
-	q   matchTable
-	seq uint64 // next arrival sequence number
+	q matchTable
 }
 
 // push appends an arriving envelope to its signature's queue.
 func (mb *mailbox) push(env *envelope) {
-	env.seq = mb.seq
-	mb.seq++
 	env.next = nil
 	s := mb.q.slot(env.commID, env.src, env.tag)
 	if s.head == nil {
@@ -315,33 +300,10 @@ func (mb *mailbox) push(env *envelope) {
 	s.tail = env
 }
 
-// locate returns the slot whose head a receive of (comm,src,tag) would match
-// next, or -1.
-func (mb *mailbox) locate(comm, src, tag int) int {
-	if src != AnySource && tag != AnyTag {
-		return mb.q.find(comm, src, tag)
-	}
-	best := -1
-	if mb.q.n == 0 {
-		return best
-	}
-	slots := mb.q.slots
-	for i := range slots {
-		s := &slots[i]
-		if s.head == nil || s.comm != comm || !matches(src, tag, s.src, s.tag) {
-			continue
-		}
-		if best < 0 || s.head.seq < slots[best].head.seq {
-			best = i
-		}
-	}
-	return best
-}
-
 // peek returns the message a receive of (comm,src,tag) would match next,
 // without removing it.
 func (mb *mailbox) peek(comm, src, tag int) *envelope {
-	if i := mb.locate(comm, src, tag); i >= 0 {
+	if i := mb.q.find(comm, src, tag); i >= 0 {
 		return mb.q.slots[i].head
 	}
 	return nil
@@ -349,7 +311,7 @@ func (mb *mailbox) peek(comm, src, tag int) *envelope {
 
 // take removes and returns the next matching message, or nil.
 func (mb *mailbox) take(comm, src, tag int) *envelope {
-	i := mb.locate(comm, src, tag)
+	i := mb.q.find(comm, src, tag)
 	if i < 0 {
 		return nil
 	}

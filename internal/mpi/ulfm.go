@@ -53,7 +53,7 @@ func (c *Comm) quiesceLocked(first bool) {
 	}
 	c.sh.quiesced[st.wrank] = true
 	if first || w.mayWake(st, false) {
-		w.wakeWaiters(c.sh.members, opRecv, c.sh.id, AnySource)
+		w.wakeWaiters(c.sh.members, opRecv, c.sh.id, everySource)
 	}
 }
 
@@ -134,9 +134,9 @@ func agreeBuild(c *Comm) buildFunc {
 }
 
 // FailureAck acknowledges all currently known failures on the communicator
-// (OMPI_Comm_failure_ack): wildcard receives posted after the call no longer
-// report MPI_ERR_PENDING for these failures, and FailureGetAcked returns
-// exactly this snapshot. acked is owner-only handle state.
+// (OMPI_Comm_failure_ack): FailureGetAcked returns exactly this snapshot.
+// acked is owner-only handle state. (The runtime has no wildcard receives,
+// so there is no MPI_ERR_PENDING for an ack to lift.)
 //
 // The snapshot is the communicator's one failed list for the current
 // World.deathGen, shared read-only by every handle: the first ack after a

@@ -135,52 +135,6 @@ func TestErrhandlerFires(t *testing.T) {
 	}
 }
 
-// TestAnySourcePendingAndAck verifies the ULFM failure_ack contract: a
-// wildcard receive reports MPI_ERR_PENDING while a failure is unacknowledged
-// and proceeds after FailureAck.
-func TestAnySourcePendingAndAck(t *testing.T) {
-	runWorld(t, 3, func(p *Proc) {
-		c := p.World()
-		switch c.Rank() {
-		case 0:
-			// Wait until rank 2's death is visible.
-			_, _, err := Recv[int](c, 2, 0)
-			if !errors.Is(err, ErrProcFailed) {
-				t.Errorf("named recv: %v", err)
-			}
-			// Rank 1 has not sent anything yet (it waits for our release),
-			// so the wildcard receive must report the unacknowledged
-			// failure rather than block or match.
-			if _, _, err := Recv[int](c, AnySource, AnyTag); !errors.Is(err, ErrPending) {
-				t.Errorf("wildcard recv before ack: %v", err)
-			}
-			must(t, c.FailureAck())
-			acked := c.FailureGetAcked()
-			if acked.Size() != 1 || acked[0] != 2 {
-				t.Errorf("acked group = %v, want world rank [2]", acked)
-			}
-			must(t, SendOne(c, 1, 9, 0)) // release the sender
-			// After ack, the wildcard receive completes with rank 1's data.
-			v, st, err := RecvOne[int](c, AnySource, AnyTag)
-			must(t, err)
-			if v != 77 || st.Source != 1 {
-				t.Errorf("post-ack wildcard recv = %d from %d", v, st.Source)
-			}
-			must(t, SendOne(c, 1, 10, 0)) // let the sender exit
-		case 1:
-			// Stay alive until rank 0 is done: a normally exited process
-			// counts as departed and would perturb the ack bookkeeping.
-			_, _, err := RecvOne[int](c, 0, 9)
-			must(t, err)
-			must(t, SendOne(c, 0, 3, 77))
-			_, _, err = RecvOne[int](c, 0, 10)
-			must(t, err)
-		case 2:
-			p.Kill()
-		}
-	})
-}
-
 func TestRevokeInterruptsPending(t *testing.T) {
 	runWorld(t, 3, func(p *Proc) {
 		c := p.World()

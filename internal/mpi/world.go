@@ -1,7 +1,7 @@
 // Package mpi is a from-scratch, in-process message-passing runtime with the
 // semantics the paper's fault-tolerant PDE solver needs from Open MPI plus
 // the draft ULFM (User Level Failure Mitigation) extensions: communicators
-// and groups, point-to-point messaging with tags and wildcards, collectives
+// and groups, point-to-point messaging with tags, collectives
 // with non-uniform failure reporting, dynamic process management
 // (MPI_Comm_spawn_multiple, intercommunicators, MPI_Intercomm_merge), and
 // the ULFM calls OMPI_Comm_revoke, OMPI_Comm_shrink, OMPI_Comm_agree,
@@ -237,7 +237,7 @@ type blockedOp uint64
 
 const (
 	opNone blockedOp = iota // runnable: no control-plane event concerns it
-	opRecv                  // receive on comm from a named world rank or wildcard
+	opRecv                  // receive on comm from a named world rank
 	opRvz                   // rendezvous collective on comm
 	opAny                   // unclassified wait: every event wakes it
 
@@ -246,16 +246,13 @@ const (
 	opIDMask   = 1<<opIDBits - 1
 )
 
-// recvOp describes a receive on communicator commID from world rank src
-// (src < 0: wildcard). Ids beyond the packed width degrade to opAny.
+// recvOp describes a receive on communicator commID from world rank src.
+// Ids outside the packed width degrade to opAny.
 func recvOp(commID, src int) blockedOp {
-	if commID > opIDMask || src >= opIDMask {
+	if commID > opIDMask || uint(src) >= opIDMask {
 		return opAny
 	}
-	if src < 0 {
-		src = -1
-	}
-	return opRecv | blockedOp(commID)<<opKindBits | blockedOp(src+1)<<(opKindBits+opIDBits)
+	return opRecv | blockedOp(commID)<<opKindBits | blockedOp(src)<<(opKindBits+opIDBits)
 }
 
 // rvzOp describes a rendezvous collective on communicator commID.
@@ -269,8 +266,8 @@ func rvzOp(commID int) blockedOp {
 func (o blockedOp) kind() blockedOp { return o & (1<<opKindBits - 1) }
 func (o blockedOp) comm() int       { return int(o >> opKindBits & opIDMask) }
 
-// src returns the named source's world rank, or -1 for a wildcard.
-func (o blockedOp) src() int { return int(o>>(opKindBits+opIDBits)&opIDMask) - 1 }
+// src returns the named source's world rank.
+func (o blockedOp) src() int { return int(o >> (opKindBits + opIDBits) & opIDMask) }
 
 // block publishes the wait the owner is about to enter; unblock retracts it
 // once the operation has returned.
@@ -337,10 +334,10 @@ type World struct {
 	// Park accounting of the goroutine path (see procState.park). evGen
 	// counts the control-plane events that consult it; the counters hold the
 	// processes asleep in each kind of wait not counted on its source
-	// (procState.namedBy): a wildcard receive, a receive on a communicator
-	// revoked when it parked, and a rendezvous.
-	evGen                                atomic.Uint64
-	parkedWild, parkedRevoked, parkedRvz atomic.Int32
+	// (procState.namedBy): a receive on a communicator revoked when it
+	// parked, and a rendezvous.
+	evGen                    atomic.Uint64
+	parkedRevoked, parkedRvz atomic.Int32
 
 	failed  []int // world ranks, in failure order
 	spawned int
@@ -372,9 +369,8 @@ func (w *World) alive(r int) bool {
 // the event's state change and bumps the event generation before it reads
 // the park counts (see procState.park). Every event counts the receives on a
 // communicator revoked when they parked and the receives naming src; a
-// departure (death) also counts the wildcard receives and the rendezvous
-// waits it may complete. On the event-driven path fibers park uncounted, so
-// every event walks.
+// departure (death) also counts the rendezvous waits it may complete. On
+// the event-driven path fibers park uncounted, so every event walks.
 func (w *World) mayWake(src *procState, death bool) bool {
 	if w.eventEntry != nil {
 		return true
@@ -382,18 +378,22 @@ func (w *World) mayWake(src *procState, death bool) bool {
 	w.evGen.Add(1)
 	n := w.parkedRevoked.Load() + src.namedBy.Load()
 	if death {
-		n += w.parkedWild.Load() + w.parkedRvz.Load()
+		n += w.parkedRvz.Load()
 	}
 	return n > 0
 }
 
+// everySource is wakeWaiters' src for an event that concerns every wait of
+// its kind on the communicator, whatever it names.
+const everySource = -1
+
 // wakeWaiters wakes the members of communicator commID whose published wait
-// is of the given kind on it — and, for src != AnySource, a receive naming
+// is of the given kind on it — and, for src != everySource, a receive naming
 // world rank src. The three group-wide events use it: a revocation or a
-// quiesce record wakes every receive on the communicator, named or wildcard
-// (any of them may now resolve, through its source's quiesce or the
-// revoked-deadlock detector); a collective abort wakes just the receives
-// awaiting the aborter; a resolved rendezvous wakes the rendezvous waits.
+// quiesce record wakes every receive on the communicator (any of them may
+// now resolve, through its source's quiesce or the revoked-deadlock
+// detector); a collective abort wakes just the receives awaiting the
+// aborter; a resolved rendezvous wakes the rendezvous waits.
 // Caller has made the state change the waiters must observe, and has
 // consulted mayWake where the event allows a skip.
 func (w *World) wakeWaiters(members []int, kind blockedOp, commID, src int) {
@@ -402,15 +402,14 @@ func (w *World) wakeWaiters(members []int, kind blockedOp, commID, src int) {
 		q := ps[r]
 		op := blockedOp(q.blocked.Load())
 		if k := op.kind(); k == opAny ||
-			k == kind && op.comm() == commID && (src == AnySource || op.src() == src) {
+			k == kind && op.comm() == commID && (src == everySource || op.src() == src) {
 			q.wake()
 		}
 	}
 }
 
 // wakeForDeath wakes every live process whose wait the departure of st can
-// resolve: a receive naming it, a wildcard receive (the
-// unacknowledged-failure report), a receive on a revoked communicator (the
+// resolve: a receive naming it, a receive on a revoked communicator (the
 // deadlock detector skips dead members), and any rendezvous (it completes
 // among the survivors). The walk is skipped when none of those is asleep.
 // Caller holds state (write).
@@ -425,7 +424,7 @@ func (w *World) wakeForDeath(st *procState) {
 			continue
 		}
 		if op.kind() == opRecv {
-			if s := op.src(); s >= 0 && s != dead && !w.revokedComms[op.comm()] {
+			if op.src() != dead && !w.revokedComms[op.comm()] {
 				continue
 			}
 		}
