@@ -49,6 +49,9 @@ type runState struct {
 	// classic is the layout's classic scheme, shared read-only by the ranks.
 	classic combine.Scheme
 
+	// dps are the run's detection points, shared read-only by the ranks.
+	dps []int
+
 	mu      sync.Mutex
 	res     Result
 	schemes []schemeMemo // the run's other schemes; see memoScheme
@@ -99,6 +102,7 @@ func Run(cfg Config) (*Result, error) {
 		mtbf = float64(cfg.Steps) * stepTime / 2 // the paper's setup
 	}
 	rs.ckPlan = checkpoint.NewPlan(cfg.Steps, stepTime, mtbf, cfg.Machine.TIOWrite)
+	rs.dps = rs.detectionPoints()
 
 	// Instrumentation: an explicit registry (possibly shared across runs
 	// for aggregate summaries) wins; Telemetry attaches a private one so
@@ -350,7 +354,7 @@ func (rs *runState) rank(p *mpi.Proc) error {
 		return err
 	}
 
-	for _, dp := range rs.detectionPoints() {
+	for _, dp := range rs.dps {
 		if dp <= r.cur {
 			continue
 		}
@@ -429,19 +433,14 @@ func (rs *runState) lostGridIDs(failedRanks []int) []int {
 	if !rs.cfg.RealFailures {
 		return rs.simLost
 	}
-	seen := map[int]bool{}
 	var out []int
 	for _, r := range failedRanks {
 		g, err := gridOfRank(rs.grids, r)
-		if err != nil {
-			continue
-		}
-		if !seen[g.ID] {
-			seen[g.ID] = true
+		if err == nil && !slices.Contains(out, g.ID) {
 			out = append(out, g.ID)
 		}
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 

@@ -28,7 +28,7 @@ type fiberRank struct {
 // eventEntry is entry for fiber code (mpi.Options.EventEntry).
 func (rs *runState) eventEntry(p *mpi.Proc, f *mpi.Fiber) {
 	r, err := rs.newRank(p)
-	fr := &fiberRank{rankState: r, f: f, dps: rs.detectionPoints()}
+	fr := &fiberRank{rankState: r, f: f, dps: rs.dps}
 	fr.done = func(err error) {
 		r.release()
 		rs.exit(p, err)

@@ -185,7 +185,7 @@ func (r *rankState) admit(mr *recovery.ModeResult, buf []int, err error, tAttach
 // window is one timed phase of the program: its start and its trace span.
 type window struct {
 	t0   float64
-	span *trace.SpanHandle
+	span trace.SpanHandle
 }
 
 // beginSolve opens the solve from the current step up to detection point dp;
@@ -403,7 +403,8 @@ func (r *rankState) recovered() {
 // the lost grids and their recovery partners communicate.
 func (r *rankState) beginRecover(lost []int) window {
 	t0 := r.p.Now()
-	return window{t0, r.cfg.Trace.BeginSpan(t0, r.rank, "recover-data", "%v, sub-grids %v", r.cfg.Technique, lost)}
+	detail := fmt.Sprintf("%v, sub-grids %v", r.cfg.Technique, lost) // a span detail's args are ints only
+	return window{t0, r.cfg.Trace.BeginSpan(t0, r.rank, "recover-data", detail)}
 }
 
 func (r *rankState) endRecover(w window) {
@@ -648,7 +649,7 @@ func (r *rankState) report() {
 	}
 }
 
-func (r *rankState) beginCombine() *trace.SpanHandle {
+func (r *rankState) beginCombine() trace.SpanHandle {
 	return r.cfg.Trace.BeginSpan(r.p.Now(), r.rank, "combine", "")
 }
 

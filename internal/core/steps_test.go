@@ -140,3 +140,21 @@ func TestRecoveryInfoRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestLostGridIDs checks failed ranks map onto their sub-grids as one
+// ascending list without repeats, skipping ranks outside every group.
+func TestLostGridIDs(t *testing.T) {
+	rs := &runState{cfg: Config{RealFailures: true}, grids: []SubGrid{
+		{ID: 0, Procs: 4, FirstRank: 0}, {ID: 1, Procs: 4, FirstRank: 4}, {ID: 2, Procs: 2, FirstRank: 8},
+	}}
+	for _, tc := range []struct{ failed, want []int }{
+		{[]int{9, 5, 1, 6, 8, 42}, []int{0, 1, 2}},
+		{[]int{6, 5}, []int{1}},
+		{[]int{42}, nil},
+		{nil, nil},
+	} {
+		if got := rs.lostGridIDs(tc.failed); !slices.Equal(got, tc.want) {
+			t.Errorf("lostGridIDs(%v) = %v, want %v", tc.failed, got, tc.want)
+		}
+	}
+}

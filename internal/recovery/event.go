@@ -57,7 +57,7 @@ func fiberRepair(p *mpi.Proc, f *mpi.Fiber, broken *mpi.Comm, st *Stats, place P
 				return
 			}
 			t3 := p.Now()
-			sp3 := st.span(t3, me, "spawn", "%d replacements on %v", totalFailed, hosts)
+			sp3 := st.span(t3, me, "spawn", st.spawnDetail(totalFailed, hosts))
 			mpi.FiberSpawnMultiple(f, shrunk, totalFailed, hosts, 0, func(inter *mpi.Comm, err error) {
 				sp3.End(p.Now())
 				if err != nil {

@@ -88,18 +88,33 @@ type Stats struct {
 	ModeLabel string
 }
 
-// span opens a protocol-phase span on the stats' recorder; the returned
-// handle is nil-safe.
-func (st *Stats) span(t float64, rank int, phase, format string, args ...any) *trace.SpanHandle {
+// span opens a protocol-phase span on the stats' recorder; the detail is
+// formatted as trace.Recorder.BeginSpan describes, only when the span is
+// read. With no recorder it records nothing and allocates nothing, and the
+// returned zero handle is inert.
+func (st *Stats) span(t float64, rank int, phase, format string, args ...int) trace.SpanHandle {
 	return st.Trace.BeginSpan(t, rank, phase, format, args...)
 }
 
-// charge adds one phase execution's virtual-time cost to the registry.
+// charge adds one phase execution's virtual-time cost to the registry. With
+// no registry it returns before building the instrument names.
 func (st *Stats) charge(phase string, seconds float64) {
+	if st.Metrics == nil {
+		return
+	}
 	st.Metrics.TimeSum("recovery.phase." + phase).Add(seconds)
 	if st.ModeLabel != "" {
 		st.Metrics.TimeSum("recovery.mode." + st.ModeLabel + ".phase." + phase).Add(seconds)
 	}
+}
+
+// spawnDetail is the spawn span's detail. The host list is formatted here,
+// once per repair, and only when a recorder will keep it.
+func (st *Stats) spawnDetail(n int, hosts []string) string {
+	if st.Trace == nil {
+		return ""
+	}
+	return fmt.Sprintf("%d replacements on %v", n, hosts)
 }
 
 // ErrorHandler returns the Fig. 4 error handler: on a process-failure
@@ -258,7 +273,7 @@ func repair(p *mpi.Proc, broken *mpi.Comm, st *Stats, place Placement, mode Mode
 			return nil, nil, false, fmt.Errorf("recovery: placement: %w", err)
 		}
 		t0 = p.Now()
-		sp = st.span(t0, me, "spawn", "%d replacements on %v", totalFailed, hosts)
+		sp = st.span(t0, me, "spawn", st.spawnDetail(totalFailed, hosts))
 		inter, err = shrunk.SpawnMultiple(totalFailed, hosts, 0)
 		sp.End(p.Now())
 		if err != nil {

@@ -694,3 +694,20 @@ func TestFailureDuringSpawn(t *testing.T) {
 		}
 	}
 }
+
+// TestUntracedPhaseBookkeepingAllocatesNothing pins the per-phase cost of
+// a repair that no recorder and no registry watch: opening and closing a
+// phase span with int args, building the spawn detail and charging the
+// phase allocate nothing.
+func TestUntracedPhaseBookkeepingAllocatesNothing(t *testing.T) {
+	st := &Stats{ModeLabel: "substitute"}
+	hosts := []string{"n007", "n012"}
+	phase := func() {
+		st.span(1, 3, "split", "restore rank order, key %d", 3).End(2)
+		st.span(2, 3, "spawn", st.spawnDetail(len(hosts), hosts)).End(3)
+		st.charge("split", 1)
+	}
+	if n := testing.AllocsPerRun(100, phase); n != 0 {
+		t.Errorf("untraced phase: %v allocations, want 0", n)
+	}
+}

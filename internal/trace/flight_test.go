@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -30,6 +31,35 @@ func TestFlightRingWraparound(t *testing.T) {
 	ds, dn := r.Dropped()
 	if ds != 6 || dn != 0 {
 		t.Errorf("Dropped = (%d, %d), want (6, 0)", ds, dn)
+	}
+}
+
+// TestFlightRingGrowsToDepth checks a rank's span and note rings grow only
+// as far as the depth, whether it is below, between or above the growth
+// steps (the log's inline first slots aside), and that the retained window
+// is the same in each case.
+func TestFlightRingGrowsToDepth(t *testing.T) {
+	for _, depth := range []int{3, 6, 64, 100} {
+		r := NewFlight(depth)
+		for i := 0; i < 200; i++ {
+			r.BeginSpan(float64(i), 0, "solve", "step %d", i).End(float64(i) + 0.5)
+			r.Note(float64(i), 0, 0, "tick")
+		}
+		l := r.logs[0]
+		if c := cap(l.spans.buf); c > max(depth, len(l.spanBuf)) {
+			t.Errorf("depth %d: span ring capacity %d", depth, c)
+		}
+		if c := cap(l.notes.buf); c > depth {
+			t.Errorf("depth %d: note ring capacity %d", depth, c)
+		}
+		spans, notes := r.Spans(), r.Notes()
+		if len(spans) != depth || len(notes) != depth {
+			t.Fatalf("depth %d: retained %d spans, %d notes", depth, len(spans), len(notes))
+		}
+		first := float64(200 - depth)
+		if spans[0].Start != first || spans[0].Detail != fmt.Sprintf("step %d", 200-depth) || notes[0].VT != first {
+			t.Errorf("depth %d: window starts at span %+v, note %v", depth, spans[0], notes[0].VT)
+		}
 	}
 }
 

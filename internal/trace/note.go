@@ -48,7 +48,7 @@ func (r *Recorder) Notes() []Note {
 		return nil
 	}
 	var out []Note
-	r.eachRank(func(l *rankLog) { out = l.notes.appendTo(out) })
+	r.eachRank(func(_ int, l *rankLog) { l.notes.each(func(n *Note) { out = append(out, *n) }) })
 	return byTime(out, func(n Note) float64 { return n.VT })
 }
 

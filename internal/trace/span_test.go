@@ -13,10 +13,10 @@ import (
 func TestNilRecorderSpansSafe(t *testing.T) {
 	var r *Recorder
 	h := r.BeginSpan(1, 0, "solve", "step %d", 1)
-	if h != nil {
-		t.Fatal("nil recorder returned a handle")
+	if h != (SpanHandle{}) {
+		t.Fatal("nil recorder returned a live handle")
 	}
-	h.End(2) // nil handle must be inert
+	h.End(2) // the zero handle must be inert
 	if r.Spans() != nil || r.OpenSpans() != nil || r.SpanCount("solve") != 0 {
 		t.Fatal("nil recorder returned span data")
 	}
@@ -222,5 +222,99 @@ func TestExportChromeTraceFormat(t *testing.T) {
 	}
 	if args := in["args"].(map[string]any); len(args) != 3 || args["epoch"] != "1" || args["failed"] != "[3]" || args["seconds"] != "0.5" {
 		t.Fatalf("i args = %v", args)
+	}
+}
+
+// TestSpanRecordingAllocatesNothing pins the cost of recording a span: once
+// a flight recorder's rank has filled its window, BeginSpan + End allocate
+// nothing, and on a nil recorder they allocate nothing even with int args.
+func TestSpanRecordingAllocatesNothing(t *testing.T) {
+	r := NewFlight(8)
+	step := 0
+	record := func(r *Recorder) {
+		step++
+		outer := r.BeginSpan(float64(step), 3, "solve", "steps %d..%d", step, step+100000)
+		r.BeginSpan(float64(step), 3, "checkpoint", "write step %d", step).End(float64(step) + 0.5)
+		r.BeginSpan(float64(step), 3, "detect", "barrier + agree round").End(float64(step) + 0.7)
+		outer.End(float64(step) + 1)
+	}
+	for i := 0; i < 8; i++ { // warm the rank: its log, its full ring
+		record(r)
+	}
+	if n := testing.AllocsPerRun(100, func() { record(r) }); n != 0 {
+		t.Errorf("warm flight recorder: %v allocations per record, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { record(nil) }); n != 0 {
+		t.Errorf("nil recorder: %v allocations per record, want 0", n)
+	}
+	if got := r.Spans(); len(got) != 8 || got[7].Detail != "barrier + agree round" {
+		t.Fatalf("retained spans = %v", got)
+	}
+}
+
+// TestLazyDetailMatchesSprintf checks, for the detail format of every span
+// the program records, that the detail formatted on read equals the eager
+// fmt.Sprintf it replaced. Details with no args (including the list-valued
+// ones formatted by their call sites) are kept verbatim.
+func TestLazyDetailMatchesSprintf(t *testing.T) {
+	cases := []struct {
+		format string
+		args   []int
+	}{
+		{"steps %d..%d", []int{1, 64}},
+		{"steps %d..%d", []int{-3, 1 << 40}},
+		{"write step %d", []int{128}},
+		{"%d spares", []int{2}},
+		{"restore rank order, key %d", []int{0}},
+		{"assume old rank %d", []int{4095}},
+		{"", nil},
+		{"barrier + agree round", nil},
+		{"child synchronise", nil},
+		{"child merge high", nil},
+		{fmt.Sprintf("%d replacements on %v", 2, []string{"n007", "n012"}), nil},
+		{fmt.Sprintf("%v, sub-grids %v", "RC", []int{3, 5}), nil},
+	}
+	r := New()
+	for i, c := range cases {
+		r.BeginSpan(float64(i), 0, "p", c.format, c.args...).End(float64(i))
+	}
+	spans := r.Spans()
+	for i, c := range cases {
+		anys := make([]any, len(c.args))
+		for j, a := range c.args {
+			anys[j] = a
+		}
+		if want := fmt.Sprintf(c.format, anys...); spans[i].Detail != want {
+			t.Errorf("format %q args %v: detail %q, want %q", c.format, c.args, spans[i].Detail, want)
+		}
+	}
+}
+
+// TestSpanDetailArgsBounded checks a detail with more args than a span
+// stores is refused rather than silently truncated.
+func TestSpanDetailArgsBounded(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("BeginSpan with three args did not panic")
+		}
+	}()
+	New().BeginSpan(0, 0, "p", "%d %d %d", 1, 2, 3)
+}
+
+// TestZeroHandleInertOnLiveRecorder checks ending the zero handle touches
+// no rank's log, and that a handle closes only its own span.
+func TestZeroHandleInertOnLiveRecorder(t *testing.T) {
+	r := New()
+	a := r.BeginSpan(1, 0, "a", "")
+	b := r.BeginSpan(2, 0, "b", "")
+	var zero SpanHandle
+	zero.End(5)
+	a.End(3) // the outer span closes first; b stays open
+	if open := r.OpenSpans(); len(open) != 1 || open[0].Phase != "b" || open[0].Depth != 1 {
+		t.Fatalf("open spans = %+v", open)
+	}
+	b.End(4)
+	if ss := r.Spans(); len(ss) != 2 || !ss[0].Closed || ss[0].End != 3 || ss[1].End != 4 {
+		t.Fatalf("spans = %+v", ss)
 	}
 }

@@ -45,12 +45,16 @@ type Recorder struct {
 }
 
 // rankLog is one rank's share of the timeline. Guarded by the Recorder's
-// mutex.
+// mutex. Its first spans live in the log itself, so a rank that records a
+// few costs one allocation; a busier one grows its ring (see ring.push).
 type rankLog struct {
 	notes ring[Note]
-	spans ring[Span]    // closed spans, in close order
-	open  []*SpanHandle // spans still open, innermost last
+	spans ring[spanRec] // closed spans, in close order
+	open  []spanRec     // spans still open, innermost last
 	begun int32         // spans begun so far: the next span's seq
+
+	spanBuf [4]spanRec // the spans ring's first slots
+	openBuf [2]spanRec // the open stack's first slots
 }
 
 // New returns a Recorder that keeps the whole timeline.
@@ -87,13 +91,14 @@ func (r *Recorder) log(rank int) *rankLog {
 	l := r.logs[rank]
 	if l == nil {
 		l = &rankLog{}
+		l.spans.buf, l.open = l.spanBuf[:0], l.openBuf[:0]
 		r.logs[rank] = l
 	}
 	return l
 }
 
 // eachRank calls f on every rank's log in ascending rank order, under r.mu.
-func (r *Recorder) eachRank(f func(*rankLog)) {
+func (r *Recorder) eachRank(f func(rank int, l *rankLog)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ranks := make([]int, 0, len(r.logs))
@@ -102,13 +107,15 @@ func (r *Recorder) eachRank(f func(*rankLog)) {
 	}
 	sort.Ints(ranks)
 	for _, rk := range ranks {
-		f(r.logs[rk])
+		f(rk, r.logs[rk])
 	}
 }
 
 // ring is a FIFO that, given a depth, overwrites its oldest entry once it
-// holds depth entries; depth 0 never evicts. It grows by append, so a rank
-// that records three entries pays for three, not for the whole window.
+// holds depth entries; depth 0 never evicts. It grows fourfold when full
+// (to at most depth), so a rank that records three entries pays for at most
+// four, not for the whole window, and one that fills a 64-deep window
+// reallocates only twice.
 type ring[T any] struct {
 	buf  []T
 	next int // index of the oldest entry once full
@@ -118,6 +125,13 @@ type ring[T any] struct {
 // push appends v, reporting whether an older entry was evicted.
 func (g *ring[T]) push(v T, depth int) bool {
 	if depth == 0 || len(g.buf) < depth {
+		if len(g.buf) == cap(g.buf) {
+			n := max(4, 4*cap(g.buf))
+			if depth > 0 {
+				n = min(n, depth)
+			}
+			g.buf = append(make([]T, 0, n), g.buf...)
+		}
 		g.buf = append(g.buf, v)
 		return false
 	}
@@ -127,13 +141,15 @@ func (g *ring[T]) push(v T, depth int) bool {
 	return true
 }
 
-// appendTo appends the retained entries to out, oldest first.
-func (g *ring[T]) appendTo(out []T) []T {
-	if !g.full {
-		return append(out, g.buf...)
+// each calls f on the retained entries, oldest first.
+func (g *ring[T]) each(f func(*T)) {
+	start := 0
+	if g.full {
+		start = g.next
 	}
-	out = append(out, g.buf[g.next:]...)
-	return append(out, g.buf[:g.next]...)
+	for i := range g.buf {
+		f(&g.buf[(start+i)%len(g.buf)])
+	}
 }
 
 // byTime stable-sorts records collected in ascending rank order by virtual
