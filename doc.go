@@ -9,6 +9,6 @@
 //
 // The library lives under internal/ (see DESIGN.md for the inventory);
 // cmd/experiments regenerates every table and figure of the paper's
-// evaluation, and bench_test.go in this directory exposes each experiment
-// as a Go benchmark.
+// evaluation, and benchmark/ measures the program end to end and layer by
+// layer.
 package ftsg

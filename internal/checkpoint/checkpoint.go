@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"strconv"
 	"sync"
 
 	"ftsg/internal/metrics"
@@ -130,8 +131,37 @@ func validHeader(hdr []byte, size int64) bool {
 
 type genKey struct{ gridID, rank int }
 
+// genName is the blob name of one generation, the bytes of
+// fmt.Sprintf("grid%03d_rank%04d.gen%06d.ckpt", gridID, rank, gen), built
+// without fmt: one allocation, the string. Write names each generation
+// once; the index keeps the name for the reads and the rotation.
 func genName(gridID, rank int, gen uint64) string {
-	return fmt.Sprintf("grid%03d_rank%04d.gen%06d.ckpt", gridID, rank, gen)
+	var b [64]byte
+	s := append(b[:0], "grid"...)
+	s = appendPadded(s, gridID, 3)
+	s = append(s, "_rank"...)
+	s = appendPadded(s, rank, 4)
+	s = append(s, ".gen"...)
+	s = appendPaddedUint(s, gen, 6)
+	return string(append(s, ".ckpt"...))
+}
+
+// appendPadded appends v as %0<width>d formats it: a sign, then the digits
+// zero-padded so that sign and digits fill at least width bytes.
+func appendPadded(b []byte, v, width int) []byte {
+	if v < 0 {
+		return appendPaddedUint(append(b, '-'), uint64(-v), width-1)
+	}
+	return appendPaddedUint(b, uint64(v), width)
+}
+
+func appendPaddedUint(b []byte, v uint64, width int) []byte {
+	var d [20]byte
+	digits := strconv.AppendUint(d[:0], v, 10)
+	for i := len(digits); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, digits...)
 }
 
 // Options configures a Store.
@@ -157,7 +187,7 @@ type Store struct {
 	metrics *metrics.Registry
 
 	mu      sync.Mutex
-	gens    map[genKey][]uint64 // generations being or already committed, ascending
+	gens    map[genKey][]string // blob names of the generations being or already committed, oldest first
 	nextGen map[genKey]uint64
 }
 
@@ -174,14 +204,14 @@ func Open(opts Options) (*Store, error) {
 		backend: opts.Backend,
 		keep:    keep,
 		metrics: opts.Metrics,
-		gens:    make(map[genKey][]uint64),
+		gens:    make(map[genKey][]string),
 		nextGen: make(map[genKey]uint64),
 	}, nil
 }
 
-func removeGen(list []uint64, gen uint64) []uint64 {
+func removeGen(list []string, name string) []string {
 	for i, g := range list {
-		if g == gen {
+		if g == name {
 			return append(list[:i], list[i+1:]...)
 		}
 	}
@@ -205,25 +235,26 @@ func (s *Store) Write(p *mpi.Proc, gridID, rank, step int, data []float64) error
 	s.mu.Lock()
 	gen := s.nextGen[key]
 	s.nextGen[key] = gen + 1
-	list := append(s.gens[key], gen)
-	var drops []string
-	for len(list) > s.keep {
-		drops = append(drops, genName(gridID, rank, list[0]))
-		list = list[1:]
+	name := genName(gridID, rank, gen)
+	list := append(s.gens[key], name)
+	var drop string
+	if len(list) > s.keep { // each Write adds one name, so one at most falls out
+		drop = list[0]
+		list = list[:copy(list, list[1:])] // in place: the index stops allocating
 	}
 	s.gens[key] = list
 	s.mu.Unlock()
 
-	err := s.backend.Put(genName(gridID, rank, gen), buf)
+	err := s.backend.Put(name, buf)
 	encPool.Put(eb)
 	if err != nil {
 		s.mu.Lock()
-		s.gens[key] = removeGen(s.gens[key], gen)
+		s.gens[key] = removeGen(s.gens[key], name)
 		s.mu.Unlock()
 		s.metrics.Counter("checkpoint.write.errors").Inc()
 	}
-	for _, name := range drops {
-		_ = s.backend.Delete(name)
+	if drop != "" {
+		_ = s.backend.Delete(drop)
 	}
 	return nil
 }
@@ -237,11 +268,11 @@ func (s *Store) Write(p *mpi.Proc, gridID, rank, step int, data []float64) error
 func (s *Store) Read(p *mpi.Proc, gridID, rank int) (step int, data []float64, err error) {
 	key := genKey{gridID, rank}
 	s.mu.Lock()
-	list := append([]uint64(nil), s.gens[key]...)
+	list := append([]string(nil), s.gens[key]...)
 	s.mu.Unlock()
 
 	for i := len(list) - 1; i >= 0; i-- {
-		name := genName(gridID, rank, list[i])
+		name := list[i]
 		raw, gerr := s.backend.Get(name)
 		if gerr == nil {
 			p.ComputeAttr(p.Machine().TIORead, vtime.CompDiskRead)
@@ -277,13 +308,13 @@ func (s *Store) Generations() int {
 func (s *Store) CandidateSteps(gridID, rank int) []int {
 	key := genKey{gridID, rank}
 	s.mu.Lock()
-	list := append([]uint64(nil), s.gens[key]...)
+	list := append([]string(nil), s.gens[key]...)
 	s.mu.Unlock()
 
 	var steps []int
 	seen := map[int]bool{}
 	for i := len(list) - 1; i >= 0; i-- {
-		hdr, size, err := s.backend.Peek(genName(gridID, rank, list[i]), headerSize)
+		hdr, size, err := s.backend.Peek(list[i], headerSize)
 		if err != nil || !validHeader(hdr, size) {
 			s.metrics.Counter("checkpoint.generations.fallback").Inc()
 			continue
@@ -306,11 +337,11 @@ func (s *Store) CandidateSteps(gridID, rank int) []int {
 func (s *Store) ReadAt(p *mpi.Proc, gridID, rank, step int) ([]float64, error) {
 	key := genKey{gridID, rank}
 	s.mu.Lock()
-	list := append([]uint64(nil), s.gens[key]...)
+	list := append([]string(nil), s.gens[key]...)
 	s.mu.Unlock()
 
 	for i := len(list) - 1; i >= 0; i-- {
-		name := genName(gridID, rank, list[i])
+		name := list[i]
 		hdr, size, err := s.backend.Peek(name, headerSize)
 		if err != nil || !validHeader(hdr, size) ||
 			int(binary.LittleEndian.Uint64(hdr[8:16])) != step {

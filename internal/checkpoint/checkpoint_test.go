@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -39,6 +40,30 @@ func withProcMetrics(t *testing.T, m *vtime.Machine, reg *metrics.Registry, f fu
 	_, err := mpi.Run(mpi.Options{NProcs: 1, Machine: m, Metrics: reg, Entry: f})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGenNameMatchesSprintf checks genName byte for byte against the
+// Sprintf form it replaces, at the pad widths, past them and below zero.
+func TestGenNameMatchesSprintf(t *testing.T) {
+	for _, c := range []struct {
+		grid, rank int
+		gen        uint64
+	}{
+		{0, 0, 0},
+		{7, 42, 3},
+		{99, 999, 99999},
+		{999, 9999, 999999},
+		{1000, 10000, 1000000},
+		{123456, 7654321, 1 << 40},
+		{-1, -12, 5},
+		{-1000, -99999, 0},
+		{math.MaxInt, math.MinInt, math.MaxUint64},
+	} {
+		want := fmt.Sprintf("grid%03d_rank%04d.gen%06d.ckpt", c.grid, c.rank, c.gen)
+		if got := genName(c.grid, c.rank, c.gen); got != want {
+			t.Errorf("genName(%d, %d, %d) = %q, want %q", c.grid, c.rank, c.gen, got, want)
+		}
 	}
 }
 

@@ -21,10 +21,18 @@ import (
 	"ftsg/internal/trace"
 )
 
-// nominalSteps is the paper's timestep count (2^13); together with
-// ComputeScale it maps one-shot operations (the combination) onto the
-// nominal problem size.
-const nominalSteps = 8192
+const (
+	// nominalSteps is the paper's timestep count (2^13); together with
+	// computeScale it maps one-shot operations (the combination) onto the
+	// nominal problem size.
+	nominalSteps = 8192
+	// computeScale multiplies the virtual per-cell compute charge, mapping
+	// a laptop-sized run onto the paper's nominal problem (n = 13, 2^13
+	// steps): it makes N=8/256-step runs charge like the nominal problem.
+	computeScale = 32768
+	// cfl is the Courant number used to size the shared timestep.
+	cfl = 0.8
+)
 
 // tagRecoverBase + lost grid ID tags a replication/resampling transfer on
 // the world communicator.

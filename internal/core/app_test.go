@@ -11,12 +11,11 @@ import (
 // fastCfg returns a small, quick configuration for tests.
 func fastCfg(t Technique) Config {
 	return Config{
-		Technique:    t,
-		DiagProcs:    4,
-		Steps:        64,
-		ComputeScale: 32768,
-		Machine:      vtime.OPL(),
-		Seed:         1,
+		Technique: t,
+		DiagProcs: 4,
+		Steps:     64,
+		Machine:   vtime.OPL(),
+		Seed:      1,
 	}
 }
 

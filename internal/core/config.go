@@ -121,15 +121,8 @@ type Config struct {
 	DiagProcs int
 	// Steps is the number of solver timesteps.
 	Steps int
-	// ComputeScale multiplies the virtual per-cell compute charge, mapping
-	// a laptop-sized run onto the paper's nominal problem (n = 13, 2^13
-	// steps). The default 32768 makes N=8/256-step runs charge like the
-	// nominal problem.
-	ComputeScale float64
 	// Velocity is the advection velocity (ax, ay).
 	Velocity [2]float64
-	// CFL is the Courant number used to size the shared timestep.
-	CFL float64
 	// NumFailures processes are aborted together at FailStep
 	// (RealFailures), or NumFailures whole grids are marked lost at the
 	// end (simulated failures, the mode of the paper's Figs. 9 and 10).
@@ -268,14 +261,8 @@ func (c Config) WithDefaults() Config {
 	if c.Steps == 0 {
 		c.Steps = 256
 	}
-	if c.ComputeScale == 0 {
-		c.ComputeScale = 32768
-	}
 	if c.Velocity == [2]float64{} {
 		c.Velocity = [2]float64{1, 0.5}
-	}
-	if c.CFL == 0 {
-		c.CFL = 0.8
 	}
 	if c.FailStep == 0 {
 		c.FailStep = c.Steps / 2
@@ -551,12 +538,12 @@ func rcConflicts(grids []SubGrid) [][2]int {
 func (c Config) Problem() (*pde.Problem, float64) {
 	prob := &pde.Problem{Ax: c.Velocity[0], Ay: c.Velocity[1], U0: pde.SinProduct, U0X: pde.Sin2Pi, U0Y: pde.Sin2Pi}
 	h := math.Pow(2, -float64(c.Layout.N))
-	return prob, pde.StableDt(h, h, prob.Ax, prob.Ay, c.CFL)
+	return prob, pde.StableDt(h, h, prob.Ax, prob.Ay, cfl)
 }
 
 // EstimateStepTime returns the virtual time of one solver step for one
 // process (every grid has the same cells-per-process by construction).
 func (c Config) EstimateStepTime() float64 {
 	diagCells := float64(int64(1) << uint(2*c.Layout.N-c.Layout.L+1))
-	return diagCells / float64(c.DiagProcs) * c.Machine.CellCost * c.ComputeScale
+	return diagCells / float64(c.DiagProcs) * c.Machine.CellCost * computeScale
 }

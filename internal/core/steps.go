@@ -88,7 +88,7 @@ func (rs *runState) newRank(p *mpi.Proc) (*rankState, error) {
 		replacement: p.Parent() != nil,
 		mc:          newModeCtx(rs.cfg.RecoveryMode, rs.res.Procs),
 	}
-	r.charge = func(cells int) { p.ComputeCells(cells, r.cfg.ComputeScale) }
+	r.charge = func(cells int) { p.ComputeCells(cells, computeScale) }
 	if r.replacement {
 		return r, nil
 	}
@@ -767,7 +767,7 @@ func (r *rankState) targetLevel() grid.Level {
 // oneShot maps a one-shot operation (the combination) onto the nominal
 // problem size.
 func (r *rankState) oneShot() float64 {
-	return r.cfg.ComputeScale * float64(r.cfg.Steps) / nominalSteps
+	return computeScale * float64(r.cfg.Steps) / nominalSteps
 }
 
 // recordCombined measures the combined solution's error and stores the

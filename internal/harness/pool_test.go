@@ -7,8 +7,9 @@ import (
 	"time"
 )
 
-// The per-cpu benchmark (BenchmarkHarnessParallel at the repo root) showed
-// "no speedup over serial" on the 1-CPU snapshot host. That is by design,
+// A per-cpu harness benchmark (since replaced by the benchmark's
+// harness.parallel_speedup layer metric) showed "no speedup over serial" on
+// a 1-CPU host. That is by design,
 // not a scheduler bug: workers <= 0 resolves to runtime.GOMAXPROCS(0), so
 // on one CPU the per-cpu case runs the single-worker inline path and is
 // identical to serial. These tests pin both halves of that diagnosis —

@@ -147,6 +147,9 @@ func (c *Comm) markRevoked() {
 // communicator.
 func (c *Comm) Rank() int { return c.rank }
 
+// Proc returns the process this handle belongs to.
+func (c *Comm) Proc() *Proc { return c.p }
+
 // Size returns the size of the local group.
 func (c *Comm) Size() int { return len(c.localGroup()) }
 

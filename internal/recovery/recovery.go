@@ -117,19 +117,24 @@ func (st *Stats) spawnDetail(n int, hosts []string) string {
 	return fmt.Sprintf("%d replacements on %v", n, hosts)
 }
 
-// ErrorHandler returns the Fig. 4 error handler: on a process-failure
-// error it acknowledges the failure set and reads it back, as the paper's
-// handler does, and charges the >=10 ms delay the paper found necessary in
-// the beta ULFM.
-func ErrorHandler(p *mpi.Proc) mpi.Errhandler {
-	return func(c *mpi.Comm, err error) {
-		if !errors.Is(err, mpi.ErrProcFailed) {
-			return
-		}
-		_ = c.FailureAck()
-		_ = c.FailureGetAcked()
-		p.Compute(p.Machine().ULFM.AckDelay)
+// ErrorHandler returns the Fig. 4 error handler for p's communicators. It
+// charges the delay to the process that owns the failing handle, which is
+// p, so it captures nothing: every rank and every call gets the same
+// function value, and installing it allocates nothing.
+func ErrorHandler(p *mpi.Proc) mpi.Errhandler { return fig4Handler }
+
+// fig4Handler is the Fig. 4 handler: on a process-failure error it
+// acknowledges the failure set and reads it back, as the paper's handler
+// does, and charges the >=10 ms delay the paper found necessary in the beta
+// ULFM.
+func fig4Handler(c *mpi.Comm, err error) {
+	if !errors.Is(err, mpi.ErrProcFailed) {
+		return
 	}
+	_ = c.FailureAck()
+	_ = c.FailureGetAcked()
+	p := c.Proc()
+	p.Compute(p.Machine().ULFM.AckDelay)
 }
 
 // FailedProcsList is Fig. 6: compare the broken communicator's group with
