@@ -244,3 +244,50 @@ func TestCheckpointFlags(t *testing.T) {
 		t.Errorf("unknown backend: realMain = %d, want 1 (stderr: %s)", code, stderr.String())
 	}
 }
+
+// TestFailureFlagsPinned pins the run summary of the failure flags: a
+// two-rank event at an explicit step and a whole-node failure onto a spare
+// host. The flags build the run's failure plan, so a change to how they do
+// shows here.
+func TestFailureFlagsPinned(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{{
+		[]string{"-technique", "CR", "-diagprocs", "2", "-steps", "16", "-real", "-failures", "2", "-failstep", "5", "-seed", "7"},
+		`technique            CR on OPL
+processes            11 across 7 sub-grids (2 re-spawned)
+steps                16
+total virtual time   29.34 s
+failed ranks         [1 7]
+failure info time    0.018 s
+reconstruction time  0.53 s (shrink 0.01, spawn 0.01, merge 0.01, agree 0.50, split 0.01)
+lost sub-grids       [0 3]
+data recovery time   7.516 s
+checkpoints          1 written, every 7 steps
+combined l1 error    4.6111e-06
+`,
+	}, {
+		[]string{"-technique", "CR", "-diagprocs", "2", "-steps", "16", "-slots", "4", "-real", "-nodefail", "-spares", "1", "-seed", "7"},
+		`technique            CR on OPL
+processes            11 across 7 sub-grids (4 re-spawned)
+steps                16
+total virtual time   31.91 s
+failed ranks         [4 5 6 7]
+failure info time    0.018 s
+reconstruction time  1.28 s (shrink 0.02, spawn 0.02, merge 0.01, agree 1.22, split 0.01)
+lost sub-grids       [2 3]
+data recovery time   8.616 s
+checkpoints          1 written, every 7 steps
+combined l1 error    4.6111e-06
+`,
+	}} {
+		var stdout, stderr bytes.Buffer
+		if code := realMain(c.args, &stdout, &stderr); code != 0 {
+			t.Fatalf("realMain(%v) = %d, stderr: %s", c.args, code, stderr.String())
+		}
+		if got := stdout.String(); got != c.want {
+			t.Errorf("%v summary:\n%s\nwant:\n%s", c.args, got, c.want)
+		}
+	}
+}
