@@ -14,19 +14,20 @@ import (
 	"log"
 
 	"ftsg/internal/core"
+	"ftsg/internal/faultgen"
 	"ftsg/internal/vtime"
 )
 
 func main() {
 	cfg := core.Config{
-		Technique:    core.AlternateCombination,
-		Machine:      vtime.OPL(),
-		DiagProcs:    8, // 49 processes over 5 hosts of 12 slots
-		Steps:        128,
-		RealFailures: true,
-		NodeFailure:  true,
-		SpareNodes:   1,
-		Seed:         7,
+		Technique: core.AlternateCombination,
+		Machine:   vtime.OPL(),
+		DiagProcs: 8, // 49 processes over 5 hosts of 12 slots
+		Steps:     128,
+		// Every process of one drawn host dies together halfway through.
+		Faults:     []faultgen.Event{{Step: 64, Host: true}},
+		SpareNodes: 1,
+		Seed:       7,
 	}
 
 	res, err := core.Run(cfg)

@@ -9,6 +9,7 @@ import (
 
 	"ftsg/internal/combine"
 	"ftsg/internal/core"
+	"ftsg/internal/faultgen"
 	"ftsg/internal/metrics"
 	"ftsg/internal/recovery"
 )
@@ -136,13 +137,10 @@ func TestChaosNestedKillOutlivesShrinkDance(t *testing.T) {
 	for _, rmode := range []recovery.Mode{recovery.ModeShrink, recovery.ModeNoRepair} {
 		for _, c := range cells {
 			sc := NewScenario(c.seed)
-			if sc.Mode != ModeKillDuringRecovery || sc.OpEvents[0].AfterOps <= shortestShrinkDance {
+			if sc.Mode != ModeKillDuringRecovery || sc.Faults[1].AfterOps <= shortestShrinkDance {
 				t.Fatalf("seed %d no longer draws a nested kill past the shrink dance: %s", c.seed, sc)
 			}
-			scheduled := 0
-			for _, e := range sc.Events {
-				scheduled += e.Failures
-			}
+			scheduled := sc.Faults[0].Failures
 			res, err := core.Run(sc.ConfigForRecovery(c.tech, rmode))
 			if err != nil {
 				t.Errorf("%s under %s/%s: %v", sc, c.tech, rmode, err)
@@ -169,31 +167,35 @@ func TestScenarioDeterminism(t *testing.T) {
 			t.Fatalf("seed %d: scenario not deterministic:\n%+v\n%+v", seed, a, b)
 		}
 		modes[a.Mode]++
-		total, prev := 0, 0
-		for _, e := range a.Events {
-			if e.Step <= prev || e.Step > a.Steps {
-				t.Errorf("seed %d: event step %d out of order or range (prev %d, steps %d)",
-					seed, e.Step, prev, a.Steps)
+		if err := faultgen.Check(a.Faults); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+		total := 0
+		for _, e := range a.Faults {
+			switch {
+			case e.Host:
+				if a.Mode != ModeNodeFailure || e.Step < 1 || e.Step > a.Steps {
+					t.Errorf("seed %d: node event at step %d under mode %c", seed, e.Step, a.Mode)
+				}
+			case e.Step > 0:
+				if e.Step > a.Steps {
+					t.Errorf("seed %d: event step %d beyond %d steps", seed, e.Step, a.Steps)
+				}
+				if e.Failures < 1 || e.Failures > 2 {
+					t.Errorf("seed %d: event failures %d outside [1,2]", seed, e.Failures)
+				}
+				total += e.Failures
+			default:
+				if e.Failures != 1 {
+					t.Errorf("seed %d: op event kills %d, want 1", seed, e.Failures)
+				}
+				if e.DuringRecovery != (a.Mode == ModeKillDuringRecovery) {
+					t.Errorf("seed %d: DuringRecovery=%v under mode %c", seed, e.DuringRecovery, a.Mode)
+				}
 			}
-			prev = e.Step
-			if e.Failures < 1 || e.Failures > 2 {
-				t.Errorf("seed %d: event failures %d outside [1,2]", seed, e.Failures)
-			}
-			total += e.Failures
 		}
 		if total > 3 {
 			t.Errorf("seed %d: %d total step deaths exceeds the satisfiability cap of 3", seed, total)
-		}
-		for _, e := range a.OpEvents {
-			if e.AfterOps < 1 {
-				t.Errorf("seed %d: op event AfterOps %d < 1", seed, e.AfterOps)
-			}
-			if e.DuringRecovery != (a.Mode == ModeKillDuringRecovery) {
-				t.Errorf("seed %d: DuringRecovery=%v under mode %c", seed, e.DuringRecovery, a.Mode)
-			}
-		}
-		if a.Mode == ModeNodeFailure && (a.FailStep < 1 || a.FailStep > a.Steps) {
-			t.Errorf("seed %d: node FailStep %d out of range", seed, a.FailStep)
 		}
 		if (a.CkptFaults != nil) != (a.Mode == ModeCkptCorrupt) {
 			t.Errorf("seed %d: CkptFaults presence %v under mode %c", seed, a.CkptFaults != nil, a.Mode)

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"ftsg/internal/checkpoint"
@@ -67,9 +68,7 @@ type Scenario struct {
 	Seed       int64
 	Mode       byte
 	Steps      int
-	Events     []faultgen.Event      // modes A, D and F
-	OpEvents   []faultgen.OpEvent    // modes C and D
-	FailStep   int                   // mode B
+	Faults     []faultgen.Event
 	CkptFaults *checkpoint.FaultPlan // mode F
 }
 
@@ -114,22 +113,23 @@ func NewScenarioMode(seed int64, mode byte) Scenario {
 				f = 1 // keep every scenario satisfiable under RC's conflict pairs
 			}
 			total += f
-			sc.Events = append(sc.Events, faultgen.Event{Step: step, Failures: f})
+			sc.Faults = append(sc.Faults, faultgen.Event{Step: step, Failures: f})
 		}
 	case ModeNodeFailure:
-		sc.FailStep = 1 + rng.Intn(16)
+		sc.Faults = []faultgen.Event{{Step: 1 + rng.Intn(16), Host: true}}
 	case ModeOpKill:
-		nop := 1 + rng.Intn(2)
-		for i := 0; i < nop; i++ {
-			sc.OpEvents = append(sc.OpEvents, faultgen.OpEvent{AfterOps: 1 + rng.Intn(64)})
+		for i := 1 + rng.Intn(2); i > 0; i-- {
+			sc.Faults = append(sc.Faults, faultgen.Event{AfterOps: 1 + rng.Intn(64), Failures: 1})
 		}
 	case ModeKillDuringRecovery:
-		sc.Events = []faultgen.Event{{Step: 1 + rng.Intn(8), Failures: 1 + rng.Intn(2)}}
-		sc.OpEvents = []faultgen.OpEvent{{AfterOps: 1 + rng.Intn(6), DuringRecovery: true}}
+		sc.Faults = []faultgen.Event{
+			{Step: 1 + rng.Intn(8), Failures: 1 + rng.Intn(2)},
+			{AfterOps: 1 + rng.Intn(6), DuringRecovery: true, Failures: 1},
+		}
 	case ModeCkptCorrupt:
 		// Die in the second half of the run, after several checkpoint
 		// intervals have written (and possibly torn) generations.
-		sc.Events = []faultgen.Event{{Step: 8 + rng.Intn(12), Failures: 1 + rng.Intn(2)}}
+		sc.Faults = []faultgen.Event{{Step: 8 + rng.Intn(12), Failures: 1 + rng.Intn(2)}}
 		sc.CkptFaults = faultgen.CkptFaults(rng)
 	}
 	return sc
@@ -157,18 +157,8 @@ func (sc Scenario) ModeName() string {
 func (sc Scenario) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "seed %d %s", sc.Seed, sc.ModeName())
-	for _, e := range sc.Events {
-		fmt.Fprintf(&b, " kill %d@step %d", e.Failures, e.Step)
-	}
-	for _, e := range sc.OpEvents {
-		if e.DuringRecovery {
-			fmt.Fprintf(&b, " kill 1@shrink+%dops", e.AfterOps)
-		} else {
-			fmt.Fprintf(&b, " kill 1@op %d", e.AfterOps)
-		}
-	}
-	if sc.Mode == ModeNodeFailure {
-		fmt.Fprintf(&b, " node@step %d", sc.FailStep)
+	for _, e := range sc.Faults {
+		fmt.Fprintf(&b, " %s", e)
 	}
 	if fp := sc.CkptFaults; fp != nil {
 		fmt.Fprintf(&b, " ckpt-faults[corrupt=%.2f readerr=%.2f writeerr=%.2f torn=%.2f]",
@@ -219,27 +209,18 @@ func (sc Scenario) Control(tech core.Technique) core.Config {
 // recovery technique.
 func (sc Scenario) ConfigFor(tech core.Technique) core.Config {
 	cfg := sc.Control(tech)
-	switch {
-	case sc.Mode == ModeControl:
-		// Nothing injected.
-	case sc.Mode == ModeNodeFailure && tech == core.CheckpointRestart:
-		cfg.RealFailures = true
-		cfg.NodeFailure = true
-		cfg.SpareNodes = 1
-		cfg.FailStep = sc.FailStep
-	case sc.Mode == ModeNodeFailure:
-		// RC's pairwise constraint (and AC's loss tolerance) rule out a
-		// whole node; these techniques get an equivalent two-process event.
-		cfg.RealFailures = true
-		cfg.FailSchedule = []faultgen.Event{{Step: sc.FailStep, Failures: 2}}
-	default:
-		cfg.RealFailures = true
-		cfg.FailSchedule = append([]faultgen.Event(nil), sc.Events...)
-		cfg.OpFailures = append([]faultgen.OpEvent(nil), sc.OpEvents...)
-		// Storage damage rides only on the chaos run, never the control;
-		// it is inert outside CR (no checkpoint store exists).
-		cfg.CheckpointFaults = sc.CkptFaults
+	cfg.Faults = slices.Clone(sc.Faults)
+	for i, e := range cfg.Faults {
+		if e.Host && tech != core.CheckpointRestart {
+			// RC's pairwise constraint (and AC's loss tolerance) rule out a
+			// whole node; these techniques get an equivalent two-process
+			// event.
+			cfg.Faults[i].Host, cfg.Faults[i].Failures = false, 2
+		}
 	}
+	// Storage damage rides only on the chaos run, never the control; it is
+	// inert outside CR (no checkpoint store exists).
+	cfg.CheckpointFaults = sc.CkptFaults
 	return cfg
 }
 
@@ -271,35 +252,31 @@ const shortestShrinkDance = 4
 
 // MinSpawned returns the number of deaths the scenario is guaranteed to
 // cause under the technique and recovery mode: step-scheduled victims always
-// die, a node failure kills at least one process, and a kill-during-recovery
-// victim dies once its operation count fits inside the reconstruct loop it
-// starts counting in. Under spawn and substitute the loop is at least seven
-// operations long (shrink, acquire, merge, agree, split, then verification),
-// which covers every AfterOps the generator draws. Under shrink and
-// no-repair it can be as short as shortestShrinkDance; a victim with a larger
-// count leaves the loop alive, and core re-arms its hook only at the next
-// detection interval — which a kill-during-recovery scenario does not have —
-// so it guarantees nothing. Operation-granularity victims of mode C may
-// outlive their count, so they guarantee nothing either.
+// die, a node failure kills at least one process (two under ConfigFor's
+// stand-in for RC and AC), and a kill-during-recovery victim dies once its
+// operation count fits inside the reconstruct loop it starts counting in.
+// Under spawn and substitute the loop is at least seven operations long
+// (shrink, acquire, merge, agree, split, then verification), which covers
+// every AfterOps the generator draws. Under shrink and no-repair it can be
+// as short as shortestShrinkDance; a victim with a larger count leaves the
+// loop alive, and core re-arms its hook only at the next detection interval
+// — which a kill-during-recovery scenario does not have — so it guarantees
+// nothing. Operation-granularity victims of mode C may outlive their count,
+// so they guarantee nothing either.
 func (sc Scenario) MinSpawned(tech core.Technique, rmode recovery.Mode) int {
+	shrinks := rmode == recovery.ModeShrink || rmode == recovery.ModeNoRepair
 	total := 0
-	for _, e := range sc.Events {
-		total += e.Failures
-	}
-	switch sc.Mode {
-	case ModeMultiEvent, ModeCkptCorrupt:
-		return total
-	case ModeNodeFailure:
-		if tech == core.CheckpointRestart {
-			return 1
+	for _, e := range sc.Faults {
+		switch {
+		case e.Host && tech == core.CheckpointRestart:
+			total++
+		case e.Host:
+			total += 2
+		case e.Step > 0:
+			total += e.Failures
+		case e.DuringRecovery && (!shrinks || e.AfterOps <= shortestShrinkDance):
+			total += e.Failures
 		}
-		return 2
-	case ModeKillDuringRecovery:
-		shrinks := rmode == recovery.ModeShrink || rmode == recovery.ModeNoRepair
-		if shrinks && sc.OpEvents[0].AfterOps > shortestShrinkDance {
-			return total
-		}
-		return total + 1
 	}
-	return 0
+	return total
 }

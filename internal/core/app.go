@@ -47,8 +47,7 @@ type runState struct {
 	dt      float64
 	ckPlan  checkpoint.Plan
 	store   *checkpoint.Store
-	plan    *faultgen.Plan
-	opPlan  *faultgen.OpPlan
+	faults  *faultgen.Plan
 	simLost []int
 	cluster *topo.Cluster
 	place   recovery.Placement
@@ -175,27 +174,24 @@ func Run(cfg Config) (*Result, error) {
 		}
 		return g.ID
 	}
-	if cfg.NodeFailure {
-		rs.plan, err = faultgen.NodePlan(cfg.Seed, cfg.FailStep, nprocs, func(rank int) int {
-			h, herr := rs.cluster.HostIndexOfRank(rank)
-			if herr != nil {
-				return -1
-			}
-			return h
-		})
-		if err != nil {
-			return nil, err
-		}
-	} else if len(cfg.FailSchedule) > 0 || (cfg.NumFailures > 0 && cfg.RealFailures) {
-		events := cfg.FailSchedule
-		if len(events) == 0 {
-			events = []faultgen.Event{{Step: cfg.FailStep, Failures: cfg.NumFailures}}
-		}
-		rs.plan, err = faultgen.Schedule(faultgen.Config{
+	events := cfg.Faults
+	if cfg.RealFailures && cfg.NumFailures > 0 {
+		// The paper's shorthand: NumFailures ranks die together halfway.
+		events = []faultgen.Event{{Step: max(1, cfg.Steps/2), Failures: cfg.NumFailures}}
+	}
+	if len(events) > 0 {
+		rs.faults, err = faultgen.NewPlan(faultgen.Config{
 			Seed:      cfg.Seed,
 			NumRanks:  nprocs,
 			GridOf:    gridOfID,
 			Conflicts: conflicts,
+			HostOf: func(rank int) int {
+				h, herr := rs.cluster.HostIndexOfRank(rank)
+				if herr != nil {
+					return -1
+				}
+				return h
+			},
 		}, events)
 		if err != nil {
 			return nil, err
@@ -222,24 +218,6 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		sort.Ints(rs.simLost)
-	}
-	if len(cfg.OpFailures) > 0 {
-		// Operation-granularity victims: decorrelate the draw from the step
-		// plan's seed (same seed, different stream) and exclude its victims,
-		// so both kinds of failure can hit the same run without colliding.
-		var exclude []int
-		if rs.plan != nil {
-			exclude = rs.plan.Victims()
-		}
-		rs.opPlan, err = faultgen.NewOpPlan(faultgen.Config{
-			Seed:      cfg.Seed + 7919,
-			NumRanks:  nprocs,
-			GridOf:    gridOfID,
-			Conflicts: conflicts,
-		}, cfg.OpFailures, exclude)
-		if err != nil {
-			return nil, err
-		}
 	}
 
 	rs.res = Result{
@@ -438,7 +416,7 @@ func (r *rankState) rejoin(old carried) error {
 // lostGridIDs maps failed ranks (real mode) or the simulated loss list onto
 // sub-grid IDs, ascending.
 func (rs *runState) lostGridIDs(failedRanks []int) []int {
-	if !rs.cfg.RealFailures {
+	if rs.simLost != nil {
 		return rs.simLost
 	}
 	var out []int

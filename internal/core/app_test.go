@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"ftsg/internal/faultgen"
 	"ftsg/internal/vtime"
 )
 
@@ -217,7 +218,7 @@ func TestValidation(t *testing.T) {
 	}{
 		{"defaults", func(*Config) {}, ""},
 		{"oversubscribed grid", func(c *Config) { c.DiagProcs = 1024 }, "DiagProcs"},
-		{"FailStep beyond Steps", func(c *Config) { c.FailStep = 1 << 20 }, "FailStep"},
+		{"fault step beyond Steps", func(c *Config) { c.Faults = []faultgen.Event{{Step: 1 << 20, Failures: 1}} }, "step"},
 		{"unknown technique", func(c *Config) { c.Technique = 7 }, "unknown technique"},
 		{"unknown checkpoint backend", func(c *Config) { c.CheckpointBackend = "tape" }, "unknown checkpoint backend"},
 		{"hosts too few", func(c *Config) { c.Hosts = 1; c.SlotsPerHost = 2 }, "cannot hold"},

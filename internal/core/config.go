@@ -123,13 +123,12 @@ type Config struct {
 	Steps int
 	// Velocity is the advection velocity (ax, ay).
 	Velocity [2]float64
-	// NumFailures processes are aborted together at FailStep
-	// (RealFailures), or NumFailures whole grids are marked lost at the
-	// end (simulated failures, the mode of the paper's Figs. 9 and 10).
-	NumFailures int
-	FailStep    int
-	// RealFailures selects real process kills plus communicator
-	// reconstruction; false selects the simulated-loss mode.
+	// NumFailures and RealFailures are the paper's one-event shorthand for
+	// Faults: NumFailures processes are aborted together at step
+	// max(1, Steps/2) (RealFailures, with communicator reconstruction), or
+	// NumFailures whole grids are marked lost at the end without killing
+	// anyone (the simulated-loss mode of the paper's Figs. 9 and 10).
+	NumFailures  int
 	RealFailures bool
 	// RecoveryMode selects how a broken communicator is repaired: spawn
 	// (the paper's protocol — re-spawn to full size; the default), shrink
@@ -137,8 +136,7 @@ type Config struct {
 	// the hole-tolerant combination coefficients), substitute (restore full
 	// size from SpareRanks pre-allocated spare processes), or norepair
 	// (shrink the communicator but recover no data — the degraded
-	// baseline). Non-spawn modes require RealFailures when failures are
-	// configured; the simulated-loss mode of Figs. 9/10 is spawn-only.
+	// baseline). The simulated-loss mode of Figs. 9/10 is spawn-only.
 	RecoveryMode recovery.Mode
 	// SpareRanks is the size of the pre-allocated spare-process pool of the
 	// substitute mode (0 under substitute defaults to 8; ignored by the
@@ -147,25 +145,16 @@ type Config struct {
 	SpareRanks int
 	// Seed drives victim selection.
 	Seed int64
-	// FailSchedule injects several failure events at increasing steps,
-	// generalising the single NumFailures/FailStep event. Requires
-	// RealFailures; each event draws fresh victims under the same
-	// constraints (rank 0 protected, RC pairs not hit simultaneously).
-	FailSchedule []faultgen.Event
-	// NodeFailure, with RealFailures, kills every process of one randomly
-	// chosen host at FailStep instead of NumFailures individual processes
-	// — the node-failure scenario of the paper's future work. Requires
-	// SpareNodes >= 1 so the replacements have somewhere to go.
-	NodeFailure bool
-	// OpFailures kills additional victims at MPI-operation granularity:
-	// victim i dies at the entry of its AfterOps-th operation (inside a
-	// barrier, halo exchange, gather, ...), or — with DuringRecovery — at
-	// the AfterOps-th operation counted from its shrink call, landing the
-	// death inside an in-progress repair. Victims are drawn from Seed
-	// (decorrelated from the step-schedule victims, which are excluded) and
-	// honour the same constraints (rank 0 protected, RC conflict pairs
-	// avoided jointly with the step plan's victims). Requires RealFailures.
-	OpFailures []faultgen.OpEvent
+	// Faults is the run's failure plan: each event kills its victims — k
+	// ranks drawn at random, or every rank of one drawn host — at a solver
+	// step, or at one of the victim's own MPI operations, counted from the
+	// run start or from its shrink call (see faultgen.Event). Victims honour
+	// the usual constraints (rank 0 protected, RC pairs not hit together).
+	// Faults always kills real processes; it cannot be combined with the
+	// NumFailures shorthand. A host event needs SpareNodes >= 1 for the
+	// replacements and is refused under RC, whose pairwise recovery a
+	// whole node can break.
+	Faults []faultgen.Event
 	// Watchdog, when enabled (Timeout > 0), monitors transport progress
 	// during the run and aborts a stalled one instead of hanging: Run
 	// returns an *mpi.StallError carrying every rank's blocked-operation
@@ -264,9 +253,6 @@ func (c Config) WithDefaults() Config {
 	if c.Velocity == [2]float64{} {
 		c.Velocity = [2]float64{1, 0.5}
 	}
-	if c.FailStep == 0 {
-		c.FailStep = c.Steps / 2
-	}
 	switch {
 	case c.ExtraLayers == 0:
 		c.ExtraLayers = 2
@@ -301,18 +287,23 @@ func (c Config) Validate() error {
 	if c.Steps < 1 {
 		return fmt.Errorf("core: Steps must be >= 1")
 	}
-	if c.FailStep < 0 || c.FailStep > c.Steps {
-		return fmt.Errorf("core: FailStep %d outside [0, %d]", c.FailStep, c.Steps)
+	if c.NumFailures < 0 {
+		return fmt.Errorf("core: NumFailures must be >= 0")
 	}
-	if c.NodeFailure {
-		if !c.RealFailures {
-			return fmt.Errorf("core: NodeFailure requires RealFailures")
-		}
-		if c.SpareNodes < 1 {
-			return fmt.Errorf("core: NodeFailure requires at least one spare node")
-		}
-		if c.Technique == ResamplingCopying {
-			return fmt.Errorf("core: NodeFailure can violate RC's pairwise recovery constraint; use CR or AC")
+	if len(c.Faults) > 0 && c.NumFailures > 0 {
+		return fmt.Errorf("core: Faults and the NumFailures shorthand are mutually exclusive")
+	}
+	if err := faultgen.Check(c.Faults); err != nil {
+		return fmt.Errorf("core: Faults: %w", err)
+	}
+	for i, e := range c.Faults {
+		switch {
+		case e.Step > c.Steps:
+			return fmt.Errorf("core: Faults event %d at step %d outside [1, %d]", i, e.Step, c.Steps)
+		case e.Host && c.SpareNodes < 1:
+			return fmt.Errorf("core: a host event requires at least one spare node")
+		case e.Host && c.Technique == ResamplingCopying:
+			return fmt.Errorf("core: a host event can violate RC's pairwise recovery constraint; use CR or AC")
 		}
 	}
 	if c.SpareNodes < 0 {
@@ -333,16 +324,6 @@ func (c Config) Validate() error {
 	}
 	if c.ExtraLayers < -1 || c.ExtraLayers > c.Layout.L-2 {
 		return fmt.Errorf("core: ExtraLayers %d outside [-1, %d]", c.ExtraLayers, c.Layout.L-2)
-	}
-	if len(c.OpFailures) > 0 {
-		if !c.RealFailures {
-			return fmt.Errorf("core: OpFailures requires RealFailures")
-		}
-		for i, e := range c.OpFailures {
-			if e.AfterOps < 1 {
-				return fmt.Errorf("core: OpFailures event %d: AfterOps must be >= 1", i)
-			}
-		}
 	}
 	switch c.CheckpointBackend {
 	case "", "dir", "mem":
@@ -379,22 +360,6 @@ func (c Config) Validate() error {
 	if c.Event {
 		if c.EventWorkers < 0 {
 			return fmt.Errorf("core: EventWorkers must be >= 0")
-		}
-	}
-	if len(c.FailSchedule) > 0 {
-		if !c.RealFailures {
-			return fmt.Errorf("core: FailSchedule requires RealFailures")
-		}
-		if c.NodeFailure {
-			return fmt.Errorf("core: FailSchedule and NodeFailure are mutually exclusive")
-		}
-		for i, e := range c.FailSchedule {
-			if e.Step < 1 || e.Step > c.Steps {
-				return fmt.Errorf("core: FailSchedule event %d at step %d outside [1, %d]", i, e.Step, c.Steps)
-			}
-			if e.Failures < 1 {
-				return fmt.Errorf("core: FailSchedule event %d has %d failures", i, e.Failures)
-			}
 		}
 	}
 	return nil

@@ -63,9 +63,8 @@ func TestEventResultParity(t *testing.T) {
 	// Two failure events under spawn: both paths report the union of the
 	// victims, not the first event's.
 	two := fastCfg(CheckpointRestart)
-	two.RealFailures = true
 	two.Seed = 17
-	two.FailSchedule = []faultgen.Event{{Step: 24, Failures: 1}, {Step: 48, Failures: 1}}
+	two.Faults = []faultgen.Event{{Step: 24, Failures: 1}, {Step: 48, Failures: 1}}
 	two.Watchdog = mpi.Watchdog{Timeout: 120 * time.Second}
 	res := runBoth(t, "CR/spawn/two events", two)
 	if len(res.FailedRanks) != 2 || res.Spawned != 2 || res.Deaths != 2 {

@@ -406,8 +406,7 @@ func TestMultiEventFailures(t *testing.T) {
 	}
 	rec := trace.New()
 	cfg := base
-	cfg.RealFailures = true
-	cfg.FailSchedule = []faultgen.Event{{Step: 10, Failures: 1}, {Step: 40, Failures: 2}}
+	cfg.Faults = []faultgen.Event{{Step: 10, Failures: 1}, {Step: 40, Failures: 2}}
 	cfg.Trace = rec
 	cfg.Seed = 47
 	res, err := Run(cfg)
@@ -429,8 +428,7 @@ func TestMultiEventFailures(t *testing.T) {
 // (single detection at the end sees both events' victims).
 func TestMultiEventFailuresAC(t *testing.T) {
 	cfg := fastCfg(AlternateCombination)
-	cfg.RealFailures = true
-	cfg.FailSchedule = []faultgen.Event{{Step: 10, Failures: 1}, {Step: 40, Failures: 1}}
+	cfg.Faults = []faultgen.Event{{Step: 10, Failures: 1}, {Step: 40, Failures: 1}}
 	cfg.Seed = 53
 	res, err := Run(cfg)
 	if err != nil {
@@ -444,21 +442,72 @@ func TestMultiEventFailuresAC(t *testing.T) {
 	}
 }
 
-// TestFailScheduleValidation covers the config checks.
+// TestFailScheduleValidation: Validate refuses every failure plan NewPlan
+// would, and the plans that do not fit the run.
 func TestFailScheduleValidation(t *testing.T) {
-	cfg := fastCfg(CheckpointRestart)
-	cfg.FailSchedule = []faultgen.Event{{Step: 1, Failures: 1}}
-	if _, err := Run(cfg); err == nil {
-		t.Error("schedule without RealFailures accepted")
+	for _, c := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"Faults with the NumFailures shorthand", func(c *Config) {
+			c.Faults = []faultgen.Event{{Step: 1, Failures: 1}}
+			c.NumFailures = 1
+		}},
+		{"step 0", func(c *Config) { c.Faults = []faultgen.Event{{Step: 0, Failures: 1}} }},
+		{"step beyond Steps", func(c *Config) { c.Faults = []faultgen.Event{{Step: c.Steps + 1, Failures: 1}} }},
+		{"decreasing schedule", func(c *Config) {
+			c.Faults = []faultgen.Event{{Step: 40, Failures: 1}, {Step: 10, Failures: 1}}
+		}},
+		{"repeated step", func(c *Config) {
+			c.Faults = []faultgen.Event{{Step: 10, Failures: 1}, {Step: 10, Failures: 1}}
+		}},
+		{"no failures", func(c *Config) { c.Faults = []faultgen.Event{{Step: 10}} }},
+		{"op count 0", func(c *Config) { c.Faults = []faultgen.Event{{DuringRecovery: true, Failures: 1}} }},
+		{"negative NumFailures", func(c *Config) { c.NumFailures = -1 }},
+	} {
+		cfg := fastCfg(CheckpointRestart)
+		c.edit(&cfg)
+		if err := cfg.WithDefaults().Validate(); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("%s: Run accepted", c.name)
+		}
 	}
-	cfg.RealFailures = true
-	cfg.FailSchedule = []faultgen.Event{{Step: 0, Failures: 1}}
-	if _, err := Run(cfg); err == nil {
-		t.Error("step 0 accepted")
-	}
-	cfg.FailSchedule = []faultgen.Event{{Step: 40, Failures: 1}, {Step: 10, Failures: 1}}
-	if _, err := Run(cfg); err == nil {
-		t.Error("decreasing schedule accepted")
+}
+
+// TestEveryDeathIsJournalled: each death a step trigger causes has exactly
+// one fault-inject note, also in runs too short for the shorthand's step to
+// be Steps/2 — for the ranks of the shorthand's event and for a host.
+func TestEveryDeathIsJournalled(t *testing.T) {
+	for steps := 1; steps <= 3; steps++ {
+		rank := Config{Technique: CheckpointRestart, DiagProcs: 2, Steps: steps,
+			NumFailures: 1, RealFailures: true, Seed: 3}
+		host := Config{Technique: CheckpointRestart, DiagProcs: 2, Steps: steps, SlotsPerHost: 4,
+			Faults: []faultgen.Event{{Step: max(1, steps/2), Host: true}}, SpareNodes: 1, Seed: 3}
+		for _, cfg := range []Config{rank, host} {
+			rec := trace.New()
+			cfg.Trace = rec
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("steps %d: %v", steps, err)
+			}
+			notes := map[int]int{}
+			for _, n := range rec.Notes() {
+				if n.Kind == "fault-inject" {
+					notes[n.Rank]++
+				}
+			}
+			if res.Deaths == 0 || len(notes) != res.Deaths {
+				t.Errorf("steps %d, faults %v: %d deaths (failed %v), fault-inject notes per rank %v",
+					steps, cfg.Faults, res.Deaths, res.FailedRanks, notes)
+			}
+			for r, k := range notes {
+				if k != 1 {
+					t.Errorf("steps %d: rank %d has %d fault-inject notes", steps, r, k)
+				}
+			}
+		}
 	}
 }
 
@@ -467,8 +516,7 @@ func TestFailScheduleValidation(t *testing.T) {
 // every lost grid's recovery partner alive.
 func TestMultiEventFailuresRC(t *testing.T) {
 	cfg := fastCfg(ResamplingCopying)
-	cfg.RealFailures = true
-	cfg.FailSchedule = []faultgen.Event{{Step: 10, Failures: 1}, {Step: 30, Failures: 1}}
+	cfg.Faults = []faultgen.Event{{Step: 10, Failures: 1}, {Step: 30, Failures: 1}}
 	cfg.Seed = 61
 	res, err := Run(cfg)
 	if err != nil {

@@ -15,8 +15,7 @@ func BenchmarkRepairMode(b *testing.B) {
 	for _, mode := range recovery.Modes {
 		b.Run(mode.String(), func(b *testing.B) {
 			cfg := fastCfg(CheckpointRestart)
-			cfg.RealFailures = true
-			cfg.FailSchedule = []faultgen.Event{{Step: 24, Failures: 2}}
+			cfg.Faults = []faultgen.Event{{Step: 24, Failures: 2}}
 			cfg.RecoveryMode = mode
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

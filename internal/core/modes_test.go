@@ -112,9 +112,8 @@ func TestRecoveryModeDifferential(t *testing.T) {
 		t.Helper()
 		cfg := fastCfg(tech)
 		cfg.RecoveryMode = mode
-		cfg.RealFailures = true
 		cfg.Seed = 17
-		cfg.FailSchedule = []faultgen.Event{{Step: 24, Failures: 1}, {Step: 48, Failures: 1}}
+		cfg.Faults = []faultgen.Event{{Step: 24, Failures: 1}, {Step: 48, Failures: 1}}
 		cfg.Watchdog = mpi.Watchdog{Timeout: 120 * time.Second}
 		res, err := Run(cfg)
 		if err != nil {
@@ -189,9 +188,8 @@ func TestSubstituteSparesExhaustedFallsBack(t *testing.T) {
 	cfg := fastCfg(CheckpointRestart)
 	cfg.RecoveryMode = recovery.ModeSubstitute
 	cfg.SpareRanks = 1
-	cfg.RealFailures = true
 	cfg.Seed = 23
-	cfg.FailSchedule = []faultgen.Event{{Step: 16, Failures: 1}, {Step: 40, Failures: 1}}
+	cfg.Faults = []faultgen.Event{{Step: 16, Failures: 1}, {Step: 40, Failures: 1}}
 	cfg.Watchdog = mpi.Watchdog{Timeout: 120 * time.Second}
 	res, err := Run(cfg)
 	if err != nil {

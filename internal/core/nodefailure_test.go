@@ -4,29 +4,39 @@ import (
 	"strings"
 	"testing"
 
+	"ftsg/internal/faultgen"
 	"ftsg/internal/vtime"
 )
+
+// nodeFault is the whole-node event of the tests below: one host dies at
+// the middle step of fastCfg's run.
+var nodeFault = []faultgen.Event{{Step: 32, Host: true}}
 
 func TestNodeFailureValidation(t *testing.T) {
 	base := fastCfg(AlternateCombination)
 	cfg := base
-	cfg.NodeFailure = true
-	cfg.RealFailures = true
+	cfg.Faults = nodeFault
 	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "spare") {
 		t.Errorf("node failure without spares: %v", err)
 	}
 	cfg = base
-	cfg.NodeFailure = true
+	cfg.Faults = nodeFault
 	cfg.SpareNodes = 1
-	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "RealFailures") {
-		t.Errorf("node failure without real failures: %v", err)
+	cfg.NumFailures = 2 // the simulated-loss shorthand cannot ride along
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "NumFailures") {
+		t.Errorf("node failure with the NumFailures shorthand: %v", err)
 	}
 	cfg = fastCfg(ResamplingCopying)
-	cfg.NodeFailure = true
-	cfg.RealFailures = true
+	cfg.Faults = nodeFault
 	cfg.SpareNodes = 1
 	if _, err := Run(cfg); err == nil {
 		t.Error("node failure with RC accepted")
+	}
+	cfg = base
+	cfg.Faults = []faultgen.Event{nodeFault[0], {Step: 40, Failures: 1}}
+	cfg.SpareNodes = 1
+	if _, err := Run(cfg); err == nil {
+		t.Error("node failure mixed with a step event accepted")
 	}
 	cfg = base
 	cfg.SpareNodes = -1
@@ -41,8 +51,7 @@ func TestNodeFailureValidation(t *testing.T) {
 func TestNodeFailureRecovers(t *testing.T) {
 	for _, tech := range []Technique{CheckpointRestart, AlternateCombination} {
 		cfg := fastCfg(tech)
-		cfg.RealFailures = true
-		cfg.NodeFailure = true
+		cfg.Faults = nodeFault
 		cfg.SpareNodes = 1
 		cfg.Seed = 3
 		res, err := Run(cfg)
@@ -74,8 +83,7 @@ func TestNodeFailureRecovers(t *testing.T) {
 // policy.
 func TestNodeFailureSpareCapacity(t *testing.T) {
 	cfg := fastCfg(AlternateCombination)
-	cfg.RealFailures = true
-	cfg.NodeFailure = true
+	cfg.Faults = nodeFault
 	cfg.SpareNodes = 1
 	cfg.Seed = 11
 	res, err := Run(cfg)

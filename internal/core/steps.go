@@ -8,6 +8,7 @@ import (
 
 	"ftsg/internal/checkpoint"
 	"ftsg/internal/combine"
+	"ftsg/internal/faultgen"
 	"ftsg/internal/grid"
 	"ftsg/internal/metrics"
 	"ftsg/internal/mpi"
@@ -61,13 +62,14 @@ type rankState struct {
 	gcomm  *mpi.Comm
 	solver *pde.ParallelSolver
 
-	// opHook injects operation-granularity faults (chaos campaigns). It is
-	// armed only across the solve + detect/repair window of each detection
-	// interval — the phases whose peers tolerate a mid-operation death — and
-	// disarmed before the recovery-info broadcast, data recovery and the
-	// combination; its op count persists across windows. Replacements never
-	// poll or hook: their predecessor already died.
-	opHook mpi.OpHook
+	// fault is this rank's part in the run's failure plan, resolved once in
+	// seat; replacements keep the zero value, their predecessor already
+	// died. An operation trigger's hook is armed only across the solve +
+	// detect/repair window of each detection interval — the phases whose
+	// peers tolerate a mid-operation death — and disarmed before the
+	// recovery-info broadcast, data recovery and the combination; its op
+	// count persists across windows.
+	fault faultgen.Trigger
 	// gridLost marks this rank's sub-grid as dead: set transiently when a
 	// group member dies mid-solve (cleared once recovery restores the data),
 	// and persistently when the grid is abandoned — the rank then stops
@@ -106,7 +108,7 @@ func (r *rankState) seat() error {
 	r.mine = mine
 	r.gridLost = r.mc.abandoned[mine.ID]
 	if !r.replacement {
-		r.opHook = r.rs.opPlan.Hook(r.p, r.rank)
+		r.fault = r.rs.faults.Trigger(r.p, r.rank)
 	}
 	return nil
 }
@@ -191,8 +193,8 @@ type window struct {
 // beginSolve opens the solve from the current step up to detection point dp;
 // endSolve closes it there.
 func (r *rankState) beginSolve(dp int) window {
-	if r.opHook != nil {
-		r.p.SetOpHook(r.opHook)
+	if r.fault.Hook != nil {
+		r.p.SetOpHook(r.fault.Hook)
 	}
 	t0 := r.p.Now()
 	return window{t0, r.cfg.Trace.BeginSpan(t0, r.rank, "solve", "steps %d..%d", r.cur+1, dp)}
@@ -204,16 +206,13 @@ func (r *rankState) endSolve(w window, dp int) {
 	r.cur = dp
 }
 
-// pollFaults lets the step-granularity fault plan kill this rank at step s.
+// pollFaults kills this rank, with a journal note, if its fault triggers at
+// step s.
 func (r *rankState) pollFaults(s int) {
-	plan := r.rs.plan
-	if r.replacement || plan == nil {
-		return
-	}
-	if at, ok := plan.DeathStep(r.rank); ok && at == s {
+	if r.fault.Step == s {
 		r.cfg.Trace.Note(r.p.Now(), r.rank, r.epoch, "fault-inject", slog.Int("step", s))
+		r.p.Kill()
 	}
-	plan.Poll(r.p, r.rank, s)
 }
 
 // stepped takes a solver step's verdict. An error means a group member died
@@ -231,7 +230,7 @@ func (r *rankState) stepped(err error) {
 
 // detected closes the detection window that opened at tRepair.
 func (r *rankState) detected(err error, tRepair float64) error {
-	if r.opHook != nil {
+	if r.fault.Hook != nil {
 		r.p.SetOpHook(nil)
 	}
 	if err != nil {

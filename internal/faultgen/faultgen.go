@@ -3,6 +3,11 @@
 // random MPI processes together by the system call kill(getpid(), SIGKILL)
 // at some point before the combination of the sub-grid solutions".
 //
+// A fault is one Event: a trigger (a solver step, or a count of the
+// victim's own MPI operations) plus a victim set (ranks drawn at random, or
+// every rank of one drawn host). NewPlan draws the victims of a list of
+// events; each rank resolves its own part once, as a Trigger.
+//
 // Victim selection honours the paper's constraints: process 0 never fails
 // (it is used for controlling purposes), and for the Resampling and Copying
 // technique no two victims may hit a pair of sub-grids that recover from
@@ -11,54 +16,90 @@ package faultgen
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
+	"strings"
 
 	"ftsg/internal/mpi"
 )
 
-// Plan maps doomed world ranks to the solver step at which they die
-// (possibly different steps for different victims, when built from a
-// multi-event schedule). Plans are built deterministically from a seed, so
-// every simulated process derives the same plan without communication.
-type Plan struct {
-	victims map[int]int // rank -> death step
+// Event is one fault: a trigger plus a victim set.
+type Event struct {
+	// Step, when >= 1, kills the victims at that solver step. With Step 0
+	// they die at the entry of their AfterOps-th MPI operation instead
+	// (inside a barrier, a halo exchange, a gather, ...), counted from the
+	// run start — or, with DuringRecovery, from their shrink call, which
+	// counts as operation 1, so a small AfterOps lands the death inside an
+	// in-progress repair (spawn, merge, agree, split): the pathology whose
+	// cost the paper's Table I measures.
+	Step, AfterOps int
+	DuringRecovery bool
+	// Failures ranks are drawn as victims; with Host, every rank of one
+	// drawn host dies instead (the node failure of the paper's future
+	// work), and Failures stays 0.
+	Failures int
+	Host     bool
 }
 
-// Victims returns the victim ranks in ascending order.
-func (p *Plan) Victims() []int {
-	out := make([]int, 0, len(p.victims))
-	for r := range p.victims {
-		out = append(out, r)
+// String renders the event as "kill 2@step 5", "kill 1@op 7",
+// "kill 1@shrink+3ops" or "node@step 4".
+func (e Event) String() string {
+	if e.Host {
+		return "node@" + e.trigger()
 	}
-	for i := 1; i < len(out); i++ { // insertion sort; victim lists are tiny
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	return fmt.Sprintf("kill %d@%s", e.Failures, e.trigger())
+}
+
+func (e Event) trigger() string {
+	switch {
+	case e.Step > 0:
+		return fmt.Sprintf("step %d", e.Step)
+	case e.DuringRecovery:
+		return fmt.Sprintf("shrink+%dops", e.AfterOps)
+	}
+	return fmt.Sprintf("op %d", e.AfterOps)
+}
+
+// Check reports the first reason NewPlan refuses events for their shape
+// alone: a trigger that is neither a step nor an operation count >= 1, a
+// victim set that is neither ranks nor a host, step triggers that do not
+// increase, more than one host event, or a host event next to a step-
+// triggered rank event (the two draws are independent and could collide).
+func Check(events []Event) error {
+	prev, hosts, stepRanks := 0, 0, 0
+	for i, e := range events {
+		switch {
+		case e.Step < 0:
+			return fmt.Errorf("faultgen: event %d at step %d", i, e.Step)
+		case e.Step == 0 && e.AfterOps < 1:
+			return fmt.Errorf("faultgen: event %d: operation count %d < 1", i, e.AfterOps)
+		case e.Step > 0 && (e.AfterOps != 0 || e.DuringRecovery):
+			return fmt.Errorf("faultgen: event %d has both a step and an operation trigger", i)
+		case e.Host && e.Failures != 0:
+			return fmt.Errorf("faultgen: event %d: a host event draws no ranks", i)
+		case !e.Host && e.Failures < 1:
+			return fmt.Errorf("faultgen: event %d has %d failures", i, e.Failures)
+		case e.Step > 0 && e.Step <= prev:
+			return fmt.Errorf("faultgen: step triggers must increase (%d after %d)", e.Step, prev)
+		}
+		if e.Step > 0 {
+			prev = e.Step
+		}
+		switch {
+		case e.Host:
+			hosts++
+		case e.Step > 0:
+			stepRanks++
 		}
 	}
-	return out
-}
-
-// DeathStep returns the step at which a victim dies (0, false for
-// non-victims).
-func (p *Plan) DeathStep(rank int) (int, bool) {
-	if p == nil {
-		return 0, false
+	if hosts > 1 {
+		return fmt.Errorf("faultgen: %d host events, at most one", hosts)
 	}
-	s, ok := p.victims[rank]
-	return s, ok
-}
-
-// Poll kills the calling process if it is a victim and its death step has
-// been reached. Call once per solver step. Replacement processes must not
-// poll (their predecessor already died).
-func (p *Plan) Poll(proc *mpi.Proc, rank, step int) {
-	if p == nil {
-		return
+	if hosts > 0 && stepRanks > 0 {
+		return fmt.Errorf("faultgen: a host event and step events are mutually exclusive")
 	}
-	if at, ok := p.victims[rank]; ok && step >= at {
-		proc.Kill()
-	}
+	return nil
 }
 
 // Config describes how to draw a failure plan.
@@ -72,6 +113,81 @@ type Config struct {
 	// sub-grids that must not fail simultaneously (nil = no constraint).
 	GridOf    func(rank int) int
 	Conflicts [][2]int
+	// HostOf maps a rank to its host index; only a host event reads it.
+	HostOf func(rank int) int
+}
+
+// opSeedOffset moves the operation-triggered victims onto their own random
+// stream (same seed, different stream), decorrelated from the step draw.
+const opSeedOffset = 7919
+
+// Plan maps doomed world ranks to the event each dies in. Plans are drawn
+// deterministically from a seed, so every simulated process derives the
+// same plan without communication.
+type Plan struct {
+	victims map[int]Event
+}
+
+// NewPlan draws the victims of events. Rank 0 is never drawn, and no rank
+// dies twice. Three random streams keep every draw independent of the
+// others' events: step-triggered ranks come from Seed, drawn event by
+// event with conflicting grid pairs avoided across ALL events (techniques
+// that only detect failures at the end of the run, RC and AC, see every
+// event's victims at once, so a pair split across events is still a
+// simultaneous loss); the host comes from its own Seed stream, never rank
+// 0's host; operation-triggered ranks come from Seed+7919, all together,
+// excluding the step and host victims and avoiding conflicts with their
+// grids. It errors when Check does or the constraints cannot be met.
+func NewPlan(cfg Config, events []Event) (*Plan, error) {
+	if err := Check(events); err != nil {
+		return nil, err
+	}
+	p := &Plan{victims: map[int]Event{}}
+	var ops []Event
+	grids := map[int]bool{}
+	steps := newSampler(cfg, cfg.Seed)
+	for _, e := range events {
+		var err error
+		switch {
+		case e.Host:
+			err = p.drawHost(cfg, e)
+		case e.Step > 0:
+			err = p.place(steps, []Event{e}, grids)
+		default:
+			ops = append(ops, e)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if len(ops) == 0 {
+		return p, nil
+	}
+	if cfg.GridOf != nil {
+		for r := range p.victims {
+			if g := cfg.GridOf(r); g >= 0 {
+				grids[g] = true
+			}
+		}
+	}
+	if err := p.place(newSampler(cfg, cfg.Seed+opSeedOffset), ops, grids); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// String lists the victims in ascending rank order as "rank@trigger".
+func (p *Plan) String() string {
+	ranks := make([]int, 0, len(p.victims))
+	for r := range p.victims {
+		ranks = append(ranks, r)
+	}
+	slices.Sort(ranks)
+	out := make([]string, len(ranks))
+	for i, r := range ranks {
+		out[i] = fmt.Sprintf("%d@%s", r, p.victims[r].trigger())
+	}
+	return strings.Join(out, " ")
 }
 
 // maxAttempts bounds the rejection sampling: a draw that hits a
@@ -80,8 +196,7 @@ type Config struct {
 const maxAttempts = 10000
 
 // sampler draws victims from ranks 1..n-1 (rank 0 is protected) under the
-// conflict constraint. It is the one rejection-sampling step of Schedule
-// and NewOpPlan.
+// conflict constraint: the one rejection-sampling step of place.
 type sampler struct {
 	rng      *rand.Rand
 	n        int
@@ -89,9 +204,9 @@ type sampler struct {
 	conflict map[[2]int]bool
 }
 
-func newSampler(cfg Config) *sampler {
+func newSampler(cfg Config, seed int64) *sampler {
 	return &sampler{
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		rng:      rand.New(rand.NewSource(seed)),
 		n:        cfg.NumRanks,
 		gridOf:   cfg.GridOf,
 		conflict: buildConflictTable(cfg.Conflicts),
@@ -118,90 +233,55 @@ func (s *sampler) draw(taken func(rank int) bool, hit map[int]bool) (int, bool) 
 	return r, true
 }
 
-// Event is one failure event of a multi-event schedule.
-type Event struct {
-	// Step is the solver step at which this event's victims die.
-	Step int
-	// Failures is the number of processes aborted together in this event.
-	Failures int
-}
-
-// Schedule builds a failure plan from one or more events at increasing
-// steps: each event kills a fresh set of victims, distinct from every
-// earlier event's, with rank 0 protected. It errors when the constraints
-// cannot be satisfied (e.g. more victims requested than eligible ranks).
-// Conflicting grid pairs are avoided across ALL events, not just within
-// one: techniques that only detect failures at the end of the run (RC, AC)
-// see every event's victims at once, so a pair split across events is
-// still a simultaneous loss from the recovery's point of view.
-func Schedule(cfg Config, events []Event) (*Plan, error) {
-	if len(events) == 0 {
-		return &Plan{victims: map[int]int{}}, nil
-	}
-	all := make(map[int]int)
-	s := newSampler(cfg)
-	totalNeeded := 0
-	for _, e := range events {
-		if e.Failures < 0 {
-			return nil, fmt.Errorf("faultgen: negative failure count %d", e.Failures)
-		}
-		totalNeeded += e.Failures
-		// Checked inside the loop so partial sums can never overflow: any
-		// partial sum at or above NumRanks errors out before the next add.
-		if totalNeeded >= cfg.NumRanks {
-			return nil, fmt.Errorf("faultgen: %d failures scheduled with %d ranks", totalNeeded, cfg.NumRanks)
+// place draws the victims of events in order, among the ranks no earlier
+// draw took, as one attempt: a draw that hits a conflict with grids (or
+// with this attempt's own victims) restarts the whole attempt. On success
+// the victims join the plan and their grids join grids.
+func (p *Plan) place(s *sampler, events []Event, grids map[int]bool) error {
+	need, avail := 0, s.n-1-len(p.victims)
+	for _, e := range events { // per event, so partial sums cannot overflow
+		if need += e.Failures; need > avail {
+			return fmt.Errorf("faultgen: %d failures with %d eligible ranks", need, max(avail, 0))
 		}
 	}
-	placedGrids := make(map[int]bool)
-	for ei, e := range events {
-		if ei > 0 && e.Step <= events[ei-1].Step {
-			return nil, fmt.Errorf("faultgen: schedule steps must increase (%d after %d)", e.Step, events[ei-1].Step)
+	for attempt := 0; attempt < maxAttempts; attempt++ {
+		victims := make(map[int]Event, need)
+		taken := func(r int) bool {
+			_, dup := victims[r]
+			_, gone := p.victims[r]
+			return dup || gone
 		}
-		placed := false
-		for attempt := 0; attempt < maxAttempts && !placed; attempt++ {
-			victims := make(map[int]bool, e.Failures)
-			taken := func(r int) bool {
-				_, gone := all[r]
-				return gone || victims[r]
-			}
-			hitGrids := make(map[int]bool)
-			for g := range placedGrids {
-				hitGrids[g] = true
-			}
-			ok := true
-			for ok && len(victims) < e.Failures {
+		hit := maps.Clone(grids)
+		ok := true
+		for _, e := range events {
+			for k := 0; ok && k < e.Failures; k++ {
 				var r int
-				if r, ok = s.draw(taken, hitGrids); ok {
-					victims[r] = true
+				if r, ok = s.draw(taken, hit); ok {
+					victims[r] = e
 				}
-			}
-			if ok {
-				for r := range victims {
-					all[r] = e.Step
-				}
-				placedGrids = hitGrids
-				placed = true
 			}
 		}
-		if !placed {
-			return nil, fmt.Errorf("faultgen: could not place event %d under constraints", ei)
+		if ok {
+			maps.Copy(p.victims, victims)
+			maps.Copy(grids, hit)
+			return nil
 		}
 	}
-	return &Plan{victims: all}, nil
+	return fmt.Errorf("faultgen: could not place %v under constraints", events)
 }
 
-// NodePlan builds a whole-node failure plan: every rank of one randomly
-// chosen host dies together at the given step, modelling the node-failure
-// scenario of the paper's future work. The host running rank 0 is protected
-// (rank 0 controls the application). It errors when no other host runs any
-// rank.
-func NodePlan(seed int64, step, numRanks int, hostOf func(rank int) int) (*Plan, error) {
+// drawHost kills every rank of one host other than rank 0's, drawn
+// uniformly from the hosts in ascending order.
+func (p *Plan) drawHost(cfg Config, e Event) error {
+	if cfg.HostOf == nil {
+		return fmt.Errorf("faultgen: a host event needs Config.HostOf")
+	}
 	ranksByHost := map[int][]int{}
-	for r := 0; r < numRanks; r++ {
-		h := hostOf(r)
+	for r := 0; r < cfg.NumRanks; r++ {
+		h := cfg.HostOf(r)
 		ranksByHost[h] = append(ranksByHost[h], r)
 	}
-	protected := hostOf(0)
+	protected := cfg.HostOf(0)
 	var candidates []int
 	for h := range ranksByHost {
 		if h != protected {
@@ -209,16 +289,54 @@ func NodePlan(seed int64, step, numRanks int, hostOf func(rank int) int) (*Plan,
 		}
 	}
 	if len(candidates) == 0 {
-		return nil, fmt.Errorf("faultgen: no host without rank 0 to fail")
+		return fmt.Errorf("faultgen: no host without rank 0 to fail")
 	}
 	slices.Sort(candidates) // deterministic order before drawing
-	rng := rand.New(rand.NewSource(seed))
-	host := candidates[rng.Intn(len(candidates))]
-	victims := make(map[int]int, len(ranksByHost[host]))
-	for _, r := range ranksByHost[host] {
-		victims[r] = step
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	for _, r := range ranksByHost[candidates[rng.Intn(len(candidates))]] {
+		p.victims[r] = e
 	}
-	return &Plan{victims: victims}, nil
+	return nil
+}
+
+// Trigger is one rank's part in a plan, resolved once when the rank takes
+// its seat. The zero value, every non-victim's, never fires.
+type Trigger struct {
+	// Step is the solver step at which the rank dies (0 = none).
+	Step int
+	// Hook kills the rank at its counted MPI operation (nil = none). It
+	// keeps its count across SetOpHook arm/disarm cycles, so the caller can
+	// blank out program phases whose peers cannot tolerate a mid-operation
+	// death without resetting the count. Install it only on proc.
+	Hook mpi.OpHook
+}
+
+// Trigger resolves rank's fault; proc is the rank's own process.
+func (p *Plan) Trigger(proc *mpi.Proc, rank int) Trigger {
+	if p == nil {
+		return Trigger{}
+	}
+	e, ok := p.victims[rank]
+	switch {
+	case !ok:
+		return Trigger{}
+	case e.Step > 0:
+		return Trigger{Step: e.Step}
+	}
+	n := 0
+	counting := !e.DuringRecovery
+	return Trigger{Hook: func(op string) {
+		if !counting {
+			if op != mpi.OpShrink {
+				return
+			}
+			counting = true // the shrink itself is operation 1
+		}
+		n++
+		if n >= e.AfterOps {
+			proc.Kill()
+		}
+	}}
 }
 
 // PickGrids draws n distinct sub-grid IDs from candidates, honouring the

@@ -1,6 +1,7 @@
 package faultgen
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -26,19 +27,38 @@ func fuzzConflicts(mask uint16, nGrids int) [][2]int {
 	return out
 }
 
-// FuzzSchedule checks the multi-event failure generator against its
-// contract on arbitrary inputs: it must return quickly (no livelock on
-// unsatisfiable or degenerate configurations), and every plan it does
-// return must protect rank 0, pick distinct in-range victims with the
-// requested per-event counts and steps, honour the conflict table across
-// all events, and be a pure function of the seed.
+// fuzzEvents decodes the fuzz arguments into two events: a step event (or,
+// when s2 is 3 mod 4, a host event at step s1) and, by s2 mod 4, a second
+// step event or an operation event counted from the run start or from the
+// shrink call.
+func fuzzEvents(s1, f1, s2, f2 int) []Event {
+	e1 := Event{Step: s1, Failures: f1}
+	e2 := Event{AfterOps: s2, Failures: f2}
+	switch (s2%4 + 4) % 4 {
+	case 0:
+		e2 = Event{Step: s2, Failures: f2}
+	case 2:
+		e2.DuringRecovery = true
+	case 3:
+		e1 = Event{Step: s1, Host: true}
+	}
+	return []Event{e1, e2}
+}
+
+// FuzzSchedule checks the failure plan against its contract on arbitrary
+// mixed step, operation and host events: NewPlan must return quickly (no
+// livelock on unsatisfiable or degenerate configurations), and every plan
+// it does return must protect rank 0, give each event exactly its victims
+// (so operation victims are disjoint from step and host victims), honour
+// the conflict table across all events, and be a pure function of the
+// seed.
 func FuzzSchedule(f *testing.F) {
 	f.Add(int64(42), 16, 7, uint16(0), 10, 2, 20, 1)
 	f.Add(int64(1), 19, 7, uint16(0x7f), 1, 3, 2, 3)    // heavy conflicts
 	f.Add(int64(7), 2, 1, uint16(1), 5, 1, 6, 1)        // 2 ranks: second event unsatisfiable
 	f.Add(int64(0), 8, 4, uint16(0), 10, 7, 20, 7)      // more victims than ranks
 	f.Add(int64(-3), 0, 0, uint16(0), 0, 0, 0, 0)       // degenerate world
-	f.Add(int64(99), 64, 8, uint16(0xffff), 3, 2, 3, 2) // non-increasing steps
+	f.Add(int64(99), 64, 8, uint16(0xffff), 3, 2, 3, 2) // host event and an op event
 	f.Add(int64(5), 32, 7, uint16(2), 100, -1, 200, 1)  // negative failure count
 	f.Fuzz(func(t *testing.T, seed int64, numRanks, nGrids int, mask uint16,
 		s1, f1, s2, f2 int) {
@@ -51,61 +71,61 @@ func FuzzSchedule(f *testing.F) {
 			NumRanks:  numRanks,
 			GridOf:    fuzzGridOf(nGrids),
 			Conflicts: conflicts,
+			HostOf:    func(r int) int { return r / 4 },
 		}
-		events := []Event{{Step: s1, Failures: f1}, {Step: s2, Failures: f2}}
-		plan, err := Schedule(cfg, events)
+		events := fuzzEvents(s1, f1, s2, f2)
+		plan, err := NewPlan(cfg, events)
 		if err != nil {
 			return // rejecting is always allowed; hanging or panicking is not
 		}
 
 		conflict := buildConflictTable(conflicts)
-		perStep := map[int]int{}
-		hitGrids := map[int]bool{}
-		for _, r := range plan.Victims() {
-			if r == 0 {
-				t.Fatal("rank 0 chosen as victim")
-			}
+		perEvent := map[Event]int{}
+		vs := victims(plan)
+		for i, r := range vs {
 			if r < 1 || r >= numRanks {
 				t.Fatalf("victim %d outside [1, %d)", r, numRanks)
 			}
-			step, ok := plan.DeathStep(r)
-			if !ok {
-				t.Fatalf("victim %d has no death step", r)
+			e := plan.victims[r]
+			perEvent[e]++
+			if tr := plan.Trigger(nil, r); (tr.Step != 0) != (e.Step > 0) || (tr.Hook != nil) != (e.Step == 0) {
+				t.Fatalf("victim %d of %s resolves to trigger %+v", r, e, tr)
 			}
-			perStep[step]++
-			g := cfg.GridOf(r)
-			for other := range hitGrids {
-				if conflict[[2]int{g, other}] || conflict[[2]int{other, g}] {
-					t.Fatalf("victims hit conflicting grids %d and %d", g, other)
+			for _, o := range vs[:i] {
+				if e.Host && plan.victims[o].Host {
+					continue // a host dies whole, conflicts or not
+				}
+				g, h := cfg.GridOf(r), cfg.GridOf(o)
+				if conflict[[2]int{g, h}] || conflict[[2]int{h, g}] {
+					t.Fatalf("victims %d and %d hit conflicting grids %d and %d (%s)", r, o, g, h, plan)
 				}
 			}
-			hitGrids[g] = true
 		}
 		for _, e := range events {
 			want := e.Failures
-			if want < 0 {
-				want = 0
+			if e.Host {
+				host := -1
+				for _, r := range vs {
+					if plan.victims[r].Host {
+						host = r / 4
+					}
+				}
+				if host <= 0 {
+					t.Fatalf("host event killed host %d: %s", host, plan)
+				}
+				want = min(numRanks, 4*host+4) - 4*host
 			}
-			if perStep[e.Step] != want {
-				t.Fatalf("step %d has %d victims, want %d (victims %v)",
-					e.Step, perStep[e.Step], want, plan.Victims())
+			if perEvent[e] != want {
+				t.Fatalf("%s has %d victims, want %d (%s)", e, perEvent[e], want, plan)
 			}
 		}
 
-		replay, err := Schedule(cfg, events)
+		replay, err := NewPlan(cfg, events)
 		if err != nil {
 			t.Fatalf("replay with identical inputs errored: %v", err)
 		}
-		a, b := plan.Victims(), replay.Victims()
-		if len(a) != len(b) {
-			t.Fatalf("replay drew different victims: %v vs %v", a, b)
-		}
-		for i := range a {
-			sa, _ := plan.DeathStep(a[i])
-			sb, _ := replay.DeathStep(b[i])
-			if a[i] != b[i] || sa != sb {
-				t.Fatalf("replay diverged: %v vs %v", a, b)
-			}
+		if !reflect.DeepEqual(plan.victims, replay.victims) {
+			t.Fatalf("replay diverged: %s vs %s", plan, replay)
 		}
 	})
 }

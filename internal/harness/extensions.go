@@ -5,6 +5,7 @@ import (
 
 	"ftsg/internal/checkpoint"
 	"ftsg/internal/core"
+	"ftsg/internal/faultgen"
 	"ftsg/internal/vtime"
 )
 
@@ -78,7 +79,8 @@ func NodeFailure(o Options) ([]NodeFailureRow, error) {
 	for _, tech := range []core.Technique{core.CheckpointRestart, core.AlternateCombination} {
 		base := core.Config{Technique: tech, DiagProcs: 8, Steps: o.Steps, Seed: 151}
 		fail := base
-		fail.RealFailures, fail.NodeFailure, fail.SpareNodes = true, true, 1
+		fail.Faults = []faultgen.Event{{Step: max(1, o.Steps/2), Host: true}}
+		fail.SpareNodes = 1
 		pts = append(pts,
 			point{base, 1, fmt.Sprintf("nodefailure %v baseline", tech)},
 			point{fail, 1, fmt.Sprintf("nodefailure %v", tech)})

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ftsg/internal/core"
+	"ftsg/internal/faultgen"
 	"ftsg/internal/metrics"
 )
 
@@ -86,7 +87,7 @@ func TestFig10DeterministicAcrossWorkers(t *testing.T) {
 func TestSchedErrorCancelsSweep(t *testing.T) {
 	good := core.Config{Technique: core.CheckpointRestart, DiagProcs: 2, Steps: 8, Seed: 1}
 	bad := good
-	bad.FailStep = 99 // outside [0, Steps]: core.Run fails validation
+	bad.Faults = []faultgen.Event{{Step: 99, Failures: 1}} // outside [1, Steps]: core.Run fails validation
 
 	s := newSched(Options{Workers: 4})
 	var folds atomic.Int64

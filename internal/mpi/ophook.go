@@ -5,7 +5,7 @@ package mpi
 // process's program order. The chaos campaign uses it to kill a process at
 // its N-th operation — inside a barrier's dissemination rounds, a solver's
 // halo exchange, a gather, or the recovery protocol's shrink/spawn/merge —
-// rather than only at the solver-step granularity of faultgen.Plan.Poll.
+// rather than only at the solver-step granularity of a faultgen plan.
 //
 // The hook runs before the operation touches any transport state and with no
 // transport lock held, so a hook that calls Proc.Kill unwinds exactly like a
