@@ -62,6 +62,35 @@ type runState struct {
 	mu      sync.Mutex
 	res     Result
 	schemes []schemeMemo // the run's other schemes; see memoScheme
+
+	// listMu guards the memos of values every rank derives from a
+	// world-agreed list (lostGridIDs, recoverDetail). Not mu: report calls
+	// lostGridIDs while it holds mu.
+	listMu  sync.Mutex
+	lost    []listMemo[[]int]
+	details []listMemo[string]
+}
+
+// listMemo is one value a run derived from a world-agreed list.
+type listMemo[V any] struct {
+	key []int
+	val V
+}
+
+// memoList returns the value build derives from the world-agreed list key,
+// building it once per distinct list per run: every rank asks with an equal
+// list, so the first caller's value is shared read-only by the rest.
+func memoList[V any](mu *sync.Mutex, memos *[]listMemo[V], key []int, build func() V) V {
+	mu.Lock()
+	defer mu.Unlock()
+	for _, m := range *memos {
+		if slices.Equal(m.key, key) {
+			return m.val
+		}
+	}
+	v := build()
+	*memos = append(*memos, listMemo[V]{slices.Clone(key), v})
+	return v
 }
 
 // flightSeq numbers automatic flight-recorder dump files within a process.
@@ -414,20 +443,32 @@ func (r *rankState) rejoin(old carried) error {
 }
 
 // lostGridIDs maps failed ranks (real mode) or the simulated loss list onto
-// sub-grid IDs, ascending.
+// sub-grid IDs, ascending. The list is the run's, one per distinct
+// failedRanks, shared read-only by every rank that asks.
 func (rs *runState) lostGridIDs(failedRanks []int) []int {
 	if rs.simLost != nil {
 		return rs.simLost
 	}
-	var out []int
-	for _, r := range failedRanks {
-		g, err := gridOfRank(rs.grids, r)
-		if err == nil && !slices.Contains(out, g.ID) {
-			out = append(out, g.ID)
+	return memoList(&rs.listMu, &rs.lost, failedRanks, func() []int {
+		var out []int
+		for _, r := range failedRanks {
+			g, err := gridOfRank(rs.grids, r)
+			if err == nil && !slices.Contains(out, g.ID) {
+				out = append(out, g.ID)
+			}
 		}
-	}
-	slices.Sort(out)
-	return out
+		slices.Sort(out)
+		return out
+	})
+}
+
+// recoverDetail is the recover-data span's detail for the sub-grids ids,
+// formatted once per distinct list per run (a span detail's args are ints
+// only, so the list cannot be one).
+func (rs *runState) recoverDetail(ids []int) string {
+	return memoList(&rs.listMu, &rs.details, ids, func() string {
+		return fmt.Sprintf("%v, sub-grids %v", rs.cfg.Technique, ids)
+	})
 }
 
 // recoverData restores the data of the lost sub-grids at the current step

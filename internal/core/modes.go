@@ -148,28 +148,27 @@ func (rs *runState) applyEvent(mc *modeCtx, origOf, failedList []int) []int {
 			mc.dead.add(f)
 		}
 	}
-	var recoverIDs []int
 	for _, id := range rs.lostGridIDs(failedList) {
-		if mc.abandoned[id] {
-			continue
-		}
-		if rs.abandonGrid(mc, rs.grids[id]) {
+		if !mc.abandoned[id] && rs.abandonGrid(mc, rs.grids[id]) {
 			mc.abandoned.add(id)
-			continue
 		}
-		recoverIDs = append(recoverIDs, id)
 	}
-	return recoverIDs
+	return rs.activeRecoverIDs(mc, failedList)
 }
 
 // activeRecoverIDs returns the damaged grids actively recovered in the
 // event that lost failedList — the damaged set minus the abandoned set,
 // which is exactly what applyEvent returns for survivors. Replacements
 // receive the abandoned set by broadcast instead of deriving it, so they
-// recompute the same list here.
+// recompute the same list here. With nothing abandoned it is the run's
+// shared lostGridIDs list itself: read it, never write to it.
 func (rs *runState) activeRecoverIDs(mc *modeCtx, failedList []int) []int {
+	lost := rs.lostGridIDs(failedList)
+	if !slices.ContainsFunc(lost, func(id int) bool { return mc.abandoned[id] }) {
+		return lost
+	}
 	var out []int
-	for _, id := range rs.lostGridIDs(failedList) {
+	for _, id := range lost {
 		if !mc.abandoned[id] {
 			out = append(out, id)
 		}

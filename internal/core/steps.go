@@ -402,8 +402,7 @@ func (r *rankState) recovered() {
 // the lost grids and their recovery partners communicate.
 func (r *rankState) beginRecover(lost []int) window {
 	t0 := r.p.Now()
-	detail := fmt.Sprintf("%v, sub-grids %v", r.cfg.Technique, lost) // a span detail's args are ints only
-	return window{t0, r.cfg.Trace.BeginSpan(t0, r.rank, "recover-data", detail)}
+	return window{t0, r.cfg.Trace.BeginSpan(t0, r.rank, "recover-data", r.rs.recoverDetail(lost))}
 }
 
 func (r *rankState) endRecover(w window) {

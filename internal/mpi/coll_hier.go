@@ -92,52 +92,87 @@ type commTopo struct {
 
 // buildCommTopo derives the node decomposition of a group (world ranks in
 // comm-rank order). Deterministic: host indices are immutable and nodes
-// are numbered by first appearance in comm-rank order.
+// are numbered by first appearance in comm-rank order. It allocates the
+// same five objects whatever the group's size: node indices are looked up
+// by host index, and the member lists, leaders and offsets share one
+// backing array.
 func buildCommTopo(w *World, group []int) *commTopo {
-	t := &commTopo{nodeOf: make([]int, len(group))}
-	idx := make(map[int]int) // host -> node index
-	t.contig = true
+	ps := w.snapshot()
+	maxHost := 0
+	for _, wr := range group {
+		maxHost = max(maxHost, ps[wr].host)
+	}
+	nodeOfHost := make([]int, maxHost+1) // node index + 1; 0: not seen yet
+	t := &commTopo{nodeOf: make([]int, len(group)), contig: true}
+	nn := 0
 	for cr, wr := range group {
-		host := w.proc(wr).host
-		k, ok := idx[host]
-		if !ok {
-			k = len(t.nodes)
-			idx[host] = k
-			t.nodes = append(t.nodes, nil)
-			t.leaders = append(t.leaders, cr)
+		h := ps[wr].host
+		if nodeOfHost[h] == 0 {
+			nn++
+			nodeOfHost[h] = nn
 		}
-		t.nodes[k] = append(t.nodes[k], cr)
+		k := nodeOfHost[h] - 1
 		if cr > 0 && k < t.nodeOf[cr-1] {
 			t.contig = false
 		}
 		t.nodeOf[cr] = k
 	}
-	t.multi = len(t.nodes) > 1
-	t.before = make([]int, len(t.nodes)+1)
+	t.multi = nn > 1
+	n := len(group)
+	ints := make([]int, n+nn+nn+1)
+	flat := ints[:n:n]
+	t.leaders = ints[n : n+nn : n+nn]
+	t.before = ints[n+nn:]
+	for _, k := range t.nodeOf {
+		t.before[k+1]++
+	}
+	for k := 0; k < nn; k++ {
+		t.before[k+1] += t.before[k]
+	}
+	t.nodes = make([][]int, nn)
+	for k := range t.nodes {
+		t.nodes[k] = flat[t.before[k]:t.before[k]:t.before[k+1]]
+	}
+	for cr, k := range t.nodeOf {
+		t.nodes[k] = append(t.nodes[k], cr)
+	}
 	for k, members := range t.nodes {
-		t.before[k+1] = t.before[k] + len(members)
+		t.leaders[k] = members[0]
 	}
 	return t
 }
 
 // hierTopo returns the communicator's node decomposition when the
 // hierarchical algorithms apply: an intracommunicator spanning at least two
-// hosts on a world without FlatCollectives. Returns nil otherwise.
+// hosts on a world without FlatCollectives. Returns nil otherwise. The
+// decomposition is built once per communicator (buildOnce), however many
+// members reach their first collective on it together.
 func (c *Comm) hierTopo() *commTopo {
 	w := c.p.st.w
 	if w.flatColl {
 		return nil
 	}
-	t := c.sh.hier.Load()
-	if t == nil {
-		t = buildCommTopo(w, c.localGroup())
-		c.sh.hier.Store(t)
-	}
+	sh := c.sh
+	t := buildOnce(sh, func() (*commTopo, bool) {
+		t := sh.hier.Load()
+		return t, t != nil
+	}, func() *commTopo {
+		if testHookBuildTopo != nil {
+			testHookBuildTopo()
+		}
+		t := buildCommTopo(w, c.localGroup())
+		sh.hier.Store(t)
+		return t
+	})
 	if !t.multi {
 		return nil
 	}
 	return t
 }
+
+// testHookBuildTopo, when set (by tests, before a world runs), is called
+// once per commTopo build.
+var testHookBuildTopo func()
 
 // effLeaders returns the leader list with root standing in for its own
 // node's leader, so the inter-node phase is rooted at the actual root

@@ -277,6 +277,37 @@ func TestHierXRackHops(t *testing.T) {
 	}
 }
 
+// TestCommTopoBuiltOnce lines every rank of a multi-host world up behind a
+// start barrier and releases them together into the first collective of
+// their fresh world communicator: the node decomposition must be built
+// exactly once, not once per rank that found the cache empty. Each world
+// gives the herd one chance, so the test runs several.
+func TestCommTopoBuiltOnce(t *testing.T) {
+	const n, worlds = 4096, 8
+	for i := 0; i < worlds; i++ {
+		builds, stop := countTopoBuilds()
+		var arrived sync.WaitGroup
+		arrived.Add(n)
+		start := make(chan struct{})
+		go func() {
+			arrived.Wait()
+			close(start)
+		}()
+		_, err := Run(Options{NProcs: n, Machine: vtime.OPL(), Entry: func(p *Proc) {
+			arrived.Done()
+			<-start
+			must(t, p.World().Barrier())
+		}})
+		stop()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := builds.Load(); got != 1 {
+			t.Errorf("world %d: communicator's topology built %d times, want 1", i, got)
+		}
+	}
+}
+
 // TestTieredCostOrdering checks the cost model actually differentiates the
 // tiers: the same Allreduce is strictly cheaper in virtual time on one
 // OPL host than split across six, and strictly cheaper across six hosts in

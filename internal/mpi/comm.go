@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"errors"
+	"sync"
 	"sync/atomic"
 
 	"ftsg/internal/metrics"
@@ -65,10 +66,36 @@ type commShared struct {
 	// charges accordingly.
 	repairFor int
 	// hier caches the communicator's node decomposition for the
-	// hierarchical collectives (see coll_hier.go). Built lazily from the
-	// immutable group on first use; the build is deterministic, so racing
-	// members may store equivalent copies, and any of them is valid.
+	// hierarchical collectives (see coll_hier.go), built by buildOnce from
+	// the immutable group on first use.
 	hier atomic.Pointer[commTopo]
+	// agreed holds the values Comm.Agreed built, shared read-only by every
+	// member; the slice is replaced, never written, so reads take no lock.
+	agreed atomic.Pointer[[]agreedVal]
+	// buildMu serialises buildOnce's builds. A leaf lock: a build takes
+	// no other lock that could wait on a member.
+	buildMu sync.Mutex
+}
+
+// agreedVal is one of Comm.Agreed's values with the key it was built for.
+type agreedVal struct{ key, val any }
+
+// buildOnce is the communicator's one way to build a value that every
+// member derives identically: find reads what is there without a lock; on a
+// miss, the first caller builds (and publishes) under sh.buildMu while the
+// others wait, and a second find under the lock hands them what it built.
+// So each value is built once per communicator, however many members reach
+// it at the same moment.
+func buildOnce[V any](sh *commShared, find func() (V, bool), build func() V) V {
+	if v, ok := find(); ok {
+		return v
+	}
+	sh.buildMu.Lock()
+	defer sh.buildMu.Unlock()
+	if v, ok := find(); ok {
+		return v
+	}
+	return build()
 }
 
 // ackList is a communicator's failed members (world ranks, group order) as
@@ -155,6 +182,47 @@ func (c *Comm) Size() int { return len(c.localGroup()) }
 
 // IsInter reports whether this is an intercommunicator.
 func (c *Comm) IsInter() bool { return c.sh.b != nil }
+
+// CommID identifies a communicator: every member's handle reports the same
+// one, and no other communicator of the world has it. It is comparable and
+// pointer-sized, so a key type built from it boxes without allocating.
+type CommID struct{ sh *commShared }
+
+// ID returns the communicator's identity.
+func (c *Comm) ID() CommID { return CommID{c.sh} }
+
+// Agreed returns the communicator's one value for key: the first member to
+// ask builds it, and every member, whichever handle it asks through, gets
+// that same value. It is for values the members would otherwise derive
+// identically, each its own copy — the failed list of a repair round, a
+// placement. key must be comparable, and of a type private to the caller so
+// that no other package's key can equal it; a pointer-sized key asks
+// without allocating. build must be a pure function of world-agreed state:
+// it runs on whichever member gets there first, must not block or charge
+// virtual time, and must not call Agreed on this communicator. The value
+// is shared read-only: never write to it.
+func (c *Comm) Agreed(key any, build func() any) any {
+	sh := c.sh
+	return buildOnce(sh, func() (any, bool) {
+		if vals := sh.agreed.Load(); vals != nil {
+			for _, v := range *vals {
+				if v.key == key {
+					return v.val, true
+				}
+			}
+		}
+		return nil, false
+	}, func() any {
+		val := build()
+		var vals []agreedVal
+		if old := sh.agreed.Load(); old != nil {
+			vals = append(vals, *old...)
+		}
+		vals = append(vals, agreedVal{key, val})
+		sh.agreed.Store(&vals)
+		return val
+	})
+}
 
 // Group returns the local group (world ranks, rank order), mirroring
 // MPI_Comm_group. The result is the communicator's own immutable list,

@@ -1,5 +1,7 @@
 package mpi
 
+import "sync/atomic"
+
 // Test-only access to the reduction fold for the external-package tests in
 // fold_test.go, which take the operators exactly as a caller of this package
 // does.
@@ -10,4 +12,12 @@ func Fold[T any](op func(T, T) T, dst, a, b []T) (fused bool) {
 	fo := newFolder(op)
 	fo.fold(dst, a, b)
 	return fo.fused != nil
+}
+
+// countTopoBuilds counts commTopo builds (through testHookBuildTopo) until
+// the returned stop is called. Set it before the world runs.
+func countTopoBuilds() (builds *atomic.Int64, stop func()) {
+	builds = new(atomic.Int64)
+	testHookBuildTopo = func() { builds.Add(1) }
+	return builds, func() { testHookBuildTopo = nil }
 }

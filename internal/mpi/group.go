@@ -61,24 +61,43 @@ func (g Group) Compare(h Group) GroupRelation {
 }
 
 // Difference mirrors MPI_Group_difference: members of g not in h, in g's
-// order. When h is an in-order subsequence of g — the shrunken group against
-// the broken one, paper Fig. 6 — one merge pass finds the answer and
-// allocates only the result.
+// order, in a result sized once. When h is an in-order subsequence of g —
+// the shrunken group against the broken one, paper Fig. 6 — one merge pass
+// proves it and the result is the len(g)-len(h) members the pass skipped.
 func (g Group) Difference(h Group) Group {
-	var out Group
 	j := 0
 	for _, x := range g {
 		if j < len(h) && h[j] == x {
 			j++
-		} else {
-			out = append(out, x)
 		}
 	}
 	if j == len(h) {
+		if len(g) == len(h) {
+			return nil
+		}
+		out := make(Group, 0, len(g)-len(h))
+		j = 0
+		for _, x := range g {
+			if j < len(h) && h[j] == x {
+				j++
+			} else {
+				out = append(out, x)
+			}
+		}
 		return out
 	}
-	// h is not a subsequence of g: the pass above kept members of h.
-	out = out[:0]
+	// h is not a subsequence of g: count, then collect, the members of g
+	// that h lacks.
+	n := 0
+	for _, x := range g {
+		if h.Rank(x) < 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make(Group, 0, n)
 	for _, x := range g {
 		if h.Rank(x) < 0 {
 			out = append(out, x)

@@ -171,10 +171,10 @@ func (c *Comm) FailureAck() error {
 }
 
 // FailureGetAcked returns the group (world ranks) of failures acknowledged
-// by the last FailureAck on this handle (OMPI_Comm_failure_get_acked).
-func (c *Comm) FailureGetAcked() Group {
-	return append(Group(nil), c.acked...)
-}
+// by the last FailureAck on this handle (OMPI_Comm_failure_get_acked). It is
+// the acknowledged snapshot itself, shared read-only by every handle that
+// acked at the same World.deathGen: read it, never write to it.
+func (c *Comm) FailureGetAcked() Group { return c.acked }
 
 // ChargeGroupOp charges the local cost of an MPI_Group_* manipulation over n
 // elements, used by the recovery layer when it builds the failed-process

@@ -46,19 +46,19 @@ func fiberRepair(p *mpi.Proc, f *mpi.Fiber, broken *mpi.Comm, st *Stats, place P
 			k(nil, nil, false, fmt.Errorf("recovery: repair called with no failed processes"))
 			return
 		}
-		st.FailedRanks = append([]int(nil), failedRanks...)
+		st.FailedRanks = failedRanks
 		totalFailed := len(failedRanks)
 
 		switch mode {
 		case ModeSpawn:
-			hosts, err := place(p, failedRanks)
-			if err != nil {
-				k(nil, nil, false, fmt.Errorf("recovery: placement: %w", err))
+			plan := planSpawn(p, broken, shrunk, failedRanks, place)
+			if plan.err != nil {
+				k(nil, nil, false, fmt.Errorf("recovery: placement: %w", plan.err))
 				return
 			}
 			t3 := p.Now()
-			sp3 := st.span(t3, me, "spawn", st.spawnDetail(totalFailed, hosts))
-			mpi.FiberSpawnMultiple(f, shrunk, totalFailed, hosts, 0, func(inter *mpi.Comm, err error) {
+			sp3 := st.span(t3, me, "spawn", plan.detail)
+			mpi.FiberSpawnMultiple(f, shrunk, totalFailed, plan.hosts, 0, func(inter *mpi.Comm, err error) {
 				sp3.End(p.Now())
 				if err != nil {
 					k(nil, nil, false, fmt.Errorf("recovery: spawn: %w", err))
@@ -300,7 +300,7 @@ func (l *fiberLoop) round(reconstructed, parent *mpi.Comm, iter int) {
 
 			if agreeErr == nil && barrierErr == nil {
 				if l.lg.replaced != nil {
-					st.FailedRanks = sortedRanks(l.lg.replaced)
+					st.FailedRanks = l.lg.replaced
 				}
 				if l.res != nil {
 					l.res.OrigOf, l.res.Fallbacks = l.lg.cur, l.lg.fallbacks

@@ -19,6 +19,7 @@ package recovery
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ftsg/internal/metrics"
@@ -108,15 +109,6 @@ func (st *Stats) charge(phase string, seconds float64) {
 	}
 }
 
-// spawnDetail is the spawn span's detail. The host list is formatted here,
-// once per repair, and only when a recorder will keep it.
-func (st *Stats) spawnDetail(n int, hosts []string) string {
-	if st.Trace == nil {
-		return ""
-	}
-	return fmt.Sprintf("%d replacements on %v", n, hosts)
-}
-
 // ErrorHandler returns the Fig. 4 error handler for p's communicators. It
 // charges the delay to the process that owns the failing handle, which is
 // p, so it captures nothing: every rank and every call gets the same
@@ -139,27 +131,48 @@ func fig4Handler(c *mpi.Comm, err error) {
 
 // FailedProcsList is Fig. 6: compare the broken communicator's group with
 // the shrunken group and translate the difference back to ranks in the
-// broken communicator. It returns the failed ranks in group order. Every
-// rank runs it, so it works on the communicators' own group lists and
-// allocates only in proportion to the number of failures: the shrunken
-// group is an in-order subsequence of the broken one, which Difference and
-// TranslateRanks each resolve in one pass.
+// broken communicator. It returns the failed ranks in group order
+// (ascending).
+//
+// Every survivor would derive the same list, so the group algebra runs once
+// per (broken, shrunk) pair, on whichever survivor gets there first, and
+// every caller gets that one list (mpi.Comm.Agreed on the shrunken
+// communicator, keyed by the broken one): it is shared read-only, never
+// write to it. Each caller is still charged the three group operations of
+// Fig. 6 (one when the groups are identical and there is nothing to
+// translate), exactly as if it had run them itself.
 func FailedProcsList(broken, shrunk *mpi.Comm) []int {
-	oldGroup := broken.Group()
-	shrinkGroup := shrunk.Group()
-	broken.ChargeGroupOp(oldGroup.Size())
+	n := broken.Size()
+	broken.ChargeGroupOp(n)
+	failed := shrunk.Agreed(failedKey{broken.ID()}, func() any {
+		return failedProcs(broken.Group(), shrunk.Group())
+	}).([]int)
+	if failed == nil { // MPI_IDENT: nobody failed
+		return nil
+	}
+	broken.ChargeGroupOp(n)
+	broken.ChargeGroupOp(n)
+	return failed
+}
+
+// failedKey names Fig. 6's answer among the shrunken communicator's agreed
+// values: the failed list of the broken communicator it names.
+type failedKey struct{ broken mpi.CommID }
+
+// failedProcs is Fig. 6's group algebra: nil when the groups are identical,
+// otherwise the ranks in oldGroup of its members missing from shrinkGroup.
+// The shrunken group is an in-order subsequence of the broken one, which
+// Difference and TranslateRanks each resolve in one pass.
+func failedProcs(oldGroup, shrinkGroup mpi.Group) []int {
 	if oldGroup.Compare(shrinkGroup) == mpi.GroupIdent {
 		return nil
 	}
 	failedGroup := oldGroup.Difference(shrinkGroup)
-	broken.ChargeGroupOp(oldGroup.Size())
 	tempRanks := make([]int, failedGroup.Size())
 	for i := range tempRanks {
 		tempRanks[i] = i
 	}
-	failedRanks := failedGroup.TranslateRanks(tempRanks, oldGroup)
-	broken.ChargeGroupOp(oldGroup.Size())
-	return failedRanks
+	return failedGroup.TranslateRanks(tempRanks, oldGroup)
 }
 
 // SelectRankKey is Fig. 7: the split key that orders the merged
@@ -195,10 +208,36 @@ func SelectRankKey(mpiRank, shrinkedGroupSize int, failedRanks []int, totalProcs
 }
 
 // Placement chooses the hosts on which to re-spawn replacements, given the
-// failed ranks. Every surviving process must compute the same placement
+// failed ranks. Every surviving process would compute the same placement
 // (only the root's choice is significant to MPI_Comm_spawn_multiple, but
-// determinism keeps the protocol simple).
+// determinism keeps the protocol simple), so repair asks it once per round,
+// on whichever survivor gets there first (see spawnPlan): it must be a pure
+// function of the cluster and the list, must not block or charge virtual
+// time, and must not write to the list.
 type Placement func(p *mpi.Proc, failedRanks []int) ([]string, error)
+
+// spawnPlan is what every survivor of a spawn round would derive
+// identically from the round's failed list: the hosts the replacements go
+// to (or why there are none) and the spawn span's detail. It is built once
+// per round and shared read-only.
+type spawnPlan struct {
+	hosts  []string
+	err    error
+	detail string
+}
+
+// spawnKey names a round's spawnPlan among the shrunken communicator's
+// agreed values.
+type spawnKey struct{ broken mpi.CommID }
+
+// planSpawn returns the round's spawnPlan for failed, the round's shared
+// FailedProcsList.
+func planSpawn(p *mpi.Proc, broken, shrunk *mpi.Comm, failed []int, place Placement) *spawnPlan {
+	return shrunk.Agreed(spawnKey{broken.ID()}, func() any {
+		hosts, err := place(p, failed)
+		return &spawnPlan{hosts, err, fmt.Sprintf("%d replacements on %v", len(failed), hosts)}
+	}).(*spawnPlan)
+}
 
 // SameHostPlacement is the paper's policy (Fig. 5 lines 5-12): each
 // replacement lands on the host its failed predecessor ran on, preserving
@@ -267,19 +306,19 @@ func repair(p *mpi.Proc, broken *mpi.Comm, st *Stats, place Placement, mode Mode
 	if len(failedRanks) == 0 {
 		return nil, nil, false, fmt.Errorf("recovery: repair called with no failed processes")
 	}
-	st.FailedRanks = append([]int(nil), failedRanks...)
+	st.FailedRanks = failedRanks
 	totalFailed := len(failedRanks)
 
 	var inter *mpi.Comm
 	switch mode {
 	case ModeSpawn:
-		hosts, err := place(p, failedRanks)
-		if err != nil {
-			return nil, nil, false, fmt.Errorf("recovery: placement: %w", err)
+		plan := planSpawn(p, broken, shrunk, failedRanks, place)
+		if plan.err != nil {
+			return nil, nil, false, fmt.Errorf("recovery: placement: %w", plan.err)
 		}
 		t0 = p.Now()
-		sp = st.span(t0, me, "spawn", st.spawnDetail(totalFailed, hosts))
-		inter, err = shrunk.SpawnMultiple(totalFailed, hosts, 0)
+		sp = st.span(t0, me, "spawn", plan.detail)
+		inter, err = shrunk.SpawnMultiple(totalFailed, plan.hosts, 0)
 		sp.End(p.Now())
 		if err != nil {
 			return nil, nil, false, fmt.Errorf("recovery: spawn: %w", err)
@@ -495,7 +534,7 @@ func reconstruct(p *mpi.Proc, myWorld, parent *mpi.Comm, st *Stats, place Placem
 				// hit the verification round of an earlier repair). Report the
 				// union so callers recover the data of EVERY replaced rank, not
 				// just the last round's.
-				st.FailedRanks = sortedRanks(lg.replaced)
+				st.FailedRanks = lg.replaced
 			}
 			if res != nil {
 				res.OrigOf, res.Fallbacks = lg.cur, lg.fallbacks
@@ -526,30 +565,32 @@ func reconstruct(p *mpi.Proc, myWorld, parent *mpi.Comm, st *Stats, place Placem
 
 // ledger is what one reconstruct call accumulates over its repair rounds.
 type ledger struct {
-	cur       []int        // original rank behind each current position; nil: see record
-	replaced  map[int]bool // union of failed ORIGINAL ranks
-	fallbacks int          // substitute rounds that degraded to shrink-only
+	cur []int // original rank behind each current position; nil: see record
+	// replaced is the union of failed ORIGINAL ranks, ascending. After one
+	// spawn round it is that round's shared failed list itself.
+	replaced  []int
+	fallbacks int // substitute rounds that degraded to shrink-only
 }
 
 // record books one successful repair round: failed is in the broken
-// communicator's numbering and cur translates it to original ranks. Spawn
-// never moves a position, so there a nil map is the identity — which is what
-// lets a child that became a parent still report the union. A claimed spare's
-// nil map is genuinely unknown (earlier fallbacks may have shifted
-// positions): it reports none and learns the list from the application's
-// broadcast. A round that shrank the communicator drops the failed positions
-// from the map.
+// communicator's numbering (ascending, as FailedProcsList returns it) and
+// cur translates it to original ranks. Spawn never moves a position, so
+// there a nil map is the identity — which is what lets a child that became
+// a parent still report the union. A claimed spare's nil map is genuinely
+// unknown (earlier fallbacks may have shifted positions): it reports none
+// and learns the list from the application's broadcast. A round that shrank
+// the communicator drops the failed positions from the map.
 func (lg *ledger) record(mode Mode, failed []int, shrank, fellBack bool) {
 	if lg.cur != nil || mode == ModeSpawn {
-		if lg.replaced == nil {
-			lg.replaced = make(map[int]bool, len(failed))
-		}
-		for _, r := range failed {
-			if lg.cur != nil {
-				r = lg.cur[r]
+		orig := failed
+		if lg.cur != nil {
+			orig = make([]int, len(failed))
+			for i, r := range failed {
+				orig[i] = lg.cur[r]
 			}
-			lg.replaced[r] = true
+			slices.Sort(orig)
 		}
+		lg.replaced = union(lg.replaced, orig)
 	}
 	if shrank {
 		lg.cur = removeIdx(lg.cur, failed)
@@ -559,31 +600,47 @@ func (lg *ledger) record(mode Mode, failed []int, shrank, fellBack bool) {
 	}
 }
 
-// removeIdx returns cur without the positions listed in failed, preserving
-// order — the mapping update for a shrink: survivors keep their original
-// relative order (the OMPI_Comm_shrink contract).
-func removeIdx(cur []int, failed []int) []int {
-	if cur == nil {
-		return nil
+// union returns the ascending union of two ascending lists. When a is
+// empty it is b itself, not a copy.
+func union(a, b []int) []int {
+	if len(a) == 0 {
+		return b
 	}
-	dead := make(map[int]bool, len(failed))
-	for _, f := range failed {
-		dead[f] = true
-	}
-	out := make([]int, 0, len(cur)-len(failed))
-	for i, v := range cur {
-		if !dead[i] {
-			out = append(out, v)
+	out := make([]int, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		switch {
+		case j == len(b) || i < len(a) && a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case i == len(a) || b[j] < a[i]:
+			out = append(out, b[j])
+			j++
+		default: // in both
+			out = append(out, a[i])
+			i++
+			j++
 		}
 	}
 	return out
 }
 
-func sortedRanks(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for r := range set {
-		out = append(out, r)
+// removeIdx returns cur without the positions listed in failed (ascending),
+// preserving order — the mapping update for a shrink: survivors keep their
+// original relative order (the OMPI_Comm_shrink contract). One merge pass
+// walks both lists.
+func removeIdx(cur []int, failed []int) []int {
+	if cur == nil {
+		return nil
 	}
-	sort.Ints(out)
+	out := make([]int, 0, len(cur)-len(failed))
+	j := 0
+	for i, v := range cur {
+		if j < len(failed) && failed[j] == i {
+			j++
+			continue
+		}
+		out = append(out, v)
+	}
 	return out
 }

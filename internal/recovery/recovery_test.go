@@ -697,17 +697,17 @@ func TestFailureDuringSpawn(t *testing.T) {
 
 // TestUntracedPhaseBookkeepingAllocatesNothing pins the per-phase cost of
 // a repair that no recorder and no registry watch: opening and closing a
-// phase span with int args, building the spawn detail, charging the
-// phase and taking the Fig. 4 handler that every detection point installs
-// allocate nothing.
+// phase span with int args or the round's shared spawn detail, charging
+// the phase and taking the Fig. 4 handler that every detection point
+// installs allocate nothing.
 func TestUntracedPhaseBookkeepingAllocatesNothing(t *testing.T) {
 	st := &Stats{ModeLabel: "substitute"}
-	hosts := []string{"n007", "n012"}
+	plan := &spawnPlan{hosts: []string{"n007", "n012"}, detail: "2 replacements on [n007 n012]"}
 	var handler mpi.Errhandler
 	phase := func() {
 		handler = ErrorHandler(nil)
 		st.span(1, 3, "split", "restore rank order, key %d", 3).End(2)
-		st.span(2, 3, "spawn", st.spawnDetail(len(hosts), hosts)).End(3)
+		st.span(2, 3, "spawn", plan.detail).End(3)
 		st.charge("split", 1)
 	}
 	if n := testing.AllocsPerRun(100, phase); n != 0 {
