@@ -70,8 +70,12 @@ type commShared struct {
 	// the immutable group on first use.
 	hier atomic.Pointer[commTopo]
 	// agreed holds the values Comm.Agreed built, shared read-only by every
-	// member; the slice is replaced, never written, so reads take no lock.
-	agreed atomic.Pointer[[]agreedVal]
+	// member.
+	agreed sharedList[agreedVal]
+	// deadErrs holds the *FailedError of each dead member a receive on the
+	// communicator reported (Comm.failedErr), shared read-only by every
+	// observer.
+	deadErrs sharedList[*FailedError]
 	// buildMu serialises buildOnce's builds. A leaf lock: a build takes
 	// no other lock that could wait on a member.
 	buildMu sync.Mutex
@@ -79,6 +83,35 @@ type commShared struct {
 
 // agreedVal is one of Comm.Agreed's values with the key it was built for.
 type agreedVal struct{ key, val any }
+
+// sharedList is a communicator's list of values built once each through
+// buildOnce. The slice is replaced, never written, so a find takes no lock.
+type sharedList[T any] struct{ vals atomic.Pointer[[]T] }
+
+// get returns the value match accepts, building and appending it when the
+// list has none: once per communicator, however many members ask at once.
+func (l *sharedList[T]) get(sh *commShared, match func(T) bool, build func() T) T {
+	return buildOnce(sh, func() (T, bool) {
+		if vals := l.vals.Load(); vals != nil {
+			for _, v := range *vals {
+				if match(v) {
+					return v, true
+				}
+			}
+		}
+		var zero T
+		return zero, false
+	}, func() T {
+		v := build()
+		var vals []T
+		if old := l.vals.Load(); old != nil {
+			vals = append(vals, *old...)
+		}
+		vals = append(vals, v)
+		l.vals.Store(&vals)
+		return v
+	})
+}
 
 // buildOnce is the communicator's one way to build a value that every
 // member derives identically: find reads what is there without a lock; on a
@@ -126,6 +159,17 @@ type Comm struct {
 	// and only resolve to MPI_ERR_REVOKED through peer quiesce records.
 	// Touched only by the owning goroutine, so unguarded like seqs.
 	sawRevoked bool
+}
+
+// newHandles returns the handles of sh's side-0 group (the only group of
+// an intracommunicator), by rank, in one array: each member takes its own
+// element with adopt.
+func newHandles(sh *commShared) []Comm {
+	hs := make([]Comm, len(sh.a))
+	for i := range hs {
+		hs[i] = Comm{sh: sh, rank: i}
+	}
+	return hs
 }
 
 // Errhandler mirrors MPI_Comm_create_errhandler/MPI_Comm_set_errhandler:
@@ -202,26 +246,16 @@ func (c *Comm) ID() CommID { return CommID{c.sh} }
 // virtual time, and must not call Agreed on this communicator. The value
 // is shared read-only: never write to it.
 func (c *Comm) Agreed(key any, build func() any) any {
-	sh := c.sh
-	return buildOnce(sh, func() (any, bool) {
-		if vals := sh.agreed.Load(); vals != nil {
-			for _, v := range *vals {
-				if v.key == key {
-					return v.val, true
-				}
-			}
-		}
-		return nil, false
-	}, func() any {
-		val := build()
-		var vals []agreedVal
-		if old := sh.agreed.Load(); old != nil {
-			vals = append(vals, *old...)
-		}
-		vals = append(vals, agreedVal{key, val})
-		sh.agreed.Store(&vals)
-		return val
-	})
+	return c.sh.agreed.get(c.sh, func(v agreedVal) bool { return v.key == key },
+		func() agreedVal { return agreedVal{key, build()} }).val
+}
+
+// failedErr returns the error that reports the death of the member at rank
+// of the peer group, world rank wr: one value per communicator and dead
+// member, shared by every observer (see FailedError).
+func (c *Comm) failedErr(rank, wr int) error {
+	return c.sh.deadErrs.get(c.sh, func(e *FailedError) bool { return e.WorldRank == wr },
+		func() *FailedError { return &FailedError{Rank: rank, WorldRank: wr} })
 }
 
 // Group returns the local group (world ranks, rank order), mirroring

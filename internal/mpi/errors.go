@@ -23,6 +23,10 @@ var (
 )
 
 // FailedError wraps ErrProcFailed with the identity of a failed process.
+// The runtime shares its values: every observer of one death on one
+// communicator gets the same *FailedError, and every failure detected
+// collectively the same one with Rank and WorldRank -1. Read them, never
+// write to them.
 type FailedError struct {
 	// Rank is the rank of the failed process in the communicator on which
 	// the failure was observed; -1 when unknown (collective detection).
@@ -41,6 +45,6 @@ func (e *FailedError) Error() string {
 // Unwrap lets errors.Is(err, ErrProcFailed) succeed.
 func (e *FailedError) Unwrap() error { return ErrProcFailed }
 
-func failedErr(rank, world int) error {
-	return &FailedError{Rank: rank, WorldRank: world}
-}
+// errCollectiveFailed is the failure detected collectively, when no one
+// failed process is named.
+var errCollectiveFailed error = &FailedError{Rank: -1, WorldRank: -1}

@@ -669,7 +669,7 @@ func fiberRingAllreduce[T any](f *Fiber, c *Comm, t *commTopo, tag, j int, acc [
 // goroutine members of one communicator can even meet in the same Agree
 // instance with identical cost and clock synchronisation.
 func FiberAgree(f *Fiber, c *Comm, flag int, k func(int, error)) {
-	fiberRendezvous(f, c, OpAgree, reportDeath, true, flag, agreeBuild(c), func(res any, err error) {
+	fiberRendezvous(f, c, OpAgree, reportDeath, true, rvzInput{a: flag}, agreeBuild(c), func(res any, err error) {
 		if res == nil {
 			k(0, c.fire(err))
 			return

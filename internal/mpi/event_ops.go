@@ -22,8 +22,8 @@ import "fmt"
 // into the continuation. The exact event-path analogue of runRendezvous —
 // same registration, same completion, same cost accounting — so fiber and
 // goroutine members of one communicator can meet in the same instance.
-func fiberRendezvous(f *Fiber, c *Comm, op string, mode rvzMode, allowRevoked bool, input any, build buildFunc, k func(any, error)) {
-	r, t0, err := rvzEnter(c, op, allowRevoked, input)
+func fiberRendezvous(f *Fiber, c *Comm, op string, mode rvzMode, allowRevoked bool, in rvzInput, build buildFunc, k func(any, error)) {
+	r, t0, err := rvzEnter(c, op, allowRevoked, in)
 	if err != nil {
 		k(nil, err)
 		return
@@ -46,13 +46,8 @@ func FiberSplit(f *Fiber, c *Comm, color, key int, k func(*Comm, error)) {
 		k(nil, c.fire(fmt.Errorf("mpi: Split on intercommunicator: %w", ErrComm)))
 		return
 	}
-	in := splitInput{color: color, key: key}
-	fiberRendezvous(f, c, OpSplit, failOnDeath, false, in, buildSplit, func(res any, err error) {
-		if err != nil {
-			k(nil, c.fire(err))
-			return
-		}
-		k(c.adopt(res.([]commRank)[c.rank]), nil)
+	fiberRendezvous(f, c, OpSplit, failOnDeath, false, rvzInput{a: color, b: key}, buildSplit, func(res any, err error) {
+		k(c.splitHandle(res, err))
 	})
 }
 
@@ -63,12 +58,8 @@ func FiberShrink(f *Fiber, c *Comm, k func(*Comm, error)) {
 		k(nil, c.fire(fmt.Errorf("mpi: Shrink on intercommunicator: %w", ErrComm)))
 		return
 	}
-	fiberRendezvous(f, c, OpShrink, ignoreDeath, true, nil, shrinkBuild(c), func(res any, err error) {
-		if err != nil {
-			k(nil, c.fire(err))
-			return
-		}
-		k(c.adopt(res.([]commRank)[c.rank]), nil)
+	fiberRendezvous(f, c, OpShrink, ignoreDeath, true, rvzInput{}, shrinkBuild(c), func(res any, err error) {
+		k(c.shrinkHandle(res, err))
 	})
 }
 
@@ -85,21 +76,8 @@ func FiberSpawnMultiple(f *Fiber, c *Comm, n int, hosts []string, root int, k fu
 		k(nil, c.fire(fmt.Errorf("mpi: SpawnMultiple: n = %d: %w", n, ErrComm)))
 		return
 	}
-	var in spawnInput
-	if c.rank == root {
-		in.hosts = append([]string(nil), hosts...)
-	}
-	fiberRendezvous(f, c, OpSpawn, failOnDeath, false, in, spawnBuild(c, n, root), func(res any, err error) {
-		if err != nil {
-			k(nil, c.fire(err))
-			return
-		}
-		sr := res.(*spawnResult)
-		if sr.err != nil {
-			k(nil, c.fire(sr.err))
-			return
-		}
-		k(&Comm{sh: sr.inter, p: c.p, side: 0, rank: c.rank}, nil)
+	fiberRendezvous(f, c, OpSpawn, failOnDeath, false, spawnInput(c, hosts, root), spawnBuild(c, n, root), func(res any, err error) {
+		k(c.spawnHandle(res, err))
 	})
 }
 
@@ -115,17 +93,8 @@ func FiberClaimSpares(f *Fiber, c *Comm, n int, k func(*Comm, error)) {
 		k(nil, c.fire(fmt.Errorf("mpi: ClaimSpares: n = %d: %w", n, ErrComm)))
 		return
 	}
-	fiberRendezvous(f, c, "claim", failOnDeath, false, nil, claimBuild(c, n), func(res any, err error) {
-		if err != nil {
-			k(nil, c.fire(err))
-			return
-		}
-		cr := res.(*claimResult)
-		if cr.err != nil {
-			k(nil, c.fire(cr.err))
-			return
-		}
-		k(&Comm{sh: cr.inter, p: c.p, side: 0, rank: c.rank}, nil)
+	fiberRendezvous(f, c, "claim", failOnDeath, false, rvzInput{}, claimBuild(c, n), func(res any, err error) {
+		k(c.spawnHandle(res, err))
 	})
 }
 

@@ -10,10 +10,6 @@ import (
 // new communicator.
 const Undefined = -1
 
-type splitInput struct {
-	color, key int
-}
-
 // Split partitions the intracommunicator by color, ordering ranks within
 // each new communicator by (key, old rank) — exactly MPI_Comm_split. The
 // paper uses it with carefully chosen keys to restore the pre-failure rank
@@ -23,12 +19,30 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 	if c.IsInter() {
 		return nil, c.fire(fmt.Errorf("mpi: Split on intercommunicator: %w", ErrComm))
 	}
-	in := splitInput{color: color, key: key}
-	res, err := runRendezvous(c, OpSplit, failOnDeath, false, in, buildSplit)
+	return c.splitHandle(runRendezvous(c, OpSplit, failOnDeath, false, rvzInput{a: color, b: key}, buildSplit))
+}
+
+// splitResult is buildSplit's shared result: the handles of every
+// communicator the split created, one array over all of them, and each
+// member's index into it by member position (-1 for a member that passed a
+// negative color). So the array holds only the members that receive a
+// communicator.
+type splitResult struct {
+	handles []Comm
+	at      []int32
+}
+
+// splitHandle completes a Split from its rendezvous outcome: the caller's
+// handle (nil when it passed a negative color), or the error, fired.
+func (c *Comm) splitHandle(res any, err error) (*Comm, error) {
 	if err != nil {
 		return nil, c.fire(err)
 	}
-	return c.adopt(res.([]commRank)[c.rank]), nil
+	sr := res.(*splitResult)
+	if i := sr.at[c.rank]; i >= 0 {
+		return c.adopt(&sr.handles[i]), nil
+	}
+	return nil, nil
 }
 
 // buildSplit sorts the members by (color, key, old rank) and cuts one
@@ -36,15 +50,13 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 // ascending color order — the same on every run.
 func buildSplit(w *World, r *rendezvous) (any, float64) {
 	type member struct {
-		splitInput
-		pos int // position in r.members == old rank (intracommunicator)
+		color, key int
+		pos        int // position in r.members == old rank (intracommunicator)
 	}
 	ms := make([]member, 0, r.arrived)
 	for pos := range r.slots {
-		if s := &r.slots[pos]; s.here {
-			if in := s.input.(splitInput); in.color >= 0 {
-				ms = append(ms, member{in, pos})
-			}
+		if s := &r.slots[pos]; s.here && s.a >= 0 {
+			ms = append(ms, member{s.a, s.b, pos})
 		}
 	}
 	slices.SortFunc(ms, func(x, y member) int {
@@ -56,23 +68,30 @@ func buildSplit(w *World, r *rendezvous) (any, float64) {
 		}
 		return cmp.Compare(x.pos, y.pos)
 	})
-	out := make([]commRank, len(r.members))
+	res := &splitResult{handles: make([]Comm, len(ms)), at: make([]int32, len(r.members))}
+	for pos := range res.at {
+		res.at[pos] = -1
+	}
+	// Every group is cut from one array; groups are immutable once
+	// published, and each is capped at its own end.
+	groups := make([]int, len(ms))
 	for lo := 0; lo < len(ms); {
 		hi := lo
 		for hi < len(ms) && ms[hi].color == ms[lo].color {
 			hi++
 		}
-		ranks := make([]int, hi-lo)
+		ranks := groups[lo:hi:hi]
 		for i, m := range ms[lo:hi] {
 			ranks[i] = r.members[m.pos]
 		}
 		sh := w.newCommLocked(ranks, nil)
 		for i, m := range ms[lo:hi] {
-			out[m.pos] = commRank{sh, i}
+			res.handles[lo+i] = Comm{sh: sh, rank: i}
+			res.at[m.pos] = int32(lo + i)
 		}
 		lo = hi
 	}
-	return out, logCost(w, len(r.members))
+	return res, logCost(w, len(r.members))
 }
 
 // logCost models the latency of a communicator-management collective as a

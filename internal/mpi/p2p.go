@@ -487,11 +487,11 @@ func recvVerdict(c *Comm, src, tag int, internal bool) verdict {
 	case mismatch:
 		return verdict{err: errPeerMismatch, abort: true, at: at}
 	case aborted:
-		return verdict{err: failedErr(-1, -1), abort: true, at: at}
+		return verdict{err: errCollectiveFailed, abort: true, at: at}
 	case quiesced:
 		return verdict{err: ErrRevoked}
 	case !alive:
-		return verdict{err: failedErr(src, pw)}
+		return verdict{err: c.failedErr(src, pw)}
 	}
 	return verdict{}
 }

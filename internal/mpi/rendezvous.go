@@ -32,11 +32,21 @@ type rvzKey struct {
 	seq  int
 }
 
-// rvzSlot is one member's registration in a rendezvous.
+// rvzInput is what a member brings to a rendezvous: a and b are Split's
+// color and key, a alone Agree's flag. hosts is SpawnMultiple's host list,
+// which only its root passes: the rendezvous keeps it once, not per slot.
+type rvzInput struct {
+	a, b  int
+	hosts []string
+}
+
+// rvzSlot is one member's registration in a rendezvous: its clock at entry
+// and its rvzInput's a and b. A rendezvous pays every slot byte once per
+// member, so the slot stays at 32 bytes.
 type rvzSlot struct {
-	at    float64 // the member's clock at entry
-	input any
-	here  bool
+	at   float64
+	a, b int
+	here bool
 }
 
 // rendezvous is the shared state of one in-progress collective that needs a
@@ -54,6 +64,7 @@ type rendezvous struct {
 	key     rvzKey
 	members []int     // the communicator's member list (shared, immutable)
 	slots   []rvzSlot // by member position
+	hosts   []string  // the root's rvzInput.hosts (SpawnMultiple)
 	arrived int
 	missing int
 	dead    int
@@ -99,24 +110,18 @@ func (r *rendezvous) maxArrival(w *World) float64 {
 // buildFunc computes the single shared result of a rendezvous once all alive
 // members have arrived. It runs under World.state (it must not block) and
 // returns the result plus the modelled cost of the operation in seconds.
-// r.dead is exact when it runs. Builders that create communicators return
-// one commRank per member position, so no member searches for its new rank.
+// r.dead is exact when it runs. Builders that create a communicator build
+// its members' handles in one array, so no member allocates or searches for
+// its own (see adopt).
 type buildFunc func(w *World, r *rendezvous) (any, float64)
 
-// commRank is one member's place in a communicator a builder created (sh is
-// nil for a member that receives none).
-type commRank struct {
-	sh   *commShared
-	rank int
-}
-
-// adopt returns the caller's handle on the intracommunicator a builder
-// placed it in, or nil when it was placed in none.
-func (c *Comm) adopt(cr commRank) *Comm {
-	if cr.sh == nil {
-		return nil
-	}
-	return &Comm{sh: cr.sh, p: c.p, rank: cr.rank}
+// adopt makes h, the caller's element of the handle array built for a new
+// communicator, the caller's own handle: it sets only h's process. The
+// builder wrote every element before the rendezvous published it, and no
+// other member touches this one, so the write needs no lock.
+func (c *Comm) adopt(h *Comm) *Comm {
+	h.p = c.p
+	return h
 }
 
 // The rendezvous protocol is split into three steps — enter, poll, finish —
@@ -132,7 +137,7 @@ func (c *Comm) adopt(cr commRank) *Comm {
 //
 // allowRevoked must be true for the ULFM calls that operate on revoked
 // communicators (shrink, agree).
-func rvzEnter(c *Comm, op string, allowRevoked bool, input any) (*rendezvous, float64, error) {
+func rvzEnter(c *Comm, op string, allowRevoked bool, in rvzInput) (*rendezvous, float64, error) {
 	st := c.p.st
 	w := st.w
 	st.hookOp(op)
@@ -164,7 +169,10 @@ func rvzEnter(c *Comm, op string, allowRevoked bool, input any) (*rendezvous, fl
 		w.state.Unlock()
 		return nil, t0, fmt.Errorf("mpi: process %d entered %s twice (seq %d): %w", st.wrank, op, key.seq, ErrComm)
 	}
-	s.at, s.input, s.here = st.clock.Now(), input, true
+	s.at, s.a, s.b, s.here = st.clock.Now(), in.a, in.b, true
+	if in.hosts != nil {
+		r.hosts = in.hosts
+	}
 	r.arrived++
 	// The caller was counted missing unless an abort has failed it since its
 	// hookOp check (it unwinds at its next operation).
@@ -209,13 +217,13 @@ func rvzPoll(c *Comm, r *rendezvous, mode rvzMode, build buildFunc) bool {
 		// collectives pair them with reportDeath operations over the
 		// same member sets, which have always had wait-for-all-alive
 		// semantics.
-		r.err = failedErr(-1, -1)
+		r.err = errCollectiveFailed
 		r.t = r.maxArrival(w)
 	} else {
 		r.result, r.cost = build(w, r)
 		r.t = r.maxArrival(w) + r.cost
 		if r.dead > 0 && mode == reportDeath {
-			r.err = failedErr(-1, -1)
+			r.err = errCollectiveFailed
 		}
 	}
 	r.done.Store(true)
@@ -250,9 +258,9 @@ func rvzFinish(c *Comm, r *rendezvous, op string, t0 float64) (any, error) {
 // calling process: register input, wait for the group, have exactly one
 // participant build the shared result, and synchronise virtual clocks to
 // completion time (max of alive arrivals plus the modelled cost).
-func runRendezvous(c *Comm, op string, mode rvzMode, allowRevoked bool, input any, build buildFunc) (any, error) {
+func runRendezvous(c *Comm, op string, mode rvzMode, allowRevoked bool, in rvzInput, build buildFunc) (any, error) {
 	st := c.p.st
-	r, t0, err := rvzEnter(c, op, allowRevoked, input)
+	r, t0, err := rvzEnter(c, op, allowRevoked, in)
 	if err != nil {
 		return nil, err
 	}

@@ -2,10 +2,20 @@ package mpi
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
+
+// TestRvzSlotSize pins a rendezvous slot at 32 bytes: a rendezvous pays
+// every slot byte once per member, 4096 times in a 4096-rank repair.
+func TestRvzSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(rvzSlot{}); got > 32 {
+		t.Errorf("rvzSlot is %d bytes, want <= 32", got)
+	}
+}
 
 // TestFailOnDeathAbortIsDeterministic is the regression test for a replay
 // nondeterminism the chaos campaign found: a failOnDeath collective used to
@@ -49,5 +59,20 @@ func TestFailOnDeathAbortIsDeterministic(t *testing.T) {
 		if got := clocks[rank]; got != 3.0 {
 			t.Errorf("rank %d clock after aborted Split = %v, want 3.0 (max over all alive arrivals)", rank, got)
 		}
+	}
+}
+
+// TestSpawnWithoutRootInput gives every member of a SpawnMultiple whose root
+// is no member the root-input error, not an index panic, and spawns
+// nothing.
+func TestSpawnWithoutRootInput(t *testing.T) {
+	rep := runWorld(t, 2, func(p *Proc) {
+		_, err := p.World().SpawnMultiple(1, nil, 2)
+		if !errors.Is(err, ErrComm) || !strings.Contains(err.Error(), "missing root input") {
+			t.Errorf("rank %d: SpawnMultiple with root 2 = %v, want the missing root input error", p.World().Rank(), err)
+		}
+	})
+	if rep.Spawned != 0 {
+		t.Errorf("%d processes spawned, want 0", rep.Spawned)
 	}
 }

@@ -19,11 +19,6 @@ import (
 // can fall back (e.g. to shrink-only recovery) deterministically.
 var ErrNoSpares = errors.New("mpi: no spare processes available")
 
-type claimResult struct {
-	inter *commShared
-	err   error
-}
-
 // ClaimSpares wakes n parked spare processes (Options.SpareRanks) and
 // returns an intercommunicator with the callers as the local group and the
 // claimed spares as the remote group — the same shape SpawnMultiple returns,
@@ -38,15 +33,7 @@ func (c *Comm) ClaimSpares(n int) (*Comm, error) {
 	if n <= 0 {
 		return nil, c.fire(fmt.Errorf("mpi: ClaimSpares: n = %d: %w", n, ErrComm))
 	}
-	res, err := runRendezvous(c, "claim", failOnDeath, false, nil, claimBuild(c, n))
-	if err != nil {
-		return nil, c.fire(err)
-	}
-	cr := res.(*claimResult)
-	if cr.err != nil {
-		return nil, c.fire(cr.err)
-	}
-	return &Comm{sh: cr.inter, p: c.p, side: 0, rank: c.rank}, nil
+	return c.spawnHandle(runRendezvous(c, "claim", failOnDeath, false, rvzInput{}, claimBuild(c, n)))
 }
 
 // claimBuild is ClaimSpares's shared-result builder: ErrNoSpares when the
@@ -56,7 +43,7 @@ func (c *Comm) ClaimSpares(n int) (*Comm, error) {
 func claimBuild(c *Comm, n int) buildFunc {
 	return func(w *World, r *rendezvous) (any, float64) {
 		if len(w.spareFree) < n {
-			return &claimResult{err: ErrNoSpares}, 0
+			return &spawnResult{err: ErrNoSpares}, 0
 		}
 		// Waking parked processes costs one agreement round over the
 		// survivors plus the joiners — no process launch, no image
@@ -64,34 +51,21 @@ func claimBuild(c *Comm, n int) buildFunc {
 		// SpawnCost.
 		cost := w.machine.ULFM.AgreeCost(len(c.sh.a)+n, 0)
 		start := r.maxArrival(w) + cost
-		inter, err := w.claimLocked(c.sh.a, n, start)
-		return &claimResult{inter: inter, err: err}, cost
+		return &spawnResult{handles: w.claimLocked(c.sh.a, n, start)}, cost
 	}
 }
 
 // claimLocked consumes the first n parked spares and launches them on the
-// world's execution path (goroutines or fibers; see spawnLocked), mirroring
-// spawnLocked's communicator construction. Caller holds World.state (write)
-// and has checked len(w.spareFree) >= n.
-func (w *World) claimLocked(parentGroup []int, n int, start float64) (*commShared, error) {
-	childRanks := append([]int(nil), w.spareFree[:n]...)
+// world's execution path, knitted in exactly as spawnLocked knits its
+// children. Caller holds World.state (write) and has checked
+// len(w.spareFree) >= n. Returns the parent side's handles.
+func (w *World) claimLocked(parentGroup []int, n int, start float64) []Comm {
+	ps := w.snapshot()
+	sts := make([]*procState, n)
+	for i, wr := range w.spareFree[:n] {
+		sts[i] = ps[wr]
+	}
 	w.spareFree = w.spareFree[n:]
 	w.sparesUsed += n
-	childWorld := w.newCommLocked(childRanks, nil)
-	inter := w.newCommLocked(parentGroup, childRanks)
-	inter.repairFor = n
-	ps := w.snapshot()
-	for i, wr := range childRanks {
-		st := ps[wr]
-		st.clock.Set(start)
-		p := &Proc{
-			st:     st,
-			world:  &Comm{sh: childWorld, rank: i},
-			parent: &Comm{sh: inter, side: 1, rank: i},
-		}
-		p.world.p = p
-		p.parent.p = p
-		w.startProcLocked(p)
-	}
-	return inter, nil
+	return w.startChildrenLocked(parentGroup, sts, start)
 }

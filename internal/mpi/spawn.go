@@ -12,13 +12,24 @@ import (
 // on their original hosts and knit them back into a full-size communicator
 // (Fig. 5 lines 13-14, Fig. 3 line 22).
 
-type spawnInput struct {
-	hosts []string
+// spawnResult is the shared result of SpawnMultiple and ClaimSpares: the
+// parent side's handles on the new intercommunicator, by rank, or the error
+// every member returns.
+type spawnResult struct {
+	handles []Comm
+	err     error
 }
 
-type spawnResult struct {
-	inter *commShared
-	err   error
+// spawnHandle completes a SpawnMultiple or ClaimSpares from its rendezvous
+// outcome: the caller's handle, or the error, fired.
+func (c *Comm) spawnHandle(res any, err error) (*Comm, error) {
+	if err == nil {
+		sr := res.(*spawnResult)
+		if err = sr.err; err == nil {
+			return c.adopt(&sr.handles[c.rank]), nil
+		}
+	}
+	return nil, c.fire(err)
 }
 
 // SpawnMultiple starts n new processes running the world's entry function,
@@ -35,19 +46,16 @@ func (c *Comm) SpawnMultiple(n int, hosts []string, root int) (*Comm, error) {
 	if n <= 0 {
 		return nil, c.fire(fmt.Errorf("mpi: SpawnMultiple: n = %d: %w", n, ErrComm))
 	}
-	var in spawnInput
-	if c.rank == root {
-		in.hosts = append([]string(nil), hosts...)
+	return c.spawnHandle(runRendezvous(c, OpSpawn, failOnDeath, false, spawnInput(c, hosts, root), spawnBuild(c, n, root)))
+}
+
+// spawnInput is a SpawnMultiple caller's rendezvous input: a copy of hosts
+// at root, nothing elsewhere.
+func spawnInput(c *Comm, hosts []string, root int) rvzInput {
+	if c.rank != root {
+		return rvzInput{}
 	}
-	res, err := runRendezvous(c, OpSpawn, failOnDeath, false, in, spawnBuild(c, n, root))
-	if err != nil {
-		return nil, c.fire(err)
-	}
-	sr := res.(*spawnResult)
-	if sr.err != nil {
-		return nil, c.fire(sr.err)
-	}
-	return &Comm{sh: sr.inter, p: c.p, side: 0, rank: c.rank}, nil
+	return rvzInput{hosts: append([]string(nil), hosts...)}
 }
 
 // spawnBuild is SpawnMultiple's shared-result builder: spawn completion at
@@ -56,23 +64,23 @@ func (c *Comm) SpawnMultiple(n int, hosts []string, root int) (*Comm, error) {
 // FiberSpawnMultiple so both paths meet in the same rendezvous instance.
 func spawnBuild(c *Comm, n, root int) buildFunc {
 	return func(w *World, r *rendezvous) (any, float64) {
-		rootIn, ok := r.slots[root].input.(spawnInput)
-		if !ok {
+		if root < 0 || root >= len(r.slots) || !r.slots[root].here {
 			return &spawnResult{err: fmt.Errorf("mpi: SpawnMultiple: missing root input: %w", ErrComm)}, 0
 		}
 		cost := w.machine.ULFM.SpawnCost(len(c.sh.a)+n, n)
 		start := r.maxArrival(w) + cost
-		inter, err := w.spawnLocked(c.sh.a, n, rootIn.hosts, start)
-		return &spawnResult{inter: inter, err: err}, cost
+		hs, err := w.spawnLocked(c.sh.a, n, r.hosts, start)
+		return &spawnResult{handles: hs, err: err}, cost
 	}
 }
 
 // spawnLocked creates n processes and launches them on the world's execution
 // path — goroutines under Entry, fibers attached to the running executor
-// under EventEntry (startProcLocked). Caller holds World.state (write); the
-// grown process table is published as a new copy-on-write snapshot before any
-// child can run. Each child starts with its clock at start seconds.
-func (w *World) spawnLocked(parentGroup []int, n int, hosts []string, start float64) (*commShared, error) {
+// under EventEntry (startChildrenLocked). Caller holds World.state (write);
+// the grown process table is published as a new copy-on-write snapshot
+// before any child can run. Each child starts with its clock at start
+// seconds. Returns the parent side's handles on the intercommunicator.
+func (w *World) spawnLocked(parentGroup []int, n int, hosts []string, start float64) ([]Comm, error) {
 	placements := make([]int, n)
 	for i := 0; i < n; i++ {
 		if i < len(hosts) && hosts[i] != "" {
@@ -90,55 +98,87 @@ func (w *World) spawnLocked(parentGroup []int, n int, hosts []string, start floa
 	old := w.snapshot()
 	procs := make([]*procState, len(old), len(old)+n)
 	copy(procs, old)
-	childRanks := make([]int, n)
-	children := make([]*procState, n)
 	block := make([]procState, n)
+	giveFirstSlots(block)
 	for i := 0; i < n; i++ {
 		st := &block[i]
 		st.w, st.wrank, st.host = w, len(procs), placements[i]
 		st.rack = w.cluster.RackOfHost(st.host)
 		st.alive.Store(true)
 		st.cond.L = &st.mu
-		st.clock.Set(start)
 		if w.wm != nil {
 			st.clock.SetObserver(w.wm)
 		}
 		procs = append(procs, st)
-		childRanks[i] = st.wrank
-		children[i] = st
 	}
 	w.procs.Store(&procs)
 	w.spawned += n
 	w.wm.countSpawned(n)
+	return w.startChildrenLocked(parentGroup, procs[len(old):], start), nil
+}
+
+// child is the handles a spawned or claimed process starts with.
+type child struct {
+	p             Proc
+	world, parent Comm
+}
+
+// startChildrenLocked knits the processes sts into a communicator of their
+// own (their MPI_COMM_WORLD) and an intercommunicator with parentGroup, sets
+// their clocks to start and launches them (startProcLocked). Every child's
+// handles come from one block, and the parent side's from one array, which
+// it returns by rank. Caller holds World.state (write).
+func (w *World) startChildrenLocked(parentGroup []int, sts []*procState, start float64) []Comm {
+	n := len(sts)
+	childRanks := make([]int, n)
+	for i, st := range sts {
+		childRanks[i] = st.wrank
+	}
 	childWorld := w.newCommLocked(childRanks, nil)
 	inter := w.newCommLocked(parentGroup, childRanks)
 	inter.repairFor = n
-	for i, st := range children {
-		p := &Proc{
-			st:     st,
-			world:  &Comm{sh: childWorld, rank: i},
-			parent: &Comm{sh: inter, side: 1, rank: i},
-		}
-		p.world.p = p
-		p.parent.p = p
-		w.startProcLocked(p)
+	kids := make([]child, n)
+	for i, st := range sts {
+		k := &kids[i]
+		st.clock.Set(start)
+		k.p = Proc{st: st, world: &k.world, parent: &k.parent}
+		k.world = Comm{sh: childWorld, p: &k.p, rank: i}
+		k.parent = Comm{sh: inter, p: &k.p, side: 1, rank: i}
+		w.startProcLocked(&k.p)
 	}
-	return inter, nil
+	return newHandles(inter)
 }
 
 // mergeEntry is the lazily interned result of one IntercommMerge instance.
 type mergeEntry struct {
-	sh *commShared
-	// aFirst records that side 0's group precedes side 1's in sh.
+	// handles are the merged communicator's handles, by merged rank.
+	handles []Comm
+	// aFirst records that side 0's group precedes side 1's in the merge.
 	aFirst bool
 	// highOfSide records, per intercommunicator side, the high flag seen so
-	// far (nil = no member of that side has arrived yet). Valid usage has
-	// the two sides pass opposite flags.
-	highOfSide [2]*bool
+	// far. Valid usage has the two sides pass opposite flags.
+	highOfSide [2]mergeFlag
 	// arrived counts the members that have merged; the last one deletes the
 	// entry. An instance a death left short keeps its entry, so what stays
 	// behind is bounded by the deaths.
 	arrived int
+}
+
+// mergeFlag is the high flag one side of a merge passed, or flagUnseen
+// before any member of that side has arrived.
+type mergeFlag uint8
+
+const (
+	flagUnseen mergeFlag = iota
+	flagLow
+	flagHigh
+)
+
+func toMergeFlag(high bool) mergeFlag {
+	if high {
+		return flagHigh
+	}
+	return flagLow
 }
 
 // IntercommMerge merges the two groups of an intercommunicator into one
@@ -179,23 +219,23 @@ func (c *Comm) IntercommMerge(high bool) (*Comm, error) {
 		merged := make([]int, 0, len(low)+len(highG))
 		merged = append(merged, low...)
 		merged = append(merged, highG...)
-		e = &mergeEntry{sh: w.newCommLocked(merged, nil), aFirst: aFirst}
+		e = &mergeEntry{handles: newHandles(w.newCommLocked(merged, nil)), aFirst: aFirst}
 		w.mergeTable[key] = e
 	}
 	var err error
-	if prev := e.highOfSide[c.side]; prev != nil && *prev != high {
+	flag := toMergeFlag(high)
+	if prev := e.highOfSide[c.side]; prev != flagUnseen && prev != flag {
 		err = fmt.Errorf("mpi: IntercommMerge: inconsistent high flags within a group: %w", ErrComm)
 	}
-	if other := e.highOfSide[1-c.side]; err == nil && other != nil && *other == high {
+	if other := e.highOfSide[1-c.side]; err == nil && other == flag {
 		err = fmt.Errorf("mpi: IntercommMerge: both groups passed high=%v: %w", high, ErrComm)
 	}
-	h := high
-	e.highOfSide[c.side] = &h
-	sh := e.sh
+	e.highOfSide[c.side] = flag
 	rank := c.rank // in the merged order: my group's offset plus my rank in it
 	if (c.side == 0) != e.aFirst {
 		rank += len(c.remoteGroup())
 	}
+	h := &e.handles[rank]
 	if e.arrived++; e.arrived == len(c.sh.a)+len(c.sh.b) {
 		delete(w.mergeTable, key)
 	}
@@ -206,5 +246,5 @@ func (c *Comm) IntercommMerge(high bool) (*Comm, error) {
 		return nil, c.fire(err)
 	}
 	opEnd(c, "merge", t0)
-	return &Comm{sh: sh, p: c.p, rank: rank}, nil
+	return c.adopt(h), nil
 }

@@ -175,13 +175,27 @@ type matchSlot struct {
 // no runtime map call and hashes three integers inline instead of a 24-byte
 // key. It indexes the mailbox; an envelope's own link field chains a queue,
 // so the table only hands out slots. Slot pointers and indexes are valid until
-// the next slot or del call. It starts at four slots and doubles at
+// the next slot or del call. It starts at firstSlots slots and doubles at
 // three-quarters load — a rank's live signatures are its two or three
 // neighbours and the collective in flight, and every byte here is paid per
 // rank. Guarded by the owning procState.mu.
 type matchTable struct {
-	slots []matchSlot // power-of-two length; nil until the first slot call
+	slots []matchSlot // power-of-two length; nil until the first slot call or giveFirstSlots
 	n     int         // occupied slots
+}
+
+// firstSlots is the size of a new matchTable.
+const firstSlots = 4
+
+// giveFirstSlots hands each of a block of new processes its first match
+// slots, all cut from one array: one allocation per block, not one per
+// rank at its first receive. Each table is capped at its own end, so growth
+// moves it to an array of its own.
+func giveFirstSlots(sts []procState) {
+	slots := make([]matchSlot, firstSlots*len(sts))
+	for i := range sts {
+		sts[i].mb.q.slots = slots[i*firstSlots : (i+1)*firstSlots : (i+1)*firstSlots]
+	}
 }
 
 // sigHash mixes a signature into a table index source.
@@ -215,7 +229,7 @@ func (t *matchTable) find(comm, src, tag int) int {
 // table call.
 func (t *matchTable) slot(comm, src, tag int) *matchSlot {
 	if t.slots == nil {
-		t.slots = make([]matchSlot, 4)
+		t.slots = make([]matchSlot, firstSlots)
 	}
 	for {
 		mask := len(t.slots) - 1

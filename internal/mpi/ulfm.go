@@ -66,36 +66,42 @@ func (c *Comm) Shrink() (*Comm, error) {
 	if c.IsInter() {
 		return nil, c.fire(fmt.Errorf("mpi: Shrink on intercommunicator: %w", ErrComm))
 	}
-	res, err := runRendezvous(c, OpShrink, ignoreDeath, true, nil, shrinkBuild(c))
+	return c.shrinkHandle(runRendezvous(c, OpShrink, ignoreDeath, true, rvzInput{}, shrinkBuild(c)))
+}
+
+// shrinkHandle completes a Shrink from its rendezvous outcome: the
+// caller's handle, or the error, fired.
+func (c *Comm) shrinkHandle(res any, err error) (*Comm, error) {
 	if err != nil {
 		return nil, c.fire(err)
 	}
-	return c.adopt(res.([]commRank)[c.rank]), nil
+	return c.adopt(&res.([]Comm)[c.rank]), nil
 }
 
 // shrinkBuild is Shrink's shared-result builder: the survivors of the old
 // group in their original relative order, costed by the beta-ULFM shrink
 // model. Shared by the blocking Shrink and FiberShrink so both paths meet in
-// the same rendezvous instance.
+// the same rendezvous instance. The result is the new communicator's
+// handles by member position.
 func shrinkBuild(c *Comm) buildFunc {
 	return func(w *World, r *rendezvous) (any, float64) {
-		out := make([]commRank, len(r.members))
+		hs := make([]Comm, len(r.members))
 		alive := make([]int, 0, len(r.members)-r.dead)
 		for pos, wr := range r.members {
 			// MPI_UNDEFINED for a dead member: only one an abort failed
-			// while it waited here reads its slot, and it unwinds at its
+			// while it waited here takes its handle, and it unwinds at its
 			// next operation.
-			out[pos].rank = -1
+			hs[pos].rank = -1
 			if w.alive(wr) {
-				out[pos].rank = len(alive)
+				hs[pos].rank = len(alive)
 				alive = append(alive, wr)
 			}
 		}
 		sh := w.newCommLocked(alive, nil)
-		for pos := range out {
-			out[pos].sh = sh
+		for pos := range hs {
+			hs[pos].sh = sh
 		}
-		return out, w.machine.ULFM.ShrinkCost(len(r.members), r.dead)
+		return hs, w.machine.ULFM.ShrinkCost(len(r.members), r.dead)
 	}
 }
 
@@ -106,7 +112,7 @@ func shrinkBuild(c *Comm) buildFunc {
 // child sides). If any member of the communicator has failed, the agreed
 // flag is still returned together with MPI_ERR_PROC_FAILED.
 func (c *Comm) Agree(flag int) (int, error) {
-	res, err := runRendezvous(c, OpAgree, reportDeath, true, flag, agreeBuild(c))
+	res, err := runRendezvous(c, OpAgree, reportDeath, true, rvzInput{a: flag}, agreeBuild(c))
 	if res == nil {
 		return 0, c.fire(err)
 	}
@@ -122,7 +128,7 @@ func agreeBuild(c *Comm) buildFunc {
 		agreed := -1 // all bits set
 		for pos := range r.slots {
 			if s := &r.slots[pos]; s.here && w.alive(r.members[pos]) {
-				agreed &= s.input.(int)
+				agreed &= s.a
 			}
 		}
 		nfailed := r.dead

@@ -26,8 +26,11 @@ func TestKillMarksFailed(t *testing.T) {
 	}
 }
 
+// TestRecvFromDeadReturnsProcFailed also pins that the observers of one
+// death on one communicator share its error value.
 func TestRecvFromDeadReturnsProcFailed(t *testing.T) {
-	runWorld(t, 2, func(p *Proc) {
+	var errs [3]*FailedError
+	runWorld(t, 3, func(p *Proc) {
 		c := p.World()
 		if c.Rank() == 1 {
 			p.Kill()
@@ -37,10 +40,17 @@ func TestRecvFromDeadReturnsProcFailed(t *testing.T) {
 			t.Errorf("Recv from dead rank: %v", err)
 		}
 		var fe *FailedError
-		if !errors.As(err, &fe) || fe.Rank != 1 {
+		if !errors.As(err, &fe) || fe.Rank != 1 || fe.WorldRank != 1 {
 			t.Errorf("failed rank not identified: %v", err)
 		}
+		if want := "mpi: process failed: rank 1 (world 1) (MPI_ERR_PROC_FAILED)"; err.Error() != want {
+			t.Errorf("error text %q, want %q", err.Error(), want)
+		}
+		errs[c.Rank()] = fe
 	})
+	if errs[0] == nil || errs[0] != errs[2] {
+		t.Errorf("observers of one death got different errors: %p and %p", errs[0], errs[2])
+	}
 }
 
 // TestRecvBlockedWokenByFailure covers the critical wake-up path: a receiver

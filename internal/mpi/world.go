@@ -550,6 +550,7 @@ func Run(o Options) (*Report, error) {
 	// Block-allocate the initial process table, Proc and Comm handles: the
 	// whole setup is a handful of allocations regardless of NProcs.
 	sts := make([]procState, o.NProcs)
+	giveFirstSlots(sts)
 	procs := make([]*procState, o.NProcs)
 	worldRanks := make([]int, o.NProcs)
 	for r := 0; r < o.NProcs; r++ {
@@ -573,6 +574,7 @@ func Run(o Options) (*Report, error) {
 		// of no communicator and running no code until ClaimSpares launches
 		// them on whichever execution path the world runs.
 		spares := make([]procState, o.SpareRanks)
+		giveFirstSlots(spares)
 		for i := 0; i < o.SpareRanks; i++ {
 			host := 0
 			if len(o.SpareHosts) > 0 {
@@ -598,12 +600,11 @@ func Run(o Options) (*Report, error) {
 	worldComm := w.newCommLocked(worldRanks, nil) // id 0; nothing runs yet
 
 	hands := make([]Proc, o.NProcs)
-	comms := make([]Comm, o.NProcs)
-	for r := 0; r < o.NProcs; r++ {
+	comms := newHandles(worldComm)
+	for r := range hands {
 		p := &hands[r]
-		c := &comms[r]
-		c.sh, c.rank, c.p = worldComm, r, p
-		p.st, p.world = procs[r], c
+		p.st, p.world = procs[r], &comms[r]
+		comms[r].p = p
 	}
 
 	if o.Introspect != nil {

@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -53,12 +54,23 @@ func survivorRun(t *testing.T, n int, victims [2]int, record func(world *mpi.Com
 // repair allocates, world construction and the replacements included. The
 // values every survivor derives identically — Fig. 6's failed list, the
 // placement, the acknowledged failures, the reported union — are built
-// once per world, so what is left per survivor is its own handles,
-// messages and goroutine: 10.4 objects in the median of 20 runs, 12.3 at
-// most under -race (22.3–23.7 when each survivor built its own copy of
-// each).
+// once per world, and so are the handles on each communicator the repair
+// creates, so what is left per survivor is its goroutine and what the Go
+// runtime allocates when it parks. The collector is off from the warm-up
+// on: a collection inside the run empties the runtime's sudog cache and
+// the pools, which costs about one object per survivor whenever it falls
+// there. 2.38 objects in the median of 20 runs, 3.36 under -race, whose
+// pools drop a quarter of what they are given; the bounds are each
+// median + 35 %. It was 10.4 when each survivor allocated its own handles
+// and errors, and 22.3–23.7 when each also built its own copy of each
+// agreed value.
 func TestRepairAllocsPerSurvivor(t *testing.T) {
 	const n = 1024
+	bound := 3.2
+	if raceEnabled {
+		bound = 4.5
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	survivorRun(t, n, [2]int{300, 701}, nil) // warm the runtime's pools
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -66,8 +78,8 @@ func TestRepairAllocsPerSurvivor(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perSurvivor := float64(after.Mallocs-before.Mallocs) / (n - 2)
 	t.Logf("%.2f objects per survivor", perSurvivor)
-	if perSurvivor > 14 {
-		t.Errorf("%.2f objects allocated per survivor, want <= 14", perSurvivor)
+	if perSurvivor > bound {
+		t.Errorf("%.2f objects allocated per survivor, want <= %v", perSurvivor, bound)
 	}
 }
 
