@@ -28,7 +28,7 @@ type Backend interface {
 	Get(name string) ([]byte, error)
 	// Peek returns up to n leading bytes of the blob and its total size,
 	// without reading the whole blob — the cheap header validation used
-	// by Store.CandidateSteps.
+	// by Store.AppendCandidateSteps.
 	Peek(name string, n int) ([]byte, int64, error)
 	// Delete removes the blob (no error if absent).
 	Delete(name string) error
@@ -169,16 +169,25 @@ func (b *MemBackend) Get(name string) ([]byte, error) {
 
 // Peek returns up to n leading bytes and the blob size.
 func (b *MemBackend) Peek(name string, n int) ([]byte, int64, error) {
+	hdr := make([]byte, n)
+	m, size, err := b.peekInto(name, hdr)
+	if err != nil {
+		return nil, 0, err
+	}
+	return hdr[:m], size, nil
+}
+
+// peekInto is Peek into the caller's buffer: it copies up to len(dst)
+// leading bytes of the blob into dst and returns how many, with the blob
+// size. The Store's header checks use it to allocate nothing.
+func (b *MemBackend) peekInto(name string, dst []byte) (int, int64, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	blob, ok := b.blobs[name]
 	if !ok {
-		return nil, 0, fmt.Errorf("checkpoint: peek: %w", os.ErrNotExist)
+		return 0, 0, fmt.Errorf("checkpoint: peek: %w", os.ErrNotExist)
 	}
-	if n > len(blob) {
-		n = len(blob)
-	}
-	return append([]byte(nil), blob[:n]...), int64(len(blob)), nil
+	return copy(dst, blob), int64(len(blob)), nil
 }
 
 // Delete removes the blob (no error if absent) and recycles its buffer.

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -107,11 +108,11 @@ func decode(raw []byte) (step int, data []float64, err error) {
 	return step, data, nil
 }
 
-// validHeader checks the cheap invariants CandidateSteps relies on: intact
-// magic and version in the first headerSize bytes, and a total blob size
-// consistent with the declared value count. It cannot vouch for the CRC —
-// that is Read's job — but it rejects truncated and foreign files without
-// reading the payload.
+// validHeader checks the cheap invariants AppendCandidateSteps relies on:
+// intact magic and version in the first headerSize bytes, and a total blob
+// size consistent with the declared value count. It cannot vouch for the
+// CRC — that is Read's job — but it rejects truncated and foreign files
+// without reading the payload.
 func validHeader(hdr []byte, size int64) bool {
 	if len(hdr) < headerSize {
 		return false
@@ -173,7 +174,7 @@ type Options struct {
 	Generations int
 	// Metrics receives the store-side instruments: the
 	// checkpoint.write.errors counter and the header-peek fallbacks of
-	// CandidateSteps. May be nil.
+	// AppendCandidateSteps. May be nil.
 	Metrics *metrics.Registry
 }
 
@@ -294,38 +295,55 @@ func (s *Store) Generations() int {
 	return s.keep
 }
 
-// CandidateSteps returns the steps of the generations whose headers peek
-// valid for (gridID, rank), newest generation first. Like a stat, the
-// header peek models filesystem metadata access and charges no virtual
-// time; full CRC validation happens in ReadAt. Generations whose headers
-// are damaged are counted on the fallback counter — they exist but cannot
-// serve recovery.
+// AppendCandidateSteps appends to dst the steps of the generations whose
+// headers peek valid for (gridID, rank), newest generation first, and
+// returns the extended slice. Like a stat, the header peek models
+// filesystem metadata access and charges no virtual time; full CRC
+// validation happens in ReadAt. Generations whose headers are damaged are
+// counted on the fallback counter — they exist but cannot serve recovery.
 //
 // The restart path uses this to negotiate a common restore step across a
 // grid's process group: every member must recompute from the same step, so
 // recovery intersects the members' candidate lists rather than letting each
-// rank independently pick its newest readable generation.
-func (s *Store) CandidateSteps(gridID, rank int) []int {
-	key := genKey{gridID, rank}
-	s.mu.Lock()
-	list := append([]string(nil), s.gens[key]...)
-	s.mu.Unlock()
-
-	var steps []int
-	seen := map[int]bool{}
+// rank independently pick its newest readable generation. Every rank of a
+// restarting grid calls it, so it allocates nothing beyond dst's growth on
+// the in-memory backend.
+func (s *Store) AppendCandidateSteps(dst []int, gridID, rank int) []int {
+	var names [4]string // room for the usual generation counts
+	list := s.generations(gridID, rank, names[:0])
+	start := len(dst)
+	var hdr [headerSize]byte
 	for i := len(list) - 1; i >= 0; i-- {
-		hdr, size, err := s.backend.Peek(list[i], headerSize)
-		if err != nil || !validHeader(hdr, size) {
+		h, size, err := s.peekHeader(list[i], &hdr)
+		if err != nil || !validHeader(h, size) {
 			s.metrics.Counter("checkpoint.generations.fallback").Inc()
 			continue
 		}
-		step := int(binary.LittleEndian.Uint64(hdr[8:16]))
-		if !seen[step] {
-			seen[step] = true
-			steps = append(steps, step)
+		// Only a few generations: a scan beats a set.
+		if step := int(binary.LittleEndian.Uint64(h[8:16])); !slices.Contains(dst[start:], step) {
+			dst = append(dst, step)
 		}
 	}
-	return steps
+	return dst
+}
+
+// generations appends the blob names of (gridID, rank)'s generations,
+// oldest first, to dst: a snapshot the caller reads without the lock.
+func (s *Store) generations(gridID, rank int, dst []string) []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append(dst, s.gens[genKey{gridID, rank}]...)
+}
+
+// peekHeader reads the header of blob name: into hdr on the in-memory
+// backend, so the check allocates nothing; as the backend's own copy
+// otherwise.
+func (s *Store) peekHeader(name string, hdr *[headerSize]byte) ([]byte, int64, error) {
+	if m, ok := s.backend.(*MemBackend); ok {
+		n, size, err := m.peekInto(name, hdr[:])
+		return hdr[:n], size, err
+	}
+	return s.backend.Peek(name, headerSize)
 }
 
 // ReadAt loads and fully validates the checkpoint holding the given step
@@ -335,14 +353,12 @@ func (s *Store) CandidateSteps(gridID, rank int) []int {
 // format, or a header that lied about its step) counts a fallback and the
 // next older match is tried.
 func (s *Store) ReadAt(p *mpi.Proc, gridID, rank, step int) ([]float64, error) {
-	key := genKey{gridID, rank}
-	s.mu.Lock()
-	list := append([]string(nil), s.gens[key]...)
-	s.mu.Unlock()
-
+	var names [4]string
+	list := s.generations(gridID, rank, names[:0])
+	var buf [headerSize]byte
 	for i := len(list) - 1; i >= 0; i-- {
 		name := list[i]
-		hdr, size, err := s.backend.Peek(name, headerSize)
+		hdr, size, err := s.peekHeader(name, &buf)
 		if err != nil || !validHeader(hdr, size) ||
 			int(binary.LittleEndian.Uint64(hdr[8:16])) != step {
 			continue

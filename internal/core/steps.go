@@ -436,7 +436,7 @@ func (r *rankState) crBegin() bool {
 	if r.mc.holed(r.mine) {
 		return false
 	}
-	r.crCand = r.rs.store.CandidateSteps(r.mine.ID, r.gcomm.Rank())
+	r.crCand = r.rs.store.AppendCandidateSteps(r.crCand[:0], r.mine.ID, r.gcomm.Rank())
 	return true
 }
 

@@ -296,22 +296,18 @@ func (c *Comm) recvOp(src int) blockedOp {
 	return recvOp(c.sh.id, pw)
 }
 
-// parkCount is the count a goroutine asleep in a receive from rank src of
-// this communicator is held on (see procState.park): World.parkedRevoked on
-// a revoked communicator, whatever the source — a death or a quiesce
-// anywhere in the group may resolve it; otherwise the source's own namedBy,
-// so a failure-free park touches no count that all ranks share. An invalid
-// rank never parks: recvVerdict answers it with ErrComm first.
-func (c *Comm) parkCount(src int) *atomic.Int32 {
-	w := c.p.st.w
+// parkCount is the count a goroutine asleep in a receive on this
+// communicator from process source is held on (see procState.park):
+// World.parkedRevoked on a revoked communicator, whatever the source — a
+// death or a quiesce anywhere in the group may resolve it; otherwise the
+// source's own namedBy, so a failure-free park touches no count that all
+// ranks share. A receive naming an invalid rank never parks: recvVerdict
+// answers it with ErrComm first.
+func (c *Comm) parkCount(source *procState) *atomic.Int32 {
 	if c.sh.revoked.Load() {
-		return &w.parkedRevoked
+		return &c.p.st.w.parkedRevoked
 	}
-	pw, err := c.peerWorld(src)
-	if err != nil {
-		panic(err) // unreachable: see above
-	}
-	return &w.proc(pw).namedBy
+	return &source.namedBy
 }
 
 // peerWorld resolves a peer rank for point-to-point traffic: the remote

@@ -150,8 +150,8 @@ type timedExit struct {
 // install sets parkHook for the calling test.
 func (x *timedExit) install(t *testing.T) {
 	x.receiver.Store(-1)
-	parkHook = func(st *procState) {
-		if !receiving(st) || !x.receiver.CompareAndSwap(int64(st.wrank), -1) {
+	parkHook = func(st *procState, counted bool) {
+		if counted || !receiving(st) || !x.receiver.CompareAndSwap(int64(st.wrank), -1) {
 			return
 		}
 		w := st.w

@@ -57,14 +57,32 @@ type RankSnapshot struct {
 	DirectRecvs uint64 `json:"direct_recvs,omitempty"`
 }
 
+// WakeSnapshot is the wake work one kind of control-plane event (abort,
+// quiesce, departure, rendezvous) has done so far: events that found no
+// sleeper they could concern and skipped it (World.mayWake), walks over a
+// communicator's members or every process, reads of an aborter's namer
+// list, the blocked-op descriptors those examined and the processes they
+// woke. Examined per event is what a wake costs. The counts depend on
+// scheduling and are excluded from every determinism fingerprint.
+type WakeSnapshot struct {
+	Event    string `json:"event"`
+	Skipped  uint64 `json:"skipped"`
+	Walks    uint64 `json:"walks"`
+	Lists    uint64 `json:"lists"`
+	Examined uint64 `json:"examined"`
+	Woken    uint64 `json:"woken"`
+}
+
 // WorldSnapshot is a point-in-time view of one World: the failure record,
-// unresolved rendezvous and every process's blocked state. It reads only
-// epoch-safe state (the process table, liveness flags, mailbox queues under
-// each process's mutex), so taking one never perturbs virtual time.
+// unresolved rendezvous, the control plane's wake work and every process's
+// blocked state. It reads only epoch-safe state (the process table,
+// liveness flags, mailbox queues under each process's mutex, atomic
+// counters), so taking one never perturbs virtual time.
 type WorldSnapshot struct {
 	Failed  []int                `json:"failed"`
 	Spawned int                  `json:"spawned"`
 	Pending []RendezvousSnapshot `json:"pending_rendezvous,omitempty"`
+	Wakes   []WakeSnapshot       `json:"wakes"`
 	Ranks   []RankSnapshot       `json:"ranks"`
 	// RanksParked and GoroutinesPeak mirror the mpi.ranks.parked and
 	// mpi.goroutines.peak gauges for event-driven worlds (both 0 on the
@@ -102,6 +120,12 @@ func (w *World) Snapshot() WorldSnapshot {
 		return a.Seq < c.Seq
 	})
 
+	for ev := range w.wakes {
+		c := &w.wakes[ev]
+		out.Wakes = append(out.Wakes, WakeSnapshot{Event: wakeEventNames[ev],
+			Skipped: c.skipped.Load(), Walks: c.walks.Load(), Lists: c.lists.Load(),
+			Examined: c.examined.Load(), Woken: c.woken.Load()})
+	}
 	out.RanksParked = int(w.parkedNow.Load())
 	out.GoroutinesPeak = int(w.goroPeak.Load())
 	for _, st := range w.snapshot() {

@@ -297,7 +297,12 @@ func recvMatch(c *Comm, src, tag int, internal bool, into intoBuf) (*envelope, S
 		return nil, Status{}, ErrRevoked
 	}
 	published := false
+	var source *procState // resolved once the receive has published
+	listed := false       // on source's namer list
 	defer func() {
+		if listed {
+			st.leaveNamers(source)
+		}
 		if published {
 			st.unblock()
 		}
@@ -310,7 +315,8 @@ func recvMatch(c *Comm, src, tag int, internal bool, into intoBuf) (*envelope, S
 	for {
 		st.mu.Lock()
 		env := st.mb.take(c.sh.id, src, tag)
-		if env == nil && !published {
+		first := env == nil && !published
+		if first {
 			// The receive may park: publish what it waits for, before the
 			// epoch read and the checks below, so control-plane events can
 			// tell whether it concerns them (see blockedOp). A message that
@@ -322,6 +328,19 @@ func recvMatch(c *Comm, src, tag int, internal bool, into intoBuf) (*envelope, S
 		st.mu.Unlock()
 		if env != nil {
 			return matched(env)
+		}
+		if first {
+			// ... and, in a collective, join the source's namer list before
+			// the verdict: only a collective's own receive consults the
+			// source's aborts (joinNamers). An invalid rank has no process:
+			// its verdict is ErrComm.
+			if pw, err := c.peerWorld(src); err == nil {
+				source = w.proc(pw)
+				if internal {
+					st.joinNamers(source)
+					listed = true
+				}
+			}
 		}
 
 		if v := recvVerdict(c, src, tag, internal); v.err != nil {
@@ -374,7 +393,7 @@ func recvMatch(c *Comm, src, tag int, internal bool, into intoBuf) (*envelope, S
 				st.intoSet.Store(true)
 			}
 			st.parks++ // taken back below if park returns without sleeping
-			if st.park(e, g, c.parkCount(src)) {
+			if st.park(e, g, c.parkCount(source)) {
 				woke = true
 			} else {
 				st.parks--
@@ -635,9 +654,14 @@ func abortCollective(c *Comm, tag int, cause error) {
 		}
 	}
 	c.sh.hasAborts.Store(true)
-	// Only a receive naming the aborter consults its abort record.
-	if w.mayWake(st, false) {
-		w.wakeWaiters(c.sh.members, opRecv, c.sh.id, st.wrank)
+	// Only a receive naming the aborter consults its abort record; on the
+	// goroutine path each such receive is on the aborter's namer list.
+	if w.mayWake(evAbort, st) {
+		if w.eventEntry != nil {
+			w.wakeWaiters(evAbort, c.sh.members, c.sh.id, st.wrank)
+		} else {
+			w.wakeNamers(st, c.sh.id)
+		}
 	}
 	w.state.Unlock()
 }

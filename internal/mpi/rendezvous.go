@@ -228,7 +228,7 @@ func rvzPoll(c *Comm, r *rendezvous, mode rvzMode, build buildFunc) bool {
 	}
 	r.done.Store(true)
 	delete(w.rvzTable, r.key)
-	w.wakeWaiters(r.members, opRvz, r.key.comm, everySource)
+	w.wakeWaiters(evRendezvous, r.members, r.key.comm, everySource)
 	return true
 }
 

@@ -52,8 +52,8 @@ func (c *Comm) quiesceLocked(first bool) {
 		c.sh.quiesced = make(map[int]bool)
 	}
 	c.sh.quiesced[st.wrank] = true
-	if first || w.mayWake(st, false) {
-		w.wakeWaiters(c.sh.members, opRecv, c.sh.id, everySource)
+	if first || w.mayWake(evQuiesce, st) {
+		w.wakeWaiters(evQuiesce, c.sh.members, c.sh.id, everySource)
 	}
 }
 

@@ -100,8 +100,9 @@ func equalEpochs(a, b []uint64) bool {
 	return true
 }
 
-// stallDump renders the per-rank blocked-operation and mailbox state plus
-// every unresolved rendezvous — the evidence needed to diagnose a deadlock.
+// stallDump renders the per-rank blocked-operation and mailbox state, every
+// unresolved rendezvous and the wake work of each control-plane event kind —
+// the evidence needed to diagnose a deadlock.
 // The state itself comes from World.Snapshot (introspect.go), which the
 // /debug/ranks endpoint also serves; this is just its text rendering.
 func (w *World) stallDump(timeout time.Duration) string {
@@ -112,6 +113,10 @@ func (w *World) stallDump(timeout time.Duration) string {
 	for _, r := range snap.Pending {
 		fmt.Fprintf(&b, "rendezvous comm=%d op=%s seq=%d: %d/%d arrived\n",
 			r.Comm, r.Op, r.Seq, r.Arrived, r.Members)
+	}
+	for _, x := range snap.Wakes {
+		fmt.Fprintf(&b, "wakes %s: skipped=%d walks=%d lists=%d examined=%d woken=%d\n",
+			x.Event, x.Skipped, x.Walks, x.Lists, x.Examined, x.Woken)
 	}
 	for _, rs := range snap.Ranks {
 		sigs := make([]string, 0, len(rs.Queues))

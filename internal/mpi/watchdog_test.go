@@ -31,7 +31,7 @@ func TestWatchdogDetectsDeadlock(t *testing.T) {
 	if !errors.As(err, &stall) {
 		t.Fatalf("Run returned %v, want a *StallError", err)
 	}
-	for _, want := range []string{"no transport progress", "recv comm=0", "tag=7"} {
+	for _, want := range []string{"no transport progress", "recv comm=0", "tag=7", "wakes abort: "} {
 		if !strings.Contains(stall.Dump, want) {
 			t.Errorf("dump missing %q:\n%s", want, stall.Dump)
 		}

@@ -25,8 +25,10 @@
 //     by cold control-plane events (death, revoke, collective abort,
 //     rendezvous, spawn).
 //   - procState.mu, one per process, guards that process's mailbox, wakeup
-//     epoch and blocked-receive descriptor. A send takes only the
-//     destination's mu; a receive only the caller's own.
+//     epoch, blocked-receive descriptor and namer list. A send takes only
+//     the destination's mu; a receive the caller's own and — a collective's,
+//     once it may park — the source's, holding no other lock, to join and
+//     leave the source's namer list.
 //   - World.procs is an atomic copy-on-write snapshot, read lock-free;
 //     procState.alive is atomic; procState.clock and slab are owner-only.
 //
@@ -55,7 +57,10 @@
 // walk when no sleeping process can be concerned: a goroutine-path process
 // is counted while asleep (procState.park), a named receive on its source
 // and every other wait on a World counter, and a world event generation
-// pairs the counts with the events (see World.mayWake).
+// pairs the counts with the events (see World.mayWake). A collective abort
+// that cannot skip does not walk either: every goroutine-path receive of a
+// collective is linked, for its duration, on the namer list of the process
+// it names, and the abort wakes from the aborter's list (World.wakeNamers).
 //
 // A message arrival is narrower still: it always bumps the destination's
 // epoch, but signals only a process it can unblock — one parked in a
@@ -141,6 +146,13 @@ type procState struct {
 	// retracted under mu; see recvMatch for who may write it and when.
 	into intoBuf
 	got  directMsg
+	// namers heads the list of goroutine-path collective receives that name
+	// this process, linked through their nextNamer: a receive joins the list
+	// of its source before its verdict check and leaves it when it returns
+	// (joinNamers), so an abort wakes its receivers without walking the
+	// communicator. Both fields are guarded by the mu of the named process,
+	// which is not the owner's mu for nextNamer.
+	namers, nextNamer *procState
 	// Wake-up accounting of the blocking receive loop, bumped only where mu
 	// is already held: parks taken, parks whose wake resolved nothing (the
 	// loop parked again), and messages delivered straight into a published
@@ -182,11 +194,13 @@ func (st *procState) epochNow() uint64 {
 	return e
 }
 
-// parkHook, when set, runs in park after its epoch check and before the
-// park is counted, with st.mu held: the point where the owner has finished
-// its wake checks but no event can see it asleep yet. Tests set it (before
-// Run) to land an event exactly there; it is nil otherwise.
-var parkHook func(st *procState)
+// parkHook, when set, runs twice in park with st.mu held: after its epoch
+// check and before the park is counted (counted false: the owner has
+// finished its wake checks but no event can see it asleep yet), and after
+// the generation re-read (counted true: only a wake that reaches the owner
+// through its published wait can end the park). Tests set it (before Run)
+// to land an event exactly there; it is nil otherwise.
+var parkHook func(st *procState, counted bool)
 
 // park is the one place a goroutine-path process sleeps in an operation: on
 // its condvar, until an event moves its epoch past e, counted on n while
@@ -207,12 +221,19 @@ func (st *procState) park(e, g uint64, n *atomic.Int32) bool {
 		return false
 	}
 	if parkHook != nil {
-		parkHook(st)
+		parkHook(st, false)
 	}
 	n.Add(1)
 	if st.w.evGen.Load() != g {
 		n.Add(-1)
 		return false
+	}
+	if parkHook != nil {
+		parkHook(st, true)
+		if st.epoch != e { // the hook released mu: a wake may have landed
+			n.Add(-1)
+			return false
+		}
 	}
 	st.cond.Wait()
 	n.Add(-1)
@@ -273,6 +294,31 @@ func (o blockedOp) src() int { return int(o >> (opKindBits + opIDBits) & opIDMas
 // once the operation has returned.
 func (st *procState) block(op blockedOp) { st.blocked.Store(uint64(op)) }
 func (st *procState) unblock()           { st.blocked.Store(uint64(opNone)) }
+
+// joinNamers links the owner's receive on the namer list of src, the process
+// it names; leaveNamers unlinks it. A receive joins before its verdict check
+// reads the abort records, so an abort, which reads the list after it has
+// made its record, either finds the receive listed or is seen by the
+// verdict. Neither may run under the owner's mu: two ranks that name each
+// other would take the two locks in opposite orders.
+func (st *procState) joinNamers(src *procState) {
+	src.mu.Lock()
+	st.nextNamer = src.namers
+	src.namers = st
+	src.mu.Unlock()
+}
+
+func (st *procState) leaveNamers(src *procState) {
+	src.mu.Lock()
+	for p := &src.namers; *p != nil; p = &(*p).nextNamer {
+		if *p == st {
+			*p = st.nextNamer
+			break
+		}
+	}
+	st.nextNamer = nil
+	src.mu.Unlock()
+}
 
 // World owns all simulated processes of one MPI job, including processes
 // created later by SpawnMultiple. See the package comment for the lock
@@ -338,6 +384,9 @@ type World struct {
 	// parked, and a rendezvous.
 	evGen                    atomic.Uint64
 	parkedRevoked, parkedRvz atomic.Int32
+	// wakes is the wake work of each kind of control-plane event. It
+	// depends on scheduling, so Snapshot reports it and nothing else does.
+	wakes [numWakeEvents]wakeStats
 
 	failed  []int // world ranks, in failure order
 	spawned int
@@ -364,23 +413,60 @@ func (w *World) alive(r int) bool {
 	return r >= 0 && r < len(ps) && ps[r].alive.Load()
 }
 
+// wakeEvent is a kind of control-plane event that wakes the processes it
+// may concern.
+type wakeEvent int
+
+const (
+	evAbort      wakeEvent = iota // abortCollective
+	evQuiesce                     // a revocation or quiesce record (quiesceLocked)
+	evDeparture                   // a death or normal exit (wakeForDeath)
+	evRendezvous                  // a resolved rendezvous (rvzPoll)
+	numWakeEvents
+)
+
+var wakeEventNames = [numWakeEvents]string{"abort", "quiesce", "departure", "rendezvous"}
+
+// wakeStats counts one event kind's wake work: events that mayWake let skip
+// it, walks over a communicator's members (or every process), namer-list
+// reads, the blocked-op descriptors those examined and the processes woken.
+type wakeStats struct {
+	skipped, walks, lists, examined, woken atomic.Uint64
+}
+
+// note records one walk (list false) or namer-list read that examined
+// examined descriptors and woke woken processes.
+func (s *wakeStats) note(list bool, examined, woken int) {
+	if list {
+		s.lists.Add(1)
+	} else {
+		s.walks.Add(1)
+	}
+	s.examined.Add(uint64(examined))
+	s.woken.Add(uint64(woken))
+}
+
 // mayWake reports whether a control-plane event by (or the departure of)
-// process src may find a goroutine to wake in its walk. It is called after
-// the event's state change and bumps the event generation before it reads
-// the park counts (see procState.park). Every event counts the receives on a
+// process src may find a goroutine to wake. It is called after the event's
+// state change and bumps the event generation before it reads the park
+// counts (see procState.park). Every event counts the receives on a
 // communicator revoked when they parked and the receives naming src; a
-// departure (death) also counts the rendezvous waits it may complete. On
-// the event-driven path fibers park uncounted, so every event walks.
-func (w *World) mayWake(src *procState, death bool) bool {
+// departure also counts the rendezvous waits it may complete. On the
+// event-driven path fibers park uncounted, so no event skips.
+func (w *World) mayWake(ev wakeEvent, src *procState) bool {
 	if w.eventEntry != nil {
 		return true
 	}
 	w.evGen.Add(1)
 	n := w.parkedRevoked.Load() + src.namedBy.Load()
-	if death {
+	if ev == evDeparture {
 		n += w.parkedRvz.Load()
 	}
-	return n > 0
+	if n > 0 {
+		return true
+	}
+	w.wakes[ev].skipped.Add(1)
+	return false
 }
 
 // everySource is wakeWaiters' src for an event that concerns every wait of
@@ -388,24 +474,57 @@ func (w *World) mayWake(src *procState, death bool) bool {
 const everySource = -1
 
 // wakeWaiters wakes the members of communicator commID whose published wait
-// is of the given kind on it — and, for src != everySource, a receive naming
-// world rank src. The three group-wide events use it: a revocation or a
-// quiesce record wakes every receive on the communicator (any of them may
-// now resolve, through its source's quiesce or the revoked-deadlock
-// detector); a collective abort wakes just the receives awaiting the
-// aborter; a resolved rendezvous wakes the rendezvous waits.
+// the event can resolve: for a resolved rendezvous, the rendezvous waits on
+// it; otherwise the receives on it — naming world rank src unless src is
+// everySource. A revocation or a quiesce record wakes every receive on the
+// communicator (any of them may now resolve, through its source's quiesce
+// or the revoked-deadlock detector); a collective abort on the event path
+// wakes just the receives awaiting the aborter (the goroutine path reads
+// the aborter's namer list instead, World.wakeNamers).
 // Caller has made the state change the waiters must observe, and has
 // consulted mayWake where the event allows a skip.
-func (w *World) wakeWaiters(members []int, kind blockedOp, commID, src int) {
+func (w *World) wakeWaiters(ev wakeEvent, members []int, commID, src int) {
+	kind := opRecv
+	if ev == evRendezvous {
+		kind = opRvz
+	}
 	ps := w.snapshot()
+	woken := 0
 	for _, r := range members {
 		q := ps[r]
 		op := blockedOp(q.blocked.Load())
 		if k := op.kind(); k == opAny ||
 			k == kind && op.comm() == commID && (src == everySource || op.src() == src) {
 			q.wake()
+			woken++
 		}
 	}
+	w.wakes[ev].note(false, len(members), woken)
+}
+
+// wakeNamers wakes the goroutine-path receives on communicator commID that
+// name st — the receivers st's collective abort can resolve — from st's
+// namer list, in O(namers) instead of a walk over the communicator. The
+// list is copied under st.mu and the wakes made after it is released, so
+// no two process locks are held together. Caller holds state (write), has
+// recorded the abort and has consulted mayWake.
+func (w *World) wakeNamers(st *procState, commID int) {
+	var buf [16]*procState
+	list := buf[:0]
+	st.mu.Lock()
+	for q := st.namers; q != nil; q = q.nextNamer {
+		list = append(list, q)
+	}
+	st.mu.Unlock()
+	want := recvOp(commID, st.wrank)
+	woken := 0
+	for _, q := range list {
+		if op := blockedOp(q.blocked.Load()); op == want || op.kind() == opAny {
+			q.wake()
+			woken++
+		}
+	}
+	w.wakes[evAbort].note(true, len(list), woken)
 }
 
 // wakeForDeath wakes every live process whose wait the departure of st can
@@ -414,11 +533,13 @@ func (w *World) wakeWaiters(members []int, kind blockedOp, commID, src int) {
 // among the survivors). The walk is skipped when none of those is asleep.
 // Caller holds state (write).
 func (w *World) wakeForDeath(st *procState) {
-	if !w.mayWake(st, true) {
+	if !w.mayWake(evDeparture, st) {
 		return
 	}
 	dead := st.wrank
-	for _, q := range w.snapshot() {
+	ps := w.snapshot()
+	woken := 0
+	for _, q := range ps {
 		op := blockedOp(q.blocked.Load())
 		if op == opNone || !q.alive.Load() {
 			continue
@@ -429,7 +550,9 @@ func (w *World) wakeForDeath(st *procState) {
 			}
 		}
 		q.wake()
+		woken++
 	}
+	w.wakes[evDeparture].note(false, len(ps), woken)
 }
 
 // Options configures a World run.
