@@ -48,7 +48,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			s.Charge = func(cells int) { p.ComputeCells(cells, 1) }
+			s.ChargeScale = 1
 			if err := s.Run(steps); err != nil {
 				log.Fatal(err)
 			}

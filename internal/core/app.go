@@ -59,37 +59,45 @@ type runState struct {
 	// dps are the run's detection points, shared read-only by the ranks.
 	dps []int
 
+	// ranks holds the launched ranks' program states, by world rank: one
+	// block per run instead of one allocation per process (newRank).
+	ranks []rankState
+
 	mu      sync.Mutex
 	res     Result
 	schemes []schemeMemo // the run's other schemes; see memoScheme
 
-	// listMu guards the memos of values every rank derives from a
-	// world-agreed list (lostGridIDs, recoverDetail). Not mu: report calls
-	// lostGridIDs while it holds mu.
-	listMu  sync.Mutex
-	lost    []listMemo[[]int]
-	details []listMemo[string]
+	// listMu guards the memos of values every rank derives from
+	// world-agreed lists (lostGridIDs, recoverDetail, holesOf, unionOf,
+	// decodeInfo). Not mu: report calls lostGridIDs while it holds mu.
+	listMu    sync.Mutex
+	lost      []listMemo[[]int]
+	details   []listMemo[string]
+	holes     []listMemo[[]int]
+	unions    []listMemo[[]int]
+	announced []listMemo[[]int]
 }
 
-// listMemo is one value a run derived from a world-agreed list.
+// listMemo is one value a run derived from one or two world-agreed lists.
 type listMemo[V any] struct {
-	key []int
-	val V
+	key, key2 []int
+	val       V
 }
 
-// memoList returns the value build derives from the world-agreed list key,
-// building it once per distinct list per run: every rank asks with an equal
-// list, so the first caller's value is shared read-only by the rest.
-func memoList[V any](mu *sync.Mutex, memos *[]listMemo[V], key []int, build func() V) V {
+// memoList returns the value build derives from the world-agreed lists key
+// and key2 (nil where one list is the whole key), building it once per
+// distinct pair per run: every rank asks with equal lists, so the first
+// caller's value is shared read-only by the rest.
+func memoList[V any](mu *sync.Mutex, memos *[]listMemo[V], key, key2 []int, build func() V) V {
 	mu.Lock()
 	defer mu.Unlock()
 	for _, m := range *memos {
-		if slices.Equal(m.key, key) {
+		if slices.Equal(m.key, key) && slices.Equal(m.key2, key2) {
 			return m.val
 		}
 	}
 	v := build()
-	*memos = append(*memos, listMemo[V]{slices.Clone(key), v})
+	*memos = append(*memos, listMemo[V]{slices.Clone(key), slices.Clone(key2), v})
 	return v
 }
 
@@ -185,6 +193,10 @@ func Run(cfg Config) (*Result, error) {
 		conflicts = rcConflicts(rs.grids)
 	}
 	nprocs := cfg.NumProcs()
+	rs.ranks = make([]rankState, nprocs)
+	if flight {
+		cfg.Trace.Reserve(nprocs)
+	}
 
 	// Cluster layout, optionally with an explicit shape (hosts/slots/racks)
 	// and spare nodes; placement policy for replacements (same host by
@@ -353,8 +365,8 @@ func (rs *runState) rank(p *mpi.Proc) error {
 		// hear from rank 0 where they stand, then rebuild and recover
 		// alongside them.
 		tAttach := r.beginDetect()
-		mr, err := recovery.ReconstructMode(p, nil, p.Parent(), &r.st, rs.place, mode, nil)
-		if err != nil {
+		mr := &r.mr
+		if err := recovery.ReconstructModeInto(mr, p, nil, p.Parent(), &r.st, rs.place, mode, nil); err != nil {
 			return err
 		}
 		tMerged := p.Now()
@@ -385,7 +397,7 @@ func (rs *runState) rank(p *mpi.Proc) error {
 
 		// Detect; reconstruct the communicator if a process was lost.
 		tRepair := r.beginDetect()
-		mr, err := recovery.ReconstructMode(p, r.world, nil, &r.st, rs.place, mode, r.mc.origOf)
+		err := recovery.ReconstructModeInto(&r.mr, p, r.world, nil, &r.st, rs.place, mode, r.mc.origOf)
 		if err := r.detected(err, tRepair); err != nil {
 			return err
 		}
@@ -395,7 +407,7 @@ func (rs *runState) rank(p *mpi.Proc) error {
 			}
 			continue
 		}
-		announce, err := r.repaired(mr)
+		announce, err := r.repaired(&r.mr)
 		if err != nil {
 			return err
 		}
@@ -449,7 +461,7 @@ func (rs *runState) lostGridIDs(failedRanks []int) []int {
 	if rs.simLost != nil {
 		return rs.simLost
 	}
-	return memoList(&rs.listMu, &rs.lost, failedRanks, func() []int {
+	return memoList(&rs.listMu, &rs.lost, failedRanks, nil, func() []int {
 		var out []int
 		for _, r := range failedRanks {
 			g, err := gridOfRank(rs.grids, r)
@@ -466,7 +478,7 @@ func (rs *runState) lostGridIDs(failedRanks []int) []int {
 // formatted once per distinct list per run (a span detail's args are ints
 // only, so the list cannot be one).
 func (rs *runState) recoverDetail(ids []int) string {
-	return memoList(&rs.listMu, &rs.details, ids, func() string {
+	return memoList(&rs.listMu, &rs.details, ids, nil, func() string {
 		return fmt.Sprintf("%v, sub-grids %v", rs.cfg.Technique, ids)
 	})
 }

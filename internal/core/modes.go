@@ -20,20 +20,23 @@ import (
 // one: under spawn no position ever moves, nothing is holed and nothing is
 // abandoned, so the same questions get the trivial answers.
 type modeCtx struct {
-	mode   recovery.Mode
-	nprocs int // original communicator size
+	mode recovery.Mode
 	// origOf is the original rank behind each current comm position — the
 	// map recovery.ReconstructMode threads through its shrinks. Spawn keeps
 	// it nil, which that protocol too reads as the identity: a map that can
 	// never change is not worth P ints on every rank.
-	origOf    []int
-	dead      intSet // original ranks shrunk out without replacement
-	failed    intSet // original ranks that failed (replaced or not)
+	origOf []int
+	// dead and failed are ascending lists of original ranks, each a function
+	// of world-agreed lists and so the run's, shared read-only by every rank
+	// that derived it (runState.holesOf, runState.unionOf): never write to
+	// them.
+	dead      []int  // shrunk out without replacement: the complement of origOf
+	failed    []int  // failed so far, replaced or not
 	abandoned intSet // sub-grid IDs abandoned (no data, coeff redistributed)
 	fallbacks int    // substitute rounds degraded to shrink (spares exhausted)
 }
 
-// intSet is a set of ranks or grid IDs. The zero value is empty and reads as
+// intSet is a set of grid IDs. The zero value is empty and reads as
 // such, so a rank that never sees a failure never allocates one.
 type intSet map[int]bool
 
@@ -55,7 +58,7 @@ func (s intSet) sorted() []int {
 }
 
 func newModeCtx(mode recovery.Mode, nprocs int) modeCtx {
-	mc := modeCtx{mode: mode, nprocs: nprocs}
+	mc := modeCtx{mode: mode}
 	if !mc.spawn() {
 		mc.origOf = make([]int, nprocs)
 		for i := range mc.origOf {
@@ -89,15 +92,21 @@ func (mc *modeCtx) commRankOf(orig int) int {
 	return slices.Index(mc.origOf, orig)
 }
 
+// deadIn returns how many of the grid's original ranks are dead.
+func (mc *modeCtx) deadIn(g SubGrid) int {
+	lo, _ := slices.BinarySearch(mc.dead, g.FirstRank)
+	hi, _ := slices.BinarySearch(mc.dead, g.FirstRank+g.Procs)
+	return hi - lo
+}
+
 // holed reports whether the grid has at least one permanently missing
 // member.
-func (mc *modeCtx) holed(g SubGrid) bool {
-	for r := g.FirstRank; r < g.FirstRank+g.Procs; r++ {
-		if mc.dead[r] {
-			return true
-		}
-	}
-	return false
+func (mc *modeCtx) holed(g SubGrid) bool { return mc.deadIn(g) > 0 }
+
+// isDead reports whether original rank r was shrunk out.
+func (mc *modeCtx) isDead(r int) bool {
+	_, found := slices.BinarySearch(mc.dead, r)
+	return found
 }
 
 // adopt installs rank 0's announcement on a replacement, which joins mid-run
@@ -105,31 +114,48 @@ func (mc *modeCtx) holed(g SubGrid) bool {
 // current event's failed ranks, and the hole set derived as the complement
 // of the map (a hole implies a failure, so the holes fold into the failure
 // history too). The identity map has no complement.
-func (mc *modeCtx) adopt(info recoveryInfo) {
-	mc.origOf = info.origOf
-	if mc.origOf != nil {
-		present := make(map[int]bool, len(mc.origOf))
-		for _, o := range mc.origOf {
-			present[o] = true
-		}
-		for r := 0; r < mc.nprocs; r++ {
-			if !present[r] {
-				mc.dead.add(r)
-				mc.failed.add(r)
-			}
-		}
-	}
-	for _, f := range info.failed {
-		mc.failed.add(f)
-	}
+func (rs *runState) adopt(mc *modeCtx, info recoveryInfo) {
+	// The map is the rank's own from here on (applyEvent rewrites it in
+	// place); the announcement it comes from is the run's.
+	mc.origOf = slices.Clone(info.origOf)
+	mc.dead = rs.holesOf(mc.origOf)
+	mc.failed = rs.unionOf(mc.dead, info.failed)
 	for _, id := range info.abandoned {
 		mc.abandoned.add(id)
 	}
 }
 
-// failedRanks returns every original rank that has failed so far — replaced
-// or not, over every failure event — ascending.
-func (mc *modeCtx) failedRanks() []int { return mc.failed.sorted() }
+// holesOf returns the original ranks missing from the position map origOf,
+// ascending: none for the identity (nil). Built once per distinct map per
+// run and shared read-only.
+func (rs *runState) holesOf(origOf []int) []int {
+	if origOf == nil {
+		return nil
+	}
+	return memoList(&rs.listMu, &rs.holes, origOf, nil, func() []int {
+		present := make([]bool, rs.res.Procs)
+		for _, o := range origOf {
+			present[o] = true
+		}
+		var out []int
+		for r, ok := range present {
+			if !ok {
+				out = append(out, r)
+			}
+		}
+		return out
+	})
+}
+
+// unionOf returns the ascending union of the rank lists a and b, without
+// repeats. Built once per distinct pair per run and shared read-only.
+func (rs *runState) unionOf(a, b []int) []int {
+	return memoList(&rs.listMu, &rs.unions, a, b, func() []int {
+		u := slices.Concat(a, b)
+		slices.Sort(u)
+		return slices.Compact(u)
+	})
+}
 
 // abandonedList returns the abandoned grid IDs, ascending.
 func (mc *modeCtx) abandonedList() []int { return mc.abandoned.sorted() }
@@ -142,12 +168,10 @@ func (mc *modeCtx) abandonedList() []int { return mc.abandoned.sorted() }
 // identical inputs; rank 0's broadcast lets the others verify.
 func (rs *runState) applyEvent(mc *modeCtx, origOf, failedList []int) []int {
 	mc.origOf = append(mc.origOf[:0], origOf...)
-	for _, f := range failedList {
-		mc.failed.add(f)
-		if mc.commRankOf(f) < 0 {
-			mc.dead.add(f)
-		}
-	}
+	mc.failed = rs.unionOf(mc.failed, failedList)
+	// Every position a repair removes is one of its failed ranks, and none
+	// comes back: the ranks shrunk out so far are exactly the map's holes.
+	mc.dead = rs.holesOf(mc.origOf)
 	for _, id := range rs.lostGridIDs(failedList) {
 		if !mc.abandoned[id] && rs.abandonGrid(mc, rs.grids[id]) {
 			mc.abandoned.add(id)
@@ -198,17 +222,10 @@ func (rs *runState) abandonGrid(mc *modeCtx, g SubGrid) bool {
 	if rs.cfg.Technique == AlternateCombination {
 		return true
 	}
-	if !mc.holed(g) {
+	switch mc.deadIn(g) {
+	case 0:
 		return false
-	}
-	allDead := true
-	for r := g.FirstRank; r < g.FirstRank+g.Procs; r++ {
-		if !mc.dead[r] {
-			allDead = false
-			break
-		}
-	}
-	if allDead {
+	case g.Procs:
 		return true
 	}
 	switch rs.cfg.Technique {
@@ -234,7 +251,7 @@ func (rs *runState) abandonGrid(mc *modeCtx, g SubGrid) bool {
 // shrink (Split orders by original rank) — or -1 when none survives.
 func (mc *modeCtx) liveRootOf(g SubGrid) int {
 	for r := g.FirstRank; r < g.FirstRank+g.Procs; r++ {
-		if !mc.dead[r] {
+		if !mc.isDead(r) {
 			return r
 		}
 	}
@@ -349,12 +366,14 @@ func (mc *modeCtx) encodeInfo(step int, failed []int) []int {
 }
 
 // decodeInfo decodes an announcement received on a communicator of the given
-// size into private slices.
-func (mc *modeCtx) decodeInfo(size int, buf []int) (recoveryInfo, error) {
+// size. The decoded lists are slices of the run's copy of the announcement,
+// made once per distinct announcement and shared read-only by every rank
+// that received it, so they outlive buf.
+func (rs *runState) decodeInfo(mc *modeCtx, size int, buf []int) (recoveryInfo, error) {
 	if len(buf) < 1 {
 		return recoveryInfo{}, fmt.Errorf("core: empty recovery info")
 	}
-	buf = append([]int(nil), buf...)
+	buf = memoList(&rs.listMu, &rs.announced, buf, nil, func() []int { return slices.Clone(buf) })
 	info := recoveryInfo{step: buf[0]}
 	if mc.spawn() {
 		info.failed = buf[1:]

@@ -26,7 +26,12 @@ import (
 // is a value in rankState.mc, never a second copy of a step: where spawn and
 // the other modes differ, the step says so in one place and says why.
 
-// rankState is one simulated rank's program state.
+// rankState is one simulated rank's program state. A launched rank's lives
+// in the run's block (runState.ranks) and holds its per-rank values by
+// value — the solver, the repair result — so that a rank allocates nothing
+// for its own bookkeeping; what it shares with other ranks (modeCtx's
+// failure lists, the decoded announcement, the lost-grid lists) is the
+// run's and read-only.
 type rankState struct {
 	rs  *runState
 	p   *mpi.Proc
@@ -35,7 +40,6 @@ type rankState struct {
 	// Recovery-overlap accounting: per-rank virtual time blocked in the
 	// detect/repair window vs advancing the solve. Nil-safe throughout.
 	repairVec, advanceVec *metrics.Vec[metrics.TimeSum]
-	charge                func(cells int)
 
 	// replacement marks a process born from a repair (re-spawned, or a
 	// claimed spare) rather than from the initial launch.
@@ -57,10 +61,14 @@ type rankState struct {
 	epoch int
 	mc    modeCtx
 	mine  SubGrid
-	st    recovery.Stats // the reconstruct call in progress, or the last one
+	st    recovery.Stats      // the reconstruct call in progress, or the last one
+	mr    recovery.ModeResult // the blocking path's last repair result
 
-	gcomm  *mpi.Comm
-	solver *pde.ParallelSolver
+	gcomm *mpi.Comm
+	// solver is the group's solver, rebuilt in place (newSolver) on every
+	// repaired communicator once retire has released the old one; the zero
+	// value before the first build holds nothing to release.
+	solver pde.ParallelSolver
 
 	// fault is this rank's part in the run's failure plan, resolved once in
 	// seat; replacements keep the zero value, their predecessor already
@@ -81,17 +89,25 @@ type rankState struct {
 }
 
 // newRank instruments and classifies the process. A launched rank is seated
-// at once; a replacement learns its seat from rank 0 (admit).
+// at once, in its element of the run's block; a replacement — re-spawned or
+// a claimed spare, few of them — gets a state of its own and learns its seat
+// from rank 0 (admit).
 func (rs *runState) newRank(p *mpi.Proc) (*rankState, error) {
-	r := &rankState{
+	replacement := p.Parent() != nil
+	var r *rankState
+	if replacement {
+		r = new(rankState)
+	} else {
+		r = &rs.ranks[p.WorldRank()]
+	}
+	*r = rankState{
 		rs: rs, p: p, cfg: &rs.cfg,
 		repairVec:   rs.reg.TimeSumVec("rank.vtime.repair"),
 		advanceVec:  rs.reg.TimeSumVec("rank.vtime.advance"),
-		replacement: p.Parent() != nil,
+		replacement: replacement,
 		mc:          newModeCtx(rs.cfg.RecoveryMode, rs.res.Procs),
 	}
-	r.charge = func(cells int) { p.ComputeCells(cells, computeScale) }
-	if r.replacement {
+	if replacement {
 		return r, nil
 	}
 	r.world = p.World()
@@ -115,11 +131,7 @@ func (r *rankState) seat() error {
 
 // release returns whichever solver the rank holds when its run ends —
 // normally, on an error or killed — to the buffer pool.
-func (r *rankState) release() {
-	if r.solver != nil {
-		r.solver.Release()
-	}
-}
+func (r *rankState) release() { r.solver.Release() }
 
 // beginDetect opens a reconstruct call — a detection point's, or the one
 // that attaches a replacement: it resets the call's statistics and returns
@@ -135,17 +147,16 @@ func (r *rankState) beginDetect() float64 {
 }
 
 // newSolver finishes a group split: it builds the solver over the group
-// communicator.
+// communicator in place, charging its steps at the run's compute scale.
 func (r *rankState) newSolver(gc *mpi.Comm, err error) error {
 	if err != nil {
 		return fmt.Errorf("group split: %w", err)
 	}
-	s, err := pde.NewParallelSolver(gc, r.rs.prob, r.mine.Lv, r.rs.dt)
-	if err != nil {
+	if err := r.solver.Init(gc, r.rs.prob, r.mine.Lv, r.rs.dt); err != nil {
 		return err
 	}
-	s.Charge = r.charge
-	r.gcomm, r.solver = gc, s
+	r.solver.ChargeScale = computeScale
+	r.gcomm = gc
 	return nil
 }
 
@@ -161,7 +172,7 @@ func (r *rankState) admit(mr *recovery.ModeResult, buf []int, err error, tAttach
 		return err
 	}
 	r.cur, r.failedList = info.step, info.failed
-	r.mc.adopt(info)
+	r.rs.adopt(&r.mc, info)
 	if !r.mc.spawn() {
 		// A re-spawned process holds its predecessor's rank as soon as the
 		// merge returns, so its repair window closed there; a claimed spare
@@ -306,13 +317,13 @@ func (r *rankState) repaired(mr *recovery.ModeResult) ([]int, error) {
 
 // receiveInfo decodes rank 0's announcement. The broadcast buffer is the
 // transport's everywhere (at rank 0, encodeInfo's own fresh slice) and is
-// released; the decoded lists are a private copy and outlive it by the rest
-// of the run.
+// released; the decoded lists are the run's shared copy and outlive it by
+// the rest of the run.
 func (r *rankState) receiveInfo(buf []int, err error) (recoveryInfo, error) {
 	if err != nil {
 		return recoveryInfo{}, fmt.Errorf("core: broadcast recovery info: %w", err)
 	}
-	info, err := r.mc.decodeInfo(r.world.Size(), buf)
+	info, err := r.rs.decodeInfo(&r.mc, r.world.Size(), buf)
 	mpi.ReleaseBuf(buf)
 	return info, err
 }
@@ -641,7 +652,7 @@ func (r *rankState) report() {
 	res.Survivors = append([]int(nil), r.mc.origOf...)
 	res.RepairFallbacks = r.mc.fallbacks
 	res.AbandonedGrids = r.mc.abandonedList()
-	if fr := r.mc.failedRanks(); len(fr) > 0 {
+	if fr := r.mc.failed; len(fr) > 0 {
 		res.FailedRanks = fr
 		res.LostGrids = r.rs.lostGridIDs(fr)
 	}

@@ -81,6 +81,7 @@ func TestRestorable(t *testing.T) {
 func TestRecoveryInfoRoundTrip(t *testing.T) {
 	failed := []int{2, 6}
 	for _, mode := range recovery.Modes {
+		rs := &runState{}
 		mc := newModeCtx(mode, 8)
 		want := recoveryInfo{step: 40, failed: failed}
 		if mode != recovery.ModeSpawn {
@@ -91,7 +92,7 @@ func TestRecoveryInfoRoundTrip(t *testing.T) {
 		}
 		size := 8 - len(failed)
 		buf := mc.encodeInfo(40, failed)
-		got, err := mc.decodeInfo(size, buf)
+		got, err := rs.decodeInfo(&mc, size, buf)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -107,14 +108,14 @@ func TestRecoveryInfoRoundTrip(t *testing.T) {
 				t.Errorf("spawn decoded a position map %v, want nil (the identity)", got.origOf)
 			}
 		}
-		clear(buf) // the decoded lists are a private copy
+		clear(buf) // the decoded lists are the run's copy
 		if !slices.Equal(got.failed, failed) {
 			t.Errorf("%v: decoded info aliases the broadcast buffer", mode)
 		}
 
 		// Damage: nothing, a payload cut anywhere, counts that overrun it, and
 		// a communicator of another size.
-		if _, err := mc.decodeInfo(size, nil); err == nil {
+		if _, err := rs.decodeInfo(&mc, size, nil); err == nil {
 			t.Errorf("%v: empty payload accepted", mode)
 		}
 		if mode == recovery.ModeSpawn {
@@ -122,7 +123,7 @@ func TestRecoveryInfoRoundTrip(t *testing.T) {
 		}
 		buf = mc.encodeInfo(40, failed)
 		for n := 1; n < len(buf); n++ {
-			if _, err := mc.decodeInfo(size, buf[:n]); err == nil {
+			if _, err := rs.decodeInfo(&mc, size, buf[:n]); err == nil {
 				t.Errorf("%v: payload truncated to %d of %d ints accepted", mode, n, len(buf))
 			}
 		}
@@ -130,12 +131,12 @@ func TestRecoveryInfoRoundTrip(t *testing.T) {
 			for _, n := range []int{-1, len(buf) - idx, len(buf)} {
 				over := append([]int(nil), buf...)
 				over[idx] = n
-				if _, err := mc.decodeInfo(size, over); err == nil {
+				if _, err := rs.decodeInfo(&mc, size, over); err == nil {
 					t.Errorf("%v: count at %d set to %d accepted", mode, idx, n)
 				}
 			}
 		}
-		if _, err := mc.decodeInfo(size+1, buf); err == nil {
+		if _, err := rs.decodeInfo(&mc, size+1, buf); err == nil {
 			t.Errorf("%v: %d-position map accepted for a size-%d communicator", mode, size, size+1)
 		}
 	}
@@ -156,5 +157,42 @@ func TestLostGridIDs(t *testing.T) {
 		if got := rs.lostGridIDs(tc.failed); !slices.Equal(got, tc.want) {
 			t.Errorf("lostGridIDs(%v) = %v, want %v", tc.failed, got, tc.want)
 		}
+	}
+}
+
+// TestAdoptedStateSharesOnlyReadOnlyLists follows a claimed spare through
+// its admission and a later failure event: the hole and failure lists it
+// derives match the complement of its map and the union of both events,
+// and folding the event into its position map leaves the run's decoded
+// announcement — which every replacement admitted by it shares — as it was.
+func TestAdoptedStateSharesOnlyReadOnlyLists(t *testing.T) {
+	rs := &runState{
+		cfg:   Config{Technique: CheckpointRestart, RealFailures: true},
+		grids: []SubGrid{{ID: 0, Procs: 4, FirstRank: 0}, {ID: 1, Procs: 4, FirstRank: 4}},
+		res:   Result{Procs: 8},
+	}
+	announced := []int{0, 1, 2, 3, 4, 5, 7} // rank 6 shrunk out earlier
+	rank0 := newModeCtx(recovery.ModeSubstitute, 8)
+	rank0.origOf = slices.Clone(announced)
+	info, err := rs.decodeInfo(&rank0, len(announced), rank0.encodeInfo(40, []int{6}))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	spare := newModeCtx(recovery.ModeSubstitute, 8)
+	rs.adopt(&spare, info)
+	if !slices.Equal(spare.dead, []int{6}) || !slices.Equal(spare.failed, []int{6}) {
+		t.Fatalf("adopted holes %v, failed %v; want [6] and [6]", spare.dead, spare.failed)
+	}
+	rs.applyEvent(&spare, []int{0, 1, 2, 3, 5, 7}, []int{4})
+	if !slices.Equal(spare.dead, []int{4, 6}) || !slices.Equal(spare.failed, []int{4, 6}) {
+		t.Errorf("after the event: holes %v, failed %v; want [4 6] and [4 6]", spare.dead, spare.failed)
+	}
+	if !slices.Equal(info.origOf, announced) {
+		t.Errorf("the run's decoded announcement now maps %v, want %v", info.origOf, announced)
+	}
+	if !spare.holed(rs.grids[1]) || spare.holed(rs.grids[0]) || spare.liveRootOf(rs.grids[1]) != 5 {
+		t.Errorf("grid 1 holed %v, grid 0 holed %v, grid 1's live root %d; want true, false, 5",
+			spare.holed(rs.grids[1]), spare.holed(rs.grids[0]), spare.liveRootOf(rs.grids[1]))
 	}
 }

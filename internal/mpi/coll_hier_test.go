@@ -394,3 +394,36 @@ func TestHierCollectivesWithDeadMember(t *testing.T) {
 		}
 	}
 }
+
+// TestWhichAllreduceTheRingSizeTakes pins the tree-or-ring decision for a
+// 40 KiB float64 Allreduce over the world communicator on the paper's
+// cluster (12 slots per host), read from the world's cached node
+// decomposition: past collRingCutover the ring runs only while each of the
+// L leaders' chunks keeps collRingChunkFloor bytes, which 40 KiB does up to
+// 40 leaders. So a 1024- or 4096-rank world times the tree, not the ring.
+func TestWhichAllreduceTheRingSizeTakes(t *testing.T) {
+	const bytes = 5120 * 8
+	for _, tc := range []struct {
+		ranks, leaders int
+		ring           bool
+	}{
+		{64, 6, true}, {256, 22, true}, {480, 40, true},
+		{492, 41, false}, {1024, 86, false}, {4096, 342, false},
+	} {
+		var leaders int
+		_, err := Run(Options{NProcs: tc.ranks, Machine: vtime.OPL(), Entry: func(p *Proc) {
+			if p.WorldRank() == 0 {
+				leaders = len(p.World().hierTopo().leaders)
+			}
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if leaders != tc.leaders {
+			t.Errorf("%d ranks: %d node leaders, want %d", tc.ranks, leaders, tc.leaders)
+		}
+		if got := useRing(bytes, leaders); got != tc.ring {
+			t.Errorf("%d ranks (%d leaders): 40 KiB Allreduce takes the ring = %v, want %v", tc.ranks, leaders, got, tc.ring)
+		}
+	}
+}

@@ -21,3 +21,7 @@ func countTopoBuilds() (builds *atomic.Int64, stop func()) {
 	testHookBuildTopo = func() { builds.Add(1) }
 	return builds, func() { testHookBuildTopo = nil }
 }
+
+// departureWalks returns how many departures in w walked its process
+// table, whatever made them walk.
+func departureWalks(w *World) uint64 { return w.wakes[evDeparture].walks.Load() }

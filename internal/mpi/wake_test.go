@@ -194,3 +194,98 @@ func TestAbortSpansTheReceiversPark(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDepartureWalksOnlyForAnAwaitedMember checks that a departure walks the
+// process table for the rendezvous waits it may complete only while an
+// unresolved rendezvous still waits for the departed process. Members of a
+// resolved rendezvous were woken by its resolver; until they run they are
+// still counted asleep, which must not make the exits after it walk. Only
+// rendezvous are used, so no departure has any other reason to walk.
+func TestDepartureWalksOnlyForAnAwaitedMember(t *testing.T) {
+	const n = 256
+	t.Run("all agree, then exit", func(t *testing.T) {
+		var world atomic.Pointer[World]
+		_, err := Run(Options{NProcs: n, Machine: vtime.OPL(), Watchdog: stallFails(), Entry: func(p *Proc) {
+			world.Store(p.st.w)
+			if _, err := p.World().Agree(1); err != nil {
+				t.Errorf("rank %d: agree: %v", p.WorldRank(), err)
+			}
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if walks := departureWalks(world.Load()); walks != 0 {
+			t.Errorf("%d departures walked the process table after the agreement resolved, want 0", walks)
+		}
+	})
+	t.Run("a non-member exits", func(t *testing.T) {
+		// Rank 0 exits while every other rank but the last is asleep in an
+		// agreement among ranks 1..n-1; the last joins it only once rank 0
+		// is gone. Rank 0's departure cannot complete that agreement.
+		const last = n - 1
+		var world atomic.Pointer[World]
+		_, err := Run(Options{NProcs: n, Machine: vtime.OPL(), Watchdog: stallFails(), Entry: func(p *Proc) {
+			w := p.st.w
+			world.Store(w)
+			me := p.WorldRank()
+			color := 1
+			if me == 0 {
+				color = 0
+			}
+			c, err := p.World().Split(color, me)
+			if err != nil {
+				t.Errorf("rank %d: split: %v", me, err)
+				return
+			}
+			switch me {
+			case 0:
+				spinUntil(t, "the others' park", func() bool {
+					return pendingArrived(w) == n-2 && w.parkedRvz.Load() == n-2
+				})
+				return
+			case last:
+				spinUntil(t, "rank 0's exit", func() bool { return !w.alive(0) })
+			}
+			if _, err := c.Agree(1); err != nil {
+				t.Errorf("rank %d: agree: %v", me, err)
+			}
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if walks := departureWalks(world.Load()); walks != 0 {
+			t.Errorf("%d departures walked the process table, want 0", walks)
+		}
+	})
+}
+
+// TestDeathOfTheLastMissingMemberWakesTheAgreement kills the only member an
+// open Agree still waits for after every other member is asleep in it. The
+// death completes the agreement among the survivors, and only the
+// departure's walk can tell them: each must return MPI_ERR_PROC_FAILED, and
+// a lost wake leaves them asleep until the watchdog fails the run.
+func TestDeathOfTheLastMissingMemberWakesTheAgreement(t *testing.T) {
+	const n, victim = 64, 41
+	var survivors atomic.Int64
+	_, err := Run(Options{NProcs: n, Machine: vtime.OPL(), Watchdog: Watchdog{Timeout: 10 * time.Second}, Entry: func(p *Proc) {
+		w := p.st.w
+		c := p.World()
+		if c.Rank() == victim {
+			spinUntil(t, "the survivors' park", func() bool {
+				return pendingArrived(w) == n-1 && w.parkedRvz.Load() == n-1
+			})
+			p.Kill()
+		}
+		if _, err := c.Agree(1); !errors.Is(err, ErrProcFailed) {
+			t.Errorf("rank %d: agree returned %v, want ErrProcFailed", c.Rank(), err)
+			return
+		}
+		survivors.Add(1)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := survivors.Load(); got != n-1 {
+		t.Errorf("%d survivors returned from the agreement, want %d", got, n-1)
+	}
+}

@@ -78,6 +78,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -451,7 +452,8 @@ func (s *wakeStats) note(list bool, examined, woken int) {
 // state change and bumps the event generation before it reads the park
 // counts (see procState.park). Every event counts the receives on a
 // communicator revoked when they parked and the receives naming src; a
-// departure also counts the rendezvous waits it may complete. On the
+// departure also counts the rendezvous waits it may complete, which it can
+// only if a rendezvous is still waiting for src (rvzAwaits). On the
 // event-driven path fibers park uncounted, so no event skips.
 func (w *World) mayWake(ev wakeEvent, src *procState) bool {
 	if w.eventEntry != nil {
@@ -459,13 +461,27 @@ func (w *World) mayWake(ev wakeEvent, src *procState) bool {
 	}
 	w.evGen.Add(1)
 	n := w.parkedRevoked.Load() + src.namedBy.Load()
-	if ev == evDeparture {
+	if ev == evDeparture && w.rvzAwaits(src) {
 		n += w.parkedRvz.Load()
 	}
 	if n > 0 {
 		return true
 	}
 	w.wakes[ev].skipped.Add(1)
+	return false
+}
+
+// rvzAwaits reports whether an unresolved rendezvous has st as a member
+// that has not arrived: only then can st's departure complete it. A death
+// of a member that has arrived, or of a non-member, leaves every count the
+// resolution waits for as it was, and a resolved rendezvous has already
+// woken its members (rvzPoll). Caller holds state (write).
+func (w *World) rvzAwaits(st *procState) bool {
+	for _, r := range w.rvzTable {
+		if pos := slices.Index(r.members, st.wrank); pos >= 0 && !r.slots[pos].here {
+			return true
+		}
+	}
 	return false
 }
 

@@ -25,10 +25,10 @@ type ParallelSolver struct {
 	Lv   grid.Level
 	Dt   float64
 
-	// Charge, when non-nil, is called once per step with the number of
-	// cell updates performed locally, letting the application charge
-	// virtual compute time.
-	Charge func(cells int)
+	// ChargeScale, when positive, charges each step's local cell updates as
+	// virtual compute on the communicator's process, at this scale
+	// (mpi.Proc.ComputeCells).
+	ChargeScale float64
 
 	// StepCount is the number of steps taken so far.
 	StepCount int
@@ -51,14 +51,26 @@ func rowsFor(rank, nprocs, ny int) (int, int) {
 // condition. The communicator must have at most 2^lv.J members (at least
 // one row each).
 func NewParallelSolver(c *mpi.Comm, prob *Problem, lv grid.Level, dt float64) (*ParallelSolver, error) {
-	ny := 1 << lv.J
-	if c.Size() > ny {
-		return nil, fmt.Errorf("pde: %d processes for %d rows of %v", c.Size(), ny, lv)
-	}
-	if err := CheckStable(lv, prob, dt); err != nil {
+	s := new(ParallelSolver)
+	if err := s.Init(c, prob, lv, dt); err != nil {
 		return nil, err
 	}
-	s := &ParallelSolver{
+	return s, nil
+}
+
+// Init is NewParallelSolver in place: it makes s a fresh solver, as if
+// built by NewParallelSolver, so an application can hold its solver by
+// value and rebuild it after every repair. Whatever s held before is
+// overwritten, not released: Release the old solver first.
+func (s *ParallelSolver) Init(c *mpi.Comm, prob *Problem, lv grid.Level, dt float64) error {
+	ny := 1 << lv.J
+	if c.Size() > ny {
+		return fmt.Errorf("pde: %d processes for %d rows of %v", c.Size(), ny, lv)
+	}
+	if err := CheckStable(lv, prob, dt); err != nil {
+		return err
+	}
+	*s = ParallelSolver{
 		Comm: c,
 		Prob: prob,
 		Lv:   lv,
@@ -75,7 +87,7 @@ func NewParallelSolver(c *mpi.Comm, prob *Problem, lv grid.Level, dt float64) (*
 	s.local = mpi.AcquireBuf[float64]((nloc + 2) * s.nx)
 	s.scratch = mpi.AcquireBuf[float64]((nloc + 2) * s.nx)
 	prob.fillRows(s.local[s.nx:], s.nx, s.r0, nloc, 1.0/float64(s.nx), 1.0/float64(s.ny))
-	return s, nil
+	return nil
 }
 
 // Release returns the solver's storage to the transport's buffer pool. The
@@ -140,8 +152,8 @@ func (s *ParallelSolver) update() {
 	}
 	s.local, s.scratch = w, v
 	s.StepCount++
-	if s.Charge != nil {
-		s.Charge(nloc * nx)
+	if s.ChargeScale > 0 {
+		s.Comm.Proc().ComputeCells(nloc*nx, s.ChargeScale)
 	}
 }
 

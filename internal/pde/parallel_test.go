@@ -9,6 +9,7 @@ import (
 	"ftsg/internal/checkpoint"
 	"ftsg/internal/grid"
 	"ftsg/internal/mpi"
+	"ftsg/internal/vtime"
 )
 
 // runSolverWorld runs the parallel solver on nprocs ranks for nsteps and
@@ -239,24 +240,34 @@ func TestSetFromGrid(t *testing.T) {
 	}
 }
 
-// TestChargeHook verifies the virtual-compute hook fires with the owned
-// cell count.
+// TestChargeHook verifies that ChargeScale charges each step's owned cells
+// as virtual compute on the solver's process, at the given scale, and that
+// the zero value charges nothing.
 func TestChargeHook(t *testing.T) {
-	_, err := mpi.Run(mpi.Options{NProcs: 2, Entry: func(proc *mpi.Proc) {
-		s, _ := NewParallelSolver(proc.World(), testProblem(), grid.Level{I: 3, J: 4}, 1e-3)
-		var charged int
-		s.Charge = func(cells int) { charged += cells }
-		if err := s.Run(3); err != nil {
-			t.Error(err)
-			return
+	const scale = 3
+	for _, charge := range []float64{0, scale} {
+		_, err := mpi.Run(mpi.Options{NProcs: 1, Entry: func(proc *mpi.Proc) {
+			s, err := NewParallelSolver(proc.World(), testProblem(), grid.Level{I: 3, J: 4}, 1e-3)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer s.Release()
+			s.ChargeScale = charge
+			t0 := proc.Now()
+			if err := s.Run(3); err != nil {
+				t.Error(err)
+				return
+			}
+			cells := 3 * 16 * 8 // 3 steps x 16 rows x 8 cols on the only rank
+			want := float64(cells) * vtime.Generic().CellCost * charge
+			if got := proc.Now() - t0; math.Abs(got-want) > 1e-12*want {
+				t.Errorf("scale %v: charged %g s, want %g s", charge, got, want)
+			}
+		}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		want := 3 * 8 * 8 // 3 steps x 8 rows x 8 cols per rank
-		if charged != want {
-			t.Errorf("charged %d cells, want %d", charged, want)
-		}
-	}})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

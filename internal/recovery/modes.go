@@ -96,10 +96,21 @@ type ModeResult struct {
 // broadcast).
 func ReconstructMode(p *mpi.Proc, myWorld, parent *mpi.Comm, st *Stats, place Placement, mode Mode, origOf []int) (*ModeResult, error) {
 	res := new(ModeResult)
-	c, rank, err := reconstruct(p, myWorld, parent, st, place, mode, origOf, res)
-	if err != nil {
+	if err := ReconstructModeInto(res, p, myWorld, parent, st, place, mode, origOf); err != nil {
 		return nil, err
 	}
-	res.Comm, res.Rank = c, rank
 	return res, nil
+}
+
+// ReconstructModeInto is ReconstructMode writing its result into res, which
+// the caller owns and may reuse from call to call: a rank that repairs at
+// every detection point keeps one ModeResult for its whole run. On success
+// every field of res is overwritten; on error res holds no usable result.
+func ReconstructModeInto(res *ModeResult, p *mpi.Proc, myWorld, parent *mpi.Comm, st *Stats, place Placement, mode Mode, origOf []int) error {
+	c, rank, err := reconstruct(p, myWorld, parent, st, place, mode, origOf, res)
+	if err != nil {
+		return err
+	}
+	res.Comm, res.Rank = c, rank
+	return nil
 }

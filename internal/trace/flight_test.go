@@ -194,3 +194,33 @@ func TestFlightDumpSaysTruncated(t *testing.T) {
 		t.Errorf("complete dump args = %v, want only the name", args)
 	}
 }
+
+// TestFlightReserveAllocatesOnce checks that once Reserve has laid out the
+// logs of a world's ranks, each rank's first records allocate nothing,
+// while a rank outside the block still gets a log of its own, and every
+// rank's records read back as before.
+func TestFlightReserveAllocatesOnce(t *testing.T) {
+	const ranks = 64
+	r := NewFlight(0)
+	r.Reserve(ranks)
+	rank := 0
+	if n := testing.AllocsPerRun(ranks-1, func() {
+		sp := r.BeginSpan(float64(rank), rank, "solve", "steps %d..%d", 1, rank)
+		sp.End(float64(rank) + 0.5)
+		rank++
+	}); n != 0 {
+		t.Errorf("a reserved rank's first span allocated %v objects, want 0", n)
+	}
+	r.BeginSpan(1, ranks+5, "solve", "").End(2)
+	spans := r.Spans()
+	if len(spans) != ranks+1 {
+		t.Fatalf("%d spans read back, want %d", len(spans), ranks+1)
+	}
+	seen := map[int]bool{}
+	for _, s := range spans {
+		seen[s.Rank] = true
+	}
+	if len(seen) != ranks+1 || !seen[ranks+5] {
+		t.Errorf("spans on %d ranks, want %d including rank %d", len(seen), ranks+1, ranks+5)
+	}
+}

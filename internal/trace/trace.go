@@ -40,6 +40,7 @@ type Recorder struct {
 	mu           sync.Mutex
 	depth        int // per-rank retention; 0 keeps everything
 	logs         map[int]*rankLog
+	reserved     []rankLog // rank i's log, for i below its length (Reserve)
 	droppedSpans int64
 	droppedNotes int64
 }
@@ -86,11 +87,30 @@ func (r *Recorder) Dropped() (spans, notes int64) {
 	return r.droppedSpans, r.droppedNotes
 }
 
+// Reserve allocates the logs of ranks 0..ranks-1 in one block, and the
+// index for them, ahead of their first records: a recorder that every rank
+// of a world writes to then costs a few allocations, not one per rank.
+func (r *Recorder) Reserve(ranks int) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.reserved = make([]rankLog, ranks)
+	if len(r.logs) == 0 {
+		r.logs = make(map[int]*rankLog, ranks)
+	}
+}
+
 // log returns rank's log, creating it. Callers hold r.mu.
 func (r *Recorder) log(rank int) *rankLog {
 	l := r.logs[rank]
 	if l == nil {
-		l = &rankLog{}
+		if rank >= 0 && rank < len(r.reserved) {
+			l = &r.reserved[rank]
+		} else {
+			l = &rankLog{}
+		}
 		l.spans.buf, l.open = l.spanBuf[:0], l.openBuf[:0]
 		r.logs[rank] = l
 	}
