@@ -72,16 +72,8 @@ func newModeCtx(mode recovery.Mode, nprocs int) modeCtx {
 // communicator positions are original ranks for the whole run.
 func (mc *modeCtx) spawn() bool { return mc.mode == recovery.ModeSpawn }
 
-// origAt reads a position map; nil is the identity.
-func origAt(origOf []int, pos int) int {
-	if origOf == nil {
-		return pos
-	}
-	return origOf[pos]
-}
-
 // orig returns the original rank behind a current communicator position.
-func (mc *modeCtx) orig(pos int) int { return origAt(mc.origOf, pos) }
+func (mc *modeCtx) orig(pos int) int { return recovery.OrigAt(mc.origOf, pos) }
 
 // commRankOf returns the current communicator rank of an original rank, or
 // -1 when it has been shrunk out.

@@ -285,7 +285,7 @@ func checkPromise(mode recovery.Mode, rank, oldSize, newSize int, mr *recovery.M
 	if mode != recovery.ModeSpawn && newSize != len(mr.OrigOf) {
 		return fmt.Errorf("core: repaired communicator size %d but position map covers %d", newSize, len(mr.OrigOf))
 	}
-	if orig := origAt(mr.OrigOf, mr.Rank); orig != rank {
+	if orig := recovery.OrigAt(mr.OrigOf, mr.Rank); orig != rank {
 		return fmt.Errorf("core: repaired communicator position %d holds original rank %d, want %d", mr.Rank, orig, rank)
 	}
 	restores := mode == recovery.ModeSpawn || mode == recovery.ModeSubstitute && mr.Fallbacks == 0
@@ -498,7 +498,7 @@ func (r *rankState) crRestart() error {
 
 func (r *rankState) journalRestore(step int) {
 	if r.gcomm.Rank() == 0 {
-		r.cfg.Trace.Note(r.p.Now(), r.world.Rank(), r.epoch, "checkpoint-restore",
+		r.cfg.Trace.Note(r.p.Now(), r.rank, r.epoch, "checkpoint-restore",
 			slog.Int("grid", r.mine.ID), slog.Int("step", step))
 	}
 }
@@ -534,7 +534,7 @@ func (r *rankState) crSettle(step int, data []float64, allOK []int64, err error)
 		return true, r.solver.Restore(step, data)
 	}
 	if r.gcomm.Rank() == 0 {
-		r.cfg.Trace.Note(r.p.Now(), r.world.Rank(), r.epoch, "checkpoint-fallback",
+		r.cfg.Trace.Note(r.p.Now(), r.rank, r.epoch, "checkpoint-fallback",
 			slog.Int("grid", r.mine.ID), slog.Int("step", step))
 	}
 	out := r.crCand[:0]

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -12,47 +13,118 @@ import (
 	"time"
 
 	"ftsg/internal/mpi"
+	"ftsg/internal/recovery"
 	"ftsg/internal/trace"
 )
 
-// journalBytes runs cfg with a full recorder attached and returns its notes'
-// canonical (wall-clock-free) JSONL rendering.
-func journalBytes(t *testing.T, cfg Config) []byte {
+// recordBytes runs cfg with a full recorder attached and returns its notes'
+// canonical (wall-clock-free) JSONL rendering and its Chrome trace export.
+func recordBytes(t *testing.T, cfg Config) (journal, chrome []byte) {
 	t.Helper()
 	rec := trace.New()
 	cfg.Trace = rec
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	var b bytes.Buffer
-	if err := rec.WriteJSONL(&b, false); err != nil {
+	var j, c bytes.Buffer
+	if err := rec.WriteJSONL(&j, false); err != nil {
 		t.Fatal(err)
 	}
-	return b.Bytes()
+	if err := rec.ExportChromeTrace(&c); err != nil {
+		t.Fatal(err)
+	}
+	return j.Bytes(), c.Bytes()
 }
 
-// TestJournalDeterminism pins the journal's determinism contract: the
-// canonical rendering — virtual timestamps, ranks, epochs, event kinds and
-// attributes — is byte-identical at GOMAXPROCS 1 and NumCPU. This is the
-// telemetry extension of the determinism campaign.
+// TestJournalDeterminism pins the determinism contract of a run's recorder:
+// the journal's canonical rendering — virtual timestamps, ranks, epochs,
+// event kinds and attributes — and the Chrome trace export are
+// byte-identical at GOMAXPROCS 1 and NumCPU, run after run. It runs CR under
+// spawn, where no process ever changes position, and under shrink and
+// norepair, where a repair moves processes to new positions and every span
+// must still land on its process's original rank. Each repeat re-rolls the
+// scheduling: were two processes' same-instant spans to share a track,
+// their order would follow it. This is the telemetry extension of the
+// determinism campaign.
 func TestJournalDeterminism(t *testing.T) {
-	cfg := fastCfg(CheckpointRestart)
-	cfg.NumFailures = 2
-	cfg.RealFailures = true
-	cfg.Seed = 17
-
-	prev := runtime.GOMAXPROCS(1)
-	serial := journalBytes(t, cfg)
-	runtime.GOMAXPROCS(runtime.NumCPU())
-	parallel := journalBytes(t, cfg)
-	runtime.GOMAXPROCS(prev)
-
-	if len(serial) == 0 {
-		t.Fatal("journal is empty for a run with two real failures")
+	const repeats = 16
+	for _, mode := range []recovery.Mode{recovery.ModeSpawn, recovery.ModeShrink, recovery.ModeNoRepair} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := fastCfg(CheckpointRestart)
+			cfg.NumFailures = 2
+			cfg.RealFailures = true
+			// Seed 9's shrink moves the ranks of a grid that restores from
+			// its checkpoint, and its norepair run gives two processes
+			// same-instant detect spans at one position.
+			cfg.Seed = 9
+			cfg.RecoveryMode = mode
+			var journal, chrome []byte
+			for i := 0; i < repeats; i++ {
+				for _, procs := range []int{1, runtime.NumCPU()} {
+					prev := runtime.GOMAXPROCS(procs)
+					j, c := recordBytes(t, cfg)
+					runtime.GOMAXPROCS(prev)
+					if journal == nil {
+						journal, chrome = j, c
+						continue
+					}
+					if !bytes.Equal(j, journal) {
+						t.Fatalf("journal differs at GOMAXPROCS %d, repeat %d:\n--- first ---\n%s--- this ---\n%s", procs, i, journal, j)
+					}
+					if !bytes.Equal(c, chrome) {
+						t.Fatalf("Chrome trace differs at GOMAXPROCS %d, repeat %d: %s", procs, i, firstDiff(chrome, c))
+					}
+				}
+			}
+			if len(journal) == 0 {
+				t.Fatal("journal is empty for a run with two real failures")
+			}
+			checkRestoreNoteRanks(t, cfg, journal)
+		})
 	}
-	if !bytes.Equal(serial, parallel) {
-		t.Errorf("journal differs between GOMAXPROCS 1 and %d:\n--- serial ---\n%s--- parallel ---\n%s",
-			runtime.NumCPU(), serial, parallel)
+}
+
+// firstDiff shows where two renderings first differ.
+func firstDiff(a, b []byte) string {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	lo := max(0, i-100)
+	return fmt.Sprintf("at byte %d of %d:\n- ...%s\n+ ...%s", i, len(a), a[lo:min(len(a), i+100)], b[lo:min(len(b), i+100)])
+}
+
+// checkRestoreNoteRanks asserts that every checkpoint-restore and
+// checkpoint-fallback note is on a rank of the grid it names: the note is
+// the grid's own process's, logged under its original rank, not under the
+// position that process holds after a shrink.
+func checkRestoreNoteRanks(t *testing.T, cfg Config, journal []byte) {
+	t.Helper()
+	grids := map[int]SubGrid{}
+	for _, g := range cfg.WithDefaults().Grids() {
+		grids[g.ID] = g
+	}
+	for _, line := range bytes.Split(bytes.TrimSpace(journal), []byte("\n")) {
+		var e struct {
+			Msg  string `json:"msg"`
+			Rank int    `json:"rank"`
+			Grid int    `json:"grid"`
+		}
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatalf("journal line is not JSON: %v\n%s", err, line)
+		}
+		if e.Msg != "checkpoint-restore" && e.Msg != "checkpoint-fallback" {
+			continue
+		}
+		g, ok := grids[e.Grid]
+		if !ok {
+			t.Errorf("%s note names no grid of the run: %s", e.Msg, line)
+			continue
+		}
+		if !g.has(e.Rank) {
+			t.Errorf("%s note of grid %d (ranks %d..%d) is on rank %d: %s",
+				e.Msg, g.ID, g.FirstRank, g.FirstRank+g.Procs-1, e.Rank, line)
+		}
 	}
 }
 
@@ -63,7 +135,7 @@ func TestJournalEventSchema(t *testing.T) {
 	cfg.NumFailures = 2
 	cfg.RealFailures = true
 	cfg.Seed = 17
-	out := journalBytes(t, cfg)
+	out, _ := recordBytes(t, cfg)
 
 	kinds := map[string]int{}
 	for _, line := range bytes.Split(bytes.TrimSpace(out), []byte("\n")) {

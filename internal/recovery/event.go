@@ -1,12 +1,15 @@
 // This file runs the recovery protocol on the event-driven MPI path: CPS
 // twins of repair, ChildAttach and reconstruct, written against the
 // mpi.Fiber* operations so a repairing rank parks as a continuation instead
-// of a sleeping goroutine. Every twin preserves its blocking original's span,
-// charge and Stats accumulation sequence exactly — the same phases in the
-// same order at the same virtual times — so traces, metrics and timings are
-// byte-identical across the two paths. Respawned replacements and claimed
-// spares attach back as fibers (mpi.World startProcLocked), observing a
-// non-nil Proc.Parent exactly like their goroutine-path counterparts.
+// of a sleeping goroutine. Each twin opens and closes the same phases as its
+// blocking original through the same record (Stats.open, phase.close), which
+// alone times a phase, ends its span on the caller's original rank and books
+// its Stats field and charges; the twins differ only in where they park. So
+// traces, metrics and timings are byte-identical across the two paths. A
+// parked continuation captures its phase's record and nothing more of it:
+// the name and the Stats field are given at the close. Respawned replacements and claimed spares attach
+// back as fibers (mpi.World startProcLocked), observing a non-nil
+// Proc.Parent exactly like their goroutine-path counterparts.
 package recovery
 
 import (
@@ -20,24 +23,17 @@ import (
 // then the mode's way of acquiring replacements, with every blocking step a
 // parked continuation. Spawned and claimed replacements are knitted in by
 // fiberKnit.
-func fiberRepair(p *mpi.Proc, f *mpi.Fiber, broken *mpi.Comm, st *Stats, place Placement, mode Mode, k func(repaired *mpi.Comm, failedRanks []int, fellBack bool, err error)) {
-	me := broken.Rank()
-	t0 := p.Now()
-	sp := st.span(t0, me, "revoke", "")
+func fiberRepair(p *mpi.Proc, f *mpi.Fiber, broken *mpi.Comm, st *Stats, place Placement, mode Mode, track int, k func(repaired *mpi.Comm, failedRanks []int, fellBack bool, err error)) {
+	ph := st.open(p, track, "revoke", "")
 	_ = broken.Revoke()
-	sp.End(p.Now())
-	st.charge("revoke", p.Now()-t0)
+	ph.close(p, st, "revoke", nil, nil)
 
-	t1 := p.Now()
-	sp1 := st.span(t1, me, "shrink", "")
+	ph1 := st.open(p, track, "shrink", "")
 	mpi.FiberShrink(f, broken, func(shrunk *mpi.Comm, err error) {
-		sp1.End(p.Now())
-		if err != nil {
+		if ph1.close(p, st, "shrink", &st.ShrinkTime, err) != nil {
 			k(nil, nil, false, fmt.Errorf("recovery: shrink: %w", err))
 			return
 		}
-		st.ShrinkTime += p.Now() - t1
-		st.charge("shrink", p.Now()-t1)
 
 		t2 := p.Now()
 		failedRanks := FailedProcsList(broken, shrunk)
@@ -56,24 +52,18 @@ func fiberRepair(p *mpi.Proc, f *mpi.Fiber, broken *mpi.Comm, st *Stats, place P
 				k(nil, nil, false, fmt.Errorf("recovery: placement: %w", plan.err))
 				return
 			}
-			t3 := p.Now()
-			sp3 := st.span(t3, me, "spawn", plan.detail)
+			ph3 := st.open(p, track, "spawn", plan.detail)
 			mpi.FiberSpawnMultiple(f, shrunk, totalFailed, plan.hosts, 0, func(inter *mpi.Comm, err error) {
-				sp3.End(p.Now())
-				if err != nil {
+				if ph3.close(p, st, "spawn", &st.SpawnTime, err) != nil {
 					k(nil, nil, false, fmt.Errorf("recovery: spawn: %w", err))
 					return
 				}
-				st.SpawnTime += p.Now() - t3
-				st.charge("spawn", p.Now()-t3)
-				fiberKnit(p, f, me, shrunk, inter, failedRanks, st, k)
+				fiberKnit(p, f, track, shrunk, inter, failedRanks, st, k)
 			})
 		case ModeSubstitute:
-			t3 := p.Now()
-			sp3 := st.span(t3, me, "claim", "%d spares", totalFailed)
+			ph3 := st.open(p, track, "claim", "%d spares", totalFailed)
 			mpi.FiberClaimSpares(f, shrunk, totalFailed, func(inter *mpi.Comm, err error) {
-				sp3.End(p.Now())
-				if errors.Is(err, mpi.ErrNoSpares) {
+				if errors.Is(ph3.close(p, st, "claim", &st.SpawnTime, err), mpi.ErrNoSpares) {
 					k(shrunk, failedRanks, true, nil)
 					return
 				}
@@ -81,9 +71,7 @@ func fiberRepair(p *mpi.Proc, f *mpi.Fiber, broken *mpi.Comm, st *Stats, place P
 					k(nil, nil, false, fmt.Errorf("recovery: claim: %w", err))
 					return
 				}
-				st.SpawnTime += p.Now() - t3
-				st.charge("claim", p.Now()-t3)
-				fiberKnit(p, f, me, shrunk, inter, failedRanks, st, k)
+				fiberKnit(p, f, track, shrunk, inter, failedRanks, st, k)
 			})
 		default: // ModeShrink, ModeNoRepair: nothing to knit in
 			k(shrunk, failedRanks, false, nil)
@@ -95,17 +83,13 @@ func fiberRepair(p *mpi.Proc, f *mpi.Fiber, broken *mpi.Comm, st *Stats, place P
 // replacements in, agree, send them their old ranks, and split back into the
 // pre-failure order. A named function rather than a closure in fiberRepair
 // so the two acquiring modes share it without an allocation per repair.
-func fiberKnit(p *mpi.Proc, f *mpi.Fiber, me int, shrunk, inter *mpi.Comm, failedRanks []int, st *Stats, k func(*mpi.Comm, []int, bool, error)) {
-	t0 := p.Now()
-	sp := st.span(t0, me, "merge", "")
+func fiberKnit(p *mpi.Proc, f *mpi.Fiber, track int, shrunk, inter *mpi.Comm, failedRanks []int, st *Stats, k func(*mpi.Comm, []int, bool, error)) {
+	ph := st.open(p, track, "merge", "")
 	mpi.FiberIntercommMerge(f, inter, false, func(unordered *mpi.Comm, err error) {
-		sp.End(p.Now())
-		if err != nil {
+		if ph.close(p, st, "merge", &st.MergeTime, err) != nil {
 			k(nil, nil, false, fmt.Errorf("recovery: merge: %w", err))
 			return
 		}
-		st.MergeTime += p.Now() - t0
-		st.charge("merge", p.Now()-t0)
 
 		// As on the blocking path: past the merge the replacements are
 		// blocked inside their own attach, so any failure below revokes the
@@ -115,16 +99,12 @@ func fiberKnit(p *mpi.Proc, f *mpi.Fiber, me int, shrunk, inter *mpi.Comm, faile
 			return err
 		}
 
-		t1 := p.Now()
-		sp1 := st.span(t1, me, "agree", "")
+		ph1 := st.open(p, track, "agree", "")
 		mpi.FiberAgree(f, inter, 1, func(_ int, err error) {
-			sp1.End(p.Now())
-			if err != nil {
+			if ph1.close(p, st, "agree", &st.AgreeTime, err) != nil {
 				k(nil, nil, false, abandon(fmt.Errorf("recovery: agree: %w", err)))
 				return
 			}
-			st.AgreeTime += p.Now() - t1
-			st.charge("agree", p.Now()-t1)
 
 			shrinkedGroupSize := shrunk.Size()
 			if unordered.Rank() == 0 {
@@ -138,16 +118,12 @@ func fiberKnit(p *mpi.Proc, f *mpi.Fiber, me int, shrunk, inter *mpi.Comm, faile
 
 			totalProcs := unordered.Size()
 			key := SelectRankKey(unordered.Rank(), shrinkedGroupSize, failedRanks, totalProcs)
-			t2 := p.Now()
-			sp2 := st.span(t2, me, "split", "restore rank order, key %d", key)
+			ph2 := st.open(p, track, "split", "restore rank order, key %d", key)
 			mpi.FiberSplit(f, unordered, 0, key, func(repaired *mpi.Comm, err error) {
-				sp2.End(p.Now())
-				if err != nil {
+				if ph2.close(p, st, "split", &st.SplitTime, err) != nil {
 					k(nil, nil, false, abandon(fmt.Errorf("recovery: split: %w", err)))
 					return
 				}
-				st.SplitTime += p.Now() - t2
-				st.charge("split", p.Now()-t2)
 				k(repaired, failedRanks, false, nil)
 			})
 		})
@@ -156,30 +132,23 @@ func fiberKnit(p *mpi.Proc, f *mpi.Fiber, me int, shrunk, inter *mpi.Comm, faile
 
 // FiberChildAttach is ChildAttach for fiber code: the child part of Fig. 3 —
 // synchronise, merge high, learn the predecessor's rank, split into order.
+// Its spans go on the world-unique id's track, as ChildAttach's do.
 func FiberChildAttach(p *mpi.Proc, f *mpi.Fiber, parent *mpi.Comm, st *Stats, k func(*mpi.Comm, int, error)) {
-	me := p.WorldRank()
 	parent.SetErrhandler(ErrorHandler(p))
-	t0 := p.Now()
-	sp := st.span(t0, me, "agree", "child synchronise")
+	ph := st.open(p, p.WorldRank(), "agree", "child synchronise")
 	mpi.FiberAgree(f, parent, 1, func(_ int, agreeErr error) {
-		sp.End(p.Now())
-		st.AgreeTime += p.Now() - t0
-		st.charge("agree", p.Now()-t0)
+		ph.close(p, st, "agree", &st.AgreeTime, nil) // booked even when it failed
 		if agreeErr != nil {
 			k(nil, -1, fmt.Errorf("recovery: child agree: %v: %w", agreeErr, ErrOrphaned))
 			return
 		}
 
-		t1 := p.Now()
-		sp1 := st.span(t1, me, "merge", "child merge high")
+		ph1 := st.open(p, p.WorldRank(), "merge", "child merge high")
 		mpi.FiberIntercommMerge(f, parent, true, func(unordered *mpi.Comm, err error) {
-			sp1.End(p.Now())
-			if err != nil {
+			if ph1.close(p, st, "merge", &st.MergeTime, err) != nil {
 				k(nil, -1, fmt.Errorf("recovery: child merge: %w", err))
 				return
 			}
-			st.MergeTime += p.Now() - t1
-			st.charge("merge", p.Now()-t1)
 
 			mpi.FiberRecvOne[int](f, unordered, 0, MergeTag, func(oldRank int, _ mpi.Status, err error) {
 				if err != nil {
@@ -191,11 +160,9 @@ func FiberChildAttach(p *mpi.Proc, f *mpi.Fiber, parent *mpi.Comm, st *Stats, k 
 					return
 				}
 
-				t2 := p.Now()
-				sp2 := st.span(t2, me, "split", "assume old rank %d", oldRank)
+				ph2 := st.open(p, p.WorldRank(), "split", "assume old rank %d", oldRank)
 				mpi.FiberSplit(f, unordered, 0, oldRank, func(ordered *mpi.Comm, err error) {
-					sp2.End(p.Now())
-					if err != nil {
+					if ph2.close(p, st, "split", &st.SplitTime, err) != nil {
 						if retryable(err) {
 							k(nil, -1, fmt.Errorf("recovery: child split: %v: %w", err, ErrOrphaned))
 							return
@@ -203,8 +170,6 @@ func FiberChildAttach(p *mpi.Proc, f *mpi.Fiber, parent *mpi.Comm, st *Stats, k 
 						k(nil, -1, fmt.Errorf("recovery: child split: %w", err))
 						return
 					}
-					st.SplitTime += p.Now() - t2
-					st.charge("split", p.Now()-t2)
 					k(ordered, oldRank, nil)
 				})
 			})
@@ -289,14 +254,13 @@ func (l *fiberLoop) round(reconstructed, parent *mpi.Comm, iter int) {
 
 	reconstructed.SetErrhandler(l.handler)
 	// Detection as on the blocking path: barrier first, agree last, so the
-	// repair decision is uniform across members.
-	t0 := p.Now()
-	sp := st.span(t0, reconstructed.Rank(), "detect", "barrier + agree round")
+	// repair decision is uniform across members. Its span and the repair's go
+	// on the original rank, read again for the repair rather than captured,
+	// so each parked continuation holds no more than its own phase record.
+	ph := st.open(p, OrigAt(l.lg.cur, reconstructed.Rank()), "detect", "barrier + agree round")
 	mpi.FiberBarrier(l.f, reconstructed, func(barrierErr error) {
 		mpi.FiberAgree(l.f, reconstructed, 1, func(_ int, agreeErr error) {
-			sp.End(p.Now())
-			st.ListTime += p.Now() - t0
-			st.charge("detect", p.Now()-t0)
+			ph.close(p, st, "detect", &st.ListTime, nil)
 
 			if agreeErr == nil && barrierErr == nil {
 				if l.lg.replaced != nil {
@@ -310,7 +274,7 @@ func (l *fiberLoop) round(reconstructed, parent *mpi.Comm, iter int) {
 			}
 
 			t1 := p.Now()
-			fiberRepair(p, l.f, reconstructed, st, l.place, l.mode, func(repaired *mpi.Comm, failed []int, fellBack bool, err error) {
+			fiberRepair(p, l.f, reconstructed, st, l.place, l.mode, OrigAt(l.lg.cur, reconstructed.Rank()), func(repaired *mpi.Comm, failed []int, fellBack bool, err error) {
 				st.ReconstructTime += p.Now() - t1
 				if err != nil {
 					if retryable(err) && iter+1 < maxRepairRounds {

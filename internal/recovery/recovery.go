@@ -89,24 +89,44 @@ type Stats struct {
 	ModeLabel string
 }
 
-// span opens a protocol-phase span on the stats' recorder; the detail is
-// formatted as trace.Recorder.BeginSpan describes, only when the span is
-// read. With no recorder it records nothing and allocates nothing, and the
-// returned zero handle is inert.
-func (st *Stats) span(t float64, rank int, phase, format string, args ...int) trace.SpanHandle {
-	return st.Trace.BeginSpan(t, rank, phase, format, args...)
+// phase is one protocol phase in progress: when it began and its open span.
+// Stats.open starts one; close ends it and does all of its booking.
+type phase struct {
+	t0 float64
+	sp trace.SpanHandle
 }
 
-// charge adds one phase execution's virtual-time cost to the registry. With
-// no registry it returns before building the instrument names.
-func (st *Stats) charge(phase string, seconds float64) {
-	if st.Metrics == nil {
-		return
+// open starts protocol phase name at p's current virtual time, with a span on
+// track's timeline: the caller's original rank (see reconstruct). The span's
+// detail is formatted as trace.Recorder.BeginSpan describes, only when it is
+// read. With no recorder it records nothing and allocates nothing.
+func (st *Stats) open(p *mpi.Proc, track int, name, format string, args ...int) phase {
+	t0 := p.Now()
+	return phase{t0, st.Trace.BeginSpan(t0, track, name, format, args...)}
+}
+
+// close ends the phase's span and, when err is nil, books its virtual-time
+// cost: to *field (when the phase has a Stats field) and to the
+// recovery.phase.<name> and recovery.mode.<label>.phase.<name> TimeSums. A
+// failed phase books nothing. It returns err, so a call site closes and
+// checks in one statement. With no registry it builds no instrument names.
+func (ph phase) close(p *mpi.Proc, st *Stats, name string, field *float64, err error) error {
+	now := p.Now()
+	ph.sp.End(now)
+	if err != nil {
+		return err
 	}
-	st.Metrics.TimeSum("recovery.phase." + phase).Add(seconds)
-	if st.ModeLabel != "" {
-		st.Metrics.TimeSum("recovery.mode." + st.ModeLabel + ".phase." + phase).Add(seconds)
+	d := now - ph.t0
+	if field != nil {
+		*field += d
 	}
+	if st.Metrics != nil {
+		st.Metrics.TimeSum("recovery.phase." + name).Add(d)
+		if st.ModeLabel != "" {
+			st.Metrics.TimeSum("recovery.mode." + st.ModeLabel + ".phase." + name).Add(d)
+		}
+	}
+	return nil
 }
 
 // ErrorHandler returns the Fig. 4 error handler for p's communicators. It
@@ -281,26 +301,20 @@ func SpareNodePlacement(spareHost string) Placement {
 //
 // A claim's virtual cost is charged to Stats.SpawnTime: it occupies the
 // replacement-acquisition slot of the Table I breakdown, which is exactly the
-// number the spawn-vs-substitute comparison measures.
-func repair(p *mpi.Proc, broken *mpi.Comm, st *Stats, place Placement, mode Mode) (repaired *mpi.Comm, failedRanks []int, fellBack bool, err error) {
-	me := broken.Rank()
-	t0 := p.Now()
-	sp := st.span(t0, me, "revoke", "")
+// number the spawn-vs-substitute comparison measures. Every phase span goes on
+// track, the caller's original rank.
+func repair(p *mpi.Proc, broken *mpi.Comm, st *Stats, place Placement, mode Mode, track int) (repaired *mpi.Comm, failedRanks []int, fellBack bool, err error) {
+	ph := st.open(p, track, "revoke", "")
 	_ = broken.Revoke()
-	sp.End(p.Now())
-	st.charge("revoke", p.Now()-t0)
+	ph.close(p, st, "revoke", nil, nil)
 
-	t0 = p.Now()
-	sp = st.span(t0, me, "shrink", "")
+	ph = st.open(p, track, "shrink", "")
 	shrunk, err := broken.Shrink()
-	sp.End(p.Now())
-	if err != nil {
+	if ph.close(p, st, "shrink", &st.ShrinkTime, err) != nil {
 		return nil, nil, false, fmt.Errorf("recovery: shrink: %w", err)
 	}
-	st.ShrinkTime += p.Now() - t0
-	st.charge("shrink", p.Now()-t0)
 
-	t0 = p.Now()
+	t0 := p.Now()
 	failedRanks = FailedProcsList(broken, shrunk)
 	st.ListTime += p.Now() - t0
 	if len(failedRanks) == 0 {
@@ -316,41 +330,29 @@ func repair(p *mpi.Proc, broken *mpi.Comm, st *Stats, place Placement, mode Mode
 		if plan.err != nil {
 			return nil, nil, false, fmt.Errorf("recovery: placement: %w", plan.err)
 		}
-		t0 = p.Now()
-		sp = st.span(t0, me, "spawn", plan.detail)
+		ph = st.open(p, track, "spawn", plan.detail)
 		inter, err = shrunk.SpawnMultiple(totalFailed, plan.hosts, 0)
-		sp.End(p.Now())
-		if err != nil {
+		if ph.close(p, st, "spawn", &st.SpawnTime, err) != nil {
 			return nil, nil, false, fmt.Errorf("recovery: spawn: %w", err)
 		}
-		st.SpawnTime += p.Now() - t0
-		st.charge("spawn", p.Now()-t0)
 	case ModeSubstitute:
-		t0 = p.Now()
-		sp = st.span(t0, me, "claim", "%d spares", totalFailed)
+		ph = st.open(p, track, "claim", "%d spares", totalFailed)
 		inter, err = shrunk.ClaimSpares(totalFailed)
-		sp.End(p.Now())
-		if errors.Is(err, mpi.ErrNoSpares) {
+		if errors.Is(ph.close(p, st, "claim", &st.SpawnTime, err), mpi.ErrNoSpares) {
 			return shrunk, failedRanks, true, nil
 		}
 		if err != nil {
 			return nil, nil, false, fmt.Errorf("recovery: claim: %w", err)
 		}
-		st.SpawnTime += p.Now() - t0
-		st.charge("claim", p.Now()-t0)
 	default: // ModeShrink, ModeNoRepair: nothing to knit in
 		return shrunk, failedRanks, false, nil
 	}
 
-	t0 = p.Now()
-	sp = st.span(t0, me, "merge", "")
+	ph = st.open(p, track, "merge", "")
 	unordered, err := inter.IntercommMerge(false)
-	sp.End(p.Now())
-	if err != nil {
+	if ph.close(p, st, "merge", &st.MergeTime, err) != nil {
 		return nil, nil, false, fmt.Errorf("recovery: merge: %w", err)
 	}
-	st.MergeTime += p.Now() - t0
-	st.charge("merge", p.Now()-t0)
 
 	// From here on the replacements are blocked inside their own ChildAttach
 	// (agree, then a receive of their old rank on the merged communicator). If
@@ -364,15 +366,11 @@ func repair(p *mpi.Proc, broken *mpi.Comm, st *Stats, place Placement, mode Mode
 		return err
 	}
 
-	t0 = p.Now()
-	sp = st.span(t0, me, "agree", "")
+	ph = st.open(p, track, "agree", "")
 	_, err = inter.Agree(1)
-	sp.End(p.Now())
-	if err != nil {
+	if ph.close(p, st, "agree", &st.AgreeTime, err) != nil {
 		return nil, nil, false, abandon(fmt.Errorf("recovery: agree: %w", err))
 	}
-	st.AgreeTime += p.Now() - t0
-	st.charge("agree", p.Now()-t0)
 
 	// Rank 0 of the merged communicator tells each replacement its old rank
 	// (replacements occupy the highest ranks after the high merge).
@@ -387,15 +385,11 @@ func repair(p *mpi.Proc, broken *mpi.Comm, st *Stats, place Placement, mode Mode
 
 	totalProcs := unordered.Size()
 	key := SelectRankKey(unordered.Rank(), shrinkedGroupSize, failedRanks, totalProcs)
-	t0 = p.Now()
-	sp = st.span(t0, me, "split", "restore rank order, key %d", key)
+	ph = st.open(p, track, "split", "restore rank order, key %d", key)
 	repaired, err = unordered.Split(0, key)
-	sp.End(p.Now())
-	if err != nil {
+	if ph.close(p, st, "split", &st.SplitTime, err) != nil {
 		return nil, nil, false, abandon(fmt.Errorf("recovery: split: %w", err))
 	}
-	st.SplitTime += p.Now() - t0
-	st.charge("split", p.Now()-t0)
 	return repaired, failedRanks, false, nil
 }
 
@@ -407,14 +401,10 @@ func ChildAttach(p *mpi.Proc, parent *mpi.Comm, st *Stats) (*mpi.Comm, int, erro
 	// communicator rank until the final split, and the fresh track makes the
 	// re-spawned process visible next to the survivors in the exported
 	// timeline.
-	me := p.WorldRank()
 	parent.SetErrhandler(ErrorHandler(p))
-	t0 := p.Now()
-	sp := st.span(t0, me, "agree", "child synchronise")
+	ph := st.open(p, p.WorldRank(), "agree", "child synchronise")
 	_, agreeErr := parent.Agree(1)
-	sp.End(p.Now())
-	st.AgreeTime += p.Now() - t0
-	st.charge("agree", p.Now()-t0)
+	ph.close(p, st, "agree", &st.AgreeTime, nil) // booked even when it failed
 	if agreeErr != nil {
 		// The agreement over the spawn intercommunicator covers exactly this
 		// repair round's participants (survivors + children), so a failure
@@ -424,15 +414,11 @@ func ChildAttach(p *mpi.Proc, parent *mpi.Comm, st *Stats) (*mpi.Comm, int, erro
 		return nil, -1, fmt.Errorf("recovery: child agree: %v: %w", agreeErr, ErrOrphaned)
 	}
 
-	t0 = p.Now()
-	sp = st.span(t0, me, "merge", "child merge high")
+	ph = st.open(p, p.WorldRank(), "merge", "child merge high")
 	unordered, err := parent.IntercommMerge(true)
-	sp.End(p.Now())
-	if err != nil {
+	if ph.close(p, st, "merge", &st.MergeTime, err) != nil {
 		return nil, -1, fmt.Errorf("recovery: child merge: %w", err)
 	}
-	st.MergeTime += p.Now() - t0
-	st.charge("merge", p.Now()-t0)
 
 	oldRank, _, err := mpi.RecvOne[int](unordered, 0, MergeTag)
 	if err != nil {
@@ -445,18 +431,14 @@ func ChildAttach(p *mpi.Proc, parent *mpi.Comm, st *Stats) (*mpi.Comm, int, erro
 		return nil, -1, fmt.Errorf("recovery: child receive old rank: %w", err)
 	}
 
-	t0 = p.Now()
-	sp = st.span(t0, me, "split", "assume old rank %d", oldRank)
+	ph = st.open(p, p.WorldRank(), "split", "assume old rank %d", oldRank)
 	ordered, err := unordered.Split(0, oldRank)
-	sp.End(p.Now())
-	if err != nil {
+	if ph.close(p, st, "split", &st.SplitTime, err) != nil {
 		if retryable(err) {
 			return nil, -1, fmt.Errorf("recovery: child split: %v: %w", err, ErrOrphaned)
 		}
 		return nil, -1, fmt.Errorf("recovery: child split: %w", err)
 	}
-	st.SplitTime += p.Now() - t0
-	st.charge("split", p.Now()-t0)
 	return ordered, oldRank, nil
 }
 
@@ -478,7 +460,8 @@ func Reconstruct(p *mpi.Proc, myWorld *mpi.Comm, parent *mpi.Comm, st *Stats) (*
 // It returns the verified communicator and the caller's rank in it; the
 // position map threaded through the loop's shrinks (see ReconstructMode) and
 // the number of substitute rounds that fell back to shrink-only go to res
-// when it is non-nil.
+// when it is non-nil. Every phase span goes on the caller's original rank,
+// read from that map, so two processes never share a track after a shrink.
 func reconstruct(p *mpi.Proc, myWorld, parent *mpi.Comm, st *Stats, place Placement, mode Mode, origOf []int, res *ModeResult) (*mpi.Comm, int, error) {
 	switch mode {
 	case ModeSpawn, ModeSubstitute:
@@ -520,13 +503,11 @@ func reconstruct(p *mpi.Proc, myWorld, parent *mpi.Comm, st *Stats, place Placem
 		// reports any member death to every member, so either all members
 		// repair or none do — no rank leaves the loop while another revokes
 		// the communicator behind its back.
-		t0 := p.Now()
-		sp := st.span(t0, reconstructed.Rank(), "detect", "barrier + agree round")
+		track := OrigAt(lg.cur, reconstructed.Rank())
+		ph := st.open(p, track, "detect", "barrier + agree round")
 		barrierErr := reconstructed.Barrier()
 		_, agreeErr := reconstructed.Agree(1)
-		sp.End(p.Now())
-		st.ListTime += p.Now() - t0
-		st.charge("detect", p.Now()-t0)
+		ph.close(p, st, "detect", &st.ListTime, nil)
 
 		if agreeErr == nil && barrierErr == nil {
 			if lg.replaced != nil {
@@ -542,8 +523,8 @@ func reconstruct(p *mpi.Proc, myWorld, parent *mpi.Comm, st *Stats, place Placem
 			return reconstructed, reconstructed.Rank(), nil
 		}
 
-		t0 = p.Now()
-		repaired, failed, fellBack, err := repair(p, reconstructed, st, place, mode)
+		t0 := p.Now()
+		repaired, failed, fellBack, err := repair(p, reconstructed, st, place, mode, track)
 		st.ReconstructTime += p.Now() - t0
 		if err != nil {
 			if retryable(err) && iter+1 < maxRepairRounds {
@@ -598,6 +579,15 @@ func (lg *ledger) record(mode Mode, failed []int, shrank, fellBack bool) {
 	if fellBack {
 		lg.fallbacks++
 	}
+}
+
+// OrigAt reads a position map such as ModeResult.OrigOf: the original rank
+// behind position pos. A nil map is the identity.
+func OrigAt(origOf []int, pos int) int {
+	if origOf == nil {
+		return pos
+	}
+	return origOf[pos]
 }
 
 // union returns the ascending union of two ascending lists. When a is

@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sort"
 	"sync"
@@ -10,6 +11,7 @@ import (
 
 	"ftsg/internal/mpi"
 	"ftsg/internal/topo"
+	"ftsg/internal/trace"
 	"ftsg/internal/vtime"
 )
 
@@ -392,7 +394,7 @@ func TestFailureDuringRecovery(t *testing.T) {
 			c.SetErrhandler(ErrorHandler(p))
 			_ = c.Barrier()
 			_, _ = c.Agree(1)
-			if _, _, _, err := repair(p, c, &st, SameHostPlacement, ModeSpawn); err != nil {
+			if _, _, _, err := repair(p, c, &st, SameHostPlacement, ModeSpawn, c.Rank()); err != nil {
 				t.Errorf("rank 4 repair: %v", err)
 			}
 			p.Kill()
@@ -697,23 +699,87 @@ func TestFailureDuringSpawn(t *testing.T) {
 
 // TestUntracedPhaseBookkeepingAllocatesNothing pins the per-phase cost of
 // a repair that no recorder and no registry watch: opening and closing a
-// phase span with int args or the round's shared spawn detail, charging
-// the phase and taking the Fig. 4 handler that every detection point
-// installs allocate nothing.
+// phase record with int args or the round's shared spawn detail, with and
+// without a Stats field, and taking the Fig. 4 handler that every detection
+// point installs allocate nothing.
 func TestUntracedPhaseBookkeepingAllocatesNothing(t *testing.T) {
 	st := &Stats{ModeLabel: "substitute"}
 	plan := &spawnPlan{hosts: []string{"n007", "n012"}, detail: "2 replacements on [n007 n012]"}
 	var handler mpi.Errhandler
-	phase := func() {
-		handler = ErrorHandler(nil)
-		st.span(1, 3, "split", "restore rank order, key %d", 3).End(2)
-		st.span(2, 3, "spawn", plan.detail).End(3)
-		st.charge("split", 1)
+	var allocs float64
+	_, err := mpi.Run(mpi.Options{NProcs: 1, Entry: func(p *mpi.Proc) {
+		allocs = testing.AllocsPerRun(100, func() {
+			handler = ErrorHandler(p)
+			st.open(p, 3, "split", "restore rank order, key %d", 3).close(p, st, "split", &st.SplitTime, nil)
+			st.open(p, 3, "spawn", plan.detail).close(p, st, "spawn", &st.SpawnTime, nil)
+			st.open(p, 3, "revoke", "").close(p, st, "revoke", nil, nil)
+		})
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(100, phase); n != 0 {
-		t.Errorf("untraced phase: %v allocations, want 0", n)
+	if allocs != 0 {
+		t.Errorf("untraced phase: %v allocations, want 0", allocs)
 	}
 	if handler == nil {
 		t.Error("ErrorHandler returned nil")
+	}
+}
+
+// TestPhaseSpansOnOriginalRanks pins the track rule: a recovery span goes on
+// the caller's original rank, not on its current position. A 6-rank world
+// loses rank 1 and repairs by shrinking, so afterwards position k holds
+// original rank k+1 for k ≥ 1. The verifying detect round must still land
+// on tracks 0, 2, 3, 4 and 5, beside each survivor's first detect span and
+// its repair, on both execution paths. Read by position, it would land on
+// tracks 0 to 4.
+func TestPhaseSpansOnOriginalRanks(t *testing.T) {
+	for _, event := range []bool{false, true} {
+		rec := trace.New()
+		o := mpi.Options{NProcs: 6, Machine: vtime.OPL()}
+		if event {
+			o.EventEntry = func(p *mpi.Proc, f *mpi.Fiber) {
+				c := p.World()
+				if c.Rank() == 1 {
+					p.Kill()
+				}
+				st := &Stats{Trace: rec}
+				FiberReconstructMode(p, f, c, nil, st, SameHostPlacement, ModeShrink, identityMap(6), func(_ *ModeResult, err error) {
+					if err != nil {
+						t.Errorf("event path: %v", err)
+					}
+				})
+			}
+		} else {
+			o.Entry = func(p *mpi.Proc) {
+				c := p.World()
+				if c.Rank() == 1 {
+					p.Kill()
+				}
+				st := &Stats{Trace: rec}
+				if _, err := ReconstructMode(p, c, nil, st, SameHostPlacement, ModeShrink, identityMap(6)); err != nil {
+					t.Errorf("goroutine path: %v", err)
+				}
+			}
+		}
+		if _, err := mpi.Run(o); err != nil {
+			t.Fatalf("event=%v: %v", event, err)
+		}
+		tracks := map[string]map[int]int{}
+		for _, s := range rec.Spans() {
+			if tracks[s.Phase] == nil {
+				tracks[s.Phase] = map[int]int{}
+			}
+			tracks[s.Phase][s.Rank]++
+		}
+		survivors := map[int]int{0: 1, 2: 1, 3: 1, 4: 1, 5: 1}
+		want := map[string]map[int]int{
+			"detect": {0: 2, 2: 2, 3: 2, 4: 2, 5: 2},
+			"revoke": survivors,
+			"shrink": survivors,
+		}
+		if !reflect.DeepEqual(tracks, want) {
+			t.Errorf("event=%v: spans per phase and track %v, want %v", event, tracks, want)
+		}
 	}
 }
