@@ -13,32 +13,40 @@ import (
 // TestRunAllocsPerRank bounds what a fault-injected Run allocates per
 // launched rank: two real failures, checkpoints on the mem backend, the
 // always-on flight recorder. A launched rank's state, its solver and its
-// repair result live in the run's block, the failure lists and the decoded
-// announcement are the run's, a generation is a number and a checkpoint
-// blob a recycled pool buffer, so what is left per rank is its goroutine,
-// the Go runtime's parks and the transport's first pool misses. The
-// collector is off from the warm-up on (a collection empties the pools and
-// the sudog cache). The medians of 10 runs, on 176 ranks:
+// repair result live in the run's block, the recovery-mode state and the
+// combination scheme are the communicator's, a generation is a number, and
+// a checkpoint blob and CR's restore negotiation lists are recycled pool
+// buffers, so what is left per rank is its goroutine, the Go runtime's
+// parks and the transport's first pool misses. The collector is off from
+// the warm-up on (a collection empties the pools and the sudog cache). The
+// medians of 10 runs:
 //
-//   - spawn: 5.2 objects (6.2 while the store named each generation with
-//     a string; 15.4 when each rank allocated its own state, solver,
-//     repair result and failure sets);
-//   - shrink: 3.7 objects, every rank starting on the identity map and
-//     sharing each shrunk communicator's map (7.5 objects and ≈ 2.8 KiB
-//     more per rank when each built its own identity map and shrunk
-//     copies).
+//   - CR spawn, 176 ranks: 4.8 objects (5.2 while each restoring rank grew
+//     its own candidate list and offer; 6.2 while the store named each
+//     generation with a string; 15.4 when each rank allocated its own
+//     state, solver, repair result and failure sets);
+//   - CR shrink, 176 ranks: 3.4 objects, every rank starting on the
+//     identity map and sharing each shrunk communicator's map (7.5 objects
+//     and ≈ 2.8 KiB more per rank when each built its own identity map and
+//     shrunk copies);
+//   - AC shrink, 196 ranks: 3.2 objects, and RC shrink, 304 ranks: 3.05
+//     (7.1 and 8.0 while each rank derived its own abandoned set, its lists
+//     and the grids left to recover).
 //
 // Under -race, whose pools drop a quarter of what they are given, the
-// medians are 25.2 and 24.4. The bounds are each median + 35 %.
+// medians are 24.6, 23.6, 20.1 and 20.0. The bounds are each median + 35 %.
 func TestRunAllocsPerRank(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
+		tech          Technique
 		mode          recovery.Mode
 		spawned       int     // replacements the repair must have spawned
 		objects, race float64 // per launched rank: plain and -race bounds
 	}{
-		{"spawn", recovery.ModeSpawn, 2, 7.0, 34.0},
-		{"shrink", recovery.ModeShrink, 0, 5.0, 33.0},
+		{"spawn", CheckpointRestart, recovery.ModeSpawn, 2, 6.5, 33.3},
+		{"shrink", CheckpointRestart, recovery.ModeShrink, 0, 4.6, 31.9},
+		{"AC_shrink", AlternateCombination, recovery.ModeShrink, 0, 4.3, 27.1},
+		{"RC_shrink", ResamplingCopying, recovery.ModeShrink, 0, 4.1, 27.0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bound := tc.objects
@@ -46,7 +54,7 @@ func TestRunAllocsPerRank(t *testing.T) {
 				bound = tc.race
 			}
 			cfg := Config{
-				Technique:         CheckpointRestart,
+				Technique:         tc.tech,
 				RecoveryMode:      tc.mode,
 				DiagProcs:         32,
 				Steps:             32,

@@ -48,7 +48,6 @@ type runState struct {
 	ckPlan  checkpoint.Plan
 	store   *checkpoint.Store
 	faults  *faultgen.Plan
-	simLost []int
 	cluster *topo.Cluster
 	place   recovery.Placement
 	reg     *metrics.Registry
@@ -59,46 +58,17 @@ type runState struct {
 	// dps are the run's detection points, shared read-only by the ranks.
 	dps []int
 
+	// initial is the launched world's recovery-mode state, shared read-only
+	// by the ranks: no repair yet, and the grids a simulated-loss run loses
+	// at the end (lost, with their recover-data detail), if any.
+	initial modeState
+
 	// ranks holds the launched ranks' program states, by world rank: one
 	// block per run instead of one allocation per process (newRank).
 	ranks []rankState
 
-	mu      sync.Mutex
-	res     Result
-	schemes []schemeMemo // the run's other schemes; see memoScheme
-
-	// listMu guards the memos of values every rank derives from
-	// world-agreed lists (lostGridIDs, recoverDetail, holesOf, unionOf,
-	// decodeInfo). Not mu: report calls lostGridIDs while it holds mu.
-	listMu    sync.Mutex
-	lost      []listMemo[[]int]
-	details   []listMemo[string]
-	holes     []listMemo[[]int]
-	unions    []listMemo[[]int]
-	announced []listMemo[[]int]
-}
-
-// listMemo is one value a run derived from one or two world-agreed lists.
-type listMemo[V any] struct {
-	key, key2 []int
-	val       V
-}
-
-// memoList returns the value build derives from the world-agreed lists key
-// and key2 (nil where one list is the whole key), building it once per
-// distinct pair per run: every rank asks with equal lists, so the first
-// caller's value is shared read-only by the rest.
-func memoList[V any](mu *sync.Mutex, memos *[]listMemo[V], key, key2 []int, build func() V) V {
-	mu.Lock()
-	defer mu.Unlock()
-	for _, m := range *memos {
-		if slices.Equal(m.key, key) && slices.Equal(m.key2, key2) {
-			return m.val
-		}
-	}
-	v := build()
-	*memos = append(*memos, listMemo[V]{slices.Clone(key), slices.Clone(key2), v})
-	return v
+	mu  sync.Mutex
+	res Result
 }
 
 // flightSeq numbers automatic flight-recorder dump files within a process.
@@ -254,11 +224,15 @@ func Run(cfg Config) (*Result, error) {
 				}
 			}
 		}
-		rs.simLost, err = faultgen.PickGrids(cfg.Seed, cfg.NumFailures, candidates, conflicts)
+		lost, err := faultgen.PickGrids(cfg.Seed, cfg.NumFailures, candidates, conflicts)
 		if err != nil {
 			return nil, err
 		}
-		sort.Ints(rs.simLost)
+		sort.Ints(lost)
+		rs.initial.lost = lost
+		if len(lost) > 0 {
+			rs.initial.detail = rs.recoverDetail(lost)
+		}
 	}
 
 	rs.res = Result{
@@ -268,7 +242,7 @@ func Run(cfg Config) (*Result, error) {
 		GridCount:      len(rs.grids),
 		Steps:          cfg.Steps,
 		CheckpointPlan: rs.ckPlan,
-		LostGrids:      append([]int(nil), rs.simLost...),
+		LostGrids:      append([]int(nil), rs.initial.lost...),
 		TIOWrite:       cfg.Machine.TIOWrite,
 		Mode:           cfg.RecoveryMode.String(),
 	}
@@ -397,7 +371,7 @@ func (rs *runState) rank(p *mpi.Proc) error {
 
 		// Detect; reconstruct the communicator if a process was lost.
 		tRepair := r.beginDetect()
-		err := recovery.ReconstructModeInto(&r.mr, p, r.world, nil, &r.st, rs.place, mode, r.mc.origOf)
+		err := recovery.ReconstructModeInto(&r.mr, p, r.world, nil, &r.st, rs.place, mode, r.mc.st.origOf)
 		if err := r.detected(err, tRepair); err != nil {
 			return err
 		}
@@ -425,7 +399,7 @@ func (rs *runState) rank(p *mpi.Proc) error {
 
 	// Simulated failures (the paper's Figs. 9/10 mode): whole grids are
 	// assumed lost at the end, without killing processes.
-	if err := r.recoverData(rs.simLost); err != nil {
+	if err := r.recoverData(rs.initial.lost, rs.initial.detail); err != nil {
 		return err
 	}
 	r.report()
@@ -447,49 +421,34 @@ func (r *rankState) rejoin(old carried) error {
 	if err := r.carryOver(old); err != nil {
 		return err
 	}
-	if err := r.recoverData(r.recoverIDs); err != nil {
+	if err := r.recoverData(r.mc.st.recover, r.mc.st.detail); err != nil {
 		return err
 	}
 	r.recovered()
 	return nil
 }
 
-// lostGridIDs maps failed ranks (real mode) or the simulated loss list onto
-// sub-grid IDs, ascending. The list is the run's, one per distinct
-// failedRanks, shared read-only by every rank that asks.
+// lostGridIDs maps failed ranks onto sub-grid IDs, ascending.
 func (rs *runState) lostGridIDs(failedRanks []int) []int {
-	if rs.simLost != nil {
-		return rs.simLost
-	}
-	return memoList(&rs.listMu, &rs.lost, failedRanks, nil, func() []int {
-		var out []int
-		for _, r := range failedRanks {
-			g, err := gridOfRank(rs.grids, r)
-			if err == nil && !slices.Contains(out, g.ID) {
-				out = append(out, g.ID)
-			}
+	var out []int
+	for _, r := range failedRanks {
+		g, err := gridOfRank(rs.grids, r)
+		if err == nil && !slices.Contains(out, g.ID) {
+			out = append(out, g.ID)
 		}
-		slices.Sort(out)
-		return out
-	})
-}
-
-// recoverDetail is the recover-data span's detail for the sub-grids ids,
-// formatted once per distinct list per run (a span detail's args are ints
-// only, so the list cannot be one).
-func (rs *runState) recoverDetail(ids []int) string {
-	return memoList(&rs.listMu, &rs.details, ids, nil, func() string {
-		return fmt.Sprintf("%v, sub-grids %v", rs.cfg.Technique, ids)
-	})
+	}
+	slices.Sort(out)
+	return out
 }
 
 // recoverData restores the data of the lost sub-grids at the current step
-// using the configured technique.
-func (r *rankState) recoverData(lost []int) error {
+// using the configured technique; detail is the lost list's recover-data
+// span detail.
+func (r *rankState) recoverData(lost []int, detail string) error {
 	if len(lost) == 0 {
 		return nil
 	}
-	w := r.beginRecover(lost)
+	w := r.beginRecover(detail)
 	defer r.endRecover(w)
 	switch r.cfg.Technique {
 	case CheckpointRestart:
@@ -513,9 +472,12 @@ func (r *rankState) recoverData(lost []int) error {
 // recoverCR restores this rank's grid from the newest checkpoint its group
 // can agree on (see crBegin) and recomputes up to the current step.
 func (r *rankState) recoverCR() error {
+	defer r.crEnd()
 	restored := false
 	for negotiating := r.crBegin(); negotiating && !restored; {
-		all, err := mpi.Allgather(r.gcomm, r.crOffer())
+		offer := r.crOffer()
+		all, err := mpi.Allgather(r.gcomm, offer)
+		mpi.ReleaseBuf(offer)
 		step, err := r.crPick(all, err)
 		if err != nil {
 			return err

@@ -88,7 +88,7 @@ func (fr *fiberRank) rejoin(old carried, next func()) {
 			fr.done(err)
 			return
 		}
-		fr.recoverData(fr.recoverIDs, fr.then(func() {
+		fr.recoverData(fr.mc.st.recover, fr.mc.st.detail, fr.then(func() {
 			fr.recovered()
 			next()
 		}))
@@ -99,7 +99,7 @@ func (fr *fiberRank) rejoin(old carried, next func()) {
 // detect.
 func (fr *fiberRank) nextDP(i int) {
 	if i >= len(fr.dps) {
-		fr.recoverData(fr.rs.simLost, fr.then(func() {
+		fr.recoverData(fr.rs.initial.lost, fr.rs.initial.detail, fr.then(func() {
 			fr.report()
 			fr.combine()
 		}))
@@ -135,7 +135,7 @@ func (fr *fiberRank) detect(i int) {
 	rs, p := fr.rs, fr.p
 	next := func() { fr.nextDP(i + 1) }
 	tRepair := fr.beginDetect()
-	recovery.FiberReconstructMode(p, fr.f, fr.world, nil, &fr.st, rs.place, rs.cfg.RecoveryMode, fr.mc.origOf, func(mr *recovery.ModeResult, err error) {
+	recovery.FiberReconstructMode(p, fr.f, fr.world, nil, &fr.st, rs.place, rs.cfg.RecoveryMode, fr.mc.st.origOf, func(mr *recovery.ModeResult, err error) {
 		if err := fr.detected(err, tRepair); err != nil {
 			fr.done(err)
 			return
@@ -159,12 +159,12 @@ func (fr *fiberRank) detect(i int) {
 	})
 }
 
-func (fr *fiberRank) recoverData(lost []int, k func(error)) {
+func (fr *fiberRank) recoverData(lost []int, detail string, k func(error)) {
 	if len(lost) == 0 {
 		k(nil)
 		return
 	}
-	w := fr.beginRecover(lost)
+	w := fr.beginRecover(detail)
 	done := func(err error) {
 		fr.endRecover(w)
 		k(err)
@@ -179,7 +179,11 @@ func (fr *fiberRank) recoverData(lost []int, k func(error)) {
 	}
 }
 
-func (fr *fiberRank) recoverCR(k func(error)) {
+func (fr *fiberRank) recoverCR(done func(error)) {
+	k := func(err error) {
+		fr.crEnd()
+		done(err)
+	}
 	recompute := func() {
 		fr.solver.FiberRun(fr.f, fr.cur-fr.solver.StepCount, func(err error) { k(crRecomputed(err)) })
 	}
@@ -196,7 +200,9 @@ func (fr *fiberRank) recoverCR(k func(error)) {
 	}
 	var negotiate func()
 	negotiate = func() {
-		mpi.FiberAllgather(fr.f, fr.gcomm, fr.crOffer(), func(all [][]int64, err error) {
+		offer := fr.crOffer()
+		mpi.FiberAllgather(fr.f, fr.gcomm, offer, func(all [][]int64, err error) {
+			mpi.ReleaseBuf(offer)
 			step, err := fr.crPick(all, err)
 			if err != nil {
 				k(err)

@@ -3,76 +3,62 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"ftsg/internal/combine"
 	"ftsg/internal/ftcomb"
 	"ftsg/internal/grid"
+	"ftsg/internal/mpi"
 	"ftsg/internal/recovery"
 )
 
-// modeCtx is one rank's view of the run state a recovery mode evolves: the
-// mapping from current communicator positions to original ranks, the
-// original ranks that left permanent holes (shrunk out, never replaced), the
-// failure history, and the sub-grids abandoned as a consequence. Survivors
-// fold each repair's results into it and verify it against rank 0's
-// broadcast; replacements adopt the broadcast wholesale. Every mode carries
-// one: under spawn no position ever moves, nothing is holed and nothing is
-// abandoned, so the same questions get the trivial answers.
+// modeCtx is one rank's view of the recovery mode: the mode, and the state
+// of the world communicator the rank is on.
 type modeCtx struct {
 	mode recovery.Mode
-	// origOf is the original rank behind each current comm position — the
-	// map recovery.ReconstructMode threads through its shrinks. Every rank
-	// starts on nil, which that protocol too reads as the identity: until a
-	// repair shrinks the communicator the map is not worth P ints on every
-	// rank. A shrunk map is the shrunk communicator's, built once and
-	// shared read-only by every rank on it: never write to it.
-	origOf []int
-	// dead and failed are ascending lists of original ranks, each a function
-	// of world-agreed lists and so the run's, shared read-only by every rank
-	// that derived it (runState.holesOf, runState.unionOf): never write to
-	// them.
-	dead      []int  // shrunk out without replacement: the complement of origOf
-	failed    []int  // failed so far, replaced or not
-	abandoned intSet // sub-grid IDs abandoned (no data, coeff redistributed)
-	fallbacks int    // substitute rounds degraded to shrink (spares exhausted)
+	st   *modeState // the communicator's, shared read-only: never write to it
 }
 
-// intSet is a set of grid IDs. The zero value is empty and reads as
-// such, so a rank that never sees a failure never allocates one.
-type intSet map[int]bool
+// modeState is what the ranks of one world communicator agree on about the
+// run's recovery: the mapping from communicator positions to original
+// ranks, the original ranks that left permanent holes (shrunk out, never
+// replaced), the sub-grids abandoned as a consequence, and the repair event
+// that made the communicator. Every mode carries one: under spawn no
+// position ever moves, nothing is holed and nothing is abandoned, so the
+// same questions get the trivial answers.
+//
+// A state is built once per repaired communicator, by whichever of its
+// ranks asks first (repairedState, announcedState), and shared read-only by
+// every rank on it; the launched world's is the run's (runState.initial).
+// Never write to one.
+type modeState struct {
+	// origOf is the original rank behind each communicator position — the
+	// map recovery.ReconstructMode threads through its shrinks; nil is the
+	// identity, which every run starts on. A shrunk map is the shrunk
+	// communicator's (recovery's Comm.Agreed value).
+	origOf    []int
+	holes     []int // shrunk out without replacement, ascending: the complement of origOf
+	abandoned []int // sub-grid IDs abandoned (no data, coeff redistributed), ascending
 
-func (s *intSet) add(v int) {
-	if *s == nil {
-		*s = make(intSet)
-	}
-	(*s)[v] = true
+	// The repair event that made the communicator (none for the launched
+	// world, whose lost grids are a simulated-loss run's, if any).
+	failed  []int  // its failed original ranks, ascending
+	lost    []int  // the sub-grids they held, ascending
+	recover []int  // the lost sub-grids left to recover: lost minus abandoned
+	detail  string // the recover-data span's detail for recover
 }
-
-// sorted returns the members, ascending.
-func (s intSet) sorted() []int {
-	out := make([]int, 0, len(s))
-	for v := range s {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func newModeCtx(mode recovery.Mode) modeCtx { return modeCtx{mode: mode} }
 
 // spawn reports the paper's mode: every lost rank is replaced in place, so
 // communicator positions are original ranks for the whole run.
 func (mc *modeCtx) spawn() bool { return mc.mode == recovery.ModeSpawn }
 
-// orig returns the original rank behind a current communicator position.
-func (mc *modeCtx) orig(pos int) int { return recovery.OrigAt(mc.origOf, pos) }
+// orig returns the original rank behind a communicator position.
+func (st *modeState) orig(pos int) int { return recovery.OrigAt(st.origOf, pos) }
 
 // appendMap appends the position map of a size-rank communicator to dst,
 // spelling out the identity.
-func (mc *modeCtx) appendMap(dst []int, size int) []int {
-	if mc.origOf != nil {
-		return append(dst, mc.origOf...)
+func (st *modeState) appendMap(dst []int, size int) []int {
+	if st.origOf != nil {
+		return append(dst, st.origOf...)
 	}
 	for i := 0; i < size; i++ {
 		dst = append(dst, i)
@@ -80,11 +66,10 @@ func (mc *modeCtx) appendMap(dst []int, size int) []int {
 	return dst
 }
 
-// sameMap reports whether list, a position map spelled out, is the
-// context's.
-func (mc *modeCtx) sameMap(list []int) bool {
-	if mc.origOf != nil || list == nil {
-		return slices.Equal(list, mc.origOf)
+// sameMap reports whether list, a position map spelled out, is the state's.
+func (st *modeState) sameMap(list []int) bool {
+	if st.origOf != nil || list == nil {
+		return slices.Equal(list, st.origOf)
 	}
 	for i, o := range list {
 		if o != i {
@@ -94,125 +79,145 @@ func (mc *modeCtx) sameMap(list []int) bool {
 	return true
 }
 
-// commRankOf returns the current communicator rank of an original rank, or
-// -1 when it has been shrunk out.
-func (mc *modeCtx) commRankOf(orig int) int {
-	if mc.origOf == nil {
+// commRankOf returns the communicator rank of an original rank, or -1 when
+// it has been shrunk out.
+func (st *modeState) commRankOf(orig int) int {
+	if st.origOf == nil {
 		return orig
 	}
-	return slices.Index(mc.origOf, orig)
+	return slices.Index(st.origOf, orig)
 }
 
 // deadIn returns how many of the grid's original ranks are dead.
-func (mc *modeCtx) deadIn(g SubGrid) int {
-	lo, _ := slices.BinarySearch(mc.dead, g.FirstRank)
-	hi, _ := slices.BinarySearch(mc.dead, g.FirstRank+g.Procs)
+func (st *modeState) deadIn(g SubGrid) int {
+	lo, _ := slices.BinarySearch(st.holes, g.FirstRank)
+	hi, _ := slices.BinarySearch(st.holes, g.FirstRank+g.Procs)
 	return hi - lo
 }
 
 // holed reports whether the grid has at least one permanently missing
 // member.
-func (mc *modeCtx) holed(g SubGrid) bool { return mc.deadIn(g) > 0 }
+func (st *modeState) holed(g SubGrid) bool { return st.deadIn(g) > 0 }
 
 // isDead reports whether original rank r was shrunk out.
-func (mc *modeCtx) isDead(r int) bool {
-	_, found := slices.BinarySearch(mc.dead, r)
+func (st *modeState) isDead(r int) bool {
+	_, found := slices.BinarySearch(st.holes, r)
 	return found
 }
 
-// adopt installs rank 0's announcement on a replacement, which joins mid-run
-// with no history of its own: the position map, the abandoned set, the
-// current event's failed ranks, and the hole set derived as the complement
-// of the map (a hole implies a failure, so the holes fold into the failure
-// history too). The identity map has no complement.
-func (rs *runState) adopt(mc *modeCtx, info recoveryInfo) {
-	// The map is the rank's own copy, not a view of the run's decoded
-	// announcement; replacements are few.
-	mc.origOf = slices.Clone(info.origOf)
-	mc.dead = rs.holesOf(mc.origOf)
-	mc.failed = rs.unionOf(mc.dead, info.failed)
-	for _, id := range info.abandoned {
-		mc.abandoned.add(id)
-	}
+// isAbandoned reports whether the sub-grid was abandoned.
+func (st *modeState) isAbandoned(id int) bool {
+	_, found := slices.BinarySearch(st.abandoned, id)
+	return found
 }
 
-// holesOf returns the original ranks missing from the position map origOf,
-// ascending: none for the identity (nil). Built once per distinct map per
-// run and shared read-only.
-func (rs *runState) holesOf(origOf []int) []int {
-	if origOf == nil {
-		return nil
+// liveRootOf returns the lowest surviving original rank of the grid — the
+// rank that holds position 0 of the grid's group communicator after every
+// shrink (Split orders by original rank) — or -1 when none survives.
+func (st *modeState) liveRootOf(g SubGrid) int {
+	for r := g.FirstRank; r < g.FirstRank+g.Procs; r++ {
+		if !st.isDead(r) {
+			return r
+		}
 	}
-	return memoList(&rs.listMu, &rs.holes, origOf, nil, func() []int {
+	return -1
+}
+
+// restorable reports whether the state a survivor held before a repair is
+// carried into its rebuilt solver. All members of a grid must act alike, so
+// the broadcast-agreed damage decides, in every mode: a damaged grid's state
+// is rebuilt by recoverData or the grid is abandoned, and restoring would be
+// redundant or, where groups can shrink, shape-mismatched.
+func (st *modeState) restorable(damaged bool, gridID int) bool {
+	return !damaged && !st.isAbandoned(gridID)
+}
+
+// modeStateKey names the recovery-mode state among a world communicator's
+// agreed values.
+type modeStateKey struct{}
+
+// repairedState returns the state of c, the communicator a repair left
+// under map origOf after losing the original ranks failed: mc's state with
+// that event folded in. Every survivor asks with equal inputs — the same
+// event and, as agreed checked after the last repair, previous states of
+// equal content — so the first to ask builds it and every rank on c shares
+// it. The event's grids are abandoned or recovered as abandonGrid decides,
+// in ascending order, each decision seeing the ones before it.
+func (rs *runState) repairedState(c *mpi.Comm, mc *modeCtx, origOf, failed []int) *modeState {
+	return c.Agreed(modeStateKey{}, func() any {
+		st := rs.eventState(origOf, failed)
+		st.abandoned = mc.st.abandoned
+		for _, id := range st.lost {
+			if !st.isAbandoned(id) && rs.abandonGrid(mc.mode, st, rs.grids[id]) {
+				st.abandoned = recovery.Union(st.abandoned, []int{id})
+			}
+		}
+		return rs.settle(st)
+	}).(*modeState)
+}
+
+// announcedState returns the state of c, the communicator a replacement
+// joined, as rank 0's announcement info describes it. Rank 0 built the
+// survivors' state before it announced, so a replacement finds theirs;
+// infoState builds what a replacement that got there first would share
+// instead.
+func (rs *runState) announcedState(c *mpi.Comm, info recoveryInfo) *modeState {
+	return c.Agreed(modeStateKey{}, func() any { return rs.infoState(info) }).(*modeState)
+}
+
+// infoState builds the state an announcement describes, from copies of its
+// lists. The full layout spells the identity out; the state keeps it as nil.
+func (rs *runState) infoState(info recoveryInfo) *modeState {
+	origOf := info.origOf
+	if len(origOf) == rs.res.Procs && rs.initial.sameMap(origOf) {
+		origOf = nil
+	}
+	st := rs.eventState(append([]int(nil), origOf...), append([]int(nil), info.failed...))
+	st.abandoned = append([]int(nil), info.abandoned...)
+	return rs.settle(st)
+}
+
+// eventState starts the state a repair event leaves: the map, its holes,
+// and the event's failed ranks and lost grids. Every position a repair
+// removes is one of its failed ranks, and none comes back: the ranks shrunk
+// out so far are exactly the map's holes.
+func (rs *runState) eventState(origOf, failed []int) *modeState {
+	st := &modeState{origOf: origOf, failed: failed, lost: rs.lostGridIDs(failed)}
+	if origOf != nil {
 		present := make([]bool, rs.res.Procs)
 		for _, o := range origOf {
 			present[o] = true
 		}
-		var out []int
 		for r, ok := range present {
 			if !ok {
-				out = append(out, r)
+				st.holes = append(st.holes, r)
 			}
 		}
-		return out
-	})
-}
-
-// unionOf returns the ascending union of the rank lists a and b, without
-// repeats. Built once per distinct pair per run and shared read-only.
-func (rs *runState) unionOf(a, b []int) []int {
-	return memoList(&rs.listMu, &rs.unions, a, b, func() []int {
-		u := slices.Concat(a, b)
-		slices.Sort(u)
-		return slices.Compact(u)
-	})
-}
-
-// abandonedList returns the abandoned grid IDs, ascending.
-func (mc *modeCtx) abandonedList() []int { return mc.abandoned.sorted() }
-
-// applyEvent folds one repair event into the context: origOf is the
-// post-repair position mapping, failedList the original ranks lost in the
-// event (both from recovery.ReconstructMode; the map is shared read-only,
-// and the context keeps it as it is). It updates the failure
-// history, the hole and abandoned sets and returns the sub-grid IDs to
-// actively recover this event. Every survivor derives identical results from
-// identical inputs; rank 0's broadcast lets the others verify.
-func (rs *runState) applyEvent(mc *modeCtx, origOf, failedList []int) []int {
-	mc.origOf = origOf
-	mc.failed = rs.unionOf(mc.failed, failedList)
-	// Every position a repair removes is one of its failed ranks, and none
-	// comes back: the ranks shrunk out so far are exactly the map's holes.
-	mc.dead = rs.holesOf(mc.origOf)
-	for _, id := range rs.lostGridIDs(failedList) {
-		if !mc.abandoned[id] && rs.abandonGrid(mc, rs.grids[id]) {
-			mc.abandoned.add(id)
-		}
 	}
-	return rs.activeRecoverIDs(mc, failedList)
+	return st
 }
 
-// activeRecoverIDs returns the damaged grids actively recovered in the
-// event that lost failedList — the damaged set minus the abandoned set,
-// which is exactly what applyEvent returns for survivors. Replacements
-// receive the abandoned set by broadcast instead of deriving it, so they
-// recompute the same list here. With nothing abandoned it is the run's
-// shared lostGridIDs list itself: read it, never write to it.
-func (rs *runState) activeRecoverIDs(mc *modeCtx, failedList []int) []int {
-	lost := rs.lostGridIDs(failedList)
-	if !slices.ContainsFunc(lost, func(id int) bool { return mc.abandoned[id] }) {
-		return lost
+// settle finishes a state once its abandoned set is known: the lost grids
+// left to recover — the lost list itself when nothing of it is abandoned —
+// and their recover-data detail.
+func (rs *runState) settle(st *modeState) *modeState {
+	st.recover = st.lost
+	if slices.ContainsFunc(st.lost, st.isAbandoned) {
+		st.recover = slices.DeleteFunc(slices.Clone(st.lost), st.isAbandoned)
 	}
-	var out []int
-	for _, id := range lost {
-		if !mc.abandoned[id] {
-			out = append(out, id)
-		}
+	if len(st.recover) > 0 {
+		st.detail = rs.recoverDetail(st.recover)
 	}
-	return out
+	return st
 }
 
-// abandonGrid decides whether a grid damaged by the current event is
+// recoverDetail is the recover-data span's detail for the sub-grids ids (a
+// span detail's args are ints only, so the list cannot be one).
+func (rs *runState) recoverDetail(ids []int) string {
+	return fmt.Sprintf("%v, sub-grids %v", rs.cfg.Technique, ids)
+}
+
+// abandonGrid decides whether a grid damaged by the event that leaves st is
 // abandoned or recovered. Spawn abandons nothing: it replaces every lost
 // rank, and Alternate Combination there keeps the paper's recovered
 // coefficients over the lost levels (rankState.scheme) instead of the
@@ -224,17 +229,17 @@ func (rs *runState) activeRecoverIDs(mc *modeCtx, failedList []int) []int {
 // left to hold data. Otherwise the technique decides what a shrunken group
 // can rebuild: CR recomputes from the initial condition, RC copies from its
 // partner if that partner is still usable.
-func (rs *runState) abandonGrid(mc *modeCtx, g SubGrid) bool {
-	if mc.spawn() {
+func (rs *runState) abandonGrid(mode recovery.Mode, st *modeState, g SubGrid) bool {
+	if mode == recovery.ModeSpawn {
 		return false
 	}
-	if mc.mode == recovery.ModeNoRepair {
+	if mode == recovery.ModeNoRepair {
 		return true
 	}
 	if rs.cfg.Technique == AlternateCombination {
 		return true
 	}
-	switch mc.deadIn(g) {
+	switch st.deadIn(g) {
 	case 0:
 		return false
 	case g.Procs:
@@ -254,106 +259,57 @@ func (rs *runState) abandonGrid(mc *modeCtx, g SubGrid) bool {
 		if err != nil {
 			return true
 		}
-		return mc.abandoned[p.ID] || mc.holed(p)
+		return st.isAbandoned(p.ID) || st.holed(p)
 	}
 }
 
-// liveRootOf returns the lowest surviving original rank of the grid — the
-// rank that holds position 0 of the grid's group communicator after every
-// shrink (Split orders by original rank) — or -1 when none survives.
-func (mc *modeCtx) liveRootOf(g SubGrid) int {
-	for r := g.FirstRank; r < g.FirstRank+g.Procs; r++ {
-		if !mc.isDead(r) {
-			return r
+// schemeKey names the combination scheme among the final world
+// communicator's agreed values.
+type schemeKey struct{}
+
+// agreedScheme is a run's combination scheme, or why it has none.
+type agreedScheme struct {
+	scheme combine.Scheme
+	err    error
+}
+
+// schemeOf computes the combination scheme of a run that ends in state st
+// when it departs from the classic one (rankState.scheme): with grids
+// abandoned, the hole-tolerant survivor scheme over the others (duplicates
+// never carry coefficients and are excluded from both sides); otherwise
+// Alternate Combination's recovered GCP scheme over every grid, with the
+// lost ones lost.
+func (rs *runState) schemeOf(st *modeState) *agreedScheme {
+	survivor, lostIDs := len(st.abandoned) > 0, st.lost
+	if survivor {
+		lostIDs = st.abandoned
+	}
+	held := make([]grid.Level, 0, len(rs.grids))
+	lost := ftcomb.NewSet()
+	for _, sg := range rs.grids {
+		if survivor && sg.Role == RoleDuplicate {
+			continue
+		}
+		held = append(held, sg.Lv)
+		if slices.Contains(lostIDs, sg.ID) {
+			lost[sg.Lv] = true
 		}
 	}
-	return -1
-}
-
-// schemeMemo is one combination scheme a run computed: the survivor or the
-// recovered scheme, over the agreed grid IDs it was computed for.
-type schemeMemo struct {
-	survivor bool
-	ids      []int
-	scheme   combine.Scheme
-}
-
-// memoScheme returns the scheme build computes for the agreed grid IDs ids,
-// computing it once per run. Every rank asks with the same world-agreed
-// lists, so the first caller's result is shared read-only by the rest.
-func (rs *runState) memoScheme(survivor bool, ids []int, build func() (combine.Scheme, error)) (combine.Scheme, error) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	for _, m := range rs.schemes {
-		if m.survivor == survivor && slices.Equal(m.ids, ids) {
-			return m.scheme, nil
+	var sc agreedScheme
+	if survivor {
+		if sc.scheme, sc.err = ftcomb.SurvivorScheme(held, lost); sc.err != nil {
+			sc.err = fmt.Errorf("core: %v survivor scheme: %w", rs.cfg.RecoveryMode, sc.err)
 		}
+	} else if sc.scheme, sc.err = ftcomb.RecoverScheme(held, lost); sc.err != nil {
+		sc.err = fmt.Errorf("core: alternate combination: %w", sc.err)
 	}
-	scheme, err := build()
-	if err != nil {
-		return nil, err
-	}
-	rs.schemes = append(rs.schemes, schemeMemo{survivor, slices.Clone(ids), scheme})
-	return scheme, nil
-}
-
-// survivorScheme returns the hole-tolerant combination scheme over the
-// non-abandoned grids (duplicates never carry coefficients and are excluded
-// from both sides).
-func (rs *runState) survivorScheme(mc *modeCtx) (combine.Scheme, error) {
-	return rs.memoScheme(true, mc.abandonedList(), func() (combine.Scheme, error) {
-		held := make([]grid.Level, 0, len(rs.grids))
-		lost := ftcomb.NewSet()
-		for _, sg := range rs.grids {
-			if sg.Role == RoleDuplicate {
-				continue
-			}
-			held = append(held, sg.Lv)
-			if mc.abandoned[sg.ID] {
-				lost[sg.Lv] = true
-			}
-		}
-		scheme, err := ftcomb.SurvivorScheme(held, lost)
-		if err != nil {
-			return nil, fmt.Errorf("core: %v survivor scheme: %w", rs.cfg.RecoveryMode, err)
-		}
-		return scheme, nil
-	})
-}
-
-// recoverScheme returns the Alternate Combination's recovered GCP scheme
-// over every grid, with the grids lostIDs lost.
-func (rs *runState) recoverScheme(lostIDs []int) (combine.Scheme, error) {
-	return rs.memoScheme(false, lostIDs, func() (combine.Scheme, error) {
-		held := make([]grid.Level, 0, len(rs.grids))
-		lost := ftcomb.NewSet()
-		for _, sg := range rs.grids {
-			held = append(held, sg.Lv)
-			if slices.Contains(lostIDs, sg.ID) {
-				lost[sg.Lv] = true
-			}
-		}
-		scheme, err := ftcomb.RecoverScheme(held, lost)
-		if err != nil {
-			return nil, fmt.Errorf("core: alternate combination: %w", err)
-		}
-		return scheme, nil
-	})
-}
-
-// restorable reports whether the state a survivor held before a repair is
-// carried into its rebuilt solver. All members of a grid must act alike, so
-// the broadcast-agreed damage decides, in every mode: a damaged grid's state
-// is rebuilt by recoverData or the grid is abandoned, and restoring would be
-// redundant or, where groups can shrink, shape-mismatched.
-func (mc *modeCtx) restorable(damaged bool, gridID int) bool {
-	return !damaged && !mc.abandoned[gridID]
+	return &sc
 }
 
 // recoveryInfo is what rank 0 announces over the repaired communicator, so
 // that replacements learn where to rejoin (they cannot derive the step once
-// several failure events are allowed) and every survivor can verify its
-// locally derived copy.
+// several failure events are allowed) and every survivor can check the
+// communicator's state against it.
 type recoveryInfo struct {
 	step      int   // the detection step the survivors stand at
 	failed    []int // the event's failed original ranks
@@ -361,34 +317,33 @@ type recoveryInfo struct {
 	origOf    []int // the position map; nil is the identity
 }
 
-// encodeInfo builds the announcement's payload over a communicator of the
-// given size. Spawn's layout is the short one — step, then the failed
+// encodeInfo builds the announcement of the state over a communicator of
+// the given size. Spawn's layout is the short one — step, then the failed
 // ranks: it has no abandoned set and no map to announce, and the 2 + P ints
 // of the full layout on every spawn broadcast would move virtual time. The
 // full layout spells the map out, the identity too.
-func (mc *modeCtx) encodeInfo(step, size int, failed []int) []int {
+func (mc *modeCtx) encodeInfo(step, size int) []int {
+	st := mc.st
 	if mc.spawn() {
-		return append([]int{step}, failed...)
+		return append([]int{step}, st.failed...)
 	}
-	buf := make([]int, 0, 3+len(failed)+len(mc.abandoned)+size)
-	buf = append(buf, step, len(failed))
-	buf = append(buf, failed...)
-	buf = append(buf, len(mc.abandoned))
-	buf = append(buf, mc.abandonedList()...)
-	return mc.appendMap(buf, size)
+	buf := make([]int, 0, 3+len(st.failed)+len(st.abandoned)+size)
+	buf = append(buf, step, len(st.failed))
+	buf = append(buf, st.failed...)
+	buf = append(buf, len(st.abandoned))
+	buf = append(buf, st.abandoned...)
+	return st.appendMap(buf, size)
 }
 
-// decodeInfo decodes an announcement received on a communicator of the given
-// size. The decoded lists are slices of the run's copy of the announcement,
-// made once per distinct announcement and shared read-only by every rank
-// that received it, so they outlive buf.
-func (rs *runState) decodeInfo(mc *modeCtx, size int, buf []int) (recoveryInfo, error) {
+// decodeInfo decodes an announcement received on a communicator of the
+// given size under mode. The decoded lists are views of buf: they live as
+// long as it does.
+func decodeInfo(mode recovery.Mode, size int, buf []int) (recoveryInfo, error) {
 	if len(buf) < 1 {
 		return recoveryInfo{}, fmt.Errorf("core: empty recovery info")
 	}
-	buf = memoList(&rs.listMu, &rs.announced, buf, nil, func() []int { return slices.Clone(buf) })
 	info := recoveryInfo{step: buf[0]}
-	if mc.spawn() {
+	if mode == recovery.ModeSpawn {
 		info.failed = buf[1:]
 		return info, nil
 	}

@@ -29,9 +29,9 @@ import (
 // rankState is one simulated rank's program state. A launched rank's lives
 // in the run's block (runState.ranks) and holds its per-rank values by
 // value — the solver, the repair result — so that a rank allocates nothing
-// for its own bookkeeping; what it shares with other ranks (modeCtx's
-// failure lists, the decoded announcement, the lost-grid lists) is the
-// run's and read-only.
+// for its own bookkeeping; what it shares with the other ranks of its
+// communicator (the recovery-mode state, modeCtx.st) is the communicator's
+// and read-only.
 type rankState struct {
 	rs  *runState
 	p   *mpi.Proc
@@ -50,10 +50,8 @@ type rankState struct {
 	// communicator positions shift under shrinks. (Labelling a span with the
 	// comm position would put two processes on one track, and their
 	// same-instant spans would interleave by real scheduling order.)
-	rank       int
-	cur        int   // last step completed
-	failedList []int // the most recent event's failed original ranks
-	recoverIDs []int // the sub-grids that event leaves to recover
+	rank int
+	cur  int // last step completed
 	// epoch counts the communicator repairs this process has lived through —
 	// the journal's "which incarnation of the world" stamp. A replacement is
 	// born out of repair round one (or a later one; it cannot tell, and the
@@ -85,7 +83,7 @@ type rankState struct {
 	// final combination (with coefficient zero).
 	gridLost       bool
 	detectOverhead float64
-	crCand         []int // CR restore: checkpoint steps still on offer
+	crCand         []int // CR restore: checkpoint steps still on offer; a transport buffer
 }
 
 // newRank instruments and classifies the process. A launched rank is seated
@@ -105,7 +103,7 @@ func (rs *runState) newRank(p *mpi.Proc) (*rankState, error) {
 		repairVec:   rs.reg.TimeSumVec("rank.vtime.repair"),
 		advanceVec:  rs.reg.TimeSumVec("rank.vtime.advance"),
 		replacement: replacement,
-		mc:          newModeCtx(rs.cfg.RecoveryMode),
+		mc:          modeCtx{mode: rs.cfg.RecoveryMode, st: &rs.initial},
 	}
 	if replacement {
 		return r, nil
@@ -122,7 +120,7 @@ func (r *rankState) seat() error {
 		return err
 	}
 	r.mine = mine
-	r.gridLost = r.mc.abandoned[mine.ID]
+	r.gridLost = r.mc.st.isAbandoned(mine.ID)
 	if !r.replacement {
 		r.fault = r.rs.faults.Trigger(r.p, r.rank)
 	}
@@ -162,32 +160,36 @@ func (r *rankState) newSolver(gc *mpi.Comm, err error) error {
 
 // --- a replacement joins ---------------------------------------------------
 
-// admit seats a replacement from rank 0's announcement: where the survivors
-// stand, who failed, and — for a claimed spare — which original rank it
-// replaces. tAttach and tMerged bracket its reconstruct call.
+// admit seats a replacement, which joins mid-run with no history of its
+// own, from rank 0's announcement: where the survivors stand, the state of
+// the communicator it joined, and — for a claimed spare — which original
+// rank it replaces. tAttach and tMerged bracket its reconstruct call.
 func (r *rankState) admit(mr *recovery.ModeResult, buf []int, err error, tAttach, tMerged float64) error {
 	r.world, r.rank, r.epoch = mr.Comm, mr.Rank, 1
 	info, err := r.receiveInfo(buf, err)
+	if err == nil {
+		r.cur = info.step
+		r.mc.st = r.rs.announcedState(r.world, info)
+	}
+	mpi.ReleaseBuf(buf)
 	if err != nil {
 		return err
 	}
-	r.cur, r.failedList = info.step, info.failed
-	r.rs.adopt(&r.mc, info)
+	st := r.mc.st
 	if !r.mc.spawn() {
 		// A re-spawned process holds its predecessor's rank as soon as the
 		// merge returns, so its repair window closed there; a claimed spare
 		// learns whom it replaces only from the broadcast.
-		r.rank = r.mc.orig(r.world.Rank())
+		r.rank = st.orig(r.world.Rank())
 		tMerged = r.p.Now()
 	}
 	r.repairVec.At(r.rank).Add(tMerged - tAttach)
-	if !slices.Contains(r.failedList, r.rank) {
-		return fmt.Errorf("core: replacement adopted rank %d but rank 0 announced failed ranks %v", r.rank, r.failedList)
+	if !slices.Contains(st.failed, r.rank) {
+		return fmt.Errorf("core: replacement adopted rank %d but rank 0 announced failed ranks %v", r.rank, st.failed)
 	}
 	if err := r.seat(); err != nil {
 		return err
 	}
-	r.recoverIDs = r.rs.activeRecoverIDs(&r.mc, r.failedList)
 	r.cfg.Trace.Note(r.p.Now(), r.rank, r.epoch, "respawn",
 		slog.Int("step", r.cur), slog.Int("world_id", r.p.WorldRank()), slog.Int("host", r.p.Host()))
 	return nil
@@ -302,53 +304,64 @@ func checkPromise(mode recovery.Mode, rank, oldSize, newSize int, mr *recovery.M
 }
 
 // repaired takes a reconstruct call that repaired a failure: it checks the
-// promises, moves the rank onto the repaired communicator and folds the
-// event into the mode state. It returns rank 0's announcement (nil
-// elsewhere) for the broadcast that follows.
+// promises and moves the rank onto the repaired communicator and its state.
+// Rank 0 also folds the event into the run's failure history — the only
+// rank that keeps one, as no failure plan kills it — and returns its
+// announcement (nil elsewhere) for the broadcast that follows.
 func (r *rankState) repaired(mr *recovery.ModeResult) ([]int, error) {
 	if err := checkPromise(r.mc.mode, r.rank, r.world.Size(), mr.Comm.Size(), mr); err != nil {
 		return nil, err
 	}
 	r.world = mr.Comm
-	r.mc.fallbacks += mr.Fallbacks
-	r.recoverIDs = r.rs.applyEvent(&r.mc, mr.OrigOf, r.st.FailedRanks)
+	r.mc.st = r.rs.repairedState(r.world, &r.mc, mr.OrigOf, r.st.FailedRanks)
+	if !slices.Equal(mr.OrigOf, r.mc.st.origOf) {
+		return nil, fmt.Errorf("core: rank %d derived position map %v but its communicator's state maps %v", r.rank, mr.OrigOf, r.mc.st.origOf)
+	}
 	if r.world.Rank() != 0 {
 		return nil, nil
 	}
-	return r.mc.encodeInfo(r.cur, r.world.Size(), r.st.FailedRanks), nil
+	r.rs.recordEvent(r.mc.st.failed, mr.Fallbacks)
+	return r.mc.encodeInfo(r.cur, r.world.Size()), nil
+}
+
+// recordEvent folds one repair event into the run's failure history.
+func (rs *runState) recordEvent(failed []int, fallbacks int) {
+	rs.mu.Lock()
+	rs.res.FailedRanks = recovery.Union(rs.res.FailedRanks, failed)
+	rs.res.RepairFallbacks += fallbacks
+	rs.mu.Unlock()
 }
 
 // receiveInfo decodes rank 0's announcement. The broadcast buffer is the
-// transport's everywhere (at rank 0, encodeInfo's own fresh slice) and is
-// released; the decoded lists are the run's shared copy and outlive it by
-// the rest of the run.
+// transport's everywhere (at rank 0, encodeInfo's own fresh slice), and the
+// decoded lists are views of it: the caller releases it once done with them.
 func (r *rankState) receiveInfo(buf []int, err error) (recoveryInfo, error) {
 	if err != nil {
 		return recoveryInfo{}, fmt.Errorf("core: broadcast recovery info: %w", err)
 	}
-	info, err := r.rs.decodeInfo(&r.mc, r.world.Size(), buf)
-	mpi.ReleaseBuf(buf)
-	return info, err
+	return decodeInfo(r.mc.mode, r.world.Size(), buf)
 }
 
 // agreed takes the announcement every survivor receives after a repair.
-// Each derived the failed list (Fig. 6 group algebra), the position map and
-// the abandoned set locally, folding the same event into the same prior
-// state; all three must agree with rank 0's. Rank 0 then logs the repair.
+// The communicator's state folded the event's failed list (Fig. 6 group
+// algebra), position map and abandoned set into the state every survivor
+// agreed on before; the announcement must match it, and the failed list
+// must match the one this survivor derived. Rank 0 then logs the repair.
 func (r *rankState) agreed(buf []int, err error) error {
+	defer mpi.ReleaseBuf(buf)
 	info, err := r.receiveInfo(buf, err)
 	if err != nil {
 		return err
 	}
-	r.failedList = info.failed
+	st := r.mc.st
 	if !slices.Equal(info.failed, r.st.FailedRanks) {
 		return fmt.Errorf("core: rank %d derived failed ranks %v but rank 0 announced %v", r.rank, r.st.FailedRanks, info.failed)
 	}
-	if !r.mc.sameMap(info.origOf) {
-		return fmt.Errorf("core: rank %d derived position map %v but rank 0 announced %v", r.rank, r.mc.origOf, info.origOf)
+	if !st.sameMap(info.origOf) {
+		return fmt.Errorf("core: rank %d's communicator maps %v but rank 0 announced %v", r.rank, st.origOf, info.origOf)
 	}
-	if !slices.Equal(info.abandoned, r.mc.abandonedList()) {
-		return fmt.Errorf("core: rank %d derived abandoned grids %v but rank 0 announced %v", r.rank, r.mc.abandonedList(), info.abandoned)
+	if !slices.Equal(info.abandoned, st.abandoned) {
+		return fmt.Errorf("core: rank %d's communicator abandoned grids %v but rank 0 announced %v", r.rank, st.abandoned, info.abandoned)
 	}
 	if r.rank == 0 {
 		r.logRepair()
@@ -360,7 +373,7 @@ func (r *rankState) agreed(buf []int, err error) error {
 func (r *rankState) logRepair() {
 	now, rec, st := r.p.Now(), r.cfg.Trace, &r.st
 	rec.Note(now, r.rank, r.epoch, "failure-detected",
-		slog.Int("step", r.cur), slog.String("failed", fmt.Sprint(r.failedList)))
+		slog.Int("step", r.cur), slog.String("failed", fmt.Sprint(r.mc.st.failed)))
 	for _, ph := range []struct {
 		name    string
 		seconds float64
@@ -396,8 +409,8 @@ func (r *rankState) retire() carried {
 // is still good, and releases it either way.
 func (r *rankState) carryOver(old carried) error {
 	defer mpi.ReleaseBuf(old.state)
-	damaged := slices.ContainsFunc(r.failedList, r.mine.has)
-	if old.state != nil && r.mc.restorable(damaged, r.mine.ID) {
+	damaged := slices.ContainsFunc(r.mc.st.failed, r.mine.has)
+	if old.state != nil && r.mc.st.restorable(damaged, r.mine.ID) {
 		return r.solver.Restore(old.step, old.state)
 	}
 	return nil
@@ -406,17 +419,18 @@ func (r *rankState) carryOver(old carried) error {
 // recovered closes a repair once the lost data is back.
 func (r *rankState) recovered() {
 	r.rs.mergeStats(&r.st)
-	r.gridLost = r.mc.abandoned[r.mine.ID]
+	r.gridLost = r.mc.st.isAbandoned(r.mine.ID)
 }
 
 // --- recover the lost sub-grids --------------------------------------------
 
-// beginRecover opens the recovery of the lost sub-grids at the current step.
-// Every process of the communicator recovers the same list; only members of
-// the lost grids and their recovery partners communicate.
-func (r *rankState) beginRecover(lost []int) window {
+// beginRecover opens the recovery of the lost sub-grids at the current step,
+// under the span detail of their list. Every process of the communicator
+// recovers the same list; only members of the lost grids and their recovery
+// partners communicate.
+func (r *rankState) beginRecover(detail string) window {
 	t0 := r.p.Now()
-	return window{t0, r.cfg.Trace.BeginSpan(t0, r.rank, "recover-data", r.rs.recoverDetail(lost))}
+	return window{t0, r.cfg.Trace.BeginSpan(t0, r.rank, "recover-data", detail)}
 }
 
 func (r *rankState) endRecover(w window) {
@@ -447,18 +461,32 @@ func (r *rankState) endRecover(w window) {
 // and decomposition. It recomputes from the initial condition — the full
 // prefix is the measured price of losing a rank without replacement.
 func (r *rankState) crBegin() bool {
-	if r.mc.holed(r.mine) {
+	if r.mc.st.holed(r.mine) {
 		return false
 	}
-	r.crCand = r.rs.store.AppendCandidateSteps(r.crCand[:0], r.mine.ID, r.gcomm.Rank())
+	r.crCand = r.rs.store.AppendCandidateSteps(mpi.AcquireBuf[int](r.crRoom())[:0], r.mine.ID, r.gcomm.Rank())
 	return true
 }
 
+// crEnd releases the candidate list once the negotiation is over.
+func (r *rankState) crEnd() {
+	mpi.ReleaseBuf(r.crCand)
+	r.crCand = nil
+}
+
+// crRoom is the room the candidate list and the offer get, in one
+// allocation each: one step per generation the store keeps, and no fewer
+// than 8 (64 bytes), the smallest buffer the transport pool takes back, so
+// that both are recycled.
+func (r *rankState) crRoom() int { return max(r.rs.store.Generations(), 8) }
+
 // crOffer pads the candidate list to the store's generation count, so the
 // exchange's shape is independent of how much per-rank damage the header
-// peeks found.
+// peeks found. The offer is a transport buffer: release it once the
+// exchange returns (Allgather copies it).
 func (r *rankState) crOffer() []int64 {
-	buf := make([]int64, max(r.rs.store.Generations(), len(r.crCand)))
+	buf := mpi.AcquireBuf[int64](r.crRoom())[:max(r.rs.store.Generations(), len(r.crCand))]
+	clear(buf)
 	for i, s := range r.crCand {
 		buf[i] = int64(s)
 	}
@@ -581,11 +609,12 @@ func (r *rankState) rcRouteOf(lost []int, lg int) (rcRoute, error) {
 	if slices.Contains(lost, rt.src.ID) {
 		return rt, fmt.Errorf("core: RC cannot recover grid %d: partner %d also lost", lg, rt.src.ID)
 	}
-	if r.mc.abandoned[rt.src.ID] || r.mc.holed(rt.src) {
+	st := r.mc.st
+	if st.isAbandoned(rt.src.ID) || st.holed(rt.src) {
 		return rt, fmt.Errorf("core: RC cannot recover grid %d: partner %d unusable after shrink", lg, rt.src.ID)
 	}
-	rt.srcRoot = r.mc.commRankOf(r.mc.liveRootOf(rt.src))
-	rt.dstRoot = r.mc.commRankOf(r.mc.liveRootOf(rt.lost))
+	rt.srcRoot = st.commRankOf(st.liveRootOf(rt.src))
+	rt.dstRoot = st.commRankOf(st.liveRootOf(rt.lost))
 	if rt.srcRoot < 0 || rt.dstRoot < 0 {
 		return rt, fmt.Errorf("core: RC recovery of grid %d: no surviving group root", lg)
 	}
@@ -637,10 +666,10 @@ func (r *rankState) rcInstall(rt rcRoute, vals []float64, err error) error {
 // --- combine ---------------------------------------------------------------
 
 // report records what this rank knows at the end of its loop. The root of
-// the final communicator reports its shape and the failure history: the
-// surviving original ranks in communicator order (none under spawn, where
-// the map is the identity), the fallback count, the abandoned grids, and
-// every rank that failed — the union over all failure events.
+// the final communicator reports its shape — the surviving original ranks
+// in communicator order (none under spawn, where the map is the identity)
+// and the abandoned grids — and the grids of every rank that failed, from
+// the failure history it kept (recordEvent).
 func (r *rankState) report() {
 	res := &r.rs.res
 	r.rs.mu.Lock()
@@ -653,13 +682,11 @@ func (r *rankState) report() {
 	}
 	res.FinalProcs = r.world.Size()
 	if !r.mc.spawn() {
-		res.Survivors = r.mc.appendMap(nil, r.world.Size())
+		res.Survivors = r.mc.st.appendMap(nil, r.world.Size())
 	}
-	res.RepairFallbacks = r.mc.fallbacks
-	res.AbandonedGrids = r.mc.abandonedList()
-	if fr := r.mc.failed; len(fr) > 0 {
-		res.FailedRanks = fr
-		res.LostGrids = r.rs.lostGridIDs(fr)
+	res.AbandonedGrids = r.mc.st.abandoned
+	if len(res.FailedRanks) > 0 {
+		res.LostGrids = r.rs.lostGridIDs(res.FailedRanks)
 	}
 }
 
@@ -668,30 +695,24 @@ func (r *rankState) beginCombine() trace.SpanHandle {
 }
 
 // scheme returns the combination scheme for the run, shared read-only: it
-// is a function of world-agreed lists, so the run computes each scheme once.
-// Whatever the technique, abandoned grids leave the hole-tolerant survivor
-// scheme. Otherwise only Alternate Combination departs from the classic
-// +1/-1 coefficients: grids lost without being abandoned — spawn, which
-// replaces the ranks but not the data — get the paper's recovered GCP
-// coefficients over the grids still held. Rank 0
-// charges the recomputation as AC's data-recovery cost; no-repair by
-// definition recovers nothing, so its data-recovery time stays zero.
+// is a function of the final world communicator's state, so it is that
+// communicator's agreed value, computed once (schemeOf). Whatever the
+// technique, abandoned grids leave the hole-tolerant survivor scheme.
+// Otherwise only Alternate Combination departs from the classic +1/-1
+// coefficients: grids lost without being abandoned — spawn, which replaces
+// the ranks but not the data, or a simulated loss — get the paper's
+// recovered GCP coefficients over the grids still held. Rank 0 charges the
+// recomputation as AC's data-recovery cost; no-repair by definition
+// recovers nothing, so its data-recovery time stays zero.
 func (r *rankState) scheme() (combine.Scheme, error) {
-	rs, ac := r.rs, r.cfg.Technique == AlternateCombination
-	lost := rs.lostGridIDs(r.failedList)
-	tRec := r.p.Now()
-	var scheme combine.Scheme
-	var err error
-	switch {
-	case len(r.mc.abandoned) > 0:
-		scheme, err = rs.survivorScheme(&r.mc)
-	case ac && len(lost) > 0:
-		scheme, err = rs.recoverScheme(lost)
-	default:
+	rs, st, ac := r.rs, r.mc.st, r.cfg.Technique == AlternateCombination
+	if len(st.abandoned) == 0 && !(ac && len(st.lost) > 0) {
 		return rs.classic, nil
 	}
-	if err != nil {
-		return nil, err
+	tRec := r.p.Now()
+	sc := r.world.Agreed(schemeKey{}, func() any { return rs.schemeOf(st) }).(*agreedScheme)
+	if sc.err != nil {
+		return nil, sc.err
 	}
 	if r.world.Rank() == 0 && ac && r.mc.mode != recovery.ModeNoRepair {
 		r.p.Compute(float64(len(rs.grids)*64) * 1e-7) // coefficient computation cost
@@ -701,7 +722,7 @@ func (r *rankState) scheme() (combine.Scheme, error) {
 		}
 		rs.mu.Unlock()
 	}
-	return scheme, nil
+	return sc.scheme, nil
 }
 
 // contribution is one rank's part in the paper's parallel gather-scatter

@@ -1,11 +1,17 @@
 package core
 
 import (
+	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"ftsg/internal/mpi"
 	"ftsg/internal/recovery"
+	"ftsg/internal/topo"
+	"ftsg/internal/vtime"
 )
 
 // The steps below are the decisions of the rank program that need no world:
@@ -65,17 +71,15 @@ func TestCheckPromise(t *testing.T) {
 
 func TestRestorable(t *testing.T) {
 	const gridID = 3
-	for _, mode := range recovery.Modes {
-		for _, grid := range []string{"untouched", "damaged", "abandoned"} {
-			mc := newModeCtx(mode)
-			if grid == "abandoned" {
-				mc.abandoned.add(gridID)
-			}
-			damaged := grid != "untouched" // an abandoned grid was damaged first
-			// Every mode follows the agreed damage, whatever the member saw.
-			if got, want := mc.restorable(damaged, gridID), !damaged; got != want {
-				t.Errorf("%v, grid %s: restorable = %v, want %v", mode, grid, got, want)
-			}
+	for _, grid := range []string{"untouched", "damaged", "abandoned"} {
+		st := &modeState{abandoned: []int{1, 5}}
+		if grid == "abandoned" {
+			st.abandoned = []int{1, gridID, 5}
+		}
+		damaged := grid != "untouched" // an abandoned grid was damaged first
+		// Every mode follows the agreed damage, whatever the member saw.
+		if got, want := st.restorable(damaged, gridID), !damaged; got != want {
+			t.Errorf("grid %s: restorable = %v, want %v", grid, got, want)
 		}
 	}
 }
@@ -83,18 +87,16 @@ func TestRestorable(t *testing.T) {
 func TestRecoveryInfoRoundTrip(t *testing.T) {
 	failed := []int{2, 6}
 	for _, mode := range recovery.Modes {
-		rs := &runState{}
-		mc := newModeCtx(mode)
+		mc := modeCtx{mode: mode, st: &modeState{failed: failed}}
 		want := recoveryInfo{step: 40, failed: failed}
 		if mode != recovery.ModeSpawn {
-			mc.origOf = []int{0, 1, 3, 4, 5, 7}
-			mc.abandoned.add(4)
-			mc.abandoned.add(1)
-			want.abandoned, want.origOf = []int{1, 4}, mc.origOf
+			mc.st.origOf = []int{0, 1, 3, 4, 5, 7}
+			mc.st.abandoned = []int{1, 4}
+			want.abandoned, want.origOf = []int{1, 4}, mc.st.origOf
 		}
 		size := 8 - len(failed)
-		buf := mc.encodeInfo(40, size, failed)
-		got, err := rs.decodeInfo(&mc, size, buf)
+		buf := mc.encodeInfo(40, size)
+		got, err := decodeInfo(mode, size, buf)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -110,28 +112,24 @@ func TestRecoveryInfoRoundTrip(t *testing.T) {
 				t.Errorf("spawn decoded a position map %v, want nil (the identity)", got.origOf)
 			}
 		}
-		clear(buf) // the decoded lists are the run's copy
-		if !slices.Equal(got.failed, failed) {
-			t.Errorf("%v: decoded info aliases the broadcast buffer", mode)
-		}
 
 		// Damage: nothing, a payload cut anywhere, counts that overrun it, and
 		// a communicator of another size.
-		if _, err := rs.decodeInfo(&mc, size, nil); err == nil {
+		if _, err := decodeInfo(mode, size, nil); err == nil {
 			t.Errorf("%v: empty payload accepted", mode)
 		}
 		if mode == recovery.ModeSpawn {
 			continue // [step, failed...] has no shorter malformed form
 		}
 		// A rank still on the identity (nil) spells it out.
-		ident := newModeCtx(mode)
-		spelled, err := rs.decodeInfo(&ident, 8, ident.encodeInfo(40, 8, failed))
-		if err != nil || !slices.Equal(spelled.origOf, []int{0, 1, 2, 3, 4, 5, 6, 7}) || !ident.sameMap(spelled.origOf) || mc.sameMap(spelled.origOf) {
+		ident := modeCtx{mode: mode, st: &modeState{failed: failed}}
+		spelled, err := decodeInfo(mode, 8, ident.encodeInfo(40, 8))
+		if err != nil || !slices.Equal(spelled.origOf, []int{0, 1, 2, 3, 4, 5, 6, 7}) || !ident.st.sameMap(spelled.origOf) || mc.st.sameMap(spelled.origOf) {
 			t.Errorf("%v: identity announced as %v (%v)", mode, spelled.origOf, err)
 		}
-		buf = mc.encodeInfo(40, size, failed)
+		buf = mc.encodeInfo(40, size)
 		for n := 1; n < len(buf); n++ {
-			if _, err := rs.decodeInfo(&mc, size, buf[:n]); err == nil {
+			if _, err := decodeInfo(mode, size, buf[:n]); err == nil {
 				t.Errorf("%v: payload truncated to %d of %d ints accepted", mode, n, len(buf))
 			}
 		}
@@ -139,12 +137,12 @@ func TestRecoveryInfoRoundTrip(t *testing.T) {
 			for _, n := range []int{-1, len(buf) - idx, len(buf)} {
 				over := append([]int(nil), buf...)
 				over[idx] = n
-				if _, err := rs.decodeInfo(&mc, size, over); err == nil {
+				if _, err := decodeInfo(mode, size, over); err == nil {
 					t.Errorf("%v: count at %d set to %d accepted", mode, idx, n)
 				}
 			}
 		}
-		if _, err := rs.decodeInfo(&mc, size+1, buf); err == nil {
+		if _, err := decodeInfo(mode, size+1, buf); err == nil {
 			t.Errorf("%v: %d-position map accepted for a size-%d communicator", mode, size, size+1)
 		}
 	}
@@ -168,39 +166,140 @@ func TestLostGridIDs(t *testing.T) {
 	}
 }
 
-// TestAdoptedStateSharesOnlyReadOnlyLists follows a claimed spare through
-// its admission and a later failure event: the hole and failure lists it
-// derives match the complement of its map and the union of both events,
-// and folding the event into its position map leaves the run's decoded
-// announcement — which every replacement admitted by it shares — as it was.
-func TestAdoptedStateSharesOnlyReadOnlyLists(t *testing.T) {
+// TestSubstituteStateIsTheCommunicators drives the repair steps (repaired,
+// agreed, admit) through two failure events of an 8-rank substitute-mode
+// world with one spare. The first event claims the spare, and every rank of
+// the repaired communicator — the claimed spare too — holds its one state
+// value, whose content is what rank 0's announcement describes. The second
+// finds the pool empty and shrinks: its holes are the complement of its map,
+// rank 0's history is the union of both events, and the first state is as
+// it was.
+func TestSubstituteStateIsTheCommunicators(t *testing.T) {
+	const procs = 8
+	victims := [][]int{{6}, {3}} // original ranks, by event
 	rs := &runState{
-		cfg:   Config{Technique: CheckpointRestart, RealFailures: true},
+		cfg:   Config{Technique: AlternateCombination, RecoveryMode: recovery.ModeSubstitute},
 		grids: []SubGrid{{ID: 0, Procs: 4, FirstRank: 0}, {ID: 1, Procs: 4, FirstRank: 4}},
-		res:   Result{Procs: 8},
+		place: recovery.SameHostPlacement,
+		ranks: make([]rankState, procs),
+		res:   Result{Procs: procs},
 	}
-	announced := []int{0, 1, 2, 3, 4, 5, 7} // rank 6 shrunk out earlier
-	rank0 := newModeCtx(recovery.ModeSubstitute)
-	rank0.origOf = slices.Clone(announced)
-	info, err := rs.decodeInfo(&rank0, len(announced), rank0.encodeInfo(40, len(announced), []int{6}))
-	if err != nil {
+	var mu sync.Mutex
+	states := make([]map[int]*modeState, len(victims)) // by event and original rank
+	for e := range states {
+		states[e] = map[int]*modeState{}
+	}
+	var first modeState // the first event's state, copied before the second
+	record := func(r *rankState, e int) {
+		mu.Lock()
+		defer mu.Unlock()
+		states[e][r.rank] = r.mc.st
+		if e == 0 && r.rank == 0 {
+			first = *r.mc.st
+			for _, l := range []*[]int{&first.origOf, &first.holes, &first.abandoned, &first.failed, &first.lost, &first.recover} {
+				*l = slices.Clone(*l)
+			}
+		}
+	}
+	program := func(p *mpi.Proc) error {
+		r, err := rs.newRank(p)
+		if err != nil {
+			return err
+		}
+		e := 0
+		if r.replacement {
+			tAttach := r.beginDetect()
+			if err := recovery.ReconstructModeInto(&r.mr, p, nil, p.Parent(), &r.st, rs.place, r.mc.mode, nil); err != nil {
+				return err
+			}
+			buf, err := mpi.Bcast[int](r.mr.Comm, 0, nil)
+			if err := r.admit(&r.mr, buf, err, tAttach, p.Now()); err != nil {
+				return err
+			}
+			record(r, e)
+			e++
+		}
+		for ; e < len(victims); e++ {
+			if slices.Contains(victims[e], r.rank) {
+				p.Kill()
+			}
+			r.beginDetect()
+			if err := recovery.ReconstructModeInto(&r.mr, p, r.world, nil, &r.st, rs.place, r.mc.mode, r.mc.st.origOf); err != nil {
+				return err
+			}
+			announce, err := r.repaired(&r.mr)
+			if err != nil {
+				return err
+			}
+			buf, err := mpi.Bcast(r.world, 0, announce)
+			if err := r.agreed(buf, err); err != nil {
+				return err
+			}
+			record(r, e)
+		}
+		return nil
+	}
+	cluster := topo.New(3, 4)
+	if _, err := mpi.Run(mpi.Options{
+		NProcs:     procs,
+		Machine:    vtime.OPL(),
+		Cluster:    cluster,
+		SpareRanks: 1,
+		SpareHosts: []string{cluster.Host(2).Name},
+		Watchdog:   mpi.Watchdog{Timeout: 20 * time.Second},
+		Entry: func(p *mpi.Proc) {
+			if err := program(p); err != nil {
+				p.Abort(err)
+			}
+		},
+	}); err != nil {
 		t.Fatal(err)
 	}
 
-	spare := newModeCtx(recovery.ModeSubstitute)
-	rs.adopt(&spare, info)
-	if !slices.Equal(spare.dead, []int{6}) || !slices.Equal(spare.failed, []int{6}) {
-		t.Fatalf("adopted holes %v, failed %v; want [6] and [6]", spare.dead, spare.failed)
+	// Every rank on each repaired communicator holds its one value: seven
+	// survivors and the spare after the first event, the spare among the
+	// seven after the second.
+	for e, byRank := range states {
+		if len(byRank) != procs-e {
+			t.Fatalf("event %d: %d ranks recorded a state, want %d", e, len(byRank), procs-e)
+		}
+		for rank, st := range byRank {
+			if st != byRank[0] {
+				t.Errorf("event %d: rank %d holds a state of its own: %+v, rank 0 %+v", e, rank, *st, *byRank[0])
+			}
+		}
 	}
-	rs.applyEvent(&spare, []int{0, 1, 2, 3, 5, 7}, []int{4})
-	if !slices.Equal(spare.dead, []int{4, 6}) || !slices.Equal(spare.failed, []int{4, 6}) {
-		t.Errorf("after the event: holes %v, failed %v; want [4 6] and [4 6]", spare.dead, spare.failed)
+	st1, st2 := states[0][0], states[1][0]
+	if st1.origOf != nil || len(st1.holes) != 0 || !slices.Equal(st1.failed, []int{6}) || !slices.Equal(st1.lost, []int{1}) ||
+		!slices.Equal(st1.abandoned, []int{1}) || len(st1.recover) != 0 {
+		t.Errorf("after the first event: %+v, want the identity map, no holes, failed [6], grid 1 lost and abandoned", *st1)
 	}
-	if !slices.Equal(info.origOf, announced) {
-		t.Errorf("the run's decoded announcement now maps %v, want %v", info.origOf, announced)
+	// The state a replacement that asked first would have built from rank
+	// 0's announcement is the survivors' in content, and shares none of the
+	// announcement's memory.
+	mc := modeCtx{mode: recovery.ModeSubstitute, st: st1}
+	buf := mc.encodeInfo(40, procs)
+	info, err := decodeInfo(mc.mode, procs, buf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !spare.holed(rs.grids[1]) || spare.holed(rs.grids[0]) || spare.liveRootOf(rs.grids[1]) != 5 {
-		t.Errorf("grid 1 holed %v, grid 0 holed %v, grid 1's live root %d; want true, false, 5",
-			spare.holed(rs.grids[1]), spare.holed(rs.grids[0]), spare.liveRootOf(rs.grids[1]))
+	announced := rs.infoState(info)
+	clear(buf)
+	if !reflect.DeepEqual(*announced, *st1) {
+		t.Errorf("state built from the announcement: %+v, want the survivors' %+v", *announced, *st1)
+	}
+
+	wantMap := []int{0, 1, 2, 4, 5, 6, 7}
+	if !slices.Equal(st2.origOf, wantMap) || !slices.Equal(st2.holes, []int{3}) {
+		t.Errorf("after the second event: map %v holes %v, want %v and its complement [3]", st2.origOf, st2.holes, wantMap)
+	}
+	if !slices.Equal(st2.failed, []int{3}) || !slices.Equal(st2.abandoned, []int{0, 1}) || len(st2.recover) != 0 {
+		t.Errorf("after the second event: failed %v, abandoned %v, recover %v; want [3], [0 1], none", st2.failed, st2.abandoned, st2.recover)
+	}
+	if !slices.Equal(rs.res.FailedRanks, []int{3, 6}) || rs.res.RepairFallbacks != 1 {
+		t.Errorf("rank 0's history: failed %v, %d fallbacks; want [3 6] and 1", rs.res.FailedRanks, rs.res.RepairFallbacks)
+	}
+	if !reflect.DeepEqual(*st1, first) {
+		t.Errorf("the first event's state now reads %+v, want %+v", *st1, first)
 	}
 }

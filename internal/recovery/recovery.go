@@ -582,7 +582,7 @@ func (lg *ledger) record(broken, repaired *mpi.Comm, failed []int, fellBack bool
 			}
 			slices.Sort(orig)
 		}
-		lg.replaced = union(lg.replaced, orig)
+		lg.replaced = Union(lg.replaced, orig)
 		if repaired.Size() < broken.Size() {
 			lg.cur = shrunkMap(broken, repaired, lg.cur, failed)
 		}
@@ -615,9 +615,10 @@ func OrigAt(origOf []int, pos int) int {
 	return origOf[pos]
 }
 
-// union returns the ascending union of two ascending lists. When a is
-// empty it is b itself, not a copy.
-func union(a, b []int) []int {
+// Union returns the ascending union of two ascending lists of distinct
+// values. When a is empty it is b itself, not a copy; otherwise it is a new
+// list, and neither input is written to.
+func Union(a, b []int) []int {
 	if len(a) == 0 {
 		return b
 	}
