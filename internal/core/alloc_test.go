@@ -118,3 +118,66 @@ func TestNumProcsCountsWithoutGrids(t *testing.T) {
 		t.Errorf("NumProcs allocates %.1f objects, want 0", n)
 	}
 }
+
+// TestRunBytesPerRank bounds the bytes a fault-injected Run allocates per
+// launched rank at a size where a per-member copy of a broadcast's result
+// shows: n = 11, l = 4, 256 ranks per diagonal grid, 16 steps, two real
+// failures, checkpoints on the mem backend. Each configuration's first run
+// in the process is measured, with the collector off: a second run finds
+// the first one's buffers in the transport's pool. The rows run in one
+// order, RC first, so what each finds in the pools does not depend on
+// which tests were selected. Medians of eleven runs (RC) and fourteen (CR):
+//
+//   - RC, 2 434 ranks: 224.9 KiB (223.9–225.6). Its data recovery
+//     broadcasts each restored grid over the lost grid's 256-member group;
+//     while every member received a private copy, a run read 272–326 KiB.
+//   - CR, 1 410 ranks: 302 KiB, spread 223–480. The group
+//     that restarts from the initial condition builds the whole grid on
+//     each member (crRestart), and how many of those are alive at once
+//     depends on scheduling.
+//
+// The bounds are RC's median + 7 % and CR's largest run + 25 %.
+func TestRunBytesPerRank(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race build's sync.Pool drops items at random")
+	}
+	for _, tc := range []struct {
+		name  string
+		tech  Technique
+		procs int
+		kib   float64 // bound per launched rank
+	}{
+		{"RC", ResamplingCopying, 2434, 240},
+		{"CR", CheckpointRestart, 1410, 600},
+	} {
+		cfg := Config{
+			Layout:            combine.Layout{N: 11, L: 4},
+			Technique:         tc.tech,
+			DiagProcs:         256,
+			Steps:             16,
+			Machine:           vtime.OPL(),
+			NumFailures:       2,
+			RealFailures:      true,
+			CheckpointBackend: "mem",
+			Seed:              1,
+		}
+		runtime.GC()
+		old := debug.SetGCPercent(-1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Run(cfg)
+		runtime.ReadMemStats(&after)
+		debug.SetGCPercent(old)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if launched := cfg.WithDefaults().NumProcs() + res.Spawned; len(res.FailedRanks) != 2 || launched != tc.procs {
+			t.Fatalf("%s: failed ranks %v, %d launched; want two failed and %d launched", tc.name, res.FailedRanks, launched, tc.procs)
+		}
+		kib := float64(after.TotalAlloc-before.TotalAlloc) / float64(tc.procs) / 1024
+		t.Logf("%s: %.1f KiB per launched rank (%d ranks, %.0f MiB)", tc.name, kib, tc.procs, kib*float64(tc.procs)/1024)
+		if kib > tc.kib {
+			t.Errorf("%s: %.1f KiB allocated per launched rank, want <= %v", tc.name, kib, tc.kib)
+		}
+	}
+}

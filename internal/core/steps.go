@@ -171,7 +171,6 @@ func (r *rankState) admit(mr *recovery.ModeResult, buf []int, err error, tAttach
 		r.cur = info.step
 		r.mc.st = r.rs.announcedState(r.world, info)
 	}
-	mpi.ReleaseBuf(buf)
 	if err != nil {
 		return err
 	}
@@ -332,9 +331,9 @@ func (rs *runState) recordEvent(failed []int, fallbacks int) {
 	rs.mu.Unlock()
 }
 
-// receiveInfo decodes rank 0's announcement. The broadcast buffer is the
-// transport's everywhere (at rank 0, encodeInfo's own fresh slice), and the
-// decoded lists are views of it: the caller releases it once done with them.
+// receiveInfo decodes rank 0's announcement. The broadcast buffer is one
+// array every member reads (at rank 0, encodeInfo's own fresh slice), and
+// the decoded lists are views of it: read-only, never released.
 func (r *rankState) receiveInfo(buf []int, err error) (recoveryInfo, error) {
 	if err != nil {
 		return recoveryInfo{}, fmt.Errorf("core: broadcast recovery info: %w", err)
@@ -348,7 +347,6 @@ func (r *rankState) receiveInfo(buf []int, err error) (recoveryInfo, error) {
 // agreed on before; the announcement must match it, and the failed list
 // must match the one this survivor derived. Rank 0 then logs the repair.
 func (r *rankState) agreed(buf []int, err error) error {
-	defer mpi.ReleaseBuf(buf)
 	info, err := r.receiveInfo(buf, err)
 	if err != nil {
 		return err
@@ -649,7 +647,8 @@ func (r *rankState) rcSend(rt rcRoute, g *grid.Grid, err error) error {
 
 // rcInstall takes the transferred values, broadcast over the lost grid's
 // group, and installs them as the solver's state at the current step. vals
-// is transport-owned (Recv at the group root, Bcast below it).
+// is the broadcast's one array, lent to every member of the group: each
+// copies its own rows out and none releases it.
 func (r *rankState) rcInstall(rt rcRoute, vals []float64, err error) error {
 	if err != nil {
 		return err
@@ -658,9 +657,7 @@ func (r *rankState) rcInstall(rt rcRoute, vals []float64, err error) error {
 	if err != nil {
 		return fmt.Errorf("core: RC transfer: %w", err)
 	}
-	err = r.solver.SetFromGrid(g, r.cur)
-	mpi.ReleaseBuf(vals)
-	return err
+	return r.solver.SetFromGrid(g, r.cur)
 }
 
 // --- combine ---------------------------------------------------------------

@@ -113,7 +113,9 @@ func disseminate(c *Comm, tag int, l rankList, myIdx int) error {
 
 // Bcast broadcasts root's buffer to all members of the intracommunicator
 // using a binomial tree. Non-root callers pass nil and receive the data in
-// the return value.
+// the return value. Bcast consumes root's data: every member's result, the
+// root's included, is that one array, lent read-only (DESIGN.md §8,
+// "Lend"). Nobody writes or releases it; the GC reclaims it.
 func Bcast[T any](c *Comm, root int, data []T) ([]T, error) {
 	if c.IsInter() {
 		return nil, c.fire(fmt.Errorf("mpi: Bcast on intercommunicator: %w", ErrComm))
@@ -168,6 +170,9 @@ func Reduce[T any](c *Comm, root int, data []T, op func(T, T) T) ([]T, error) {
 // so failure-abort propagation covers both phases. Hierarchical: the same
 // two trees over node leaders for small payloads, or a ring
 // reduce-scatter/allgather over leaders past collRingCutover bytes.
+// Allreduce borrows data. The result is a collective-owned accumulator lent
+// to the members that share it (all of them, or a node's under the ring):
+// read-only, never released.
 func Allreduce[T any](c *Comm, data []T, op func(T, T) T) ([]T, error) {
 	if c.IsInter() {
 		return nil, c.fire(fmt.Errorf("mpi: Allreduce on intercommunicator: %w", ErrComm))
@@ -243,7 +248,9 @@ func Gather[T any](c *Comm, root int, data []T) ([][]T, error) {
 
 // Allgather collects equal-length buffers from every member and delivers the
 // full rank-ordered set to all members (gather to rank 0 plus broadcast of
-// the flattened buffer, one internal tag).
+// the flattened buffer, one internal tag). Allgather borrows data. The
+// pieces are views of one collective-owned array that every member reads:
+// read-only, never released.
 func Allgather[T any](c *Comm, data []T) ([][]T, error) {
 	if c.IsInter() {
 		return nil, c.fire(fmt.Errorf("mpi: Allgather on intercommunicator: %w", ErrComm))

@@ -261,6 +261,8 @@ func tokenFanOut(c *Comm, tag int, list []int, myIdx int) error {
 
 // bcastList is the binomial broadcast over l, rooted at l.at(rootIdx). Only
 // the root passes data; every caller receives the buffer in the return value.
+// The tree lends one array (sendLent): every member's result is the root's
+// data itself, read-only and never released.
 func bcastList[T any](c *Comm, tag int, l rankList, rootIdx, myIdx int, data []T) ([]T, error) {
 	n := l.n
 	vr := (myIdx - rootIdx + n) % n
@@ -281,12 +283,12 @@ func bcastList[T any](c *Comm, tag int, l rankList, rootIdx, myIdx int, data []T
 	mask >>= 1
 	for ; mask > 0; mask >>= 1 {
 		if vr+mask < n {
-			if err := sendRaw(c, l.at((vr+mask+rootIdx)%n), tag, buf); err != nil {
+			if err := sendLent(c, l.at((vr+mask+rootIdx)%n), tag, buf); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return buf, nil
+	return lent(buf), nil
 }
 
 // reduceList is the binomial reduction over l, rooted at l.at(rootIdx),

@@ -394,20 +394,20 @@ func fiberTokenFanOut(f *Fiber, c *Comm, tag int, list []int, myIdx int, k func(
 
 // fiberBcastList is bcastList in CPS over l, rooted at
 // l.at(rootIdx); identical virtual-root rotation, so identical message
-// endpoints and arrival times.
+// endpoints and arrival times, and the same one lent array.
 func fiberBcastList[T any](f *Fiber, c *Comm, tag int, l rankList, rootIdx, myIdx int, data []T, k func([]T, error)) {
 	n := l.n
 	vr := (myIdx - rootIdx + n) % n
 	down := func(buf []T, mask int) {
 		for ; mask > 0; mask >>= 1 {
 			if vr+mask < n {
-				if err := sendRaw(c, l.at((vr+mask+rootIdx)%n), tag, buf); err != nil {
+				if err := sendLent(c, l.at((vr+mask+rootIdx)%n), tag, buf); err != nil {
 					k(nil, err)
 					return
 				}
 			}
 		}
-		k(buf, nil)
+		k(lent(buf), nil)
 	}
 	var up func(mask int)
 	up = func(mask int) {
@@ -477,7 +477,8 @@ func fiberReduceList[T any](f *Fiber, c *Comm, tag int, l rankList, rootIdx, myI
 
 // FiberAllreduce is Allreduce for fiber code: flat reduce+bcast, or the
 // hierarchical tree / leader-ring variants past the same cutover, all with
-// the blocking path's tags, shapes and fold orders.
+// the blocking path's tags, shapes and fold orders, and the same lent
+// result.
 func FiberAllreduce[T any](f *Fiber, c *Comm, data []T, op func(T, T) T, k func([]T, error)) {
 	if c.IsInter() {
 		k(nil, c.fire(fmt.Errorf("mpi: Allreduce on intercommunicator: %w", ErrComm)))

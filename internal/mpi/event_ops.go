@@ -141,7 +141,8 @@ func FiberRecvOne[T any](f *Fiber, c *Comm, src, tag int, k func(T, Status, erro
 // --- collectives ----------------------------------------------------------
 
 // FiberBcast is Bcast for fiber code: binomial tree (flat) or the two-level
-// leader/node trees, with the blocking path's tags and rotations.
+// leader/node trees, with the blocking path's tags and rotations. Like
+// Bcast it consumes root's data and lends every member that one array.
 func FiberBcast[T any](f *Fiber, c *Comm, root int, data []T, k func([]T, error)) {
 	if c.IsInter() {
 		k(nil, c.fire(fmt.Errorf("mpi: Bcast on intercommunicator: %w", ErrComm)))
@@ -389,7 +390,7 @@ func fiberHierGather[T any](f *Fiber, c *Comm, t *commTopo, tag, root int, data 
 
 // FiberAllgather is Allgather for fiber code: gather-at-0 plus broadcast
 // (flat) or the leader tree of hierAllgather, with the
-// same zero-copy re-slicing of the flat buffer.
+// same zero-copy re-slicing of the flat buffer, lent to every member.
 func FiberAllgather[T any](f *Fiber, c *Comm, data []T, k func([][]T, error)) {
 	if c.IsInter() {
 		k(nil, c.fire(fmt.Errorf("mpi: Allgather on intercommunicator: %w", ErrComm)))

@@ -37,20 +37,39 @@ func SendOne[T any](c *Comm, dest, tag int, v T) error {
 	return Send(c, dest, tag, []T{v})
 }
 
+// sendMode is what an eager send does with the caller's slice.
+type sendMode uint8
+
+const (
+	// sendCopy copies the payload into a pooled buffer (copyIn), which the
+	// receiver then owns; the caller keeps its slice.
+	sendCopy sendMode = iota
+	// sendOwn hands the slice itself to the receiver; a dropped or
+	// directly delivered send returns it to the pool.
+	sendOwn
+	// sendLend hands the receiver the slice itself, read-only: a broadcast
+	// tree forwards one array to every member. Nobody releases it; the GC
+	// reclaims it once the last member drops it.
+	sendLend
+)
+
 func sendRaw[T any](c *Comm, dest, tag int, data []T) error {
-	return sendEnv(c, dest, tag, data, false)
+	return sendEnv(c, dest, tag, data, sendCopy)
 }
 
 func sendOwned[T any](c *Comm, dest, tag int, data []T) error {
-	return sendEnv(c, dest, tag, data, true)
+	return sendEnv(c, dest, tag, data, sendOwn)
 }
 
-// sendEnv implements the eager send. owned hands the slice itself to the
-// transport (a dropped send returns it to the buffer pool); otherwise the
-// payload is copied into a pooled buffer (see copyIn).
+func sendLent[T any](c *Comm, dest, tag int, data []T) error {
+	return sendEnv(c, dest, tag, data, sendLend)
+}
+
+// sendEnv implements the eager send; mode says whether the payload is
+// copied, handed over or lent (see sendMode).
 // The only lock taken on the failure-free path is the destination's
 // mailbox mutex.
-func sendEnv[T any](c *Comm, dest, tag int, data []T, owned bool) error {
+func sendEnv[T any](c *Comm, dest, tag int, data []T, mode sendMode) error {
 	st := c.p.st
 	w := st.w
 	st.hookOp(OpSend)
@@ -60,14 +79,14 @@ func sendEnv[T any](c *Comm, dest, tag int, data []T, owned bool) error {
 	// the shared revoked flag here would make the outcome depend on the
 	// wall-clock moment another rank's Revoke became visible.
 	if c.sawRevoked {
-		if owned {
+		if mode == sendOwn {
 			putBuf(data)
 		}
 		return ErrRevoked
 	}
 	dw, err := c.peerWorld(dest)
 	if err != nil {
-		if owned {
+		if mode == sendOwn {
 			putBuf(data)
 		}
 		return err
@@ -101,7 +120,7 @@ func sendEnv[T any](c *Comm, dest, tag int, data []T, owned bool) error {
 	// the ULFM contract too: local completion of a buffered send guarantees
 	// nothing about delivery.
 	if !dst.alive.Load() {
-		if owned {
+		if mode == sendOwn {
 			putBuf(data)
 		}
 		return nil
@@ -112,7 +131,7 @@ func sendEnv[T any](c *Comm, dest, tag int, data []T, owned bool) error {
 	// — deliverDirect decides under the destination's lock, and a message
 	// queued past a buffer published meanwhile retracts it (see enqueue).
 	if dst.intoSet.Load() && deliverDirect(dst, c.sh.id, c.rank, tag, data, bytes, arrival) {
-		if owned {
+		if mode == sendOwn {
 			putBuf(data)
 		}
 		return nil
@@ -121,10 +140,10 @@ func sendEnv[T any](c *Comm, dest, tag int, data []T, owned bool) error {
 	env.commID, env.src, env.tag = c.sh.id, c.rank, tag
 	env.bytes = bytes
 	env.arrival = arrival
-	if owned {
-		setPayload(env, data)
-	} else {
+	if mode == sendCopy {
 		copyIn(env, st, data)
+	} else {
+		setPayload(env, data)
 	}
 	dst.enqueue(env)
 	return nil

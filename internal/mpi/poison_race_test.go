@@ -4,7 +4,10 @@ package mpi
 
 import (
 	"math"
+	"runtime"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 // raceEnabled lets allocation pins skip builds in which sync.Pool drops
@@ -63,5 +66,79 @@ func TestReduceInputReadAfterwardsIsPoisoned(t *testing.T) {
 				})
 			})
 		})
+	}
+}
+
+// releasePanics reports whether ReleaseBuf(b) panics with the lent-result
+// tripwire's message.
+func releasePanics(b []float64) (tripped bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			s, ok := r.(string)
+			tripped = ok && strings.Contains(s, "lent collective result")
+		}
+	}()
+	ReleaseBuf(b)
+	return false
+}
+
+// TestReleaseOfLentResultPanics checks the race build's lent-result
+// tripwire on both paths: releasing what Bcast, Allreduce or Allgather
+// returns panics at every member, the root of the broadcast included, while
+// the members' own buffers still release.
+func TestReleaseOfLentResultPanics(t *testing.T) {
+	const n, m = 6, 64
+	for _, event := range []bool{false, true} {
+		opts := Options{NProcs: n, EventWorkers: 2, Watchdog: stallFails()}
+		runOnPath(t, opts, event, func(p *Proc, o pathOps) {
+			c := p.World()
+			check := func(op string, b []float64) {
+				if !releasePanics(b) {
+					t.Errorf("event=%v rank %d: releasing a %s result did not panic", event, c.Rank(), op)
+				}
+			}
+			var data []float64
+			if c.Rank() == 1 {
+				data = make([]float64, m)
+			}
+			o.bcast(c, 1, data, func(got []float64, err error) {
+				must(t, err)
+				check("Bcast", got)
+				in := AcquireBuf[float64](m)
+				for i := range in {
+					in[i] = 1
+				}
+				o.allreduce(c, in, func(sum []float64, err error) {
+					must(t, err)
+					check("Allreduce", sum)
+					o.allgather(c, in, func(all [][]float64, err error) {
+						must(t, err)
+						check("Allgather", all[0])
+						if releasePanics(in) {
+							t.Errorf("event=%v rank %d: releasing its own input panicked", event, c.Rank())
+						}
+					})
+				})
+			})
+		})
+	}
+}
+
+// TestLentRegistryForgetsReclaimedArrays: the registry holds its arrays
+// weakly, so once the GC has reclaimed a lent array its address, which a
+// later allocation may reuse, no longer trips a release.
+func TestLentRegistryForgetsReclaimedArrays(t *testing.T) {
+	live := lent(make([]float64, 64))
+	if !isLent(uintptr(unsafe.Pointer(unsafe.SliceData(live)))) {
+		t.Fatal("a live lent array is not registered")
+	}
+	p := func() uintptr {
+		b := lent(make([]float64, 64))
+		return uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	}()
+	runtime.GC()
+	runtime.GC()
+	if isLent(p) {
+		t.Error("a reclaimed lent array's address still trips a release")
 	}
 }

@@ -63,8 +63,8 @@ func putEnv(env *envelope) {
 	envPool.Put(env)
 }
 
-// setPayload stores data in the envelope without copying: the envelope (and
-// ultimately the receiver) takes ownership of the slice's array.
+// setPayload stores data in the envelope without copying: the receiver gets
+// the slice's array itself, owned or lent (see sendMode).
 func setPayload[T any](env *envelope, data []T) {
 	if len(data) > 0 {
 		env.ptr = unsafe.Pointer(unsafe.SliceData(data))
@@ -521,6 +521,7 @@ func putBuf[T any](b []T) {
 	if uintptr(p)&7 != 0 {
 		return
 	}
+	checkNotLent(p)
 	k := classFloor(bytes)
 	poison(p, classSize(k))
 	if classSize(k) >= keepMin && keep(k, p) {
@@ -534,10 +535,11 @@ func putBuf[T any](b []T) {
 func AcquireBuf[T any](n int) []T { return getBuf[T](n) }
 
 // ReleaseBuf hands a buffer back to the transport's pool once its contents
-// have been consumed: a received payload, a collective's result, or an
-// AcquireBuf buffer that was never sent. The caller must own it exclusively
-// and release it exactly once; never release a sub-slice and its parent, or
-// a slice another holder still reads (Bcast hands the root its own argument
-// back). Pointer-free buffers of 64 bytes and more are recycled, whatever
-// allocated them; anything else is dropped for the GC.
+// have been consumed: a received payload, Reduce's result at the root, or
+// an AcquireBuf buffer that was never sent. The caller must own it
+// exclusively and release it exactly once; never release a sub-slice and
+// its parent, or a slice another holder still reads. What Bcast, Allreduce
+// and Allgather return is lent, never owned: it is never released (race
+// builds panic). Pointer-free buffers of 64 bytes and more are recycled,
+// whatever allocated them; anything else is dropped for the GC.
 func ReleaseBuf[T any](b []T) { putBuf(b) }

@@ -15,7 +15,8 @@ const weakScaleRounds = 5
 // weakScale runs the weak-scaling workload on nprocs ranks of the machine's
 // default host shape and returns the run's virtual end time. event runs the
 // same rounds through the Fiber* operations. Allreduce only reads its input,
-// so the ranks share one of each size, and each result goes back to the pool.
+// so the ranks share one of each size; each result is lent, so nobody
+// releases it.
 func weakScale(t *testing.T, m *vtime.Machine, nprocs int, event bool) float64 {
 	t.Helper()
 	small, big := make([]float64, 16), make([]float64, 8192)
@@ -27,12 +28,10 @@ func weakScale(t *testing.T, m *vtime.Machine, nprocs int, event bool) float64 {
 				return
 			}
 			for _, in := range [][]float64{small, big} {
-				out, err := Allreduce(c, in, Sum[float64])
-				if err != nil {
+				if _, err := Allreduce(c, in, Sum[float64]); err != nil {
 					t.Error(err)
 					return
 				}
-				ReleaseBuf(out)
 			}
 		}
 	}}
@@ -50,18 +49,16 @@ func weakScale(t *testing.T, m *vtime.Machine, nprocs int, event bool) float64 {
 						t.Error(err)
 						return
 					}
-					FiberAllreduce(f, c, small, Sum[float64], func(out []float64, err error) {
+					FiberAllreduce(f, c, small, Sum[float64], func(_ []float64, err error) {
 						if err != nil {
 							t.Error(err)
 							return
 						}
-						ReleaseBuf(out)
-						FiberAllreduce(f, c, big, Sum[float64], func(out []float64, err error) {
+						FiberAllreduce(f, c, big, Sum[float64], func(_ []float64, err error) {
 							if err != nil {
 								t.Error(err)
 								return
 							}
-							ReleaseBuf(out)
 							round(k + 1)
 						})
 					})
